@@ -1,14 +1,14 @@
 //! Real-socket serving workloads: full and resumed HTTPS transactions
-//! against the `sslperf-net` worker-pool server, plus the handshake-only
-//! connect path and a pool-vs-event-loop concurrency comparison. The
+//! against the `sslperf-net` event-loop server, steady-state bulk records,
+//! and a blocking-baseline-vs-event-loop concurrency comparison. The
 //! in-memory `table1_webserver` benches time the same anatomy without a
 //! kernel socket in the loop; the delta is the serving substrate's
 //! overhead.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use sslperf_core::net::{EventLoopServer, ServerOptions, TcpSslServer};
+use sslperf_core::experiments::BlockingBaseline;
 use sslperf_core::prelude::*;
-use sslperf_core::ssl::ClientSession;
+use sslperf_core::ssl::{ClientSession, RecordBuffer};
 use sslperf_core::websim::http::{HttpRequest, HttpResponse};
 use sslperf_core::websim::loadgen::{run_event_load, EventLoadOptions};
 use std::hint::black_box;
@@ -19,12 +19,12 @@ use std::time::Duration;
 const FILE_SIZE: usize = 1024;
 
 /// One shared server for every bench in this target.
-fn server() -> &'static TcpSslServer {
-    static SERVER: OnceLock<TcpSslServer> = OnceLock::new();
+fn server() -> &'static EventLoopServer {
+    static SERVER: OnceLock<EventLoopServer> = OnceLock::new();
     SERVER.get_or_init(|| {
         let mut rng = SslRng::from_seed(b"bench-tcp-server");
         let key = RsaPrivateKey::generate(1024, &mut rng).expect("keygen");
-        TcpSslServer::start(key, "bench.sslperf.test", &ServerOptions::default())
+        EventLoopServer::start(key, "bench.sslperf.test", &ServerOptions::default())
             .expect("server start")
     })
 }
@@ -41,10 +41,12 @@ fn transaction(addr: SocketAddr, seed: u64, session: Option<&ClientSession>) -> 
     socket.set_nodelay(true).expect("nodelay");
     client.handshake_transport(&mut socket).expect("handshake");
     let request = HttpRequest::get(&format!("/doc_{FILE_SIZE}.bin"));
-    client.send(&mut socket, &request.to_bytes()).expect("request");
+    let mut buf = RecordBuffer::with_record_capacity();
+    client.send_buffered(&mut socket, &request.to_bytes(), &mut buf).expect("request");
     let mut body = Vec::new();
     let response = loop {
-        body.extend(client.recv(&mut socket).expect("response record"));
+        let range = client.recv_buffered(&mut socket, &mut buf).expect("response record");
+        body.extend_from_slice(&buf.as_slice()[range]);
         if let Ok(response) = HttpResponse::parse(&body) {
             break response;
         }
@@ -85,48 +87,25 @@ fn bench_resumed_transaction(c: &mut Criterion) {
 }
 
 /// Steady-state bulk serving on one live connection: 64 KiB documents
-/// (four records each way at most), no handshake in the loop. The two
-/// variants time the legacy Vec-per-record client path against the
-/// zero-copy buffered path, so the record pipeline's allocation savings
-/// show up directly instead of hiding under handshake cost.
+/// (four records each way at most), no handshake in the loop, so the
+/// record pipeline's cost shows up directly instead of hiding under the
+/// handshake.
 fn bench_bulk_records(c: &mut Criterion) {
     const BULK_SIZE: usize = 65536;
     let addr = server().local_addr();
     let mut group = c.benchmark_group("tcp_serving/bulk");
     group.sample_size(30);
 
-    let connect = |seed: u64| {
-        let rng = SslRng::from_seed(format!("bench-tcp-bulk-{seed}").as_bytes());
-        let mut client = SslClient::new(CipherSuite::RsaDesCbc3Sha, rng);
+    let request = HttpRequest::get(&format!("/doc_{BULK_SIZE}.bin")).to_bytes();
+
+    group.bench_function("64KB buffered zero-copy", |b| {
+        let mut client =
+            SslClient::new(CipherSuite::RsaDesCbc3Sha, SslRng::from_seed(b"bench-tcp-bulk-2"));
         let mut socket = TcpStream::connect(addr).expect("connect");
         socket.set_nodelay(true).expect("nodelay");
         client.handshake_transport(&mut socket).expect("handshake");
-        (client, socket)
-    };
-    let request = HttpRequest::get(&format!("/doc_{BULK_SIZE}.bin")).to_bytes();
-
-    group.bench_function("64KB legacy Vec API", |b| {
-        let (mut client, mut socket) = connect(1);
-        let mut body = Vec::new();
-        b.iter(|| {
-            client.send(&mut socket, &request).expect("request");
-            body.clear();
-            loop {
-                body.extend(client.recv(&mut socket).expect("response record"));
-                if let Ok(response) = HttpResponse::parse(&body) {
-                    assert_eq!(response.body().len(), BULK_SIZE);
-                    break;
-                }
-            }
-            black_box(body.len());
-        });
-        client.close_transport(&mut socket).expect("close");
-    });
-
-    group.bench_function("64KB buffered zero-copy", |b| {
-        let (mut client, mut socket) = connect(2);
-        let mut tx_buf = sslperf_core::ssl::RecordBuffer::with_record_capacity();
-        let mut rx_buf = sslperf_core::ssl::RecordBuffer::with_record_capacity();
+        let mut tx_buf = RecordBuffer::with_record_capacity();
+        let mut rx_buf = RecordBuffer::with_record_capacity();
         let mut body = Vec::new();
         b.iter(|| {
             client.send_buffered(&mut socket, &request, &mut tx_buf).expect("request");
@@ -148,22 +127,22 @@ fn bench_bulk_records(c: &mut Criterion) {
     group.finish();
 }
 
-/// Pool vs event loop under rising concurrency: the same batch of
-/// concurrent full-handshake transactions (driven by the single-threaded
-/// event load generator) against both serving modes, with the connection
-/// count at 1×, 8×, and 64× the server's thread count. The pool
-/// serializes everything beyond its worker count, so its batch time grows
-/// with connections while the event loop's shards keep every socket in
-/// flight — the architectural gap the sans-io engine buys.
+/// Blocking baseline vs event loop under rising concurrency: the same
+/// batch of concurrent full-handshake transactions (driven by the
+/// single-threaded event load generator) against both, with the
+/// connection count at 1×, 8×, and 64× the server's thread count. The
+/// baseline serializes everything beyond its worker count, so its batch
+/// time grows with connections while the event loop's shards keep every
+/// socket in flight — the architectural gap the sans-io engine buys.
 fn bench_concurrency(c: &mut Criterion) {
     const THREADS: usize = 2;
     // A 512-bit key keeps the 128-handshake batches affordable; both
-    // modes pay the identical per-handshake cost, so the comparison holds.
+    // servers pay the identical per-handshake cost, so the comparison holds.
     let mut rng = SslRng::from_seed(b"bench-tcp-concurrency");
     let key = RsaPrivateKey::generate(512, &mut rng).expect("keygen");
-    let options = ServerOptions { workers: THREADS, shards: THREADS, ..ServerOptions::default() };
+    let options = ServerOptions { shards: THREADS, ..ServerOptions::default() };
     let pool =
-        TcpSslServer::start(key.clone(), "bench.sslperf.test", &options).expect("pool start");
+        BlockingBaseline::start(key.clone(), "bench.sslperf.test", THREADS).expect("pool start");
     let event_loop =
         EventLoopServer::start(key, "bench.sslperf.test", &options).expect("event-loop start");
 
@@ -179,7 +158,7 @@ fn bench_concurrency(c: &mut Criterion) {
                 suite: CipherSuite::RsaDesCbc3Sha,
                 // The pool can only establish `workers` connections at a
                 // time, so the all-at-once barrier would deadlock it; let
-                // both modes serve the batch at their natural concurrency.
+                // both servers take the batch at their natural concurrency.
                 hold_until_all_established: false,
                 deadline: Duration::from_secs(120),
             };
@@ -198,7 +177,7 @@ fn bench_concurrency(c: &mut Criterion) {
 }
 
 /// Crypto-offload ablation at 64× concurrency: the same 128-connection
-/// full-handshake batch against the worker-pool server (inline RSA), the
+/// full-handshake batch against the blocking baseline (inline RSA), the
 /// event-loop server decrypting inline on its shards, and the event-loop
 /// server handing decryptions to 1, 2, and 4 crypto workers. Inline, a
 /// shard serialises every queued handshake behind the ~90% RSA step;
@@ -233,12 +212,7 @@ fn bench_crypto_offload(c: &mut Criterion) {
         ("event_loop_4w", true, 4),
     ];
     for (label, event_loop, crypto_workers) in arms {
-        let options = ServerOptions {
-            workers: THREADS,
-            shards: THREADS,
-            crypto_workers,
-            ..ServerOptions::default()
-        };
+        let options = ServerOptions { shards: THREADS, crypto_workers, ..ServerOptions::default() };
         let (addr, _pool_server, el_server);
         if event_loop {
             let server = EventLoopServer::start(key.clone(), "bench.sslperf.test", &options)
@@ -247,7 +221,7 @@ fn bench_crypto_offload(c: &mut Criterion) {
             el_server = Some(server);
             _pool_server = None;
         } else {
-            let server = TcpSslServer::start(key.clone(), "bench.sslperf.test", &options)
+            let server = BlockingBaseline::start(key.clone(), "bench.sslperf.test", THREADS)
                 .expect("pool start");
             addr = server.local_addr();
             _pool_server = Some(server);

@@ -12,12 +12,15 @@
 //! produces the whole paper in order.
 
 pub mod arch;
+mod baseline;
 pub mod handshake;
 pub mod hashes;
 pub mod netload;
 pub mod rsa;
 pub mod symmetric;
 pub mod webserver;
+
+pub use baseline::BlockingBaseline;
 
 use crate::Context;
 use sslperf_bignum::BnError;
@@ -111,11 +114,11 @@ pub enum ExperimentId {
     Table12,
     /// Cipher-suite sweep of the serving experiment.
     SuiteSweep,
-    /// Loaded server over real sockets with a worker pool and shared
-    /// session cache.
+    /// Loaded server over real sockets: the event-loop server next to the
+    /// blocking baseline, both with a shared session cache.
     LoadedServer,
     /// Crypto-offload ablation: inline RSA vs the event-loop crypto
-    /// worker pool at 1/2/4 workers (§5 "parallel crypto engines").
+    /// pool at 1/2/4 workers (§5 "parallel crypto engines").
     CryptoOffload,
     /// Tables 1-3 measured live from the serving layer's metrics registry
     /// instead of the in-process pipeline.

@@ -1,24 +1,22 @@
 //! The loaded-server experiment: the paper's serving scenario on real
-//! sockets, in both serving architectures.
+//! sockets, the event-loop server next to a blocking baseline.
 //!
 //! Table 1 and Figure 2 time the SSL pipeline in-process; this experiment
-//! closes the loop by standing up the real-socket serving layer on
-//! loopback and driving it with the concurrent socket load generator from
-//! `sslperf-websim` — once with the worker-pool server
-//! ([`sslperf_net::TcpSslServer`], one blocking thread per connection)
-//! and once with the event-loop server
-//! ([`sslperf_net::EventLoopServer`], many non-blocking connections per
-//! shard thread over the sans-io engine). The rendered report shows both
-//! modes side by side: transaction throughput, handshake and transaction
-//! latency percentiles, and the session-cache hit rate that §4.1's
-//! re-negotiation optimisation depends on.
+//! closes the loop by standing up a real-socket server on loopback and
+//! driving it with the concurrent socket load generator from
+//! `sslperf-websim` — once against the paper-style blocking baseline
+//! ([`BlockingBaseline`], one blocking thread per connection) and once
+//! against the event-loop server ([`sslperf_net::EventLoopServer`], many
+//! non-blocking connections per shard thread over the sans-io engine).
+//! The rendered report shows both side by side: transaction throughput,
+//! handshake and transaction latency percentiles, and the session-cache
+//! hit rate that §4.1's re-negotiation optimisation depends on.
 
-use crate::experiments::{pct, ExperimentError};
+use crate::experiments::{pct, BlockingBaseline, ExperimentError};
 use crate::Context;
 use sslperf_isasim::forecast::{rsa_kx_cycles, EngineConfig, ForecastModel};
 use sslperf_net::{
     EngineProfile, EventLoopServer, FleetSnapshot, MetricsSnapshot, ServerFleet, ServerOptions,
-    TcpSslServer,
 };
 use sslperf_rsa::RsaPrivateKey;
 use sslperf_ssl::{Protocol, TicketKeyring};
@@ -30,7 +28,7 @@ use std::fmt;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Client- and server-side results for one serving mode.
+/// Client- and server-side results for one serving architecture.
 #[derive(Debug)]
 pub struct ModeLoad {
     /// Client-side load report (throughput and latency percentiles).
@@ -76,11 +74,11 @@ impl fmt::Display for ModeLoad {
     }
 }
 
-/// Results of one loaded-server run: both serving modes under the same
-/// client workload.
+/// Results of one loaded-server run: the blocking baseline and the
+/// event-loop server under the same client workload.
 #[derive(Debug)]
 pub struct NetLoad {
-    /// The worker-pool server (one blocking thread per connection).
+    /// The blocking baseline (one blocking thread per connection).
     pub pool: ModeLoad,
     /// The event-loop server (non-blocking shards over the sans-io engine).
     pub event_loop: ModeLoad,
@@ -90,41 +88,24 @@ impl fmt::Display for NetLoad {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(f, "Loaded server (real sockets, shared session cache)")?;
         writeln!(f, "==================================================")?;
-        writeln!(f, "[worker pool]")?;
+        writeln!(f, "[blocking baseline]")?;
         writeln!(f, "{}", self.pool)?;
         writeln!(f, "[event loop]")?;
         writeln!(f, "{}", self.event_loop)?;
         writeln!(
             f,
             "Paper context: §4.1 — session reuse skips the RSA private-key operation,\n\
-             the single largest cost of the transaction (Tables 2–3). The two serving\n\
-             modes pay the same per-transaction SSL cost; the event loop decouples\n\
+             the single largest cost of the transaction (Tables 2–3). Both servers\n\
+             pay the same per-transaction SSL cost; the event loop decouples\n\
              concurrent connections from thread count."
         )
     }
 }
 
-/// Drives one already-started server and collects its mode report.
-fn drive(
-    addr: std::net::SocketAddr,
-    options: &SocketLoadOptions,
-    cache: &sslperf_net::ShardedSessionCache,
-    stats: &sslperf_net::ServerStats,
-) -> Result<ModeLoad, ExperimentError> {
-    let report = run_socket_load(addr, options)?;
-    Ok(ModeLoad {
-        report,
-        cache_hits: cache.hits(),
-        cache_misses: cache.misses(),
-        full_handshakes: stats.full_handshakes(),
-        resumed_handshakes: stats.resumed_handshakes(),
-    })
-}
-
-/// Runs the loaded-server experiment: starts each serving mode in turn
-/// sized from the context, drives it with the same concurrent resuming
-/// client workload, and collects both client-side latency and server-side
-/// cache statistics for a side-by-side comparison.
+/// Runs the loaded-server experiment: starts the blocking baseline and the
+/// event-loop server in turn, drives each with the same concurrent
+/// resuming client workload, and collects both client-side latency and
+/// server-side cache statistics for a side-by-side comparison.
 ///
 /// # Errors
 ///
@@ -142,14 +123,35 @@ pub fn loaded_server(ctx: &Context) -> Result<NetLoad, ExperimentError> {
 
     let mut rng = ctx.rng("netload-server-key");
     let key = RsaPrivateKey::generate(ctx.key_bits(), &mut rng)?;
-    let server = TcpSslServer::start(key, "www.sslperf.test", &ServerOptions::default())?;
-    let pool = drive(server.local_addr(), &options, server.session_cache(), server.stats())?;
+    let server = BlockingBaseline::start(key, "www.sslperf.test", 4)?;
+    let report = run_socket_load(server.local_addr(), &options)?;
+    // The baseline keeps no counters of its own: with an id-only cache
+    // every hit is a resumed handshake and every other connection (warmup
+    // included) ran the full one.
+    let cache = server.session_cache();
+    let connections =
+        options.clients * (options.transactions_per_client + options.warmup_per_client);
+    let pool = ModeLoad {
+        report,
+        cache_hits: cache.hits(),
+        cache_misses: cache.misses(),
+        full_handshakes: (connections as u64).saturating_sub(cache.hits()),
+        resumed_handshakes: cache.hits(),
+    };
     server.shutdown();
 
     let mut rng = ctx.rng("netload-eventloop-key");
     let key = RsaPrivateKey::generate(ctx.key_bits(), &mut rng)?;
     let server = EventLoopServer::start(key, "www.sslperf.test", &ServerOptions::default())?;
-    let event_loop = drive(server.local_addr(), &options, server.session_cache(), server.stats())?;
+    let report = run_socket_load(server.local_addr(), &options)?;
+    let (cache, stats) = (server.session_cache(), server.stats());
+    let event_loop = ModeLoad {
+        report,
+        cache_hits: cache.hits(),
+        cache_misses: cache.misses(),
+        full_handshakes: stats.full_handshakes(),
+        resumed_handshakes: stats.resumed_handshakes(),
+    };
     server.shutdown();
 
     Ok(NetLoad { pool, event_loop })
@@ -177,7 +179,7 @@ pub struct OffloadArm {
     pub crypto_batched_jobs: u64,
 }
 
-/// Results of the crypto-offload ablation: worker-pool inline vs
+/// Results of the crypto-offload ablation: blocking baseline (inline) vs
 /// event-loop inline vs event-loop with 1/2/4 parallel crypto engines.
 #[derive(Debug)]
 pub struct CryptoOffload {
@@ -261,13 +263,9 @@ fn offload_arm(
             crypto_batched_jobs: batched,
         })
     } else {
-        // The pool server parks one blocking thread per held connection, so
+        // The baseline parks one blocking thread per held connection, so
         // it needs as many workers as the burst has sockets.
-        let server_options = ServerOptions::builder()
-            .workers(connections)
-            .build()
-            .expect("ablation arms are valid configurations");
-        let server = TcpSslServer::start(key, "www.sslperf.test", &server_options)?;
+        let server = BlockingBaseline::start(key, "www.sslperf.test", connections)?;
         let report = run_event_load(server.local_addr(), options)?;
         server.shutdown();
         Ok(OffloadArm {
@@ -284,7 +282,7 @@ fn offload_arm(
 }
 
 /// Runs the crypto-offload ablation: the same all-at-once concurrent
-/// handshake burst against the worker-pool server (inline RSA), the
+/// handshake burst against the blocking baseline (inline RSA), the
 /// event-loop server decrypting inline, and the event-loop server backed
 /// by 1, 2 and 4 crypto workers.
 ///
@@ -305,7 +303,7 @@ pub fn crypto_offload(ctx: &Context) -> Result<CryptoOffload, ExperimentError> {
     let mut arms = Vec::new();
     arms.push(offload_arm(
         ctx,
-        format!("pool-inline ({connections} thr)"),
+        format!("blocking baseline ({connections} thr)"),
         0,
         1,
         false,
@@ -854,7 +852,7 @@ mod tests {
         assert!(rendered.contains("transactions/s"), "throughput line: {rendered}");
         assert!(rendered.contains("p50"), "percentile lines: {rendered}");
         assert!(rendered.contains("session cache"), "cache line: {rendered}");
-        assert!(rendered.contains("[worker pool]"), "pool section: {rendered}");
+        assert!(rendered.contains("[blocking baseline]"), "baseline section: {rendered}");
         assert!(rendered.contains("[event loop]"), "event-loop section: {rendered}");
     }
 
@@ -912,7 +910,7 @@ mod tests {
     #[test]
     fn crypto_offload_runs_all_arms() {
         let co = crypto_offload(ctx()).expect("crypto offload ablation");
-        assert_eq!(co.arms.len(), 6, "pool-inline, el-inline, +1/+2/+4 workers, batched");
+        assert_eq!(co.arms.len(), 6, "baseline, el-inline, +1/+2/+4 workers, batched");
         for arm in &co.arms {
             assert_eq!(
                 arm.report.transactions, co.connections,

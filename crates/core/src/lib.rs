@@ -68,7 +68,7 @@ pub mod prelude {
     pub use sslperf_hashes::{HashAlg, Hasher, Hmac, Md5, Sha1};
     pub use sslperf_net::{
         EventLoopServer, FleetSnapshot, MetricsSnapshot, ServerFleet, ServerMetrics, ServerOptions,
-        ShardedSessionCache, TcpSslServer,
+        ShardedSessionCache,
     };
     pub use sslperf_profile::{Cycles, PhaseSet, Table};
     pub use sslperf_rng::SslRng;
@@ -247,19 +247,6 @@ impl Context {
     #[must_use]
     pub fn quick() -> Self {
         Self::builder().key_bits(512).iterations(2).build().expect("quick context")
-    }
-
-    /// Custom key size and measurement repetition count.
-    ///
-    /// # Panics
-    ///
-    /// Panics if key generation fails (not observed in practice) or
-    /// `iterations` is zero.
-    #[deprecated(since = "0.2.0", note = "use Context::builder(), which returns Result")]
-    #[doc(hidden)]
-    #[must_use]
-    pub fn with_settings(key_bits: usize, iterations: usize) -> Self {
-        Self::builder().key_bits(key_bits).iterations(iterations).build().expect("context settings")
     }
 
     /// The server key size in bits.

@@ -1,7 +1,7 @@
 //! A sharded, bounded session cache for multi-threaded serving.
 //!
 //! The default [`SimpleSessionCache`](sslperf_ssl::SimpleSessionCache)
-//! funnels every connection through one mutex; under a worker pool that
+//! funnels every connection through one mutex; across shard threads that
 //! lock is the first thing to contend. [`ShardedSessionCache`] stripes the
 //! id space over N independently locked shards (FNV-1a of the session id
 //! picks the shard), bounds each shard with least-recently-used eviction,

@@ -41,12 +41,12 @@
 //! burst the job actually experienced, not whatever the counter reads
 //! after the collector has drained.
 //!
-//! Batching ([`CryptoPool::start_batched`]): the engine that dequeues a
-//! first job keeps collecting from *its own* queue up to `batch_max`
-//! jobs, waiting at most `batch_deadline` after the first. Execution
-//! happens outside the lock via [`CryptoJob::execute_batch`]; each job's
-//! result fans back to its own shard's reply channel. A `batch_max` of 1
-//! skips collection entirely and behaves exactly like the unbatched pool.
+//! Batching (`batch_max` > 1): the engine that dequeues a first job keeps
+//! collecting from *its own* queue up to `batch_max` jobs, waiting at most
+//! `batch_deadline` after the first. Execution happens outside the lock
+//! via [`CryptoJob::execute_batch`]; each job's result fans back to its
+//! own shard's reply channel. A `batch_max` of 1 skips collection entirely
+//! and behaves exactly like the unbatched pool.
 //!
 //! Engine slowdown is simulated, not faked: after executing, a worker
 //! whose multiplier for the job class exceeds 1.0 busy-waits the extra
@@ -311,37 +311,16 @@ impl std::fmt::Debug for SharedOpaque {
 
 impl CryptoPool {
     /// Spawns `workers` identical native-speed engines, executing every
-    /// job solo — [`CryptoPool::start_batched`] with a `batch_max` of 1.
+    /// job solo — the homogeneous, unbatched shorthand for
+    /// [`CryptoPool::start_heterogeneous`].
     ///
     /// # Panics
     ///
     /// Panics when `workers` is zero.
     #[must_use]
     pub fn start(workers: usize, config: Arc<ServerConfig>, stats: Arc<ServerStats>) -> Self {
-        Self::start_batched(workers, 1, Duration::ZERO, config, stats, None)
-    }
-
-    /// Spawns `workers` identical native-speed engines with the given
-    /// batching parameters — the homogeneous special case of
-    /// [`CryptoPool::start_heterogeneous`].
-    ///
-    /// # Panics
-    ///
-    /// Panics when `workers` or `batch_max` is zero (the builder's
-    /// [`OptionsError`](crate::OptionsError) catches both earlier for
-    /// server-configured pools).
-    #[must_use]
-    pub fn start_batched(
-        workers: usize,
-        batch_max: usize,
-        batch_deadline: Duration,
-        config: Arc<ServerConfig>,
-        stats: Arc<ServerStats>,
-        metrics: Option<Arc<ServerMetrics>>,
-    ) -> Self {
-        assert!(workers > 0, "at least one crypto worker");
         let profiles = vec![EngineProfile::general(); workers];
-        Self::start_heterogeneous(profiles, batch_max, batch_deadline, config, stats, metrics)
+        Self::start_heterogeneous(profiles, 1, Duration::ZERO, config, stats, None)
     }
 
     /// Spawns one worker thread per profile. Jobs route to the live
@@ -830,8 +809,8 @@ mod tests {
         let stats = Arc::new(ServerStats::default());
         // One worker so every job lands in the same collector; a generous
         // deadline so the whole burst combines deterministically.
-        let pool = CryptoPool::start_batched(
-            1,
+        let pool = CryptoPool::start_heterogeneous(
+            vec![EngineProfile::general()],
             4,
             Duration::from_millis(200),
             Arc::clone(&config),
@@ -895,8 +874,8 @@ mod tests {
         // every job of the burst is enqueued (and its depth sampled)
         // before anything finishes executing.
         let burst = 6;
-        let pool = CryptoPool::start_batched(
-            1,
+        let pool = CryptoPool::start_heterogeneous(
+            vec![EngineProfile::general()],
             burst,
             Duration::from_secs(5),
             Arc::clone(&config),

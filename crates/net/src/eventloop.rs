@@ -1,16 +1,16 @@
-//! Event-driven serving mode: many connections multiplexed per thread.
+//! The event-loop server: many connections multiplexed per thread.
 //!
-//! The worker-pool server ([`crate::TcpSslServer`]) dedicates one blocking
-//! thread to each in-flight connection, so its concurrency ceiling is the
-//! worker count. [`EventLoopServer`] instead runs a small number of *shard*
-//! threads, each sweeping a set of non-blocking sockets: every connection
-//! holds a sans-io [`ServerEngine`] plus its socket, and a shard makes
-//! whatever progress each socket's readiness allows — partial reads feed
-//! the engine byte-by-byte, partial writes drain its outbound buffer, and
-//! the engine's own buffering reassembles records and handshake messages
-//! split across arbitrary TCP boundaries. One shard comfortably carries
-//! an order of magnitude more concurrent handshakes than a pool worker,
-//! which is the C10k argument the paper's serving analysis leads to.
+//! [`EventLoopServer`] runs a small number of *shard* threads, each
+//! sweeping a set of non-blocking sockets: every connection holds a
+//! sans-io [`Engine`] plus its socket, and a shard makes whatever progress
+//! each socket's readiness allows — partial reads feed the engine
+//! byte-by-byte, partial writes drain its outbound buffer, and the
+//! engine's own buffering reassembles records and handshake messages
+//! split across arbitrary TCP boundaries. A thread-per-connection server
+//! caps its concurrency at its thread count; one shard carries an order
+//! of magnitude more concurrent handshakes, which is the C10k argument
+//! the paper's serving analysis leads to (the `loaded_server` experiment
+//! measures it against a blocking baseline).
 //!
 //! There is no async runtime and no `poll(2)` binding here (the workspace
 //! forbids unsafe code and external deps): readiness is discovered by
@@ -19,15 +19,17 @@
 //! idle latency (~0.5 ms) but keeps the loop dependency-free while
 //! preserving the architecture under study.
 //!
-//! Stalled connections are evicted by per-connection deadlines (the same
-//! [`ServerOptions::io_timeout`] knob the pool uses for socket timeouts):
-//! a connection that neither delivers nor accepts bytes before its
-//! deadline is counted in [`ServerStats::timeouts`] and closed with an
-//! alert — fatal `handshake_failure` mid-handshake (a slowloris suspect),
-//! orderly `close_notify` once established.
+//! Stalled connections are evicted by per-connection deadlines
+//! ([`ServerOptions::io_timeout`]): a connection that neither delivers nor
+//! accepts bytes before its deadline is counted in
+//! [`ServerStats::timeouts`] and closed with an alert — fatal
+//! `handshake_failure` mid-handshake (a slowloris suspect), orderly
+//! `close_notify` once established. A peer that half-closes (EOF on read)
+//! still gets everything already queued for it: the connection stops
+//! reading and drains its outbound buffer before it is dropped.
 
 use crate::cache::ShardedSessionCache;
-use crate::cryptopool::{CryptoPool, PoolReply, SubmitError};
+use crate::cryptopool::{CryptoPool, EngineProfile, PoolReply, SubmitError};
 use crate::metrics::ServerMetrics;
 use crate::server::{alert_for_close, build_config, serve_request, ServerOptions, ServerStats};
 use sslperf_profile::measure;
@@ -77,12 +79,10 @@ impl Intake {
     }
 }
 
-/// A running SSL web server in event-loop mode.
+/// A running SSL web server.
 ///
 /// Started with [`EventLoopServer::start`]; serves until
-/// [`EventLoopServer::shutdown`] (or drop). Shares [`ServerOptions`],
-/// [`ServerStats`], and the sharded session cache with the worker-pool
-/// mode so experiments can compare the two architectures directly.
+/// [`EventLoopServer::shutdown`] (or drop).
 #[derive(Debug)]
 pub struct EventLoopServer {
     addr: SocketAddr,
@@ -91,7 +91,8 @@ pub struct EventLoopServer {
     stats: Arc<ServerStats>,
     cache: Arc<ShardedSessionCache>,
     config: Arc<ServerConfig>,
-    /// The RSA offload pool, present when `crypto_workers > 0`.
+    /// The crypto offload pool, present when `crypto_workers > 0` or
+    /// explicit `engine_profiles` were given.
     pool: Option<Arc<CryptoPool>>,
     metrics: Option<Arc<ServerMetrics>>,
 }
@@ -153,27 +154,20 @@ impl EventLoopServer {
         let stats = Arc::new(ServerStats::default());
         let io_timeout = options.io_timeout;
         let metrics = options.metrics.then(|| Arc::new(ServerMetrics::new()));
-        let pool = if let Some(profiles) = options.engine_profiles.clone() {
-            Some(Arc::new(CryptoPool::start_heterogeneous(
+        let profiles = options
+            .engine_profiles
+            .clone()
+            .unwrap_or_else(|| vec![EngineProfile::general(); options.crypto_workers]);
+        let pool = (!profiles.is_empty()).then(|| {
+            Arc::new(CryptoPool::start_heterogeneous(
                 profiles,
                 options.batch_max,
                 options.batch_deadline,
                 Arc::clone(&config),
                 Arc::clone(&stats),
                 metrics.clone(),
-            )))
-        } else {
-            (options.crypto_workers > 0).then(|| {
-                Arc::new(CryptoPool::start_batched(
-                    options.crypto_workers,
-                    options.batch_max,
-                    options.batch_deadline,
-                    Arc::clone(&config),
-                    Arc::clone(&stats),
-                    metrics.clone(),
-                ))
-            })
-        };
+            ))
+        });
         let shards = (0..options.shards)
             .map(|shard| {
                 let intake = intake.clone();
@@ -382,7 +376,7 @@ struct Conn<'a> {
     /// holds its place in line; resubmitted next sweep.
     parked: Option<(CryptoJob, u64)>,
     /// Closing: no more reads, just flush the outbound buffer (which ends
-    /// with an alert) and finish.
+    /// with an alert, unless the peer half-closed first) and finish.
     draining: bool,
     /// Finished; the shard drops the connection on its next sweep.
     done: bool,
@@ -422,6 +416,13 @@ impl<'a> Conn<'a> {
         })
     }
 
+    /// Stops reading and gives the outbound buffer one fresh deadline
+    /// window to flush before the connection is dropped.
+    fn start_draining(&mut self, now: Instant) {
+        self.draining = true;
+        self.touch(now);
+    }
+
     /// Pushes the deadline out after any successful read or write.
     fn touch(&mut self, now: Instant) {
         self.deadline = self.io_timeout.map(|t| now + t);
@@ -455,10 +456,14 @@ impl<'a> Conn<'a> {
         // and deliver the executed result to a dead slot. Defer the
         // deadline instead, and count the deferral so saturation stays
         // visible in the stats.
-        if !self.draining && !self.done {
+        if !self.done {
             if let Some(deadline) = self.deadline {
                 if now >= deadline {
-                    if self.crypto_pending() {
+                    if self.draining {
+                        // The peer stopped reading its goodbye (or the
+                        // response a half-closed client was owed): drop it.
+                        self.done = true;
+                    } else if self.crypto_pending() {
                         stats.crypto_deadline_deferrals.fetch_add(1, Ordering::Relaxed);
                         self.touch(now);
                     } else {
@@ -471,7 +476,7 @@ impl<'a> Conn<'a> {
                         if self.engine.queue_alert(alert).is_ok() {
                             stats.alerts_sent.fetch_add(1, Ordering::Relaxed);
                         }
-                        self.draining = true;
+                        self.start_draining(now);
                         progress = true;
                     }
                 }
@@ -481,9 +486,9 @@ impl<'a> Conn<'a> {
         // Read phase: pull whatever the socket has and feed the engine.
         while !self.draining && !self.done {
             match self.stream.read(scratch) {
-                Ok(0) => {
-                    self.done = true;
-                }
+                // EOF: the peer half-closed. Nothing more will arrive, but
+                // whatever is already queued for it must still go out.
+                Ok(0) => self.start_draining(now),
                 Ok(n) => {
                     progress = true;
                     self.touch(now);
@@ -722,7 +727,7 @@ impl<'a> Conn<'a> {
             SslError::Io(_) => {}
             _ => {
                 stats.errors.fetch_add(1, Ordering::Relaxed);
-                if let Some(alert) = alert_for_close(error, self.engine.is_established()) {
+                if let Some(alert) = alert_for_close(error) {
                     if self.engine.queue_alert(alert).is_ok() {
                         stats.alerts_sent.fetch_add(1, Ordering::Relaxed);
                     }
@@ -730,5 +735,32 @@ impl<'a> Conn<'a> {
             }
         }
         self.draining = true;
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn start(options: &ServerOptions) -> EventLoopServer {
+        let mut rng = SslRng::from_seed(b"eventloop-unit-key");
+        let key = RsaPrivateKey::generate(512, &mut rng).expect("keygen");
+        EventLoopServer::start(key, "unit.sslperf.test", options).expect("server start")
+    }
+
+    /// The pool is built from one profile list: no profiles and no
+    /// `crypto_workers` means no pool at all; `crypto_workers(2)` means
+    /// exactly two engines.
+    #[test]
+    fn crypto_workers_size_the_pool() {
+        let inline = start(&ServerOptions::builder().crypto_workers(0).build().expect("options"));
+        assert!(!inline.kill_crypto_engine(0), "no pool, nothing to kill");
+        inline.shutdown();
+
+        let pooled = start(&ServerOptions::builder().crypto_workers(2).build().expect("options"));
+        assert!(!pooled.kill_crypto_engine(2), "index 2 is out of range for two engines");
+        assert!(pooled.kill_crypto_engine(0));
+        assert!(pooled.kill_crypto_engine(1));
+        pooled.shutdown();
     }
 }

@@ -2,20 +2,20 @@
 //!
 //! The paper measures a loaded Apache/mod_ssl server; the in-memory
 //! experiments in `sslperf-websim` reproduce its cost anatomy, and this
-//! crate supplies the missing serving substrate in two architectures: a
-//! TCP listener with a fixed worker thread pool ([`TcpSslServer`], one
-//! blocking thread per connection over [`sslperf_ssl::Transport`]) and an
-//! event-driven loop ([`EventLoopServer`], many non-blocking sockets per
-//! shard thread driven through the sans-io
-//! [`ServerEngine`](sslperf_ssl::ServerEngine)). Both share a sharded LRU
-//! session cache ([`ShardedSessionCache`]) that makes §4.1's session
-//! re-negotiation work across connections — the baseline every scaling
-//! experiment (batching, parallel crypto, sharding) gets measured against.
+//! crate supplies the serving substrate: an event-driven server
+//! ([`EventLoopServer`]) whose shard threads each multiplex many
+//! non-blocking sockets through the sans-io
+//! [`Engine`](sslperf_ssl::Engine), an optional pool of (possibly
+//! heterogeneous) crypto engines ([`CryptoPool`]) that takes the
+//! key-exchange operation off the shards, and a sharded LRU session cache
+//! ([`ShardedSessionCache`]) that makes §4.1's session re-negotiation work
+//! across connections. [`ServerFleet`] runs several instances behind one
+//! address, resuming each other's sessions through shared ticket keys.
 //!
 //! # Examples
 //!
 //! ```
-//! use sslperf_net::{ServerOptions, TcpSslServer};
+//! use sslperf_net::{EventLoopServer, ServerOptions};
 //! use sslperf_rng::SslRng;
 //! use sslperf_rsa::RsaPrivateKey;
 //! use sslperf_ssl::{CipherSuite, SslClient};
@@ -23,7 +23,7 @@
 //!
 //! let mut rng = SslRng::from_seed(b"net-doc");
 //! let key = RsaPrivateKey::generate(512, &mut rng)?;
-//! let server = TcpSslServer::start(key, "doc.example", &ServerOptions::default())?;
+//! let server = EventLoopServer::start(key, "doc.example", &ServerOptions::default())?;
 //!
 //! let mut socket = TcpStream::connect(server.local_addr())?;
 //! let mut client = SslClient::new(CipherSuite::RsaDesCbc3Sha, SslRng::from_seed(b"c"));
@@ -49,4 +49,4 @@ pub use cryptopool::{CryptoPool, EngineProfile, PoolReply, SubmitError};
 pub use eventloop::EventLoopServer;
 pub use fleet::{FleetSnapshot, ServerFleet};
 pub use metrics::{MetricsSnapshot, ServerMetrics, StepSnapshot};
-pub use server::{OptionsError, ServerOptions, ServerOptionsBuilder, ServerStats, TcpSslServer};
+pub use server::{OptionsError, ServerOptions, ServerOptionsBuilder, ServerStats};

@@ -1,55 +1,37 @@
-//! The TCP serving front-end: listener, worker pool, per-connection SSL.
-//!
-//! One listener thread accepts sockets and queues them on a channel; a
-//! fixed pool of worker threads pops connections, runs the instrumented
-//! SSLv3 handshake over the socket ([`Transport`] backend
-//! `std::net::TcpStream`), and serves HTTP documents until the client
-//! sends `close_notify` or disconnects. Session state lands in the shared
-//! [`ShardedSessionCache`], so a client reconnecting on any worker resumes
-//! without the RSA private-key operation — the cross-connection version of
-//! the paper's §4.1 session re-negotiation.
+//! What every [`EventLoopServer`](crate::EventLoopServer) is configured
+//! and observed through: [`ServerOptions`] (with its validating builder),
+//! the [`ServerStats`] counters, the shared [`ServerConfig`] construction,
+//! the close-alert policy, and the HTTP document responder.
 
 use crate::cache::ShardedSessionCache;
 use crate::cryptopool::EngineProfile;
 use crate::metrics::ServerMetrics;
 use sslperf_profile::{measure, Cycles};
-use sslperf_rng::SslRng;
 use sslperf_rsa::RsaPrivateKey;
 use sslperf_ssl::alert::{Alert, AlertDescription};
-use sslperf_ssl::{
-    RecordBuffer, ServerConfig, SslError, SslServer, TicketKeyring, TicketSessionStore, Transport,
-};
+use sslperf_ssl::{ServerConfig, SslError, TicketKeyring, TicketSessionStore};
 use sslperf_websim::http::{synthesize_document, HttpRequest, HttpResponse};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{Receiver, Sender};
-use std::sync::{mpsc, Arc, Mutex};
-use std::thread::JoinHandle;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::Duration;
 
-/// Tunables shared by both serving modes ([`TcpSslServer::start`] and
-/// [`EventLoopServer::start`](crate::EventLoopServer::start)).
+/// Tunables for [`EventLoopServer::start`](crate::EventLoopServer::start).
 #[derive(Debug, Clone)]
 pub struct ServerOptions {
     /// Address to bind; port 0 picks a free port.
     pub addr: String,
-    /// Worker threads handling connections (pool mode).
-    pub workers: usize,
-    /// Event-loop shard threads multiplexing connections (event-loop mode).
+    /// Event-loop shard threads multiplexing connections.
     pub shards: usize,
-    /// One knob for both modes' slowloris guard: socket read/write
-    /// timeouts on pool workers, per-connection idle/handshake deadlines
-    /// on event-loop shards. `None` waits forever.
+    /// The slowloris guard: per-connection idle/handshake deadlines on
+    /// the event-loop shards. `None` waits forever.
     pub io_timeout: Option<Duration>,
     /// Shards in the session cache.
     pub cache_shards: usize,
     /// Sessions each shard retains before LRU eviction.
     pub cache_capacity_per_shard: usize,
-    /// Crypto worker threads for the event-loop mode's RSA offload pool
-    /// (the paper's §5 "parallel crypto engines"). `0` — the default —
-    /// keeps every decryption inline on its shard; the pool mode always
-    /// decrypts inline regardless, so the two architectures stay
-    /// comparable.
+    /// Crypto worker threads for the RSA offload pool (the paper's §5
+    /// "parallel crypto engines"). `0` — the default — keeps every
+    /// decryption inline on its shard.
     pub crypto_workers: usize,
     /// Session lifetime for the cache: sessions older than this are
     /// treated as cache misses (full handshake) and removed on lookup.
@@ -57,7 +39,7 @@ pub struct ServerOptions {
     pub session_ttl: Option<Duration>,
     /// When true, every connection feeds its handshake-step ledger and
     /// record-path crypto cycles into a [`ServerMetrics`] registry
-    /// (retrieved with [`TcpSslServer::metrics`] /
+    /// (retrieved with
     /// [`EventLoopServer::metrics`](crate::EventLoopServer::metrics)), and
     /// `GET /metrics` returns the rendered
     /// [`MetricsSnapshot`](crate::MetricsSnapshot) instead of a document.
@@ -81,8 +63,8 @@ pub struct ServerOptions {
     /// the same secret) can resume each other's sessions with no shared
     /// cache — the shared-nothing multi-instance topology.
     pub ticket_keys: Option<Arc<TicketKeyring>>,
-    /// Explicit heterogeneous crypto engines for the event-loop offload
-    /// pool, one worker per profile (the multi-core SSL processor's
+    /// Explicit heterogeneous crypto engines for the offload pool, one
+    /// worker per profile (the multi-core SSL processor's
     /// dedicated-engine topology). `None` — the default — spawns
     /// `crypto_workers` identical native-speed engines instead; when set,
     /// this takes precedence over `crypto_workers`.
@@ -98,7 +80,6 @@ impl Default for ServerOptions {
     fn default() -> Self {
         ServerOptions {
             addr: "127.0.0.1:0".into(),
-            workers: 4,
             shards: 2,
             io_timeout: Some(Duration::from_secs(30)),
             cache_shards: 8,
@@ -117,7 +98,7 @@ impl Default for ServerOptions {
 impl ServerOptions {
     /// Starts a validated, fluent construction of [`ServerOptions`] —
     /// plain struct literals keep working, but the builder rejects
-    /// inconsistent combinations (zero workers, batching without a crypto
+    /// inconsistent combinations (zero shards, batching without a crypto
     /// pool) at build time instead of panicking at server start.
     #[must_use]
     pub fn builder() -> ServerOptionsBuilder {
@@ -129,8 +110,6 @@ impl ServerOptions {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum OptionsError {
-    /// `workers` was zero — the pool server needs at least one.
-    ZeroWorkers,
     /// `shards` was zero — the event-loop server needs at least one.
     ZeroShards,
     /// `cache_shards` was zero — the session cache needs at least one.
@@ -153,7 +132,6 @@ pub enum OptionsError {
 impl std::fmt::Display for OptionsError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let msg = match self {
-            OptionsError::ZeroWorkers => "workers must be at least 1",
             OptionsError::ZeroShards => "shards must be at least 1",
             OptionsError::ZeroCacheShards => "cache_shards must be at least 1",
             OptionsError::ZeroBatch => "batch_max must be at least 1",
@@ -187,13 +165,6 @@ impl ServerOptionsBuilder {
         self
     }
 
-    /// Worker threads handling connections (pool mode).
-    #[must_use]
-    pub fn workers(mut self, workers: usize) -> Self {
-        self.options.workers = workers;
-        self
-    }
-
     /// Event-loop shard threads multiplexing connections.
     #[must_use]
     pub fn shards(mut self, shards: usize) -> Self {
@@ -201,7 +172,7 @@ impl ServerOptionsBuilder {
         self
     }
 
-    /// Socket timeouts / event-loop deadlines; `None` waits forever.
+    /// Per-connection idle/handshake deadlines; `None` waits forever.
     #[must_use]
     pub fn io_timeout(mut self, timeout: Option<Duration>) -> Self {
         self.options.io_timeout = timeout;
@@ -222,7 +193,7 @@ impl ServerOptionsBuilder {
         self
     }
 
-    /// Crypto worker threads for the event-loop RSA offload pool.
+    /// Crypto worker threads for the RSA offload pool.
     #[must_use]
     pub fn crypto_workers(mut self, workers: usize) -> Self {
         self.options.crypto_workers = workers;
@@ -276,14 +247,11 @@ impl ServerOptionsBuilder {
     ///
     /// # Errors
     ///
-    /// Returns the first [`OptionsError`] violated: zero `workers`,
-    /// `shards` or `cache_shards`; zero `batch_max`; or `batch_max > 1`
-    /// without a crypto pool to batch in.
+    /// Returns the first [`OptionsError`] violated: zero `shards` or
+    /// `cache_shards`; zero `batch_max`; `batch_max > 1` without a crypto
+    /// pool to batch in; or an empty or sub-native `engine_profiles`.
     pub fn build(self) -> Result<ServerOptions, OptionsError> {
         let o = &self.options;
-        if o.workers == 0 {
-            return Err(OptionsError::ZeroWorkers);
-        }
         if o.shards == 0 {
             return Err(OptionsError::ZeroShards);
         }
@@ -308,7 +276,7 @@ impl ServerOptionsBuilder {
     }
 }
 
-/// Monotonic serving counters, shared across workers.
+/// Monotonic serving counters, shared across shards and crypto engines.
 #[derive(Debug, Default)]
 pub struct ServerStats {
     pub(crate) connections: AtomicU64,
@@ -536,8 +504,8 @@ impl ServerStats {
     }
 }
 
-/// Builds the [`ServerConfig`] both serving modes share: the sharded cache
-/// as the id-keyed store, wrapped by a [`TicketSessionStore`] when a
+/// Builds a server's [`ServerConfig`]: the sharded cache as the id-keyed
+/// store, wrapped by a [`TicketSessionStore`] when a
 /// keyring is installed.
 pub(crate) fn build_config(
     key: RsaPrivateKey,
@@ -557,320 +525,18 @@ pub(crate) fn build_config(
 
 /// The alert to send before closing a connection that hit `error`.
 ///
-/// Timeouts get an orderly `close_notify` when established (an idle but
-/// healthy client) and a fatal `handshake_failure` mid-handshake (a
-/// slowloris suspect). Hard transport failures and peer-initiated alerts
-/// get none — there is nobody left to tell. Everything else maps through
-/// [`Alert::for_error`], defaulting to a fatal `illegal_parameter` for
-/// decode-class errors the mapping leaves out.
-pub(crate) fn alert_for_close(error: &SslError, established: bool) -> Option<Alert> {
-    if error.is_timeout() {
-        return Some(if established {
-            Alert::close_notify()
-        } else {
-            Alert::fatal(AlertDescription::HandshakeFailure)
-        });
-    }
+/// Hard transport failures and peer-initiated alerts get none — there is
+/// nobody left to tell. Everything else maps through [`Alert::for_error`],
+/// defaulting to a fatal `illegal_parameter` for decode-class errors the
+/// mapping leaves out. (Deadline evictions never come through here: the
+/// event loop picks their alert from the connection state directly.)
+pub(crate) fn alert_for_close(error: &SslError) -> Option<Alert> {
     match error {
         SslError::Io(_) | SslError::PeerAlert(_) => None,
         _ => Some(
             Alert::for_error(error)
                 .unwrap_or_else(|| Alert::fatal(AlertDescription::IllegalParameter)),
         ),
-    }
-}
-
-/// A running SSL web server on a real socket.
-///
-/// Started with [`TcpSslServer::start`]; serves until
-/// [`TcpSslServer::shutdown`] (or drop, which also stops the threads).
-#[derive(Debug)]
-pub struct TcpSslServer {
-    addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    listener: Option<JoinHandle<()>>,
-    workers: Vec<JoinHandle<()>>,
-    stats: Arc<ServerStats>,
-    cache: Arc<ShardedSessionCache>,
-    config: Arc<ServerConfig>,
-    metrics: Option<Arc<ServerMetrics>>,
-}
-
-impl TcpSslServer {
-    /// Binds the listener, installs a sharded session cache into the
-    /// server configuration, and spawns the listener plus worker threads.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SslError::Io`] when the bind fails and certificate errors
-    /// from [`ServerConfig::with_cache`].
-    ///
-    /// # Panics
-    ///
-    /// Panics when `options.workers` is zero.
-    pub fn start(
-        key: RsaPrivateKey,
-        name: &str,
-        options: &ServerOptions,
-    ) -> Result<Self, SslError> {
-        assert!(options.workers > 0, "at least one worker");
-        let cache = Arc::new(ShardedSessionCache::with_ttl(
-            options.cache_shards,
-            options.cache_capacity_per_shard,
-            options.session_ttl,
-        ));
-        let config = Arc::new(build_config(key, name, &cache, options.ticket_keys.as_ref())?);
-        let listener = TcpListener::bind(&options.addr).map_err(|e| SslError::Io(e.to_string()))?;
-        let addr = listener.local_addr().map_err(|e| SslError::Io(e.to_string()))?;
-
-        let stop = Arc::new(AtomicBool::new(false));
-        let stats = Arc::new(ServerStats::default());
-        let (conn_tx, conn_rx) = mpsc::channel::<TcpStream>();
-        let conn_rx = Arc::new(Mutex::new(conn_rx));
-
-        let io_timeout = options.io_timeout;
-        let metrics = options.metrics.then(|| Arc::new(ServerMetrics::new()));
-        let workers = (0..options.workers)
-            .map(|_| {
-                let conn_rx = Arc::clone(&conn_rx);
-                let config = Arc::clone(&config);
-                let stats = Arc::clone(&stats);
-                let metrics = metrics.clone();
-                std::thread::spawn(move || {
-                    worker_loop(&conn_rx, &config, &stats, io_timeout, metrics.as_deref());
-                })
-            })
-            .collect();
-
-        let listener_thread = {
-            let stop = Arc::clone(&stop);
-            std::thread::spawn(move || accept_loop(&listener, &conn_tx, &stop))
-        };
-
-        Ok(TcpSslServer {
-            addr,
-            stop,
-            listener: Some(listener_thread),
-            workers,
-            stats,
-            cache,
-            config,
-            metrics,
-        })
-    }
-
-    /// The bound address clients should connect to.
-    #[must_use]
-    pub fn local_addr(&self) -> SocketAddr {
-        self.addr
-    }
-
-    /// The shared serving counters.
-    #[must_use]
-    pub fn stats(&self) -> &ServerStats {
-        &self.stats
-    }
-
-    /// The sharded session cache (hit/miss counters live here).
-    #[must_use]
-    pub fn session_cache(&self) -> &Arc<ShardedSessionCache> {
-        &self.cache
-    }
-
-    /// The underlying SSL server configuration.
-    #[must_use]
-    pub fn config(&self) -> &Arc<ServerConfig> {
-        &self.config
-    }
-
-    /// The live anatomy registry, present when
-    /// [`ServerOptions::metrics`] was set.
-    #[must_use]
-    pub fn metrics(&self) -> Option<&ServerMetrics> {
-        self.metrics.as_deref()
-    }
-
-    /// Stops accepting, drains queued connections, and joins every thread.
-    pub fn shutdown(mut self) {
-        self.stop_threads();
-    }
-
-    fn stop_threads(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        // Unblock the accept call so the listener sees the flag; dropping
-        // the listener's sender then releases the workers.
-        let _ = TcpStream::connect(self.addr);
-        if let Some(listener) = self.listener.take() {
-            let _ = listener.join();
-        }
-        for worker in self.workers.drain(..) {
-            let _ = worker.join();
-        }
-    }
-}
-
-impl Drop for TcpSslServer {
-    fn drop(&mut self) {
-        self.stop_threads();
-    }
-}
-
-fn accept_loop(listener: &TcpListener, conn_tx: &Sender<TcpStream>, stop: &AtomicBool) {
-    // Owning conn_tx here means worker queues close exactly when the
-    // accept loop exits.
-    for stream in listener.incoming() {
-        if stop.load(Ordering::SeqCst) {
-            break;
-        }
-        let Ok(stream) = stream else { continue };
-        if conn_tx.send(stream).is_err() {
-            break;
-        }
-    }
-}
-
-fn worker_loop(
-    conn_rx: &Mutex<Receiver<TcpStream>>,
-    config: &ServerConfig,
-    stats: &ServerStats,
-    io_timeout: Option<Duration>,
-    metrics: Option<&ServerMetrics>,
-) {
-    static CONN_SEQ: AtomicU64 = AtomicU64::new(0);
-    loop {
-        let stream = {
-            let rx = conn_rx.lock().expect("connection queue lock");
-            rx.recv()
-        };
-        let Ok(stream) = stream else { return };
-        let conn_id = CONN_SEQ.fetch_add(1, Ordering::Relaxed);
-        serve_connection(config, stats, stream, conn_id, io_timeout, metrics);
-    }
-}
-
-/// Best-effort alert before closing on `error`; counts what actually made
-/// it onto the wire.
-fn send_closing_alert(
-    server: &mut SslServer<'_>,
-    transport: &mut TcpStream,
-    error: &SslError,
-    stats: &ServerStats,
-) {
-    if let Some(alert) = alert_for_close(error, server.is_established()) {
-        if let Ok(wire) = server.seal_alert(&alert) {
-            if Transport::send(transport, &wire).is_ok() {
-                stats.alerts_sent.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-    }
-}
-
-/// Runs one connection to completion: handshake, then HTTP transactions
-/// until `close_notify` or disconnect.
-fn serve_connection(
-    config: &ServerConfig,
-    stats: &ServerStats,
-    stream: TcpStream,
-    conn_id: u64,
-    io_timeout: Option<Duration>,
-    metrics: Option<&ServerMetrics>,
-) {
-    // Handshake flights are small back-to-back writes; Nagle + delayed
-    // ACK would add ~40ms stalls to every resumed transaction.
-    let _ = stream.set_nodelay(true);
-    // Slowloris guard: a client trickling or withholding bytes cannot pin
-    // this worker past the timeout.
-    let _ = stream.set_read_timeout(io_timeout);
-    let _ = stream.set_write_timeout(io_timeout);
-    let mut transport = stream;
-    // Session ids come from this rng; the connection counter keeps them
-    // unique across the process.
-    let rng = SslRng::from_seed(format!("sslperf-net-conn-{conn_id}").as_bytes());
-    let mut server = SslServer::new(config, rng);
-    if let Err(e) = server.handshake_transport(&mut transport) {
-        if e.is_timeout() {
-            stats.timeouts.fetch_add(1, Ordering::Relaxed);
-        } else {
-            stats.errors.fetch_add(1, Ordering::Relaxed);
-        }
-        send_closing_alert(&mut server, &mut transport, &e, stats);
-        return;
-    }
-    stats.connections.fetch_add(1, Ordering::Relaxed);
-    if server.resumed() {
-        stats.resumed_handshakes.fetch_add(1, Ordering::Relaxed);
-    } else {
-        stats.full_handshakes.fetch_add(1, Ordering::Relaxed);
-    }
-    stats.note_ticket_flags(
-        server.ticket_issued(),
-        server.ticket_accepted(),
-        server.ticket_rejected(),
-        server.ticket_expired(),
-    );
-    if let Some(m) = metrics {
-        m.note_handshake(&server.ledger());
-    }
-
-    // One reusable buffer pair per connection: every record of the
-    // session is received, decrypted, sealed and sent inside these two
-    // allocations (the zero-copy record pipeline).
-    let mut rx_buf = RecordBuffer::with_record_capacity();
-    let mut tx_buf = RecordBuffer::with_record_capacity();
-    loop {
-        // Pool-mode record timing: recv/send block on the socket, so
-        // wall-clock around them measures the client, not the server. The
-        // crypto-kernel delta is clean either way, so pool records report
-        // crypto cycles for both the total and crypto columns (the
-        // event-loop mode, being sans-io, measures both properly).
-        let crypto_before = server.record_crypto_cycles();
-        let payload_range = match server.recv_buffered(&mut transport, &mut rx_buf) {
-            Ok(range) => range,
-            Err(SslError::PeerAlert(alert)) if alert.is_close_notify() => {
-                if server.close_transport(&mut transport).is_ok() {
-                    stats.alerts_sent.fetch_add(1, Ordering::Relaxed);
-                }
-                return;
-            }
-            Err(e) if e.is_timeout() => {
-                stats.timeouts.fetch_add(1, Ordering::Relaxed);
-                send_closing_alert(&mut server, &mut transport, &e, stats);
-                return;
-            }
-            Err(SslError::Io(_)) => return, // disconnect without close_notify
-            Err(e) => {
-                stats.errors.fetch_add(1, Ordering::Relaxed);
-                send_closing_alert(&mut server, &mut transport, &e, stats);
-                return;
-            }
-        };
-        if let Some(m) = metrics {
-            let crypto = server.record_crypto_cycles() - crypto_before;
-            m.note_record_open(payload_range.len(), crypto, crypto);
-        }
-        let response = match HttpRequest::parse(&rx_buf.as_slice()[payload_range]) {
-            Ok(request) => serve_request(&request, metrics),
-            Err(_) => {
-                // Application-level garbage over a healthy session: close
-                // the SSL layer in an orderly way.
-                stats.errors.fetch_add(1, Ordering::Relaxed);
-                if server.close_transport(&mut transport).is_ok() {
-                    stats.alerts_sent.fetch_add(1, Ordering::Relaxed);
-                }
-                return;
-            }
-        };
-        let body = response.to_bytes();
-        let crypto_before = server.record_crypto_cycles();
-        if server.send_buffered(&mut transport, &body, &mut tx_buf).is_err() {
-            stats.errors.fetch_add(1, Ordering::Relaxed);
-            return;
-        }
-        if let Some(m) = metrics {
-            let crypto = server.record_crypto_cycles() - crypto_before;
-            m.note_record_seal(body.len(), crypto, crypto);
-        }
-        stats.transactions.fetch_add(1, Ordering::Relaxed);
     }
 }
 
@@ -926,7 +592,6 @@ mod tests {
         let built = ServerOptions::builder().build().expect("defaults are valid");
         let fields = ServerOptions::default();
         assert_eq!(built.addr, fields.addr);
-        assert_eq!(built.workers, fields.workers);
         assert_eq!(built.shards, fields.shards);
         assert_eq!(built.crypto_workers, fields.crypto_workers);
         assert_eq!(built.batch_max, fields.batch_max);
@@ -937,7 +602,6 @@ mod tests {
     fn builder_sets_every_knob() {
         let options = ServerOptions::builder()
             .addr("127.0.0.1:4433")
-            .workers(3)
             .shards(2)
             .io_timeout(Some(Duration::from_secs(5)))
             .cache_shards(4)
@@ -955,7 +619,6 @@ mod tests {
             .build()
             .expect("valid combination");
         assert_eq!(options.addr, "127.0.0.1:4433");
-        assert_eq!(options.workers, 3);
         assert_eq!(options.shards, 2);
         assert_eq!(options.io_timeout, Some(Duration::from_secs(5)));
         assert_eq!(options.cache_shards, 4);
@@ -971,10 +634,6 @@ mod tests {
 
     #[test]
     fn builder_rejects_invalid_combinations() {
-        assert_eq!(
-            ServerOptions::builder().workers(0).build().unwrap_err(),
-            OptionsError::ZeroWorkers
-        );
         assert_eq!(
             ServerOptions::builder().shards(0).build().unwrap_err(),
             OptionsError::ZeroShards
@@ -1017,7 +676,6 @@ mod tests {
     #[test]
     fn options_error_displays_are_actionable() {
         for (err, needle) in [
-            (OptionsError::ZeroWorkers, "worker"),
             (OptionsError::ZeroShards, "shard"),
             (OptionsError::ZeroCacheShards, "cache"),
             (OptionsError::ZeroBatch, "batch_max"),

@@ -1,27 +1,17 @@
 //! Batched RSA decryption: several private-key operations per entry.
 //!
-//! Two regimes, picked per batch by [`RsaPrivateKey::decrypt_batch`]:
-//!
-//! * **Fiat combined exponentiation** (Fiat; Shacham & Boneh's batch RSA):
-//!   when every job carries a distinct, pairwise-coprime public exponent
-//!   over this key's modulus, the whole batch collapses into *one*
-//!   full-size private exponentiation. Upward percolation combines the
-//!   ciphertexts into `V = M^E` (`E = ∏ eᵢ`), one CRT exponentiation by
-//!   `d_E = E⁻¹ mod φ(N)` recovers `M = ∏ mᵢ`, and downward percolation
-//!   splits the product back into the individual plaintexts with only
-//!   small-exponent work. This is the 2–2.5× regime the batch-RSA paper
-//!   reports — but it *requires* distinct exponents.
-//!
-//! * **Shared-context interleaved fallback**: the serving path's jobs all
-//!   use the key's own `e = 65537`, which Fiat batching cannot combine
-//!   (the exponents are not coprime — they are equal). Those batches still
-//!   amortize the per-job overheads: one blinding acquisition for the
-//!   whole batch (a cache-miss blinding setup costs a modular inversion
-//!   plus a full public exponentiation), one reusable
-//!   [`MontScratch`](sslperf_bignum::MontScratch) for every Montgomery
-//!   product (no steady-state allocation), and the CRT halves run
-//!   *op-major* — every job's mod-`p` half, then every job's mod-`q` half
-//!   — so each Montgomery context stays hot across the batch.
+//! Every job in a batch was encrypted under the key's own public exponent
+//! (one server key has one), so there is no combined exponentiation to
+//! share — Fiat / Shacham–Boneh batching needs distinct pairwise-coprime
+//! exponents over one modulus, which SSL traffic never supplies (see
+//! EXPERIMENTS.md §batch-rsa). What a batch amortizes instead is the
+//! per-job overhead: one blinding acquisition for the whole batch (a
+//! cache-miss blinding setup costs a modular inversion plus a full public
+//! exponentiation), one reusable
+//! [`MontScratch`](sslperf_bignum::MontScratch) for every Montgomery
+//! product (no steady-state allocation), and the CRT halves run
+//! *op-major* — every job's mod-`p` half, then every job's mod-`q` half —
+//! so each Montgomery context stays hot across the batch.
 //!
 //! Error isolation: one bad ciphertext (out of range, bad padding) fails
 //! only its own slot; sibling jobs complete normally. Blinding still
@@ -32,29 +22,17 @@ use crate::{pkcs1, RsaError, RsaPrivateKey};
 use sslperf_bignum::{Bn, EntropySource, MontScratch};
 use sslperf_profile::counters;
 
-/// One ciphertext in a batch, with an optional public-exponent override.
-///
-/// Jobs from the serving path use [`BatchCipher::new`] (the key's own
-/// exponent, Fiat-ineligible). The Fiat regime needs ciphertexts produced
-/// under distinct small exponents — [`BatchCipher::with_exponent`].
+/// One ciphertext in a batch, encrypted under the key's public exponent.
 #[derive(Debug, Clone)]
 pub struct BatchCipher {
     cipher: Vec<u8>,
-    exponent: Option<u64>,
 }
 
 impl BatchCipher {
     /// A ciphertext under the key's own public exponent.
     #[must_use]
     pub fn new(cipher: Vec<u8>) -> Self {
-        BatchCipher { cipher, exponent: None }
-    }
-
-    /// A ciphertext produced under `exponent` (instead of the key's own)
-    /// over the same modulus — the Fiat-batching setup.
-    #[must_use]
-    pub fn with_exponent(cipher: Vec<u8>, exponent: u64) -> Self {
-        BatchCipher { cipher, exponent: Some(exponent) }
+        BatchCipher { cipher }
     }
 
     /// The ciphertext bytes.
@@ -62,33 +40,14 @@ impl BatchCipher {
     pub fn cipher(&self) -> &[u8] {
         &self.cipher
     }
-
-    /// The exponent override, if any.
-    #[must_use]
-    pub fn exponent(&self) -> Option<u64> {
-        self.exponent
-    }
-}
-
-fn gcd_u64(mut a: u64, mut b: u64) -> u64 {
-    while b != 0 {
-        let r = a % b;
-        a = b;
-        b = r;
-    }
-    a
 }
 
 impl RsaPrivateKey {
     /// Decrypts a batch of PKCS #1 ciphertexts, one result slot per item,
-    /// in item order.
-    ///
-    /// Routes the batch to Fiat combined exponentiation when every item
-    /// carries a distinct pairwise-coprime exponent override (one big
-    /// exponentiation for the whole batch), and to the shared-context
-    /// interleaved path otherwise — see the module docs. A failing item
-    /// (out-of-range ciphertext, bad padding, uncombinable exponent)
-    /// occupies only its own slot; siblings decrypt normally.
+    /// in item order, sharing one blinding acquisition and one scratch
+    /// context across the batch — see the module docs. A failing item
+    /// (out-of-range ciphertext, bad padding) occupies only its own slot;
+    /// siblings decrypt normally.
     ///
     /// `rng` seeds the blinding draw when the key's blinding cache is cold,
     /// exactly like [`RsaPrivateKey::decrypt_instrumented`]; blinding
@@ -103,57 +62,6 @@ impl RsaPrivateKey {
             return Vec::new();
         }
         counters::count("rsa_batch", 1);
-        if self.fiat_eligible(items) {
-            self.decrypt_batch_fiat(items)
-        } else {
-            self.decrypt_batch_shared(items, rng)
-        }
-    }
-
-    /// True when the whole batch can ride one Fiat tree: at least two
-    /// items, every item overriding the exponent, exponents pairwise
-    /// coprime and jointly invertible modulo `φ(N)`.
-    fn fiat_eligible(&self, items: &[BatchCipher]) -> bool {
-        if items.len() < 2 {
-            return false;
-        }
-        let mut exps = Vec::with_capacity(items.len());
-        for item in items {
-            let Some(e) = item.exponent else { return false };
-            if e < 2 {
-                return false;
-            }
-            exps.push(e);
-        }
-        for (i, &a) in exps.iter().enumerate() {
-            for &b in &exps[i + 1..] {
-                if gcd_u64(a, b) != 1 {
-                    return false;
-                }
-            }
-        }
-        let phi = self.phi();
-        let mut product = Bn::one();
-        for &e in &exps {
-            product = product.mul(&Bn::from_u64(e));
-        }
-        product.gcd(&phi).is_one()
-    }
-
-    /// `φ(N) = (p-1)(q-1)`.
-    fn phi(&self) -> Bn {
-        self.p.sub(&Bn::one()).mul(&self.q.sub(&Bn::one()))
-    }
-
-    /// The serving-path regime: same exponent across the batch, so no
-    /// combined exponentiation — amortize blinding, allocation, and cache
-    /// locality instead.
-    fn decrypt_batch_shared<R: EntropySource>(
-        &self,
-        items: &[BatchCipher],
-        rng: &mut R,
-    ) -> Vec<Result<Vec<u8>, RsaError>> {
-        let own_e = self.public.exponent().to_u64();
         // One blinding acquisition for the whole batch (the contended
         // `guard.take()` happens once, and a cache miss pays the setup —
         // inversion plus public exponentiation — once, not per job).
@@ -164,28 +72,17 @@ impl RsaPrivateKey {
         };
         let mut scratch = MontScratch::new();
 
-        // data→bn, range check, blind — per item. Items overriding the
-        // exponent (a mixed, Fiat-ineligible batch) skip blinding: the
-        // cached mask is `r^e` under the *key's* exponent and would not
-        // cancel under a foreign one. They fall back per job below.
-        enum Slot {
-            Standard(Bn),
-            Foreign(Bn, u64),
-            Failed(RsaError),
-        }
-        let mut slots: Vec<Slot> = items
+        // data→bn, range check, blind — per item.
+        let slots: Vec<Result<Bn, RsaError>> = items
             .iter()
             .map(|item| {
                 let c = Bn::from_bytes_be(&item.cipher);
                 if &c >= self.modulus() {
-                    return Slot::Failed(RsaError::CiphertextOutOfRange);
+                    return Err(RsaError::CiphertextOutOfRange);
                 }
-                match item.exponent {
-                    Some(e) if Some(e) != own_e => Slot::Foreign(c, e),
-                    _ => match &blinding {
-                        Ok(b) => Slot::Standard(b.blind(&c)),
-                        Err(e) => Slot::Failed(*e),
-                    },
+                match &blinding {
+                    Ok(b) => Ok(b.blind(&c)),
+                    Err(e) => Err(*e),
                 }
             })
             .collect();
@@ -194,44 +91,39 @@ impl RsaPrivateKey {
         // every job's mod-q half — mont_p's modulus and window table stay
         // hot across the whole batch, and the shared scratch means no
         // steady-state allocation inside either loop.
-        let mut p_halves: Vec<Option<Bn>> = slots
+        let p_halves: Vec<Option<Bn>> = slots
             .iter()
-            .map(|slot| match slot {
-                Slot::Standard(c) => {
-                    Some(self.mont_p.mod_exp_scratch(&c.mod_op(&self.p), &self.dp, &mut scratch))
-                }
-                _ => None,
+            .map(|slot| {
+                let c = slot.as_ref().ok()?;
+                Some(self.mont_p.mod_exp_scratch(&c.mod_op(&self.p), &self.dp, &mut scratch))
             })
             .collect();
         let q_halves: Vec<Option<Bn>> = slots
             .iter()
-            .map(|slot| match slot {
-                Slot::Standard(c) => {
-                    Some(self.mont_q.mod_exp_scratch(&c.mod_op(&self.q), &self.dq, &mut scratch))
-                }
-                _ => None,
+            .map(|slot| {
+                let c = slot.as_ref().ok()?;
+                Some(self.mont_q.mod_exp_scratch(&c.mod_op(&self.q), &self.dq, &mut scratch))
             })
             .collect();
 
         let results = slots
-            .iter_mut()
+            .iter()
             .enumerate()
-            .map(|(i, slot)| match slot {
-                Slot::Standard(_) => {
-                    counters::count("rsa_private_op", 1);
-                    let m1 = p_halves[i].take().expect("p-half computed");
-                    let m2 = q_halves[i].as_ref().expect("q-half computed");
-                    // Garner recombination, then unmask under the shared
-                    // blinding factor (rotation happens once, below).
-                    let h = self.qinv.mod_mul(&m1.mod_sub(m2, &self.p), &self.p);
-                    let m_blinded = m2.add(&h.mul(&self.q));
-                    let b = blinding.as_ref().expect("standard slot implies blinding");
-                    self.finish_block(&b.unblind_shared(&m_blinded))
+            .map(|(i, slot)| {
+                if let Err(e) = slot {
+                    return Err(*e);
                 }
-                Slot::Foreign(c, e) => self
-                    .raw_decrypt_with_exponent(c, *e, &mut scratch)
-                    .and_then(|m| self.finish_block(&m)),
-                Slot::Failed(e) => Err(*e),
+                counters::count("rsa_private_op", 1);
+                let m1 = p_halves[i].as_ref().expect("p-half computed");
+                let m2 = q_halves[i].as_ref().expect("q-half computed");
+                // Garner recombination, then unmask under the shared
+                // blinding factor (rotation happens once, below).
+                let h = self.qinv.mod_mul(&m1.mod_sub(m2, &self.p), &self.p);
+                let m_blinded = m2.add(&h.mul(&self.q));
+                let b = blinding.as_ref().expect("a blinded slot implies blinding");
+                // bn→data plus PKCS #1 block parsing.
+                let block = b.unblind_shared(&m_blinded).to_bytes_be_padded(self.modulus_bytes());
+                pkcs1::parse_type2(&block)
             })
             .collect();
 
@@ -243,215 +135,16 @@ impl RsaPrivateKey {
         *self.blinding.lock().unwrap_or_else(|e| e.into_inner()) = blinding.ok();
         results
     }
-
-    /// bn→data plus PKCS #1 block parsing — the per-item tail every
-    /// regime shares.
-    fn finish_block(&self, m: &Bn) -> Result<Vec<u8>, RsaError> {
-        let block = m.to_bytes_be_padded(self.modulus_bytes());
-        pkcs1::parse_type2(&block)
-    }
-
-    /// Per-job fallback for an exponent the batch could not combine: a
-    /// fresh private exponent `dᵢ = eᵢ⁻¹ mod φ(N)` and a CRT
-    /// exponentiation of its own.
-    fn raw_decrypt_with_exponent(
-        &self,
-        c: &Bn,
-        e: u64,
-        scratch: &mut MontScratch,
-    ) -> Result<Bn, RsaError> {
-        counters::count("rsa_private_op", 1);
-        let p1 = self.p.sub(&Bn::one());
-        let q1 = self.q.sub(&Bn::one());
-        let phi = p1.mul(&q1);
-        let d = Bn::from_u64(e).mod_inverse(&phi).map_err(|_| RsaError::BatchCombine)?;
-        let m1 = self.mont_p.mod_exp_scratch(&c.mod_op(&self.p), &d.mod_op(&p1), scratch);
-        let m2 = self.mont_q.mod_exp_scratch(&c.mod_op(&self.q), &d.mod_op(&q1), scratch);
-        let h = self.qinv.mod_mul(&m1.mod_sub(&m2, &self.p), &self.p);
-        Ok(m2.add(&h.mul(&self.q)))
-    }
-
-    /// The Fiat regime: one CRT exponentiation for the whole batch.
-    fn decrypt_batch_fiat(&self, items: &[BatchCipher]) -> Vec<Result<Vec<u8>, RsaError>> {
-        counters::count("rsa_batch_fiat", 1);
-        let n = self.modulus();
-        let mut scratch = MontScratch::new();
-
-        // Collect the valid leaves; a bad ciphertext fails alone and the
-        // rest of the batch still combines.
-        let mut results: Vec<Result<Vec<u8>, RsaError>> =
-            vec![Err(RsaError::BatchCombine); items.len()];
-        let mut leaves: Vec<Leaf> = Vec::with_capacity(items.len());
-        for (i, item) in items.iter().enumerate() {
-            let v = Bn::from_bytes_be(&item.cipher);
-            if &v >= n {
-                results[i] = Err(RsaError::CiphertextOutOfRange);
-                continue;
-            }
-            let e = item.exponent.expect("fiat eligibility checked");
-            leaves.push(Leaf { index: i, e: Bn::from_u64(e), v });
-        }
-        match leaves.len() {
-            0 => return results,
-            1 => {
-                // A batch reduced to one survivor has nothing to combine.
-                let leaf = &leaves[0];
-                let e = leaf.e.to_u64().expect("leaf exponent fits u64");
-                results[leaf.index] = self
-                    .raw_decrypt_with_exponent(&leaf.v, e, &mut scratch)
-                    .and_then(|m| self.finish_block(&m));
-                return results;
-            }
-            _ => {}
-        }
-
-        // Upward percolation: combine to the root value V = M^E. The tree
-        // keeps every internal node's (E, V) so the downward pass reuses
-        // them instead of recombining subtrees.
-        let tree = self.percolate_up(&leaves, &mut scratch);
-        // One big exponentiation, CRT-accelerated: M = V^(E⁻¹ mod φ).
-        let phi = self.phi();
-        let Ok(d_e) = tree.e.mod_inverse(&phi) else {
-            // Eligibility already checked gcd(E, φ) = 1; unreachable in
-            // practice, but fail the batch rather than panic.
-            return results;
-        };
-        counters::count("rsa_private_op", leaves.len() as u64);
-        let p1 = self.p.sub(&Bn::one());
-        let q1 = self.q.sub(&Bn::one());
-        let m1 =
-            self.mont_p.mod_exp_scratch(&tree.v.mod_op(&self.p), &d_e.mod_op(&p1), &mut scratch);
-        let m2 =
-            self.mont_q.mod_exp_scratch(&tree.v.mod_op(&self.q), &d_e.mod_op(&q1), &mut scratch);
-        let h = self.qinv.mod_mul(&m1.mod_sub(&m2, &self.p), &self.p);
-        let m_root = m2.add(&h.mul(&self.q));
-
-        // Downward percolation: split M back into the leaf plaintexts.
-        let mut plains = Vec::with_capacity(leaves.len());
-        match self.percolate_down(&tree, m_root, &mut plains, &mut scratch) {
-            Ok(()) => {
-                for (leaf, m) in leaves.iter().zip(plains) {
-                    results[leaf.index] = self.finish_block(&m);
-                }
-            }
-            Err(e) => {
-                for leaf in &leaves {
-                    results[leaf.index] = Err(e);
-                }
-            }
-        }
-        results
-    }
-
-    /// Bottom-up pass of the Fiat tree over a slice of leaves: builds the
-    /// node holding `E = ∏ eᵢ` and `V = ∏ vᵢ^(E/eᵢ) = M^E mod N`, keeping
-    /// the children so the downward pass can reuse their `(E, V)` pairs.
-    fn percolate_up(&self, leaves: &[Leaf], scratch: &mut MontScratch) -> FiatNode {
-        if leaves.len() == 1 {
-            return FiatNode { e: leaves[0].e.clone(), v: leaves[0].v.clone(), children: None };
-        }
-        let mont_n = &self.public.mont_n;
-        let (a, b) = leaves.split_at(leaves.len() / 2);
-        let left = self.percolate_up(a, scratch);
-        let right = self.percolate_up(b, scratch);
-        // V = v_A^{E_B} · v_B^{E_A} = (m_A·m_B)^{E_A·E_B}.
-        let v = mont_n
-            .mod_exp_scratch(&left.v, &right.e, scratch)
-            .mod_mul(&mont_n.mod_exp_scratch(&right.v, &left.e, scratch), self.modulus());
-        let e = left.e.mul(&right.e);
-        FiatNode { e, v, children: Some(Box::new((left, right))) }
-    }
-
-    /// Top-down pass of the Fiat tree: splits a node's product plaintext
-    /// `m = m_A · m_B mod N` into its two children, recursing to leaves.
-    /// Plaintexts land in `out` in leaf order.
-    fn percolate_down(
-        &self,
-        node: &FiatNode,
-        m: Bn,
-        out: &mut Vec<Bn>,
-        scratch: &mut MontScratch,
-    ) -> Result<(), RsaError> {
-        let Some(children) = &node.children else {
-            out.push(m);
-            return Ok(());
-        };
-        let (left, right) = &**children;
-        let n = self.modulus();
-        let mont_n = &self.public.mont_n;
-        // X ≡ 0 (mod E_A), X ≡ 1 (mod E_B): X = E_A · (E_A⁻¹ mod E_B).
-        // Then u = m^X = v_A^s · v_B^t · m_B with s = X/E_A, t = (X-1)/E_B,
-        // so m_B = u·known⁻¹ and m_A = m·m_B⁻¹. A full-size mod_inverse
-        // costs a quarter of the root CRT exponentiation, so the two
-        // inversions are folded into one via Montgomery's simultaneous-
-        // inversion trick: with P = known·u, known⁻¹ = P⁻¹·u and
-        // u⁻¹ = P⁻¹·known, giving m_B = u²·P⁻¹ and m_A = m·known²·P⁻¹.
-        let inv = left.e.mod_inverse(&right.e).map_err(|_| RsaError::BatchCombine)?;
-        let x = left.e.mul(&inv);
-        let s = inv;
-        let (t, rem) = x.sub(&Bn::one()).div_rem(&right.e);
-        debug_assert!(rem.is_zero(), "X ≡ 1 mod E_B by construction");
-        let known = mont_n
-            .mod_exp_scratch(&left.v, &s, scratch)
-            .mod_mul(&mont_n.mod_exp_scratch(&right.v, &t, scratch), n);
-        let u = mont_n.mod_exp_scratch(&m, &x, scratch);
-        let p_inv = known.mod_mul(&u, n).mod_inverse(n).map_err(|_| RsaError::BatchCombine)?;
-        let m_b = u.mod_mul(&u, n).mod_mul(&p_inv, n);
-        let m_a = m.mod_mul(&known.mod_mul(&known, n), n).mod_mul(&p_inv, n);
-
-        self.percolate_down(left, m_a, out, scratch)?;
-        self.percolate_down(right, m_b, out, scratch)
-    }
-}
-
-/// One Fiat leaf: the original slot index, its exponent, its ciphertext.
-struct Leaf {
-    index: usize,
-    e: Bn,
-    v: Bn,
-}
-
-/// An internal node of the Fiat combining tree: the subtree's exponent
-/// product `E`, combined value `V = M^E`, and its children (leaves have
-/// none). Built once on the way up, reused on the way down.
-struct FiatNode {
-    e: Bn,
-    v: Bn,
-    children: Option<Box<(FiatNode, FiatNode)>>,
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::test_keys::{rsa1024, rsa512};
+    use crate::test_keys::rsa512;
     use sslperf_rng::SslRng;
-
-    /// The first `count` odd primes that are invertible mod φ(N) for this
-    /// key — distinct primes are pairwise coprime for free, but each must
-    /// also avoid the factors of `p-1` and `q-1`.
-    fn usable_exponents(key: &RsaPrivateKey, count: usize) -> Vec<u64> {
-        const CANDIDATES: [u64; 16] = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59];
-        let phi = key.phi();
-        let picked: Vec<u64> = CANDIDATES
-            .into_iter()
-            .filter(|&e| Bn::from_u64(e).gcd(&phi).is_one())
-            .take(count)
-            .collect();
-        assert_eq!(picked.len(), count, "test key admits too few coprime exponents");
-        picked
-    }
 
     fn pkcs1_cipher(key: &RsaPrivateKey, msg: &[u8], rng: &mut SslRng) -> Vec<u8> {
         key.public_key().encrypt_pkcs1(msg, rng).unwrap()
-    }
-
-    /// PKCS #1-pads `msg` and encrypts it under a small exponent `e`.
-    fn fiat_cipher(key: &RsaPrivateKey, msg: &[u8], e: u64, rng: &mut SslRng) -> Vec<u8> {
-        let k = key.modulus_bytes();
-        let block = pkcs1::pad_type2(msg, k, rng).unwrap();
-        let m = Bn::from_bytes_be(&block);
-        let c = m.mod_exp(&Bn::from_u64(e), key.modulus());
-        c.to_bytes_be_padded(k)
     }
 
     #[test]
@@ -509,135 +202,6 @@ mod tests {
         let mut b = SslRng::from_seed(b"probe");
         let _ = key.decrypt_batch(&[BatchCipher::new(cipher)], &mut a);
         assert_eq!(a.next_u64(), b.next_u64(), "warm-cache batch advanced the rng");
-    }
-
-    #[test]
-    fn fiat_batch_matches_individual_decrypts() {
-        let key = rsa1024();
-        let mut rng = SslRng::from_seed(b"fiat");
-        for size in 2..=8usize {
-            let msgs: Vec<Vec<u8>> =
-                (0..size).map(|i| format!("fiat-msg-{size}-{i}").into_bytes()).collect();
-            let items: Vec<BatchCipher> = msgs
-                .iter()
-                .zip(usable_exponents(key, size))
-                .map(|(m, e)| BatchCipher::with_exponent(fiat_cipher(key, m, e, &mut rng), e))
-                .collect();
-            let got = key.decrypt_batch(&items, &mut rng);
-            for (i, (msg, result)) in msgs.iter().zip(&got).enumerate() {
-                assert_eq!(result.as_ref().unwrap(), msg, "size {size} item {i}");
-            }
-        }
-    }
-
-    #[test]
-    fn fiat_uses_one_big_exponentiation() {
-        // The Fiat win: BN_mod_exp bits for the batch stay near one
-        // full-size CRT decrypt instead of four. Pinned to u32 limbs so the
-        // exponentiation work and the plain-domain tree glue land on the
-        // same counter family and the ratio measures the algorithm, not
-        // the kernel mix.
-        let mut key = rsa1024().clone();
-        key.set_limb_width(sslperf_bignum::LimbWidth::U32);
-        let key = &key;
-        let mut rng = SslRng::from_seed(b"fiat-count");
-        let items: Vec<BatchCipher> = usable_exponents(key, 4)
-            .into_iter()
-            .map(|e| BatchCipher::with_exponent(fiat_cipher(key, b"x", e, &mut rng), e))
-            .collect();
-        let solo_items: Vec<BatchCipher> = items
-            .iter()
-            .map(|i| BatchCipher::with_exponent(i.cipher().to_vec(), i.exponent().unwrap()))
-            .collect();
-        let (_, fiat) = counters::counted(|| {
-            let got = key.decrypt_batch(&items, &mut rng);
-            assert!(got.iter().all(Result::is_ok));
-        });
-        let (_, solo) = counters::counted(|| {
-            for item in &solo_items {
-                // One at a time: ineligible for combining (len 1), so each
-                // runs its own full-size exponentiation.
-                let got = key.decrypt_batch(std::slice::from_ref(item), &mut rng);
-                assert!(got[0].is_ok());
-            }
-        });
-        let fiat_work = fiat.calls("bn_mul_add_words");
-        let solo_work = solo.calls("bn_mul_add_words");
-        assert!(
-            fiat_work * 2 < solo_work,
-            "fiat batch should at least halve the word work: {fiat_work} vs {solo_work}"
-        );
-    }
-
-    #[test]
-    fn fiat_corrupt_ciphertext_fails_alone() {
-        let key = rsa1024();
-        let mut rng = SslRng::from_seed(b"fiat-corrupt");
-        let exps = usable_exponents(key, 3);
-        let mut items: Vec<BatchCipher> = exps
-            .iter()
-            .enumerate()
-            .map(|(i, &e)| {
-                BatchCipher::with_exponent(
-                    fiat_cipher(key, format!("m{i}").as_bytes(), e, &mut rng),
-                    e,
-                )
-            })
-            .collect();
-        items[1] = BatchCipher::with_exponent(
-            key.modulus().to_bytes_be_padded(key.modulus_bytes()),
-            exps[1],
-        );
-        let got = key.decrypt_batch(&items, &mut rng);
-        assert_eq!(got[0].as_ref().unwrap(), b"m0");
-        assert_eq!(got[1], Err(RsaError::CiphertextOutOfRange));
-        assert_eq!(got[2].as_ref().unwrap(), b"m2");
-    }
-
-    #[test]
-    fn shared_exponents_are_not_fiat_eligible() {
-        let key = rsa512();
-        let e = usable_exponents(key, 3);
-        // Equal exponents have gcd > 1 with each other.
-        let items = vec![
-            BatchCipher::with_exponent(vec![1], e[0]),
-            BatchCipher::with_exponent(vec![2], e[0]),
-        ];
-        assert!(!key.fiat_eligible(&items));
-        // Even one shared factor between composites breaks the whole batch.
-        let items = vec![
-            BatchCipher::with_exponent(vec![1], e[0] * e[1]),
-            BatchCipher::with_exponent(vec![2], e[1] * e[2]),
-        ];
-        assert!(!key.fiat_eligible(&items));
-        let items = vec![
-            BatchCipher::with_exponent(vec![1], e[0]),
-            BatchCipher::with_exponent(vec![2], e[1]),
-        ];
-        assert!(key.fiat_eligible(&items));
-        // No override → the serving path → never eligible.
-        let items = vec![BatchCipher::new(vec![1]), BatchCipher::new(vec![2])];
-        assert!(!key.fiat_eligible(&items));
-    }
-
-    #[test]
-    fn mixed_foreign_exponent_falls_back_per_job() {
-        // A batch where exponents collide (gcd > 1) routes to the shared
-        // path, which still decrypts the foreign-exponent jobs correctly
-        // via their own private exponents.
-        let key = rsa1024();
-        let mut rng = SslRng::from_seed(b"mixed");
-        let e = usable_exponents(key, 1)[0];
-        // e and e² share a factor, so the batch is Fiat-ineligible and
-        // routes to the shared path; e² is still invertible mod φ, so the
-        // per-job fallback decrypts both correctly.
-        let items = vec![
-            BatchCipher::with_exponent(fiat_cipher(key, b"small", e, &mut rng), e),
-            BatchCipher::with_exponent(fiat_cipher(key, b"square", e * e, &mut rng), e * e),
-        ];
-        let got = key.decrypt_batch(&items, &mut rng);
-        assert_eq!(got[0].as_ref().unwrap(), b"small");
-        assert_eq!(got[1].as_ref().unwrap(), b"square");
     }
 
     #[test]

@@ -75,10 +75,6 @@ pub enum RsaError {
     KeyGeneration,
     /// Requested key size is too small to hold any padded message.
     KeyTooSmall,
-    /// A batch decrypt could not combine this job with its siblings
-    /// (exponents not pairwise coprime / not invertible, or a combined
-    /// value had no modular inverse).
-    BatchCombine,
 }
 
 impl fmt::Display for RsaError {
@@ -90,7 +86,6 @@ impl fmt::Display for RsaError {
             RsaError::BadSignature => "signature verification failed",
             RsaError::KeyGeneration => "key generation failed",
             RsaError::KeyTooSmall => "modulus too small",
-            RsaError::BatchCombine => "batch decrypt could not combine the jobs",
         };
         f.write_str(msg)
     }

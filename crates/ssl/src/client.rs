@@ -10,7 +10,7 @@ use crate::kdf::{self, KeyMaterial};
 use crate::messages::{HandshakeMessage, SessionId};
 use crate::record::{ContentType, RecordBuffer, RecordLayer};
 use crate::transcript::{Transcript, SENDER_CLIENT, SENDER_SERVER};
-use crate::transport::{read_record, read_record_into, Transport};
+use crate::transport::{read_record_into, Transport};
 use crate::{CipherSuite, SslError, VERSION};
 use sslperf_profile::Cycles;
 use sslperf_rng::SslRng;
@@ -219,6 +219,12 @@ impl SslClient {
     ///
     /// Returns [`SslError::UnexpectedMessage`] if called twice.
     pub fn hello(&mut self) -> Result<Vec<u8>, SslError> {
+        let mut out = Vec::new();
+        self.start_hello(&mut out)?;
+        Ok(out)
+    }
+
+    fn start_hello(&mut self, out: &mut Vec<u8>) -> Result<(), SslError> {
         if self.state != State::Start {
             return Err(SslError::UnexpectedMessage { expected: "nothing (bad state)" });
         }
@@ -239,9 +245,9 @@ impl SslClient {
         }
         .encode();
         self.transcript.absorb(&hello);
-        let out = self.records.seal(ContentType::Handshake, &hello)?;
+        self.records.seal_append(ContentType::Handshake, &hello, out)?;
         self.state = State::AwaitServerHello;
-        Ok(out)
+        Ok(())
     }
 
     /// Processes the server's reply to the hello.
@@ -352,7 +358,7 @@ impl SslClient {
         let encrypted = server_key.encrypt_pkcs1(&pre_master, &mut self.rng)?;
         let kx = HandshakeMessage::ClientKeyExchange { encrypted_pre_master: encrypted }.encode();
         self.transcript.absorb(&kx);
-        out.extend(self.records.seal(ContentType::Handshake, &kx)?);
+        self.records.seal_append(ContentType::Handshake, &kx, out)?;
         self.master = kdf::master_secret(&pre_master, &self.client_random, &self.server_random);
 
         self.send_ccs_and_finished(out)?;
@@ -429,31 +435,19 @@ impl SslClient {
     }
 
     fn send_ccs_and_finished(&mut self, out: &mut Vec<u8>) -> Result<(), SslError> {
-        out.extend(self.records.seal(ContentType::ChangeCipherSpec, &[1])?);
+        self.records.seal_append(ContentType::ChangeCipherSpec, &[1], out)?;
         let km = self.key_material();
         let write = self.suite.new_cipher(&km.client_key, &km.client_iv)?;
         self.records.activate_write(write, self.suite.mac_alg(), km.client_mac.clone());
         let (md5_hash, sha_hash) = self.transcript.finished_hashes(&SENDER_CLIENT, &self.master);
         let fin = HandshakeMessage::Finished { md5_hash, sha_hash }.encode();
         self.transcript.absorb(&fin);
-        out.extend(self.records.seal(ContentType::Handshake, &fin)?);
+        self.records.seal_append(ContentType::Handshake, &fin, out)?;
         // The server's finished covers the transcript including ours (full
         // handshake ordering).
         self.expected_server_finished =
             Some(self.transcript.finished_hashes(&SENDER_SERVER, &self.master));
         Ok(())
-    }
-
-    /// Encrypts application data into records (bulk-data phase).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SslError::NotReady`] before the handshake completes.
-    pub fn seal(&mut self, data: &[u8]) -> Result<Vec<u8>, SslError> {
-        if self.state != State::Established {
-            return Err(SslError::NotReady("handshake incomplete"));
-        }
-        self.records.seal(ContentType::ApplicationData, data)
     }
 
     /// Encrypts application data into a reusable [`RecordBuffer`] without
@@ -490,30 +484,6 @@ impl SslClient {
         }
     }
 
-    /// Decrypts application-data records, concatenating their payloads.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SslError::NotReady`] before the handshake completes,
-    /// [`SslError::PeerAlert`] when the peer closed the session, or
-    /// record-layer errors.
-    pub fn open(&mut self, wire: &[u8]) -> Result<Vec<u8>, SslError> {
-        if self.state != State::Established {
-            return Err(SslError::NotReady("handshake incomplete"));
-        }
-        let mut out = Vec::new();
-        for (ct, data) in self.records.open_all(wire)? {
-            match ct {
-                ContentType::ApplicationData => out.extend(data),
-                ContentType::Alert => {
-                    return Err(SslError::PeerAlert(crate::alert::Alert::from_bytes(&data)?));
-                }
-                _ => return Err(SslError::UnexpectedMessage { expected: "application data" }),
-            }
-        }
-        Ok(out)
-    }
-
     /// Ends the session with a `close_notify` alert record (the "End
     /// Session" arrow of the paper's Figure 1).
     ///
@@ -524,7 +494,7 @@ impl SslClient {
         if self.state != State::Established {
             return Err(SslError::NotReady("handshake incomplete"));
         }
-        self.records.seal(ContentType::Alert, &crate::alert::Alert::close_notify().to_bytes())
+        self.seal_alert(&crate::alert::Alert::close_notify())
     }
 
     /// Seals an alert record in whatever cipher state the connection is in
@@ -534,7 +504,9 @@ impl SslClient {
     ///
     /// Propagates record-layer failures.
     pub fn seal_alert(&mut self, alert: &crate::alert::Alert) -> Result<Vec<u8>, SslError> {
-        self.records.seal(ContentType::Alert, &alert.to_bytes())
+        let mut out = Vec::new();
+        self.records.seal_append(ContentType::Alert, &alert.to_bytes(), &mut out)?;
+        Ok(out)
     }
 
     /// Drives the whole client side of the handshake over a
@@ -556,30 +528,6 @@ impl SslClient {
             engine.flush_to(transport)?;
         }
         Ok(())
-    }
-
-    /// Seals application data and writes the records to the transport.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SslError::NotReady`] before the handshake completes and
-    /// [`SslError::Io`] on transport failures.
-    pub fn send<T: Transport>(&mut self, transport: &mut T, data: &[u8]) -> Result<(), SslError> {
-        let wire = self.seal(data)?;
-        transport.send(&wire)
-    }
-
-    /// Reads one record from the transport and returns its decrypted
-    /// application payload. Large messages span several records; callers
-    /// with framing (e.g. HTTP Content-Length) loop until satisfied.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SslError::PeerAlert`] when the peer closed the session,
-    /// [`SslError::Io`] on transport failures, or record-layer errors.
-    pub fn recv<T: Transport>(&mut self, transport: &mut T) -> Result<Vec<u8>, SslError> {
-        let record = read_record(transport)?;
-        self.open(&record)
     }
 
     /// Seals application data into the caller's [`RecordBuffer`] and writes
@@ -631,9 +579,7 @@ impl SslClient {
 
 impl EngineDriven for SslClient {
     fn start(&mut self, out: &mut Vec<u8>) -> Result<(), SslError> {
-        let hello = self.hello()?;
-        out.extend(hello);
-        Ok(())
+        self.start_hello(out)
     }
 
     fn on_handshake_message(
@@ -686,7 +632,7 @@ mod tests {
         let mut client = SslClient::new(CipherSuite::RsaRc4Md5, SslRng::from_seed(b"c"));
         assert!(client.process_server_flight(&[]).is_err());
         assert!(client.process_server_finish(&[]).is_err());
-        assert!(client.seal(b"x").is_err());
+        assert!(client.seal_into(b"x", &mut RecordBuffer::new()).is_err());
         let _ = client.hello().unwrap();
         assert!(client.hello().is_err(), "hello twice");
         assert!(client.session().is_none(), "no session before establishment");

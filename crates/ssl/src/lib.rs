@@ -20,7 +20,7 @@
 //!   process_server_flight() ◀──  (hello ‖ certificate ‖ done)
 //!   (kx ‖ ccs ‖ finished) ─────▶ process_client_flight()
 //!   process_server_finish() ◀──  (ccs ‖ finished)
-//!   seal()/open()      ◀──────▶  seal()/open()
+//!   seal_into()/open_in_place() ◀▶ seal_into()/open_in_place()
 //! ```
 //!
 //! # Examples
@@ -28,7 +28,7 @@
 //! ```
 //! use sslperf_rng::SslRng;
 //! use sslperf_rsa::RsaPrivateKey;
-//! use sslperf_ssl::{CipherSuite, ServerConfig, SslClient, SslServer};
+//! use sslperf_ssl::{CipherSuite, RecordBuffer, ServerConfig, SslClient, SslServer};
 //!
 //! let mut rng = SslRng::from_seed(b"doc-handshake");
 //! let key = RsaPrivateKey::generate(512, &mut rng)?;
@@ -43,8 +43,10 @@
 //! let flight4 = server.process_client_flight(&flight3)?;
 //! client.process_server_finish(&flight4)?;
 //!
-//! let record = client.seal(b"GET / HTTP/1.0\r\n\r\n")?;
-//! assert_eq!(server.open(&record)?, b"GET / HTTP/1.0\r\n\r\n");
+//! let mut record = RecordBuffer::new();
+//! client.seal_into(b"GET / HTTP/1.0\r\n\r\n", &mut record)?;
+//! let range = server.open_in_place(&mut record)?;
+//! assert_eq!(&record.as_slice()[range], b"GET / HTTP/1.0\r\n\r\n");
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 //!
@@ -88,7 +90,7 @@ pub use server::{HandshakeLedger, ServerConfig, SslServer, SERVER_STEP_NAMES};
 pub use suites::{BulkCipher, CipherSuite};
 pub use ticket::{TicketError, TicketKeyring, TicketSessionStore};
 pub use tls13::{Tls13ClientMachine, Tls13ServerMachine, TLS13_STEP_NAMES};
-pub use transport::{duplex_pair, read_record, read_record_into, DuplexTransport, Transport};
+pub use transport::{duplex_pair, read_record_into, DuplexTransport, Transport};
 
 use sslperf_ciphers::CipherError;
 use sslperf_rsa::RsaError;

@@ -248,14 +248,6 @@ impl ConnState {
         }
         Ok(data_len)
     }
-
-    /// Legacy allocating shim over [`ConnState::unprotect_in_place`].
-    fn unprotect(&mut self, content_type: ContentType, body: &[u8]) -> Result<Vec<u8>, SslError> {
-        let mut plain = body.to_vec();
-        let len = self.unprotect_in_place(content_type, &mut plain)?;
-        plain.truncate(len);
-        Ok(plain)
-    }
 }
 
 /// A bidirectional record layer.
@@ -263,13 +255,14 @@ impl ConnState {
 /// # Examples
 ///
 /// ```
-/// use sslperf_ssl::{ContentType, RecordLayer};
+/// use sslperf_ssl::{ContentType, RecordBuffer, RecordLayer};
 ///
 /// let mut a = RecordLayer::new();
 /// let mut b = RecordLayer::new();
-/// let wire = a.seal(ContentType::Handshake, b"hello").unwrap();
-/// let records = b.open_all(&wire).unwrap();
-/// assert_eq!(records[0], (ContentType::Handshake, b"hello".to_vec()));
+/// let mut buf = RecordBuffer::new();
+/// a.seal_into(ContentType::Handshake, b"hello", &mut buf).unwrap();
+/// let (ct, range) = b.open_in_place(&mut buf).unwrap();
+/// assert_eq!((ct, &buf.as_slice()[range]), (ContentType::Handshake, &b"hello"[..]));
 /// ```
 #[derive(Debug, Clone)]
 pub struct RecordLayer {
@@ -416,20 +409,6 @@ impl RecordLayer {
         Ok(())
     }
 
-    /// Seals `payload` as one or more records of `content_type`.
-    ///
-    /// Allocating shim over [`RecordLayer::seal_into`]; the wire bytes are
-    /// identical.
-    ///
-    /// # Errors
-    ///
-    /// Propagates cipher failures (which indicate internal length bugs).
-    pub fn seal(&mut self, content_type: ContentType, payload: &[u8]) -> Result<Vec<u8>, SslError> {
-        let mut out = RecordBuffer::new();
-        self.seal_into(content_type, payload, &mut out)?;
-        Ok(out.into_vec())
-    }
-
     fn seal_one(
         &mut self,
         content_type: ContentType,
@@ -501,57 +480,12 @@ impl RecordLayer {
         )?;
         Ok((content_type, RECORD_HEADER_LEN..RECORD_HEADER_LEN + plain_len))
     }
-
-    /// Opens the first record in `input`, returning its type, plaintext and
-    /// the bytes consumed.
-    ///
-    /// Allocating shim over the in-place path; unlike
-    /// [`RecordLayer::open_in_place`] it tolerates further records after the
-    /// first.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SslError::Decode`] on framing errors and a uniform
-    /// [`SslError::MacMismatch`] on protection failures (bad padding is
-    /// deliberately not distinguished from a bad MAC).
-    pub fn open_one(&mut self, input: &[u8]) -> Result<(ContentType, Vec<u8>, usize), SslError> {
-        if input.len() < RECORD_HEADER_LEN {
-            return Err(SslError::Decode("record header"));
-        }
-        let content_type = ContentType::from_u8(input[0])?;
-        if !self.accepts_version(input[1], input[2]) {
-            return Err(SslError::UnsupportedVersion { major: input[1], minor: input[2] });
-        }
-        let len = u16::from_be_bytes([input[3], input[4]]) as usize;
-        if input.len() < RECORD_HEADER_LEN + len {
-            return Err(SslError::Decode("record body"));
-        }
-        let plain = self
-            .read
-            .unprotect(content_type, &input[RECORD_HEADER_LEN..RECORD_HEADER_LEN + len])?;
-        Ok((content_type, plain, RECORD_HEADER_LEN + len))
-    }
-
-    /// Opens every record in `input`.
-    ///
-    /// # Errors
-    ///
-    /// As [`RecordLayer::open_one`]; fails if `input` ends mid-record.
-    pub fn open_all(&mut self, input: &[u8]) -> Result<Vec<(ContentType, Vec<u8>)>, SslError> {
-        let mut records = Vec::new();
-        let mut rest = input;
-        while !rest.is_empty() {
-            let (ct, plain, used) = self.open_one(rest)?;
-            records.push((ct, plain));
-            rest = &rest[used..];
-        }
-        Ok(records)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::transport::{duplex_pair, read_record_into, Transport};
     use crate::CipherSuite;
 
     fn protected_pair(suite: CipherSuite) -> (RecordLayer, RecordLayer) {
@@ -569,105 +503,81 @@ mod tests {
         (tx, rx)
     }
 
-    #[test]
-    fn null_cipher_passthrough() {
-        let mut a = RecordLayer::new();
-        let mut b = RecordLayer::new();
-        let wire = a.seal(ContentType::Handshake, b"plaintext").unwrap();
-        assert_eq!(&wire[..3], &[22, 3, 0]);
-        let out = b.open_all(&wire).unwrap();
-        assert_eq!(out, vec![(ContentType::Handshake, b"plaintext".to_vec())]);
+    fn seal(tx: &mut RecordLayer, content_type: ContentType, payload: &[u8]) -> Vec<u8> {
+        let mut buf = RecordBuffer::new();
+        tx.seal_into(content_type, payload, &mut buf).unwrap();
+        buf.into_vec()
     }
 
-    #[test]
-    fn protected_round_trip_every_suite() {
-        for suite in CipherSuite::ALL {
-            let (mut tx, mut rx) = protected_pair(suite);
-            for len in [0usize, 1, 7, 8, 15, 16, 100, 1000] {
-                let data: Vec<u8> = (0..len).map(|i| i as u8).collect();
-                let wire = tx.seal(ContentType::ApplicationData, &data).unwrap();
-                let out = rx.open_all(&wire).unwrap();
-                assert_eq!(out.len(), 1);
-                assert_eq!(out[0].1, data, "{suite} len {len}");
-            }
+    /// Opens `wire` record by record, framed by the transport reader the
+    /// blocking drivers use.
+    fn open_each(
+        rx: &mut RecordLayer,
+        wire: &[u8],
+    ) -> Result<Vec<(ContentType, Vec<u8>)>, SslError> {
+        let (mut sender, mut receiver) = duplex_pair();
+        sender.send(wire)?;
+        let mut records = Vec::new();
+        let mut buf = RecordBuffer::new();
+        let mut left = wire.len();
+        while left > 0 {
+            read_record_into(&mut receiver, &mut buf)?;
+            left -= buf.len();
+            let (ct, range) = rx.open_in_place(&mut buf)?;
+            records.push((ct, buf.as_slice()[range].to_vec()));
         }
+        Ok(records)
     }
 
     #[test]
     fn large_payload_fragments() {
         let (mut tx, mut rx) = protected_pair(CipherSuite::RsaRc4Sha);
         let data = vec![0xaau8; MAX_FRAGMENT * 2 + 100];
-        let wire = tx.seal(ContentType::ApplicationData, &data).unwrap();
-        let out = rx.open_all(&wire).unwrap();
+        let wire = seal(&mut tx, ContentType::ApplicationData, &data);
+        let out = open_each(&mut rx, &wire).unwrap();
         assert_eq!(out.len(), 3);
         let glued: Vec<u8> = out.into_iter().flat_map(|(_, d)| d).collect();
         assert_eq!(glued, data);
     }
 
     #[test]
-    fn tampered_ciphertext_fails_mac() {
-        let (mut tx, mut rx) = protected_pair(CipherSuite::RsaDesCbc3Sha);
-        let mut wire = tx.seal(ContentType::ApplicationData, b"important data").unwrap();
-        let last = wire.len() - 1;
-        wire[last] ^= 0x01;
-        let err = rx.open_all(&wire).unwrap_err();
-        assert!(
-            matches!(err, SslError::MacMismatch | SslError::BadPadding),
-            "tampering must be caught, got {err:?}"
-        );
-    }
-
-    #[test]
     fn replayed_record_fails_sequence() {
         let (mut tx, mut rx) = protected_pair(CipherSuite::RsaRc4Md5);
-        let wire = tx.seal(ContentType::ApplicationData, b"once").unwrap();
-        assert!(rx.open_all(&wire).is_ok());
+        let wire = seal(&mut tx, ContentType::ApplicationData, b"once");
+        assert!(open_each(&mut rx, &wire).is_ok());
         // Same bytes again: sequence number advanced, MAC now wrong (and for
         // CBC suites the IV would also differ).
-        assert_eq!(rx.open_all(&wire).unwrap_err(), SslError::MacMismatch);
+        assert_eq!(open_each(&mut rx, &wire).unwrap_err(), SslError::MacMismatch);
     }
 
     #[test]
     fn reordered_records_fail() {
         let (mut tx, mut rx) = protected_pair(CipherSuite::RsaRc4Sha);
-        let w1 = tx.seal(ContentType::ApplicationData, b"first").unwrap();
-        let w2 = tx.seal(ContentType::ApplicationData, b"second").unwrap();
+        let w1 = seal(&mut tx, ContentType::ApplicationData, b"first");
+        let w2 = seal(&mut tx, ContentType::ApplicationData, b"second");
         let mut swapped = w2.clone();
         swapped.extend_from_slice(&w1);
-        assert!(rx.open_all(&swapped).is_err());
+        assert!(open_each(&mut rx, &swapped).is_err());
     }
 
     #[test]
     fn truncated_wire_rejected() {
         let (mut tx, rx) = protected_pair(CipherSuite::RsaAes128Sha);
-        let wire = tx.seal(ContentType::ApplicationData, b"data").unwrap();
+        let wire = seal(&mut tx, ContentType::ApplicationData, b"data");
         for cut in [1usize, 4, wire.len() - 1] {
-            let mut layer = rx.clone();
-            assert!(layer.open_all(&wire[..cut]).is_err(), "cut {cut}");
+            let mut cut_wire = wire[..cut].to_vec();
+            assert!(rx.clone().open_slice(&mut cut_wire).is_err(), "cut {cut}");
         }
-        let _ = rx; // silence unused after clone-loop
     }
 
     #[test]
     fn wrong_version_rejected() {
         let mut rx = RecordLayer::new();
-        let bad = [22u8, 3, 1, 0, 0];
-        assert_eq!(rx.open_one(&bad), Err(SslError::UnsupportedVersion { major: 3, minor: 1 }));
-    }
-
-    #[test]
-    fn seal_into_matches_legacy_seal_bytes() {
-        for suite in CipherSuite::ALL {
-            let (mut legacy_tx, _) = protected_pair(suite);
-            let (mut new_tx, _) = protected_pair(suite);
-            let mut buf = RecordBuffer::new();
-            for len in [0usize, 1, 100, MAX_FRAGMENT + 1] {
-                let data = vec![0x5au8; len];
-                let wire = legacy_tx.seal(ContentType::ApplicationData, &data).unwrap();
-                new_tx.seal_into(ContentType::ApplicationData, &data, &mut buf).unwrap();
-                assert_eq!(buf.as_slice(), &wire[..], "{suite} len {len}");
-            }
-        }
+        let mut bad = [22u8, 3, 1, 0, 0];
+        assert_eq!(
+            rx.open_slice(&mut bad),
+            Err(SslError::UnsupportedVersion { major: 3, minor: 1 })
+        );
     }
 
     #[test]
@@ -734,10 +644,10 @@ mod tests {
         tamper: impl Fn(&[u8]) -> usize,
     ) -> (SslError, u64) {
         let (mut tx, mut rx) = protected_pair(suite);
-        let mut wire = tx.seal(ContentType::ApplicationData, payload).unwrap();
+        let mut wire = seal(&mut tx, ContentType::ApplicationData, payload);
         let index = tamper(&wire);
         wire[index] ^= 0x80;
-        let err = rx.open_all(&wire).unwrap_err();
+        let err = open_each(&mut rx, &wire).unwrap_err();
         let macs = rx.crypto_phases().get("mac").map_or(0, |p| p.hits());
         (err, macs)
     }
@@ -770,13 +680,13 @@ mod tests {
         // A decrypted pad byte claiming more padding than the record holds
         // must not short-circuit differently from a plain MAC failure.
         let (mut tx, mut rx) = protected_pair(CipherSuite::RsaAes256Sha);
-        let mut wire = tx.seal(ContentType::ApplicationData, b"x").unwrap();
+        let mut wire = seal(&mut tx, ContentType::ApplicationData, b"x");
         // Flip a bit in the penultimate ciphertext block's last byte: the
         // pad-length byte decrypts to pad ^ 0x80 >= block.
         let block = 16;
         let idx = wire.len() - block - 1;
         wire[idx] ^= 0x80;
-        assert_eq!(rx.open_all(&wire).unwrap_err(), SslError::MacMismatch);
+        assert_eq!(open_each(&mut rx, &wire).unwrap_err(), SslError::MacMismatch);
         assert_eq!(rx.crypto_phases().get("mac").map_or(0, |p| p.hits()), 1);
     }
 
@@ -799,7 +709,7 @@ mod tests {
     fn cbc_records_are_block_aligned_on_wire() {
         let (mut tx, _) = protected_pair(CipherSuite::RsaAes256Sha);
         for len in [0usize, 1, 16, 31] {
-            let wire = tx.seal(ContentType::ApplicationData, &vec![0u8; len]).unwrap();
+            let wire = seal(&mut tx, ContentType::ApplicationData, &vec![0u8; len]);
             let body_len = wire.len() - 5;
             assert_eq!(body_len % 16, 0, "len {len}");
         }

@@ -19,7 +19,7 @@ use crate::messages::{HandshakeMessage, SessionId};
 use crate::record::{ContentType, RecordBuffer, RecordLayer};
 use crate::ticket::TicketError;
 use crate::transcript::{Transcript, SENDER_CLIENT, SENDER_SERVER};
-use crate::transport::{read_record, read_record_into, Transport};
+use crate::transport::{read_record_into, Transport};
 use crate::{CipherSuite, SslError};
 use sslperf_profile::{measure, Cycles, PhaseSet, Stopwatch};
 use sslperf_rng::SslRng;
@@ -530,7 +530,7 @@ impl<'a> SslServer<'a> {
         .encode();
         let (_, cycles) = measure(|| self.transcript.absorb(&hello));
         self.note_crypto(2, "finish_mac", cycles);
-        out.extend(self.records.seal(ContentType::Handshake, &hello)?);
+        self.records.seal_append(ContentType::Handshake, &hello, out)?;
         self.steps.add(SERVER_STEP_NAMES[2], sw.elapsed());
 
         if self.resumed {
@@ -553,7 +553,7 @@ impl<'a> SslServer<'a> {
         self.note_crypto(3, "x509_functions", cycles);
         let (_, cycles) = measure(|| self.transcript.absorb(&cert_msg));
         self.note_crypto(3, "finish_mac", cycles);
-        out.extend(self.records.seal(ContentType::Handshake, &cert_msg)?);
+        self.records.seal_append(ContentType::Handshake, &cert_msg, out)?;
         self.steps.add(SERVER_STEP_NAMES[3], sw.elapsed());
 
         // Step 4: send_server_done (+ internal buffer control).
@@ -561,7 +561,7 @@ impl<'a> SslServer<'a> {
         let done = HandshakeMessage::ServerHelloDone.encode();
         let (_, cycles) = measure(|| self.transcript.absorb(&done));
         self.note_crypto(4, "finish_mac", cycles);
-        out.extend(self.records.seal(ContentType::Handshake, &done)?);
+        self.records.seal_append(ContentType::Handshake, &done, out)?;
         self.steps.add(SERVER_STEP_NAMES[4], sw.elapsed());
 
         self.state = State::AwaitClientKx;
@@ -760,7 +760,7 @@ impl<'a> SslServer<'a> {
             ticket: issued.ticket,
         }
         .encode();
-        out.extend(self.records.seal(ContentType::Handshake, &nst)?);
+        self.records.seal_append(ContentType::Handshake, &nst, out)?;
         self.note_crypto(8, "ticket_seal", sw.elapsed());
         self.ticket_issued = true;
         Ok(())
@@ -777,7 +777,7 @@ impl<'a> SslServer<'a> {
         if self.key_material.is_none() {
             self.generate_key_block(7)?;
         }
-        out.extend(self.records.seal(ContentType::ChangeCipherSpec, &[1])?);
+        self.records.seal_append(ContentType::ChangeCipherSpec, &[1], out)?;
         let km = self.key_material.clone().expect("generated above");
         let write_cipher = self.suite.new_cipher(&km.server_key, &km.server_iv)?;
         self.records.activate_write(write_cipher, self.suite.mac_alg(), km.server_mac.clone());
@@ -792,12 +792,10 @@ impl<'a> SslServer<'a> {
         let fin = HandshakeMessage::Finished { md5_hash, sha_hash }.encode();
         let (_, cycles) = measure(|| self.transcript.absorb(&fin));
         self.note_crypto(8, "finish_mac", cycles);
-        let (sealed, cycles) = {
-            let records = &mut self.records;
-            measure(|| records.seal(ContentType::Handshake, &fin))
-        };
+        let (sealed, cycles) =
+            measure(|| self.records.seal_append(ContentType::Handshake, &fin, out));
         self.note_crypto(8, "pri_encryption_and_mac", cycles);
-        out.extend(sealed?);
+        sealed?;
         self.steps.add(SERVER_STEP_NAMES[8], sw.elapsed());
         // Returns the *client* finished hashes expected later in resumed mode.
         let expected = self.transcript.finished_hashes(&SENDER_CLIENT, &self.master);
@@ -822,18 +820,6 @@ impl<'a> SslServer<'a> {
             suite.iv_len(),
         ));
         Ok(())
-    }
-
-    /// Encrypts application data into records (bulk-data phase).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SslError::NotReady`] before the handshake completes.
-    pub fn seal(&mut self, data: &[u8]) -> Result<Vec<u8>, SslError> {
-        if self.state != State::Established {
-            return Err(SslError::NotReady("handshake incomplete"));
-        }
-        self.records.seal(ContentType::ApplicationData, data)
     }
 
     /// Encrypts application data into a reusable [`RecordBuffer`] without
@@ -870,30 +856,6 @@ impl<'a> SslServer<'a> {
         }
     }
 
-    /// Decrypts application-data records, concatenating their payloads.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SslError::NotReady`] before the handshake completes,
-    /// [`SslError::PeerAlert`] when the peer closed the session, or
-    /// record-layer errors.
-    pub fn open(&mut self, wire: &[u8]) -> Result<Vec<u8>, SslError> {
-        if self.state != State::Established {
-            return Err(SslError::NotReady("handshake incomplete"));
-        }
-        let mut out = Vec::new();
-        for (ct, data) in self.records.open_all(wire)? {
-            match ct {
-                ContentType::ApplicationData => out.extend(data),
-                ContentType::Alert => {
-                    return Err(SslError::PeerAlert(crate::alert::Alert::from_bytes(&data)?));
-                }
-                _ => return Err(SslError::UnexpectedMessage { expected: "application data" }),
-            }
-        }
-        Ok(out)
-    }
-
     /// Ends the session with a `close_notify` alert record (the "End
     /// Session" arrow of the paper's Figure 1).
     ///
@@ -904,7 +866,7 @@ impl<'a> SslServer<'a> {
         if self.state != State::Established {
             return Err(SslError::NotReady("handshake incomplete"));
         }
-        self.records.seal(ContentType::Alert, &crate::alert::Alert::close_notify().to_bytes())
+        self.seal_alert(&crate::alert::Alert::close_notify())
     }
 
     /// Seals an alert record in whatever cipher state the connection is in
@@ -914,7 +876,9 @@ impl<'a> SslServer<'a> {
     ///
     /// Propagates record-layer failures.
     pub fn seal_alert(&mut self, alert: &crate::alert::Alert) -> Result<Vec<u8>, SslError> {
-        self.records.seal(ContentType::Alert, &alert.to_bytes())
+        let mut out = Vec::new();
+        self.records.seal_append(ContentType::Alert, &alert.to_bytes(), &mut out)?;
+        Ok(out)
     }
 
     /// Drives the whole server side of the handshake over a [`Transport`],
@@ -934,30 +898,6 @@ impl<'a> SslServer<'a> {
             engine.flush_to(transport)?;
         }
         Ok(())
-    }
-
-    /// Seals application data and writes the records to the transport.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SslError::NotReady`] before the handshake completes and
-    /// [`SslError::Io`] on transport failures.
-    pub fn send<T: Transport>(&mut self, transport: &mut T, data: &[u8]) -> Result<(), SslError> {
-        let wire = self.seal(data)?;
-        transport.send(&wire)
-    }
-
-    /// Reads one record from the transport and returns its decrypted
-    /// application payload. Large messages span several records; callers
-    /// with framing (e.g. HTTP Content-Length) loop until satisfied.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SslError::PeerAlert`] when the peer closed the session,
-    /// [`SslError::Io`] on transport failures, or record-layer errors.
-    pub fn recv<T: Transport>(&mut self, transport: &mut T) -> Result<Vec<u8>, SslError> {
-        let record = read_record(transport)?;
-        self.open(&record)
     }
 
     /// Seals application data into the caller's [`RecordBuffer`] and writes
@@ -1087,8 +1027,9 @@ mod tests {
             server.process_client_flight(&[]),
             Err(SslError::UnexpectedMessage { .. })
         ));
-        assert!(matches!(server.seal(b"x"), Err(SslError::NotReady(_))));
-        assert!(matches!(server.open(b"x"), Err(SslError::NotReady(_))));
+        let mut buf = RecordBuffer::new();
+        assert!(matches!(server.seal_into(b"x", &mut buf), Err(SslError::NotReady(_))));
+        assert!(matches!(server.open_in_place(&mut buf), Err(SslError::NotReady(_))));
     }
 
     #[test]
@@ -1121,13 +1062,17 @@ mod tests {
         let server_thread = std::thread::spawn(move || {
             let mut server = SslServer::new(config, SslRng::from_seed(b"ts1"));
             server.handshake_transport(&mut st).expect("server handshake");
-            let request = server.recv(&mut st).expect("request");
-            server.send(&mut st, &request).expect("echo");
+            let mut buf = RecordBuffer::new();
+            let range = server.recv_buffered(&mut st, &mut buf).expect("request");
+            let request = buf.as_slice()[range].to_vec();
+            server.send_buffered(&mut st, &request, &mut buf).expect("echo");
             server.resumed()
         });
         client.handshake_transport(&mut ct).expect("client handshake");
-        client.send(&mut ct, b"over the wire").expect("send");
-        assert_eq!(client.recv(&mut ct).expect("echo"), b"over the wire");
+        let mut buf = RecordBuffer::new();
+        client.send_buffered(&mut ct, b"over the wire", &mut buf).expect("send");
+        let range = client.recv_buffered(&mut ct, &mut buf).expect("echo");
+        assert_eq!(&buf.as_slice()[range], b"over the wire");
         assert!(!server_thread.join().expect("server thread"));
         let session = client.session().expect("established");
 

@@ -504,7 +504,7 @@ impl<'a> Tls13ServerMachine<'a> {
         let sw = Stopwatch::start();
         let sh = encode_server_hello(&self.server_random, self.suite.wire_id(), &agreed.public);
         self.absorb(4, &sh);
-        out.extend(self.records.seal(ContentType::Handshake, &sh)?);
+        self.records.seal_append(ContentType::Handshake, &sh, out)?;
         self.steps.add(TLS13_STEP_NAMES[4], sw.elapsed());
 
         // Step 3: derive_handshake_keys — the §7.1 schedule down to the
@@ -522,7 +522,7 @@ impl<'a> Tls13ServerMachine<'a> {
         let sw = Stopwatch::start();
         let ee = frame(MT_ENCRYPTED_EXTENSIONS, &[0, 0]);
         self.absorb(5, &ee);
-        out.extend(self.records.seal(ContentType::Handshake, &ee)?);
+        self.records.seal_append(ContentType::Handshake, &ee, out)?;
         self.steps.add(TLS13_STEP_NAMES[5], sw.elapsed());
 
         // Step 6: send_certificate (same re-serialization the SSLv3 path
@@ -539,7 +539,7 @@ impl<'a> Tls13ServerMachine<'a> {
         });
         self.note_crypto(6, "x509_functions", cycles);
         self.absorb(6, &cert_msg);
-        out.extend(self.records.seal(ContentType::Handshake, &cert_msg)?);
+        self.records.seal_append(ContentType::Handshake, &cert_msg, out)?;
         self.steps.add(TLS13_STEP_NAMES[6], sw.elapsed());
 
         // Step 7: send_cert_verify — sign the transcript so the ephemeral
@@ -556,7 +556,7 @@ impl<'a> Tls13ServerMachine<'a> {
         body.extend_from_slice(&sig);
         let cv = frame(MT_CERTIFICATE_VERIFY, &body);
         self.absorb(7, &cv);
-        out.extend(self.records.seal(ContentType::Handshake, &cv)?);
+        self.records.seal_append(ContentType::Handshake, &cv, out)?;
         self.steps.add(TLS13_STEP_NAMES[7], sw.elapsed());
 
         // Step 8: send_finished, then chain to the application secrets and
@@ -566,7 +566,7 @@ impl<'a> Tls13ServerMachine<'a> {
         self.note_crypto(8, "hmac_finished", cycles);
         let fin = frame(MT_FINISHED, &vd);
         self.absorb(8, &fin);
-        out.extend(self.records.seal(ContentType::Handshake, &fin)?);
+        self.records.seal_append(ContentType::Handshake, &fin, out)?;
         let th_ch_sfin = self.th();
         let (ap, cycles) = measure(|| application_secrets(&secrets.master, &th_ch_sfin));
         self.note_crypto(8, "hkdf_key_schedule", cycles);
@@ -794,7 +794,7 @@ impl Tls13ClientMachine {
         let vd = verify_data(&secrets.client_hs, &th_ch_sfin);
         let fin = frame(MT_FINISHED, &vd);
         self.transcript.update(&fin);
-        out.extend(self.records.seal(ContentType::Handshake, &fin)?);
+        self.records.seal_append(ContentType::Handshake, &fin, out)?;
         // ...then both directions switch to application keys.
         let (client_ap, server_ap) = application_secrets(&secrets.master, &th_ch_sfin);
         activate_epoch(&mut self.records, self.suite, &client_ap, true)?;
@@ -816,7 +816,7 @@ impl EngineDriven for Tls13ClientMachine {
         let hello = encode_client_hello(&random, &[self.suite.wire_id()], pair.public());
         self.dhe = Some(pair);
         self.transcript.update(&hello);
-        out.extend(self.records.seal(ContentType::Handshake, &hello)?);
+        self.records.seal_append(ContentType::Handshake, &hello, out)?;
         Ok(())
     }
 
@@ -1063,8 +1063,9 @@ mod tests {
         body.extend_from_slice(&CipherSuite::RsaDesCbc3Sha.wire_id().to_be_bytes());
         let hello = frame(MT_CLIENT_HELLO, &body);
         let mut layer = RecordLayer::with_wire_version(WIRE_VERSION);
-        let record = layer.seal(ContentType::Handshake, &hello).expect("seal");
-        let err = server.feed(&record).expect_err("accepted hello without key share");
+        let mut record = crate::RecordBuffer::new();
+        layer.seal_into(ContentType::Handshake, &hello, &mut record).expect("seal");
+        let err = server.feed(record.as_slice()).expect_err("accepted hello without key share");
         assert_eq!(err, SslError::Decode("missing key share"));
     }
 

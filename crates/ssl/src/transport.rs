@@ -10,7 +10,7 @@
 //!
 //! Records cross a transport exactly as they appear on the wire: the
 //! cleartext five-byte header (`type ‖ version ‖ length`) followed by the
-//! possibly-encrypted body, which is what [`read_record`] reassembles.
+//! possibly-encrypted body, which is what [`read_record_into`] reassembles.
 
 use crate::{RecordBuffer, SslError};
 use std::collections::VecDeque;
@@ -70,21 +70,6 @@ pub fn read_record_into<T: Transport + ?Sized>(
     vec.resize(RECORD_HEADER_LEN + body_len, 0);
     transport.recv_exact(&mut vec[RECORD_HEADER_LEN..])?;
     Ok(())
-}
-
-/// Reads one complete SSL record (header and body) from the transport.
-///
-/// Allocating shim over [`read_record_into`]: the returned buffer is the
-/// record exactly as framed on the wire, ready for
-/// `RecordLayer::open_one`/`open_all`.
-///
-/// # Errors
-///
-/// As [`read_record_into`].
-pub fn read_record<T: Transport + ?Sized>(transport: &mut T) -> Result<Vec<u8>, SslError> {
-    let mut buf = RecordBuffer::new();
-    read_record_into(transport, &mut buf)?;
-    Ok(buf.into_vec())
 }
 
 /// Maps a socket error, marking read/write timeouts (`WouldBlock` on Unix,
@@ -240,15 +225,17 @@ mod tests {
         // A fake 3-byte record: type 23, version 3.0, length 3.
         a.send(&[23, 3, 0, 0, 3]).unwrap();
         a.send(b"abc").unwrap();
-        let record = read_record(&mut b).unwrap();
-        assert_eq!(record, [23, 3, 0, 0, 3, b'a', b'b', b'c']);
+        let mut record = RecordBuffer::new();
+        read_record_into(&mut b, &mut record).unwrap();
+        assert_eq!(record.as_slice(), [23, 3, 0, 0, 3, b'a', b'b', b'c']);
     }
 
     #[test]
     fn read_record_rejects_oversized_length() {
         let (mut a, mut b) = duplex_pair();
         a.send(&[23, 3, 0, 0xff, 0xff]).unwrap();
-        assert!(matches!(read_record(&mut b), Err(SslError::Decode(_))));
+        let mut record = RecordBuffer::new();
+        assert!(matches!(read_record_into(&mut b, &mut record), Err(SslError::Decode(_))));
     }
 
     #[test]

@@ -29,7 +29,9 @@ pub mod loadgen;
 use costs::CostModel;
 use sslperf_profile::{measure, Cycles, PhaseSet, Stopwatch};
 use sslperf_rng::SslRng;
-use sslperf_ssl::{CipherSuite, RecordBuffer, ServerConfig, SslClient, SslError, SslServer};
+use sslperf_ssl::{
+    duplex_pair, CipherSuite, RecordBuffer, ServerConfig, SslClient, SslError, SslServer, Transport,
+};
 
 /// Component labels in the paper's Table 1 order.
 pub const COMPONENT_NAMES: [&str; 5] = ["libcrypto", "libssl", "httpd", "vmlinux", "other"];
@@ -182,15 +184,22 @@ impl<'a> SecureWebServer<'a> {
         let response_bytes = response_bytes?;
         components.add("httpd", httpd_cycles);
 
-        // Encrypt and "send" the response (may span several records, which
-        // the client-side legacy opener reassembles).
+        // Encrypt and "send" the response; it may span several records,
+        // which the (unmeasured) client reads back one at a time.
         let sw = Stopwatch::start();
         let mut response_buf = RecordBuffer::new();
         server.seal_into(&response_bytes, &mut response_buf)?;
         ssl_total += sw.elapsed();
         wire_bytes += response_buf.len();
-        let received = client.open(response_buf.as_slice())?;
-        debug_assert_eq!(received.len(), response_bytes.len());
+        let (mut server_end, mut client_end) = duplex_pair();
+        server_end.send(response_buf.as_slice())?;
+        // Closed behind the last byte, so a short response fails the read
+        // below instead of blocking it.
+        drop(server_end);
+        let mut received = 0;
+        while received < response_bytes.len() {
+            received += client.recv_buffered(&mut client_end, &mut request_buf)?.len();
+        }
 
         // --- Component accounting. ---
         // libcrypto: handshake crypto functions + record-layer cipher/MAC.

@@ -7,6 +7,7 @@
 //! Run with: `cargo run --release --example quickstart`
 
 use sslperf::prelude::*;
+use sslperf::ssl::{duplex_pair, RecordBuffer};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 1. Server identity: RSA key + self-signed certificate.
@@ -32,14 +33,23 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     assert!(client.is_established() && server.is_established());
     println!("handshake complete with {}\n", server.suite());
 
-    // 3. Bulk data transfer (encrypted, MACed, fragmented).
+    // 3. Bulk data transfer (encrypted, MACed, fragmented) across an
+    // in-memory transport, every record sealed and opened in place inside
+    // one reusable buffer.
+    let (mut client_end, mut server_end) = duplex_pair();
+    let mut buf = RecordBuffer::new();
     let request = b"GET /index.html HTTP/1.0\r\n\r\n";
-    let wire = client.seal(request)?;
-    let received = server.open(&wire)?;
-    assert_eq!(received, request);
+    client.send_buffered(&mut client_end, request, &mut buf)?;
+    let range = server.recv_buffered(&mut server_end, &mut buf)?;
+    assert_eq!(&buf.as_slice()[range], request);
     let response = vec![0x42u8; 20_000]; // spans two records
-    let wire = server.seal(&response)?;
-    assert_eq!(client.open(&wire)?, response);
+    server.send_buffered(&mut server_end, &response, &mut buf)?;
+    let mut received = Vec::new();
+    while received.len() < response.len() {
+        let range = client.recv_buffered(&mut client_end, &mut buf)?;
+        received.extend_from_slice(&buf.as_slice()[range]);
+    }
+    assert_eq!(received, response);
     println!(
         "bulk data round-tripped: {} request bytes, {} response bytes\n",
         request.len(),

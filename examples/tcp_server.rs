@@ -1,6 +1,6 @@
-//! The real-socket serving demo: an SSL web server on a TCP listener with
-//! a worker thread pool and a sharded session cache, driven by concurrent
-//! resuming clients.
+//! The real-socket serving demo: the event-loop SSL web server on a TCP
+//! listener with a sharded session cache, driven by concurrent resuming
+//! clients.
 //!
 //! This is the paper's measurement scenario (§3: Apache+mod_ssl under a
 //! load driver) on this workspace's substrates. The load generator reports
@@ -21,12 +21,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut rng = SslRng::from_seed(b"tcp-server-example");
     let key = RsaPrivateKey::generate(key_bits, &mut rng)?;
 
-    let options = ServerOptions::builder().workers(4).metrics(true).build()?;
-    let server = TcpSslServer::start(key, "www.sslperf.test", &options)?;
+    let options = ServerOptions::builder().metrics(true).build()?;
+    let server = EventLoopServer::start(key, "www.sslperf.test", &options)?;
     println!(
-        "Serving on https://{} with {} workers ({} session-cache shards)\n",
+        "Serving on https://{} with {} shards ({} session-cache shards)\n",
         server.local_addr(),
-        options.workers,
+        options.shards,
         server.session_cache().shard_count()
     );
 

@@ -10,7 +10,9 @@
 
 use proptest::prelude::*;
 use sslperf::prelude::*;
-use sslperf::ssl::{duplex_pair, ClientEngine, Engine, ServerEngine, SslError, Transport};
+use sslperf::ssl::{
+    duplex_pair, ClientEngine, Engine, RecordBuffer, ServerEngine, SslError, Transport,
+};
 use std::sync::OnceLock;
 
 fn config() -> &'static ServerConfig {
@@ -40,11 +42,15 @@ fn reference(suite: CipherSuite) -> Reference {
     let f3 = client.process_server_flight(&f2).expect("client flight");
     let f4 = server.process_client_flight(&f3).expect("server finish");
     client.process_server_finish(&f4).expect("client finish");
+    let mut client_probe = RecordBuffer::new();
+    client.seal_into(b"probe", &mut client_probe).expect("client seal");
+    let mut server_probe = RecordBuffer::new();
+    server.seal_into(b"probe", &mut server_probe).expect("server seal");
     Reference {
         c2s: [f1, f3].concat(),
         s2c: [f2, f4].concat(),
-        client_probe: client.seal(b"probe").expect("client seal"),
-        server_probe: server.seal(b"probe").expect("server seal"),
+        client_probe: client_probe.into_vec(),
+        server_probe: server_probe.into_vec(),
     }
 }
 

@@ -2,6 +2,7 @@
 //! resumption, negotiation and failure paths.
 
 use sslperf::prelude::*;
+use sslperf::ssl::RecordBuffer;
 use std::sync::OnceLock;
 
 fn config() -> &'static ServerConfig {
@@ -31,12 +32,15 @@ fn every_suite_completes_and_transfers() {
         let (mut client, mut server) = run_handshake(suite, &format!("suite-{suite}"));
         assert_eq!(client.suite(), suite);
         assert_eq!(server.suite(), suite);
+        let mut buf = RecordBuffer::new();
         for len in [0usize, 1, 100, 5000] {
             let data: Vec<u8> = (0..len).map(|i| (i * 31) as u8).collect();
-            let wire = client.seal(&data).expect("seal");
-            assert_eq!(server.open(&wire).expect("open"), data, "{suite} len {len}");
-            let wire = server.seal(&data).expect("seal");
-            assert_eq!(client.open(&wire).expect("open"), data, "{suite} reverse");
+            client.seal_into(&data, &mut buf).expect("seal");
+            let range = server.open_in_place(&mut buf).expect("open");
+            assert_eq!(&buf.as_slice()[range], data, "{suite} len {len}");
+            server.seal_into(&data, &mut buf).expect("seal");
+            let range = client.open_in_place(&mut buf).expect("open");
+            assert_eq!(&buf.as_slice()[range], data, "{suite} reverse");
         }
     }
 }
@@ -77,8 +81,10 @@ fn session_resumption_skips_rsa() {
     // And data still flows.
     let mut c = client2;
     let mut s = server2;
-    let wire = c.seal(b"resumed!").expect("seal");
-    assert_eq!(s.open(&wire).expect("open"), b"resumed!");
+    let mut buf = RecordBuffer::new();
+    c.seal_into(b"resumed!", &mut buf).expect("seal");
+    let range = s.open_in_place(&mut buf).expect("open");
+    assert_eq!(&buf.as_slice()[range], b"resumed!");
 }
 
 #[test]
@@ -118,17 +124,22 @@ fn tampered_finished_is_rejected() {
 #[test]
 fn tampered_application_record_is_rejected() {
     let (mut client, mut server) = run_handshake(CipherSuite::RsaAes256Sha, "tamper-app");
-    let mut wire = client.seal(b"super secret transfer").expect("seal");
+    let mut buf = RecordBuffer::new();
+    client.seal_into(b"super secret transfer", &mut buf).expect("seal");
+    let mut wire = buf.into_vec();
     wire[7] ^= 1;
-    assert!(server.open(&wire).is_err());
+    let mut buf = RecordBuffer::new();
+    buf.extend_from_slice(&wire);
+    assert!(server.open_in_place(&mut buf).is_err());
 }
 
 #[test]
 fn cross_connection_records_do_not_decrypt() {
     let (mut c1, _) = run_handshake(CipherSuite::RsaAes128Sha, "cross-1");
     let (_, mut s2) = run_handshake(CipherSuite::RsaAes128Sha, "cross-2");
-    let wire = c1.seal(b"for connection one only").expect("seal");
-    assert!(s2.open(&wire).is_err(), "keys must differ between connections");
+    let mut buf = RecordBuffer::new();
+    c1.seal_into(b"for connection one only", &mut buf).expect("seal");
+    assert!(s2.open_in_place(&mut buf).is_err(), "keys must differ between connections");
 }
 
 use sslperf::ssl::SslError;
@@ -136,13 +147,17 @@ use sslperf::ssl::SslError;
 #[test]
 fn close_notify_ends_session() {
     let (mut client, mut server) = run_handshake(CipherSuite::RsaRc4Md5, "close");
-    let wire = client.close().expect("close");
-    let err = server.open(&wire).expect_err("close surfaces as PeerAlert");
+    let mut buf = RecordBuffer::new();
+    buf.extend_from_slice(&client.close().expect("close"));
+    let err = server.open_in_place(&mut buf).expect_err("close surfaces as PeerAlert");
     match err {
         SslError::PeerAlert(alert) => assert!(alert.is_close_notify()),
         other => panic!("expected close_notify, got {other:?}"),
     }
     // And the other direction.
-    let wire = server.close().expect("close");
-    assert!(matches!(client.open(&wire), Err(SslError::PeerAlert(a)) if a.is_close_notify()));
+    buf.clear();
+    buf.extend_from_slice(&server.close().expect("close"));
+    assert!(
+        matches!(client.open_in_place(&mut buf), Err(SslError::PeerAlert(a)) if a.is_close_notify())
+    );
 }

@@ -7,8 +7,8 @@
 //! quantiles. The `GET /metrics` exposition endpoint is exercised over a
 //! live SSL connection.
 
-use sslperf::net::{EventLoopServer, ServerOptions, TcpSslServer};
 use sslperf::prelude::*;
+use sslperf::ssl::RecordBuffer;
 use sslperf::websim::loadgen::{run_socket_load, SocketLoadOptions};
 use std::net::TcpStream;
 use std::time::Duration;
@@ -21,7 +21,7 @@ fn key() -> RsaPrivateKey {
     RsaPrivateKey::generate(1024, &mut rng).expect("keygen")
 }
 
-/// Server-side counters update after the worker finishes its half of the
+/// Server-side counters update after the shard finishes its half of the
 /// exchange, which the client does not wait for; poll briefly.
 fn eventually(mut f: impl FnMut() -> bool) -> bool {
     for _ in 0..200 {
@@ -121,30 +121,33 @@ fn live_anatomy_reproduces_paper_shape_from_real_sockets() {
     server.shutdown();
 }
 
+/// Sends one request and returns the first response record's payload.
+fn fetch(client: &mut SslClient, socket: &mut TcpStream, request: &[u8]) -> Vec<u8> {
+    let mut buf = RecordBuffer::new();
+    client.send_buffered(socket, request, &mut buf).expect("request");
+    let range = client.recv_buffered(socket, &mut buf).expect("response");
+    buf.as_slice()[range].to_vec()
+}
+
 /// `GET /metrics` over a live SSL connection returns the rendered
 /// snapshot instead of a synthesized document — and only when the
 /// registry is enabled.
 #[test]
 fn metrics_endpoint_serves_rendered_snapshot() {
-    let options = ServerOptions { workers: 2, metrics: true, ..ServerOptions::default() };
+    let options = ServerOptions { metrics: true, ..ServerOptions::default() };
     let server =
-        TcpSslServer::start(key(), "metrics.sslperf.test", &options).expect("server start");
+        EventLoopServer::start(key(), "metrics.sslperf.test", &options).expect("server start");
 
     // First transaction: a normal document, so the registry has content.
     let mut client = SslClient::new(CipherSuite::RsaDesCbc3Sha, SslRng::from_seed(b"mx-c1"));
     let mut socket = TcpStream::connect(server.local_addr()).expect("connect");
     client.handshake_transport(&mut socket).expect("handshake");
-    client
-        .send(&mut socket, b"GET /doc_512.bin HTTP/1.0\r\nHost: metrics\r\n\r\n")
-        .expect("request");
-    let doc = client.recv(&mut socket).expect("response");
+    let doc =
+        fetch(&mut client, &mut socket, b"GET /doc_512.bin HTTP/1.0\r\nHost: metrics\r\n\r\n");
     assert!(doc.starts_with(b"HTTP/1.0 200"), "document served");
 
     // Second request on the same session: the exposition endpoint.
-    client
-        .send(&mut socket, b"GET /metrics HTTP/1.0\r\nHost: metrics\r\n\r\n")
-        .expect("metrics request");
-    let body = client.recv(&mut socket).expect("metrics response");
+    let body = fetch(&mut client, &mut socket, b"GET /metrics HTTP/1.0\r\nHost: metrics\r\n\r\n");
     let text = String::from_utf8_lossy(&body);
     assert!(text.starts_with("HTTP/1.0 200"), "metrics served over SSL: {text}");
     for marker in ["Live Table 1", "Live Table 2", "Live Table 3"] {
@@ -161,14 +164,13 @@ fn metrics_endpoint_serves_rendered_snapshot() {
     server.shutdown();
 
     // Control: with metrics off, /metrics is just an unknown document path.
-    let server = TcpSslServer::start(key(), "metrics.sslperf.test", &ServerOptions::default())
+    let server = EventLoopServer::start(key(), "metrics.sslperf.test", &ServerOptions::default())
         .expect("server start");
     assert!(server.metrics().is_none(), "registry absent by default");
     let mut client = SslClient::new(CipherSuite::RsaDesCbc3Sha, SslRng::from_seed(b"mx-c2"));
     let mut socket = TcpStream::connect(server.local_addr()).expect("connect");
     client.handshake_transport(&mut socket).expect("handshake");
-    client.send(&mut socket, b"GET /metrics HTTP/1.0\r\nHost: metrics\r\n\r\n").expect("request");
-    let body = client.recv(&mut socket).expect("response");
+    let body = fetch(&mut client, &mut socket, b"GET /metrics HTTP/1.0\r\nHost: metrics\r\n\r\n");
     assert!(
         String::from_utf8_lossy(&body).starts_with("HTTP/1.0 404"),
         "plain server knows no /metrics"

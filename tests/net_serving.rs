@@ -1,17 +1,19 @@
 //! Integration coverage for the real-socket serving engine: the sharded
 //! session cache, cross-connection resumption over both the in-memory and
 //! the TCP transport, tampered-id fallback, the end-to-end loaded run
-//! that reproduces the paper's §3 measurement scenario, and the
-//! event-loop serving mode (concurrency beyond thread count, slowloris
-//! eviction, cache overflow under concurrent resumption).
+//! that reproduces the paper's §3 measurement scenario, and the event
+//! loop's own behaviour (concurrency beyond thread count, slowloris
+//! eviction, half-closed clients, cache overflow under concurrent
+//! resumption).
 
 use sslperf::prelude::*;
-use sslperf::ssl::duplex_pair;
+use sslperf::ssl::{duplex_pair, RecordBuffer};
+use sslperf::websim::http::{synthesize_document, HttpResponse};
 use sslperf::websim::loadgen::{
     run_event_load, run_socket_load, EventLoadOptions, SocketLoadOptions,
 };
 use std::io::{Read, Write};
-use std::net::TcpStream;
+use std::net::{Shutdown, TcpStream};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -22,11 +24,12 @@ fn key() -> RsaPrivateKey {
     RsaPrivateKey::generate(512, &mut rng).expect("keygen")
 }
 
-fn start_server() -> TcpSslServer {
-    TcpSslServer::start(key(), "net.sslperf.test", &ServerOptions::default()).expect("server start")
+fn start_server() -> EventLoopServer {
+    EventLoopServer::start(key(), "net.sslperf.test", &ServerOptions::default())
+        .expect("server start")
 }
 
-/// Server-side counters update after the worker finishes its half of the
+/// Server-side counters update after the shard finishes its half of the
 /// exchange, which the client does not wait for; poll briefly.
 fn eventually(mut f: impl FnMut() -> bool) -> bool {
     for _ in 0..200 {
@@ -38,7 +41,7 @@ fn eventually(mut f: impl FnMut() -> bool) -> bool {
     false
 }
 
-fn tcp_handshake(server: &TcpSslServer, client: &mut SslClient) -> TcpStream {
+fn tcp_handshake(server: &EventLoopServer, client: &mut SslClient) -> TcpStream {
     let mut socket = TcpStream::connect(server.local_addr()).expect("connect");
     socket.set_nodelay(true).expect("nodelay");
     client.handshake_transport(&mut socket).expect("handshake");
@@ -213,11 +216,11 @@ fn loaded_server_end_to_end() {
     server.shutdown();
 }
 
-// ---- event-loop serving mode ----
+// ---- the event loop under load and hostility ----
 
 /// The C10k acceptance test: 2 shard threads hold 16 concurrent
 /// established connections open *simultaneously* (8× the thread count —
-/// impossible for a 2-worker pool, whose concurrency ceiling is 2), then
+/// impossible for a thread-per-connection server with 2 threads), then
 /// serve all of them.
 #[test]
 fn event_loop_holds_8x_more_connections_than_threads() {
@@ -292,59 +295,60 @@ fn event_loop_evicts_stalled_client_with_alert() {
     server.shutdown();
 }
 
-/// The pool applies the same knob through socket timeouts: a silent
-/// client unblocks the worker, counts as a timeout, and gets the same
-/// fatal alert.
-#[test]
-fn pool_times_out_stalled_client_with_alert() {
-    let options = ServerOptions {
-        workers: 1,
-        io_timeout: Some(Duration::from_millis(200)),
-        ..ServerOptions::default()
-    };
-    let server = TcpSslServer::start(key(), "net.sslperf.test", &options).expect("server start");
-
-    let mut socket = TcpStream::connect(server.local_addr()).expect("connect");
-    socket.set_read_timeout(Some(Duration::from_secs(10))).expect("read timeout");
-
-    let (level, description) = read_plaintext_alert(&mut socket);
-    assert_eq!((level, description), (2, 40), "fatal handshake_failure");
-
-    let stats = server.stats();
-    assert!(eventually(|| stats.timeouts() == 1), "got {}", stats.timeouts());
-    assert_eq!(stats.errors(), 0);
-    assert!(stats.alerts_sent() >= 1);
-    server.shutdown();
-}
-
 /// A protocol violation (garbage instead of a client hello) is an error,
-/// not a timeout, and still gets a proper alert before the close — in
-/// both serving modes.
+/// not a timeout, and still gets a proper alert before the close.
 #[test]
-fn garbage_hello_gets_alert_in_both_modes() {
-    let pool_options = ServerOptions { workers: 1, ..ServerOptions::default() };
-    let pool = TcpSslServer::start(key(), "net.sslperf.test", &pool_options).expect("pool start");
-    let el_options = ServerOptions { shards: 1, ..ServerOptions::default() };
-    let event_loop =
-        EventLoopServer::start(key(), "net.sslperf.test", &el_options).expect("event-loop start");
+fn garbage_hello_gets_alert() {
+    let server = start_server();
 
     // A well-framed handshake record carrying one complete message of an
     // unknown type — an immediate protocol violation, not a stall.
     let garbage = [22, 3, 0, 0, 4, 0xde, 0x00, 0x00, 0x00];
-    for (addr, stats) in
-        [(pool.local_addr(), pool.stats()), (event_loop.local_addr(), event_loop.stats())]
-    {
-        let mut socket = TcpStream::connect(addr).expect("connect");
-        socket.set_read_timeout(Some(Duration::from_secs(10))).expect("read timeout");
-        socket.write_all(&garbage).expect("garbage");
-        let (level, _) = read_plaintext_alert(&mut socket);
-        assert_eq!(level, 2, "fatal alert");
-        assert!(eventually(|| stats.errors() == 1), "got {}", stats.errors());
-        assert!(eventually(|| stats.alerts_sent() >= 1));
-        assert_eq!(stats.timeouts(), 0, "a violation is an error, not a timeout");
+    let mut socket = TcpStream::connect(server.local_addr()).expect("connect");
+    socket.set_read_timeout(Some(Duration::from_secs(10))).expect("read timeout");
+    socket.write_all(&garbage).expect("garbage");
+    let (level, _) = read_plaintext_alert(&mut socket);
+    assert_eq!(level, 2, "fatal alert");
+    let stats = server.stats();
+    assert!(eventually(|| stats.errors() == 1), "got {}", stats.errors());
+    assert!(eventually(|| stats.alerts_sent() >= 1));
+    assert_eq!(stats.timeouts(), 0, "a violation is an error, not a timeout");
+    server.shutdown();
+}
+
+/// A client that half-closes after its request (`shutdown(Write)`, the
+/// `Connection: close` idiom) is still owed its response: the event loop
+/// sees EOF on read, stops reading, and flushes everything it has queued —
+/// 1 MiB here, far more than one sweep's socket buffer — before dropping
+/// the connection.
+#[test]
+fn half_closed_client_still_gets_its_response() {
+    const SIZE: usize = 1024 * 1024;
+    let server = start_server();
+    let mut client = SslClient::new(CipherSuite::RsaDesCbc3Sha, SslRng::from_seed(b"half-c1"));
+    let mut socket = tcp_handshake(&server, &mut client);
+    socket.set_read_timeout(Some(Duration::from_secs(30))).expect("read timeout");
+
+    let path = format!("/doc_{SIZE}.bin");
+    let mut buf = RecordBuffer::with_record_capacity();
+    let request = format!("GET {path} HTTP/1.0\r\n\r\n");
+    client.send_buffered(&mut socket, request.as_bytes(), &mut buf).expect("request");
+    socket.shutdown(Shutdown::Write).expect("half-close");
+
+    // Read to EOF: every record of the response, then the orderly end.
+    let mut response = Vec::new();
+    while let Ok(range) = client.recv_buffered(&mut socket, &mut buf) {
+        response.extend_from_slice(&buf.as_slice()[range]);
     }
-    pool.shutdown();
-    event_loop.shutdown();
+    let response = HttpResponse::parse(&response).expect("a complete response arrived");
+    assert_eq!(response.status(), 200);
+    assert!(response.body() == synthesize_document(&path, SIZE), "body is byte-exact");
+
+    let stats = server.stats();
+    assert!(eventually(|| stats.transactions() == 1), "got {}", stats.transactions());
+    assert_eq!(stats.errors(), 0, "a half-close is not an error");
+    assert_eq!(stats.timeouts(), 0, "nor a timeout");
+    server.shutdown();
 }
 
 // ---- fatal alerts on the wire ----
@@ -412,83 +416,59 @@ fn read_alert_after_flight(socket: &mut TcpStream) -> (u8, u8) {
 /// before the close: the "alert still queued" path.
 #[test]
 fn version_mismatch_gets_exact_illegal_parameter_bytes() {
-    let pool_options = ServerOptions { workers: 1, ..ServerOptions::default() };
-    let pool = TcpSslServer::start(key(), "net.sslperf.test", &pool_options).expect("pool start");
-    let el_options = ServerOptions { shards: 1, ..ServerOptions::default() };
-    let event_loop =
-        EventLoopServer::start(key(), "net.sslperf.test", &el_options).expect("event-loop start");
+    let server = start_server();
 
-    for (addr, stats) in
-        [(pool.local_addr(), pool.stats()), (event_loop.local_addr(), event_loop.stats())]
-    {
-        let mut socket = TcpStream::connect(addr).expect("connect");
-        socket.set_read_timeout(Some(Duration::from_secs(10))).expect("read timeout");
-        socket.write_all(&client_hello_record((2, 0), &[0x000a])).expect("hello");
-        let mut wire = [0u8; 7];
-        socket.read_exact(&mut wire).expect("alert record");
-        assert_eq!(wire, [21, 3, 0, 0, 2, 2, 47], "fatal illegal_parameter, byte-exact");
-        let mut rest = [0u8; 16];
-        assert_eq!(socket.read(&mut rest).expect("eof"), 0, "closed after the queued alert");
-        assert!(eventually(|| stats.errors() == 1), "got {}", stats.errors());
-        assert!(eventually(|| stats.alerts_sent() >= 1));
-    }
-    pool.shutdown();
-    event_loop.shutdown();
+    let mut socket = TcpStream::connect(server.local_addr()).expect("connect");
+    socket.set_read_timeout(Some(Duration::from_secs(10))).expect("read timeout");
+    socket.write_all(&client_hello_record((2, 0), &[0x000a])).expect("hello");
+    let mut wire = [0u8; 7];
+    socket.read_exact(&mut wire).expect("alert record");
+    assert_eq!(wire, [21, 3, 0, 0, 2, 2, 47], "fatal illegal_parameter, byte-exact");
+    let mut rest = [0u8; 16];
+    assert_eq!(socket.read(&mut rest).expect("eof"), 0, "closed after the queued alert");
+    let stats = server.stats();
+    assert!(eventually(|| stats.errors() == 1), "got {}", stats.errors());
+    assert!(eventually(|| stats.alerts_sent() >= 1));
+    server.shutdown();
 }
 
 /// A well-formed hello offering only suites the server does not implement
 /// maps to `NoCommonCipher` and a fatal `handshake_failure` (40).
 #[test]
 fn no_common_cipher_gets_handshake_failure_alert() {
-    let pool_options = ServerOptions { workers: 1, ..ServerOptions::default() };
-    let pool = TcpSslServer::start(key(), "net.sslperf.test", &pool_options).expect("pool start");
-    let el_options = ServerOptions { shards: 1, ..ServerOptions::default() };
-    let event_loop =
-        EventLoopServer::start(key(), "net.sslperf.test", &el_options).expect("event-loop start");
+    let server = start_server();
 
-    for addr in [pool.local_addr(), event_loop.local_addr()] {
-        let mut socket = TcpStream::connect(addr).expect("connect");
-        socket.set_read_timeout(Some(Duration::from_secs(10))).expect("read timeout");
-        socket.write_all(&client_hello_record((3, 0), &[0x00ff, 0x1234])).expect("hello");
-        let (level, description) = read_plaintext_alert(&mut socket);
-        assert_eq!((level, description), (2, 40), "fatal handshake_failure");
-    }
-    pool.shutdown();
-    event_loop.shutdown();
+    let mut socket = TcpStream::connect(server.local_addr()).expect("connect");
+    socket.set_read_timeout(Some(Duration::from_secs(10))).expect("read timeout");
+    socket.write_all(&client_hello_record((3, 0), &[0x00ff, 0x1234])).expect("hello");
+    let (level, description) = read_plaintext_alert(&mut socket);
+    assert_eq!((level, description), (2, 40), "fatal handshake_failure");
+    server.shutdown();
 }
 
 /// Application data before the handshake finishes is out of sequence:
 /// `UnexpectedMessage` and a fatal `unexpected_message` (10).
 #[test]
 fn application_data_mid_handshake_gets_unexpected_message_alert() {
-    let pool_options = ServerOptions { workers: 1, ..ServerOptions::default() };
-    let pool = TcpSslServer::start(key(), "net.sslperf.test", &pool_options).expect("pool start");
-    let el_options = ServerOptions { shards: 1, ..ServerOptions::default() };
-    let event_loop =
-        EventLoopServer::start(key(), "net.sslperf.test", &el_options).expect("event-loop start");
+    let server = start_server();
 
-    for addr in [pool.local_addr(), event_loop.local_addr()] {
-        let mut socket = TcpStream::connect(addr).expect("connect");
-        socket.set_read_timeout(Some(Duration::from_secs(10))).expect("read timeout");
-        // A well-framed application-data record where a hello must come.
-        socket.write_all(&[23, 3, 0, 0, 4, 1, 2, 3, 4]).expect("early data");
-        let (level, description) = read_plaintext_alert(&mut socket);
-        assert_eq!((level, description), (2, 10), "fatal unexpected_message");
-    }
-    pool.shutdown();
-    event_loop.shutdown();
+    let mut socket = TcpStream::connect(server.local_addr()).expect("connect");
+    socket.set_read_timeout(Some(Duration::from_secs(10))).expect("read timeout");
+    // A well-framed application-data record where a hello must come.
+    socket.write_all(&[23, 3, 0, 0, 4, 1, 2, 3, 4]).expect("early data");
+    let (level, description) = read_plaintext_alert(&mut socket);
+    assert_eq!((level, description), (2, 10), "fatal unexpected_message");
+    server.shutdown();
 }
 
 /// A ClientKeyExchange whose RSA ciphertext is garbage fails the private
 /// decryption: `SslError::Rsa` and a fatal `bad_certificate` (42). Run
-/// against the pool, the inline event loop, and the offloading event
-/// loop — in the last, the failure comes back from a crypto worker via
+/// against the inline event loop and the offloading event loop — in the
+/// latter, the failure comes back from a crypto worker via
 /// `complete_crypto`, poisoning the engine *after* the pool round-trip,
 /// and the alert must still reach the wire.
 #[test]
 fn garbage_key_exchange_gets_bad_certificate_alert() {
-    let pool_options = ServerOptions { workers: 1, ..ServerOptions::default() };
-    let pool = TcpSslServer::start(key(), "net.sslperf.test", &pool_options).expect("pool start");
     let el_options = ServerOptions { shards: 1, ..ServerOptions::default() };
     let inline =
         EventLoopServer::start(key(), "net.sslperf.test", &el_options).expect("event-loop start");
@@ -504,7 +484,7 @@ fn garbage_key_exchange_gets_bad_certificate_alert() {
     kx_msg.extend_from_slice(&kx_body);
     let kx_record = handshake_record(&kx_msg);
 
-    for addr in [pool.local_addr(), inline.local_addr(), offload.local_addr()] {
+    for addr in [inline.local_addr(), offload.local_addr()] {
         let mut socket = TcpStream::connect(addr).expect("connect");
         socket.set_read_timeout(Some(Duration::from_secs(10))).expect("read timeout");
         socket.write_all(&client_hello_record((3, 0), &[0x000a])).expect("hello");
@@ -517,7 +497,6 @@ fn garbage_key_exchange_gets_bad_certificate_alert() {
     let stats = offload.stats();
     assert!(eventually(|| stats.crypto_jobs() == 1), "got {}", stats.crypto_jobs());
     assert!(eventually(|| stats.errors() == 1), "got {}", stats.errors());
-    pool.shutdown();
     inline.shutdown();
     offload.shutdown();
 }
@@ -542,7 +521,9 @@ fn tampered_ciphertext_gets_bad_record_mac_alert() {
     socket.write_all(&[23, 3, 0, 0, 24]).expect("forged header");
     socket.write_all(&[0x5a; 24]).expect("forged body");
 
-    let error = client.recv(&mut socket).expect_err("server must reject the forgery");
+    let error = client
+        .recv_buffered(&mut socket, &mut RecordBuffer::new())
+        .expect_err("server must reject the forgery");
     match error {
         SslError::PeerAlert(alert) => {
             assert_eq!(alert.level, AlertLevel::Fatal);
@@ -553,6 +534,29 @@ fn tampered_ciphertext_gets_bad_record_mac_alert() {
     let stats = server.stats();
     assert!(eventually(|| stats.errors() == 1), "got {}", stats.errors());
     assert!(eventually(|| stats.alerts_sent() >= 1));
+    server.shutdown();
+}
+
+/// Application-level garbage over a healthy session — a well-sealed
+/// record that is not an HTTP request — is a decode-class error like any
+/// other: a fatal `illegal_parameter`, sent encrypted.
+#[test]
+fn garbage_request_gets_illegal_parameter_alert() {
+    use sslperf::ssl::alert::{Alert, AlertDescription};
+    use sslperf::ssl::SslError;
+
+    let server = start_server();
+    let mut client = SslClient::new(CipherSuite::RsaDesCbc3Sha, SslRng::from_seed(b"junk-c1"));
+    let mut socket = tcp_handshake(&server, &mut client);
+    socket.set_read_timeout(Some(Duration::from_secs(10))).expect("read timeout");
+
+    let mut buf = RecordBuffer::new();
+    client.send_buffered(&mut socket, &[0xff, 0xfe, 0xfd], &mut buf).expect("garbage");
+    assert_eq!(
+        client.recv_buffered(&mut socket, &mut buf),
+        Err(SslError::PeerAlert(Alert::fatal(AlertDescription::IllegalParameter)))
+    );
+    assert!(eventually(|| server.stats().errors() == 1), "got {}", server.stats().errors());
     server.shutdown();
 }
 
@@ -926,7 +930,7 @@ fn event_loop_batch_burst_serves_and_accounts() {
 fn expired_session_falls_back_to_full_handshake_over_tcp() {
     let options =
         ServerOptions { session_ttl: Some(Duration::from_millis(50)), ..ServerOptions::default() };
-    let server = TcpSslServer::start(key(), "net.sslperf.test", &options).expect("server start");
+    let server = EventLoopServer::start(key(), "net.sslperf.test", &options).expect("server start");
 
     let mut client = SslClient::new(CipherSuite::RsaDesCbc3Sha, SslRng::from_seed(b"ttl-c1"));
     let socket = tcp_handshake(&server, &mut client);

@@ -267,6 +267,7 @@ fn ticket_client_against_plain_server_uses_id_cache() {
 #[test]
 fn transport_driver_carries_tickets() {
     use sslperf::ssl::transport::duplex_pair;
+    use sslperf::ssl::RecordBuffer;
 
     let keyring = Arc::new(TicketKeyring::new(b"transport-secret"));
     let config: &'static ServerConfig =
@@ -278,13 +279,17 @@ fn transport_driver_carries_tickets() {
     let server_thread = std::thread::spawn(move || {
         let mut server = SslServer::new(config, SslRng::from_seed(b"transport-s1"));
         server.handshake_transport(&mut st).expect("server handshake");
-        let request = server.recv(&mut st).expect("request");
-        server.send(&mut st, &request).expect("echo");
+        let mut buf = RecordBuffer::new();
+        let range = server.recv_buffered(&mut st, &mut buf).expect("request");
+        let request = buf.as_slice()[range].to_vec();
+        server.send_buffered(&mut st, &request, &mut buf).expect("echo");
         (server.resumed(), server.ticket_issued())
     });
     client.handshake_transport(&mut ct).expect("client handshake");
-    client.send(&mut ct, b"ticket ride").expect("send");
-    assert_eq!(client.recv(&mut ct).expect("echo"), b"ticket ride");
+    let mut buf = RecordBuffer::new();
+    client.send_buffered(&mut ct, b"ticket ride", &mut buf).expect("send");
+    let range = client.recv_buffered(&mut ct, &mut buf).expect("echo");
+    assert_eq!(&buf.as_slice()[range], b"ticket ride");
     let (resumed, issued) = server_thread.join().expect("server thread");
     assert!(!resumed && issued);
     let session = client.session().expect("session");
