@@ -93,6 +93,27 @@ fn ablate_window(c: &mut Criterion) {
     group.finish();
 }
 
+/// A base that never changes: ffdhe2048 key generation's `2^x mod p` with
+/// a 256-bit exponent on the window ladder (what `agree` must run, its
+/// base being the peer's) against the fixed-base comb (what `generate`
+/// runs).
+fn ablate_fixed_base(c: &mut Criterion) {
+    let p = Bn::from_hex(sslperf_core::ssl::dhe::FFDHE2048_P_HEX).expect("ffdhe2048 prime");
+    let ctx = MontCtx::new(&p).expect("odd modulus");
+    let g = Bn::from_u64(2);
+    let comb = ctx.fixed_base_comb(&g, 256);
+    let exp = Bn::from_bytes_be(&SslRng::from_seed(b"ablate-fixed-base").bytes(32));
+    let mut group = c.benchmark_group("ablate_fixed_base");
+    group.sample_size(20);
+    group.bench_function("window_ladder", |b| {
+        b.iter(|| black_box(ctx.mod_exp(black_box(&g), black_box(&exp))));
+    });
+    group.bench_function("comb", |b| {
+        b.iter(|| black_box(comb.pow(black_box(&exp))));
+    });
+    group.finish();
+}
+
 /// §6.2(2): fused Te-table rounds vs textbook per-byte rounds — the
 /// software version of the paper's table-lookup hardware unit.
 fn ablate_fused_round(c: &mut Criterion) {
@@ -188,6 +209,7 @@ criterion_group!(
     ablate_key_size,
     ablate_crt,
     ablate_window,
+    ablate_fixed_base,
     ablate_fused_round,
     ablate_crypto_engine,
     ablate_three_operand

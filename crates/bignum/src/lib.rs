@@ -14,10 +14,13 @@
 //!   ([`MontCtx`]) with a sliding window, like `BN_mod_exp_mont`.
 //!
 //! Montgomery contexts additionally carry a raw-speed engine over **64-bit
-//! limbs** with `u128` accumulators ([`words64`]): [`MontCtx`] picks the limb
-//! width at construction ([`LimbWidth`], default [`default_limb_width`]),
-//! keeping the paper-faithful u32 path compiled and selectable so the
-//! profile counters can still reconstruct Table 8.
+//! limbs** with `u128` accumulators — one fused multiply and one
+//! square-then-reduce, instantiated at the limb counts the serving
+//! workloads run: [`MontCtx`] picks the limb width at construction
+//! ([`LimbWidth`], default [`default_limb_width`]), keeping the
+//! paper-faithful u32 path compiled and selectable so the profile counters
+//! can still reconstruct Table 8. A base that never changes gets a
+//! [`FixedBaseComb`] instead of a ladder.
 //!
 //! # Examples
 //!
@@ -36,13 +39,15 @@
 #![warn(missing_docs)]
 
 mod arith;
+mod comb;
 mod div;
 mod gcd;
 mod mont;
+mod mont64;
 mod prime;
 pub mod words;
-pub mod words64;
 
+pub use comb::FixedBaseComb;
 pub use gcd::ExtendedGcd;
 pub use mont::{MontCtx, MontScratch};
 pub use prime::{generate_prime, is_probable_prime, EntropySource};

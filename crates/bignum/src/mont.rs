@@ -10,8 +10,9 @@
 //! [`bn_mul_add_words`]: crate::words::bn_mul_add_words
 //! [`bn_sub_words`]: crate::words::bn_sub_words
 
+use crate::mont64::Mont64;
 use crate::words::{bn_mul_add_words, bn_sub_words};
-use crate::{default_limb_width, words64, Bn, BnError, LimbWidth};
+use crate::{default_limb_width, Bn, BnError, LimbWidth};
 use sslperf_profile::counters;
 
 /// Precomputed context for arithmetic modulo an odd number `n`.
@@ -40,148 +41,6 @@ pub struct MontCtx {
     m64: Option<Mont64>,
     /// Which limb width this context's arithmetic runs on.
     limbs: LimbWidth,
-}
-
-/// The 64-bit-limb Montgomery engine: same algorithm as the u32 path, with
-/// `R = 2^(64·k64)` and every inner loop running over [`words64`] kernels.
-///
-/// Values in this domain are *fixed-length* `k64`-limb vectors (no
-/// normalization) so the hot loops never branch on operand length.
-#[derive(Debug, Clone)]
-struct Mont64 {
-    /// The modulus as `k64` little-endian 64-bit limbs.
-    n: Vec<u64>,
-    /// `-n⁻¹ mod 2⁶⁴`.
-    n0: u64,
-    /// `R² mod n` with `R = 2^(64·k64)`.
-    rr: Vec<u64>,
-    /// Limb length of `n`.
-    k: usize,
-}
-
-/// Packs a (reduced) value into exactly `k` little-endian 64-bit limbs.
-fn limbs64_from_bn(a: &Bn, k: usize) -> Vec<u64> {
-    debug_assert!(a.words.len() <= 2 * k, "operand wider than the modulus");
-    let mut out = vec![0u64; k];
-    for (i, &w) in a.words.iter().enumerate() {
-        out[i / 2] |= u64::from(w) << (32 * (i % 2));
-    }
-    out
-}
-
-/// Unpacks fixed-length limbs back into a normalized [`Bn`].
-fn bn_from_limbs64(l: &[u64]) -> Bn {
-    let mut words = Vec::with_capacity(2 * l.len());
-    for &v in l {
-        words.push(v as u32);
-        words.push((v >> 32) as u32);
-    }
-    let mut bn = Bn { words };
-    bn.normalize();
-    bn
-}
-
-/// `a >= b` over equal-length fixed-width limb vectors.
-fn ge64(a: &[u64], b: &[u64]) -> bool {
-    debug_assert_eq!(a.len(), b.len());
-    for (x, y) in a.iter().rev().zip(b.iter().rev()) {
-        if x != y {
-            return x > y;
-        }
-    }
-    true
-}
-
-impl Mont64 {
-    fn new(n: &Bn) -> Self {
-        let k = n.word_len().div_ceil(2);
-        let n64 = limbs64_from_bn(n, k);
-        // Newton iteration for the inverse of n mod 2^64: six doublings of
-        // precision starting from the trivial inverse mod 2.
-        let mut inv: u64 = 1;
-        for _ in 0..6 {
-            inv = inv.wrapping_mul(2u64.wrapping_sub(n64[0].wrapping_mul(inv)));
-        }
-        debug_assert_eq!(n64[0].wrapping_mul(inv), 1);
-        let n0 = inv.wrapping_neg();
-        let rr = limbs64_from_bn(&Bn::one().shl(128 * k).mod_op(n), k);
-        Mont64 { n: n64, n0, rr, k }
-    }
-
-    /// Schoolbook product `a·b` into `prod` (2k limbs, resized in place).
-    fn mul_into(a: &[u64], b: &[u64], prod: &mut Vec<u64>) {
-        counters::count("BN_mul", a.len() as u64);
-        prod.clear();
-        prod.resize(a.len() + b.len(), 0);
-        for (i, &w) in b.iter().enumerate() {
-            let carry = words64::bn_mul_add_words(&mut prod[i..i + a.len()], a, w);
-            prod[i + a.len()] = carry;
-        }
-    }
-
-    /// Dedicated squaring `a²` into `prod` (`bn_sqr_normal` over 64-bit
-    /// limbs): upper-triangle cross products, diagonal via
-    /// [`words64::bn_sqr_words`], then one fused `2·cross + diag` pass.
-    fn sqr_into(a: &[u64], prod: &mut Vec<u64>, diag: &mut Vec<u64>) {
-        counters::count("BN_sqr", a.len() as u64);
-        let n = a.len();
-        prod.clear();
-        prod.resize(2 * n, 0);
-        if n > 1 {
-            let carry = words64::bn_mul_words(&mut prod[1..n], &a[1..], a[0]);
-            prod[n] = carry;
-            for i in 1..n - 1 {
-                let len = n - 1 - i;
-                let carry = words64::bn_mul_add_words(
-                    &mut prod[2 * i + 1..2 * i + 1 + len],
-                    &a[i + 1..],
-                    a[i],
-                );
-                prod[n + i] = carry;
-            }
-        }
-        diag.clear();
-        diag.resize(2 * n, 0);
-        words64::bn_sqr_words(diag, a);
-        let mut carry = 0u128;
-        for (p, &d) in prod.iter_mut().zip(diag.iter()) {
-            let t = 2 * u128::from(*p) + u128::from(d) + carry;
-            *p = t as u64;
-            carry = t >> 64;
-        }
-        debug_assert_eq!(carry, 0, "a² always fits 2n limbs");
-    }
-
-    /// Montgomery reduction of the double-width value in `t` into `out`
-    /// (exactly `k` limbs), using `diff` for the conditional subtraction.
-    fn redc(&self, t: &mut Vec<u64>, out: &mut Vec<u64>, diff: &mut Vec<u64>) {
-        counters::count("BN_from_montgomery", self.k as u64);
-        t.resize(2 * self.k + 1, 0);
-        for i in 0..self.k {
-            let m = t[i].wrapping_mul(self.n0);
-            let carry = words64::bn_mul_add_words(&mut t[i..i + self.k], &self.n, m);
-            let mut c = carry;
-            let mut idx = i + self.k;
-            while c != 0 {
-                let (s, overflow) = t[idx].overflowing_add(c);
-                t[idx] = s;
-                c = u64::from(overflow);
-                idx += 1;
-            }
-        }
-        out.clear();
-        out.extend_from_slice(&t[self.k..2 * self.k]);
-        // u = t/R < 2n, so at most one subtraction; the top limb t[2k] is 0
-        // or 1 and is consumed by the borrow when set.
-        let top = t[2 * self.k];
-        if top != 0 || ge64(out, &self.n) {
-            diff.clear();
-            diff.resize(self.k, 0);
-            let borrow = words64::bn_sub_words(diff, out, &self.n);
-            debug_assert_eq!(borrow, u64::from(top != 0), "u - n must fit k limbs");
-            std::mem::swap(out, diff);
-        }
-    }
 }
 
 impl MontCtx {
@@ -236,6 +95,11 @@ impl MontCtx {
         &self.n
     }
 
+    /// The 64-bit-limb engine, when this context runs on it.
+    pub(crate) fn engine64(&self) -> Option<&Mont64> {
+        self.m64.as_ref()
+    }
+
     /// Montgomery reduction of a double-width value: returns `t·R⁻¹ mod n`.
     ///
     /// This is OpenSSL's `BN_from_montgomery` (Table 8, ~9% of RSA).
@@ -275,12 +139,7 @@ impl MontCtx {
     #[must_use]
     pub fn mont_mul(&self, a: &Bn, b: &Bn) -> Bn {
         if let Some(m) = &self.m64 {
-            let a64 = limbs64_from_bn(a, m.k);
-            let b64 = limbs64_from_bn(b, m.k);
-            let (mut prod, mut out, mut diff) = (Vec::new(), Vec::new(), Vec::new());
-            Mont64::mul_into(&a64, &b64, &mut prod);
-            m.redc(&mut prod, &mut out, &mut diff);
-            return bn_from_limbs64(&out);
+            return m.mul_bn(a, b);
         }
         let prod = a.mul(b);
         let mut t = prod.words;
@@ -291,12 +150,7 @@ impl MontCtx {
     #[must_use]
     pub fn mont_sqr(&self, a: &Bn) -> Bn {
         if let Some(m) = &self.m64 {
-            let a64 = limbs64_from_bn(a, m.k);
-            let (mut prod, mut diag, mut out, mut diff) =
-                (Vec::new(), Vec::new(), Vec::new(), Vec::new());
-            Mont64::sqr_into(&a64, &mut prod, &mut diag);
-            m.redc(&mut prod, &mut out, &mut diff);
-            return bn_from_limbs64(&out);
+            return m.sqr_bn(a);
         }
         let prod = a.sqr();
         let mut t = prod.words;
@@ -309,7 +163,7 @@ impl MontCtx {
     pub fn to_mont(&self, a: &Bn) -> Bn {
         let reduced = if a >= &self.n { a.mod_op(&self.n) } else { a.clone() };
         if let Some(m) = &self.m64 {
-            return self.mont_mul(&reduced, &bn_from_limbs64(&m.rr));
+            return m.enter_bn(&reduced);
         }
         self.mont_mul(&reduced, &self.rr)
     }
@@ -318,24 +172,24 @@ impl MontCtx {
     #[must_use]
     pub fn from_mont(&self, a: &Bn) -> Bn {
         if let Some(m) = &self.m64 {
-            let mut t = limbs64_from_bn(a, m.k);
-            let (mut out, mut diff) = (Vec::new(), Vec::new());
-            m.redc(&mut t, &mut out, &mut diff);
-            return bn_from_limbs64(&out);
+            return m.leave_bn(a);
         }
         let mut t = a.words.clone();
         self.redc(&mut t)
     }
 
-    /// Computes `base^exp mod n` with a fixed 4-bit window, matching
-    /// OpenSSL's default for RSA-sized operands.
+    /// Computes `base^exp mod n`, sizing the window to the exponent
+    /// (OpenSSL's `BN_window_bits_for_exponent_size`): a 17-bit RSA public
+    /// exponent squares and multiplies bit by bit instead of paying for a
+    /// 16-entry table.
     #[must_use]
     pub fn mod_exp(&self, base: &Bn, exp: &Bn) -> Bn {
-        self.mod_exp_window(base, exp, 4)
+        self.mod_exp_window(base, exp, window_bits(exp.bit_len()))
     }
 
     /// Computes `base^exp mod n` with a caller-chosen window width
-    /// (1–6 bits). Exposed for the window-width ablation bench.
+    /// (1–6 bits) — the explicit-width door for the window ablation and
+    /// for any experiment that must pin OpenSSL's 4 bits.
     ///
     /// # Panics
     ///
@@ -347,8 +201,7 @@ impl MontCtx {
             return if self.n.is_one() { Bn::zero() } else { Bn::one() };
         }
         if self.m64.is_some() {
-            let mut scratch = MontScratch::new();
-            return self.mod_exp_u64(base, exp, window as usize, &mut scratch);
+            return self.mod_exp_u64(base, exp, window as usize);
         }
         counters::count("BN_mod_exp", exp.bit_len() as u64);
         let g = self.to_mont(base);
@@ -383,18 +236,20 @@ impl MontCtx {
     }
 }
 
-/// Reusable work buffers for Montgomery arithmetic — the batch-friendly
-/// face of [`MontCtx`].
+/// Reusable work buffers for the u32 path's Montgomery arithmetic — the
+/// batch-friendly face of [`MontCtx`].
 ///
-/// Every [`MontCtx::mod_exp`] call allocates a fresh double-width product
-/// buffer per multiplication (~1300 of them for an RSA-half exponent) plus
-/// a 16-entry window table. A batched caller — the RSA batch-decrypt path,
-/// which runs the same-modulus exponentiation once per job — passes one
-/// `MontScratch` instead and [`MontCtx::mod_exp_scratch`] reuses these
-/// buffers across every multiplication *and* across every exponentiation
-/// sharing the scratch, leaving one allocation per result. The buffers
-/// grow to the largest modulus seen and are modulus-agnostic, so a single
-/// scratch serves both CRT halves (`mod p`, then `mod q`).
+/// On [`LimbWidth::U32`] every [`MontCtx::mod_exp`] call allocates a fresh
+/// double-width product buffer per multiplication (~1300 of them for an
+/// RSA-half exponent) plus its window table. A batched caller — the RSA
+/// batch-decrypt path, which runs the same-modulus exponentiation once per
+/// job — passes one `MontScratch` instead and [`MontCtx::mod_exp_scratch`]
+/// reuses these buffers across every multiplication *and* across every
+/// exponentiation sharing the scratch, leaving one allocation per result.
+/// The buffers grow to the largest modulus seen and are modulus-agnostic,
+/// so a single scratch serves both CRT halves (`mod p`, then `mod q`). A
+/// [`LimbWidth::U64`] context works on the stack and leaves the scratch
+/// untouched, so one scratch still serves a mixed batch.
 ///
 /// # Examples
 ///
@@ -424,15 +279,6 @@ pub struct MontScratch {
     /// Ping-pong accumulators for the square-and-multiply loop.
     acc: Bn,
     acc2: Bn,
-    /// 64-bit-limb twins of the buffers above, used when the context runs
-    /// on [`LimbWidth::U64`]. Both sets coexist so one scratch serves mixed
-    /// batches (e.g. a u32-forced CRT half next to u64 DHE agreements).
-    prod64: Vec<u64>,
-    diff64: Vec<u64>,
-    sqtmp64: Vec<u64>,
-    table64: Vec<Vec<u64>>,
-    acc64: Vec<u64>,
-    acc64b: Vec<u64>,
 }
 
 impl MontScratch {
@@ -529,74 +375,21 @@ impl MontCtx {
         self.redc_buf(prod, out, diff, npad);
     }
 
-    /// The 64-bit-limb windowed exponentiation: converts once into the u64
-    /// Montgomery domain, runs the whole square-and-multiply loop on
-    /// [`words64`] kernels, and converts back at the end. Callers have
-    /// already handled the zero exponent.
-    fn mod_exp_u64(&self, base: &Bn, exp: &Bn, window: usize, scratch: &mut MontScratch) -> Bn {
+    /// The 64-bit-limb windowed exponentiation: one conversion into the
+    /// u64 Montgomery domain, the whole ladder on the fused kernels, one
+    /// conversion back. Callers have already handled the zero exponent.
+    fn mod_exp_u64(&self, base: &Bn, exp: &Bn, window: usize) -> Bn {
         let m = self.m64.as_ref().expect("u64 engine present");
-        counters::count("BN_mod_exp", exp.bit_len() as u64);
-        let reduced;
-        let base = if base >= &self.n {
-            reduced = base.mod_op(&self.n);
-            &reduced
+        if base >= &self.n {
+            m.mod_exp(&base.mod_op(&self.n), exp, window)
         } else {
-            base
-        };
-        let b64 = limbs64_from_bn(base, m.k);
-        let MontScratch { prod64, diff64, sqtmp64, table64, acc64, acc64b, .. } = scratch;
-        let table_len = 1usize << window;
-        if table64.len() < table_len {
-            table64.resize_with(table_len, Vec::new);
+            m.mod_exp(base, exp, window)
         }
-        // table[0] = 1·R = redc(R²), table[1] = g = base·R, table[i] = table[i-1]·g.
-        prod64.clear();
-        prod64.extend_from_slice(&m.rr);
-        m.redc(prod64, &mut table64[0], diff64);
-        Mont64::mul_into(&b64, &m.rr, prod64);
-        m.redc(prod64, &mut table64[1], diff64);
-        for i in 2..table_len {
-            let (lo, hi) = table64.split_at_mut(i);
-            Mont64::mul_into(&lo[i - 1], &lo[1], prod64);
-            m.redc(prod64, &mut hi[0], diff64);
-        }
-
-        let bits = exp.bit_len();
-        let chunks = bits.div_ceil(window);
-        acc64.clear();
-        acc64.extend_from_slice(&table64[0]);
-        for chunk_idx in (0..chunks).rev() {
-            if chunk_idx != chunks - 1 {
-                for _ in 0..window {
-                    Mont64::sqr_into(acc64, prod64, sqtmp64);
-                    m.redc(prod64, acc64b, diff64);
-                    std::mem::swap(acc64, acc64b);
-                }
-            }
-            let mut idx = 0usize;
-            for b in (0..window).rev() {
-                let bit_pos = chunk_idx * window + b;
-                idx = (idx << 1) | usize::from(exp.bit(bit_pos));
-            }
-            if idx != 0 {
-                Mont64::mul_into(acc64, &table64[idx], prod64);
-                m.redc(prod64, acc64b, diff64);
-                std::mem::swap(acc64, acc64b);
-            }
-        }
-        prod64.clear();
-        prod64.extend_from_slice(acc64);
-        m.redc(prod64, acc64b, diff64);
-        bn_from_limbs64(acc64b)
     }
 
-    /// Computes `base^exp mod n`, reusing `scratch` for every intermediate
-    /// buffer and sizing the window to the exponent (OpenSSL's
-    /// `BN_window_bits_for_exponent_size`), so a 4-bit Fiat-tree exponent
-    /// does not pay for a 16-entry table build.
-    ///
-    /// Returns the same value as [`MontCtx::mod_exp`]; the difference is
-    /// purely allocator traffic and table sizing. In steady state the only
+    /// Computes `base^exp mod n` exactly as [`MontCtx::mod_exp`] does —
+    /// same window policy, same value — reusing `scratch` for every
+    /// intermediate buffer of the u32 path. In steady state the only
     /// allocation is the returned result, which is what makes batched RSA
     /// decryption's repeated same-modulus exponentiations cheap to
     /// interleave.
@@ -605,15 +398,9 @@ impl MontCtx {
         if exp.is_zero() {
             return if self.n.is_one() { Bn::zero() } else { Bn::one() };
         }
-        let window: usize = match exp.bit_len() {
-            0..=23 => 1,
-            24..=79 => 3,
-            80..=239 => 4,
-            240..=671 => 5,
-            _ => 6,
-        };
+        let window = window_bits(exp.bit_len()) as usize;
         if self.m64.is_some() {
-            return self.mod_exp_u64(base, exp, window, scratch);
+            return self.mod_exp_u64(base, exp, window);
         }
         counters::count("BN_mod_exp", exp.bit_len() as u64);
         let MontScratch { prod, diff, npad, sqtmp, table, acc, acc2, .. } = scratch;
@@ -655,6 +442,19 @@ impl MontCtx {
         prod.extend_from_slice(&acc.words);
         self.redc_buf(prod, acc2, diff, npad);
         acc2.clone()
+    }
+}
+
+/// The window width, in bits, that keeps table build plus multiplications
+/// smallest for an exponent of `exp_bits` bits — the one policy behind
+/// [`MontCtx::mod_exp`] and [`MontCtx::mod_exp_scratch`].
+fn window_bits(exp_bits: usize) -> u32 {
+    match exp_bits {
+        0..=23 => 1,
+        24..=79 => 3,
+        80..=239 => 4,
+        240..=671 => 5,
+        _ => 6,
     }
 }
 
@@ -862,15 +662,19 @@ mod tests {
         });
         assert!(snap.calls("bn_mul_add_words") > 0);
         assert!(snap.calls("BN_from_montgomery") > 0);
-        assert_eq!(snap.calls("bn_mul_add_words64"), 0);
-        // … and the u64 path to the 64-suffixed twins, never mixing.
+        assert_eq!(snap.calls("mont_sqr64"), 0);
+        // … and the u64 path to one counter per fused operation, never
+        // mixing: e = 65537 is 16 squarings and, on the 1-bit window its
+        // length selects, base·R plus one multiply per set bit.
         let ctx64 = MontCtx::with_limb_width(&n, LimbWidth::U64).unwrap();
         let (_, snap) = counters::counted(|| {
             let _ = ctx64.mod_exp(&bn("12345"), &bn("10001"));
         });
-        assert!(snap.calls("bn_mul_add_words64") > 0);
-        assert!(snap.calls("BN_from_montgomery") > 0);
+        assert_eq!(snap.calls("mont_sqr64"), 16);
+        assert_eq!(snap.calls("mont_mul64"), 3);
+        assert_eq!(snap.units("mont_mul64"), 3 * 2);
         assert_eq!(snap.calls("bn_mul_add_words"), 0);
+        assert_eq!(snap.calls("BN_from_montgomery"), 0);
     }
 
     #[test]

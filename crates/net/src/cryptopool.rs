@@ -43,7 +43,8 @@
 //!
 //! Batching (`batch_max` > 1): the engine that dequeues a first job keeps
 //! collecting from *its own* queue up to `batch_max` jobs, waiting at most
-//! `batch_deadline` after the first. Execution happens outside the lock
+//! `batch_deadline` after the first (by default not at all: the batch is
+//! what was already queued). Execution happens outside the lock
 //! via [`CryptoJob::execute_batch`]; each job's result fans back to its
 //! own shard's reply channel. A `batch_max` of 1 skips collection entirely
 //! and behaves exactly like the unbatched pool.
@@ -837,6 +838,38 @@ mod tests {
         pool.shutdown();
     }
 
+    /// The default deadline is zero: the collector never waits, yet a
+    /// backlog still combines, because what queued up while the engine was
+    /// executing is already there when it comes back for more. (The engine
+    /// is slowed so that its first job outlasts the submission loop.)
+    #[test]
+    fn zero_deadline_batches_the_backlog() {
+        let config = config();
+        let stats = Arc::new(ServerStats::default());
+        let pool = CryptoPool::start_heterogeneous(
+            vec![EngineProfile::general_slowed(100.0)],
+            4,
+            Duration::ZERO,
+            Arc::clone(&config),
+            Arc::clone(&stats),
+            None,
+        );
+        let (reply_tx, reply_rx) = mpsc::channel();
+        let burst = 9u64;
+        let (mut engines, jobs): (Vec<_>, Vec<_>) =
+            (0..burst).map(|seq| suspended_job(&config, seq)).unzip();
+        for (seq, job) in jobs.into_iter().enumerate() {
+            pool.try_submit(seq as u64, job, &reply_tx).expect("queue has room");
+        }
+        for _ in 0..burst {
+            let reply = reply_rx.recv().expect("reply");
+            engines[reply.conn as usize].complete_crypto(reply.done).expect("resume");
+        }
+        assert_eq!(stats.crypto_jobs(), burst);
+        assert!(stats.crypto_batched_jobs() >= 2, "the backlog formed a batch");
+        pool.shutdown();
+    }
+
     /// Submitting into a shut-down pool reports `ShutDown`, not
     /// `QueueFull` — the event loop must fail the connection, not park it.
     #[test]
@@ -982,8 +1015,11 @@ mod tests {
     fn killed_preferred_engine_is_drained_by_stealing() {
         let config = config();
         let stats = Arc::new(ServerStats::default());
-        // Engine 0 is preferred (2x); engine 1 is the slow survivor (6x).
-        let profiles = vec![EngineProfile::general_slowed(2.0), EngineProfile::general_slowed(6.0)];
+        // Engine 0 is preferred (8x); engine 1 is the slow survivor (24x).
+        // Both are slow enough that the burst below, submitted back to
+        // back, is still queued when engine 0 dies.
+        let profiles =
+            vec![EngineProfile::general_slowed(8.0), EngineProfile::general_slowed(24.0)];
         let pool = CryptoPool::start_heterogeneous(
             profiles,
             1,
@@ -994,11 +1030,10 @@ mod tests {
         );
         let (reply_tx, reply_rx) = mpsc::channel();
         let burst = 8u64;
-        let mut engines = Vec::new();
-        for seq in 0..burst {
-            let (server, job) = suspended_job(&config, seq);
-            pool.try_submit(seq, job, &reply_tx).expect("queue has room");
-            engines.push((seq, server));
+        let (mut engines, jobs): (Vec<_>, Vec<_>) =
+            (0..burst).map(|seq| suspended_job(&config, seq)).unzip();
+        for (seq, job) in jobs.into_iter().enumerate() {
+            pool.try_submit(seq as u64, job, &reply_tx).expect("queue has room");
         }
         assert!(pool.kill_engine(0), "preferred engine dies mid-backlog");
         assert!(!pool.kill_engine(0), "already dead");
@@ -1006,9 +1041,9 @@ mod tests {
         // engine's backlog.
         for _ in 0..burst {
             let reply = reply_rx.recv_timeout(Duration::from_secs(30)).expect("reply");
-            let (_, server) =
-                engines.iter_mut().find(|(seq, _)| *seq == reply.conn).expect("known conn");
-            server.complete_crypto(reply.done).expect("resume after engine death");
+            engines[reply.conn as usize]
+                .complete_crypto(reply.done)
+                .expect("resume after engine death");
         }
         assert_eq!(stats.crypto_jobs(), burst);
         assert!(stats.crypto_stolen_jobs() >= 1, "the survivor stole from the dead queue");

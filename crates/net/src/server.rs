@@ -52,9 +52,11 @@ pub struct ServerOptions {
     /// amortized decrypt batch.
     pub batch_max: usize,
     /// Longest a batch collector waits for sibling jobs after the first
-    /// one, before executing a partial batch. Small by design (~200µs
-    /// default) so p50 latency at low load does not pay for throughput at
-    /// high load; irrelevant when `batch_max` is 1.
+    /// one, before executing a partial batch. Zero — the default — never
+    /// waits: a batch is whatever was already queued when the worker came
+    /// for the first job, so a saturated pool still fills its batches
+    /// from the backlog and a lightly loaded one pays no timer wait per
+    /// handshake. Irrelevant when `batch_max` is 1.
     pub batch_deadline: Duration,
     /// Session-ticket keyring. `None` — the default — serves id-cache
     /// resumption only, exactly as before tickets existed. With a keyring
@@ -71,10 +73,12 @@ pub struct ServerOptions {
     pub engine_profiles: Option<Vec<EngineProfile>>,
 }
 
-/// Default batch-collection deadline: long enough for a saturated queue to
-/// fill a batch (jobs are already waiting), short enough to be noise next
-/// to an RSA decrypt when traffic is light.
-pub(crate) const DEFAULT_BATCH_DEADLINE: Duration = Duration::from_micros(200);
+/// Default batch-collection deadline: none. A saturated queue fills a
+/// batch without it (the jobs are already waiting), and under light
+/// traffic any wait is a timer sleep on every full handshake's critical
+/// path — 200 µs asked for is ~280 µs slept, twice the 1024-bit decrypt
+/// it would amortise.
+pub(crate) const DEFAULT_BATCH_DEADLINE: Duration = Duration::ZERO;
 
 impl Default for ServerOptions {
     fn default() -> Self {

@@ -342,7 +342,11 @@ mod tests {
         let (_, snap) = counters::counted(|| {
             let _ = key.raw_decrypt(&Bn::from_u64(12345)).unwrap();
         });
-        assert!(snap.calls("bn_mul_add_words64") > 50, "u64 CRT rides the 64-bit kernels");
+        // Two 256-bit CRT halves: a fused squaring per exponent bit, each
+        // counted once with the half's four limbs as its units.
+        assert!(snap.calls("mont_sqr64") > 500, "u64 CRT rides the fused kernels");
+        assert_eq!(snap.units("mont_sqr64"), 4 * snap.calls("mont_sqr64"));
+        assert!(snap.calls("mont_mul64") > 50);
     }
 
     #[test]

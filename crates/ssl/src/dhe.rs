@@ -3,10 +3,13 @@
 //! The TLS 1.3-style machine's `key_share` exchange runs here: each side
 //! draws an ephemeral exponent, publishes `g^x mod p` (a fixed 256-byte
 //! big-endian encoding) and derives the shared secret `Y^x mod p` with the
-//! same Montgomery exponentiation (`crates/bignum`) the RSA path uses — so
-//! the paper's Table 7/8 "computation" accounting applies unchanged, just
-//! with two 2048-bit exponentiations per handshake instead of one CRT
-//! decryption.
+//! same Montgomery kernels (`crates/bignum`) the RSA path uses — so the
+//! paper's Table 7/8 "computation" accounting applies unchanged, just with
+//! two 2048-bit exponentiations per handshake instead of one CRT
+//! decryption. The two are not the same algorithm: `g^x` has the same base
+//! in every handshake, so it walks a fixed-base comb precomputed once per
+//! process (31 squarings + ≤ 32 multiplications), while `Y^x` has a fresh
+//! base each time and runs the window ladder (~330 operations).
 //!
 //! RFC 7919 fixes the group, so there are no parameters to negotiate and
 //! no small-subgroup surprises beyond the range check in
@@ -16,7 +19,7 @@
 
 use std::sync::OnceLock;
 
-use sslperf_bignum::{Bn, MontCtx};
+use sslperf_bignum::{Bn, FixedBaseComb, MontCtx};
 use sslperf_profile::counters;
 use sslperf_rng::SslRng;
 
@@ -52,6 +55,8 @@ const EXPONENT_LEN: usize = 32;
 struct Group {
     p_minus_2: Bn,
     ctx: MontCtx,
+    /// Powers of the generator for exponents of [`EXPONENT_LEN`] bytes.
+    g_comb: FixedBaseComb,
 }
 
 fn group() -> &'static Group {
@@ -60,7 +65,8 @@ fn group() -> &'static Group {
         let p = Bn::from_hex(FFDHE2048_P_HEX).expect("ffdhe2048 prime literal");
         let p_minus_2 = p.sub(&Bn::from_u64(2));
         let ctx = MontCtx::new(&p).expect("odd modulus");
-        Group { p_minus_2, ctx }
+        let g_comb = ctx.fixed_base_comb(&Bn::from_u64(FFDHE2048_G), 8 * EXPONENT_LEN);
+        Group { p_minus_2, ctx, g_comb }
     })
 }
 
@@ -107,9 +113,7 @@ impl DheKeyPair {
         rng.fill_bytes(&mut buf);
         buf[0] |= 0x80;
         let x = Bn::from_bytes_be(&buf);
-        let g = group();
-        let public =
-            g.ctx.mod_exp(&Bn::from_u64(FFDHE2048_G), &x).to_bytes_be_padded(FFDHE2048_LEN);
+        let public = group().g_comb.pow(&x).to_bytes_be_padded(FFDHE2048_LEN);
         DheKeyPair { x, public }
     }
 

@@ -408,6 +408,39 @@ fn crypto_job_cycle_allocation_is_bounded() {
     );
 }
 
+/// A TLS 1.3 key exchange's public-key work on the u64 path allocates
+/// only what it returns: the comb and the window ladder keep table,
+/// accumulators and scratch on the stack, so one `generate` plus one
+/// `agree` is the exponent, two results and their encodings — not a window
+/// table and a product buffer per Montgomery operation.
+#[test]
+fn dhe_keygen_and_agree_allocation_is_bounded() {
+    use sslperf::bignum::{default_limb_width, LimbWidth};
+    use sslperf::prelude::SslRng;
+    use sslperf::ssl::dhe::{validate_public, DheKeyPair};
+
+    if default_limb_width() == LimbWidth::U32 {
+        // The paper-faithful path allocates per word-kernel pass by design.
+        return;
+    }
+    let mut rng = SslRng::from_seed(b"alloc-budget-dhe");
+    // Warm the process: the group's context and comb are built once.
+    let peer = DheKeyPair::generate(&mut rng);
+    let peer_public = validate_public(peer.public()).expect("valid public value");
+
+    let (shared, allocations) = allocations_during(|| {
+        let pair = DheKeyPair::generate(&mut rng);
+        pair.agree(&peer_public)
+    });
+    assert_eq!(shared.len(), 256);
+    println!("dhe generate + agree: {allocations} allocations");
+    assert!(
+        allocations <= 16,
+        "dhe generate + agree allocated {allocations} times (ceiling 16) — \
+         a per-operation buffer crept back into the u64 exponentiation"
+    );
+}
+
 /// The batched crypto cycle (`take_crypto_job` ×4 → `execute_batch` →
 /// `complete_crypto` ×4) holds the same per-job allocation ceiling as the
 /// solo cycle: batching shares one blinding acquisition and one scratch

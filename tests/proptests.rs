@@ -322,27 +322,15 @@ proptest! {
     }
 }
 
-// ---- u32 vs u64 word-kernel and Montgomery differentials ----
+// ---- u32 vs u64 Montgomery differentials ----
 //
-// Issue 9 rewrote the hot bignum kernels around u64 limbs with u128
-// accumulators, keeping the u32 family compiled for the paper's Table 8
-// attribution. The two families must compute identical big integers on
-// every operand shape; these tests pin them to each other and to `Bn` as
-// the algebraic oracle, over the adversarial shapes that break carry
+// The u64 path runs one fused multiply and one square-then-reduce over
+// 64-bit limbs, instantiated at 8, 16 and 32 limbs and at the dynamic
+// length for every other width; the u32 family stays compiled for the
+// paper's Table 8 attribution. The two must compute identical big integers
+// on every operand shape; these tests pin them to each other and to `Bn`
+// as the algebraic oracle, over the adversarial shapes that break carry
 // chains in practice (all-ones limbs, word-boundary ±ε, length skew).
-
-/// Packs little-endian u32 limbs into u64 limbs (zero-padding odd tails).
-fn pack64(w: &[u32]) -> Vec<u64> {
-    w.chunks(2)
-        .map(|c| u64::from(c[0]) | (u64::from(c.get(1).copied().unwrap_or(0)) << 32))
-        .collect()
-}
-
-/// Reads a little-endian u64 limb vector back as a big integer.
-fn bn_from_64(l: &[u64]) -> Bn {
-    let words: Vec<u32> = l.iter().flat_map(|&x| [x as u32, (x >> 32) as u32]).collect();
-    Bn::from_words(&words)
-}
 
 /// Builds an adversarial limb vector from raw generated words: shape 0
 /// keeps them as-is, shape 1 is all-ones limbs of the same length
@@ -361,149 +349,90 @@ fn shaped_limbs(shape: usize, raw: &[u32], eps: u32) -> Vec<u32> {
     }
 }
 
-/// Zero-pads two limb vectors to a shared even length so both the u32
-/// kernels and the packed u64 kernels see the same integer.
-fn common_even(a: &[u32], b: &[u32]) -> (Vec<u32>, Vec<u32>) {
-    let len = a.len().max(b.len()).next_multiple_of(2);
-    let mut a = a.to_vec();
-    let mut b = b.to_vec();
-    a.resize(len, 0);
-    b.resize(len, 0);
-    (a, b)
+/// The limb counts of the fused-kernel differential: 8, 16 and 32 run the
+/// constant-width instantiations, the rest the dynamic one (1 has no cross
+/// products to square, 33 is the first width past the widest instantiation).
+const KERNEL_LIMBS: [usize; 8] = [1, 3, 8, 12, 16, 24, 32, 33];
+
+/// An odd modulus of exactly `limbs` 64-bit limbs cut from `raw`: shape 0
+/// is all-ones limbs, shape 1 random with the top bit set, shape 2 random
+/// under a top limb of 1 (the smallest modulus of that limb count).
+fn kernel_modulus(shape: usize, limbs: usize, raw: &[u32]) -> Bn {
+    let mut words = raw[..2 * limbs].to_vec();
+    match shape {
+        0 => words.fill(u32::MAX),
+        1 => words[2 * limbs - 1] |= 1 << 31,
+        _ => {
+            words[2 * limbs - 1] = 0;
+            words[2 * limbs - 2] = 1;
+        }
+    }
+    words[0] |= 1;
+    bn_from(&words)
+}
+
+/// A residue mod `n` by shape: 0, 1, n − 1, all-ones limbs of `n`'s own
+/// width (reduced), or the raw words (reduced).
+fn kernel_operand(shape: usize, n: &Bn, raw: &[u32]) -> Bn {
+    match shape {
+        0 => Bn::zero(),
+        1 => Bn::one(),
+        2 => n.sub(&Bn::one()),
+        3 => bn_from(&vec![u32::MAX; n.word_len().next_multiple_of(2)]).mod_op(n),
+        _ => bn_from(&raw[..n.word_len()]).mod_op(n),
+    }
+}
+
+/// The ffdhe2048 group's context and its comb for `g = 2` on one limb
+/// width, built once per width for the whole test binary.
+fn ffdhe2048_comb(
+    width: sslperf::bignum::LimbWidth,
+) -> &'static (sslperf::bignum::MontCtx, sslperf::bignum::FixedBaseComb) {
+    use sslperf::bignum::{FixedBaseComb, LimbWidth, MontCtx};
+    use std::sync::OnceLock;
+    static COMBS: [OnceLock<(MontCtx, FixedBaseComb)>; 2] = [OnceLock::new(), OnceLock::new()];
+    COMBS[usize::from(width == LimbWidth::U64)].get_or_init(|| {
+        let p = Bn::from_hex(sslperf::ssl::dhe::FFDHE2048_P_HEX).expect("ffdhe2048 prime");
+        let ctx = MontCtx::with_limb_width(&p, width).expect("odd modulus");
+        let comb = ctx.fixed_base_comb(&Bn::from_u64(2), 256);
+        (ctx, comb)
+    })
+}
+
+/// Comb and ladder agree on `exp` under both limb widths, and the widths
+/// agree with each other.
+fn comb_matches_ladder(exp: &Bn) -> Result<(), proptest::test_runner::TestCaseError> {
+    use sslperf::bignum::LimbWidth;
+    let g = Bn::from_u64(2);
+    let (ctx32, comb32) = ffdhe2048_comb(LimbWidth::U32);
+    let (ctx64, comb64) = ffdhe2048_comb(LimbWidth::U64);
+    let want = ctx32.mod_exp(&g, exp);
+    prop_assert!(comb32.pow(exp) == want, "u32 comb differs at exp {}", exp.to_hex());
+    prop_assert!(comb64.pow(exp) == want, "u64 comb differs at exp {}", exp.to_hex());
+    prop_assert!(ctx64.mod_exp(&g, exp) == want, "u64 ladder differs at exp {}", exp.to_hex());
+    Ok(())
+}
+
+/// The comb's corner exponents: 1, the pinned top bit alone, every bit
+/// set, one bit in every row of a column (table index 255), and a lone
+/// bit in each row at the first and last column (indices 1, 2, 4, … 128).
+#[test]
+fn fixed_base_comb_matches_ladder_on_corner_exponents() {
+    let bit = |i: usize| Bn::one().shl(i);
+    let mut exps = vec![Bn::one(), bit(255), bit(256).sub(&Bn::one())];
+    for col in [0, 1, 15, 31] {
+        exps.push((0..8).fold(Bn::zero(), |e, row| e.add(&bit(32 * row + col))));
+    }
+    for row in 0..8 {
+        exps.extend([bit(32 * row), bit(32 * row + 31)]);
+    }
+    for exp in &exps {
+        comb_matches_ladder(exp).unwrap_or_else(|e| panic!("{e:?}"));
+    }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
-
-    /// `bn_mul_add_words` across widths: the same `r += a * w` big-integer
-    /// result limb for limb, and the u64 kernel's full 64-bit multiplier
-    /// agrees with the `Bn` oracle.
-    #[test]
-    fn mul_add_words_agree_across_widths(
-        shapes in 0usize..9,
-        raw_r in vec(any::<u32>(), 1..8),
-        raw_a in vec(any::<u32>(), 1..8),
-        eps in 0u32..3,
-        w_lo in any::<u32>(),
-        w_hi in any::<u32>(),
-    ) {
-        use sslperf::bignum::{words, words64};
-        let r = shaped_limbs(shapes % 3, &raw_r, eps);
-        let a = shaped_limbs(shapes / 3, &raw_a, eps);
-        let (r32_init, a32) = common_even(&r, &a);
-        let a64 = pack64(&a32);
-
-        // Same 32-bit multiplier through both kernel families.
-        let mut r32 = r32_init.clone();
-        let c32 = words::bn_mul_add_words(&mut r32, &a32, w_lo);
-        let mut r64 = pack64(&r32_init);
-        let c64 = words64::bn_mul_add_words(&mut r64, &a64, u64::from(w_lo));
-        let mut full32 = r32.clone();
-        full32.push(c32);
-        let mut full64 = r64.clone();
-        full64.push(c64);
-        prop_assert_eq!(Bn::from_words(&full32), bn_from_64(&full64));
-
-        // Full 64-bit multiplier against the algebraic oracle.
-        let w64 = u64::from(w_lo) | (u64::from(w_hi) << 32);
-        let mut r64 = pack64(&r32_init);
-        let carry = words64::bn_mul_add_words(&mut r64, &a64, w64);
-        r64.push(carry);
-        let expect = Bn::from_words(&r32_init).add(&Bn::from_words(&a32).mul(&Bn::from_u64(w64)));
-        prop_assert_eq!(bn_from_64(&r64), expect);
-    }
-
-    /// `bn_mul_words` across widths, same structure as above.
-    #[test]
-    fn mul_words_agree_across_widths(
-        shape in 0usize..3,
-        raw in vec(any::<u32>(), 1..8),
-        eps in 0u32..3,
-        w_lo in any::<u32>(),
-        w_hi in any::<u32>(),
-    ) {
-        use sslperf::bignum::{words, words64};
-        let a = shaped_limbs(shape, &raw, eps);
-        let (a32, _) = common_even(&a, &[]);
-        let a64 = pack64(&a32);
-
-        let mut r32 = vec![0u32; a32.len()];
-        let c32 = words::bn_mul_words(&mut r32, &a32, w_lo);
-        let mut r64 = vec![0u64; a64.len()];
-        let c64 = words64::bn_mul_words(&mut r64, &a64, u64::from(w_lo));
-        let mut full32 = r32;
-        full32.push(c32);
-        let mut full64 = r64;
-        full64.push(c64);
-        prop_assert_eq!(Bn::from_words(&full32), bn_from_64(&full64));
-
-        let w64 = u64::from(w_lo) | (u64::from(w_hi) << 32);
-        let mut r64 = vec![0u64; a64.len()];
-        let carry = words64::bn_mul_words(&mut r64, &a64, w64);
-        r64.push(carry);
-        prop_assert_eq!(
-            bn_from_64(&r64),
-            Bn::from_words(&a32).mul(&Bn::from_u64(w64)));
-    }
-
-    /// `bn_add_words`/`bn_sub_words` across widths: identical sums,
-    /// differences, and carry/borrow outs on equal-length operands.
-    #[test]
-    fn add_sub_words_agree_across_widths(
-        shapes in 0usize..9,
-        raw_a in vec(any::<u32>(), 1..8),
-        raw_b in vec(any::<u32>(), 1..8),
-        eps in 0u32..3,
-    ) {
-        use sslperf::bignum::{words, words64};
-        let a = shaped_limbs(shapes % 3, &raw_a, eps);
-        let b = shaped_limbs(shapes / 3, &raw_b, eps);
-        let (a32, b32) = common_even(&a, &b);
-        let (a64, b64) = (pack64(&a32), pack64(&b32));
-
-        let mut sum32 = vec![0u32; a32.len()];
-        let carry32 = words::bn_add_words(&mut sum32, &a32, &b32);
-        let mut sum64 = vec![0u64; a64.len()];
-        let carry64 = words64::bn_add_words(&mut sum64, &a64, &b64);
-        prop_assert_eq!(Bn::from_words(&sum32), bn_from_64(&sum64));
-        prop_assert_eq!(u64::from(carry32), carry64);
-
-        let mut diff32 = vec![0u32; a32.len()];
-        let borrow32 = words::bn_sub_words(&mut diff32, &a32, &b32);
-        let mut diff64 = vec![0u64; a64.len()];
-        let borrow64 = words64::bn_sub_words(&mut diff64, &a64, &b64);
-        prop_assert_eq!(Bn::from_words(&diff32), bn_from_64(&diff64));
-        prop_assert_eq!(u64::from(borrow32), borrow64);
-    }
-
-    /// `bn_sqr_words` across widths: each limb's double-width square lands
-    /// in its result pair, verified against the `Bn` oracle per limb.
-    #[test]
-    fn sqr_words_agree_across_widths(
-        shape in 0usize..3,
-        raw in vec(any::<u32>(), 1..8),
-        eps in 0u32..3,
-    ) {
-        use sslperf::bignum::{words, words64};
-        let a = shaped_limbs(shape, &raw, eps);
-        let (a32, _) = common_even(&a, &[]);
-        let a64 = pack64(&a32);
-
-        let mut r32 = vec![0u32; 2 * a32.len()];
-        words::bn_sqr_words(&mut r32, &a32);
-        for (i, &x) in a32.iter().enumerate() {
-            prop_assert_eq!(
-                Bn::from_words(&r32[2 * i..2 * i + 2]),
-                Bn::from_u64(u64::from(x)).mul(&Bn::from_u64(u64::from(x))));
-        }
-        let mut r64 = vec![0u64; 2 * a64.len()];
-        words64::bn_sqr_words(&mut r64, &a64);
-        for (i, &x) in a64.iter().enumerate() {
-            prop_assert_eq!(
-                bn_from_64(&r64[2 * i..2 * i + 2]),
-                Bn::from_u64(x).mul(&Bn::from_u64(x)));
-        }
-    }
 
     /// Dedicated squaring equals general multiplication on the shapes that
     /// stress the cross-product carry cells.
@@ -570,6 +499,56 @@ proptest! {
         prop_assert_eq!(
             c32.mod_exp_window(&a, &exp, window),
             c64.mod_exp_window(&a, &exp, window));
+    }
+
+    /// The fused u64 multiply, square-then-reduce and exponentiation
+    /// against the u32 path and the `Bn` oracle at every instantiation
+    /// ([`KERNEL_LIMBS`]), on moduli and operands that saturate the carry
+    /// chains: all-ones limbs, 0, 1 and n − 1.
+    #[test]
+    fn fused_u64_kernels_agree_with_u32_at_every_width(
+        limbs_sel in 0usize..KERNEL_LIMBS.len(),
+        n_shape in 0usize..3,
+        a_shape in 0usize..5,
+        b_shape in 0usize..5,
+        raw_n in vec(any::<u32>(), 66..=66),
+        raw_a in vec(any::<u32>(), 66..=66),
+        raw_b in vec(any::<u32>(), 66..=66),
+        exp in vec(any::<u32>(), 0..3),
+    ) {
+        use sslperf::bignum::{LimbWidth, MontCtx};
+        let limbs = KERNEL_LIMBS[limbs_sel];
+        let n = kernel_modulus(n_shape, limbs, &raw_n);
+        prop_assume!(!n.is_one());
+        prop_assert_eq!(n.word_len().div_ceil(2), limbs);
+        let c32 = MontCtx::with_limb_width(&n, LimbWidth::U32).expect("odd modulus");
+        let c64 = MontCtx::with_limb_width(&n, LimbWidth::U64).expect("odd modulus");
+        let a = kernel_operand(a_shape, &n, &raw_a);
+        let b = kernel_operand(b_shape, &n, &raw_b);
+        let exp = bn_from(&exp);
+
+        let (a64, b64) = (c64.to_mont(&a), c64.to_mont(&b));
+        prop_assert_eq!(c64.from_mont(&a64), a.clone());
+        let product = c64.from_mont(&c64.mont_mul(&a64, &b64));
+        prop_assert_eq!(product.clone(), a.mod_mul(&b, &n));
+        prop_assert_eq!(product, c32.from_mont(&c32.mont_mul(&c32.to_mont(&a), &c32.to_mont(&b))));
+        let square = c64.from_mont(&c64.mont_sqr(&a64));
+        prop_assert_eq!(square.clone(), a.mod_mul(&a, &n));
+        prop_assert_eq!(square, c32.from_mont(&c32.mont_sqr(&c32.to_mont(&a))));
+        prop_assert_eq!(c64.mod_exp(&a, &exp), c32.mod_exp(&a, &exp));
+    }
+
+    /// The fixed-base comb against the window ladder for ffdhe2048 key
+    /// generation's `2^x mod p`, over exponents of every length the table
+    /// serves, under both limb widths.
+    #[test]
+    fn fixed_base_comb_matches_ladder(
+        bits in 1usize..=256,
+        raw in vec(any::<u32>(), 8..=8),
+    ) {
+        let exp = bn_from(&raw).mod_op(&Bn::one().shl(bits - 1)).add(&Bn::one().shl(bits - 1));
+        prop_assert_eq!(exp.bit_len(), bits);
+        comb_matches_ladder(&exp)?;
     }
 
     /// AES backends in lockstep: the auto-resolved cipher, the forced
