@@ -137,6 +137,33 @@ fn ablate_fused_round(c: &mut Criterion) {
     group.finish();
 }
 
+/// §6.2's round unit for the hashes: the portable SHA-1/SHA-256 block
+/// operation against the kernel `new()` detects (the CPU's SHA unit where
+/// it has one; the same portable loop otherwise) over one 16 KiB record.
+fn ablate_sha_unit(c: &mut Criterion) {
+    use sslperf_core::hashes::Sha256;
+    let data = vec![0x42u8; 16_384];
+    let mut group = c.benchmark_group("ablate_sha_unit");
+    group.throughput(Throughput::Bytes(16_384));
+    // The two hashes share no trait, only the shape of their API.
+    macro_rules! bench_kernels {
+        ($name:literal, $ty:ident) => {
+            for init in [$ty::portable, $ty::new] {
+                group.bench_function(format!("{}_{}", $name, init().backend_name()), |b| {
+                    b.iter(|| {
+                        let mut h = init();
+                        h.update(black_box(&data));
+                        black_box(h.finalize())
+                    });
+                });
+            }
+        };
+    }
+    bench_kernels!("sha1", Sha1);
+    bench_kernels!("sha256", Sha256);
+    group.finish();
+}
+
 /// §6.2(3): the crypto-engine argument — MAC and encryption of a record
 /// serially vs overlapped on two threads.
 fn ablate_crypto_engine(c: &mut Criterion) {
@@ -211,6 +238,7 @@ criterion_group!(
     ablate_window,
     ablate_fixed_base,
     ablate_fused_round,
+    ablate_sha_unit,
     ablate_crypto_engine,
     ablate_three_operand
 );

@@ -144,8 +144,15 @@ fn native_bulk_throughput(ctx: &Context, name: &str) -> Result<f64, ExperimentEr
         "MD5" => measure_min(s, 1, || {
             black_box(Md5::digest(&buf));
         }),
+        // Pinned to the portable kernel for the reason `rsa_arch_row` pins
+        // u32 limbs: Table 11 reconstructs the paper's software profile
+        // (the row's path length and CPI come from simulating the scalar
+        // 80-step loop), and on the SHA unit this row would outrun MD5 and
+        // measure an instruction the model does not price.
         "SHA-1" => measure_min(s, 1, || {
-            black_box(Sha1::digest(&buf));
+            let mut h = Sha1::portable();
+            h.update(&buf);
+            black_box(h.finalize());
         }),
         _ => unreachable!("RSA handled separately"),
     };

@@ -7,6 +7,9 @@
 
 use crate::{HashAlg, Hmac};
 
+/// Longest digest of any [`HashAlg`] (SHA-256); sizes the stack buffers.
+const MAX_HASH_LEN: usize = 32;
+
 /// `HKDF-Extract(salt, ikm)`: concentrates possibly-weak input keying
 /// material into one pseudorandom key of [`HashAlg::output_len`] bytes.
 ///
@@ -23,8 +26,8 @@ use crate::{HashAlg, Hmac};
 /// ```
 #[must_use]
 pub fn extract(alg: HashAlg, salt: &[u8], ikm: &[u8]) -> Vec<u8> {
-    let zero_salt = vec![0u8; alg.output_len()];
-    let salt = if salt.is_empty() { &zero_salt } else { salt };
+    let zero_salt = [0u8; MAX_HASH_LEN];
+    let salt = if salt.is_empty() { &zero_salt[..alg.output_len()] } else { salt };
     Hmac::mac(alg, salt, ikm)
 }
 
@@ -38,18 +41,18 @@ pub fn extract(alg: HashAlg, salt: &[u8], ikm: &[u8]) -> Vec<u8> {
 pub fn expand(alg: HashAlg, prk: &[u8], info: &[u8], out_len: usize) -> Vec<u8> {
     let hash_len = alg.output_len();
     assert!(out_len <= 255 * hash_len, "HKDF-Expand output too long");
-    let mut okm = Vec::with_capacity(out_len);
-    let mut block: Vec<u8> = Vec::new();
-    let mut counter = 1u8;
-    while okm.len() < out_len {
-        let mut mac = Hmac::new(alg, prk);
-        mac.update(&block);
+    let mut okm = vec![0u8; out_len];
+    let keyed = Hmac::new(alg, prk);
+    let mut block = [0u8; MAX_HASH_LEN];
+    let mut prev_len = 0;
+    for (i, chunk) in okm.chunks_mut(hash_len).enumerate() {
+        let mut mac = keyed.clone();
+        mac.update(&block[..prev_len]);
         mac.update(info);
-        mac.update(&[counter]);
-        block = mac.finalize();
-        let take = (out_len - okm.len()).min(hash_len);
-        okm.extend_from_slice(&block[..take]);
-        counter = counter.wrapping_add(1);
+        mac.update(&[i as u8 + 1]);
+        mac.finalize_into(&mut block[..hash_len]);
+        prev_len = hash_len;
+        chunk.copy_from_slice(&block[..chunk.len()]);
     }
     okm
 }

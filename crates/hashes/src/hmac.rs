@@ -1,5 +1,6 @@
 //! RFC 2104 HMAC over either hash algorithm.
 
+use crate::block::BLOCK_LEN;
 use crate::{HashAlg, Hasher};
 
 const IPAD: u8 = 0x36;
@@ -34,20 +35,18 @@ impl Hmac {
     /// Keys longer than the 64-byte block are first hashed, per RFC 2104.
     #[must_use]
     pub fn new(alg: HashAlg, key: &[u8]) -> Self {
-        let block = alg.block_len();
-        let mut key_block = vec![0u8; block];
-        if key.len() > block {
-            let digest = Hasher::digest(alg, key);
-            key_block[..digest.len()].copy_from_slice(&digest);
+        let mut key_block = [0u8; BLOCK_LEN];
+        if key.len() > BLOCK_LEN {
+            let mut h = Hasher::new(alg);
+            h.update(key);
+            h.finalize_into(&mut key_block[..alg.output_len()]);
         } else {
             key_block[..key.len()].copy_from_slice(key);
         }
         let mut inner = Hasher::new(alg);
-        let ipad: Vec<u8> = key_block.iter().map(|b| b ^ IPAD).collect();
-        inner.update(&ipad);
+        inner.update(&key_block.map(|b| b ^ IPAD));
         let mut outer = Hasher::new(alg);
-        let opad: Vec<u8> = key_block.iter().map(|b| b ^ OPAD).collect();
-        outer.update(&opad);
+        outer.update(&key_block.map(|b| b ^ OPAD));
         Hmac { inner, outer }
     }
 

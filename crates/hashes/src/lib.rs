@@ -1,4 +1,4 @@
-//! From-scratch MD5 and SHA-1 for the SSL-processing anatomy study.
+//! From-scratch MD5, SHA-1 and SHA-256 for the SSL-processing anatomy study.
 //!
 //! The paper (§5.3) partitions hashing into three phases — **Init**,
 //! **Update** (64-byte block operations) and **Final** (padding + last
@@ -16,8 +16,29 @@
 //!
 //! Block compressions report to [`sslperf_profile::counters`] under the names
 //! `"md5_block"`, `"sha1_block"` and `"sha256_block"` (one unit per 64-byte
-//! block) so profiling passes can attribute work without timing individual
-//! calls.
+//! block, one call per run of blocks) so profiling passes can attribute work
+//! without timing individual calls.
+//!
+//! # Compression kernels
+//!
+//! Table 10 puts 91–92 % of a hash in the Update block operation, and the
+//! paper's §6.2 answer is a dedicated round unit per algorithm. On x86-64
+//! CPUs with the SHA extensions, [`Sha1::new`] and [`Sha256::new`] — and so
+//! [`Hasher`], [`Hmac`], [`hkdf`] and every caller above them — run the
+//! block operation on that unit (`SHA1RNDS4`/`SHA256RNDS2`), detected from
+//! the CPU at run time; there is no environment variable, cargo feature or
+//! option that selects it. Everywhere else they run the portable scalar
+//! loops, which stay in the crate in three roles: the only kernel on CPUs
+//! and targets without the extension, the reference every test compares
+//! the unit against, and the paper-faithful software kernel that Table 10
+//! and Table 11 measure — reachable explicitly through [`Sha1::portable`] /
+//! [`Sha256::portable`]. The two kernels differ only inside one
+//! `compress_blocks` function per hash; buffering, padding and the public
+//! API are shared, and digests are identical. MD5 has no hardware unit.
+//!
+//! The unit's intrinsics are the crate's one island of `unsafe`: the
+//! crate is `#![deny(unsafe_code)]` and only the x86-64-only `ni` module
+//! carries the `allow`, behind safe wrappers that check the CPU themselves.
 //!
 //! # Examples
 //!
@@ -42,12 +63,15 @@
 //! solely to reproduce a 2005 performance study; never use them to protect
 //! data.
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
+mod block;
 pub mod hkdf;
 mod hmac;
 mod md5;
+#[cfg(target_arch = "x86_64")]
+mod ni;
 mod sha1;
 mod sha256;
 
@@ -55,6 +79,35 @@ pub use hmac::Hmac;
 pub use md5::Md5;
 pub use sha1::Sha1;
 pub use sha256::Sha256;
+
+/// Which compression kernel a SHA hasher runs its block operation on.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Kernel {
+    /// The scalar loops in `sha1.rs` / `sha256.rs`.
+    Portable,
+    /// The x86-64 SHA extensions (`ni.rs`).
+    #[cfg(target_arch = "x86_64")]
+    Ni,
+}
+
+impl Kernel {
+    /// The hardware unit if this CPU has one, else the portable loops.
+    fn detect() -> Kernel {
+        #[cfg(target_arch = "x86_64")]
+        if ni::available() {
+            return Kernel::Ni;
+        }
+        Kernel::Portable
+    }
+
+    const fn name(self) -> &'static str {
+        match self {
+            Kernel::Portable => "portable",
+            #[cfg(target_arch = "x86_64")]
+            Kernel::Ni => "ni",
+        }
+    }
+}
 
 /// The hash algorithms used by the SSL v3 and TLS 1.3-style machines.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -81,7 +134,7 @@ impl HashAlg {
     /// Compression block length in bytes (64 for all three).
     #[must_use]
     pub const fn block_len(self) -> usize {
-        64
+        block::BLOCK_LEN
     }
 
     /// Human-readable algorithm name.

@@ -1,5 +1,6 @@
 //! RFC 1321 MD5 message digest.
 
+use crate::block::{BlockBuffer, BLOCK_LEN};
 use sslperf_profile::counters;
 
 /// Per-round sine-derived constants `T[i] = floor(2^32 * |sin(i+1)|)`.
@@ -95,10 +96,7 @@ const INIT_STATE: [u32; 4] = [0x6745_2301, 0xefcd_ab89, 0x98ba_dcfe, 0x1032_5476
 #[derive(Debug, Clone)]
 pub struct Md5 {
     state: [u32; 4],
-    /// Total message length in bytes.
-    len: u64,
-    buf: [u8; 64],
-    buf_len: usize,
+    buffer: BlockBuffer,
 }
 
 impl Default for Md5 {
@@ -111,12 +109,12 @@ impl Md5 {
     /// Digest length in bytes.
     pub const OUTPUT_LEN: usize = 16;
     /// Compression block length in bytes.
-    pub const BLOCK_LEN: usize = 64;
+    pub const BLOCK_LEN: usize = BLOCK_LEN;
 
     /// Initializes the four 32-bit chaining registers (the *Init* phase).
     #[must_use]
     pub fn new() -> Self {
-        Md5 { state: INIT_STATE, len: 0, buf: [0; 64], buf_len: 0 }
+        Md5 { state: INIT_STATE, buffer: BlockBuffer::new() }
     }
 
     /// One-shot digest of `data`.
@@ -130,48 +128,19 @@ impl Md5 {
     /// Absorbs `data`, running a block operation for each complete 64-byte
     /// block (the *Update* phase).
     pub fn update(&mut self, data: &[u8]) {
-        self.len = self.len.wrapping_add(data.len() as u64);
-        let mut input = data;
-        if self.buf_len > 0 {
-            let take = (64 - self.buf_len).min(input.len());
-            self.buf[self.buf_len..self.buf_len + take].copy_from_slice(&input[..take]);
-            self.buf_len += take;
-            input = &input[take..];
-            if self.buf_len == 64 {
-                let block = self.buf;
-                self.compress(&block);
-                self.buf_len = 0;
-            }
-            if input.is_empty() {
-                // Nothing left for the tail copy below; returning here keeps
-                // the partially filled buffer intact.
-                return;
-            }
-        }
-        while input.len() >= 64 {
-            let (block, rest) = input.split_at(64);
-            self.compress(block.try_into().expect("64-byte split"));
-            input = rest;
-        }
-        self.buf[..input.len()].copy_from_slice(input);
-        self.buf_len = input.len();
+        let state = &mut self.state;
+        self.buffer.update(data, |blocks| compress_blocks(state, blocks));
     }
 
     /// Pads the message, runs the final block operation(s) and returns the
     /// 128-bit digest (the *Final* phase).
     #[must_use]
-    pub fn finalize(mut self) -> [u8; 16] {
-        let bit_len = self.len.wrapping_mul(8);
-        // Append 0x80 then zeros until 8 bytes remain in the block.
-        self.update(&[0x80]);
-        while self.buf_len != 56 {
-            self.update(&[0]);
-        }
-        self.update(&bit_len.to_le_bytes());
-        debug_assert_eq!(self.buf_len, 0);
+    pub fn finalize(self) -> [u8; 16] {
+        let Md5 { mut state, buffer } = self;
+        buffer.finish(u64::to_le_bytes, |blocks| compress_blocks(&mut state, blocks));
         let mut out = [0u8; 16];
-        for (i, word) in self.state.iter().enumerate() {
-            out[4 * i..4 * i + 4].copy_from_slice(&word.to_le_bytes());
+        for (chunk, word) in out.chunks_exact_mut(4).zip(state) {
+            chunk.copy_from_slice(&word.to_le_bytes());
         }
         out
     }
@@ -180,42 +149,47 @@ impl Md5 {
     /// the ISA-level analysis kernels, which must validate their simulated
     /// compression against the native one.
     #[must_use]
-    pub fn compress_block(state: [u32; 4], block: &[u8; 64]) -> [u32; 4] {
-        let mut h = Md5::new();
-        h.state = state;
-        h.compress(block);
-        h.state
+    pub fn compress_block(mut state: [u32; 4], block: &[u8; 64]) -> [u32; 4] {
+        compress_blocks(&mut state, block);
+        state
     }
+}
 
-    /// The MD5 block operation: 4 rounds of 16 steps over one 64-byte block.
-    fn compress(&mut self, block: &[u8; 64]) {
-        counters::count("md5_block", 1);
-        let mut m = [0u32; 16];
-        for (i, chunk) in block.chunks_exact(4).enumerate() {
-            m[i] = u32::from_le_bytes(chunk.try_into().expect("4-byte chunk"));
-        }
-        let [mut a, mut b, mut c, mut d] = self.state;
-        for i in 0..64 {
-            let (f, g) = match i / 16 {
-                0 => ((b & c) | (!b & d), i),
-                1 => ((d & b) | (!d & c), (5 * i + 1) % 16),
-                2 => (b ^ c ^ d, (3 * i + 5) % 16),
-                _ => (c ^ (b | !d), (7 * i) % 16),
-            };
-            let rotate = S[i / 16][i % 4];
-            let tmp = d;
-            d = c;
-            c = b;
-            b = b.wrapping_add(
-                a.wrapping_add(f).wrapping_add(T[i]).wrapping_add(m[g]).rotate_left(rotate),
-            );
-            a = tmp;
-        }
-        self.state[0] = self.state[0].wrapping_add(a);
-        self.state[1] = self.state[1].wrapping_add(b);
-        self.state[2] = self.state[2].wrapping_add(c);
-        self.state[3] = self.state[3].wrapping_add(d);
+/// Runs the block operation over a run of whole blocks.
+fn compress_blocks(state: &mut [u32; 4], blocks: &[u8]) {
+    let (blocks, rest) = blocks.as_chunks::<64>();
+    debug_assert!(rest.is_empty(), "partial block");
+    counters::count("md5_block", blocks.len() as u64);
+    blocks.iter().for_each(|block| compress(state, block));
+}
+
+/// The MD5 block operation: 4 rounds of 16 steps over one 64-byte block.
+fn compress(state: &mut [u32; 4], block: &[u8; 64]) {
+    let mut m = [0u32; 16];
+    for (i, chunk) in block.chunks_exact(4).enumerate() {
+        m[i] = u32::from_le_bytes(chunk.try_into().expect("4-byte chunk"));
     }
+    let [mut a, mut b, mut c, mut d] = *state;
+    for i in 0..64 {
+        let (f, g) = match i / 16 {
+            0 => ((b & c) | (!b & d), i),
+            1 => ((d & b) | (!d & c), (5 * i + 1) % 16),
+            2 => (b ^ c ^ d, (3 * i + 5) % 16),
+            _ => (c ^ (b | !d), (7 * i) % 16),
+        };
+        let rotate = S[i / 16][i % 4];
+        let tmp = d;
+        d = c;
+        c = b;
+        b = b.wrapping_add(
+            a.wrapping_add(f).wrapping_add(T[i]).wrapping_add(m[g]).rotate_left(rotate),
+        );
+        a = tmp;
+    }
+    state[0] = state[0].wrapping_add(a);
+    state[1] = state[1].wrapping_add(b);
+    state[2] = state[2].wrapping_add(c);
+    state[3] = state[3].wrapping_add(d);
 }
 
 #[cfg(test)]
@@ -266,15 +240,17 @@ mod tests {
         }
     }
 
+    /// Every padding shape (pad fits / spills into a second block / exact
+    /// block), one-shot against a byte at a time.
     #[test]
     fn boundary_lengths() {
-        // 55 bytes: padding fits in one block; 56: forces an extra block.
-        for len in [55usize, 56, 57, 63, 64, 65, 119, 120, 127, 128] {
-            let data = vec![0xabu8; len];
-            let d1 = Md5::digest(&data);
-            let mut h = Md5::new();
-            h.update(&data);
-            assert_eq!(h.finalize(), d1, "len {len}");
+        for len in [0usize, 1, 55, 56, 57, 63, 64, 65, 119, 120, 127, 128] {
+            let data: Vec<u8> = (0..len).map(|i| i as u8 ^ 0xab).collect();
+            let mut streamed = Md5::new();
+            for byte in &data {
+                streamed.update(std::slice::from_ref(byte));
+            }
+            assert_eq!(Md5::digest(&data), streamed.finalize(), "len {len}");
         }
     }
 

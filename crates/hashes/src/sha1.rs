@@ -1,5 +1,7 @@
 //! FIPS 180-2 SHA-1 secure hash.
 
+use crate::block::{BlockBuffer, BLOCK_LEN};
+use crate::Kernel;
 use sslperf_profile::counters;
 
 const INIT_STATE: [u32; 5] = [0x6745_2301, 0xefcd_ab89, 0x98ba_dcfe, 0x1032_5476, 0xc3d2_e1f0];
@@ -13,6 +15,10 @@ const K: [u32; 4] = [0x5a82_7999, 0x6ed9_eba1, 0x8f1b_bcdc, 0xca62_c1d6];
 /// and an 80-step block operation, making it the more compute-intensive of
 /// the two hashes.
 ///
+/// [`Sha1::new`] runs the block operation on the CPU's SHA unit when it has
+/// one and on the portable 80-step loop otherwise; [`Sha1::portable`] always
+/// runs the loop. Digests are identical either way.
+///
 /// # Examples
 ///
 /// ```
@@ -20,13 +26,16 @@ const K: [u32; 4] = [0x5a82_7999, 0x6ed9_eba1, 0x8f1b_bcdc, 0xca62_c1d6];
 ///
 /// let digest = Sha1::digest(b"abc");
 /// assert_eq!(digest[..4], [0xa9, 0x99, 0x3e, 0x36]);
+///
+/// let mut reference = Sha1::portable();
+/// reference.update(b"abc");
+/// assert_eq!(reference.finalize(), digest);
 /// ```
 #[derive(Debug, Clone)]
 pub struct Sha1 {
     state: [u32; 5],
-    len: u64,
-    buf: [u8; 64],
-    buf_len: usize,
+    kernel: Kernel,
+    buffer: BlockBuffer,
 }
 
 impl Default for Sha1 {
@@ -39,12 +48,27 @@ impl Sha1 {
     /// Digest length in bytes.
     pub const OUTPUT_LEN: usize = 20;
     /// Compression block length in bytes.
-    pub const BLOCK_LEN: usize = 64;
+    pub const BLOCK_LEN: usize = BLOCK_LEN;
 
-    /// Initializes the five 32-bit chaining registers (the *Init* phase).
+    /// Initializes the five 32-bit chaining registers (the *Init* phase),
+    /// selecting the hardware compression unit if this CPU has one.
     #[must_use]
     pub fn new() -> Self {
-        Sha1 { state: INIT_STATE, len: 0, buf: [0; 64], buf_len: 0 }
+        Sha1 { state: INIT_STATE, kernel: Kernel::detect(), buffer: BlockBuffer::new() }
+    }
+
+    /// Like [`Sha1::new`], but pinned to the portable software kernel
+    /// whatever the CPU offers: the reference the hardware unit is tested
+    /// against, and the kernel the paper's Table 10/11 rows measure.
+    #[must_use]
+    pub fn portable() -> Self {
+        Sha1 { kernel: Kernel::Portable, ..Self::new() }
+    }
+
+    /// Name of the compression kernel in use: `"ni"` or `"portable"`.
+    #[must_use]
+    pub fn backend_name(&self) -> &'static str {
+        self.kernel.name()
     }
 
     /// One-shot digest of `data`.
@@ -58,98 +82,82 @@ impl Sha1 {
     /// Absorbs `data`, running an 80-step block operation per 64-byte block
     /// (the *Update* phase).
     pub fn update(&mut self, data: &[u8]) {
-        self.len = self.len.wrapping_add(data.len() as u64);
-        let mut input = data;
-        if self.buf_len > 0 {
-            let take = (64 - self.buf_len).min(input.len());
-            self.buf[self.buf_len..self.buf_len + take].copy_from_slice(&input[..take]);
-            self.buf_len += take;
-            input = &input[take..];
-            if self.buf_len == 64 {
-                let block = self.buf;
-                self.compress(&block);
-                self.buf_len = 0;
-            }
-            if input.is_empty() {
-                // Nothing left for the tail copy below; returning here keeps
-                // the partially filled buffer intact.
-                return;
-            }
-        }
-        while input.len() >= 64 {
-            let (block, rest) = input.split_at(64);
-            self.compress(block.try_into().expect("64-byte split"));
-            input = rest;
-        }
-        self.buf[..input.len()].copy_from_slice(input);
-        self.buf_len = input.len();
+        let (kernel, state) = (self.kernel, &mut self.state);
+        self.buffer.update(data, |blocks| compress_blocks(kernel, state, blocks));
     }
 
     /// Pads the message, runs the final block operation(s) and returns the
     /// 160-bit digest (the *Final* phase).
     #[must_use]
-    pub fn finalize(mut self) -> [u8; 20] {
-        let bit_len = self.len.wrapping_mul(8);
-        self.update(&[0x80]);
-        while self.buf_len != 56 {
-            self.update(&[0]);
-        }
-        self.update(&bit_len.to_be_bytes());
-        debug_assert_eq!(self.buf_len, 0);
+    pub fn finalize(self) -> [u8; 20] {
+        let Sha1 { mut state, kernel, buffer } = self;
+        buffer.finish(u64::to_be_bytes, |blocks| compress_blocks(kernel, &mut state, blocks));
         let mut out = [0u8; 20];
-        for (i, word) in self.state.iter().enumerate() {
-            out[4 * i..4 * i + 4].copy_from_slice(&word.to_be_bytes());
+        for (chunk, word) in out.chunks_exact_mut(4).zip(state) {
+            chunk.copy_from_slice(&word.to_be_bytes());
         }
         out
     }
 
-    /// Runs one block operation on an explicit chaining state — exposed for
-    /// the ISA-level analysis kernels, which must validate their simulated
-    /// compression against the native one.
+    /// Runs one block operation of the portable kernel on an explicit
+    /// chaining state — exposed for the ISA-level analysis kernels, which
+    /// must validate their simulated compression against the native one.
     #[must_use]
-    pub fn compress_block(state: [u32; 5], block: &[u8; 64]) -> [u32; 5] {
-        let mut h = Sha1::new();
-        h.state = state;
-        h.compress(block);
-        h.state
-    }
-
-    /// The SHA-1 block operation: message schedule expansion + 80 steps.
-    fn compress(&mut self, block: &[u8; 64]) {
+    pub fn compress_block(mut state: [u32; 5], block: &[u8; 64]) -> [u32; 5] {
         counters::count("sha1_block", 1);
-        let mut w = [0u32; 80];
-        for (i, chunk) in block.chunks_exact(4).enumerate() {
-            w[i] = u32::from_be_bytes(chunk.try_into().expect("4-byte chunk"));
-        }
-        for i in 16..80 {
-            w[i] = (w[i - 3] ^ w[i - 8] ^ w[i - 14] ^ w[i - 16]).rotate_left(1);
-        }
-        let [mut a, mut b, mut c, mut d, mut e] = self.state;
-        for (i, &wi) in w.iter().enumerate() {
-            let f = match i / 20 {
-                0 => (b & c) | (!b & d),
-                1 => b ^ c ^ d,
-                2 => (b & c) | (b & d) | (c & d),
-                _ => b ^ c ^ d,
-            };
-            let tmp = a
-                .rotate_left(5)
-                .wrapping_add(f)
-                .wrapping_add(e)
-                .wrapping_add(K[i / 20])
-                .wrapping_add(wi);
-            e = d;
-            d = c;
-            c = b.rotate_left(30);
-            b = a;
-            a = tmp;
-        }
-        self.state[0] = self.state[0].wrapping_add(a);
-        self.state[1] = self.state[1].wrapping_add(b);
-        self.state[2] = self.state[2].wrapping_add(c);
-        self.state[3] = self.state[3].wrapping_add(d);
-        self.state[4] = self.state[4].wrapping_add(e);
+        compress(&mut state, block);
+        state
     }
+}
+
+/// Runs the block operation over a run of whole blocks on `kernel` — the
+/// one place the two kernels differ.
+fn compress_blocks(kernel: Kernel, state: &mut [u32; 5], blocks: &[u8]) {
+    let (blocks, rest) = blocks.as_chunks::<64>();
+    debug_assert!(rest.is_empty(), "partial block");
+    counters::count("sha1_block", blocks.len() as u64);
+    match kernel {
+        #[cfg(target_arch = "x86_64")]
+        Kernel::Ni => crate::ni::sha1_compress(state, blocks),
+        Kernel::Portable => blocks.iter().for_each(|block| compress(state, block)),
+    }
+}
+
+/// The portable SHA-1 block operation: message schedule expansion + 80
+/// steps.
+fn compress(state: &mut [u32; 5], block: &[u8; 64]) {
+    let mut w = [0u32; 80];
+    for (i, chunk) in block.chunks_exact(4).enumerate() {
+        w[i] = u32::from_be_bytes(chunk.try_into().expect("4-byte chunk"));
+    }
+    for i in 16..80 {
+        w[i] = (w[i - 3] ^ w[i - 8] ^ w[i - 14] ^ w[i - 16]).rotate_left(1);
+    }
+    let [mut a, mut b, mut c, mut d, mut e] = *state;
+    for (i, &wi) in w.iter().enumerate() {
+        let f = match i / 20 {
+            0 => (b & c) | (!b & d),
+            1 => b ^ c ^ d,
+            2 => (b & c) | (b & d) | (c & d),
+            _ => b ^ c ^ d,
+        };
+        let tmp = a
+            .rotate_left(5)
+            .wrapping_add(f)
+            .wrapping_add(e)
+            .wrapping_add(K[i / 20])
+            .wrapping_add(wi);
+        e = d;
+        d = c;
+        c = b.rotate_left(30);
+        b = a;
+        a = tmp;
+    }
+    state[0] = state[0].wrapping_add(a);
+    state[1] = state[1].wrapping_add(b);
+    state[2] = state[2].wrapping_add(c);
+    state[3] = state[3].wrapping_add(d);
+    state[4] = state[4].wrapping_add(e);
 }
 
 #[cfg(test)]
@@ -199,18 +207,60 @@ mod tests {
         }
     }
 
+    /// Every padding shape (pad fits / spills into a second block / exact
+    /// block) on the detected kernel, one-shot, against the portable kernel
+    /// fed a byte at a time.
     #[test]
     fn boundary_lengths() {
-        for len in [55usize, 56, 57, 63, 64, 65, 128] {
-            let data = vec![0x5au8; len];
-            assert_eq!(Sha1::digest(&data).len(), 20, "len {len}");
+        for len in [0usize, 1, 55, 56, 57, 63, 64, 65, 119, 120, 127, 128] {
+            let data: Vec<u8> = (0..len).map(|i| i as u8 ^ 0x5a).collect();
+            let mut streamed = Sha1::portable();
+            for byte in &data {
+                streamed.update(std::slice::from_ref(byte));
+            }
+            assert_eq!(Sha1::digest(&data), streamed.finalize(), "len {len}");
         }
     }
 
+    /// The unit total is the number of blocks whichever kernel runs them.
     #[test]
     fn counts_blocks() {
+        for mut h in [Sha1::new(), Sha1::portable()] {
+            let backend = h.backend_name();
+            let (_, snap) = counters::counted(|| {
+                h.update(&[0u8; 10]);
+                h.update(&[0u8; 54 + 640]);
+                h.finalize()
+            });
+            // 704 bytes of data + one padding block = 12 blocks.
+            assert_eq!(snap.units("sha1_block"), 12, "{backend}");
+        }
         let (_, snap) = counters::counted(|| Sha1::digest(&[0u8; 64]));
         // 64 bytes of data forces padding into a second block.
         assert_eq!(snap.units("sha1_block"), 2);
+    }
+
+    #[test]
+    fn portable_stays_portable() {
+        let mut h = Sha1::portable();
+        assert_eq!(h.backend_name(), "portable");
+        h.update(&[1u8; 200]);
+        assert_eq!(h.backend_name(), "portable");
+        let mut copy = h.clone();
+        assert_eq!(copy.backend_name(), "portable");
+        copy.update(&[2u8; 64]);
+        h.update(&[2u8; 64]);
+        assert_eq!(copy.backend_name(), "portable");
+        assert_eq!(copy.finalize(), h.finalize());
+    }
+
+    #[test]
+    fn new_selects_the_unit_exactly_when_the_cpu_has_it() {
+        #[cfg(target_arch = "x86_64")]
+        let expected = if crate::ni::available() { "ni" } else { "portable" };
+        #[cfg(not(target_arch = "x86_64"))]
+        let expected = "portable";
+        assert_eq!(Sha1::new().backend_name(), expected);
+        assert_eq!(Sha1::default().backend_name(), expected);
     }
 }

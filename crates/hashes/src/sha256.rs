@@ -1,5 +1,7 @@
 //! FIPS 180-2 SHA-256 secure hash.
 
+use crate::block::{BlockBuffer, BLOCK_LEN};
+use crate::Kernel;
 use sslperf_profile::counters;
 
 const INIT_STATE: [u32; 8] = [
@@ -13,8 +15,9 @@ const INIT_STATE: [u32; 8] = [
     0x5be0_cd19,
 ];
 
+/// The 64 round constants; the hardware kernel reads the same table.
 #[rustfmt::skip]
-const K: [u32; 64] = [
+pub(crate) const K: [u32; 64] = [
     0x428a_2f98, 0x7137_4491, 0xb5c0_fbcf, 0xe9b5_dba5,
     0x3956_c25b, 0x59f1_11f1, 0x923f_82a4, 0xab1c_5ed5,
     0xd807_aa98, 0x1283_5b01, 0x2431_85be, 0x550c_7dc3,
@@ -41,6 +44,11 @@ const K: [u32; 64] = [
 /// but block compressions still report to [`sslperf_profile::counters`]
 /// under `"sha256_block"` so anatomy passes can attribute the work.
 ///
+/// [`Sha256::new`] runs the block operation on the CPU's SHA unit when it
+/// has one and on the portable 64-round loop otherwise;
+/// [`Sha256::portable`] always runs the loop. Digests are identical either
+/// way.
+///
 /// # Examples
 ///
 /// ```
@@ -48,13 +56,16 @@ const K: [u32; 64] = [
 ///
 /// let digest = Sha256::digest(b"abc");
 /// assert_eq!(digest[..4], [0xba, 0x78, 0x16, 0xbf]);
+///
+/// let mut reference = Sha256::portable();
+/// reference.update(b"abc");
+/// assert_eq!(reference.finalize(), digest);
 /// ```
 #[derive(Debug, Clone)]
 pub struct Sha256 {
     state: [u32; 8],
-    len: u64,
-    buf: [u8; 64],
-    buf_len: usize,
+    kernel: Kernel,
+    buffer: BlockBuffer,
 }
 
 impl Default for Sha256 {
@@ -67,12 +78,27 @@ impl Sha256 {
     /// Digest length in bytes.
     pub const OUTPUT_LEN: usize = 32;
     /// Compression block length in bytes.
-    pub const BLOCK_LEN: usize = 64;
+    pub const BLOCK_LEN: usize = BLOCK_LEN;
 
-    /// Initializes the eight 32-bit chaining registers (the *Init* phase).
+    /// Initializes the eight 32-bit chaining registers (the *Init* phase),
+    /// selecting the hardware compression unit if this CPU has one.
     #[must_use]
     pub fn new() -> Self {
-        Sha256 { state: INIT_STATE, len: 0, buf: [0; 64], buf_len: 0 }
+        Sha256 { state: INIT_STATE, kernel: Kernel::detect(), buffer: BlockBuffer::new() }
+    }
+
+    /// Like [`Sha256::new`], but pinned to the portable software kernel
+    /// whatever the CPU offers: the reference the hardware unit is tested
+    /// against.
+    #[must_use]
+    pub fn portable() -> Self {
+        Sha256 { kernel: Kernel::Portable, ..Self::new() }
+    }
+
+    /// Name of the compression kernel in use: `"ni"` or `"portable"`.
+    #[must_use]
+    pub fn backend_name(&self) -> &'static str {
+        self.kernel.name()
     }
 
     /// One-shot digest of `data`.
@@ -86,89 +112,74 @@ impl Sha256 {
     /// Absorbs `data`, running a 64-round block operation per 64-byte block
     /// (the *Update* phase).
     pub fn update(&mut self, data: &[u8]) {
-        self.len = self.len.wrapping_add(data.len() as u64);
-        let mut input = data;
-        if self.buf_len > 0 {
-            let take = (64 - self.buf_len).min(input.len());
-            self.buf[self.buf_len..self.buf_len + take].copy_from_slice(&input[..take]);
-            self.buf_len += take;
-            input = &input[take..];
-            if self.buf_len == 64 {
-                let block = self.buf;
-                self.compress(&block);
-                self.buf_len = 0;
-            }
-            if input.is_empty() {
-                // Nothing left for the tail copy below; returning here keeps
-                // the partially filled buffer intact.
-                return;
-            }
-        }
-        while input.len() >= 64 {
-            let (block, rest) = input.split_at(64);
-            self.compress(block.try_into().expect("64-byte split"));
-            input = rest;
-        }
-        self.buf[..input.len()].copy_from_slice(input);
-        self.buf_len = input.len();
+        let (kernel, state) = (self.kernel, &mut self.state);
+        self.buffer.update(data, |blocks| compress_blocks(kernel, state, blocks));
     }
 
     /// Pads the message, runs the final block operation(s) and returns the
     /// 256-bit digest (the *Final* phase).
     #[must_use]
-    pub fn finalize(mut self) -> [u8; 32] {
-        let bit_len = self.len.wrapping_mul(8);
-        self.update(&[0x80]);
-        while self.buf_len != 56 {
-            self.update(&[0]);
-        }
-        self.update(&bit_len.to_be_bytes());
-        debug_assert_eq!(self.buf_len, 0);
+    pub fn finalize(self) -> [u8; 32] {
+        let Sha256 { mut state, kernel, buffer } = self;
+        buffer.finish(u64::to_be_bytes, |blocks| compress_blocks(kernel, &mut state, blocks));
         let mut out = [0u8; 32];
-        for (i, word) in self.state.iter().enumerate() {
-            out[4 * i..4 * i + 4].copy_from_slice(&word.to_be_bytes());
+        for (chunk, word) in out.chunks_exact_mut(4).zip(state) {
+            chunk.copy_from_slice(&word.to_be_bytes());
         }
         out
     }
+}
 
-    /// The SHA-256 block operation: message schedule expansion + 64 rounds.
-    fn compress(&mut self, block: &[u8; 64]) {
-        counters::count("sha256_block", 1);
-        let mut w = [0u32; 64];
-        for (i, chunk) in block.chunks_exact(4).enumerate() {
-            w[i] = u32::from_be_bytes(chunk.try_into().expect("4-byte chunk"));
-        }
-        for i in 16..64 {
-            let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
-            let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
-            w[i] = w[i - 16].wrapping_add(s0).wrapping_add(w[i - 7]).wrapping_add(s1);
-        }
-        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = self.state;
-        for i in 0..64 {
-            let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
-            let ch = (e & f) ^ (!e & g);
-            let t1 = h.wrapping_add(s1).wrapping_add(ch).wrapping_add(K[i]).wrapping_add(w[i]);
-            let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
-            let maj = (a & b) ^ (a & c) ^ (b & c);
-            let t2 = s0.wrapping_add(maj);
-            h = g;
-            g = f;
-            f = e;
-            e = d.wrapping_add(t1);
-            d = c;
-            c = b;
-            b = a;
-            a = t1.wrapping_add(t2);
-        }
-        self.state[0] = self.state[0].wrapping_add(a);
-        self.state[1] = self.state[1].wrapping_add(b);
-        self.state[2] = self.state[2].wrapping_add(c);
-        self.state[3] = self.state[3].wrapping_add(d);
-        self.state[4] = self.state[4].wrapping_add(e);
-        self.state[5] = self.state[5].wrapping_add(f);
-        self.state[6] = self.state[6].wrapping_add(g);
-        self.state[7] = self.state[7].wrapping_add(h);
+/// Runs the block operation over a run of whole blocks on `kernel` — the
+/// one place the two kernels differ.
+fn compress_blocks(kernel: Kernel, state: &mut [u32; 8], blocks: &[u8]) {
+    let (blocks, rest) = blocks.as_chunks::<64>();
+    debug_assert!(rest.is_empty(), "partial block");
+    counters::count("sha256_block", blocks.len() as u64);
+    match kernel {
+        #[cfg(target_arch = "x86_64")]
+        Kernel::Ni => crate::ni::sha256_compress(state, blocks),
+        Kernel::Portable => blocks.iter().for_each(|block| compress(state, block)),
     }
+}
+
+/// The portable SHA-256 block operation: message schedule expansion + 64
+/// rounds.
+fn compress(state: &mut [u32; 8], block: &[u8; 64]) {
+    let mut w = [0u32; 64];
+    for (i, chunk) in block.chunks_exact(4).enumerate() {
+        w[i] = u32::from_be_bytes(chunk.try_into().expect("4-byte chunk"));
+    }
+    for i in 16..64 {
+        let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
+        let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
+        w[i] = w[i - 16].wrapping_add(s0).wrapping_add(w[i - 7]).wrapping_add(s1);
+    }
+    let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
+    for i in 0..64 {
+        let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
+        let ch = (e & f) ^ (!e & g);
+        let t1 = h.wrapping_add(s1).wrapping_add(ch).wrapping_add(K[i]).wrapping_add(w[i]);
+        let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
+        let maj = (a & b) ^ (a & c) ^ (b & c);
+        let t2 = s0.wrapping_add(maj);
+        h = g;
+        g = f;
+        f = e;
+        e = d.wrapping_add(t1);
+        d = c;
+        c = b;
+        b = a;
+        a = t1.wrapping_add(t2);
+    }
+    state[0] = state[0].wrapping_add(a);
+    state[1] = state[1].wrapping_add(b);
+    state[2] = state[2].wrapping_add(c);
+    state[3] = state[3].wrapping_add(d);
+    state[4] = state[4].wrapping_add(e);
+    state[5] = state[5].wrapping_add(f);
+    state[6] = state[6].wrapping_add(g);
+    state[7] = state[7].wrapping_add(h);
 }
 
 #[cfg(test)]
@@ -221,18 +232,60 @@ mod tests {
         }
     }
 
+    /// Every padding shape (pad fits / spills into a second block / exact
+    /// block) on the detected kernel, one-shot, against the portable kernel
+    /// fed a byte at a time.
     #[test]
     fn boundary_lengths() {
-        for len in [55usize, 56, 57, 63, 64, 65, 128] {
-            let data = vec![0x5au8; len];
-            assert_eq!(Sha256::digest(&data).len(), 32, "len {len}");
+        for len in [0usize, 1, 55, 56, 57, 63, 64, 65, 119, 120, 127, 128] {
+            let data: Vec<u8> = (0..len).map(|i| i as u8 ^ 0x5a).collect();
+            let mut streamed = Sha256::portable();
+            for byte in &data {
+                streamed.update(std::slice::from_ref(byte));
+            }
+            assert_eq!(Sha256::digest(&data), streamed.finalize(), "len {len}");
         }
     }
 
+    /// The unit total is the number of blocks whichever kernel runs them.
     #[test]
     fn counts_blocks() {
+        for mut h in [Sha256::new(), Sha256::portable()] {
+            let backend = h.backend_name();
+            let (_, snap) = counters::counted(|| {
+                h.update(&[0u8; 10]);
+                h.update(&[0u8; 54 + 640]);
+                h.finalize()
+            });
+            // 704 bytes of data + one padding block = 12 blocks.
+            assert_eq!(snap.units("sha256_block"), 12, "{backend}");
+        }
         let (_, snap) = counters::counted(|| Sha256::digest(&[0u8; 64]));
         // 64 bytes of data forces padding into a second block.
         assert_eq!(snap.units("sha256_block"), 2);
+    }
+
+    #[test]
+    fn portable_stays_portable() {
+        let mut h = Sha256::portable();
+        assert_eq!(h.backend_name(), "portable");
+        h.update(&[1u8; 200]);
+        assert_eq!(h.backend_name(), "portable");
+        let mut copy = h.clone();
+        assert_eq!(copy.backend_name(), "portable");
+        copy.update(&[2u8; 64]);
+        h.update(&[2u8; 64]);
+        assert_eq!(copy.backend_name(), "portable");
+        assert_eq!(copy.finalize(), h.finalize());
+    }
+
+    #[test]
+    fn new_selects_the_unit_exactly_when_the_cpu_has_it() {
+        #[cfg(target_arch = "x86_64")]
+        let expected = if crate::ni::available() { "ni" } else { "portable" };
+        #[cfg(not(target_arch = "x86_64"))]
+        let expected = "portable";
+        assert_eq!(Sha256::new().backend_name(), expected);
+        assert_eq!(Sha256::default().backend_name(), expected);
     }
 }

@@ -92,17 +92,33 @@ const MT_FINISHED: u8 = 20;
 const HASH_LEN: usize = 32;
 
 /// `HKDF-Expand-Label`: expand with the `"tls13 "`-prefixed HkdfLabel info
-/// structure (§7.1).
+/// structure (§7.1). The only allocation is the returned key.
+///
+/// # Panics
+///
+/// Panics if `len`, the prefixed label or the context does not fit its
+/// HkdfLabel length field (two bytes, one byte and one byte).
 #[must_use]
 pub fn expand_label(secret: &[u8], label: &str, context: &[u8], len: usize) -> Vec<u8> {
-    let mut info = Vec::with_capacity(4 + 6 + label.len() + context.len());
-    info.extend_from_slice(&(len as u16).to_be_bytes());
-    info.push((6 + label.len()) as u8);
-    info.extend_from_slice(b"tls13 ");
-    info.extend_from_slice(label.as_bytes());
-    info.push(context.len() as u8);
-    info.extend_from_slice(context);
-    hkdf::expand(HashAlg::Sha256, secret, &info, len)
+    const PREFIX: &[u8] = b"tls13 ";
+    // uint16 length, opaque label<7..255>, opaque context<0..255>.
+    let mut info = [0u8; 2 + 1 + 255 + 1 + 255];
+    let out_len = u16::try_from(len).expect("HkdfLabel length too long");
+    let label_len = u8::try_from(PREFIX.len() + label.len()).expect("HkdfLabel label too long");
+    let context_len = u8::try_from(context.len()).expect("HkdfLabel context too long");
+    let mut at = 0;
+    for part in [
+        &out_len.to_be_bytes()[..],
+        &[label_len],
+        PREFIX,
+        label.as_bytes(),
+        &[context_len],
+        context,
+    ] {
+        info[at..at + part.len()].copy_from_slice(part);
+        at += part.len();
+    }
+    hkdf::expand(HashAlg::Sha256, secret, &info[..at], len)
 }
 
 /// `Derive-Secret(secret, label, transcript_hash)`.

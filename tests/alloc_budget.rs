@@ -194,6 +194,40 @@ fn steady_state_record_processing_allocates_nothing() {
 /// zero-allocation budget once its buffers are warmed: feed compaction is
 /// a `drain` (memmove), sealing appends into the warmed outbox, and
 /// opening is in place.
+/// The keyed hash constructions work on the stack: keying an HMAC, MACing
+/// and writing the tag allocate nothing (the key block and both pads used
+/// to be three `Vec`s per instance); `hkdf::expand` and `expand_label`
+/// allocate exactly the key they return.
+#[test]
+fn hmac_allocates_nothing_and_hkdf_only_its_result() {
+    use sslperf::hashes::{hkdf, HashAlg, Hmac};
+    let (key, long_key, data) = ([0x0bu8; 20], [0xaau8; 80], [0x42u8; 300]);
+    for alg in [HashAlg::Md5, HashAlg::Sha1, HashAlg::Sha256] {
+        let mut tag = [0u8; 32];
+        let tag = &mut tag[..alg.output_len()];
+        for key in [&key[..], &long_key[..]] {
+            let ((), allocated) = allocations_during(|| {
+                let mut mac = Hmac::new(alg, key);
+                mac.update(&data);
+                mac.finalize_into(tag);
+            });
+            assert_eq!(allocated, 0, "HMAC-{alg} with a {}-byte key", key.len());
+        }
+        assert_eq!(tag[..], Hmac::mac(alg, &long_key, &data)[..]);
+    }
+
+    // The HkdfLabel info of Expand-Label(secret, "key", "", 48), spanning
+    // two output blocks to cover the chained `T(n-1)` input as well.
+    let info = [&[0, 48, 9][..], b"tls13 key", &[0]].concat();
+    let (okm, allocated) = allocations_during(|| hkdf::expand(HashAlg::Sha256, &key, &info, 48));
+    assert_eq!(allocated, 1, "hkdf::expand allocates its result only");
+
+    let (label_key, allocated) =
+        allocations_during(|| sslperf::ssl::tls13::expand_label(&key, "key", b"", 48));
+    assert_eq!(allocated, 1, "expand_label allocates its result only");
+    assert_eq!(label_key, okm);
+}
+
 #[test]
 fn engine_steady_state_allocates_nothing() {
     const WARMUP: usize = 4;

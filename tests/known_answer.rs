@@ -128,32 +128,102 @@ fn md5_rfc1321_vectors() {
     }
 }
 
-/// FIPS 180-1 appendix A/B examples plus the million-'a' extreme.
-#[test]
-fn sha1_fips180_vectors() {
-    assert_eq!(hex(&Sha1::digest(b"abc")), "a9993e364706816aba3e25717850c26c9cd0d89d");
-    assert_eq!(
-        hex(&Sha1::digest(b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq")),
-        "84983e441c3bd26ebaae4aa1f95129e5e54670f1"
-    );
-    // FIPS 180-1 appendix C: one million repetitions of 'a', fed in
-    // uneven chunks to exercise the streaming path's block boundaries.
-    let mut hasher = Sha1::new();
+/// Feeds one million 'a's in uneven chunks, to exercise the streaming
+/// path's block boundaries (FIPS 180 appendix: the long-message example).
+fn million_a(mut update: impl FnMut(&[u8])) {
     let chunk = [b'a'; 997];
     let mut remaining = 1_000_000usize;
     while remaining > 0 {
         let take = remaining.min(chunk.len());
-        hasher.update(&chunk[..take]);
+        update(&chunk[..take]);
         remaining -= take;
     }
-    assert_eq!(hex(&hasher.finalize()), "34aa973cd4c4daa4f61eeb2bdbad27316534016f");
 }
 
-/// The empty-message SHA-1 digest, pinned separately (a classic
-/// regression spot for padding logic).
+/// Whether `new()` picked the hardware SHA unit on this CPU; says why the
+/// unit's cases are skipped when it did not.
+fn sha_unit_present() -> bool {
+    let present = Sha1::new().backend_name() == "ni";
+    if !present {
+        eprintln!("skipped: SHA-unit cases (this CPU has no `sha` extension)");
+    }
+    present
+}
+
+/// FIPS 180-1 appendix A/B examples, the empty message (a classic
+/// regression spot for padding logic) and the million-'a' extreme, once
+/// per compression kernel.
 #[test]
-fn sha1_empty_message() {
+fn sha1_fips180_vectors_on_every_kernel() {
+    let mut kernels: Vec<fn() -> Sha1> = vec![Sha1::portable];
+    if sha_unit_present() {
+        kernels.push(Sha1::new);
+    }
+    for init in kernels {
+        let name = init().backend_name();
+        let digest = |data: &[u8]| {
+            let mut h = init();
+            h.update(data);
+            hex(&h.finalize())
+        };
+        assert_eq!(digest(b""), "da39a3ee5e6b4b0d3255bfef95601890afd80709", "{name}");
+        assert_eq!(digest(b"abc"), "a9993e364706816aba3e25717850c26c9cd0d89d", "{name}");
+        assert_eq!(
+            digest(b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq"),
+            "84983e441c3bd26ebaae4aa1f95129e5e54670f1",
+            "{name}"
+        );
+        let mut hasher = init();
+        million_a(|chunk| hasher.update(chunk));
+        assert_eq!(hex(&hasher.finalize()), "34aa973cd4c4daa4f61eeb2bdbad27316534016f", "{name}");
+    }
+    // The one-shot entry point every caller uses.
+    assert_eq!(hex(&Sha1::digest(b"abc")), "a9993e364706816aba3e25717850c26c9cd0d89d");
     assert_eq!(hex(&Sha1::digest(b"")), "da39a3ee5e6b4b0d3255bfef95601890afd80709");
+}
+
+/// FIPS 180-2 appendix B examples, the empty message and the million-'a'
+/// extreme for SHA-256, once per compression kernel.
+#[test]
+fn sha256_fips180_vectors_on_every_kernel() {
+    let mut kernels: Vec<fn() -> Sha256> = vec![Sha256::portable];
+    if sha_unit_present() {
+        kernels.push(Sha256::new);
+    }
+    for init in kernels {
+        let name = init().backend_name();
+        let digest = |data: &[u8]| {
+            let mut h = init();
+            h.update(data);
+            hex(&h.finalize())
+        };
+        assert_eq!(
+            digest(b""),
+            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+            "{name}"
+        );
+        assert_eq!(
+            digest(b"abc"),
+            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad",
+            "{name}"
+        );
+        assert_eq!(
+            digest(b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq"),
+            "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1",
+            "{name}"
+        );
+        let mut hasher = init();
+        million_a(|chunk| hasher.update(chunk));
+        assert_eq!(
+            hex(&hasher.finalize()),
+            "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0",
+            "{name}"
+        );
+    }
+    assert_eq!(
+        hex(&Sha256::digest(b"abc")),
+        "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
+    );
 }
 
 /// RFC 2202 §2 — all seven HMAC-MD5 test cases.

@@ -582,6 +582,68 @@ proptest! {
             prop_assert_eq!(via_ni.to_vec(), block);
         }
     }
+
+    /// SHA kernels in lockstep: the kernel `new()` detects (the SHA unit
+    /// where the CPU has one), fed in three pieces so a buffered head, a
+    /// multi-block run and a tail all occur, against the portable kernel
+    /// one-shot. The keyed constructions are hand-rolled over
+    /// `Sha1::portable()` and compared with `ssl::mac::compute` and
+    /// `Hmac::mac`, which run on the detected kernel as every caller does.
+    #[test]
+    fn sha_unit_agrees_with_portable_kernel(
+        data in vec(any::<u8>(), 0..=4096),
+        cut_a in any::<prop::sample::Index>(),
+        cut_b in any::<prop::sample::Index>(),
+        key in vec(any::<u8>(), 0..100),
+        seq in any::<u64>(),
+    ) {
+        use sslperf::hashes::Sha256;
+        static WHY_SKIPPED: std::sync::Once = std::sync::Once::new();
+        if Sha1::new().backend_name() != "ni" {
+            // Still a valid streaming property, but not a cross-kernel one.
+            WHY_SKIPPED.call_once(|| eprintln!(
+                "skipped: SHA unit absent (no `sha` extension), comparing portable to itself"
+            ));
+        }
+        let (a, b) = (cut_a.index(data.len() + 1), cut_b.index(data.len() + 1));
+        let (a, b) = (a.min(b), a.max(b));
+        let pieces = [&data[..a], &data[a..b], &data[b..]];
+
+        let (mut unit, mut reference) = (Sha1::new(), Sha1::portable());
+        pieces.iter().for_each(|p| unit.update(p));
+        reference.update(&data);
+        prop_assert_eq!(unit.finalize(), reference.finalize());
+
+        let (mut unit, mut reference) = (Sha256::new(), Sha256::portable());
+        pieces.iter().for_each(|p| unit.update(p));
+        reference.update(&data);
+        prop_assert_eq!(unit.finalize(), reference.finalize());
+
+        let sha1_portable = |parts: &[&[u8]]| {
+            let mut h = Sha1::portable();
+            parts.iter().for_each(|p| h.update(p));
+            h.finalize()
+        };
+        // SSLv3 MAC: hash(secret ‖ pad2 ‖ hash(secret ‖ pad1 ‖ seq ‖ type ‖ len ‖ data)).
+        let len = (data.len() as u16).to_be_bytes();
+        let inner = sha1_portable(&[&key, &[0x36; 40], &seq.to_be_bytes(), &[23], &len, &data]);
+        let ssl3 = sha1_portable(&[&key, &[0x5c; 40], &inner]);
+        prop_assert_eq!(
+            sslperf::ssl::mac::compute(HashAlg::Sha1, &key, seq, 23, &data),
+            ssl3.to_vec()
+        );
+        // HMAC: hash((K ^ opad) ‖ hash((K ^ ipad) ‖ data)), K zero-padded
+        // to the block (hashed first when longer than it).
+        let mut block = [0u8; 64];
+        if key.len() > 64 {
+            block[..20].copy_from_slice(&sha1_portable(&[&key]));
+        } else {
+            block[..key.len()].copy_from_slice(&key);
+        }
+        let inner = sha1_portable(&[&block.map(|k| k ^ 0x36), &data]);
+        let hmac = sha1_portable(&[&block.map(|k| k ^ 0x5c), &inner]);
+        prop_assert_eq!(Hmac::mac(HashAlg::Sha1, &key, &data), hmac.to_vec());
+    }
 }
 
 // ---- batched RSA decryption ----
