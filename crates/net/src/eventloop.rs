@@ -6,7 +6,26 @@
 //! each socket's readiness allows — partial reads feed the engine
 //! byte-by-byte, partial writes drain its outbound buffer, and the
 //! engine's own buffering reassembles records and handshake messages
-//! split across arbitrary TCP boundaries. A thread-per-connection server
+//! split across arbitrary TCP boundaries.
+//!
+//! A response is a producer the write phase pulls from, never a buffer:
+//! a request installs a [`ResponseStream`](sslperf_websim::http::ResponseStream)
+//! cursor on its connection, and each pump, before each `write`, generates
+//! fragments into the shard's scratch buffer and seals them until the
+//! outbox holds four records (64 KiB) — at most four records per pump,
+//! after which the shard moves on to its other connections and comes back.
+//! So a connection holds four sealed records (five for the instant before
+//! a write) however large its document or slow its reader, a bulk
+//! download costs its neighbours one refill of latency rather than one
+//! document, and the client opens record 1 while record 5 is being
+//! sealed. While a response is pending the connection reads nothing and
+//! opens no further request, so pipelined requests are answered in order
+//! and the inbox keeps its bound too. Every response takes this path —
+//! documents of any size, 404s, the `/metrics` exposition, either
+//! protocol machine — and a 1 KiB one is one fragment, one refill, one
+//! write.
+//!
+//! A thread-per-connection server
 //! caps its concurrency at its thread count; one shard carries an order
 //! of magnitude more concurrent handshakes, which is the C10k argument
 //! the paper's serving analysis leads to (the `loaded_server` experiment
@@ -24,19 +43,24 @@
 //! accepts bytes before its deadline is counted in
 //! [`ServerStats::timeouts`] and closed with an alert — fatal
 //! `handshake_failure` mid-handshake (a slowloris suspect), orderly
-//! `close_notify` once established. A peer that half-closes (EOF on read)
-//! still gets everything already queued for it: the connection stops
-//! reading and drains its outbound buffer before it is dropped.
+//! `close_notify` once established; either way whatever was left of a
+//! pending response is dropped, so the alert is the last thing sent. A
+//! peer that half-closes (EOF on read) is still owed everything it asked
+//! for. Reads pause while a response is pending, so the EOF is normally
+//! seen only after the last fragment is sealed; the connection then stops
+//! reading, drains its outbound buffer and is dropped — and the rule is
+//! stated on the state, not on that ordering: a draining connection is
+//! done when the outbox is empty *and* no response is pending.
 
 use crate::cache::ShardedSessionCache;
 use crate::cryptopool::{CryptoPool, EngineProfile, PoolReply, SubmitError};
 use crate::metrics::ServerMetrics;
-use crate::server::{alert_for_close, build_config, serve_request, ServerOptions, ServerStats};
+use crate::server::{alert_for_close, build_config, Outgoing, ServerOptions, ServerStats};
 use sslperf_profile::measure;
 use sslperf_rng::SslRng;
 use sslperf_rsa::RsaPrivateKey;
 use sslperf_ssl::alert::{Alert, AlertDescription};
-use sslperf_ssl::{CryptoJob, Engine, ServerConfig, ServerMachine, SslError};
+use sslperf_ssl::{CryptoJob, Engine, ServerConfig, ServerMachine, SslError, MAX_FRAGMENT};
 use sslperf_websim::http::HttpRequest;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -49,9 +73,22 @@ use std::time::{Duration, Instant};
 /// How long an idle shard sleeps before re-sweeping its sockets.
 const IDLE_SLEEP: Duration = Duration::from_micros(500);
 
-/// Per-sweep read buffer; one per shard thread, reused by every
-/// connection it owns.
-const SCRATCH_LEN: usize = 16 * 1024;
+/// Per-sweep I/O buffer, one per shard thread and reused by every
+/// connection it owns: reads land in it, and the write phase generates
+/// each response fragment into it. Exactly one maximum record fragment, so
+/// sealing it whole cuts the records a seal of the whole response would.
+const SCRATCH_LEN: usize = MAX_FRAGMENT;
+
+/// The write phase tops a connection's outbox up to this many sealed bytes
+/// (four full records) before each `write` and no further: with a response
+/// pending, the outbox never holds more than this plus one sealed record.
+const OUTBOX_LOW_WATER: usize = 4 * MAX_FRAGMENT;
+
+/// Most records one pump seals for one connection. Loopback rarely
+/// blocks, so without this bound one pump ships a whole document and the
+/// shard serves nobody else meanwhile; with it a bulk download yields to
+/// the other connections every four records.
+const REFILLS_PER_PUMP: usize = 4;
 
 /// Where a shard gets new sockets from.
 ///
@@ -375,8 +412,14 @@ struct Conn<'a> {
     /// A job the pool bounced (queue full) plus the admission ticket that
     /// holds its place in line; resubmitted next sweep.
     parked: Option<(CryptoJob, u64)>,
-    /// Closing: no more reads, just flush the outbound buffer (which ends
-    /// with an alert, unless the peer half-closed first) and finish.
+    /// The response being streamed out, from the request that asked for it
+    /// until its last fragment is sealed. While one is pending nothing is
+    /// read and no further request is opened: pipelined requests wait in
+    /// the socket and the engine's bounded inbox, and stay ordered.
+    outgoing: Option<Outgoing>,
+    /// Closing: no more reads, just send what is owed — the rest of a
+    /// pending response, then the outbound buffer (which ends with an
+    /// alert, unless the peer half-closed first) — and finish.
     draining: bool,
     /// Finished; the shard drops the connection on its next sweep.
     done: bool,
@@ -410,6 +453,7 @@ impl<'a> Conn<'a> {
             counted: false,
             inflight: false,
             parked: None,
+            outgoing: None,
             draining: false,
             done: false,
             metrics,
@@ -437,7 +481,7 @@ impl<'a> Conn<'a> {
 
     /// Makes whatever progress the socket allows: deadline check, parked
     /// crypto-job retry, read + feed, job submission, request serving,
-    /// write. Returns true when anything moved.
+    /// refill + write. Returns true when anything moved.
     fn pump(
         &mut self,
         stats: &ServerStats,
@@ -473,6 +517,9 @@ impl<'a> Conn<'a> {
                         } else {
                             Alert::fatal(AlertDescription::HandshakeFailure)
                         };
+                        // Whoever let a response stall this long is not
+                        // reading it: the alert is the last thing sent.
+                        self.outgoing = None;
                         if self.engine.queue_alert(alert).is_ok() {
                             stats.alerts_sent.fetch_add(1, Ordering::Relaxed);
                         }
@@ -484,7 +531,10 @@ impl<'a> Conn<'a> {
         }
 
         // Read phase: pull whatever the socket has and feed the engine.
-        while !self.draining && !self.done {
+        // Not while a response is pending — later requests wait in the
+        // socket, so the inbox stays within its bound and nothing read is
+        // ever dropped for want of room.
+        while !self.draining && !self.done && self.outgoing.is_none() {
             match self.stream.read(scratch) {
                 // EOF: the peer half-closed. Nothing more will arrive, but
                 // whatever is already queued for it must still go out.
@@ -510,9 +560,15 @@ impl<'a> Conn<'a> {
             self.drain_requests(stats);
         }
 
-        // Write phase: flush the engine's outbound buffer as far as the
-        // socket accepts, keeping the rest queued for the next sweep.
-        while !self.done && self.engine.wants_write() {
+        // Write phase: top the outbox up from the pending response, flush
+        // it as far as the socket accepts, and keep the rest — sealed and
+        // not yet generated alike — for the next sweep.
+        let mut refills = REFILLS_PER_PUMP;
+        while !self.done {
+            self.refill(scratch, stats, &mut refills);
+            if !self.engine.wants_write() {
+                break;
+            }
             match self.stream.write(self.engine.output()) {
                 Ok(0) => self.done = true,
                 Ok(n) => {
@@ -526,11 +582,36 @@ impl<'a> Conn<'a> {
             }
         }
 
-        // A draining connection is finished once its goodbye is flushed.
-        if self.draining && !self.engine.wants_write() {
+        // A draining connection is finished once everything it owed is
+        // flushed: the rest of a pending response, then its goodbye.
+        if self.draining && self.outgoing.is_none() && !self.engine.wants_write() {
             self.done = true;
         }
         progress
+    }
+
+    /// Seals the pending response's next fragments into the outbox: up to
+    /// [`OUTBOX_LOW_WATER`] bytes queued, at most `refills` records (the
+    /// pump's remaining budget, decremented here). The fragment that ends a
+    /// response counts the transaction and opens the next pipelined
+    /// request, if one is already buffered.
+    fn refill(&mut self, scratch: &mut [u8], stats: &ServerStats, refills: &mut usize) {
+        while *refills > 0 && self.engine.pending_output() < OUTBOX_LOW_WATER {
+            let Some(outgoing) = self.outgoing.as_mut() else { return };
+            if let Err(e) = outgoing.seal_next(&mut self.engine, scratch) {
+                self.fail(&e, stats);
+                return;
+            }
+            *refills -= 1;
+            if outgoing.is_done() {
+                if let Some(m) = self.metrics {
+                    outgoing.report(m);
+                }
+                stats.transactions.fetch_add(1, Ordering::Relaxed);
+                self.outgoing = None;
+                self.drain_requests(stats);
+            }
+        }
     }
 
     /// Feeds freshly read bytes through the engine, serving requests as
@@ -668,15 +749,18 @@ impl<'a> Conn<'a> {
         }
     }
 
-    /// Opens every complete buffered application record and seals a
-    /// response for each — the HTTP transaction loop, event-loop style.
+    /// Opens the next complete buffered application record and installs
+    /// the response to it for the write phase to stream — the HTTP
+    /// transaction loop, event-loop style. One response at a time: with
+    /// one pending, later requests stay buffered until [`Conn::refill`]
+    /// seals its last fragment and calls back here.
     ///
-    /// With metrics on, each open and seal is timed end-to-end (pure
-    /// compute here — the sans-io engine never touches the socket), and
-    /// the crypto-kernel share is read as the delta of the record layer's
-    /// monotone crypto counter around the call.
+    /// With metrics on, the open is timed end-to-end (pure compute here —
+    /// the sans-io engine never touches the socket), and the crypto-kernel
+    /// share is read as the delta of the record layer's monotone crypto
+    /// counter around the call.
     fn drain_requests(&mut self, stats: &ServerStats) {
-        while !self.draining {
+        while !self.draining && self.outgoing.is_none() {
             let crypto_before = self.engine.machine().record_crypto_cycles();
             let (opened, open_cycles) = measure(|| self.engine.open_next());
             match opened {
@@ -685,39 +769,25 @@ impl<'a> Conn<'a> {
                         let crypto = self.engine.machine().record_crypto_cycles() - crypto_before;
                         m.note_record_open(range.len(), open_cycles, crypto);
                     }
-                    let response = match HttpRequest::parse(&self.engine.buffered()[range]) {
-                        Ok(request) => serve_request(&request, self.metrics),
-                        Err(e) => {
-                            self.fail(&e, stats);
-                            return;
+                    match HttpRequest::parse(&self.engine.buffered()[range]) {
+                        Ok(request) => {
+                            self.outgoing = Some(Outgoing::for_request(&request, self.metrics));
                         }
-                    };
-                    let body = response.to_bytes();
-                    let crypto_before = self.engine.machine().record_crypto_cycles();
-                    let (sealed, seal_cycles) = measure(|| self.engine.seal(&body));
-                    if let Err(e) = sealed {
-                        self.fail(&e, stats);
-                        return;
+                        Err(e) => self.fail(&e, stats),
                     }
-                    if let Some(m) = self.metrics {
-                        let crypto = self.engine.machine().record_crypto_cycles() - crypto_before;
-                        m.note_record_seal(body.len(), seal_cycles, crypto);
-                    }
-                    stats.transactions.fetch_add(1, Ordering::Relaxed);
                 }
                 Ok(None) => return,
-                Err(e) => {
-                    self.fail(&e, stats);
-                    return;
-                }
+                Err(e) => self.fail(&e, stats),
             }
         }
     }
 
-    /// Starts an orderly close after `error`: count it, queue the proper
-    /// alert (close_notify reply, fatal alert, or silence for transport
-    /// failures), and switch to draining.
+    /// Starts an orderly close after `error`: count it, drop whatever is
+    /// left of a pending response so the alert is the last thing sent,
+    /// queue the proper alert (close_notify reply, fatal alert, or silence
+    /// for transport failures), and switch to draining.
     fn fail(&mut self, error: &SslError, stats: &ServerStats) {
+        self.outgoing = None;
         match error {
             SslError::PeerAlert(alert) if alert.is_close_notify() => {
                 if self.engine.queue_close_notify().is_ok() {
@@ -741,11 +811,16 @@ impl<'a> Conn<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sslperf_ssl::{CipherSuite, SslClient, MAX_RECORD_BODY};
+    use sslperf_websim::http::{synthesize_document, HttpResponse, ResponseStream};
+
+    fn unit_key() -> RsaPrivateKey {
+        let mut rng = SslRng::from_seed(b"eventloop-unit-key");
+        RsaPrivateKey::generate(512, &mut rng).expect("keygen")
+    }
 
     fn start(options: &ServerOptions) -> EventLoopServer {
-        let mut rng = SslRng::from_seed(b"eventloop-unit-key");
-        let key = RsaPrivateKey::generate(512, &mut rng).expect("keygen");
-        EventLoopServer::start(key, "unit.sslperf.test", options).expect("server start")
+        EventLoopServer::start(unit_key(), "unit.sslperf.test", options).expect("server start")
     }
 
     /// The pool is built from one profile list: no profiles and no
@@ -762,5 +837,187 @@ mod tests {
         assert!(pooled.kill_crypto_engine(0));
         assert!(pooled.kill_crypto_engine(1));
         pooled.shutdown();
+    }
+
+    const IO_TIMEOUT: Duration = Duration::from_secs(5);
+
+    /// One `Conn` and the client it serves, joined by a loopback socket
+    /// pair and both driven from the test thread — no shard, no sleeps,
+    /// so a test decides exactly who reads, who pumps, and what time it is.
+    struct Harness<'a> {
+        conn: Conn<'a>,
+        stats: ServerStats,
+        scratch: Vec<u8>,
+        client: Engine<SslClient>,
+        socket: TcpStream,
+        /// The plaintext the client has opened, and the length of each
+        /// application record it came in.
+        received: Vec<u8>,
+        record_lens: Vec<usize>,
+    }
+
+    fn unit_config() -> ServerConfig {
+        ServerConfig::new(unit_key(), "unit.sslperf.test").expect("config")
+    }
+
+    impl<'a> Harness<'a> {
+        /// Connects the pair and completes the handshake.
+        fn establish(config: &'a ServerConfig) -> Self {
+            let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+            let socket = TcpStream::connect(listener.local_addr().expect("addr")).expect("connect");
+            socket.set_nonblocking(true).expect("nonblocking");
+            let (accepted, _) = listener.accept().expect("accept");
+            let conn =
+                Conn::accept(accepted, config, 1, "unit-conn", Some(IO_TIMEOUT), false, None)
+                    .expect("socket setup");
+            let rng = SslRng::from_seed(b"unit-client");
+            let client =
+                Engine::new(SslClient::new(CipherSuite::RsaAes128Sha, rng)).expect("hello");
+            let mut harness = Harness {
+                conn,
+                stats: ServerStats::default(),
+                scratch: vec![0u8; SCRATCH_LEN],
+                client,
+                socket,
+                received: Vec::new(),
+                record_lens: Vec::new(),
+            };
+            harness.run_until("handshake", |h| {
+                h.client.is_established() && h.conn.engine.is_established()
+            });
+            harness
+        }
+
+        fn pump(&mut self, now: Instant) -> bool {
+            self.conn.pump(&self.stats, &mut self.scratch, now, None)
+        }
+
+        /// Seals one GET per path and writes them all in a single flight.
+        fn request(&mut self, paths: &[&str]) {
+            for path in paths {
+                let request = format!("GET {path} HTTP/1.0\r\n\r\n");
+                self.client.seal(request.as_bytes()).expect("seal request");
+            }
+            self.client_write();
+        }
+
+        fn client_write(&mut self) {
+            while self.client.wants_write() {
+                match self.socket.write(self.client.output()) {
+                    Ok(n) => self.client.consume_output(n),
+                    Err(e) if e.kind() == ErrorKind::WouldBlock => break,
+                    Err(e) => panic!("client write: {e}"),
+                }
+            }
+        }
+
+        /// Reads whatever the server sent and opens every complete record.
+        fn client_read(&mut self) {
+            let mut buf = [0u8; 8192];
+            loop {
+                let n = match self.socket.read(&mut buf) {
+                    Ok(0) => return,
+                    Ok(n) => n,
+                    Err(e) if e.kind() == ErrorKind::WouldBlock => return,
+                    Err(e) => panic!("client read: {e}"),
+                };
+                let mut offset = 0;
+                while offset < n {
+                    offset += self.client.feed(&buf[offset..n]).expect("feed");
+                    while self.client.is_established() {
+                        let Some(range) = self.client.open_next().expect("open") else { break };
+                        self.record_lens.push(range.len());
+                        self.received.extend_from_slice(&self.client.buffered()[range]);
+                    }
+                }
+            }
+        }
+
+        /// Drives both ends, the client reading, until `done` holds.
+        fn run_until(&mut self, what: &str, done: impl Fn(&Self) -> bool) {
+            let give_up = Instant::now() + Duration::from_secs(20);
+            while !done(self) {
+                assert!(Instant::now() < give_up, "timed out waiting for {what}");
+                self.client_write();
+                self.pump(Instant::now());
+                self.client_read();
+            }
+        }
+    }
+
+    /// Asserts `wire` is exactly the `200 OK` carrying `path`'s document.
+    fn assert_document(wire: &[u8], path: &str, size: usize) {
+        let response = HttpResponse::parse(wire).expect("one complete response");
+        assert_eq!(response.status(), 200);
+        assert!(response.body() == synthesize_document(path, size), "body is byte-exact");
+    }
+
+    /// A client that asks for 1 GiB and never reads costs the server four
+    /// sealed records, not a document — and is evicted like any stalled
+    /// peer.
+    #[test]
+    fn unread_response_is_bounded_by_the_low_water_mark() {
+        let config = unit_config();
+        let mut h = Harness::establish(&config);
+        h.request(&["/doc_1073741824.bin"]);
+
+        // Pump to WouldBlock: the request is in, the socket is full.
+        let give_up = Instant::now() + Duration::from_secs(20);
+        while h.pump(Instant::now()) || h.conn.outgoing.is_none() {
+            assert!(Instant::now() < give_up, "socket never blocked");
+        }
+        let bound = OUTBOX_LOW_WATER + 5 + MAX_RECORD_BODY;
+        let held = h.conn.engine.pending_output();
+        assert!(held >= OUTBOX_LOW_WATER && held <= bound, "outbox holds {held}");
+        for _ in 0..100 {
+            assert!(!h.pump(Instant::now()), "nothing can move while the peer does not read");
+            assert_eq!(h.conn.engine.pending_output(), held, "and nothing more is sealed");
+        }
+        assert!(h.conn.outgoing.is_some() && !h.conn.done);
+
+        // The deadline passes: the rest of the document is dropped for a
+        // close_notify, and one more window later the connection goes.
+        let late = Instant::now() + 2 * IO_TIMEOUT;
+        h.pump(late);
+        assert_eq!(h.stats.timeouts(), 1);
+        assert!(h.conn.draining && h.conn.outgoing.is_none() && !h.conn.done);
+        assert!(h.conn.engine.pending_output() <= bound + 64, "the alert rides behind the records");
+        h.pump(late + 2 * IO_TIMEOUT);
+        assert!(h.conn.done);
+        assert_eq!(h.stats.transactions(), 0, "an unfinished response is not a transaction");
+    }
+
+    /// Two requests written in one flight are answered whole and in order,
+    /// each cut into the records one `seal` of it would have produced.
+    #[test]
+    fn pipelined_requests_are_answered_in_order() {
+        let config = unit_config();
+        let mut h = Harness::establish(&config);
+        let len = ResponseStream::document("/doc_40000.bin", 40_000).remaining();
+        h.request(&["/doc_40000.bin", "/doc_40000.bin"]);
+        h.run_until("two responses", |h| h.received.len() >= 2 * len);
+
+        assert_eq!(h.received.len(), 2 * len);
+        assert_document(&h.received[..len], "/doc_40000.bin", 40_000);
+        assert_document(&h.received[len..], "/doc_40000.bin", 40_000);
+        let tail = len - 2 * MAX_FRAGMENT;
+        assert_eq!(
+            h.record_lens,
+            [MAX_FRAGMENT, MAX_FRAGMENT, tail, MAX_FRAGMENT, MAX_FRAGMENT, tail]
+        );
+        assert_eq!(h.stats.transactions(), 2);
+        assert!(h.conn.outgoing.is_none() && !h.conn.engine.wants_write());
+    }
+
+    /// The small-document path is what it was: one fragment, one refill,
+    /// one application-data record.
+    #[test]
+    fn small_document_is_one_record() {
+        let config = unit_config();
+        let mut h = Harness::establish(&config);
+        h.request(&["/doc_1024.bin"]);
+        h.run_until("the response", |h| !h.received.is_empty() && h.stats.transactions() == 1);
+        assert_eq!(h.record_lens.len(), 1);
+        assert_document(&h.received, "/doc_1024.bin", 1024);
     }
 }

@@ -9,8 +9,10 @@ use crate::metrics::ServerMetrics;
 use sslperf_profile::{measure, Cycles};
 use sslperf_rsa::RsaPrivateKey;
 use sslperf_ssl::alert::{Alert, AlertDescription};
-use sslperf_ssl::{ServerConfig, SslError, TicketKeyring, TicketSessionStore};
-use sslperf_websim::http::{synthesize_document, HttpRequest, HttpResponse};
+use sslperf_ssl::{
+    Engine, ServerConfig, ServerMachine, SslError, TicketKeyring, TicketSessionStore,
+};
+use sslperf_websim::http::{HttpRequest, HttpResponse, ResponseStream};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -544,30 +546,83 @@ pub(crate) fn alert_for_close(error: &SslError) -> Option<Alert> {
     }
 }
 
-/// Builds the response for one parsed request: the live-metrics exposition
-/// for `GET /metrics` when the registry is on, the synthesized document
-/// otherwise. Document synthesis is measured into the registry's "other"
-/// bucket (Table 1's non-SSL share); the exposition itself is not — it is
-/// observability, not workload.
-pub(crate) fn serve_request(
-    request: &HttpRequest,
-    metrics: Option<&ServerMetrics>,
-) -> HttpResponse {
-    if let Some(m) = metrics {
-        if request.path() == "/metrics" {
-            return HttpResponse::ok(m.snapshot().render().into_bytes());
-        }
-        let (response, cycles) = measure(|| respond(request));
-        m.note_response(cycles);
-        return response;
-    }
-    respond(request)
+/// One response on its way out: the producer the event loop's write phase
+/// pulls fragments from, plus the anatomy those pulls cost. The cycles are
+/// gathered refill by refill and reach the registry once, when the last
+/// fragment is sealed, so its per-transaction totals keep their shape: one
+/// seal and one response per transaction however many refills it took.
+#[derive(Debug)]
+pub(crate) struct Outgoing {
+    stream: ResponseStream,
+    /// Whether the response is workload (a document, a 404) and so counts
+    /// as a transaction in Table 1's "other" bucket. The `/metrics`
+    /// exposition does not — it is observability.
+    workload: bool,
+    /// Cycles building the head and generating body bytes.
+    respond_cycles: Cycles,
+    sealed_bytes: usize,
+    seal_cycles: Cycles,
+    /// The cipher + MAC share of `seal_cycles`.
+    crypto_cycles: Cycles,
 }
 
-pub(crate) fn respond(request: &HttpRequest) -> HttpResponse {
-    match document_size(request.path()) {
-        Some(size) => HttpResponse::ok(synthesize_document(request.path(), size)),
-        None => HttpResponse::not_found(),
+impl Outgoing {
+    /// The response to one parsed request: the live-metrics exposition for
+    /// `GET /metrics` when the registry is on, the document the path names
+    /// otherwise, a 404 for any other path.
+    pub(crate) fn for_request(request: &HttpRequest, metrics: Option<&ServerMetrics>) -> Self {
+        let exposition = metrics.filter(|_| request.path() == "/metrics");
+        let (stream, respond_cycles) = measure(|| match exposition {
+            Some(m) => HttpResponse::ok(m.snapshot().render().into_bytes()).into(),
+            None => match document_size(request.path()) {
+                Some(size) => ResponseStream::document(request.path(), size),
+                None => HttpResponse::not_found().into(),
+            },
+        });
+        Outgoing {
+            stream,
+            workload: exposition.is_none(),
+            respond_cycles,
+            sealed_bytes: 0,
+            seal_cycles: Cycles::ZERO,
+            crypto_cycles: Cycles::ZERO,
+        }
+    }
+
+    /// True once every byte of the response has been sealed.
+    pub(crate) fn is_done(&self) -> bool {
+        self.stream.remaining() == 0
+    }
+
+    /// Pulls the next fragment — `scratch.len()` bytes, or whatever is
+    /// left — into `scratch` and seals it into the engine's outbox.
+    /// `scratch` is one maximum fragment long, so the records are the ones
+    /// a single `seal` of the whole response would have cut.
+    pub(crate) fn seal_next(
+        &mut self,
+        engine: &mut Engine<ServerMachine<'_>>,
+        scratch: &mut [u8],
+    ) -> Result<(), SslError> {
+        let (n, fill_cycles) = measure(|| self.stream.fill(scratch));
+        self.respond_cycles += fill_cycles;
+        // Pure compute (the sans-io engine never touches the socket); the
+        // crypto-kernel share is the delta of the record layer's monotone
+        // counter around the call.
+        let crypto_before = engine.machine().record_crypto_cycles();
+        let (sealed, seal_cycles) = measure(|| engine.seal(&scratch[..n]));
+        sealed?;
+        self.sealed_bytes += n;
+        self.seal_cycles += seal_cycles;
+        self.crypto_cycles += engine.machine().record_crypto_cycles() - crypto_before;
+        Ok(())
+    }
+
+    /// Feeds the finished response's totals into the anatomy registry.
+    pub(crate) fn report(&self, metrics: &ServerMetrics) {
+        metrics.note_record_seal(self.sealed_bytes, self.seal_cycles, self.crypto_cycles);
+        if self.workload {
+            metrics.note_response(self.respond_cycles);
+        }
     }
 }
 

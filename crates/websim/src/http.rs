@@ -97,13 +97,7 @@ impl HttpResponse {
     /// Serializes status line, headers and body.
     #[must_use]
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = format!(
-            "HTTP/1.0 {} {}\r\nServer: sslperf-websim/0.1\r\nContent-Type: application/octet-stream\r\nContent-Length: {}\r\n\r\n",
-            self.status,
-            self.reason,
-            self.body.len()
-        )
-        .into_bytes();
+        let mut out = head(self.status, self.reason, self.body.len());
         out.extend_from_slice(&self.body);
         out
     }
@@ -145,14 +139,116 @@ impl HttpResponse {
     }
 }
 
+/// Status line and headers of a response whose body is `content_length`
+/// bytes — the one place the head is formatted, for both response forms.
+fn head(status: u16, reason: &str, content_length: usize) -> Vec<u8> {
+    format!(
+        "HTTP/1.0 {status} {reason}\r\nServer: sslperf-websim/0.1\r\nContent-Type: application/octet-stream\r\nContent-Length: {content_length}\r\n\r\n"
+    )
+    .into_bytes()
+}
+
+/// The pseudo-document's seed for `path`.
+fn document_seed(path: &str) -> u8 {
+    path.bytes().fold(0u8, u8::wrapping_add)
+}
+
+/// Byte `i` of the pseudo-document seeded by `seed`: the one generator
+/// behind [`synthesize_document`] and [`ResponseStream::fill`].
+fn document_byte(seed: u8, i: usize) -> u8 {
+    seed.wrapping_add(i as u8)
+}
+
 /// Produces a deterministic pseudo-document of `size` bytes for `path`
 /// (the static-file read a real server would serve from its cache).
 #[must_use]
 pub fn synthesize_document(path: &str, size: usize) -> Vec<u8> {
-    let seed = path.bytes().fold(0u8, u8::wrapping_add);
+    let seed = document_seed(path);
     // An exact-size iterator: `collect` reserves once and the fill
     // vectorizes, where a `push` loop re-checks capacity for every byte.
-    (0..size).map(|i| seed.wrapping_add(i as u8)).collect()
+    (0..size).map(|i| document_byte(seed, i)).collect()
+}
+
+/// A response in streaming form: the virtual byte stream `head ‖ body`
+/// behind one cursor, pulled a fragment at a time with
+/// [`ResponseStream::fill`] so a server never holds the whole document.
+/// The bytes are exactly [`HttpResponse::to_bytes`] of the same response.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ResponseStream {
+    head: Vec<u8>,
+    body: StreamBody,
+    /// Bytes of `head ‖ body` already handed out.
+    pos: usize,
+}
+
+#[derive(Debug, Clone, PartialEq, Eq)]
+enum StreamBody {
+    /// Bytes that exist already (an error page, a rendered exposition).
+    Owned(Vec<u8>),
+    /// A pseudo-document, generated as it is pulled.
+    Document { seed: u8, len: usize },
+}
+
+impl ResponseStream {
+    /// A `200 OK` carrying the `size`-byte pseudo-document for `path` —
+    /// `HttpResponse::ok(synthesize_document(path, size))` without the
+    /// document ever existing in memory.
+    #[must_use]
+    pub fn document(path: &str, size: usize) -> Self {
+        ResponseStream {
+            head: head(200, "OK", size),
+            body: StreamBody::Document { seed: document_seed(path), len: size },
+            pos: 0,
+        }
+    }
+
+    /// Bytes of the stream not yet handed out; 0 once it is exhausted.
+    #[must_use]
+    pub fn remaining(&self) -> usize {
+        let body_len = match &self.body {
+            StreamBody::Owned(bytes) => bytes.len(),
+            StreamBody::Document { len, .. } => *len,
+        };
+        self.head.len() + body_len - self.pos
+    }
+
+    /// Writes the next bytes of the stream into `out` and advances the
+    /// cursor. Returns how many were written: `out.len()` until the
+    /// stream runs short, 0 once it is exhausted. Allocation-free.
+    pub fn fill(&mut self, out: &mut [u8]) -> usize {
+        let n = out.len().min(self.remaining());
+        let head_left = &self.head[self.pos.min(self.head.len())..];
+        let (head_part, body_part) = out[..n].split_at_mut(n.min(head_left.len()));
+        head_part.copy_from_slice(&head_left[..head_part.len()]);
+        let body_pos = (self.pos + head_part.len()).saturating_sub(self.head.len());
+        match &self.body {
+            StreamBody::Owned(bytes) => {
+                body_part.copy_from_slice(&bytes[body_pos..body_pos + body_part.len()]);
+            }
+            &StreamBody::Document { seed, .. } => {
+                // The document from `body_pos` on is the document whose
+                // seed is the byte there. Hoisting the offset this way
+                // keeps the loop in the form that vectorizes; adding it
+                // per byte, or zipping an iterator, runs ten times slower.
+                let seed = document_byte(seed, body_pos);
+                for (i, dst) in body_part.iter_mut().enumerate() {
+                    *dst = document_byte(seed, i);
+                }
+            }
+        }
+        self.pos += n;
+        n
+    }
+}
+
+impl From<HttpResponse> for ResponseStream {
+    fn from(response: HttpResponse) -> Self {
+        ResponseStream {
+            head: head(response.status, response.reason, response.body.len()),
+            body: StreamBody::Owned(response.body),
+            pos: 0,
+        }
+    }
 }
 
 #[cfg(test)]
@@ -196,6 +292,33 @@ mod tests {
         let nf = HttpResponse::not_found();
         let parsed = HttpResponse::parse(&nf.to_bytes()).unwrap();
         assert_eq!(parsed.status(), 404);
+    }
+
+    /// Pulls `stream` dry through `chunk`-byte fills.
+    fn drain(mut stream: ResponseStream, chunk: usize) -> Vec<u8> {
+        let mut out = Vec::new();
+        let mut buf = vec![0u8; chunk];
+        loop {
+            let n = stream.fill(&mut buf);
+            out.extend_from_slice(&buf[..n]);
+            if n < chunk {
+                assert_eq!(stream.remaining(), 0);
+                assert_eq!(stream.fill(&mut buf), 0, "an exhausted stream stays exhausted");
+                return out;
+            }
+        }
+    }
+
+    #[test]
+    fn stream_equals_the_serialized_response() {
+        let whole = HttpResponse::ok(synthesize_document("/doc_1000.bin", 1000)).to_bytes();
+        for chunk in [1, 7, 64, whole.len() - 1000, 999, whole.len(), whole.len() + 1] {
+            let stream = ResponseStream::document("/doc_1000.bin", 1000);
+            assert_eq!(stream.remaining(), whole.len());
+            assert_eq!(drain(stream, chunk), whole, "chunk {chunk}");
+        }
+        let not_found = HttpResponse::not_found();
+        assert_eq!(drain(not_found.clone().into(), 5), not_found.to_bytes());
     }
 
     #[test]

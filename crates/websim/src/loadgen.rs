@@ -856,18 +856,23 @@ mod tests {
     use sslperf_ssl::{CipherSuite, ServerConfig};
     use std::sync::OnceLock;
 
-    fn config() -> &'static ServerConfig {
-        static CONFIG: OnceLock<ServerConfig> = OnceLock::new();
-        CONFIG.get_or_init(|| {
+    /// A fresh configuration — and so a fresh session cache — per test:
+    /// libtest runs these in parallel, and a shared cache cleared by one
+    /// test loses the sessions another is about to resume. Only the key,
+    /// the expensive part, is shared.
+    fn config() -> ServerConfig {
+        static KEY: OnceLock<RsaPrivateKey> = OnceLock::new();
+        let key = KEY.get_or_init(|| {
             let mut rng = SslRng::from_seed(b"loadgen-test-key");
-            let key = RsaPrivateKey::generate(512, &mut rng).expect("keygen");
-            ServerConfig::new(key, "loadgen.test").expect("config")
-        })
+            RsaPrivateKey::generate(512, &mut rng).expect("keygen")
+        });
+        ServerConfig::new(key.clone(), "loadgen.test").expect("config")
     }
 
     #[test]
     fn concurrent_clients_complete() {
-        let server = SecureWebServer::new(config(), CipherSuite::RsaRc4Md5);
+        let config = config();
+        let server = SecureWebServer::new(&config, CipherSuite::RsaRc4Md5);
         let report = run_loaded(&server, 1024, 3, 2).expect("load run");
         assert_eq!(report.transactions, 6);
         assert_eq!(report.resumed, 0);
@@ -877,8 +882,8 @@ mod tests {
 
     #[test]
     fn resumption_mix_mostly_resumes() {
-        config().clear_session_cache();
-        let server = SecureWebServer::new(config(), CipherSuite::RsaDesCbc3Sha);
+        let config = config();
+        let server = SecureWebServer::new(&config, CipherSuite::RsaDesCbc3Sha);
         let report = run_with_resumption(&server, 1024, 2, 3).expect("mixed run");
         assert_eq!(report.transactions, 2 * (1 + 3));
         assert_eq!(report.resumed, 2 * 3);
@@ -886,10 +891,10 @@ mod tests {
 
     #[test]
     fn resumption_cuts_aggregate_crypto() {
-        config().clear_session_cache();
-        let server = SecureWebServer::new(config(), CipherSuite::RsaDesCbc3Sha);
+        let config = config();
+        let server = SecureWebServer::new(&config, CipherSuite::RsaDesCbc3Sha);
         let no_reuse = run_loaded(&server, 1024, 1, 4).expect("fresh sessions");
-        config().clear_session_cache();
+        config.clear_session_cache();
         let with_reuse = run_with_resumption(&server, 1024, 1, 3).expect("resumed sessions");
         // Same transaction count (4), far less public-key work.
         assert_eq!(no_reuse.transactions, with_reuse.transactions);

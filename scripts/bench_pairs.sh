@@ -3,6 +3,10 @@
 # the `choosing-metrics` guide §8 asks of a gain claim:
 #
 #   scripts/bench_pairs.sh <parent-ref> <workload> [pairs=10]
+#   scripts/bench_pairs.sh <parent-ref> all [pairs=10]
+#
+# `all` runs every workload BENCHMARK.json declares, one after the other,
+# and prints one verdict table per workload.
 #
 # Exports <parent-ref> into target/pairs/<sha>/src (a plain copy: nothing is
 # registered in .git, so there is nothing to prune afterwards), builds the
@@ -18,11 +22,18 @@
 set -euo pipefail
 
 if [[ $# -lt 2 || $# -gt 3 ]]; then
-    echo "usage: $0 <parent-ref> <workload> [pairs=10]" >&2
+    echo "usage: $0 <parent-ref> <workload>|all [pairs=10]" >&2
     exit 2
 fi
 cd "$(dirname "${BASH_SOURCE[0]}")/.."
 repo=$PWD
+if [[ $2 == all ]]; then
+    names=$(python3 -c 'import json; print(*[w["name"] for w in json.load(open("BENCHMARK.json"))["workloads"]])')
+    for name in $names; do
+        "$repo/scripts/bench_pairs.sh" "$1" "$name" "${3:-10}"
+    done
+    exit
+fi
 sha=$(git rev-parse --short=12 "$1^{commit}")
 workload=$2
 pairs=${3:-10}

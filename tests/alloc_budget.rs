@@ -294,6 +294,63 @@ fn engine_steady_state_allocates_nothing() {
     );
 }
 
+/// The event loop's write phase — pull a fragment from the response
+/// producer, seal it, hand the outbox to the socket every four records —
+/// allocates nothing over a whole 1 MiB document once the outbox has grown
+/// to its four-record working size. (Building the producer allocates its
+/// ~110-byte head; that is per response, outside the window.)
+#[test]
+fn streamed_document_allocates_nothing() {
+    use sslperf::prelude::{ServerConfig, SslClient, SslRng, SslServer};
+    use sslperf::rsa::RsaPrivateKey;
+    use sslperf::ssl::{Engine, MAX_FRAGMENT};
+    use sslperf::websim::http::ResponseStream;
+    const SIZE: usize = 1 << 20;
+
+    let mut rng = SslRng::from_seed(b"alloc-budget-engine-key");
+    let key = RsaPrivateKey::generate(512, &mut rng).expect("keygen");
+    let config = ServerConfig::new(key, "alloc.test").expect("config");
+    let mut client =
+        Engine::new(SslClient::new(CipherSuite::RsaAes128Sha, SslRng::from_seed(b"abs-c")))
+            .expect("client engine");
+    let mut server =
+        Engine::new(SslServer::new(&config, SslRng::from_seed(b"abs-s"))).expect("server engine");
+    let mut wire = vec![0u8; 8 * 1024];
+    while !(client.is_established() && server.is_established()) {
+        let n = client.take_output(&mut wire);
+        assert_eq!(server.feed(&wire[..n]).expect("server feed"), n);
+        let n = server.take_output(&mut wire);
+        assert_eq!(client.feed(&wire[..n]).expect("client feed"), n);
+    }
+
+    let mut fragment = vec![0u8; MAX_FRAGMENT];
+    let mut stream_document = |server: &mut sslperf::ssl::ServerEngine<'_>,
+                               mut stream: ResponseStream| {
+        let mut sealed = 0;
+        loop {
+            let n = stream.fill(&mut fragment);
+            if n == 0 {
+                break;
+            }
+            server.seal(&fragment[..n]).expect("seal");
+            sealed += n;
+            if server.pending_output() >= 4 * MAX_FRAGMENT {
+                server.consume_output(server.pending_output());
+            }
+        }
+        server.consume_output(server.pending_output());
+        sealed
+    };
+
+    let path = format!("/doc_{SIZE}.bin");
+    stream_document(&mut server, ResponseStream::document(&path, SIZE));
+    let stream = ResponseStream::document(&path, SIZE);
+    let expected = stream.remaining();
+    let (sealed, delta) = allocations_during(|| stream_document(&mut server, stream));
+    assert_eq!(sealed, expected, "head and all {SIZE} body bytes were sealed");
+    assert_eq!(delta, 0, "streaming a warmed connection's document must not allocate");
+}
+
 /// An engine that went through the crypto-offload suspension
 /// (`take_crypto_job` → out-of-band `execute` → `complete_crypto`) ends
 /// up in the same steady state as an inline one: zero allocations per

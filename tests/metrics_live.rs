@@ -9,6 +9,7 @@
 
 use sslperf::prelude::*;
 use sslperf::ssl::RecordBuffer;
+use sslperf::websim::http::{synthesize_document, HttpResponse};
 use sslperf::websim::loadgen::{run_socket_load, SocketLoadOptions};
 use std::net::TcpStream;
 use std::time::Duration;
@@ -127,6 +128,44 @@ fn fetch(client: &mut SslClient, socket: &mut TcpStream, request: &[u8]) -> Vec<
     client.send_buffered(socket, request, &mut buf).expect("request");
     let range = client.recv_buffered(socket, &mut buf).expect("response");
     buf.as_slice()[range].to_vec()
+}
+
+/// A response streamed over several refills reaches the registry as one
+/// transaction: one seal entry carrying every payload byte (head + body),
+/// its crypto share, and the generation cycles in Table 1's "other" bucket
+/// — the totals a single whole-body seal fed, whatever the refill count.
+#[test]
+fn streamed_response_is_one_seal_and_one_transaction() {
+    const SIZE: usize = 40_000;
+    let options = ServerOptions { metrics: true, ..ServerOptions::default() };
+    let server =
+        EventLoopServer::start(key(), "metrics.sslperf.test", &options).expect("server start");
+    let mut client = SslClient::new(CipherSuite::RsaAes128Sha, SslRng::from_seed(b"mx-stream"));
+    let mut socket = TcpStream::connect(server.local_addr()).expect("connect");
+    client.handshake_transport(&mut socket).expect("handshake");
+
+    let path = format!("/doc_{SIZE}.bin");
+    let expected = HttpResponse::ok(synthesize_document(&path, SIZE)).to_bytes();
+    let mut buf = RecordBuffer::new();
+    let request = format!("GET {path} HTTP/1.0\r\n\r\n");
+    client.send_buffered(&mut socket, request.as_bytes(), &mut buf).expect("request");
+    let mut response = Vec::new();
+    while response.len() < expected.len() {
+        let range = client.recv_buffered(&mut socket, &mut buf).expect("response record");
+        response.extend_from_slice(&buf.as_slice()[range]);
+    }
+    assert!(response == expected, "three records, one byte-exact response");
+    client.close_transport(&mut socket).expect("close");
+
+    let metrics = server.metrics().expect("metrics enabled");
+    assert!(eventually(|| metrics.snapshot().transactions == 1));
+    let snap = metrics.snapshot();
+    assert_eq!(snap.bytes_out, expected.len() as u64, "head + {SIZE} body bytes sealed");
+    assert_eq!(snap.records_sealed, 1, "one seal entry per transaction, not per refill");
+    assert_eq!(snap.records_opened, 1);
+    assert!(snap.seal_cycles > 0 && snap.record_crypto_cycles > 0, "seal timing attributed");
+    assert!(snap.other_cycles_per_transaction() > 0, "generation lands in \"other\"");
+    server.shutdown();
 }
 
 /// `GET /metrics` over a live SSL connection returns the rendered

@@ -351,6 +351,75 @@ fn half_closed_client_still_gets_its_response() {
     server.shutdown();
 }
 
+/// A client killed mid-download is not a transaction: the count moves
+/// when a response's last fragment is sealed, and this one's never is —
+/// the server learns of the reset on its next write and drops what was
+/// left of the 64 MiB, none of which it ever held. The next client is
+/// served as if nothing happened.
+#[test]
+fn client_killed_mid_stream_is_not_a_transaction() {
+    let server = start_server();
+    let mut client = SslClient::new(CipherSuite::RsaAes128Sha, SslRng::from_seed(b"killed-c1"));
+    let mut socket = tcp_handshake(&server, &mut client);
+    socket.set_read_timeout(Some(Duration::from_secs(30))).expect("read timeout");
+    let mut buf = RecordBuffer::with_record_capacity();
+    client
+        .send_buffered(&mut socket, b"GET /doc_67108864.bin HTTP/1.0\r\n\r\n", &mut buf)
+        .expect("request");
+    let range = client.recv_buffered(&mut socket, &mut buf).expect("first record");
+    assert!(buf.as_slice()[range].starts_with(b"HTTP/1.0 200"), "the download started");
+    drop(socket);
+
+    let mut client = SslClient::new(CipherSuite::RsaAes128Sha, SslRng::from_seed(b"killed-c2"));
+    let mut socket = tcp_handshake(&server, &mut client);
+    client
+        .send_buffered(&mut socket, b"GET /doc_1024.bin HTTP/1.0\r\n\r\n", &mut buf)
+        .expect("request");
+    let range = client.recv_buffered(&mut socket, &mut buf).expect("response");
+    let response = HttpResponse::parse(&buf.as_slice()[range]).expect("a complete response");
+    assert!(response.body() == synthesize_document("/doc_1024.bin", 1024));
+    client.close_transport(&mut socket).expect("close");
+
+    let stats = server.stats();
+    assert!(eventually(|| stats.transactions() == 1), "got {}", stats.transactions());
+    // Long enough for 64 MiB to have been sealed, had anyone kept sealing.
+    std::thread::sleep(Duration::from_millis(300));
+    assert_eq!(stats.transactions(), 1, "the abandoned download never completes");
+    assert_eq!(stats.connections(), 2);
+    assert_eq!(stats.full_handshakes() + stats.resumed_handshakes(), stats.connections());
+    assert_eq!(stats.errors(), 0, "a peer reset is not a protocol error");
+    server.shutdown();
+}
+
+/// Streaming a response fragment by fragment cuts exactly the records one
+/// `seal` of the whole response cut: full 16 384-byte fragments, then the
+/// tail. (What keeps the flight pins and golden transcripts unedited.)
+#[test]
+fn streamed_response_keeps_whole_body_fragmentation() {
+    const SIZE: usize = 40_000;
+    let server = start_server();
+    let mut client = SslClient::new(CipherSuite::RsaAes128Sha, SslRng::from_seed(b"frag-c1"));
+    let mut socket = tcp_handshake(&server, &mut client);
+    socket.set_read_timeout(Some(Duration::from_secs(30))).expect("read timeout");
+    let path = format!("/doc_{SIZE}.bin");
+    let expected = HttpResponse::ok(synthesize_document(&path, SIZE)).to_bytes();
+    let mut buf = RecordBuffer::with_record_capacity();
+    let request = format!("GET {path} HTTP/1.0\r\n\r\n");
+    client.send_buffered(&mut socket, request.as_bytes(), &mut buf).expect("request");
+
+    let mut response = Vec::new();
+    let mut lengths = Vec::new();
+    while response.len() < expected.len() {
+        let range = client.recv_buffered(&mut socket, &mut buf).expect("response record");
+        lengths.push(range.len());
+        response.extend_from_slice(&buf.as_slice()[range]);
+    }
+    assert!(response == expected, "response is byte-exact");
+    assert_eq!(lengths, [16_384, 16_384, expected.len() - 2 * 16_384]);
+    client.close_transport(&mut socket).expect("close");
+    server.shutdown();
+}
+
 // ---- fatal alerts on the wire ----
 //
 // Every fatal alert description the stack can emit, provoked from the

@@ -809,3 +809,47 @@ proptest! {
         prop_assert_eq!((keyring.accepted(), keyring.rejected()), (0, 1));
     }
 }
+
+// ---- streamed responses ----
+
+/// Pulls `stream` dry through fills whose lengths cycle through `cuts`.
+fn drain_stream(mut stream: sslperf::websim::http::ResponseStream, cuts: &[usize]) -> Vec<u8> {
+    let mut out = Vec::with_capacity(stream.remaining());
+    let mut buf = vec![0u8; 20_000];
+    for &cut in cuts.iter().cycle() {
+        let n = stream.fill(&mut buf[..cut]);
+        out.extend_from_slice(&buf[..n]);
+        if n < cut {
+            break;
+        }
+    }
+    out
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// The streaming form of a response is byte-equal to the serialized
+    /// one, however the pulls are sized: at the document's 256-byte period,
+    /// where head + body straddles the first record fragment, and at the
+    /// benchmark's sizes; for owned bodies (a 404, an exposition) too.
+    #[test]
+    fn response_stream_equals_serialized_response(cuts in vec(1usize..=20_000, 1..48)) {
+        use sslperf::websim::http::{synthesize_document, HttpResponse, ResponseStream};
+        // The head of a document with a five-digit Content-Length.
+        let head = HttpResponse::ok(vec![0; 10_000]).to_bytes().len() - 10_000;
+        let sizes =
+            [0, 1, 255, 256, 257, 16_383 - head, 16_384 - head, 16_385 - head, 40_000, 1 << 20];
+        for size in sizes {
+            let path = format!("/doc_{size}.bin");
+            let whole = HttpResponse::ok(synthesize_document(&path, size)).to_bytes();
+            let streamed = drain_stream(ResponseStream::document(&path, size), &cuts);
+            prop_assert!(streamed == whole, "{}-byte document, cuts {:?}", size, cuts);
+        }
+        let exposition: Vec<u8> = (0..3_000u32).map(|i| (i * 7) as u8).collect();
+        for owned in [HttpResponse::not_found(), HttpResponse::ok(exposition)] {
+            let whole = owned.to_bytes();
+            prop_assert!(drain_stream(owned.into(), &cuts) == whole, "cuts {:?}", cuts);
+        }
+    }
+}
