@@ -3,7 +3,8 @@
 //! is on, the per-handshake ledger ingestion, and the snapshot/render on
 //! the exposition path. Recording sits on the steady-state record path,
 //! so its budget is "a handful of relaxed atomic adds" — these benches
-//! pin that claim to a number next to `tcp_serving`'s transaction costs.
+//! pin that claim to a number next to a transaction's cost
+//! (`cpu_ms_per_tx` of `benchmark/run.sh --workload full_rsa1024`).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use sslperf_core::net::ServerMetrics;

@@ -3,12 +3,11 @@
 //! The paper's Apache/mod_ssl setup dedicates one blocking thread to each
 //! in-flight connection. [`BlockingBaseline`] is that architecture and
 //! nothing more — a listener, a fixed set of worker threads, and the
-//! blocking [`SslServer`] transport calls — so `loaded_server`,
-//! `crypto_offload` and the `tcp_serving` bench have a thread-per-connection
-//! arm to hold the event-loop server ([`sslperf_net::EventLoopServer`])
-//! against. It is an experiment fixture, not a serving mode: no statistics,
-//! metrics, tickets, timeouts or closing alerts beyond answering
-//! `close_notify`.
+//! blocking [`SslServer`] transport calls — so `loaded_server` and
+//! `crypto_offload` have a thread-per-connection arm to hold the
+//! event-loop server ([`sslperf_net::EventLoopServer`]) against. It is an
+//! experiment fixture, not a serving mode: no statistics, metrics, tickets,
+//! timeouts or closing alerts beyond answering `close_notify`.
 
 use sslperf_net::ShardedSessionCache;
 use sslperf_rng::SslRng;

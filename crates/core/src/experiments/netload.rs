@@ -778,12 +778,29 @@ pub fn restart_survival(ctx: &Context) -> Result<RestartSurvival, ExperimentErro
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::test_ctx::ctx;
+    use crate::test_ctx::{ctx, eventually, timing_lock};
     use sslperf_websim::loadgen::run_event_load_disrupted;
+
+    /// Past this the cycle model has lost contact with the machine and
+    /// explains nothing.
+    const MAX_FORECAST_ERROR_PCT: f64 = 75.0;
 
     #[test]
     fn engine_forecast_grades_the_cycle_model() {
-        let ef = engine_forecast(ctx()).expect("engine forecast");
+        let _serial = timing_lock();
+        // 64 connections per fleet: at the shared quick context's 8 a
+        // fleet's reading is one ~4 ms burst and single arms swing past 200 %.
+        let burst = Context::builder().key_bits(512).iterations(16).build().expect("context");
+        let mut run = None;
+        let bounded = eventually(3, || {
+            let ef = engine_forecast(&burst).expect("engine forecast");
+            let bounded =
+                ef.arms.iter().all(|arm| arm.error_percent().abs() <= MAX_FORECAST_ERROR_PCT);
+            run = Some(ef);
+            bounded
+        });
+        let ef = run.expect("at least one attempt");
+        assert!(bounded, "a forecast misses by more than {MAX_FORECAST_ERROR_PCT}%:\n{ef}");
         assert_eq!(ef.arms.len(), 3, "three held-out configurations");
         assert!(ef.kx_cycles > 0.0, "cycle model priced the key exchange");
         assert!(ef.solo_kx_ms > 0.0, "solo decrypt anchor measured");

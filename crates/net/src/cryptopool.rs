@@ -712,7 +712,9 @@ mod tests {
     use super::*;
     use sslperf_rng::SslRng;
     use sslperf_rsa::RsaPrivateKey;
-    use sslperf_ssl::{CipherSuite, CryptoOutput, Engine, SslClient, SslServer};
+    use sslperf_ssl::{
+        CipherSuite, CryptoOutput, Engine, EngineDriven, SslClient, SslError, SslServer,
+    };
     use std::sync::mpsc;
 
     fn config() -> Arc<ServerConfig> {
@@ -739,11 +741,7 @@ mod tests {
         let mut wire = vec![0u8; 16 * 1024];
         let mut spins = 0;
         while !(client.is_established() && server.is_established()) {
-            let n = client.take_output(&mut wire);
-            let mut offset = 0;
-            while offset < n {
-                offset += server.feed(&wire[offset..n]).expect("server feed");
-            }
+            pump(&mut client, &mut server, &mut wire);
             if let Some(job) = server.take_crypto_job() {
                 pool.try_submit(7, job, &reply_tx).expect("queue has room");
             }
@@ -753,11 +751,7 @@ mod tests {
                 assert_eq!(reply.depth_at_submit, 1);
                 server.complete_crypto(reply.done).expect("resume");
             }
-            let n = server.take_output(&mut wire);
-            let mut offset = 0;
-            while offset < n {
-                offset += client.feed(&wire[offset..n]).expect("client feed");
-            }
+            pump(&mut server, &mut client, &mut wire);
             spins += 1;
             assert!(spins < 16, "handshake did not converge");
         }
@@ -775,22 +769,10 @@ mod tests {
     fn full_queue_returns_job_for_parking() {
         let config = config();
         let stats = Arc::new(ServerStats::default());
-        let pool = CryptoPool::start(1, Arc::clone(&config), Arc::clone(&stats));
+        let pool = slow_pool(&config, &stats);
         let (reply_tx, reply_rx) = mpsc::channel();
 
-        // Saturate: 1 worker × QUEUE_DEPTH_PER_WORKER slots, plus however
-        // many the worker dequeues while we enqueue; keep submitting fresh
-        // jobs until one bounces.
-        let mut submitted = 0u64;
-        let bounced = loop {
-            let (_, job) = suspended_job(&config, submitted);
-            match pool.try_submit(submitted, job, &reply_tx) {
-                Ok(()) => submitted += 1,
-                Err(SubmitError::QueueFull { job, .. }) => break job,
-                Err(SubmitError::ShutDown(_)) => panic!("pool is running"),
-            }
-            assert!(submitted < 256, "queue never filled");
-        };
+        let (submitted, bounced, _) = saturate(&pool, &config, &reply_tx);
         // The bounced job is intact: executing it directly still works.
         let done = bounced.execute(config.key());
         assert!(done.exec().get() > 0);
@@ -835,6 +817,64 @@ mod tests {
         assert_eq!(stats.crypto_jobs(), 4);
         assert!(stats.crypto_batches() >= 1);
         assert!(stats.crypto_batched_jobs() >= 2, "at least one real batch formed");
+        pool.shutdown();
+    }
+
+    /// A decrypt that fails inside a batch stays a secret of its own slot:
+    /// the doomed job resumes its handshake like any other (the server
+    /// carries on under a random pre-master and only the client's finished
+    /// record fails, as a MAC error), and the sibling batched with it
+    /// completes its handshake.
+    #[test]
+    fn failed_decrypt_in_a_batch_leaves_its_sibling_intact() {
+        let config = config();
+        let stats = Arc::new(ServerStats::default());
+        let pool = CryptoPool::start_heterogeneous(
+            vec![EngineProfile::general()],
+            4,
+            Duration::from_millis(200),
+            Arc::clone(&config),
+            Arc::clone(&stats),
+            None,
+        );
+        let (reply_tx, reply_rx) = mpsc::channel();
+
+        // The doomed connection: an honest client's second flight with one
+        // ciphertext byte flipped (record header 5 + message header 4 +
+        // length prefix 2, then a byte well inside the RSA block).
+        let (mut doomed_client, mut doomed) = engine_pair(&config, 1);
+        let mut wire = vec![0u8; 16 * 1024];
+        pump(&mut doomed_client, &mut doomed, &mut wire);
+        pump(&mut doomed, &mut doomed_client, &mut wire);
+        let n = doomed_client.take_output(&mut wire);
+        wire[5 + 4 + 2 + 20] ^= 0x01;
+        let mut offset = 0;
+        while offset < n {
+            offset += doomed.feed(&wire[offset..n]).expect("buffers behind the suspension");
+        }
+        let doomed_job = doomed.take_crypto_job().expect("suspended job");
+
+        let (mut client, mut sibling, sibling_job) = suspended_pair(&config, 2);
+        pool.try_submit(1, doomed_job, &reply_tx).expect("queue has room");
+        pool.try_submit(2, sibling_job, &reply_tx).expect("queue has room");
+        for _ in 0..2 {
+            let reply = reply_rx.recv().expect("batched reply");
+            if reply.conn == 1 {
+                assert!(reply.done.output().is_err(), "the flipped block does not unpad");
+                let error = doomed.complete_crypto(reply.done).expect_err("finished cannot open");
+                assert!(
+                    matches!(error, SslError::MacMismatch | SslError::BadPadding),
+                    "failed where a wrong-key client fails, got {error}"
+                );
+            } else {
+                sibling.complete_crypto(reply.done).expect("resume with batched result");
+            }
+        }
+        assert_eq!(stats.crypto_batched_jobs(), 2, "both decrypts shared one batch");
+        while !(client.is_established() && sibling.is_established()) {
+            pump(&mut sibling, &mut client, &mut wire);
+            pump(&mut client, &mut sibling, &mut wire);
+        }
         pool.shutdown();
     }
 
@@ -940,21 +980,12 @@ mod tests {
     fn parked_ticket_is_admitted_before_fresh_submissions() {
         let config = config();
         let stats = Arc::new(ServerStats::default());
-        let pool = CryptoPool::start(1, Arc::clone(&config), Arc::clone(&stats));
+        let pool = slow_pool(&config, &stats);
         let (reply_tx, reply_rx) = mpsc::channel();
 
-        // Saturate the queue with fresh jobs until one bounces: that
-        // bounced submission is shard A's parked handshake.
-        let mut submitted = 0u64;
-        let (mut parked_job, ticket) = loop {
-            let (_, job) = suspended_job(&config, submitted);
-            match pool.try_submit(submitted, job, &reply_tx) {
-                Ok(()) => submitted += 1,
-                Err(SubmitError::QueueFull { job, ticket }) => break (job, ticket),
-                Err(SubmitError::ShutDown(_)) => panic!("pool is running"),
-            }
-            assert!(submitted < 256, "queue never filled");
-        };
+        // The submission that bounces off the full queue is shard A's
+        // parked handshake.
+        let (submitted, mut parked_job, ticket) = saturate(&pool, &config, &reply_tx);
 
         // Shard B floods fresh submissions while shard A retries each
         // sweep. Pre-fix, any freed slot went to whichever fresh job won
@@ -1159,11 +1190,7 @@ mod tests {
         let mut server_bytes = Vec::new();
         let mut spins = 0;
         while !(client.is_established() && server.is_established()) {
-            let n = client.take_output(&mut wire);
-            let mut offset = 0;
-            while offset < n {
-                offset += server.feed(&wire[offset..n]).expect("server feed");
-            }
+            pump(client, server, &mut wire);
             if let Some(pool) = pool {
                 if let Some(job) = server.take_crypto_job() {
                     pool.try_submit(1, job, &reply_tx).expect("queue has room");
@@ -1185,11 +1212,68 @@ mod tests {
         server_bytes
     }
 
+    /// One engine a hundred times slower than native: its queue fills, and
+    /// stays full, while a test is still staging the next handshake. (A
+    /// native engine decrypts about as fast as a test submits, and whether
+    /// its queue ever filled was up to the scheduler.)
+    fn slow_pool(config: &Arc<ServerConfig>, stats: &Arc<ServerStats>) -> CryptoPool {
+        CryptoPool::start_heterogeneous(
+            vec![EngineProfile::general_slowed(100.0)],
+            1,
+            Duration::ZERO,
+            Arc::clone(config),
+            Arc::clone(stats),
+            None,
+        )
+    }
+
+    /// Submits fresh jobs to a [`slow_pool`] until one bounces; returns how
+    /// many were accepted, the bounced job and its ticket.
+    fn saturate(
+        pool: &CryptoPool,
+        config: &Arc<ServerConfig>,
+        reply_tx: &mpsc::Sender<PoolReply>,
+    ) -> (u64, CryptoJob, u64) {
+        for seq in 0..2 * QUEUE_DEPTH_PER_WORKER as u64 {
+            let (_, job) = suspended_job(config, seq);
+            match pool.try_submit(seq, job, reply_tx) {
+                Ok(()) => {}
+                Err(SubmitError::QueueFull { job, ticket }) => return (seq, job, ticket),
+                Err(SubmitError::ShutDown(_)) => panic!("pool is running"),
+            }
+        }
+        panic!("queue never filled");
+    }
+
     /// Builds a server engine suspended at the RSA boundary and returns
     /// its crypto job.
     fn suspended_job(config: &Arc<ServerConfig>, seq: u64) -> (Engine<SslServer<'_>>, CryptoJob) {
+        let (_, server, job) = suspended_pair(config, seq);
+        (server, job)
+    }
+
+    /// The same, keeping the client whose handshake the job suspends.
+    fn suspended_pair(
+        config: &Arc<ServerConfig>,
+        seq: u64,
+    ) -> (Engine<SslClient>, Engine<SslServer<'_>>, CryptoJob) {
+        let (mut client, mut server) = engine_pair(config, seq);
+        let mut wire = vec![0u8; 16 * 1024];
+        while !server.crypto_pending() {
+            pump(&mut client, &mut server, &mut wire);
+            pump(&mut server, &mut client, &mut wire);
+        }
+        let job = server.take_crypto_job().expect("suspended job");
+        (client, server, job)
+    }
+
+    /// A fresh client engine and an offloading server engine, seeded by `seq`.
+    fn engine_pair(
+        config: &Arc<ServerConfig>,
+        seq: u64,
+    ) -> (Engine<SslClient>, Engine<SslServer<'_>>) {
         let seed = format!("cp-fq-c-{seq}");
-        let mut client = Engine::new(SslClient::new(
+        let client = Engine::new(SslClient::new(
             CipherSuite::RsaDesCbc3Sha,
             SslRng::from_seed(seed.as_bytes()),
         ))
@@ -1198,20 +1282,19 @@ mod tests {
         let mut server = Engine::new(SslServer::new(config, SslRng::from_seed(seed.as_bytes())))
             .expect("server engine");
         server.set_crypto_offload(true);
-        let mut wire = vec![0u8; 16 * 1024];
-        while !server.crypto_pending() {
-            let n = client.take_output(&mut wire);
-            let mut offset = 0;
-            while offset < n {
-                offset += server.feed(&wire[offset..n]).expect("server feed");
-            }
-            let n = server.take_output(&mut wire);
-            let mut offset = 0;
-            while offset < n {
-                offset += client.feed(&wire[offset..n]).expect("client feed");
-            }
+        (client, server)
+    }
+
+    /// Moves everything `from` has queued into `to`.
+    fn pump<A: EngineDriven, B: EngineDriven>(
+        from: &mut Engine<A>,
+        to: &mut Engine<B>,
+        wire: &mut [u8],
+    ) {
+        let n = from.take_output(wire);
+        let mut offset = 0;
+        while offset < n {
+            offset += to.feed(&wire[offset..n]).expect("feed");
         }
-        let job = server.take_crypto_job().expect("suspended job");
-        (server, job)
     }
 }

@@ -23,7 +23,7 @@ use crate::transport::{read_record_into, Transport};
 use crate::{CipherSuite, SslError};
 use sslperf_profile::{measure, Cycles, PhaseSet, Stopwatch};
 use sslperf_rng::SslRng;
-use sslperf_rsa::{x509::Certificate, RsaPrivateKey};
+use sslperf_rsa::{x509::Certificate, RsaError, RsaPrivateKey};
 use std::ops::Range;
 
 /// The ten server-side handshake steps of the paper's Table 2.
@@ -575,7 +575,9 @@ impl<'a> SslServer<'a> {
     ///
     /// # Errors
     ///
-    /// Returns RSA, MAC, decode or [`SslError::BadFinished`] errors.
+    /// Returns MAC, decode or [`SslError::BadFinished`] errors; a key
+    /// exchange that does not decrypt surfaces as the MAC failure of the
+    /// finished record behind it.
     pub fn process_client_flight(&mut self, flight: &[u8]) -> Result<Vec<u8>, SslError> {
         if !matches!(self.state, State::AwaitClientKx | State::AwaitClientCcs) {
             return Err(SslError::UnexpectedMessage { expected: "nothing (bad state)" });
@@ -623,8 +625,7 @@ impl<'a> SslServer<'a> {
             measure(|| key.decrypt_instrumented(&encrypted_pre_master, &mut rng, &mut scratch))
         };
         self.note_crypto(5, "rsa_private_decryption", cycles);
-        let pre_master = pre_master?;
-        self.derive_master(&pre_master)?;
+        self.derive_master(pre_master);
         let (_, cycles) = measure(|| self.transcript.absorb(msg));
         self.note_crypto(5, "finish_mac", cycles);
         self.steps.add(SERVER_STEP_NAMES[5], sw.elapsed() + open_cycles);
@@ -632,19 +633,21 @@ impl<'a> SslServer<'a> {
         Ok(MachineStep::Continue)
     }
 
-    /// Step 5's conclusion in offload mode: validate the decrypted
-    /// pre-master and derive the master secret, attributing queue wait and
-    /// execution separately in the crypto ledger.
+    /// Step 5's conclusion in offload mode: derive the master secret from
+    /// the job's result, attributing queue wait and execution separately in
+    /// the crypto ledger.
     fn finish_client_kx(&mut self, done: CryptoDone) -> Result<(), SslError> {
         let sw = Stopwatch::start();
         let (output, queue_wait, batch_wait, exec) = done.into_parts();
         self.note_crypto(5, "rsa_queue_wait", queue_wait);
         self.note_crypto(5, "rsa_batch_wait", batch_wait);
         self.note_crypto(5, "rsa_private_decryption", exec);
-        let crate::engine::CryptoOutput::PreMaster(pre_master) = output? else {
-            return Err(SslError::NotReady("crypto result kind"));
+        let pre_master = match output {
+            Ok(crate::engine::CryptoOutput::PreMaster(pre_master)) => Ok(pre_master),
+            Ok(_) => return Err(SslError::NotReady("crypto result kind")),
+            Err(e) => Err(e),
         };
-        self.derive_master(&pre_master)?;
+        self.derive_master(pre_master);
         let total = self.kx_partial + queue_wait + batch_wait + exec + sw.elapsed();
         self.kx_partial = Cycles::ZERO;
         self.steps.add(SERVER_STEP_NAMES[5], total);
@@ -652,17 +655,33 @@ impl<'a> SslServer<'a> {
         Ok(())
     }
 
-    /// Validates the pre-master block and derives the master secret (the
-    /// shared tail of both step-5 paths).
-    fn derive_master(&mut self, pre_master: &[u8]) -> Result<(), SslError> {
-        if pre_master.len() != 48 || pre_master[0] != crate::VERSION.0 {
-            return Err(SslError::Decode("pre-master secret"));
-        }
+    /// Derives the master secret from step 5's decryption result (the
+    /// shared tail of both step-5 paths). A ClientKeyExchange that fails to
+    /// decrypt, unpad, or carry a 48-byte `3.0 ‖ random` block must be
+    /// indistinguishable on the wire from one that succeeds (the
+    /// Bleichenbacher oracle), so any failure continues the handshake under
+    /// a random pre-master and the connection dies where a wrong-key
+    /// client's does: at the client's finished record, with that alert. The
+    /// substitute is drawn on every handshake, from a fork of the
+    /// connection rng, so neither the draw nor its absence moves the stream
+    /// later flights read.
+    fn derive_master(&mut self, decrypted: Result<Vec<u8>, RsaError>) {
+        let mut fork = self.rng.clone();
+        fork.add_entropy(b"client key exchange fallback");
+        let mut fallback = [0u8; 48];
+        fork.fill_bytes(&mut fallback);
+        let pre_master: &[u8] = match &decrypted {
+            Ok(block)
+                if block.len() == 48 && block[..2] == [crate::VERSION.0, crate::VERSION.1] =>
+            {
+                block
+            }
+            _ => &fallback,
+        };
         let (master, cycles) =
             measure(|| kdf::master_secret(pre_master, &self.client_random, &self.server_random));
         self.note_crypto(5, "gen_master_secret", cycles);
         self.master = master;
-        Ok(())
     }
 
     /// Step 6a: the client's CCS — generate the key block, switch the read

@@ -83,18 +83,6 @@ impl<'a> SecureWebServer<'a> {
         self
     }
 
-    /// The negotiated suite for new connections.
-    #[must_use]
-    pub fn suite(&self) -> CipherSuite {
-        self.suite
-    }
-
-    /// The underlying SSL server configuration.
-    #[must_use]
-    pub fn config(&self) -> &'a ServerConfig {
-        self.config
-    }
-
     /// Runs one HTTPS GET transaction for a `file_size`-byte document and
     /// accounts every cycle to a component.
     ///
@@ -244,27 +232,6 @@ impl<'a> SecureWebServer<'a> {
             resumed: server.resumed(),
         })
     }
-
-    /// Runs `n` transactions (fresh sessions) and returns the merged
-    /// component and category breakdowns.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first SSL failure.
-    pub fn run_workload(
-        &self,
-        file_size: usize,
-        n: usize,
-    ) -> Result<(PhaseSet, PhaseSet), SslError> {
-        let mut components = PhaseSet::new();
-        let mut categories = PhaseSet::new();
-        for i in 0..n {
-            let report = self.run_with_session(file_size, i as u64, None)?;
-            components.merge(&report.components);
-            categories.merge(&report.crypto_categories);
-        }
-        Ok((components, categories))
-    }
 }
 
 #[cfg(test)]
@@ -369,13 +336,5 @@ mod tests {
         assert!(report.components.cycles("libcrypto") > Cycles::ZERO);
         // With only measured components, SSL takes essentially everything.
         assert!(report.ssl_percent() > 90.0, "got {:.1}%", report.ssl_percent());
-    }
-
-    #[test]
-    fn workload_aggregates() {
-        let server = SecureWebServer::new(config(), CipherSuite::RsaRc4Md5);
-        let (components, categories) = server.run_workload(2048, 3).unwrap();
-        assert!(components.total() > Cycles::ZERO);
-        assert!(categories.total() > Cycles::ZERO);
     }
 }

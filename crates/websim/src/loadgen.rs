@@ -1,123 +1,30 @@
-//! Multi-client load generation — the paper's driver methodology.
+//! Socket load drivers — the paper's driver methodology on the wire.
 //!
 //! §3.1: "The client makes HTTP requests as fast as the server can handle
 //! them. During our experiments, the server load is always maintained at
-//! more than 90%." This module reproduces that setup with scoped threads
-//! hammering one [`SecureWebServer`], and also provides the mixed
-//! full/resumed workload behind the paper's session re-negotiation
-//! discussion (§4.1).
+//! more than 90%." Every driver here connects to a listening server's
+//! address over real TCP; what they differ in is the shape of the load:
+//!
+//! - [`run_socket_load`]: closed-loop client threads, one connection per
+//!   transaction, optionally resuming by session id or ticket (§4.1's
+//!   session re-negotiation), with handshake and transaction latency
+//!   percentiles.
+//! - [`run_event_load`]: one thread holding many non-blocking connections
+//!   open at once, for concurrency beyond the thread count and bursts that
+//!   back the crypto pool up ([`run_event_load_disrupted`] runs a callback
+//!   mid-burst, e.g. to kill an engine).
+//! - [`run_restart_load`]: establishes sessions, lets the caller restart
+//!   or kill the server in between, then counts which sessions resume.
+//!
+//! The serving experiments in `sslperf-core` and the integration tests are
+//! their callers; the graded measurement is `benchmark/`, which carries its
+//! own clients.
 
 use crate::http::{HttpRequest, HttpResponse};
-use crate::{SecureWebServer, TransactionReport};
-use sslperf_profile::{Cycles, PhaseSet, Stopwatch};
 use sslperf_ssl::{CipherSuite, Protocol, SslError};
 use std::fmt;
 use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
-
-/// Aggregate results of a load run.
-#[derive(Debug)]
-pub struct LoadReport {
-    /// Total completed transactions.
-    pub transactions: usize,
-    /// Wall-clock cycles for the whole run.
-    pub wall: Cycles,
-    /// Merged per-component cycles across all transactions.
-    pub components: PhaseSet,
-    /// How many transactions resumed a cached session.
-    pub resumed: usize,
-}
-
-impl LoadReport {
-    /// Completed transactions per second (at the reference clock).
-    #[must_use]
-    pub fn transactions_per_second(&self) -> f64 {
-        if self.wall == Cycles::ZERO {
-            return 0.0;
-        }
-        self.transactions as f64 / self.wall.to_duration().as_secs_f64()
-    }
-}
-
-/// Runs `clients` concurrent client threads, each performing
-/// `per_client` fresh-session transactions of `file_size` bytes.
-///
-/// # Errors
-///
-/// Returns the first SSL failure from any client.
-pub fn run_loaded(
-    server: &SecureWebServer<'_>,
-    file_size: usize,
-    clients: usize,
-    per_client: usize,
-) -> Result<LoadReport, SslError> {
-    let sw = Stopwatch::start();
-    let results: Vec<Result<Vec<TransactionReport>, SslError>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..clients)
-            .map(|c| {
-                scope.spawn(move || {
-                    let mut reports = Vec::with_capacity(per_client);
-                    for i in 0..per_client {
-                        let seed = (c * 1_000_003 + i) as u64;
-                        reports.push(server.run_with_session(file_size, seed, None)?);
-                    }
-                    Ok(reports)
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().expect("client thread")).collect()
-    });
-    let wall = sw.elapsed();
-    let mut components = PhaseSet::new();
-    let mut transactions = 0;
-    let mut resumed = 0;
-    for result in results {
-        for report in result? {
-            components.merge(&report.components);
-            transactions += 1;
-            resumed += usize::from(report.resumed);
-        }
-    }
-    Ok(LoadReport { transactions, wall, components, resumed })
-}
-
-/// Runs a single-threaded workload where each client session is reused for
-/// `reuse` additional transactions (the §4.1 re-negotiation pattern).
-/// `sessions` distinct sessions are established in total.
-///
-/// # Errors
-///
-/// Returns the first SSL failure.
-pub fn run_with_resumption(
-    server: &SecureWebServer<'_>,
-    file_size: usize,
-    sessions: usize,
-    reuse: usize,
-) -> Result<LoadReport, SslError> {
-    let sw = Stopwatch::start();
-    let mut components = PhaseSet::new();
-    let mut transactions = 0;
-    let mut resumed = 0;
-    for s in 0..sessions {
-        // Establish a fresh session via a handshake transaction.
-        let seed = 0x5e55_0000 + s as u64;
-        // The counted full transaction, plus a side handshake to obtain a
-        // session handle through the public API.
-        let report = server.run_with_session(file_size, seed, None)?;
-        let session = establish_session(server, seed)?;
-        components.merge(&report.components);
-        transactions += 1;
-        for r in 0..reuse {
-            let report =
-                server.run_with_session(file_size, seed + 1 + r as u64, Some(session.clone()))?;
-            debug_assert!(report.resumed);
-            resumed += usize::from(report.resumed);
-            components.merge(&report.components);
-            transactions += 1;
-        }
-    }
-    Ok(LoadReport { transactions, wall: sw.elapsed(), components, resumed })
-}
 
 /// Tunables for [`run_socket_load`].
 #[derive(Debug, Clone)]
@@ -824,83 +731,4 @@ fn read_response(
     }
     // One final parse so the caller sees the real decode error.
     HttpResponse::parse(&buf)
-}
-
-fn establish_session(
-    server: &SecureWebServer<'_>,
-    seed: u64,
-) -> Result<sslperf_ssl::ClientSession, SslError> {
-    use sslperf_rng::SslRng;
-    use sslperf_ssl::{SslClient, SslServer};
-    let mut client = SslClient::new(
-        server.suite(),
-        SslRng::from_seed(&[b"lg-client".as_slice(), &seed.to_le_bytes()].concat()),
-    );
-    let mut ssl_server = SslServer::new(
-        server.config(),
-        SslRng::from_seed(&[b"lg-server".as_slice(), &seed.to_le_bytes()].concat()),
-    );
-    let f1 = client.hello()?;
-    let f2 = ssl_server.process_client_hello(&f1)?;
-    let f3 = client.process_server_flight(&f2)?;
-    let f4 = ssl_server.process_client_flight(&f3)?;
-    client.process_server_finish(&f4)?;
-    Ok(client.session().expect("established"))
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use sslperf_rng::SslRng;
-    use sslperf_rsa::RsaPrivateKey;
-    use sslperf_ssl::{CipherSuite, ServerConfig};
-    use std::sync::OnceLock;
-
-    /// A fresh configuration — and so a fresh session cache — per test:
-    /// libtest runs these in parallel, and a shared cache cleared by one
-    /// test loses the sessions another is about to resume. Only the key,
-    /// the expensive part, is shared.
-    fn config() -> ServerConfig {
-        static KEY: OnceLock<RsaPrivateKey> = OnceLock::new();
-        let key = KEY.get_or_init(|| {
-            let mut rng = SslRng::from_seed(b"loadgen-test-key");
-            RsaPrivateKey::generate(512, &mut rng).expect("keygen")
-        });
-        ServerConfig::new(key.clone(), "loadgen.test").expect("config")
-    }
-
-    #[test]
-    fn concurrent_clients_complete() {
-        let config = config();
-        let server = SecureWebServer::new(&config, CipherSuite::RsaRc4Md5);
-        let report = run_loaded(&server, 1024, 3, 2).expect("load run");
-        assert_eq!(report.transactions, 6);
-        assert_eq!(report.resumed, 0);
-        assert!(report.transactions_per_second() > 0.0);
-        assert!(report.components.total() > Cycles::ZERO);
-    }
-
-    #[test]
-    fn resumption_mix_mostly_resumes() {
-        let config = config();
-        let server = SecureWebServer::new(&config, CipherSuite::RsaDesCbc3Sha);
-        let report = run_with_resumption(&server, 1024, 2, 3).expect("mixed run");
-        assert_eq!(report.transactions, 2 * (1 + 3));
-        assert_eq!(report.resumed, 2 * 3);
-    }
-
-    #[test]
-    fn resumption_cuts_aggregate_crypto() {
-        let config = config();
-        let server = SecureWebServer::new(&config, CipherSuite::RsaDesCbc3Sha);
-        let no_reuse = run_loaded(&server, 1024, 1, 4).expect("fresh sessions");
-        config.clear_session_cache();
-        let with_reuse = run_with_resumption(&server, 1024, 1, 3).expect("resumed sessions");
-        // Same transaction count (4), far less public-key work.
-        assert_eq!(no_reuse.transactions, with_reuse.transactions);
-        assert!(
-            with_reuse.components.cycles("libcrypto") < no_reuse.components.cycles("libcrypto"),
-            "resumption must reduce crypto cycles"
-        );
-    }
 }

@@ -33,26 +33,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
     }
 
-    // The paper's driver methodology: concurrent clients keeping the server
-    // >90% loaded, with and without session reuse.
-    println!("\nLoaded-server runs (4 clients × 8 transactions, 1 KB):");
-    use sslperf::websim::loadgen;
-    ctx.server_config().clear_session_cache();
-    let fresh = loadgen::run_loaded(&server, 1024, 4, 8).expect("load run");
-    println!(
-        "  all-fresh sessions:  {:.1} transactions/s ({} txns, crypto {})",
-        fresh.transactions_per_second(),
-        fresh.transactions,
-        fresh.components.cycles("libcrypto"),
-    );
-    ctx.server_config().clear_session_cache();
-    let reused = loadgen::run_with_resumption(&server, 1024, 4, 7).expect("mixed run");
-    println!(
-        "  1 full + 7 resumed:  {:.1} transactions/s ({} txns, {} resumed, crypto {})",
-        reused.transactions_per_second(),
-        reused.transactions,
-        reused.resumed,
-        reused.components.cycles("libcrypto"),
-    );
+    // This example stays in memory, one transaction at a time. The paper's
+    // driver methodology — concurrent clients keeping a server loaded, with
+    // and without session reuse — needs a socket to load:
+    println!("\nFor loaded-server runs: cargo run --release --example tcp_server");
     Ok(())
 }

@@ -422,12 +422,15 @@ fn streamed_response_keeps_whole_body_fragmentation() {
 
 // ---- fatal alerts on the wire ----
 //
-// Every fatal alert description the stack can emit, provoked from the
-// client side and asserted on a real socket. The one exception is
-// `decompression_failure` (30): this SSLv3 subset negotiates no
-// compression methods at all, so no input can make decompression run,
-// let alone fail — the codec round-trip in `sslperf-ssl`'s alert tests
-// is the only place that description can appear.
+// Every fatal alert description a client can make the server emit,
+// provoked from the client side and asserted on a real socket. Two
+// descriptions are out of a client's reach. `decompression_failure` (30):
+// this SSLv3 subset negotiates no compression methods at all, so no input
+// can make decompression run, let alone fail — the codec round-trip in
+// `sslperf-ssl`'s alert tests is the only place that description can
+// appear. `bad_certificate` (42): it is what `SslError::Rsa` maps to, and
+// a key exchange that fails to decrypt no longer surfaces as one (the
+// matrix below).
 
 /// Frames a complete handshake message as one plaintext record.
 fn handshake_record(msg: &[u8]) -> Vec<u8> {
@@ -462,20 +465,6 @@ fn read_record_raw(socket: &mut TcpStream) -> (u8, Vec<u8>) {
     let mut body = vec![0u8; len];
     socket.read_exact(&mut body).expect("record body");
     (header[0], body)
-}
-
-/// Reads past the server's handshake flight to the plaintext alert that
-/// follows it; returns `(level, description)`.
-fn read_alert_after_flight(socket: &mut TcpStream) -> (u8, u8) {
-    loop {
-        let (content_type, body) = read_record_raw(socket);
-        if content_type == 22 {
-            continue; // server hello ‖ certificate ‖ hello done
-        }
-        assert_eq!(content_type, 21, "expected an alert record");
-        assert_eq!(body.len(), 2, "alert body length");
-        return (body[0], body[1]);
-    }
 }
 
 /// A hello offering a protocol version the server does not speak maps to
@@ -530,14 +519,46 @@ fn application_data_mid_handshake_gets_unexpected_message_alert() {
     server.shutdown();
 }
 
-/// A ClientKeyExchange whose RSA ciphertext is garbage fails the private
-/// decryption: `SslError::Rsa` and a fatal `bad_certificate` (42). Run
-/// against the inline event loop and the offloading event loop — in the
-/// latter, the failure comes back from a crypto worker via
-/// `complete_crypto`, poisoning the engine *after* the pool round-trip,
-/// and the alert must still reach the wire.
+/// Frames a ClientKeyExchange (type 16, u16-length-prefixed ciphertext)
+/// as one plaintext handshake record.
+fn client_kx_record(ciphertext: &[u8]) -> Vec<u8> {
+    let mut msg = vec![16];
+    msg.extend_from_slice(&(ciphertext.len() as u32 + 2).to_be_bytes()[1..]);
+    msg.extend_from_slice(&(ciphertext.len() as u16).to_be_bytes());
+    msg.extend_from_slice(ciphertext);
+    handshake_record(&msg)
+}
+
+/// Reads the server's hello flight up to and including ServerHelloDone
+/// (type 14), so what follows on the socket is the answer to what the test
+/// sends next and nothing else.
+fn read_through_hello_done(socket: &mut TcpStream) {
+    loop {
+        let (content_type, body) = read_record_raw(socket);
+        assert_eq!(content_type, 22, "hello flight is handshake records");
+        let mut at = 0;
+        while at < body.len() {
+            if body[at] == 14 {
+                return;
+            }
+            at += 4 + u32::from_be_bytes([0, body[at + 1], body[at + 2], body[at + 3]]) as usize;
+        }
+    }
+}
+
+/// The Bleichenbacher oracle stays closed: whatever is wrong with a
+/// ClientKeyExchange — ciphertext that is no RSA block at all, a block with
+/// bad PKCS#1 padding, good padding around the wrong version or a 47-byte
+/// secret — the server says nothing until the client's finished record,
+/// and then says byte for byte what it says to a client whose key exchange
+/// was well-formed but whose finished record is junk. Run against the
+/// inline event loop and the offloading one; in the latter the failed
+/// decrypt comes back from a crypto worker and must leave the same trace.
 #[test]
-fn garbage_key_exchange_gets_bad_certificate_alert() {
+fn malformed_key_exchange_is_indistinguishable_until_finished() {
+    use sslperf::bignum::Bn;
+    use std::io::ErrorKind;
+
     let el_options = ServerOptions { shards: 1, ..ServerOptions::default() };
     let inline =
         EventLoopServer::start(key(), "net.sslperf.test", &el_options).expect("event-loop start");
@@ -545,27 +566,66 @@ fn garbage_key_exchange_gets_bad_certificate_alert() {
     let offload =
         EventLoopServer::start(key(), "net.sslperf.test", &off_options).expect("offload start");
 
-    // Key exchange: type 16, u16-length-prefixed 64-byte "ciphertext".
-    let mut kx_body = 64u16.to_be_bytes().to_vec();
-    kx_body.extend_from_slice(&[0x42; 64]);
-    let mut kx_msg = vec![16];
-    kx_msg.extend_from_slice(&(kx_body.len() as u32).to_be_bytes()[1..]);
-    kx_msg.extend_from_slice(&kx_body);
-    let kx_record = handshake_record(&kx_msg);
+    let private = key();
+    let public = private.public_key();
+    let k = public.modulus_bytes();
+    let mut rng = SslRng::from_seed(b"kx-matrix");
+    let mut secret = |version: [u8; 2], len: usize| {
+        let mut block = version.to_vec();
+        block.extend(rng.bytes(len - 2));
+        block
+    };
+    // Block type 1 where PKCS#1 encryption padding demands type 2.
+    let mut bad_padding = vec![0xff; k];
+    bad_padding[..2].copy_from_slice(&[0, 1]);
+    bad_padding[k - 49] = 0;
+    let bad_padding = public
+        .raw_encrypt(&Bn::from_bytes_be(&bad_padding))
+        .expect("block below the modulus")
+        .to_bytes_be_padded(k);
+    let encrypt = |block: &[u8]| {
+        public.encrypt_pkcs1(block, &mut SslRng::from_seed(b"kx-matrix-pad")).expect("fits")
+    };
+    let cases = [
+        ("well-formed (the reference)", encrypt(&secret([3, 0], 48))),
+        ("garbage ciphertext", vec![0x42; k]),
+        ("bad PKCS#1 padding", bad_padding),
+        ("wrong version bytes", encrypt(&secret([3, 1], 48))),
+        ("47-byte secret", encrypt(&secret([3, 0], 47))),
+    ];
 
-    for addr in [inline.local_addr(), offload.local_addr()] {
-        let mut socket = TcpStream::connect(addr).expect("connect");
-        socket.set_read_timeout(Some(Duration::from_secs(10))).expect("read timeout");
-        socket.write_all(&client_hello_record((3, 0), &[0x000a])).expect("hello");
-        socket.write_all(&kx_record).expect("key exchange");
-        let (level, description) = read_alert_after_flight(&mut socket);
-        assert_eq!((level, description), (2, 42), "fatal bad_certificate");
+    for (server, arm) in [(&inline, "inline"), (&offload, "offload")] {
+        for (case, ciphertext) in &cases {
+            let mut socket = TcpStream::connect(server.local_addr()).expect("connect");
+            socket.set_read_timeout(Some(Duration::from_secs(10))).expect("read timeout");
+            socket.write_all(&client_hello_record((3, 0), &[0x000a])).expect("hello");
+            read_through_hello_done(&mut socket);
+
+            socket.write_all(&client_kx_record(ciphertext)).expect("key exchange");
+            socket.set_read_timeout(Some(Duration::from_millis(100))).expect("read timeout");
+            let early = socket.read(&mut [0u8; 1]).map_err(|e| e.kind());
+            assert!(
+                matches!(early, Err(ErrorKind::WouldBlock | ErrorKind::TimedOut)),
+                "{arm}, {case}: the server answered the key exchange itself: {early:?}"
+            );
+
+            // Change-cipher-spec, then a finished record no key opens.
+            socket.set_read_timeout(Some(Duration::from_secs(10))).expect("read timeout");
+            socket.write_all(&[20, 3, 0, 0, 1, 1]).expect("change cipher spec");
+            socket.write_all(&[22, 3, 0, 0, 64]).expect("finished header");
+            socket.write_all(&[0x5a; 64]).expect("finished body");
+            let mut wire = Vec::new();
+            socket.read_to_end(&mut wire).expect("alert, then close");
+            assert_eq!(wire, [21, 3, 0, 0, 2, 2, 20], "{arm}, {case}: fatal bad_record_mac");
+        }
     }
-    // The offloading server really did route the doomed decrypt through
-    // its crypto pool before the error poisoned the engine.
+    // Every offloaded decrypt, doomed or not, went through the crypto pool.
+    let rows = cases.len() as u64;
     let stats = offload.stats();
-    assert!(eventually(|| stats.crypto_jobs() == 1), "got {}", stats.crypto_jobs());
-    assert!(eventually(|| stats.errors() == 1), "got {}", stats.errors());
+    assert!(eventually(|| stats.crypto_jobs() == rows), "got {}", stats.crypto_jobs());
+    assert!(eventually(|| stats.errors() == rows), "got {}", stats.errors());
+    assert_eq!(inline.stats().crypto_jobs(), 0);
+    assert!(eventually(|| inline.stats().errors() == rows), "got {}", inline.stats().errors());
     inline.shutdown();
     offload.shutdown();
 }
