@@ -8,41 +8,15 @@
 //! general-purpose cores — behind a preferential scheduler. [`CryptoPool`]
 //! implements both: every worker thread carries an [`EngineProfile`]
 //! (per-job-class cost multipliers, plus optional bulk-cipher capability),
-//! and submission routes each job by job-class → engine affinity.
+//! and every engine drains one FIFO of accepted jobs.
 //!
-//! Scheduling, in order:
+//! Scheduling: a waiting engine takes the oldest job it can run, unless an
+//! idle engine ranked ahead of it for that job's class — by (cost, engine
+//! index) — can run it too; it adds batch siblings only while no other
+//! capable engine is idle.
 //!
-//! * **Affinity**: a job goes to the live engine with the lowest cost
-//!   multiplier for its class ([`CryptoOp::RsaDecrypt`],
-//!   [`CryptoOp::DheAgree`], or [`CryptoOp::BulkSeal`]); ties break to
-//!   the shortest queue.
-//! * **Spill**: when the preferred engine's queue is full the job spills
-//!   to the next-cheapest engine with room (`crypto_spilled_jobs`).
-//! * **Stealing**: an idle engine steals the oldest *compatible* job from
-//!   a queue that is backed up past one batch, or from a dead engine's
-//!   queue ([`CryptoPool::kill_engine`]) regardless of length
-//!   (`crypto_stolen_jobs`). Bulk jobs are only ever stolen by
-//!   bulk-capable engines.
-//!
-//! Backpressure and fairness: queues are bounded
-//! ([`QUEUE_DEPTH_PER_WORKER`] slots per engine) and submission never
-//! blocks — [`CryptoPool::try_submit`] hands the job back inside
-//! [`SubmitError::QueueFull`] together with a **ticket**. Freed slots are
-//! reserved for ticket holders in FIFO order: a fresh submission is
-//! refused while longer-waiting parked jobs could use the free slots, so
-//! a shard parked on a saturated queue is re-admitted in bounded order
-//! instead of being starved by fresh traffic from other shards
-//! ([`CryptoPool::resubmit`] / [`CryptoPool::cancel_ticket`]).
-//!
-//! Depth accounting: `crypto_queue_depth` counts jobs queued *or
-//! executing* and is sampled (and `crypto_queue_depth_max` raised) at
-//! enqueue, inside the submission lock; the accepted depth travels back
-//! to the shard in [`PoolReply::depth_at_submit`] so metrics report the
-//! burst the job actually experienced, not whatever the counter reads
-//! after the collector has drained.
-//!
-//! Batching (`batch_max` > 1): the engine that dequeues a first job keeps
-//! collecting from *its own* queue up to `batch_max` jobs, waiting at most
+//! Batching (`batch_max` > 1): the engine that takes a first job keeps
+//! collecting up to `batch_max` jobs, waiting at most
 //! `batch_deadline` after the first (by default not at all: the batch is
 //! what was already queued). Execution happens outside the lock
 //! via [`CryptoJob::execute_batch`]; each job's result fans back to its
@@ -63,25 +37,14 @@ use sslperf_ssl::{CryptoDone, CryptoJob, CryptoOp, ServerConfig};
 use std::collections::VecDeque;
 use std::sync::atomic::Ordering;
 use std::sync::mpsc::Sender;
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-
-/// Queue slots per engine: deep enough that a handshake burst keeps the
-/// workers saturated without bouncing jobs back to the shards (a parked
-/// job waits a whole sweep before retrying), shallow enough that the
-/// queue stays bounded and saturation still surfaces as backpressure.
-pub const QUEUE_DEPTH_PER_WORKER: usize = 32;
 
 /// How long workers sleep between condition checks; submissions, kills
 /// and shutdown all notify, so this only bounds the staleness of checks
 /// no one signalled.
 const IDLE_WAIT: Duration = Duration::from_millis(10);
-
-/// Reservations older than this are presumed abandoned (the parked
-/// connection died without [`CryptoPool::cancel_ticket`] — e.g. its
-/// process was killed) and stop blocking fresh submissions.
-const TICKET_TTL: Duration = Duration::from_secs(5);
 
 /// The scheduling class of a queued job, derived from its [`CryptoOp`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -167,34 +130,22 @@ impl EngineProfile {
     }
 }
 
-/// Why [`CryptoPool::try_submit`] did not accept a job. Both variants hand
-/// the job back, but they demand different reactions from the event loop:
-/// a full queue is transient (park the job on the connection and retry
-/// next sweep, quoting the ticket), a shut-down pool is permanent (fail
-/// the connection — a parked job would wait forever).
+/// Why [`CryptoPool::try_submit`] did not accept a job. The refusal is
+/// permanent — the event loop fails the connection — and the job comes
+/// back for a caller that wants to run it inline.
 #[derive(Debug)]
 pub enum SubmitError {
-    /// Every slot this job's class could use is taken or reserved for a
-    /// longer-waiting parked job. Park the job and retry with
-    /// [`CryptoPool::resubmit`], quoting `ticket` — the ticket holds the
-    /// connection's place in the FIFO admission order.
-    QueueFull {
-        /// The refused job, handed back for parking.
-        job: CryptoJob,
-        /// The connection's place in the admission queue.
-        ticket: u64,
-    },
     /// The pool has stopped accepting jobs (shut down, or no live engine
     /// can ever run this job class) and will never drain this one.
     ShutDown(CryptoJob),
 }
 
 impl SubmitError {
-    /// Recovers the job for parking or inline execution.
+    /// Recovers the refused job.
     #[must_use]
     pub fn into_job(self) -> CryptoJob {
         match self {
-            SubmitError::QueueFull { job, .. } | SubmitError::ShutDown(job) => job,
+            SubmitError::ShutDown(job) => job,
         }
     }
 }
@@ -222,56 +173,32 @@ struct CryptoTask {
     reply: Sender<PoolReply>,
 }
 
-/// A parked connection's place in the FIFO admission order.
-struct Waiter {
-    ticket: u64,
-    class: JobClass,
-    since: Instant,
-}
-
 /// Everything the submission path and the workers share under one lock.
 struct PoolState {
-    /// One bounded queue per engine.
-    queues: Vec<VecDeque<CryptoTask>>,
+    /// Every accepted job not yet taken by an engine, oldest first.
+    queue: VecDeque<CryptoTask>,
     /// Which engines are alive ([`CryptoPool::kill_engine`] clears one).
     live: Vec<bool>,
-    /// FIFO of parked connections waiting for a slot, per ticket.
-    waiters: VecDeque<Waiter>,
-    next_ticket: u64,
+    /// Which engines are waiting for a first job.
+    idle: Vec<bool>,
     /// Cleared at shutdown; workers drain and exit.
     open: bool,
 }
 
 impl PoolState {
-    fn prune_stale_waiters(&mut self) {
-        self.waiters.retain(|w| w.since.elapsed() <= TICKET_TTL);
-    }
-
-    fn remove_waiter(&mut self, ticket: u64) {
-        self.waiters.retain(|w| w.ticket != ticket);
-    }
-
-    /// Same-class waiters ahead of `ticket` (all of them when the ticket
-    /// is absent — a fresh submission queues behind every parked job).
-    fn waiters_ahead(&self, class: JobClass, ticket: Option<u64>) -> usize {
-        let same_class = self.waiters.iter().filter(|w| w.class == class);
-        match ticket {
-            Some(t) => same_class.take_while(|w| w.ticket != t).count(),
-            None => same_class.count(),
-        }
-    }
-
-    fn ensure_waiter(&mut self, ticket: u64, class: JobClass) {
-        if !self.waiters.iter().any(|w| w.ticket == ticket) {
-            self.waiters.push_back(Waiter { ticket, class, since: Instant::now() });
-        }
-    }
-
-    fn issue_ticket(&mut self, class: JobClass) -> u64 {
-        let ticket = self.next_ticket;
-        self.next_ticket += 1;
-        self.waiters.push_back(Waiter { ticket, class, since: Instant::now() });
-        ticket
+    /// Where the oldest job engine `index` should take sits in the queue.
+    /// A `first` job is left to an idle engine ranked ahead of `index` for
+    /// its class; a batch sibling is left to any idle engine that can run
+    /// it, so parallelism comes before batching.
+    fn next_for(&self, index: usize, profiles: &[EngineProfile], first: bool) -> Option<usize> {
+        let me = &profiles[index];
+        self.queue.iter().position(|task| {
+            let class = task.class;
+            let ahead = |j: usize| !first || (profiles[j].cost(class), j) < (me.cost(class), index);
+            me.accepts(class)
+                && !(0..profiles.len())
+                    .any(|j| self.live[j] && self.idle[j] && profiles[j].accepts(class) && ahead(j))
+        })
     }
 }
 
@@ -283,8 +210,8 @@ struct Shared {
     batch_deadline: Duration,
 }
 
-/// Worker threads — one per [`EngineProfile`] — draining bounded
-/// per-engine queues behind the preferential scheduler.
+/// Worker threads — one per [`EngineProfile`] — draining one shared
+/// queue behind the preferential scheduler.
 ///
 /// Shared by every shard of an [`EventLoopServer`](crate::EventLoopServer)
 /// started with [`ServerOptions::crypto_workers`](crate::ServerOptions)
@@ -324,11 +251,10 @@ impl CryptoPool {
         Self::start_heterogeneous(profiles, 1, Duration::ZERO, config, stats, None)
     }
 
-    /// Spawns one worker thread per profile. Jobs route to the live
-    /// engine with the lowest multiplier for their class (shortest queue
-    /// among ties), spill to the next-cheapest engine when the preferred
-    /// queue is full, and idle engines steal compatible work from
-    /// backed-up or dead queues.
+    /// Spawns one worker thread per profile. Each job starts on the idle
+    /// live engine with the lowest multiplier for its class (lowest index
+    /// among ties), and on any engine that can run it once every engine
+    /// ranked ahead is busy.
     ///
     /// # Panics
     ///
@@ -350,10 +276,9 @@ impl CryptoPool {
         let engines = profiles.len();
         let shared = Arc::new(SharedOpaque(Shared {
             state: Mutex::new(PoolState {
-                queues: (0..engines).map(|_| VecDeque::new()).collect(),
+                queue: VecDeque::new(),
                 live: vec![true; engines],
-                waiters: VecDeque::new(),
-                next_ticket: 0,
+                idle: vec![false; engines],
                 open: true,
             }),
             ready: Condvar::new(),
@@ -381,19 +306,16 @@ impl CryptoPool {
         self.shared.0.profiles.len()
     }
 
-    /// Submits a fresh job without blocking. The job always comes back
-    /// inside the error on refusal — the backpressure contract that keeps
-    /// shards sweeping.
+    /// Submits a job without blocking. The queue has no slot bound: a
+    /// connection holds at most one job, so the pool refuses a job only
+    /// when it can never run it.
     ///
     /// # Errors
     ///
-    /// [`SubmitError::QueueFull`] when every usable slot is taken or
-    /// reserved (transient: park the job and [`CryptoPool::resubmit`]
-    /// with the returned ticket); [`SubmitError::ShutDown`] when the pool
-    /// no longer accepts jobs (permanent: fail the connection).
-    // The error variants carry the job handed back for parking — a
-    // payload, not an error condition — so their size is inherent to the
-    // contract.
+    /// [`SubmitError::ShutDown`] when the pool is shut down or no live
+    /// engine accepts the job's class (permanent: fail the connection).
+    // The error carries the refused job back — a payload, not an error
+    // condition — so its size is inherent to the contract.
     #[allow(clippy::result_large_err)]
     pub fn try_submit(
         &self,
@@ -401,120 +323,13 @@ impl CryptoPool {
         job: CryptoJob,
         reply: &Sender<PoolReply>,
     ) -> Result<(), SubmitError> {
-        self.submit_inner(conn, job, reply, None)
-    }
-
-    /// Retries a previously refused job, quoting the ticket from
-    /// [`SubmitError::QueueFull`]. Ticket holders are admitted in FIFO
-    /// order before any fresh submission of the same class, which bounds
-    /// how long a parked handshake can be deferred under saturation.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`CryptoPool::try_submit`]; on refusal the same
-    /// ticket comes back (the place in line is kept).
-    #[allow(clippy::result_large_err)]
-    pub fn resubmit(
-        &self,
-        conn: u64,
-        job: CryptoJob,
-        ticket: u64,
-        reply: &Sender<PoolReply>,
-    ) -> Result<(), SubmitError> {
-        self.submit_inner(conn, job, reply, Some(ticket))
-    }
-
-    /// Releases a parked connection's admission reservation — called when
-    /// a connection dies with a parked job, so its reserved slot does not
-    /// block fresh submissions until the ticket goes stale.
-    pub fn cancel_ticket(&self, ticket: u64) {
-        if let Ok(mut st) = self.shared.0.state.lock() {
-            st.remove_waiter(ticket);
-        }
-    }
-
-    /// Marks one engine dead: it stops dequeuing, its queued jobs become
-    /// stealable by any compatible engine regardless of backlog, and new
-    /// submissions never route to it. Returns false when the index is out
-    /// of range or the engine is already dead. The fleet keeps serving on
-    /// the survivors — this is the scheduler-degradation experiment's
-    /// fault injection.
-    pub fn kill_engine(&self, index: usize) -> bool {
-        let mut st = self.shared.0.state.lock().expect("pool lock");
-        if index >= st.live.len() || !st.live[index] {
-            return false;
-        }
-        st.live[index] = false;
-        drop(st);
-        self.shared.0.ready.notify_all();
-        true
-    }
-
-    #[allow(clippy::result_large_err)] // both variants hand the job back by design
-    fn submit_inner(
-        &self,
-        conn: u64,
-        job: CryptoJob,
-        reply: &Sender<PoolReply>,
-        ticket: Option<u64>,
-    ) -> Result<(), SubmitError> {
         let class = class_of(&job);
         let shared = &self.shared.0;
         let mut st = shared.state.lock().expect("pool lock");
-        if !st.open {
+        let runnable =
+            (0..shared.profiles.len()).any(|i| st.live[i] && shared.profiles[i].accepts(class));
+        if !st.open || !runnable {
             return Err(SubmitError::ShutDown(job));
-        }
-        let capable: Vec<usize> = (0..shared.profiles.len())
-            .filter(|&i| st.live[i] && shared.profiles[i].accepts(class))
-            .collect();
-        if capable.is_empty() {
-            // No live engine can ever run this class: permanent, like a
-            // shut-down pool.
-            if let Some(t) = ticket {
-                st.remove_waiter(t);
-            }
-            return Err(SubmitError::ShutDown(job));
-        }
-        st.prune_stale_waiters();
-        let free: usize = capable
-            .iter()
-            .map(|&i| QUEUE_DEPTH_PER_WORKER.saturating_sub(st.queues[i].len()))
-            .sum();
-        // FIFO admission: free slots belong to longer-waiting parked jobs
-        // first. A fresh submission counts every parked job of its class
-        // as ahead of it.
-        let ahead = st.waiters_ahead(class, ticket);
-        if free <= ahead {
-            let ticket = match ticket {
-                Some(t) => {
-                    st.ensure_waiter(t, class);
-                    t
-                }
-                None => st.issue_ticket(class),
-            };
-            return Err(SubmitError::QueueFull { job, ticket });
-        }
-        if let Some(t) = ticket {
-            st.remove_waiter(t);
-        }
-        // Preferential routing: cheapest multiplier first, shortest queue
-        // among equals; spill to the next-cheapest engine with room when
-        // the preferred one is full.
-        let target = capable
-            .iter()
-            .copied()
-            .filter(|&i| st.queues[i].len() < QUEUE_DEPTH_PER_WORKER)
-            .min_by(|&a, &b| {
-                let (ca, cb) = (shared.profiles[a].cost(class), shared.profiles[b].cost(class));
-                ca.partial_cmp(&cb)
-                    .unwrap_or(std::cmp::Ordering::Equal)
-                    .then(st.queues[a].len().cmp(&st.queues[b].len()))
-            })
-            .expect("free > ahead >= 0 implies a capable engine has room");
-        let cheapest =
-            capable.iter().map(|&i| shared.profiles[i].cost(class)).fold(f64::INFINITY, f64::min);
-        if shared.profiles[target].cost(class) > cheapest {
-            self.stats.crypto_spilled_jobs.fetch_add(1, Ordering::Relaxed);
         }
         if class == JobClass::Bulk {
             self.stats.crypto_bulk_jobs.fetch_add(1, Ordering::Relaxed);
@@ -526,7 +341,7 @@ impl CryptoPool {
         let depth = self.stats.crypto_queue_depth.fetch_add(1, Ordering::Relaxed) + 1;
         self.stats.crypto_jobs.fetch_add(1, Ordering::Relaxed);
         self.stats.crypto_queue_depth_max.fetch_max(depth, Ordering::Relaxed);
-        st.queues[target].push_back(CryptoTask {
+        st.queue.push_back(CryptoTask {
             conn,
             class,
             depth_at_submit: depth,
@@ -536,6 +351,22 @@ impl CryptoPool {
         drop(st);
         shared.ready.notify_all();
         Ok(())
+    }
+
+    /// Marks one engine dead: it takes no further job (a batch it already
+    /// holds still runs) and the survivors drain the shared queue. Returns
+    /// false when the index is out of range or the engine is already dead.
+    /// The fleet keeps serving on the survivors — this is the
+    /// scheduler-degradation experiment's fault injection.
+    pub fn kill_engine(&self, index: usize) -> bool {
+        let mut st = self.shared.0.state.lock().expect("pool lock");
+        if index >= st.live.len() || !st.live[index] {
+            return false;
+        }
+        st.live[index] = false;
+        drop(st);
+        self.shared.0.ready.notify_all();
+        true
     }
 
     /// Stops accepting jobs, lets workers drain what they can, and joins
@@ -561,68 +392,38 @@ impl Drop for CryptoPool {
     }
 }
 
-/// Takes the next task engine `index` should run: its own queue front
-/// first, then — only when idle — the oldest compatible job stolen from a
-/// dead engine's queue (any length) or a live queue backed up past one
-/// batch.
-fn take_task(
-    st: &mut MutexGuard<'_, PoolState>,
-    index: usize,
-    shared: &Shared,
-    stats: &ServerStats,
-) -> Option<CryptoTask> {
-    if let Some(task) = st.queues[index].pop_front() {
-        return Some(task);
-    }
-    let me = &shared.profiles[index];
-    let mut victim: Option<(usize, usize, usize)> = None; // (queue len, engine, position)
-    for j in 0..st.queues.len() {
-        if j == index || st.queues[j].is_empty() {
-            continue;
-        }
-        let dead = !st.live[j];
-        if !dead && st.queues[j].len() <= shared.batch_max {
-            continue; // a live engine will drain its own short queue
-        }
-        if let Some(pos) = st.queues[j].iter().position(|t| me.accepts(t.class)) {
-            let len = st.queues[j].len();
-            if victim.is_none_or(|(best, _, _)| len > best) {
-                victim = Some((len, j, pos));
-            }
-        }
-    }
-    let (_, j, pos) = victim?;
-    let task = st.queues[j].remove(pos).expect("position just found");
-    stats.crypto_stolen_jobs.fetch_add(1, Ordering::Relaxed);
-    Some(task)
-}
-
-/// Collects one batch for engine `index`: the first job from its own
-/// queue (or stolen), then — with `batch_max` &gt; 1 — more from its own
-/// queue within `batch_deadline` of the first. Returns `None` when the
-/// engine is dead or the pool shut down with nothing left this engine
-/// can take.
-fn collect_batch(index: usize, shared: &Shared, stats: &ServerStats) -> Option<Vec<CryptoTask>> {
+/// Collects one batch for engine `index` under the scheduling rule: a
+/// first job, then — with `batch_max` &gt; 1 — siblings within
+/// `batch_deadline` of the first. Returns `None` when the engine is dead
+/// or the pool shut down with nothing left this engine should take.
+fn collect_batch(index: usize, shared: &Shared) -> Option<Vec<CryptoTask>> {
     let mut st = shared.state.lock().expect("pool lock");
+    st.idle[index] = true;
     let first = loop {
         if !st.live[index] {
-            return None;
+            break None;
         }
-        if let Some(task) = take_task(&mut st, index, shared, stats) {
-            break task;
+        if let Some(pos) = st.next_for(index, &shared.profiles, true) {
+            break st.queue.remove(pos);
         }
         if !st.open {
-            return None;
+            break None;
         }
         st = shared.ready.wait_timeout(st, IDLE_WAIT).expect("pool lock").0;
     };
+    st.idle[index] = false;
+    if !st.queue.is_empty() {
+        // Jobs left to this engine while it was idle go to the others now.
+        shared.ready.notify_all();
+    }
     let mut batch = Vec::with_capacity(shared.batch_max);
-    batch.push(first);
+    batch.push(first?);
     if shared.batch_max > 1 {
         batch[0].job.collect();
         let deadline = Instant::now() + shared.batch_deadline;
         while batch.len() < shared.batch_max && st.live[index] {
-            if let Some(mut task) = st.queues[index].pop_front() {
+            if let Some(pos) = st.next_for(index, &shared.profiles, false) {
+                let mut task = st.queue.remove(pos).expect("position just found");
                 task.job.collect();
                 batch.push(task);
                 continue;
@@ -646,7 +447,7 @@ fn worker_loop(
 ) {
     let profile = &shared.profiles[index];
     loop {
-        let Some(batch) = collect_batch(index, shared, stats) else { return };
+        let Some(batch) = collect_batch(index, shared) else { return };
         let size = batch.len();
         stats.crypto_batches.fetch_add(1, Ordering::Relaxed);
         if size > 1 {
@@ -764,24 +565,65 @@ mod tests {
         pool.shutdown();
     }
 
-    /// A full queue hands the job back instead of blocking the caller.
+    /// The queue has no slot bound: a running pool accepts every job it is
+    /// given, however far behind its one engine is, and serves them oldest
+    /// first.
     #[test]
-    fn full_queue_returns_job_for_parking() {
+    fn backlog_is_accepted_whole_and_served_in_order() {
         let config = config();
         let stats = Arc::new(ServerStats::default());
-        let pool = slow_pool(&config, &stats);
+        let pool = CryptoPool::start_heterogeneous(
+            vec![EngineProfile::general_slowed(5.0)],
+            1,
+            Duration::ZERO,
+            Arc::clone(&config),
+            Arc::clone(&stats),
+            None,
+        );
         let (reply_tx, reply_rx) = mpsc::channel();
-
-        let (submitted, bounced, _) = saturate(&pool, &config, &reply_tx);
-        // The bounced job is intact: executing it directly still works.
-        let done = bounced.execute(config.key());
-        assert!(done.exec().get() > 0);
-        // Every accepted job eventually completes and replies.
-        for _ in 0..submitted {
-            let _ = reply_rx.recv().expect("reply for accepted job");
+        let jobs = 65;
+        for seq in 0..jobs {
+            let (_, job) = suspended_job(&config, seq);
+            pool.try_submit(seq, job, &reply_tx).expect("a running pool accepts every job");
         }
-        assert_eq!(stats.crypto_jobs(), submitted);
+        let order: Vec<u64> = (0..jobs).map(|_| reply_rx.recv().expect("reply").conn).collect();
+        assert_eq!(order, (0..jobs).collect::<Vec<_>>(), "replies in submission order");
+        assert_eq!(stats.crypto_jobs(), jobs);
         pool.shutdown();
+    }
+
+    /// A job submitted while one engine is busy starts on its idle sibling
+    /// instead of waiting out the busy engine's job — batched or not.
+    #[test]
+    fn idle_engine_takes_the_second_job() {
+        let config = config();
+        for batch_max in [1, 4] {
+            let pool = CryptoPool::start_heterogeneous(
+                vec![EngineProfile::general_slowed(200.0); 2],
+                batch_max,
+                Duration::ZERO,
+                Arc::clone(&config),
+                Arc::new(ServerStats::default()),
+                None,
+            );
+            let (reply_tx, reply_rx) = mpsc::channel();
+            let (_, first) = suspended_job(&config, 0);
+            pool.try_submit(0, first, &reply_tx).expect("pool is running");
+            std::thread::sleep(Duration::from_millis(2));
+            let (_, second) = suspended_job(&config, 1);
+            pool.try_submit(1, second, &reply_tx).expect("pool is running");
+            let mut replies: Vec<PoolReply> =
+                (0..2).map(|_| reply_rx.recv().expect("reply")).collect();
+            replies.sort_by_key(|reply| reply.conn);
+            let (a, b) = (&replies[0].done, &replies[1].done);
+            assert!(
+                b.queue_wait().get() < a.exec().get() / 4,
+                "batch_max {batch_max}: B waited {} cycles beside A's {}-cycle exec",
+                b.queue_wait().get(),
+                a.exec().get()
+            );
+            pool.shutdown();
+        }
     }
 
     /// A batched pool combines queued jobs and each result still resumes
@@ -910,8 +752,8 @@ mod tests {
         pool.shutdown();
     }
 
-    /// Submitting into a shut-down pool reports `ShutDown`, not
-    /// `QueueFull` — the event loop must fail the connection, not park it.
+    /// Submitting into a shut-down pool reports `ShutDown` and hands the
+    /// job back — the event loop must fail the connection.
     #[test]
     fn shutdown_pool_reports_shutdown_distinctly() {
         let config = config();
@@ -928,14 +770,13 @@ mod tests {
                 let done = job.execute(config.key());
                 assert!(done.exec().get() > 0);
             }
-            Err(SubmitError::QueueFull { .. }) => panic!("shutdown must not report full"),
             Ok(()) => panic!("shutdown pool accepted a job"),
         }
         assert_eq!(stats.crypto_jobs(), 0);
     }
 
     /// The burst-accounting regression: depth counts queued + executing
-    /// and its high-water mark is sampled at enqueue, so a burst parked
+    /// and its high-water mark is sampled at enqueue, so a burst queued
     /// behind a slow collector is fully visible. Before the fix the
     /// collector decremented the depth as it *dequeued* into a batch, so
     /// a burst absorbed into one batch under-reported its depth.
@@ -971,79 +812,10 @@ mod tests {
         pool.shutdown();
     }
 
-    /// The park-and-retry fairness regression: once a submission bounces,
-    /// freed slots belong to it — fresh submissions from other shards are
-    /// refused until the ticket holder is re-admitted, so a parked
-    /// handshake is deferred at most one sweep after a slot frees instead
-    /// of being starved indefinitely.
+    /// Killing the preferred engine mid-backlog leaves the slower survivor
+    /// to drain the queue: every handshake still completes.
     #[test]
-    fn parked_ticket_is_admitted_before_fresh_submissions() {
-        let config = config();
-        let stats = Arc::new(ServerStats::default());
-        let pool = slow_pool(&config, &stats);
-        let (reply_tx, reply_rx) = mpsc::channel();
-
-        // The submission that bounces off the full queue is shard A's
-        // parked handshake.
-        let (submitted, mut parked_job, ticket) = saturate(&pool, &config, &reply_tx);
-
-        // Shard B floods fresh submissions while shard A retries each
-        // sweep. Pre-fix, any freed slot went to whichever fresh job won
-        // the race and A could starve behind B's traffic forever; with
-        // FIFO tickets, A must be admitted, and within a bounded number
-        // of sweeps once slots start freeing.
-        let (_, fresh_job) = suspended_job(&config, 9_000);
-        let mut fresh_job = Some(fresh_job);
-        let mut fresh_accepted = 0u64;
-        let mut admitted_after = None;
-        for sweep in 0..2_000 {
-            // B first, so B would win the freed slot under the old policy.
-            if let Some(job) = fresh_job.take() {
-                match pool.try_submit(10_000 + sweep, job, &reply_tx) {
-                    Ok(()) => {
-                        fresh_accepted += 1;
-                        let (_, next) = suspended_job(&config, 9_001 + sweep);
-                        fresh_job = Some(next);
-                    }
-                    Err(SubmitError::QueueFull { job, ticket: fresh_ticket }) => {
-                        // B's fresh traffic queues *behind* A.
-                        assert!(fresh_ticket > ticket, "fresh tickets issue behind parked ones");
-                        pool.cancel_ticket(fresh_ticket);
-                        fresh_job = Some(job);
-                    }
-                    Err(SubmitError::ShutDown(_)) => panic!("pool is running"),
-                }
-            }
-            match pool.resubmit(submitted, parked_job, ticket, &reply_tx) {
-                Ok(()) => {
-                    admitted_after = Some(sweep);
-                    break;
-                }
-                Err(SubmitError::QueueFull { job, ticket: same }) => {
-                    assert_eq!(same, ticket, "the place in line is kept across retries");
-                    parked_job = job;
-                }
-                Err(SubmitError::ShutDown(_)) => panic!("pool is running"),
-            }
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        let admitted_after = admitted_after.expect("parked job admitted");
-        assert!(
-            fresh_accepted == 0 || admitted_after <= 64,
-            "parked job deferred {admitted_after} sweeps while {fresh_accepted} fresh jobs passed"
-        );
-        // Drain every accepted reply (parked + initial burst + B's).
-        for _ in 0..(submitted + 1 + fresh_accepted) {
-            let _ = reply_rx.recv().expect("reply for accepted job");
-        }
-        pool.shutdown();
-    }
-
-    /// Preferential routing sends every key-exchange job to the cheapest
-    /// engine; killing that engine mid-backlog lets the slower survivor
-    /// steal the queue and finish every handshake.
-    #[test]
-    fn killed_preferred_engine_is_drained_by_stealing() {
+    fn killed_preferred_engine_still_completes_every_handshake() {
         let config = config();
         let stats = Arc::new(ServerStats::default());
         // Engine 0 is preferred (8x); engine 1 is the slow survivor (24x).
@@ -1068,8 +840,7 @@ mod tests {
         }
         assert!(pool.kill_engine(0), "preferred engine dies mid-backlog");
         assert!(!pool.kill_engine(0), "already dead");
-        // Every handshake still completes: the survivor steals the dead
-        // engine's backlog.
+        // Every handshake still completes: the survivor drains the backlog.
         for _ in 0..burst {
             let reply = reply_rx.recv_timeout(Duration::from_secs(30)).expect("reply");
             engines[reply.conn as usize]
@@ -1077,13 +848,12 @@ mod tests {
                 .expect("resume after engine death");
         }
         assert_eq!(stats.crypto_jobs(), burst);
-        assert!(stats.crypto_stolen_jobs() >= 1, "the survivor stole from the dead queue");
         pool.shutdown();
     }
 
-    /// Bulk-cipher jobs only route to (and are only stolen by)
-    /// bulk-capable engines, and their sealed records come back through
-    /// the same reply path as key-exchange results.
+    /// Bulk-cipher jobs only run on bulk-capable engines, and their sealed
+    /// records come back through the same reply path as key-exchange
+    /// results.
     #[test]
     fn bulk_jobs_respect_engine_capability() {
         let config = config();
@@ -1132,8 +902,8 @@ mod tests {
 
     /// With the heterogeneous pool enabled (slow engines included), the
     /// server's wire flights are byte-identical to the inline path under
-    /// the same seeds — the rng discipline survives routing, stealing and
-    /// the simulated slowdown.
+    /// the same seeds — the rng discipline survives scheduling and the
+    /// simulated slowdown.
     #[test]
     fn heterogeneous_pool_keeps_flights_byte_identical() {
         let config = config();
@@ -1210,39 +980,6 @@ mod tests {
             assert!(spins < 16, "handshake did not converge");
         }
         server_bytes
-    }
-
-    /// One engine a hundred times slower than native: its queue fills, and
-    /// stays full, while a test is still staging the next handshake. (A
-    /// native engine decrypts about as fast as a test submits, and whether
-    /// its queue ever filled was up to the scheduler.)
-    fn slow_pool(config: &Arc<ServerConfig>, stats: &Arc<ServerStats>) -> CryptoPool {
-        CryptoPool::start_heterogeneous(
-            vec![EngineProfile::general_slowed(100.0)],
-            1,
-            Duration::ZERO,
-            Arc::clone(config),
-            Arc::clone(stats),
-            None,
-        )
-    }
-
-    /// Submits fresh jobs to a [`slow_pool`] until one bounces; returns how
-    /// many were accepted, the bounced job and its ticket.
-    fn saturate(
-        pool: &CryptoPool,
-        config: &Arc<ServerConfig>,
-        reply_tx: &mpsc::Sender<PoolReply>,
-    ) -> (u64, CryptoJob, u64) {
-        for seq in 0..2 * QUEUE_DEPTH_PER_WORKER as u64 {
-            let (_, job) = suspended_job(config, seq);
-            match pool.try_submit(seq, job, reply_tx) {
-                Ok(()) => {}
-                Err(SubmitError::QueueFull { job, ticket }) => return (seq, job, ticket),
-                Err(SubmitError::ShutDown(_)) => panic!("pool is running"),
-            }
-        }
-        panic!("queue never filled");
     }
 
     /// Builds a server engine suspended at the RSA boundary and returns

@@ -60,7 +60,7 @@ use sslperf_profile::measure;
 use sslperf_rng::SslRng;
 use sslperf_rsa::RsaPrivateKey;
 use sslperf_ssl::alert::{Alert, AlertDescription};
-use sslperf_ssl::{CryptoJob, Engine, ServerConfig, ServerMachine, SslError, MAX_FRAGMENT};
+use sslperf_ssl::{Engine, ServerConfig, ServerMachine, SslError, MAX_FRAGMENT};
 use sslperf_websim::http::HttpRequest;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -271,8 +271,8 @@ impl EventLoopServer {
     }
 
     /// Kills one crypto engine by index (see
-    /// [`CryptoPool::kill_engine`]): its queue becomes stealable by the
-    /// surviving engines and the server keeps serving. Returns false when
+    /// [`CryptoPool::kill_engine`]): the surviving engines drain the
+    /// pool's queue and the server keeps serving. Returns false when
     /// the server has no pool, the index is out of range, or the engine
     /// is already dead.
     pub fn kill_crypto_engine(&self, index: usize) -> bool {
@@ -357,17 +357,7 @@ fn shard_loop(
         let now = Instant::now();
         conns.retain_mut(|conn| {
             progress |= conn.pump(stats, &mut scratch, now, offload.as_ref());
-            if conn.done {
-                // A connection dying with a parked job releases its
-                // admission reservation so it stops blocking fresh traffic.
-                if let Some((_, ticket)) = conn.parked.take() {
-                    if let Some(offload) = offload.as_ref() {
-                        offload.pool.cancel_ticket(ticket);
-                    }
-                }
-                return false;
-            }
-            true
+            !conn.done
         });
         if !progress {
             // With jobs in flight, park on the reply channel instead of a
@@ -409,9 +399,6 @@ struct Conn<'a> {
     counted: bool,
     /// A crypto job is queued or executing; its result has not come back.
     inflight: bool,
-    /// A job the pool bounced (queue full) plus the admission ticket that
-    /// holds its place in line; resubmitted next sweep.
-    parked: Option<(CryptoJob, u64)>,
     /// The response being streamed out, from the request that asked for it
     /// until its last fragment is sealed. While one is pending nothing is
     /// read and no further request is opened: pipelined requests wait in
@@ -452,7 +439,6 @@ impl<'a> Conn<'a> {
             io_timeout,
             counted: false,
             inflight: false,
-            parked: None,
             outgoing: None,
             draining: false,
             done: false,
@@ -472,16 +458,16 @@ impl<'a> Conn<'a> {
         self.deadline = self.io_timeout.map(|t| now + t);
     }
 
-    /// True while this connection's RSA decryption is queued, executing,
-    /// parked for resubmission, or suspended in the engine — time that
-    /// must not count against the client's `io_timeout`.
+    /// True while this connection's key exchange is queued, executing, or
+    /// suspended in the engine — time that must not count against the
+    /// client's `io_timeout`.
     fn crypto_pending(&self) -> bool {
-        self.inflight || self.parked.is_some() || self.engine.crypto_pending()
+        self.inflight || self.engine.crypto_pending()
     }
 
-    /// Makes whatever progress the socket allows: deadline check, parked
-    /// crypto-job retry, read + feed, job submission, request serving,
-    /// refill + write. Returns true when anything moved.
+    /// Makes whatever progress the socket allows: deadline check, read +
+    /// feed, job submission, request serving, refill + write. Returns true
+    /// when anything moved.
     fn pump(
         &mut self,
         stats: &ServerStats,
@@ -490,9 +476,6 @@ impl<'a> Conn<'a> {
         offload: Option<&Offload<'_>>,
     ) -> bool {
         let mut progress = false;
-
-        // Resubmit a job the pool bounced on an earlier sweep.
-        progress |= self.submit_crypto(offload, stats);
 
         // Deadline eviction (the event-loop half of the slowloris guard).
         // A connection whose RSA job sits in the crypto queue is stalled on
@@ -643,38 +626,20 @@ impl<'a> Conn<'a> {
         }
     }
 
-    /// Moves a suspended RSA decryption to the crypto pool: resubmits a
-    /// parked job first, otherwise takes a freshly suspended one from the
-    /// engine. A bounced job parks on the connection for the next sweep;
-    /// a shut-down pool fails the connection outright — parking would
-    /// wait on a queue that will never drain. Returns true when a job
-    /// entered the queue (or the connection transitioned to draining).
+    /// Moves a freshly suspended key exchange to the crypto pool. A pool
+    /// that refuses it can never run it, so the connection fails outright.
+    /// Returns true when a job entered the queue (or the connection
+    /// transitioned to draining).
     fn submit_crypto(&mut self, offload: Option<&Offload<'_>>, stats: &ServerStats) -> bool {
         let Some(offload) = offload else { return false };
         if self.draining || self.done || self.inflight {
             return false;
         }
-        let (job, ticket) = match self.parked.take() {
-            Some((job, ticket)) => (job, Some(ticket)),
-            None => match self.engine.take_crypto_job() {
-                Some(job) => (job, None),
-                None => return false,
-            },
-        };
-        let outcome = match ticket {
-            // A parked job retries with its ticket so it keeps its place
-            // in the pool's FIFO admission order.
-            Some(ticket) => offload.pool.resubmit(self.id, job, ticket, &offload.reply),
-            None => offload.pool.try_submit(self.id, job, &offload.reply),
-        };
-        match outcome {
+        let Some(job) = self.engine.take_crypto_job() else { return false };
+        match offload.pool.try_submit(self.id, job, &offload.reply) {
             Ok(()) => {
                 self.inflight = true;
                 true
-            }
-            Err(SubmitError::QueueFull { job, ticket }) => {
-                self.parked = Some((job, ticket));
-                false
             }
             Err(SubmitError::ShutDown(_)) => {
                 // The handshake can never resume: its decrypt has nowhere

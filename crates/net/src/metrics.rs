@@ -40,7 +40,7 @@ pub struct ServerMetrics {
     /// Key-exchange offload split (both protocols): cycles queued in the
     /// crypto pool.
     kx_queue_wait: Histogram,
-    /// Offload split: cycles parked waiting for batch siblings.
+    /// Offload split: cycles collected but waiting for batch siblings.
     kx_batch_wait: Histogram,
     /// Offload split: cycles executing the private operation (RSA decrypt
     /// for SSLv3, the DHE exponentiation pair for TLS 1.3).

@@ -318,11 +318,6 @@ pub struct ServerStats {
     pub(crate) tickets_rejected: AtomicU64,
     /// Tickets rejected as expired (fell back to full handshake).
     pub(crate) tickets_expired: AtomicU64,
-    /// Jobs an idle engine stole from a backed-up or dead engine's queue.
-    pub(crate) crypto_stolen_jobs: AtomicU64,
-    /// Jobs routed past their preferred (cheapest) engine because its
-    /// queue was full.
-    pub(crate) crypto_spilled_jobs: AtomicU64,
     /// Bulk-cipher (record sealing) jobs accepted by the pool.
     pub(crate) crypto_bulk_jobs: AtomicU64,
 }
@@ -408,8 +403,8 @@ impl ServerStats {
     }
 
     /// Event-loop deadline expiries that were *deferred* rather than
-    /// evicted because the connection's RSA job was queued, executing, or
-    /// parked — crypto-pool wait is the server's latency, not the
+    /// evicted because the connection's key-exchange job was queued or
+    /// executing — crypto-pool wait is the server's latency, not the
     /// client's, so it must not trip the slowloris guard. A nonzero value
     /// under load means the pool is saturated enough that queue wait
     /// exceeds [`ServerOptions::io_timeout`].
@@ -464,20 +459,6 @@ impl ServerStats {
     #[must_use]
     pub fn tickets_expired(&self) -> u64 {
         self.tickets_expired.load(Ordering::Relaxed)
-    }
-
-    /// Jobs an idle engine stole from a backed-up or dead engine's queue
-    /// (0 in homogeneous pools that never back up unevenly).
-    #[must_use]
-    pub fn crypto_stolen_jobs(&self) -> u64 {
-        self.crypto_stolen_jobs.load(Ordering::Relaxed)
-    }
-
-    /// Jobs routed past their preferred (cheapest) engine because its
-    /// queue was full — how often affinity gave way to load.
-    #[must_use]
-    pub fn crypto_spilled_jobs(&self) -> u64 {
-        self.crypto_spilled_jobs.load(Ordering::Relaxed)
     }
 
     /// Bulk-cipher (record sealing) jobs the pool accepted; only
