@@ -164,6 +164,31 @@ fn ablate_sha_unit(c: &mut Criterion) {
     group.finish();
 }
 
+/// §6.2's round unit kept busy: CBC over one 16 KiB record one block at a
+/// time through the trait's default (`per_block`) against the cipher's own
+/// `encrypt_cbc`/`decrypt_cbc` — on AES-NI the fused kernel, chain held in
+/// a register and eight decrypt blocks in flight; on the table backend the
+/// same default, so its two arms are a control.
+fn ablate_cbc_chain(c: &mut Criterion) {
+    use sslperf_core::ciphers::PerBlock;
+    let aes = Aes::new(&[8u8; 16]).expect("key");
+    let name = aes.backend_name();
+    let per_block = PerBlock(aes.clone());
+    let mut group = c.benchmark_group("ablate_cbc_chain");
+    group.throughput(Throughput::Bytes(16_384));
+    for (arm, cipher) in [("per_block", &per_block as &dyn BlockCipher), ("cbc", &aes)] {
+        let mut data = vec![0x42u8; 16_384];
+        let mut iv = [0u8; 16];
+        group.bench_function(format!("encrypt_{arm}_{name}"), |b| {
+            b.iter(|| cipher.encrypt_cbc(&mut iv, black_box(&mut data)));
+        });
+        group.bench_function(format!("decrypt_{arm}_{name}"), |b| {
+            b.iter(|| cipher.decrypt_cbc(&mut iv, black_box(&mut data)));
+        });
+    }
+    group.finish();
+}
+
 /// §6.2(3): the crypto-engine argument — MAC and encryption of a record
 /// serially vs overlapped on two threads.
 fn ablate_crypto_engine(c: &mut Criterion) {
@@ -239,6 +264,7 @@ criterion_group!(
     ablate_fixed_base,
     ablate_fused_round,
     ablate_sha_unit,
+    ablate_cbc_chain,
     ablate_crypto_engine,
     ablate_three_operand
 );

@@ -516,21 +516,187 @@ impl BlockCipher for Aes {
             block[4 * c..4 * c + 4].copy_from_slice(&(w ^ rk[c]).to_be_bytes());
         }
     }
+
+    /// On AES-NI, one fused loop with the round keys and the chaining block
+    /// held in registers; otherwise the per-block default.
+    fn encrypt_cbc(&self, iv: &mut [u8], data: &mut [u8]) {
+        #[cfg(target_arch = "x86_64")]
+        if self.ni {
+            counters::count("aes_block", (data.len() / 16) as u64);
+            ni::encrypt_cbc(&self.ek_b, self.rounds, iv, data);
+            return;
+        }
+        crate::cbc::encrypt_per_block(self, iv, data);
+    }
+
+    /// On AES-NI, eight independent blocks in flight per group; otherwise
+    /// the per-block default.
+    fn decrypt_cbc(&self, iv: &mut [u8], data: &mut [u8]) {
+        #[cfg(target_arch = "x86_64")]
+        if self.ni {
+            counters::count("aes_block", (data.len() / 16) as u64);
+            ni::decrypt_cbc(&self.dk_b, self.rounds, iv, data);
+            return;
+        }
+        crate::cbc::decrypt_per_block(self, iv, data);
+    }
 }
 
 /// The hardware round unit: one `AESENC`/`AESDEC` per round instead of 16
-/// table lookups. This module is the crate's single island of `unsafe` —
-/// the `x86_64` load/store/round intrinsics — kept behind safe wrappers
-/// whose callers only construct NI-backed ciphers after
-/// [`available`](ni::available) returned true.
+/// table lookups, per block or fused over a whole CBC slice. This module is
+/// the crate's single island of `unsafe` — the `x86_64` load/store/round
+/// intrinsics — kept behind safe wrappers whose callers only construct
+/// NI-backed ciphers after [`available`](ni::available) returned true.
 #[cfg(target_arch = "x86_64")]
 mod ni {
     #![allow(unsafe_code)]
 
     use std::arch::x86_64::{
         __m128i, _mm_aesdec_si128, _mm_aesdeclast_si128, _mm_aesenc_si128, _mm_aesenclast_si128,
-        _mm_loadu_si128, _mm_storeu_si128, _mm_xor_si128,
+        _mm_loadu_si128, _mm_setzero_si128, _mm_storeu_si128, _mm_xor_si128,
     };
+
+    /// Blocks a CBC decrypt keeps in flight: `AESDEC` has a multi-cycle
+    /// latency but issues every cycle, so eight independent blocks keep the
+    /// unit busy.
+    const LANES: usize = 8;
+
+    /// CBC-encrypts `data` in place from `iv` with the byte-flattened
+    /// schedule `rk`, leaving the last ciphertext block in `iv`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if AES-NI is missing, `rounds` is not 10/12/14, `rk` is not
+    /// `(rounds + 1) * 16` bytes, `iv` is not 16 bytes or `data` is not
+    /// whole blocks.
+    pub(super) fn encrypt_cbc(rk: &[u8], rounds: usize, iv: &mut [u8], data: &mut [u8]) {
+        check_cbc(rk, rounds, iv, data);
+        // SAFETY: `check_cbc` verified the feature and every length the
+        // kernel's unaligned loads and stores rely on.
+        unsafe {
+            match rounds {
+                10 => encrypt_cbc_impl::<10>(rk, iv, data),
+                12 => encrypt_cbc_impl::<12>(rk, iv, data),
+                _ => encrypt_cbc_impl::<14>(rk, iv, data),
+            }
+        }
+    }
+
+    /// CBC-decrypts `data` in place from `iv` with the equivalent-inverse
+    /// schedule `rk`, leaving the last ciphertext block in `iv`.
+    ///
+    /// # Panics
+    ///
+    /// As [`encrypt_cbc`].
+    pub(super) fn decrypt_cbc(rk: &[u8], rounds: usize, iv: &mut [u8], data: &mut [u8]) {
+        check_cbc(rk, rounds, iv, data);
+        // SAFETY: as in `encrypt_cbc`.
+        unsafe {
+            match rounds {
+                10 => decrypt_cbc_impl::<10>(rk, iv, data),
+                12 => decrypt_cbc_impl::<12>(rk, iv, data),
+                _ => decrypt_cbc_impl::<14>(rk, iv, data),
+            }
+        }
+    }
+
+    fn check_cbc(rk: &[u8], rounds: usize, iv: &[u8], data: &[u8]) {
+        assert!(available(), "NI cipher constructed without AES-NI");
+        assert!(matches!(rounds, 10 | 12 | 14), "AES has 10, 12 or 14 rounds");
+        assert_eq!(rk.len(), (rounds + 1) * 16);
+        assert_eq!(iv.len(), 16, "CBC chaining vector must be one block");
+        assert!(data.len().is_multiple_of(16), "CBC data must be whole blocks");
+    }
+
+    /// Loads the `R + 1` round keys into registers (slots past `R` stay
+    /// zero and unused).
+    ///
+    /// # Safety
+    ///
+    /// Requires SSE2 (baseline on `x86_64`) and `rk.len() >= (R + 1) * 16`.
+    #[target_feature(enable = "aes")]
+    unsafe fn load_keys<const R: usize>(rk: &[u8]) -> [__m128i; 15] {
+        let mut k = [_mm_setzero_si128(); 15];
+        for (r, key) in k.iter_mut().enumerate().take(R + 1) {
+            // SAFETY: caller guarantees rk holds R + 1 full keys.
+            *key = unsafe { _mm_loadu_si128(rk.as_ptr().add(16 * r).cast()) };
+        }
+        k
+    }
+
+    /// # Safety
+    ///
+    /// Requires the `aes` target feature at runtime, `rk.len() >= (R + 1) *
+    /// 16`, `iv.len() == 16` and `data.len()` a multiple of 16.
+    #[target_feature(enable = "aes")]
+    unsafe fn encrypt_cbc_impl<const R: usize>(rk: &[u8], iv: &mut [u8], data: &mut [u8]) {
+        // SAFETY: forwarded from the caller.
+        let k = unsafe { load_keys::<R>(rk) };
+        // SAFETY: caller guarantees iv is 16 bytes.
+        let mut chain = unsafe { _mm_loadu_si128(iv.as_ptr().cast()) };
+        for block in data.chunks_exact_mut(16) {
+            // SAFETY: chunks_exact_mut yields 16-byte blocks.
+            let p = unsafe { _mm_loadu_si128(block.as_ptr().cast()) };
+            // Whitening the plaintext first leaves one XOR on the chain.
+            let mut s = _mm_xor_si128(_mm_xor_si128(p, k[0]), chain);
+            for key in &k[1..R] {
+                s = _mm_aesenc_si128(s, *key);
+            }
+            chain = _mm_aesenclast_si128(s, k[R]);
+            // SAFETY: as for the load.
+            unsafe { _mm_storeu_si128(block.as_mut_ptr().cast(), chain) };
+        }
+        // SAFETY: caller guarantees iv is 16 bytes.
+        unsafe { _mm_storeu_si128(iv.as_mut_ptr().cast(), chain) };
+    }
+
+    /// # Safety
+    ///
+    /// As [`encrypt_cbc_impl`], with `rk` the equivalent-inverse schedule.
+    #[target_feature(enable = "aes")]
+    unsafe fn decrypt_cbc_impl<const R: usize>(rk: &[u8], iv: &mut [u8], data: &mut [u8]) {
+        // SAFETY: forwarded from the caller.
+        let k = unsafe { load_keys::<R>(rk) };
+        // SAFETY: caller guarantees iv is 16 bytes.
+        let mut prev = unsafe { _mm_loadu_si128(iv.as_ptr().cast()) };
+        let mut groups = data.chunks_exact_mut(16 * LANES);
+        for group in &mut groups {
+            // Every ciphertext block is read before any plaintext is
+            // written back, so decrypting in place is sound.
+            let mut c = [_mm_setzero_si128(); LANES];
+            for (i, ci) in c.iter_mut().enumerate() {
+                // SAFETY: the group is LANES whole blocks.
+                *ci = unsafe { _mm_loadu_si128(group.as_ptr().add(16 * i).cast()) };
+            }
+            let mut s = c.map(|ci| _mm_xor_si128(ci, k[0]));
+            for key in &k[1..R] {
+                for si in &mut s {
+                    *si = _mm_aesdec_si128(*si, *key);
+                }
+            }
+            for (i, si) in s.iter_mut().enumerate() {
+                let back = if i == 0 { prev } else { c[i - 1] };
+                *si = _mm_xor_si128(_mm_aesdeclast_si128(*si, k[R]), back);
+                // SAFETY: as for the loads.
+                unsafe { _mm_storeu_si128(group.as_mut_ptr().add(16 * i).cast(), *si) };
+            }
+            prev = c[LANES - 1];
+        }
+        for block in groups.into_remainder().chunks_exact_mut(16) {
+            // SAFETY: chunks_exact_mut yields 16-byte blocks.
+            let c = unsafe { _mm_loadu_si128(block.as_ptr().cast()) };
+            let mut s = _mm_xor_si128(c, k[0]);
+            for key in &k[1..R] {
+                s = _mm_aesdec_si128(s, *key);
+            }
+            s = _mm_xor_si128(_mm_aesdeclast_si128(s, k[R]), prev);
+            // SAFETY: as for the load.
+            unsafe { _mm_storeu_si128(block.as_mut_ptr().cast(), s) };
+            prev = c;
+        }
+        // SAFETY: caller guarantees iv is 16 bytes.
+        unsafe { _mm_storeu_si128(iv.as_mut_ptr().cast(), prev) };
+    }
 
     /// Runtime check for the `aes` CPUID feature.
     pub(super) fn available() -> bool {
@@ -814,5 +980,20 @@ mod tests {
         });
         assert_eq!(snap.calls("aes_key_setup"), 1);
         assert_eq!(snap.calls("aes_block"), 2);
+    }
+
+    #[test]
+    fn cbc_counts_one_unit_per_block_on_every_path() {
+        let aes = Aes::new(&[0x24u8; 16]).unwrap();
+        let blocks_of = |cbc: &dyn Fn(&mut [u8], &mut [u8])| {
+            let mut data = vec![0x5au8; 16_384];
+            let (_, snap) = counters::counted(|| cbc(&mut [0u8; 16], &mut data));
+            snap.units("aes_block")
+        };
+        let per_block = crate::PerBlock(aes.clone());
+        assert_eq!(blocks_of(&|iv, d| aes.encrypt_cbc(iv, d)), 1024, "{}", aes.backend_name());
+        assert_eq!(blocks_of(&|iv, d| aes.decrypt_cbc(iv, d)), 1024, "{}", aes.backend_name());
+        assert_eq!(blocks_of(&|iv, d| per_block.encrypt_cbc(iv, d)), 1024);
+        assert_eq!(blocks_of(&|iv, d| per_block.decrypt_cbc(iv, d)), 1024);
     }
 }

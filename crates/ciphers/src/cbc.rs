@@ -1,9 +1,19 @@
 //! Cipher-block chaining over any [`BlockCipher`].
 //!
 //! The paper notes (§2) that CBC "ensures a dependency between blocks of
-//! data within the message and removes the potential for parallelism" — the
-//! property the crypto-engine ablation bench quantifies. The IV handling
-//! matches SSL v3: the chaining state carries over from record to record.
+//! data within the message and removes the potential for parallelism". That
+//! holds for encryption only: block i's input needs block i − 1's output, so
+//! one chain keeps one block in flight. Decryption reads ciphertext, which
+//! is all known up front, so its blocks are independent and only the final
+//! XOR reaches back one block — AES-NI decrypts eight at once
+//! ([`Aes`](crate::Aes)'s override of [`BlockCipher::decrypt_cbc`]). The IV
+//! handling matches SSL v3: the chaining state carries over from record to
+//! record.
+//!
+//! `encrypt_per_block` and `decrypt_per_block` are the per-block loops
+//! behind the trait's provided methods: the paper-faithful path DES, 3DES
+//! and the table AES take, and — through [`PerBlock`] — the oracle the
+//! fused AES-NI kernel is tested against.
 
 use crate::{BlockCipher, CipherError};
 
@@ -11,6 +21,71 @@ use crate::{BlockCipher, CipherError};
 /// Keeping the chaining state on the stack lets `decrypt` run without heap
 /// allocation, which the record layer's in-place pipeline depends on.
 const MAX_BLOCK: usize = 16;
+
+/// Checks the shape every CBC call needs: a one-block `iv` and whole blocks.
+fn assert_cbc_shape(block: usize, iv: &[u8], data: &[u8]) {
+    assert_eq!(iv.len(), block, "CBC chaining vector must be one block");
+    assert!(data.len().is_multiple_of(block), "CBC data must be whole blocks");
+}
+
+/// CBC encryption one [`BlockCipher::encrypt_block`] at a time.
+pub(crate) fn encrypt_per_block<C: BlockCipher + ?Sized>(
+    cipher: &C,
+    iv: &mut [u8],
+    data: &mut [u8],
+) {
+    let block = cipher.block_len();
+    assert_cbc_shape(block, iv, data);
+    for chunk in data.chunks_mut(block) {
+        for (b, ivb) in chunk.iter_mut().zip(iv.iter()) {
+            *b ^= ivb;
+        }
+        cipher.encrypt_block(chunk);
+        iv.copy_from_slice(chunk);
+    }
+}
+
+/// CBC decryption one [`BlockCipher::decrypt_block`] at a time.
+pub(crate) fn decrypt_per_block<C: BlockCipher + ?Sized>(
+    cipher: &C,
+    iv: &mut [u8],
+    data: &mut [u8],
+) {
+    let block = cipher.block_len();
+    assert_cbc_shape(block, iv, data);
+    let mut prev = [0u8; MAX_BLOCK];
+    prev[..block].copy_from_slice(iv);
+    let mut cipher_block = [0u8; MAX_BLOCK];
+    for chunk in data.chunks_mut(block) {
+        cipher_block[..block].copy_from_slice(chunk);
+        cipher.decrypt_block(chunk);
+        for (b, pv) in chunk.iter_mut().zip(&prev[..block]) {
+            *b ^= pv;
+        }
+        prev[..block].copy_from_slice(&cipher_block[..block]);
+    }
+    iv.copy_from_slice(&prev[..block]);
+}
+
+/// A cipher with its CBC override hidden: the trait's per-block provided
+/// bodies run whatever `C` is, so `Cbc<PerBlock<Aes>>` is the reference the
+/// fused AES-NI kernel is tested and ablated against.
+#[derive(Debug, Clone)]
+pub struct PerBlock<C>(pub C);
+
+impl<C: BlockCipher> BlockCipher for PerBlock<C> {
+    fn block_len(&self) -> usize {
+        self.0.block_len()
+    }
+
+    fn encrypt_block(&self, block: &mut [u8]) {
+        self.0.encrypt_block(block);
+    }
+
+    fn decrypt_block(&self, block: &mut [u8]) {
+        self.0.decrypt_block(block);
+    }
+}
 
 /// A CBC-mode wrapper owning the cipher and the running IV.
 ///
@@ -76,17 +151,8 @@ impl<C: BlockCipher> Cbc<C> {
     /// Returns [`CipherError::InvalidDataLen`] unless `data` is a whole
     /// number of blocks.
     pub fn encrypt(&mut self, data: &mut [u8]) -> Result<(), CipherError> {
-        let block = self.cipher.block_len();
-        if !data.len().is_multiple_of(block) {
-            return Err(CipherError::InvalidDataLen { got: data.len(), block });
-        }
-        for chunk in data.chunks_mut(block) {
-            for (b, ivb) in chunk.iter_mut().zip(&self.iv) {
-                *b ^= ivb;
-            }
-            self.cipher.encrypt_block(chunk);
-            self.iv.copy_from_slice(chunk);
-        }
+        self.check_len(data)?;
+        self.cipher.encrypt_cbc(&mut self.iv, data);
         Ok(())
     }
 
@@ -97,23 +163,18 @@ impl<C: BlockCipher> Cbc<C> {
     /// Returns [`CipherError::InvalidDataLen`] unless `data` is a whole
     /// number of blocks.
     pub fn decrypt(&mut self, data: &mut [u8]) -> Result<(), CipherError> {
-        let block = self.cipher.block_len();
-        if !data.len().is_multiple_of(block) {
-            return Err(CipherError::InvalidDataLen { got: data.len(), block });
-        }
-        let mut prev = [0u8; MAX_BLOCK];
-        prev[..block].copy_from_slice(&self.iv);
-        let mut cipher_block = [0u8; MAX_BLOCK];
-        for chunk in data.chunks_mut(block) {
-            cipher_block[..block].copy_from_slice(chunk);
-            self.cipher.decrypt_block(chunk);
-            for (b, pv) in chunk.iter_mut().zip(&prev[..block]) {
-                *b ^= pv;
-            }
-            prev[..block].copy_from_slice(&cipher_block[..block]);
-        }
-        self.iv.copy_from_slice(&prev[..block]);
+        self.check_len(data)?;
+        self.cipher.decrypt_cbc(&mut self.iv, data);
         Ok(())
+    }
+
+    fn check_len(&self, data: &[u8]) -> Result<(), CipherError> {
+        let block = self.cipher.block_len();
+        if data.len().is_multiple_of(block) {
+            Ok(())
+        } else {
+            Err(CipherError::InvalidDataLen { got: data.len(), block })
+        }
     }
 }
 
@@ -121,34 +182,6 @@ impl<C: BlockCipher> Cbc<C> {
 mod tests {
     use super::*;
     use crate::{Aes, Des, Des3};
-
-    fn from_hex(s: &str) -> Vec<u8> {
-        (0..s.len()).step_by(2).map(|i| u8::from_str_radix(&s[i..i + 2], 16).unwrap()).collect()
-    }
-
-    /// NIST SP 800-38A F.2.1: AES-128-CBC.
-    #[test]
-    fn nist_aes_cbc_vector() {
-        let key = from_hex("2b7e151628aed2a6abf7158809cf4f3c");
-        let iv = from_hex("000102030405060708090a0b0c0d0e0f");
-        let mut enc = Cbc::new(Aes::new(&key).unwrap(), iv).unwrap();
-        let mut data = from_hex(
-            "6bc1bee22e409f96e93d7e117393172a\
-             ae2d8a571e03ac9c9eb76fac45af8e51\
-             30c81c46a35ce411e5fbc1191a0a52ef\
-             f69f2445df4f9b17ad2b417be66c3710",
-        );
-        enc.encrypt(&mut data).unwrap();
-        assert_eq!(
-            data,
-            from_hex(
-                "7649abac8119b246cee98e9b12e9197d\
-                 5086cb9b507219ee95db113a917678b2\
-                 73bed6b8e3c1743b7116e69e22229516\
-                 3ff1caa1681fac09120eca307586e1a7"
-            )
-        );
-    }
 
     #[test]
     fn round_trip_all_ciphers() {

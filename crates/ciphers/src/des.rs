@@ -233,9 +233,11 @@ impl Des {
         ((p >> 32) as u32, p as u32)
     }
 
-    /// Part 2: the 16 substitution rounds.
+    /// Part 2: the 16 substitution rounds (counted as `des_round`, one call
+    /// of 16 units).
     #[must_use]
     pub fn substitution_rounds(&self, l: u32, r: u32, decrypt: bool) -> (u32, u32) {
+        counters::count("des_round", 16);
         rounds(l, r, &self.ks, decrypt)
     }
 
@@ -314,9 +316,11 @@ impl Des3 {
     }
 
     /// Part 2 of the 3DES block operation: all 48 substitution rounds
-    /// (E-D-E when encrypting, D-E-D reversed when decrypting).
+    /// (E-D-E when encrypting, D-E-D reversed when decrypting), counted as
+    /// one `des_round` call of 48 units.
     #[must_use]
     pub fn substitution_rounds(&self, l: u32, r: u32, decrypt: bool) -> (u32, u32) {
+        counters::count("des_round", 48);
         if decrypt {
             let (l, r) = rounds(l, r, &self.ks3, true);
             let (l, r) = rounds(l, r, &self.ks2, false);

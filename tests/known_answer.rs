@@ -1,5 +1,6 @@
-//! Known-answer tests pinning the hash, MAC, and KDF primitives to their
-//! published vectors: MD5 to RFC 1321 §A.5, SHA-1 to FIPS 180-1 appendix
+//! Known-answer tests pinning the cipher, hash, MAC, and KDF primitives to
+//! their published vectors: AES to FIPS 197 and, in CBC mode, to NIST
+//! SP 800-38A appendix F.2, MD5 to RFC 1321 §A.5, SHA-1 to FIPS 180-1 appendix
 //! examples, HMAC-MD5/HMAC-SHA1 to RFC 2202, HKDF-SHA-256 to RFC 5869
 //! appendix A, the ffdhe2048 group to RFC 7919 appendix A.1, and the
 //! SSLv3 KDF to a fixed golden transcript. Everything above these
@@ -9,7 +10,7 @@
 //! conformance.
 
 use sslperf::bignum::{Bn, LimbWidth, MontCtx};
-use sslperf::ciphers::{Aes, AesBackend, BlockCipher, CipherError};
+use sslperf::ciphers::{Aes, AesBackend, BlockCipher, Cbc, CipherError};
 use sslperf::hashes::{hkdf, HashAlg, Hmac, Md5, Sha1, Sha256};
 use sslperf::prelude::SslRng;
 use sslperf::ssl::{dhe, kdf};
@@ -79,6 +80,76 @@ fn fips197_vectors_on_every_backend() {
                 "decrypt drifted: backend {} key {key}",
                 backend.name()
             );
+        }
+    }
+}
+
+/// NIST SP 800-38A F.2.1–F.2.6: CBC-AES128/192/256 encrypt and decrypt of
+/// the appendix's four-block message, on both round backends, through
+/// [`Cbc`] — the path the record layer and ticket sealing take, so on
+/// AES-NI this pins the fused kernel and on the table backend the
+/// per-block default. The message goes in as one call, then as a 3 + 1
+/// block split, so the chain must also carry across calls.
+#[test]
+fn sp800_38a_cbc_vectors_on_every_backend() {
+    let iv = unhex("000102030405060708090a0b0c0d0e0f");
+    let plain = unhex(concat!(
+        "6bc1bee22e409f96e93d7e117393172a",
+        "ae2d8a571e03ac9c9eb76fac45af8e51",
+        "30c81c46a35ce411e5fbc1191a0a52ef",
+        "f69f2445df4f9b17ad2b417be66c3710",
+    ));
+    // (key, ciphertext): F.2.1/F.2.2, F.2.3/F.2.4, F.2.5/F.2.6.
+    let vectors = [
+        (
+            "2b7e151628aed2a6abf7158809cf4f3c",
+            concat!(
+                "7649abac8119b246cee98e9b12e9197d",
+                "5086cb9b507219ee95db113a917678b2",
+                "73bed6b8e3c1743b7116e69e22229516",
+                "3ff1caa1681fac09120eca307586e1a7",
+            ),
+        ),
+        (
+            "8e73b0f7da0e6452c810f32b809079e562f8ead2522c6b7b",
+            concat!(
+                "4f021db243bc633d7178183a9fa071e8",
+                "b4d9ada9ad7dedf4e5e738763f69145a",
+                "571b242012fb7ae07fa9baac3df102e0",
+                "08b0e27988598881d920a9e64f5615cd",
+            ),
+        ),
+        (
+            "603deb1015ca71be2b73aef0857d77811f352c073b6108d72d9810a30914dff4",
+            concat!(
+                "f58c4c04d6e5f1ba779eabfb5f7bfbd6",
+                "9cfc4e967edb808d679f777bc6702c7d",
+                "39f23369a9d9bacfa530e26304231461",
+                "b2eb05e2c39be9fcda6c19078c6a9d1b",
+            ),
+        ),
+    ];
+    for backend in aes_backends() {
+        for (key, cipher) in &vectors {
+            let cbc = || {
+                let aes = Aes::with_backend(&unhex(key), backend).expect("backend available");
+                Cbc::new(aes, iv.clone()).expect("one-block iv")
+            };
+            let name = backend.name();
+            for split in [64, 48] {
+                let (mut enc, mut dec) = (cbc(), cbc());
+                let mut data = plain.clone();
+                let (head, tail) = data.split_at_mut(split);
+                enc.encrypt(head).expect("whole blocks");
+                enc.encrypt(tail).expect("whole blocks");
+                assert_eq!(hex(&data), *cipher, "encrypt drifted: {name} key {key} split {split}");
+                assert_eq!(hex(enc.iv()), cipher[96..], "encrypt chain: {name} key {key}");
+                let (head, tail) = data.split_at_mut(split);
+                dec.decrypt(head).expect("whole blocks");
+                dec.decrypt(tail).expect("whole blocks");
+                assert_eq!(data, plain, "decrypt drifted: {name} key {key} split {split}");
+                assert_eq!(hex(dec.iv()), cipher[96..], "decrypt chain: {name} key {key}");
+            }
         }
     }
 }

@@ -583,6 +583,42 @@ proptest! {
         }
     }
 
+    /// The fused CBC kernel (AES-NI's override of `encrypt_cbc` /
+    /// `decrypt_cbc`) against the trait's per-block default on the same
+    /// cipher, for every key size, 0–40 blocks (every remainder of the
+    /// 8-block decrypt group) and a random split into two calls, so the
+    /// chain must carry across calls exactly as in one.
+    #[test]
+    fn fused_cbc_matches_per_block_default(
+        key_sel in 0usize..3,
+        key in vec(any::<u8>(), 32..=32),
+        iv in vec(any::<u8>(), 16..=16),
+        data in vec(any::<u8>(), 0..=40 * 16),
+        cut in any::<prop::sample::Index>(),
+    ) {
+        let aes = Aes::new(&key[..[16, 24, 32][key_sel]]).expect("key");
+        let per_block = sslperf::ciphers::PerBlock(aes.clone());
+        let data = &data[..data.len() / 16 * 16];
+        let cut = cut.index(data.len() / 16 + 1) * 16;
+        let run = |cipher: &dyn BlockCipher, decrypt: bool, cut: usize| {
+            let (mut chain, mut buf) = (iv.clone(), data.to_vec());
+            let (head, tail) = buf.split_at_mut(cut);
+            for part in [head, tail] {
+                if decrypt {
+                    cipher.decrypt_cbc(&mut chain, part);
+                } else {
+                    cipher.encrypt_cbc(&mut chain, part);
+                }
+            }
+            (chain, buf)
+        };
+        for decrypt in [false, true] {
+            let reference = run(&per_block, decrypt, data.len());
+            prop_assert_eq!(run(&aes, decrypt, data.len()), reference.clone());
+            prop_assert_eq!(run(&aes, decrypt, cut), reference);
+        }
+    }
+
     /// SHA kernels in lockstep: the kernel `new()` detects (the SHA unit
     /// where the CPU has one), fed in three pieces so a buffered head, a
     /// multi-block run and a tail all occur, against the portable kernel
