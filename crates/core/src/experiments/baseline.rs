@@ -2,17 +2,17 @@
 //!
 //! The paper's Apache/mod_ssl setup dedicates one blocking thread to each
 //! in-flight connection. [`BlockingBaseline`] is that architecture and
-//! nothing more — a listener, a fixed set of worker threads, and the
-//! blocking [`SslServer`] transport calls — so `loaded_server` and
-//! `crypto_offload` have a thread-per-connection arm to hold the
-//! event-loop server ([`sslperf_net::EventLoopServer`]) against. It is an
-//! experiment fixture, not a serving mode: no statistics, metrics, tickets,
-//! timeouts or closing alerts beyond answering `close_notify`.
+//! nothing more — a listener, a fixed set of worker threads, and one
+//! [`SslServer`] engine per connection driven by blocking reads and writes —
+//! so `loaded_server` and `crypto_offload` have a thread-per-connection arm
+//! to hold the event-loop server ([`sslperf_net::EventLoopServer`]) against.
+//! It is an experiment fixture, not a serving mode: no statistics, metrics,
+//! tickets, timeouts or closing alerts beyond answering `close_notify`.
 
 use sslperf_net::ShardedSessionCache;
 use sslperf_rng::SslRng;
 use sslperf_rsa::RsaPrivateKey;
-use sslperf_ssl::{RecordBuffer, ServerConfig, SslError, SslServer};
+use sslperf_ssl::{Engine, ServerConfig, SslError, SslServer};
 use sslperf_websim::http::{synthesize_document, HttpRequest, HttpResponse};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -55,7 +55,7 @@ impl BlockingBaseline {
                         if stop.load(Ordering::SeqCst) {
                             break;
                         }
-                        serve_connection(&config, stream);
+                        let _ = serve_connection(&config, stream);
                     }
                 })
             })
@@ -101,7 +101,7 @@ impl Drop for BlockingBaseline {
 
 /// Runs one connection to completion: handshake, then HTTP transactions
 /// until `close_notify`, disconnect or any error.
-fn serve_connection(config: &ServerConfig, mut stream: TcpStream) {
+fn serve_connection(config: &ServerConfig, mut stream: TcpStream) -> Result<(), SslError> {
     static CONN_SEQ: AtomicU64 = AtomicU64::new(0);
     // Handshake flights are small back-to-back writes; Nagle + delayed ACK
     // would add ~40ms stalls to every resumed transaction.
@@ -110,29 +110,33 @@ fn serve_connection(config: &ServerConfig, mut stream: TcpStream) {
     // the process.
     let conn = CONN_SEQ.fetch_add(1, Ordering::Relaxed);
     let rng = SslRng::from_seed(format!("sslperf-baseline-conn-{conn}").as_bytes());
-    let mut server = SslServer::new(config, rng);
-    if server.handshake_transport(&mut stream).is_err() {
-        return;
-    }
-    let mut rx_buf = RecordBuffer::with_record_capacity();
-    let mut tx_buf = RecordBuffer::with_record_capacity();
+    let mut engine = Engine::new(SslServer::new(config, rng))?;
     loop {
-        let range = match server.recv_buffered(&mut stream, &mut rx_buf) {
-            Ok(range) => range,
-            Err(SslError::PeerAlert(alert)) if alert.is_close_notify() => {
-                let _ = server.close_transport(&mut stream);
-                return;
+        engine.write_to(&mut stream)?;
+        if engine.is_established() {
+            match engine.open_next() {
+                Ok(Some(range)) => {
+                    let request = HttpRequest::parse(&engine.buffered()[range])?;
+                    let path = request.path();
+                    let size =
+                        path.strip_prefix("/doc_").and_then(|rest| rest.strip_suffix(".bin"));
+                    let response = match size.and_then(|digits| digits.parse().ok()) {
+                        Some(size) => HttpResponse::ok(synthesize_document(path, size)),
+                        None => HttpResponse::not_found(),
+                    };
+                    engine.seal(&response.to_bytes())?;
+                    continue;
+                }
+                Ok(None) => {}
+                Err(SslError::PeerAlert(alert)) if alert.is_close_notify() => {
+                    engine.queue_close_notify()?;
+                    return engine.write_to(&mut stream);
+                }
+                Err(e) => return Err(e),
             }
-            Err(_) => return,
-        };
-        let Ok(request) = HttpRequest::parse(&rx_buf.as_slice()[range]) else { return };
-        let size = request.path().strip_prefix("/doc_").and_then(|rest| rest.strip_suffix(".bin"));
-        let response = match size.and_then(|digits| digits.parse().ok()) {
-            Some(size) => HttpResponse::ok(synthesize_document(request.path(), size)),
-            None => HttpResponse::not_found(),
-        };
-        if server.send_buffered(&mut stream, &response.to_bytes(), &mut tx_buf).is_err() {
-            return;
+        }
+        if engine.read_from(&mut stream)? == 0 {
+            return Ok(());
         }
     }
 }

@@ -18,7 +18,7 @@
 //! use sslperf_net::{EventLoopServer, ServerOptions};
 //! use sslperf_rng::SslRng;
 //! use sslperf_rsa::RsaPrivateKey;
-//! use sslperf_ssl::{CipherSuite, SslClient};
+//! use sslperf_ssl::{CipherSuite, Engine, SslClient};
 //! use std::net::TcpStream;
 //!
 //! let mut rng = SslRng::from_seed(b"net-doc");
@@ -26,9 +26,16 @@
 //! let server = EventLoopServer::start(key, "doc.example", &ServerOptions::default())?;
 //!
 //! let mut socket = TcpStream::connect(server.local_addr())?;
-//! let mut client = SslClient::new(CipherSuite::RsaDesCbc3Sha, SslRng::from_seed(b"c"));
-//! client.handshake_transport(&mut socket)?;
-//! client.close_transport(&mut socket)?;
+//! let client = SslClient::new(CipherSuite::RsaDesCbc3Sha, SslRng::from_seed(b"c"));
+//! let mut client = Engine::new(client)?;
+//! while !client.is_established() {
+//!     client.write_to(&mut socket)?;
+//!     if client.read_from(&mut socket)? == 0 {
+//!         return Err("server closed mid-handshake".into());
+//!     }
+//! }
+//! client.queue_close_notify()?;
+//! client.write_to(&mut socket)?;
 //!
 //! server.shutdown();
 //! # Ok::<(), Box<dyn std::error::Error>>(())

@@ -1,16 +1,14 @@
 //! The SSL v3 client state machine.
 //!
 //! The handshake logic lives in per-message handlers driven by the sans-io
-//! [`Engine`](crate::Engine); the flight-based `process_*` methods and the
-//! blocking [`SslClient::handshake_transport`] driver are thin wrappers
-//! over it, producing byte-identical wire traffic.
+//! [`Engine`](crate::Engine); the flight-based `process_*` methods are thin
+//! wrappers over it, producing byte-identical wire traffic.
 
 use crate::engine::{Engine, EngineDriven, MachineStep};
 use crate::kdf::{self, KeyMaterial};
 use crate::messages::{HandshakeMessage, SessionId};
 use crate::record::{ContentType, RecordBuffer, RecordLayer};
 use crate::transcript::{Transcript, SENDER_CLIENT, SENDER_SERVER};
-use crate::transport::{read_record_into, Transport};
 use crate::{CipherSuite, SslError, VERSION};
 use sslperf_profile::Cycles;
 use sslperf_rng::SslRng;
@@ -507,73 +505,6 @@ impl SslClient {
         let mut out = Vec::new();
         self.records.seal_append(ContentType::Alert, &alert.to_bytes(), &mut out)?;
         Ok(out)
-    }
-
-    /// Drives the whole client side of the handshake over a
-    /// [`Transport`], attempting resumption when constructed with
-    /// [`SslClient::resuming`]: one sans-io [`Engine`] fed one record per
-    /// read, with replies flushed as soon as they are complete.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SslError::Io`] on transport failures plus every error the
-    /// flight-based methods can return.
-    pub fn handshake_transport<T: Transport>(&mut self, transport: &mut T) -> Result<(), SslError> {
-        let mut buf = RecordBuffer::new();
-        let mut engine = Engine::new(&mut *self)?;
-        engine.flush_to(transport)?;
-        while !engine.is_established() {
-            read_record_into(transport, &mut buf)?;
-            engine.feed(buf.as_slice())?;
-            engine.flush_to(transport)?;
-        }
-        Ok(())
-    }
-
-    /// Seals application data into the caller's [`RecordBuffer`] and writes
-    /// the records to the transport — the zero-allocation send path when
-    /// `buf` is reused across calls.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SslError::NotReady`] before the handshake completes and
-    /// [`SslError::Io`] on transport failures.
-    pub fn send_buffered<T: Transport>(
-        &mut self,
-        transport: &mut T,
-        data: &[u8],
-        buf: &mut RecordBuffer,
-    ) -> Result<(), SslError> {
-        self.seal_into(data, buf)?;
-        transport.send(buf.as_slice())
-    }
-
-    /// Reads one record into the caller's [`RecordBuffer`], decrypts it in
-    /// place and returns the plaintext range — the zero-allocation receive
-    /// path when `buf` is reused across calls.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SslError::PeerAlert`] when the peer closed the session,
-    /// [`SslError::Io`] on transport failures, or record-layer errors.
-    pub fn recv_buffered<T: Transport>(
-        &mut self,
-        transport: &mut T,
-        buf: &mut RecordBuffer,
-    ) -> Result<Range<usize>, SslError> {
-        read_record_into(transport, buf)?;
-        self.open_in_place(buf)
-    }
-
-    /// Sends the `close_notify` alert over the transport.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SslError::NotReady`] before the handshake completes and
-    /// [`SslError::Io`] on transport failures.
-    pub fn close_transport<T: Transport>(&mut self, transport: &mut T) -> Result<(), SslError> {
-        let wire = self.close()?;
-        transport.send(&wire)
     }
 }
 

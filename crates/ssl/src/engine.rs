@@ -16,13 +16,16 @@
 //!
 //! * the flight-based `process_*` methods feed one peer flight and drain
 //!   the reply,
-//! * the blocking `handshake_transport` drivers feed one record per
-//!   [`read_record_into`](crate::read_record_into) call,
-//! * the event-loop server feeds whatever a non-blocking `read` returned.
+//! * socket drivers move bytes with [`Engine::read_from`] /
+//!   [`Engine::write_to`] over any `std::io` stream (the blocking load
+//!   clients and baseline server), or feed whatever a non-blocking `read`
+//!   returned (the event-loop server).
 //!
 //! Post-handshake, [`Engine::seal`] appends application-data records to the
 //! outbound buffer and [`Engine::open_next`] decrypts buffered records in
-//! place — the zero-allocation record pipeline, driver-agnostic.
+//! place — the zero-allocation record pipeline, driver-agnostic. Record
+//! framing, with its content-type, version and length checks, happens in
+//! one place whichever way the bytes came in.
 //!
 //! # Examples
 //!
@@ -58,18 +61,18 @@
 //! ```
 
 use crate::alert::Alert;
-use crate::record::{ContentType, RecordBuffer, RecordLayer};
-use crate::transport::{Transport, RECORD_HEADER_LEN};
+use crate::record::{ContentType, RecordBuffer, RecordLayer, RECORD_HEADER_LEN};
 use crate::{SslClient, SslError, SslServer, MAX_RECORD_BODY, VERSION};
 use sslperf_profile::{measure, Cycles, PhaseSet, Stopwatch};
 use sslperf_rng::SslRng;
 use sslperf_rsa::{BatchCipher, RsaError, RsaPrivateKey};
+use std::io::{ErrorKind, Read, Write};
 use std::ops::Range;
 
-/// Inbound buffering cap: two maximum records. [`Engine::feed`] consumes at
-/// most this much un-processed input, returning a shorter `consumed` count
-/// when the caller must first drain application records — natural
-/// backpressure for event-loop drivers.
+/// Inbound buffering cap: two maximum records. [`Engine::feed`] and
+/// [`Engine::read_from`] take at most this much un-processed input,
+/// returning a shorter count when the caller must first drain application
+/// records — natural backpressure for event-loop drivers.
 const HIGH_WATER: usize = 2 * (RECORD_HEADER_LEN + MAX_RECORD_BODY);
 
 mod sealed {
@@ -381,7 +384,7 @@ impl CryptoDone {
 
 /// A handshake state machine an [`Engine`] can drive (sealed: implemented
 /// by [`SslClient`] and [`SslServer`], plus mutable references to either so
-/// the blocking and flight-based drivers can borrow a machine they own).
+/// the flight-based drivers can borrow a machine they own).
 ///
 /// The engine handles record framing and handshake-message reassembly;
 /// implementations only see whole messages, in order, plus the cycles the
@@ -634,7 +637,8 @@ impl<M: EngineDriven> Engine<M> {
     }
 
     /// The inbound buffer; ranges returned by [`Engine::open_next`] index
-    /// into this slice and stay valid until the next [`Engine::feed`].
+    /// into this slice and stay valid until the next [`Engine::feed`] or
+    /// [`Engine::read_from`].
     pub fn buffered(&self) -> &[u8] {
         self.inbox.as_slice()
     }
@@ -658,6 +662,75 @@ impl<M: EngineDriven> Engine<M> {
     /// Returns handshake, record-layer, and [`SslError::PeerAlert`] errors;
     /// any error poisons the connection (see [`Engine::last_error`]).
     pub fn feed(&mut self, bytes: &[u8]) -> Result<usize, SslError> {
+        self.ingest(|inbox, space| {
+            let take = bytes.len().min(space);
+            inbox.extend_from_slice(&bytes[..take]);
+            Ok(take)
+        })
+    }
+
+    /// Reads once from `rd` straight into the inbound buffer — at most its
+    /// free space, so every byte read is consumed and the caller keeps no
+    /// leftover — then drives the handshake as far as the bytes allow,
+    /// like [`Engine::feed`]. Once the buffer is warm this allocates
+    /// nothing. The blocking drivers pair it with [`Engine::write_to`].
+    ///
+    /// Returns how many bytes were read; `Ok(0)` means end of stream.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SslError::Io`] when the read fails (a socket timeout
+    /// satisfies [`SslError::is_timeout`]) and [`SslError::NotReady`] when
+    /// the buffer is full of application records not yet drained with
+    /// [`Engine::open_next`]; neither poisons the connection. Every error
+    /// [`Engine::feed`] returns does.
+    pub fn read_from(&mut self, rd: &mut impl Read) -> Result<usize, SslError> {
+        self.ingest(|inbox, space| {
+            if space == 0 {
+                return Err(SslError::NotReady("inbound buffer full"));
+            }
+            let start = inbox.len();
+            inbox.resize(start + space, 0);
+            let n = loop {
+                match rd.read(&mut inbox[start..]) {
+                    Ok(n) => break n,
+                    Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                    Err(e) => {
+                        inbox.truncate(start);
+                        return Err(io_error(&e));
+                    }
+                }
+            };
+            inbox.truncate(start + n);
+            Ok(n)
+        })
+    }
+
+    /// Writes all pending output to `wr` and flushes it.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SslError::Io`] when a write fails or `wr` accepts no more
+    /// bytes; what was not written stays queued.
+    pub fn write_to(&mut self, wr: &mut impl Write) -> Result<(), SslError> {
+        while self.wants_write() {
+            match wr.write(self.output()) {
+                Ok(0) => return Err(SslError::Io("peer accepted no bytes".into())),
+                Ok(n) => self.consume_output(n),
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(e) => return Err(io_error(&e)),
+            }
+        }
+        wr.flush().map_err(|e| io_error(&e))
+    }
+
+    /// Compacts the inbox, lets `fill` append at most its free space and
+    /// drives the handshake over what arrived. An error from `fill` leaves
+    /// the connection as it was; a handshake error poisons it.
+    fn ingest(
+        &mut self,
+        fill: impl FnOnce(&mut Vec<u8>, usize) -> Result<usize, SslError>,
+    ) -> Result<usize, SslError> {
         if let Some(e) = &self.failed {
             return Err(e.clone());
         }
@@ -672,15 +745,14 @@ impl<M: EngineDriven> Engine<M> {
             self.in_pos = 0;
         }
         let space = HIGH_WATER.saturating_sub(self.inbox.len());
-        let take = bytes.len().min(space);
-        self.inbox.extend_from_slice(&bytes[..take]);
+        let n = fill(self.inbox.vec_mut(), space)?;
         if !self.machine.handshake_done() {
             if let Err(e) = self.drive() {
                 self.failed = Some(e.clone());
                 return Err(e);
             }
         }
-        Ok(take)
+        Ok(n)
     }
 
     /// Switches the wrapped machine's crypto offloading on or off. While
@@ -969,21 +1041,80 @@ impl<M: EngineDriven> Engine<M> {
         self.consume_output(n);
         out
     }
+}
 
-    /// Writes all pending output to a blocking transport.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SslError::Io`] on transport failures.
-    pub(crate) fn flush_to<T: Transport + ?Sized>(
-        &mut self,
-        transport: &mut T,
-    ) -> Result<(), SslError> {
-        if self.pending_output() > 0 {
-            transport.send(self.output())?;
-            let n = self.pending_output();
-            self.consume_output(n);
+/// Maps a stream error, marking read/write timeouts (`WouldBlock` on Unix,
+/// `TimedOut` on Windows) so [`SslError::is_timeout`] can tell a stalled
+/// peer from a dead one.
+fn io_error(e: &std::io::Error) -> SslError {
+    match e.kind() {
+        ErrorKind::WouldBlock | ErrorKind::TimedOut => SslError::Io(format!("timed out: {e}")),
+        _ => SslError::Io(e.to_string()),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::test_support::server_config;
+    use crate::CipherSuite;
+
+    fn header(content_type: u8, version: (u8, u8), body_len: usize) -> [u8; RECORD_HEADER_LEN] {
+        [content_type, version.0, version.1, (body_len >> 8) as u8, body_len as u8]
+    }
+
+    fn server() -> ServerEngine<'static> {
+        Engine::new(SslServer::new(server_config(), SslRng::from_seed(b"limit-s"))).unwrap()
+    }
+
+    /// Frames `header` alone while the handshake runs: `feed` does it.
+    fn frame_during_handshake(header: &[u8]) -> Result<(), SslError> {
+        server().feed(header).map(|_| ())
+    }
+
+    /// Frames `header` alone on an established connection: `open_next`
+    /// does it.
+    fn frame_after_handshake(header: &[u8]) -> Result<(), SslError> {
+        let mut client =
+            Engine::new(SslClient::new(CipherSuite::RsaDesCbc3Sha, SslRng::from_seed(b"limit-c")))?;
+        let mut server = server();
+        let mut wire = [0u8; 4096];
+        while !(client.is_established() && server.is_established()) {
+            let n = client.take_output(&mut wire);
+            server.feed(&wire[..n])?;
+            let n = server.take_output(&mut wire);
+            client.feed(&wire[..n])?;
         }
-        Ok(())
+        client.feed(header)?;
+        client.open_next().map(|_| ())
+    }
+
+    /// The SSLv3 record ceiling and the header checks are decided on the
+    /// five header bytes, before any body byte arrives, in both phases.
+    #[test]
+    fn record_header_is_checked_during_and_after_handshake() {
+        for (frame, content_type) in [
+            (frame_during_handshake as fn(&[u8]) -> Result<(), SslError>, 22),
+            (frame_after_handshake, 23),
+        ] {
+            assert_eq!(frame(&header(content_type, VERSION, MAX_RECORD_BODY)), Ok(()));
+            assert_eq!(
+                frame(&header(content_type, VERSION, MAX_RECORD_BODY + 1)),
+                Err(SslError::Decode("record length"))
+            );
+            assert_eq!(frame(&header(99, VERSION, 1)), Err(SslError::Decode("content type")));
+            assert_eq!(
+                frame(&header(content_type, (3, 1), 1)),
+                Err(SslError::UnsupportedVersion { major: 3, minor: 1 })
+            );
+        }
+    }
+
+    #[test]
+    fn read_from_reports_end_of_stream_as_zero() {
+        let mut server = server();
+        assert_eq!(server.read_from(&mut &[22u8, 3, 0][..]), Ok(3));
+        assert_eq!(server.read_from(&mut &[][..]), Ok(0));
+        assert_eq!(server.unconsumed(), 3, "a partial header waits for more");
     }
 }

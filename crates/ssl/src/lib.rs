@@ -1,4 +1,4 @@
-//! SSL v3 over in-memory transports, instrumented for the anatomy study.
+//! SSL v3 over caller-owned buffers, instrumented for the anatomy study.
 //!
 //! This crate implements the protocol whose server-side cost the paper
 //! dissects: the record layer (fragmentation, SSLv3 MAC, CBC padding), the
@@ -22,6 +22,11 @@
 //!   process_server_finish() ◀──  (ccs ‖ finished)
 //!   seal_into()/open_in_place() ◀▶ seal_into()/open_in_place()
 //! ```
+//!
+//! Sockets drive the same machines through the sans-io [`Engine`]:
+//! [`Engine::read_from`] and [`Engine::write_to`] for a blocking
+//! `std::io` stream, [`Engine::feed`] and [`Engine::output`] for an event
+//! loop.
 //!
 //! # Examples
 //!
@@ -73,7 +78,6 @@ mod suites;
 pub mod ticket;
 pub mod tls13;
 mod transcript;
-pub mod transport;
 
 pub use cache::{
     CachedSession, CachedSessionStore, IssuedTicket, SessionCache, SessionStore, SimpleSessionCache,
@@ -85,12 +89,13 @@ pub use engine::{
 };
 pub use machine::{ClientConfig, ClientMachine, Protocol, ServerMachine};
 pub use messages::{HandshakeType, SessionId};
-pub use record::{ContentType, RecordBuffer, RecordLayer, MAX_FRAGMENT, MAX_RECORD_BODY};
+pub use record::{
+    ContentType, RecordBuffer, RecordLayer, MAX_FRAGMENT, MAX_RECORD_BODY, RECORD_HEADER_LEN,
+};
 pub use server::{HandshakeLedger, ServerConfig, SslServer, SERVER_STEP_NAMES};
 pub use suites::{BulkCipher, CipherSuite};
 pub use ticket::{TicketError, TicketKeyring, TicketSessionStore};
 pub use tls13::{Tls13ClientMachine, Tls13ServerMachine, TLS13_STEP_NAMES};
-pub use transport::{duplex_pair, read_record_into, DuplexTransport, Transport};
 
 use sslperf_ciphers::CipherError;
 use sslperf_rsa::RsaError;

@@ -5,11 +5,14 @@
 //! direction keeps its own sequence number and (for CBC) running IV, both
 //! reset when a `ChangeCipherSpec` activates new keys.
 
-use crate::transport::RECORD_HEADER_LEN;
 use crate::{mac, BulkCipher, SslError, VERSION};
 use sslperf_hashes::HashAlg;
 use sslperf_profile::{measure, PhaseSet};
 use std::ops::Range;
+
+/// Size of the cleartext record header: content type, two version bytes,
+/// and the big-endian body length.
+pub const RECORD_HEADER_LEN: usize = 5;
 
 /// Maximum plaintext fragment per record (2¹⁴ bytes, per the SSL3 spec).
 pub const MAX_FRAGMENT: usize = 16_384;
@@ -22,8 +25,8 @@ pub const MAX_RECORD_BODY: usize = MAX_FRAGMENT + 2048;
 /// A reusable, connection-lifetime buffer for wire-format records.
 ///
 /// The zero-copy pipeline ([`RecordLayer::seal_into`],
-/// [`RecordLayer::open_in_place`], `read_record_into`) seals, transports and
-/// opens records inside one of these; once warmed to record capacity, the
+/// [`RecordLayer::open_in_place`]) seals and opens records inside one of
+/// these; once warmed to record capacity, the
 /// steady-state data path performs no heap allocation at all (proved by the
 /// `alloc_budget` integration test).
 ///
@@ -93,8 +96,8 @@ impl RecordBuffer {
         self.buf
     }
 
-    /// Mutable access to the backing vector for in-crate fill paths
-    /// (`read_record_into`).
+    /// Mutable access to the backing vector for in-crate fill paths (the
+    /// engine's inbox and outbox).
     pub(crate) fn vec_mut(&mut self) -> &mut Vec<u8> {
         &mut self.buf
     }
@@ -437,8 +440,8 @@ impl RecordLayer {
     /// place. Returns the content type and the range of `buf` holding the
     /// plaintext; nothing is allocated.
     ///
-    /// The buffer must frame exactly one record (what `read_record_into`
-    /// produces); trailing bytes are a framing error.
+    /// The buffer must frame exactly one record; trailing bytes are a
+    /// framing error.
     ///
     /// # Errors
     ///
@@ -485,7 +488,6 @@ impl RecordLayer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::transport::{duplex_pair, read_record_into, Transport};
     use crate::CipherSuite;
 
     fn protected_pair(suite: CipherSuite) -> (RecordLayer, RecordLayer) {
@@ -509,22 +511,20 @@ mod tests {
         buf.into_vec()
     }
 
-    /// Opens `wire` record by record, framed by the transport reader the
-    /// blocking drivers use.
+    /// Opens `wire` record by record, walking the record headers.
     fn open_each(
         rx: &mut RecordLayer,
         wire: &[u8],
     ) -> Result<Vec<(ContentType, Vec<u8>)>, SslError> {
-        let (mut sender, mut receiver) = duplex_pair();
-        sender.send(wire)?;
         let mut records = Vec::new();
-        let mut buf = RecordBuffer::new();
-        let mut left = wire.len();
-        while left > 0 {
-            read_record_into(&mut receiver, &mut buf)?;
-            left -= buf.len();
-            let (ct, range) = rx.open_in_place(&mut buf)?;
-            records.push((ct, buf.as_slice()[range].to_vec()));
+        let mut rest = wire;
+        while !rest.is_empty() {
+            let len = RECORD_HEADER_LEN + usize::from(u16::from_be_bytes([rest[3], rest[4]]));
+            let (record, tail) = rest.split_at(len);
+            rest = tail;
+            let mut record = record.to_vec();
+            let (ct, range) = rx.open_slice(&mut record)?;
+            records.push((ct, record[range].to_vec()));
         }
         Ok(records)
     }

@@ -1,13 +1,12 @@
 //! The instrumented SSL v3 server, partitioned into the paper's ten steps.
 //!
 //! The handshake logic lives in per-message handlers driven by the sans-io
-//! [`Engine`](crate::Engine); the flight-based `process_*` methods and the
-//! blocking [`SslServer::handshake_transport`] driver are thin wrappers
-//! over it, producing byte-identical wire traffic. Step timing survives the
-//! split: the engine reports the cycles it spent opening each record, and
-//! the handlers fold them into the step the record belongs to, so a step
-//! that spans several readiness events (e.g. step 6's CCS + finished) still
-//! lands in [`SslServer::steps`] as one entry.
+//! [`Engine`](crate::Engine); the flight-based `process_*` methods are thin
+//! wrappers over it, producing byte-identical wire traffic. Step timing
+//! survives the split: the engine reports the cycles it spent opening each
+//! record, and the handlers fold them into the step the record belongs to,
+//! so a step that spans several readiness events (e.g. step 6's CCS +
+//! finished) still lands in [`SslServer::steps`] as one entry.
 
 use crate::cache::{
     CachedSession, CachedSessionStore, IssuedTicket, SessionCache, SessionStore, SimpleSessionCache,
@@ -19,7 +18,6 @@ use crate::messages::{HandshakeMessage, SessionId};
 use crate::record::{ContentType, RecordBuffer, RecordLayer};
 use crate::ticket::TicketError;
 use crate::transcript::{Transcript, SENDER_CLIENT, SENDER_SERVER};
-use crate::transport::{read_record_into, Transport};
 use crate::{CipherSuite, SslError};
 use sslperf_profile::{measure, Cycles, PhaseSet, Stopwatch};
 use sslperf_rng::SslRng;
@@ -899,72 +897,6 @@ impl<'a> SslServer<'a> {
         self.records.seal_append(ContentType::Alert, &alert.to_bytes(), &mut out)?;
         Ok(out)
     }
-
-    /// Drives the whole server side of the handshake over a [`Transport`],
-    /// full or resumed: one sans-io [`Engine`] fed one record per read,
-    /// with replies flushed as soon as they are complete.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SslError::Io`] on transport failures plus every error the
-    /// flight-based methods can return.
-    pub fn handshake_transport<T: Transport>(&mut self, transport: &mut T) -> Result<(), SslError> {
-        let mut buf = RecordBuffer::new();
-        let mut engine = Engine::attach(&mut *self);
-        while !engine.is_established() {
-            read_record_into(transport, &mut buf)?;
-            engine.feed(buf.as_slice())?;
-            engine.flush_to(transport)?;
-        }
-        Ok(())
-    }
-
-    /// Seals application data into the caller's [`RecordBuffer`] and writes
-    /// the records to the transport — the zero-allocation send path when
-    /// `buf` is reused across calls (one pair per connection in the serving
-    /// engine).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SslError::NotReady`] before the handshake completes and
-    /// [`SslError::Io`] on transport failures.
-    pub fn send_buffered<T: Transport>(
-        &mut self,
-        transport: &mut T,
-        data: &[u8],
-        buf: &mut RecordBuffer,
-    ) -> Result<(), SslError> {
-        self.seal_into(data, buf)?;
-        transport.send(buf.as_slice())
-    }
-
-    /// Reads one record into the caller's [`RecordBuffer`], decrypts it in
-    /// place and returns the plaintext range — the zero-allocation receive
-    /// path when `buf` is reused across calls.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SslError::PeerAlert`] when the peer closed the session,
-    /// [`SslError::Io`] on transport failures, or record-layer errors.
-    pub fn recv_buffered<T: Transport>(
-        &mut self,
-        transport: &mut T,
-        buf: &mut RecordBuffer,
-    ) -> Result<Range<usize>, SslError> {
-        read_record_into(transport, buf)?;
-        self.open_in_place(buf)
-    }
-
-    /// Sends the `close_notify` alert over the transport.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SslError::NotReady`] before the handshake completes and
-    /// [`SslError::Io`] on transport failures.
-    pub fn close_transport<T: Transport>(&mut self, transport: &mut T) -> Result<(), SslError> {
-        let wire = self.close()?;
-        transport.send(&wire)
-    }
 }
 
 impl EngineDriven for SslServer<'_> {
@@ -1068,43 +1000,43 @@ mod tests {
     }
 
     #[test]
-    fn transport_handshake_full_then_resumed() {
-        use crate::transport::duplex_pair;
+    fn engine_handshake_full_then_resumed() {
         use crate::{CipherSuite, SslClient};
 
         let config = server_config();
         config.clear_session_cache();
+        // Two engines pumped in one thread until both are established.
+        let mut wire = [0u8; 4096];
+        let mut establish = |client: SslClient, seed: &[u8]| {
+            let mut client = Engine::new(client).expect("client engine");
+            let mut server = Engine::new(SslServer::new(config, SslRng::from_seed(seed)))
+                .expect("server engine");
+            while !(client.is_established() && server.is_established()) {
+                let n = client.take_output(&mut wire);
+                server.feed(&wire[..n]).expect("server feed");
+                let n = server.take_output(&mut wire);
+                client.feed(&wire[..n]).expect("client feed");
+            }
+            (client, server)
+        };
 
         // Full handshake plus one application-data round trip.
-        let (mut ct, mut st) = duplex_pair();
-        let mut client = SslClient::new(CipherSuite::RsaDesCbc3Sha, SslRng::from_seed(b"tc1"));
-        let server_thread = std::thread::spawn(move || {
-            let mut server = SslServer::new(config, SslRng::from_seed(b"ts1"));
-            server.handshake_transport(&mut st).expect("server handshake");
-            let mut buf = RecordBuffer::new();
-            let range = server.recv_buffered(&mut st, &mut buf).expect("request");
-            let request = buf.as_slice()[range].to_vec();
-            server.send_buffered(&mut st, &request, &mut buf).expect("echo");
-            server.resumed()
-        });
-        client.handshake_transport(&mut ct).expect("client handshake");
-        let mut buf = RecordBuffer::new();
-        client.send_buffered(&mut ct, b"over the wire", &mut buf).expect("send");
-        let range = client.recv_buffered(&mut ct, &mut buf).expect("echo");
-        assert_eq!(&buf.as_slice()[range], b"over the wire");
-        assert!(!server_thread.join().expect("server thread"));
-        let session = client.session().expect("established");
+        let client = SslClient::new(CipherSuite::RsaDesCbc3Sha, SslRng::from_seed(b"tc1"));
+        let (mut client, mut server) = establish(client, b"ts1");
+        assert!(!server.machine().resumed());
+        client.seal(b"over the wire").expect("send");
+        server.feed(client.output()).expect("server feed");
+        let range = server.open_next().expect("open").expect("request record");
+        let request = server.buffered()[range].to_vec();
+        server.seal(&request).expect("echo");
+        client.feed(server.output()).expect("client feed");
+        let range = client.open_next().expect("open").expect("echo record");
+        assert_eq!(&client.buffered()[range], b"over the wire");
 
         // Resumed handshake against the same config.
-        let (mut ct, mut st) = duplex_pair();
-        let mut client = SslClient::resuming(session, SslRng::from_seed(b"tc2"));
-        let server_thread = std::thread::spawn(move || {
-            let mut server = SslServer::new(config, SslRng::from_seed(b"ts2"));
-            server.handshake_transport(&mut st).expect("server handshake");
-            server.resumed()
-        });
-        client.handshake_transport(&mut ct).expect("resumed handshake");
-        assert!(client.resumed());
-        assert!(server_thread.join().expect("server thread"));
+        let session = client.machine().session().expect("established");
+        let (client, server) =
+            establish(SslClient::resuming(session, SslRng::from_seed(b"tc2")), b"ts2");
+        assert!(client.machine().resumed() && server.machine().resumed());
     }
 }

@@ -30,7 +30,7 @@ use costs::CostModel;
 use sslperf_profile::{measure, Cycles, PhaseSet, Stopwatch};
 use sslperf_rng::SslRng;
 use sslperf_ssl::{
-    duplex_pair, CipherSuite, RecordBuffer, ServerConfig, SslClient, SslError, SslServer, Transport,
+    CipherSuite, RecordBuffer, ServerConfig, SslClient, SslError, SslServer, MAX_FRAGMENT,
 };
 
 /// Component labels in the paper's Table 1 order.
@@ -150,17 +150,17 @@ impl<'a> SecureWebServer<'a> {
         }
 
         // --- HTTP request over the secure channel (zero-copy pipeline:
-        // the request is sealed, "transported" and opened inside one
-        // buffer, the response inside another). ---
+        // every record is sealed, "transported" and opened inside one
+        // buffer). ---
         let path = format!("/doc_{file_size}.bin");
-        let mut request_buf = RecordBuffer::new();
-        client.seal_into(http::HttpRequest::get(&path).to_bytes().as_slice(), &mut request_buf)?;
-        wire_bytes += request_buf.len();
+        let mut record = RecordBuffer::new();
+        client.seal_into(http::HttpRequest::get(&path).to_bytes().as_slice(), &mut record)?;
+        wire_bytes += record.len();
 
         let sw = Stopwatch::start();
-        let request_range = server.open_in_place(&mut request_buf)?;
+        let request_range = server.open_in_place(&mut record)?;
         ssl_total += sw.elapsed();
-        let request_plain = &request_buf.as_slice()[request_range];
+        let request_plain = &record.as_slice()[request_range];
 
         // httpd work: parse the request, build the response (real work,
         // measured).
@@ -172,21 +172,15 @@ impl<'a> SecureWebServer<'a> {
         let response_bytes = response_bytes?;
         components.add("httpd", httpd_cycles);
 
-        // Encrypt and "send" the response; it may span several records,
-        // which the (unmeasured) client reads back one at a time.
-        let sw = Stopwatch::start();
-        let mut response_buf = RecordBuffer::new();
-        server.seal_into(&response_bytes, &mut response_buf)?;
-        ssl_total += sw.elapsed();
-        wire_bytes += response_buf.len();
-        let (mut server_end, mut client_end) = duplex_pair();
-        server_end.send(response_buf.as_slice())?;
-        // Closed behind the last byte, so a short response fails the read
-        // below instead of blocking it.
-        drop(server_end);
-        let mut received = 0;
-        while received < response_bytes.len() {
-            received += client.recv_buffered(&mut client_end, &mut request_buf)?.len();
+        // Encrypt and "send" the response one fragment at a time — the
+        // records a whole-response seal cuts — each opened in place by the
+        // (unmeasured) client.
+        for fragment in response_bytes.chunks(MAX_FRAGMENT) {
+            let sw = Stopwatch::start();
+            server.seal_into(fragment, &mut record)?;
+            ssl_total += sw.elapsed();
+            wire_bytes += record.len();
+            client.open_in_place(&mut record)?;
         }
 
         // --- Component accounting. ---

@@ -21,7 +21,10 @@
 //! own clients.
 
 use crate::http::{HttpRequest, HttpResponse};
-use sslperf_ssl::{CipherSuite, Protocol, SslError};
+use sslperf_rng::SslRng;
+use sslperf_ssl::{
+    CipherSuite, ClientEngine, ClientSession, Engine, Protocol, SslClient, SslError,
+};
 use std::fmt;
 use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
@@ -286,8 +289,7 @@ fn run_event_load_inner(
     disrupt_at_established: usize,
     mut disrupt: Option<impl FnOnce()>,
 ) -> Result<EventLoadReport, SslError> {
-    use sslperf_rng::SslRng;
-    use sslperf_ssl::{ClientConfig, ClientMachine, Engine};
+    use sslperf_ssl::{ClientConfig, ClientMachine};
 
     let start = Instant::now();
     let client_config = ClientConfig::new(options.protocol, options.suite);
@@ -478,55 +480,92 @@ fn socket_client(
     options: &SocketLoadOptions,
     client_index: usize,
 ) -> Result<Vec<TxnSample>, SslError> {
-    use sslperf_rng::SslRng;
-    use sslperf_ssl::{ClientSession, SslClient};
-
     let total = options.warmup_per_client + options.transactions_per_client;
     let mut samples = Vec::with_capacity(options.transactions_per_client);
-    let mut session: Option<ClientSession> = None;
-    // One record-buffer pair for the whole client thread: the bulk-data
-    // phase of every transaction runs through the zero-copy pipeline.
-    let mut tx_buf = sslperf_ssl::RecordBuffer::with_record_capacity();
-    let mut rx_buf = sslperf_ssl::RecordBuffer::with_record_capacity();
+    let mut session = None;
     for txn in 0..total {
-        let rng = SslRng::from_seed(
-            &[
-                b"socket-loadgen".as_slice(),
-                &(client_index as u64).to_le_bytes(),
-                &(txn as u64).to_le_bytes(),
-            ]
-            .concat(),
-        );
-        let mut client = match session.take() {
-            Some(s) if options.resume => SslClient::resuming(s, rng),
-            _ if options.tickets => SslClient::new(options.suite, rng).with_tickets(),
-            _ => SslClient::new(options.suite, rng),
-        };
-
+        let seed = [
+            b"socket-loadgen".as_slice(),
+            &(client_index as u64).to_le_bytes(),
+            &(txn as u64).to_le_bytes(),
+        ]
+        .concat();
+        let offer = session.take().filter(|_| options.resume);
+        let client = new_client(options.suite, options.tickets, offer, &seed);
         let start = Instant::now();
-        let mut socket = TcpStream::connect(addr).map_err(|e| SslError::Io(e.to_string()))?;
-        // Without this, Nagle + delayed ACK stall the request that follows
-        // a resumed handshake's back-to-back small writes by ~40ms.
-        socket.set_nodelay(true).map_err(|e| SslError::Io(e.to_string()))?;
-        client.handshake_transport(&mut socket)?;
-        let handshake = start.elapsed();
-
-        let path = format!("/doc_{}.bin", options.file_size);
-        client.send_buffered(&mut socket, &HttpRequest::get(&path).to_bytes(), &mut tx_buf)?;
-        let response = read_response(&mut client, &mut socket, options.file_size, &mut rx_buf)?;
-        if response.status() != 200 || response.body().len() != options.file_size {
-            return Err(SslError::Decode("unexpected http response"));
-        }
-        client.close_transport(&mut socket)?;
-        let elapsed = start.elapsed();
-
-        let resumed = client.resumed();
+        let (client, handshake) = transact(addr, client, options.file_size)?;
+        let total = start.elapsed();
         session = client.session();
         if txn >= options.warmup_per_client {
-            samples.push(TxnSample { handshake, total: elapsed, resumed });
+            samples.push(TxnSample { handshake, total, resumed: client.resumed() });
         }
     }
     Ok(samples)
+}
+
+/// A client for one transaction: resuming `session` when it carries one,
+/// otherwise offering `suite` (and the ticket extension when `tickets`).
+fn new_client(
+    suite: CipherSuite,
+    tickets: bool,
+    session: Option<ClientSession>,
+    seed: &[u8],
+) -> SslClient {
+    let rng = SslRng::from_seed(seed);
+    match session {
+        Some(s) => SslClient::resuming(s, rng),
+        None if tickets => SslClient::new(suite, rng).with_tickets(),
+        None => SslClient::new(suite, rng),
+    }
+}
+
+/// One blocking transaction on a fresh connection: connect, handshake,
+/// GET `/doc_{file_size}.bin`, check the response, close. Returns the
+/// established client (its session and whether it resumed) and the
+/// connect-to-established latency.
+fn transact(
+    addr: SocketAddr,
+    client: SslClient,
+    file_size: usize,
+) -> Result<(SslClient, Duration), SslError> {
+    let io = |e: std::io::Error| SslError::Io(e.to_string());
+    let start = Instant::now();
+    let mut socket = TcpStream::connect(addr).map_err(io)?;
+    // Without this, Nagle + delayed ACK stall the request that follows a
+    // resumed handshake's back-to-back small writes by ~40ms.
+    socket.set_nodelay(true).map_err(io)?;
+    let mut engine = Engine::new(client)?;
+    let read_more =
+        |engine: &mut ClientEngine, socket: &mut TcpStream| match engine.read_from(socket)? {
+            0 => Err(SslError::Io("server closed before the transaction ended".into())),
+            _ => Ok(()),
+        };
+    // A resumed client's CCS ‖ finished leaves with the request.
+    while !engine.is_established() {
+        engine.write_to(&mut socket)?;
+        read_more(&mut engine, &mut socket)?;
+    }
+    let handshake = start.elapsed();
+
+    engine.seal(&HttpRequest::get(&format!("/doc_{file_size}.bin")).to_bytes())?;
+    engine.write_to(&mut socket)?;
+    let mut plain = Vec::new();
+    let response = loop {
+        let Some(range) = engine.open_next()? else {
+            read_more(&mut engine, &mut socket)?;
+            continue;
+        };
+        plain.extend_from_slice(&engine.buffered()[range]);
+        if let Ok(response) = HttpResponse::parse(&plain) {
+            break response;
+        }
+    };
+    if response.status() != 200 || response.body().len() != file_size {
+        return Err(SslError::Decode("unexpected http response"));
+    }
+    engine.queue_close_notify()?;
+    engine.write_to(&mut socket)?;
+    Ok((engine.into_machine(), handshake))
 }
 
 /// Tunables for [`run_restart_load`].
@@ -618,7 +657,11 @@ pub fn run_restart_load(
     options: &RestartLoadOptions,
     disrupt: impl FnOnce(),
 ) -> Result<RestartLoadReport, SslError> {
-    use sslperf_ssl::ClientSession;
+    // One transaction, fresh or resuming; the client comes back established.
+    let txn = |session, seed: &[u8]| {
+        let client = new_client(options.suite, options.tickets, session, seed);
+        transact(addr, client, options.file_size).map(|(client, _)| client)
+    };
 
     // Phase 1: every client performs one full-handshake transaction.
     let phase1: Vec<Result<Option<ClientSession>, SslError>> = std::thread::scope(|scope| {
@@ -627,7 +670,7 @@ pub fn run_restart_load(
                 scope.spawn(move || {
                     let seed =
                         [b"restart-loadgen-full".as_slice(), &(c as u64).to_le_bytes()].concat();
-                    restart_txn(addr, options, None, &seed).map(|(session, _)| session)
+                    txn(None, &seed).map(|client| client.session())
                 })
             })
             .collect();
@@ -653,7 +696,7 @@ pub fn run_restart_load(
                 scope.spawn(move || {
                     let seed =
                         [b"restart-loadgen-resume".as_slice(), &(c as u64).to_le_bytes()].concat();
-                    restart_txn(addr, options, Some(session), &seed).map(|(_, resumed)| resumed)
+                    txn(Some(session), &seed).map(|client| client.resumed())
                 })
             })
             .collect();
@@ -671,64 +714,4 @@ pub fn run_restart_load(
         }
     }
     Ok(RestartLoadReport { established, attempted, resumed, failed })
-}
-
-/// One restart-survival transaction: connect, handshake (fresh or
-/// resuming), fetch the document, close. Returns the session handle for
-/// a later resumption and whether this handshake resumed.
-fn restart_txn(
-    addr: SocketAddr,
-    options: &RestartLoadOptions,
-    session: Option<sslperf_ssl::ClientSession>,
-    seed: &[u8],
-) -> Result<(Option<sslperf_ssl::ClientSession>, bool), SslError> {
-    use sslperf_rng::SslRng;
-    use sslperf_ssl::SslClient;
-
-    let rng = SslRng::from_seed(seed);
-    let mut client = match session {
-        Some(s) => SslClient::resuming(s, rng),
-        None if options.tickets => SslClient::new(options.suite, rng).with_tickets(),
-        None => SslClient::new(options.suite, rng),
-    };
-
-    let mut socket = TcpStream::connect(addr).map_err(|e| SslError::Io(e.to_string()))?;
-    socket.set_nodelay(true).map_err(|e| SslError::Io(e.to_string()))?;
-    client.handshake_transport(&mut socket)?;
-
-    let mut tx_buf = sslperf_ssl::RecordBuffer::with_record_capacity();
-    let mut rx_buf = sslperf_ssl::RecordBuffer::with_record_capacity();
-    let path = format!("/doc_{}.bin", options.file_size);
-    client.send_buffered(&mut socket, &HttpRequest::get(&path).to_bytes(), &mut tx_buf)?;
-    let response = read_response(&mut client, &mut socket, options.file_size, &mut rx_buf)?;
-    if response.status() != 200 || response.body().len() != options.file_size {
-        return Err(SslError::Decode("unexpected http response"));
-    }
-    client.close_transport(&mut socket)?;
-
-    let resumed = client.resumed();
-    Ok((client.session(), resumed))
-}
-
-/// Accumulates records until the response's Content-Length is satisfied
-/// (documents larger than one record fragment span several). Each record is
-/// received and decrypted in place inside the reusable `record_buf`; only
-/// the plaintext is appended to the assembly buffer.
-fn read_response(
-    client: &mut sslperf_ssl::SslClient,
-    socket: &mut TcpStream,
-    file_size: usize,
-    record_buf: &mut sslperf_ssl::RecordBuffer,
-) -> Result<HttpResponse, SslError> {
-    let max_records = file_size / sslperf_ssl::MAX_FRAGMENT + 4;
-    let mut buf = Vec::new();
-    for _ in 0..max_records {
-        let range = client.recv_buffered(socket, record_buf)?;
-        buf.extend_from_slice(&record_buf.as_slice()[range]);
-        if let Ok(response) = HttpResponse::parse(&buf) {
-            return Ok(response);
-        }
-    }
-    // One final parse so the caller sees the real decode error.
-    HttpResponse::parse(&buf)
 }

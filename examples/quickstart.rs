@@ -7,7 +7,7 @@
 //! Run with: `cargo run --release --example quickstart`
 
 use sslperf::prelude::*;
-use sslperf::ssl::{duplex_pair, RecordBuffer};
+use sslperf::ssl::{RecordBuffer, MAX_FRAGMENT};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 1. Server identity: RSA key + self-signed certificate.
@@ -33,20 +33,18 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     assert!(client.is_established() && server.is_established());
     println!("handshake complete with {}\n", server.suite());
 
-    // 3. Bulk data transfer (encrypted, MACed, fragmented) across an
-    // in-memory transport, every record sealed and opened in place inside
-    // one reusable buffer.
-    let (mut client_end, mut server_end) = duplex_pair();
+    // 3. Bulk data transfer (encrypted, MACed, fragmented), every record
+    // sealed and opened in place inside one reusable buffer.
     let mut buf = RecordBuffer::new();
     let request = b"GET /index.html HTTP/1.0\r\n\r\n";
-    client.send_buffered(&mut client_end, request, &mut buf)?;
-    let range = server.recv_buffered(&mut server_end, &mut buf)?;
+    client.seal_into(request, &mut buf)?;
+    let range = server.open_in_place(&mut buf)?;
     assert_eq!(&buf.as_slice()[range], request);
     let response = vec![0x42u8; 20_000]; // spans two records
-    server.send_buffered(&mut server_end, &response, &mut buf)?;
     let mut received = Vec::new();
-    while received.len() < response.len() {
-        let range = client.recv_buffered(&mut client_end, &mut buf)?;
+    for fragment in response.chunks(MAX_FRAGMENT) {
+        server.seal_into(fragment, &mut buf)?;
+        let range = client.open_in_place(&mut buf)?;
         received.extend_from_slice(&buf.as_slice()[range]);
     }
     assert_eq!(received, response);

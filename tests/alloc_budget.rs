@@ -8,6 +8,8 @@
 //! allocates): the libtest harness runs its own bookkeeping threads whose
 //! incidental allocations would otherwise pollute the window.
 
+mod support;
+
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -112,79 +114,64 @@ fn steady_state_record_processing_allocates_nothing() {
         );
     }
 
-    // --- End to end: established client/server over an in-memory duplex,
-    // buffered send/recv (covers read_record_into + the transport). The
-    // duplex queue is drained after every exchange, so a sealed record's
-    // bytes fit in the warmed VecDeque capacity.
+    // --- End to end: established client and server engines moving every
+    // record through `write_to` and `read_from` over an in-memory pipe,
+    // the blocking drivers' path. The pipe is drained after every hop, so
+    // its warmed capacity holds a sealed record.
     use sslperf::prelude::{ServerConfig, SslClient, SslRng, SslServer};
     use sslperf::rsa::RsaPrivateKey;
-    use sslperf::ssl::duplex_pair;
+    use sslperf::ssl::{Engine, EngineDriven};
 
     let mut rng = SslRng::from_seed(b"alloc-budget-key");
     let key = RsaPrivateKey::generate(512, &mut rng).expect("keygen");
     let config = ServerConfig::new(key, "alloc.test").expect("config");
+    let client = SslClient::new(CipherSuite::RsaDesCbc3Sha, SslRng::from_seed(b"ab-c"));
+    let mut client = Engine::new(client).expect("client engine");
+    let mut server =
+        Engine::new(SslServer::new(&config, SslRng::from_seed(b"ab-s"))).expect("server engine");
 
-    let mut client = SslClient::new(CipherSuite::RsaDesCbc3Sha, SslRng::from_seed(b"ab-c"));
-    let mut server = SslServer::new(&config, SslRng::from_seed(b"ab-s"));
-    let f1 = client.hello().unwrap();
-    let f2 = server.process_client_hello(&f1).unwrap();
-    let f3 = client.process_server_flight(&f2).unwrap();
-    let f4 = server.process_client_flight(&f3).unwrap();
-    client.process_server_finish(&f4).unwrap();
+    // Writes everything `from` queued into the pipe and reads it into `to`.
+    fn hop<A: EngineDriven, B: EngineDriven>(
+        from: &mut Engine<A>,
+        to: &mut Engine<B>,
+        pipe: &mut Vec<u8>,
+    ) {
+        from.write_to(pipe).expect("write_to");
+        let mut unread = pipe.as_slice();
+        while !unread.is_empty() {
+            to.read_from(&mut unread).expect("read_from");
+        }
+        pipe.clear();
+    }
+    let mut pipe = Vec::new();
+    while !(client.is_established() && server.is_established()) {
+        hop(&mut client, &mut server, &mut pipe);
+        hop(&mut server, &mut client, &mut pipe);
+    }
 
-    let (mut client_t, mut server_t) = duplex_pair();
-    let mut c_tx = RecordBuffer::with_record_capacity();
-    let mut c_rx = RecordBuffer::with_record_capacity();
-    let mut s_tx = RecordBuffer::with_record_capacity();
-    let mut s_rx = RecordBuffer::with_record_capacity();
-
-    let exchange = |client: &mut SslClient,
-                    server: &mut SslServer<'_>,
-                    client_t: &mut sslperf::ssl::DuplexTransport,
-                    server_t: &mut sslperf::ssl::DuplexTransport,
-                    c_tx: &mut RecordBuffer,
-                    s_rx: &mut RecordBuffer,
-                    s_tx: &mut RecordBuffer,
-                    c_rx: &mut RecordBuffer| {
-        client.send_buffered(client_t, &payload, c_tx).unwrap();
-        let range = server.recv_buffered(server_t, s_rx).unwrap();
-        assert_eq!(&s_rx.as_slice()[range], &payload[..]);
-        server.send_buffered(server_t, &payload, s_tx).unwrap();
-        let range = client.recv_buffered(client_t, c_rx).unwrap();
-        assert_eq!(&c_rx.as_slice()[range], &payload[..]);
+    let mut exchange = || {
+        client.seal(&payload).unwrap();
+        hop(&mut client, &mut server, &mut pipe);
+        let range = server.open_next().unwrap().expect("complete record");
+        assert_eq!(&server.buffered()[range], &payload[..]);
+        server.seal(&payload).unwrap();
+        hop(&mut server, &mut client, &mut pipe);
+        let range = client.open_next().unwrap().expect("complete record");
+        assert_eq!(&client.buffered()[range], &payload[..]);
     };
-
     for _ in 0..WARMUP {
-        exchange(
-            &mut client,
-            &mut server,
-            &mut client_t,
-            &mut server_t,
-            &mut c_tx,
-            &mut s_rx,
-            &mut s_tx,
-            &mut c_rx,
-        );
+        exchange();
     }
     let ((), delta) = allocations_during(|| {
         for _ in 0..MEASURED {
-            exchange(
-                &mut client,
-                &mut server,
-                &mut client_t,
-                &mut server_t,
-                &mut c_tx,
-                &mut s_rx,
-                &mut s_tx,
-                &mut c_rx,
-            );
+            exchange();
         }
     });
     assert_eq!(
         delta,
         0,
         "end-to-end: {delta} allocations over {MEASURED} round trips \
-         ({} per record) — buffered send/recv must not allocate",
+         ({} per record) — read_from/write_to must not allocate",
         delta as f64 / (2 * MEASURED) as f64
     );
 }
@@ -247,20 +234,8 @@ fn engine_steady_state_allocates_nothing() {
     let mut server =
         Engine::new(SslServer::new(&config, SslRng::from_seed(b"abe-s"))).expect("server engine");
 
-    // Handshake: shuttle whole flights until both sides are established.
+    support::establish(&mut client, &mut server);
     let mut wire = vec![0u8; 8 * 1024];
-    while !(client.is_established() && server.is_established()) {
-        let n = client.take_output(&mut wire);
-        let mut offset = 0;
-        while offset < n {
-            offset += server.feed(&wire[offset..n]).expect("server feed");
-        }
-        let n = server.take_output(&mut wire);
-        let mut offset = 0;
-        while offset < n {
-            offset += client.feed(&wire[offset..n]).expect("client feed");
-        }
-    }
 
     let exchange = |client: &mut sslperf::ssl::ClientEngine,
                     server: &mut sslperf::ssl::ServerEngine<'_>,
@@ -315,13 +290,7 @@ fn streamed_document_allocates_nothing() {
             .expect("client engine");
     let mut server =
         Engine::new(SslServer::new(&config, SslRng::from_seed(b"abs-s"))).expect("server engine");
-    let mut wire = vec![0u8; 8 * 1024];
-    while !(client.is_established() && server.is_established()) {
-        let n = client.take_output(&mut wire);
-        assert_eq!(server.feed(&wire[..n]).expect("server feed"), n);
-        let n = server.take_output(&mut wire);
-        assert_eq!(client.feed(&wire[..n]).expect("client feed"), n);
-    }
+    support::establish(&mut client, &mut server);
 
     let mut fragment = vec![0u8; MAX_FRAGMENT];
     let mut stream_document = |server: &mut sslperf::ssl::ServerEngine<'_>,
@@ -635,19 +604,8 @@ fn metrics_recording_keeps_engine_steady_state_allocation_free() {
     let mut server =
         Engine::new(SslServer::new(&config, SslRng::from_seed(b"abm-s"))).expect("server engine");
 
+    support::establish(&mut client, &mut server);
     let mut wire = vec![0u8; 8 * 1024];
-    while !(client.is_established() && server.is_established()) {
-        let n = client.take_output(&mut wire);
-        let mut offset = 0;
-        while offset < n {
-            offset += server.feed(&wire[offset..n]).expect("server feed");
-        }
-        let n = server.take_output(&mut wire);
-        let mut offset = 0;
-        while offset < n {
-            offset += client.feed(&wire[offset..n]).expect("client feed");
-        }
-    }
     metrics.note_handshake(&server.machine().ledger());
 
     // One server-side transaction with the full metrics accounting the

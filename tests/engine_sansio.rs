@@ -8,12 +8,14 @@
 //! of every flight and of post-handshake sealed records (which proves the
 //! derived session keys and Finished hashes match too).
 
+mod support;
+
 use proptest::prelude::*;
 use sslperf::prelude::*;
-use sslperf::ssl::{
-    duplex_pair, ClientEngine, Engine, RecordBuffer, ServerEngine, SslError, Transport,
-};
+use sslperf::ssl::{ClientEngine, Engine, RecordBuffer, ServerEngine, SslError};
+use std::net::{TcpListener, TcpStream};
 use std::sync::OnceLock;
+use support::{handshake, Tapped};
 
 fn config() -> &'static ServerConfig {
     static CONFIG: OnceLock<ServerConfig> = OnceLock::new();
@@ -210,41 +212,31 @@ fn coalesced_messages_in_one_record_match() {
     assert!(client.is_established());
 }
 
-/// The blocking `Transport` drivers are now thin wrappers over the
-/// engine; they must still put byte-identical flights on the wire.
+/// The blocking drivers — `read_from`/`write_to` over a loopback socket
+/// pair — put byte-identical flights on the wire. Each side taps what it
+/// reads, which is everything the other side wrote.
 #[test]
-fn blocking_transport_driver_is_byte_identical() {
-    struct Recording<T> {
-        inner: T,
-        sent: Vec<u8>,
-    }
-    impl<T: Transport> Transport for Recording<T> {
-        fn send(&mut self, buf: &[u8]) -> Result<(), SslError> {
-            self.sent.extend_from_slice(buf);
-            self.inner.send(buf)
-        }
-        fn recv_exact(&mut self, buf: &mut [u8]) -> Result<(), SslError> {
-            self.inner.recv_exact(buf)
-        }
-    }
-
+fn blocking_socket_driver_is_byte_identical() {
     let suite = CipherSuite::RsaDesCbc3Sha;
     let reference = reference(suite);
-    let (ct, st) = duplex_pair();
-    let mut ct = Recording { inner: ct, sent: Vec::new() };
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let inner = TcpStream::connect(listener.local_addr().expect("addr")).expect("connect");
+    let mut client_socket = Tapped { inner, rx: Vec::new() };
+    let (inner, _) = listener.accept().expect("accept");
+    let mut server_socket = Tapped { inner, rx: Vec::new() };
 
     let server_thread = std::thread::spawn(move || {
-        let mut st = Recording { inner: st, sent: Vec::new() };
-        let mut server = SslServer::new(config(), SslRng::from_seed(b"sansio-s"));
-        server.handshake_transport(&mut st).expect("server handshake");
-        st.sent
+        let server = SslServer::new(config(), SslRng::from_seed(b"sansio-s"));
+        let mut server = Engine::new(server).expect("server engine");
+        handshake(&mut server, &mut server_socket).expect("server handshake");
+        server_socket.rx
     });
-    let mut client = SslClient::new(suite, SslRng::from_seed(b"sansio-c"));
-    client.handshake_transport(&mut ct).expect("client handshake");
-    let s2c = server_thread.join().expect("server thread");
+    let (mut client, _) = engines(suite);
+    handshake(&mut client, &mut client_socket).expect("client handshake");
+    let c2s = server_thread.join().expect("server thread");
 
-    assert_eq!(ct.sent, reference.c2s, "client transport wire");
-    assert_eq!(s2c, reference.s2c, "server transport wire");
+    assert_eq!(c2s, reference.c2s, "client socket wire");
+    assert_eq!(client_socket.rx, reference.s2c, "server socket wire");
 }
 
 /// The crypto-offload path: the server engine suspends at the RSA

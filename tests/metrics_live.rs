@@ -7,12 +7,15 @@
 //! quantiles. The `GET /metrics` exposition endpoint is exercised over a
 //! live SSL connection.
 
+mod support;
+
 use sslperf::prelude::*;
-use sslperf::ssl::RecordBuffer;
+use sslperf::ssl::ClientEngine;
 use sslperf::websim::http::{synthesize_document, HttpResponse};
 use sslperf::websim::loadgen::{run_socket_load, SocketLoadOptions};
 use std::net::TcpStream;
 use std::time::Duration;
+use support::{close, connect, recv, send};
 
 /// 1024-bit key: large enough that the RSA private decryption dominates
 /// the handshake the way the paper's Table 3 shows, small enough that the
@@ -123,11 +126,10 @@ fn live_anatomy_reproduces_paper_shape_from_real_sockets() {
 }
 
 /// Sends one request and returns the first response record's payload.
-fn fetch(client: &mut SslClient, socket: &mut TcpStream, request: &[u8]) -> Vec<u8> {
-    let mut buf = RecordBuffer::new();
-    client.send_buffered(socket, request, &mut buf).expect("request");
-    let range = client.recv_buffered(socket, &mut buf).expect("response");
-    buf.as_slice()[range].to_vec()
+fn fetch(client: &mut ClientEngine, socket: &mut TcpStream, request: &[u8]) -> Vec<u8> {
+    send(client, socket, request);
+    let range = recv(client, socket).expect("response");
+    client.buffered()[range].to_vec()
 }
 
 /// A response streamed over several refills reaches the registry as one
@@ -140,22 +142,19 @@ fn streamed_response_is_one_seal_and_one_transaction() {
     let options = ServerOptions { metrics: true, ..ServerOptions::default() };
     let server =
         EventLoopServer::start(key(), "metrics.sslperf.test", &options).expect("server start");
-    let mut client = SslClient::new(CipherSuite::RsaAes128Sha, SslRng::from_seed(b"mx-stream"));
-    let mut socket = TcpStream::connect(server.local_addr()).expect("connect");
-    client.handshake_transport(&mut socket).expect("handshake");
+    let client = SslClient::new(CipherSuite::RsaAes128Sha, SslRng::from_seed(b"mx-stream"));
+    let (mut client, mut socket) = connect(server.local_addr(), client);
 
     let path = format!("/doc_{SIZE}.bin");
     let expected = HttpResponse::ok(synthesize_document(&path, SIZE)).to_bytes();
-    let mut buf = RecordBuffer::new();
-    let request = format!("GET {path} HTTP/1.0\r\n\r\n");
-    client.send_buffered(&mut socket, request.as_bytes(), &mut buf).expect("request");
+    send(&mut client, &mut socket, format!("GET {path} HTTP/1.0\r\n\r\n").as_bytes());
     let mut response = Vec::new();
     while response.len() < expected.len() {
-        let range = client.recv_buffered(&mut socket, &mut buf).expect("response record");
-        response.extend_from_slice(&buf.as_slice()[range]);
+        let range = recv(&mut client, &mut socket).expect("response record");
+        response.extend_from_slice(&client.buffered()[range]);
     }
     assert!(response == expected, "three records, one byte-exact response");
-    client.close_transport(&mut socket).expect("close");
+    close(&mut client, &mut socket);
 
     let metrics = server.metrics().expect("metrics enabled");
     assert!(eventually(|| metrics.snapshot().transactions == 1));
@@ -178,9 +177,8 @@ fn metrics_endpoint_serves_rendered_snapshot() {
         EventLoopServer::start(key(), "metrics.sslperf.test", &options).expect("server start");
 
     // First transaction: a normal document, so the registry has content.
-    let mut client = SslClient::new(CipherSuite::RsaDesCbc3Sha, SslRng::from_seed(b"mx-c1"));
-    let mut socket = TcpStream::connect(server.local_addr()).expect("connect");
-    client.handshake_transport(&mut socket).expect("handshake");
+    let client = SslClient::new(CipherSuite::RsaDesCbc3Sha, SslRng::from_seed(b"mx-c1"));
+    let (mut client, mut socket) = connect(server.local_addr(), client);
     let doc =
         fetch(&mut client, &mut socket, b"GET /doc_512.bin HTTP/1.0\r\nHost: metrics\r\n\r\n");
     assert!(doc.starts_with(b"HTTP/1.0 200"), "document served");
@@ -194,7 +192,7 @@ fn metrics_endpoint_serves_rendered_snapshot() {
     }
     // The handshake that carried this very connection is in the tables.
     assert!(text.contains("full"), "handshake row rendered:\n{text}");
-    client.close_transport(&mut socket).expect("close");
+    close(&mut client, &mut socket);
     drop(socket);
 
     let snap = server.metrics().expect("metrics enabled").snapshot();
@@ -206,14 +204,13 @@ fn metrics_endpoint_serves_rendered_snapshot() {
     let server = EventLoopServer::start(key(), "metrics.sslperf.test", &ServerOptions::default())
         .expect("server start");
     assert!(server.metrics().is_none(), "registry absent by default");
-    let mut client = SslClient::new(CipherSuite::RsaDesCbc3Sha, SslRng::from_seed(b"mx-c2"));
-    let mut socket = TcpStream::connect(server.local_addr()).expect("connect");
-    client.handshake_transport(&mut socket).expect("handshake");
+    let client = SslClient::new(CipherSuite::RsaDesCbc3Sha, SslRng::from_seed(b"mx-c2"));
+    let (mut client, mut socket) = connect(server.local_addr(), client);
     let body = fetch(&mut client, &mut socket, b"GET /metrics HTTP/1.0\r\nHost: metrics\r\n\r\n");
     assert!(
         String::from_utf8_lossy(&body).starts_with("HTTP/1.0 404"),
         "plain server knows no /metrics"
     );
-    client.close_transport(&mut socket).expect("close");
+    close(&mut client, &mut socket);
     server.shutdown();
 }

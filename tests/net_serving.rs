@@ -1,13 +1,14 @@
 //! Integration coverage for the real-socket serving engine: the sharded
-//! session cache, cross-connection resumption over both the in-memory and
-//! the TCP transport, tampered-id fallback, the end-to-end loaded run
-//! that reproduces the paper's §3 measurement scenario, and the event
-//! loop's own behaviour (concurrency beyond thread count, slowloris
-//! eviction, half-closed clients, cache overflow under concurrent
-//! resumption).
+//! session cache, cross-connection resumption both in memory and over TCP,
+//! tampered-id fallback, the end-to-end loaded run that reproduces the
+//! paper's §3 measurement scenario, and the event loop's own behaviour
+//! (concurrency beyond thread count, slowloris eviction, half-closed
+//! clients, cache overflow under concurrent resumption).
+
+mod support;
 
 use sslperf::prelude::*;
-use sslperf::ssl::{duplex_pair, RecordBuffer};
+use sslperf::ssl::Engine;
 use sslperf::websim::http::{synthesize_document, HttpResponse};
 use sslperf::websim::loadgen::{
     run_event_load, run_socket_load, EventLoadOptions, SocketLoadOptions,
@@ -16,6 +17,7 @@ use std::io::{Read, Write};
 use std::net::{Shutdown, TcpStream};
 use std::sync::Arc;
 use std::time::Duration;
+use support::{close, connect, establish, handshake, recv, send, Tapped};
 
 /// A deterministic 512-bit key (`RsaPrivateKey` is deliberately not
 /// `Clone`, so each server regenerates from the fixed seed).
@@ -39,13 +41,6 @@ fn eventually(mut f: impl FnMut() -> bool) -> bool {
         std::thread::sleep(std::time::Duration::from_millis(5));
     }
     false
-}
-
-fn tcp_handshake(server: &EventLoopServer, client: &mut SslClient) -> TcpStream {
-    let mut socket = TcpStream::connect(server.local_addr()).expect("connect");
-    socket.set_nodelay(true).expect("nodelay");
-    client.handshake_transport(&mut socket).expect("handshake");
-    socket
 }
 
 #[test]
@@ -94,48 +89,43 @@ fn resumption_hits_shared_cache_over_in_memory_transport() {
             .expect("config"),
     );
 
-    let (mut ct, mut st) = duplex_pair();
-    let mut client = SslClient::new(CipherSuite::RsaDesCbc3Sha, SslRng::from_seed(b"mem-c1"));
-    let server_config = Arc::clone(&config);
-    let server_thread = std::thread::spawn(move || {
-        let mut server = SslServer::new(&server_config, SslRng::from_seed(b"mem-s1"));
-        server.handshake_transport(&mut st).expect("server handshake");
-        server.resumed()
-    });
-    client.handshake_transport(&mut ct).expect("client handshake");
-    assert!(!server_thread.join().expect("server thread"), "first handshake is full");
-    let session = client.session().expect("established");
+    // Two engines pumped in one thread until both are established.
+    let pair = |client: SslClient, server_seed: &[u8]| {
+        let mut client = Engine::new(client).expect("client engine");
+        let server = SslServer::new(&config, SslRng::from_seed(server_seed));
+        let mut server = Engine::new(server).expect("server engine");
+        establish(&mut client, &mut server);
+        (client, server)
+    };
+
+    let client = SslClient::new(CipherSuite::RsaDesCbc3Sha, SslRng::from_seed(b"mem-c1"));
+    let (client, server) = pair(client, b"mem-s1");
+    assert!(!server.machine().resumed(), "first handshake is full");
     assert_eq!(cache.len(), 1, "session stored in the shared cache");
 
-    // "Reconnect": a fresh duplex pair, fresh state machines, same cache.
-    let (mut ct, mut st) = duplex_pair();
-    let mut client = SslClient::resuming(session, SslRng::from_seed(b"mem-c2"));
-    let server_config = Arc::clone(&config);
-    let server_thread = std::thread::spawn(move || {
-        let mut server = SslServer::new(&server_config, SslRng::from_seed(b"mem-s2"));
-        server.handshake_transport(&mut st).expect("server handshake");
-        server.resumed()
-    });
-    client.handshake_transport(&mut ct).expect("resumed handshake");
-    assert!(client.resumed());
-    assert!(server_thread.join().expect("server thread"), "server resumed from cache");
+    // "Reconnect": fresh state machines, same cache.
+    let session = client.machine().session().expect("established");
+    let (client, server) =
+        pair(SslClient::resuming(session, SslRng::from_seed(b"mem-c2")), b"mem-s2");
+    assert!(client.machine().resumed());
+    assert!(server.machine().resumed(), "server resumed from cache");
     assert!(cache.hits() >= 1, "resumption must count as a cache hit");
 }
 
 #[test]
 fn resumption_hits_after_tcp_reconnect() {
     let server = start_server();
-    let mut client = SslClient::new(CipherSuite::RsaDesCbc3Sha, SslRng::from_seed(b"tcp-c1"));
-    let mut socket = tcp_handshake(&server, &mut client);
-    assert!(!client.resumed());
-    let session = client.session().expect("established");
-    client.close_transport(&mut socket).expect("close");
+    let client = SslClient::new(CipherSuite::RsaDesCbc3Sha, SslRng::from_seed(b"tcp-c1"));
+    let (mut client, mut socket) = connect(server.local_addr(), client);
+    assert!(!client.machine().resumed());
+    let session = client.machine().session().expect("established");
+    close(&mut client, &mut socket);
     drop(socket);
 
-    let mut client = SslClient::resuming(session, SslRng::from_seed(b"tcp-c2"));
-    let mut socket = tcp_handshake(&server, &mut client);
-    assert!(client.resumed(), "second connection resumes across the socket");
-    client.close_transport(&mut socket).expect("close");
+    let client = SslClient::resuming(session, SslRng::from_seed(b"tcp-c2"));
+    let (mut client, mut socket) = connect(server.local_addr(), client);
+    assert!(client.machine().resumed(), "second connection resumes across the socket");
+    close(&mut client, &mut socket);
     drop(socket);
 
     assert!(server.session_cache().hits() >= 1);
@@ -152,17 +142,17 @@ fn resumption_hits_after_tcp_reconnect() {
 #[test]
 fn tampered_session_id_misses_and_falls_back_to_full() {
     let server = start_server();
-    let mut client = SslClient::new(CipherSuite::RsaDesCbc3Sha, SslRng::from_seed(b"tam-c1"));
-    let mut socket = tcp_handshake(&server, &mut client);
-    let session = client.session().expect("established");
-    client.close_transport(&mut socket).expect("close");
+    let client = SslClient::new(CipherSuite::RsaDesCbc3Sha, SslRng::from_seed(b"tam-c1"));
+    let (mut client, mut socket) = connect(server.local_addr(), client);
+    let session = client.machine().session().expect("established");
+    close(&mut client, &mut socket);
     drop(socket);
 
     let tampered = session.with_id(vec![0xA5; session.id().len()]);
-    let mut client = SslClient::resuming(tampered, SslRng::from_seed(b"tam-c2"));
-    let mut socket = tcp_handshake(&server, &mut client);
-    assert!(!client.resumed(), "unknown id must fall back to a full handshake");
-    client.close_transport(&mut socket).expect("close");
+    let client = SslClient::resuming(tampered, SslRng::from_seed(b"tam-c2"));
+    let (mut client, mut socket) = connect(server.local_addr(), client);
+    assert!(!client.machine().resumed(), "unknown id must fall back to a full handshake");
+    close(&mut client, &mut socket);
     drop(socket);
 
     assert!(server.session_cache().misses() >= 1, "tampered id counts as a miss");
@@ -325,20 +315,18 @@ fn garbage_hello_gets_alert() {
 fn half_closed_client_still_gets_its_response() {
     const SIZE: usize = 1024 * 1024;
     let server = start_server();
-    let mut client = SslClient::new(CipherSuite::RsaDesCbc3Sha, SslRng::from_seed(b"half-c1"));
-    let mut socket = tcp_handshake(&server, &mut client);
+    let client = SslClient::new(CipherSuite::RsaDesCbc3Sha, SslRng::from_seed(b"half-c1"));
+    let (mut client, mut socket) = connect(server.local_addr(), client);
     socket.set_read_timeout(Some(Duration::from_secs(30))).expect("read timeout");
 
     let path = format!("/doc_{SIZE}.bin");
-    let mut buf = RecordBuffer::with_record_capacity();
-    let request = format!("GET {path} HTTP/1.0\r\n\r\n");
-    client.send_buffered(&mut socket, request.as_bytes(), &mut buf).expect("request");
+    send(&mut client, &mut socket, format!("GET {path} HTTP/1.0\r\n\r\n").as_bytes());
     socket.shutdown(Shutdown::Write).expect("half-close");
 
     // Read to EOF: every record of the response, then the orderly end.
     let mut response = Vec::new();
-    while let Ok(range) = client.recv_buffered(&mut socket, &mut buf) {
-        response.extend_from_slice(&buf.as_slice()[range]);
+    while let Ok(range) = recv(&mut client, &mut socket) {
+        response.extend_from_slice(&client.buffered()[range]);
     }
     let response = HttpResponse::parse(&response).expect("a complete response arrived");
     assert_eq!(response.status(), 200);
@@ -359,26 +347,21 @@ fn half_closed_client_still_gets_its_response() {
 #[test]
 fn client_killed_mid_stream_is_not_a_transaction() {
     let server = start_server();
-    let mut client = SslClient::new(CipherSuite::RsaAes128Sha, SslRng::from_seed(b"killed-c1"));
-    let mut socket = tcp_handshake(&server, &mut client);
+    let client = SslClient::new(CipherSuite::RsaAes128Sha, SslRng::from_seed(b"killed-c1"));
+    let (mut client, mut socket) = connect(server.local_addr(), client);
     socket.set_read_timeout(Some(Duration::from_secs(30))).expect("read timeout");
-    let mut buf = RecordBuffer::with_record_capacity();
-    client
-        .send_buffered(&mut socket, b"GET /doc_67108864.bin HTTP/1.0\r\n\r\n", &mut buf)
-        .expect("request");
-    let range = client.recv_buffered(&mut socket, &mut buf).expect("first record");
-    assert!(buf.as_slice()[range].starts_with(b"HTTP/1.0 200"), "the download started");
+    send(&mut client, &mut socket, b"GET /doc_67108864.bin HTTP/1.0\r\n\r\n");
+    let range = recv(&mut client, &mut socket).expect("first record");
+    assert!(client.buffered()[range].starts_with(b"HTTP/1.0 200"), "the download started");
     drop(socket);
 
-    let mut client = SslClient::new(CipherSuite::RsaAes128Sha, SslRng::from_seed(b"killed-c2"));
-    let mut socket = tcp_handshake(&server, &mut client);
-    client
-        .send_buffered(&mut socket, b"GET /doc_1024.bin HTTP/1.0\r\n\r\n", &mut buf)
-        .expect("request");
-    let range = client.recv_buffered(&mut socket, &mut buf).expect("response");
-    let response = HttpResponse::parse(&buf.as_slice()[range]).expect("a complete response");
+    let client = SslClient::new(CipherSuite::RsaAes128Sha, SslRng::from_seed(b"killed-c2"));
+    let (mut client, mut socket) = connect(server.local_addr(), client);
+    send(&mut client, &mut socket, b"GET /doc_1024.bin HTTP/1.0\r\n\r\n");
+    let range = recv(&mut client, &mut socket).expect("response");
+    let response = HttpResponse::parse(&client.buffered()[range]).expect("a complete response");
     assert!(response.body() == synthesize_document("/doc_1024.bin", 1024));
-    client.close_transport(&mut socket).expect("close");
+    close(&mut client, &mut socket);
 
     let stats = server.stats();
     assert!(eventually(|| stats.transactions() == 1), "got {}", stats.transactions());
@@ -398,25 +381,23 @@ fn client_killed_mid_stream_is_not_a_transaction() {
 fn streamed_response_keeps_whole_body_fragmentation() {
     const SIZE: usize = 40_000;
     let server = start_server();
-    let mut client = SslClient::new(CipherSuite::RsaAes128Sha, SslRng::from_seed(b"frag-c1"));
-    let mut socket = tcp_handshake(&server, &mut client);
+    let client = SslClient::new(CipherSuite::RsaAes128Sha, SslRng::from_seed(b"frag-c1"));
+    let (mut client, mut socket) = connect(server.local_addr(), client);
     socket.set_read_timeout(Some(Duration::from_secs(30))).expect("read timeout");
     let path = format!("/doc_{SIZE}.bin");
     let expected = HttpResponse::ok(synthesize_document(&path, SIZE)).to_bytes();
-    let mut buf = RecordBuffer::with_record_capacity();
-    let request = format!("GET {path} HTTP/1.0\r\n\r\n");
-    client.send_buffered(&mut socket, request.as_bytes(), &mut buf).expect("request");
+    send(&mut client, &mut socket, format!("GET {path} HTTP/1.0\r\n\r\n").as_bytes());
 
     let mut response = Vec::new();
     let mut lengths = Vec::new();
     while response.len() < expected.len() {
-        let range = client.recv_buffered(&mut socket, &mut buf).expect("response record");
+        let range = recv(&mut client, &mut socket).expect("response record");
         lengths.push(range.len());
-        response.extend_from_slice(&buf.as_slice()[range]);
+        response.extend_from_slice(&client.buffered()[range]);
     }
     assert!(response == expected, "response is byte-exact");
     assert_eq!(lengths, [16_384, 16_384, expected.len() - 2 * 16_384]);
-    client.close_transport(&mut socket).expect("close");
+    close(&mut client, &mut socket);
     server.shutdown();
 }
 
@@ -641,8 +622,8 @@ fn tampered_ciphertext_gets_bad_record_mac_alert() {
     use sslperf::ssl::SslError;
 
     let server = start_server();
-    let mut client = SslClient::new(CipherSuite::RsaDesCbc3Sha, SslRng::from_seed(b"mac-c1"));
-    let mut socket = tcp_handshake(&server, &mut client);
+    let client = SslClient::new(CipherSuite::RsaDesCbc3Sha, SslRng::from_seed(b"mac-c1"));
+    let (mut client, mut socket) = connect(server.local_addr(), client);
     socket.set_read_timeout(Some(Duration::from_secs(10))).expect("read timeout");
 
     // A forged application-data record: right framing, three whole DES
@@ -650,9 +631,7 @@ fn tampered_ciphertext_gets_bad_record_mac_alert() {
     socket.write_all(&[23, 3, 0, 0, 24]).expect("forged header");
     socket.write_all(&[0x5a; 24]).expect("forged body");
 
-    let error = client
-        .recv_buffered(&mut socket, &mut RecordBuffer::new())
-        .expect_err("server must reject the forgery");
+    let error = recv(&mut client, &mut socket).expect_err("server must reject the forgery");
     match error {
         SslError::PeerAlert(alert) => {
             assert_eq!(alert.level, AlertLevel::Fatal);
@@ -675,14 +654,13 @@ fn garbage_request_gets_illegal_parameter_alert() {
     use sslperf::ssl::SslError;
 
     let server = start_server();
-    let mut client = SslClient::new(CipherSuite::RsaDesCbc3Sha, SslRng::from_seed(b"junk-c1"));
-    let mut socket = tcp_handshake(&server, &mut client);
+    let client = SslClient::new(CipherSuite::RsaDesCbc3Sha, SslRng::from_seed(b"junk-c1"));
+    let (mut client, mut socket) = connect(server.local_addr(), client);
     socket.set_read_timeout(Some(Duration::from_secs(10))).expect("read timeout");
 
-    let mut buf = RecordBuffer::new();
-    client.send_buffered(&mut socket, &[0xff, 0xfe, 0xfd], &mut buf).expect("garbage");
+    send(&mut client, &mut socket, &[0xff, 0xfe, 0xfd]);
     assert_eq!(
-        client.recv_buffered(&mut socket, &mut buf),
+        recv(&mut client, &mut socket),
         Err(SslError::PeerAlert(Alert::fatal(AlertDescription::IllegalParameter)))
     );
     assert!(eventually(|| server.stats().errors() == 1), "got {}", server.stats().errors());
@@ -782,31 +760,19 @@ fn event_loop_cache_overflow_under_concurrent_resumption() {
 #[test]
 fn tampered_pad_and_tampered_mac_alerts_are_byte_identical() {
     use sslperf::ssl::alert::Alert;
-    use sslperf::ssl::{Engine, SslError};
+    use sslperf::ssl::SslError;
 
     let config = ServerConfig::new(key(), "oracle.sslperf.test").expect("config");
 
     // Drives one identically-seeded pair to established and returns the
     // engines; identical seeds give identical session keys and residues.
-    let establish = || {
+    let pair = || {
         let mut client =
             Engine::new(SslClient::new(CipherSuite::RsaDesCbc3Sha, SslRng::from_seed(b"orc-c")))
                 .expect("client engine");
         let mut server = Engine::new(SslServer::new(&config, SslRng::from_seed(b"orc-s")))
             .expect("server engine");
-        let mut wire = vec![0u8; 8 * 1024];
-        while !(client.is_established() && server.is_established()) {
-            let n = client.take_output(&mut wire);
-            let mut offset = 0;
-            while offset < n {
-                offset += server.feed(&wire[offset..n]).expect("server feed");
-            }
-            let n = server.take_output(&mut wire);
-            let mut offset = 0;
-            while offset < n {
-                offset += client.feed(&wire[offset..n]).expect("client feed");
-            }
-        }
+        establish(&mut client, &mut server);
         (client, server)
     };
 
@@ -819,8 +785,8 @@ fn tampered_pad_and_tampered_mac_alerts_are_byte_identical() {
         wire
     };
 
-    let (mut client_a, mut server_a) = establish();
-    let (mut client_b, mut server_b) = establish();
+    let (mut client_a, mut server_a) = pair();
+    let (mut client_b, mut server_b) = pair();
     let mut pad_tampered = sealed(&mut client_a);
     let mac_wire = sealed(&mut client_b);
     assert_eq!(pad_tampered, mac_wire, "identical seeds must seal identical records");
@@ -912,25 +878,6 @@ fn saturated_crypto_pool_does_not_evict_waiting_handshakes() {
     server.shutdown();
 }
 
-/// A [`Transport`] wrapper that logs every byte received from the peer,
-/// so a test can compare the server's exact wire output across runs.
-struct TappedStream {
-    inner: TcpStream,
-    rx: Vec<u8>,
-}
-
-impl sslperf::ssl::Transport for TappedStream {
-    fn send(&mut self, buf: &[u8]) -> Result<(), sslperf::ssl::SslError> {
-        self.inner.send(buf)
-    }
-
-    fn recv_exact(&mut self, buf: &mut [u8]) -> Result<(), sslperf::ssl::SslError> {
-        self.inner.recv_exact(buf)?;
-        self.rx.extend_from_slice(buf);
-        Ok(())
-    }
-}
-
 /// Batching must be invisible on the wire: the same seeded clients against
 /// the same seeded server produce byte-identical server flights whether
 /// the crypto pool decrypts solo (`batch_max = 1`) or combines the whole
@@ -965,15 +912,18 @@ fn batched_flights_are_byte_identical_to_unbatched() {
             let handles: Vec<_> = (0..CLIENTS)
                 .map(|_| {
                     scope.spawn(move || {
-                        let mut client = SslClient::new(
+                        let mut client = Engine::new(SslClient::new(
                             CipherSuite::RsaDesCbc3Sha,
                             SslRng::from_seed(b"batch-wire-client"),
-                        );
+                        ))
+                        .expect("client engine");
                         let inner = TcpStream::connect(addr).expect("connect");
                         inner.set_nodelay(true).expect("nodelay");
-                        let mut socket = TappedStream { inner, rx: Vec::new() };
-                        client.handshake_transport(&mut socket).expect("handshake");
-                        client.close_transport(&mut socket).expect("close");
+                        // Logs every byte the server sends, so the runs'
+                        // exact wire output can be compared.
+                        let mut socket = Tapped { inner, rx: Vec::new() };
+                        handshake(&mut client, &mut socket).expect("handshake");
+                        close(&mut client, &mut socket.inner);
                         socket.rx
                     })
                 })
@@ -1061,17 +1011,17 @@ fn expired_session_falls_back_to_full_handshake_over_tcp() {
         ServerOptions { session_ttl: Some(Duration::from_millis(50)), ..ServerOptions::default() };
     let server = EventLoopServer::start(key(), "net.sslperf.test", &options).expect("server start");
 
-    let mut client = SslClient::new(CipherSuite::RsaDesCbc3Sha, SslRng::from_seed(b"ttl-c1"));
-    let socket = tcp_handshake(&server, &mut client);
-    let session = client.session().expect("established");
+    let client = SslClient::new(CipherSuite::RsaDesCbc3Sha, SslRng::from_seed(b"ttl-c1"));
+    let (client, socket) = connect(server.local_addr(), client);
+    let session = client.machine().session().expect("established");
     drop(socket);
     assert!(eventually(|| server.session_cache().len() == 1), "session stored");
 
     std::thread::sleep(Duration::from_millis(120));
 
-    let mut client = SslClient::resuming(session, SslRng::from_seed(b"ttl-c2"));
-    let _socket = tcp_handshake(&server, &mut client);
-    assert!(!client.resumed(), "an expired session must not resume");
+    let client = SslClient::resuming(session, SslRng::from_seed(b"ttl-c2"));
+    let (client, _socket) = connect(server.local_addr(), client);
+    assert!(!client.machine().resumed(), "an expired session must not resume");
 
     let cache = server.session_cache();
     let stats = server.stats();
@@ -1086,13 +1036,6 @@ fn expired_session_falls_back_to_full_handshake_over_tcp() {
 
 fn fleet_options(keyring: Option<Arc<sslperf::ssl::TicketKeyring>>) -> ServerOptions {
     ServerOptions::builder().shards(1).ticket_keys(keyring).build().expect("valid fleet options")
-}
-
-fn fleet_handshake(fleet: &ServerFleet, client: &mut SslClient) -> TcpStream {
-    let mut socket = TcpStream::connect(fleet.local_addr()).expect("connect");
-    socket.set_nodelay(true).expect("nodelay");
-    client.handshake_transport(&mut socket).expect("handshake");
-    socket
 }
 
 /// The acceptance scenario for stateless resumption: a session established
@@ -1111,13 +1054,13 @@ fn ticket_session_resumes_on_surviving_instance_after_kill() {
 
     // The fan routes the first connection to instance 0: full handshake,
     // NewSessionTicket issued under the shared keyring.
-    let mut client =
+    let client =
         SslClient::new(CipherSuite::RsaDesCbc3Sha, SslRng::from_seed(b"fleet-c1")).with_tickets();
-    let mut socket = fleet_handshake(&fleet, &mut client);
-    assert!(!client.resumed());
-    let session = client.session().expect("established");
+    let (mut client, mut socket) = connect(fleet.local_addr(), client);
+    assert!(!client.machine().resumed());
+    let session = client.machine().session().expect("established");
     assert!(session.ticket().is_some(), "full handshake must carry a ticket home");
-    client.close_transport(&mut socket).expect("close");
+    close(&mut client, &mut socket);
     drop(socket);
     assert!(eventually(|| fleet.aggregated().tickets_issued == 1), "got {:?}", fleet.aggregated());
 
@@ -1128,10 +1071,13 @@ fn ticket_session_resumes_on_surviving_instance_after_kill() {
 
     // Reconnect: the fan routes to surviving instance 1. It has no cache
     // entry for this session; the ticket alone resumes it.
-    let mut client = SslClient::resuming(session, SslRng::from_seed(b"fleet-c2"));
-    let mut socket = fleet_handshake(&fleet, &mut client);
-    assert!(client.resumed(), "ticket must resume on an instance that never saw the session");
-    client.close_transport(&mut socket).expect("close");
+    let client = SslClient::resuming(session, SslRng::from_seed(b"fleet-c2"));
+    let (mut client, mut socket) = connect(fleet.local_addr(), client);
+    assert!(
+        client.machine().resumed(),
+        "ticket must resume on an instance that never saw the session"
+    );
+    close(&mut client, &mut socket);
     drop(socket);
 
     assert!(
@@ -1162,11 +1108,11 @@ fn id_cache_session_dies_with_its_instance() {
     let mut fleet = ServerFleet::start(key(), "net.sslperf.test", 2, &fleet_options(None))
         .expect("fleet start");
 
-    let mut client = SslClient::new(CipherSuite::RsaDesCbc3Sha, SslRng::from_seed(b"fleet-ic1"));
-    let mut socket = fleet_handshake(&fleet, &mut client);
-    let session = client.session().expect("established");
+    let client = SslClient::new(CipherSuite::RsaDesCbc3Sha, SslRng::from_seed(b"fleet-ic1"));
+    let (mut client, mut socket) = connect(fleet.local_addr(), client);
+    let session = client.machine().session().expect("established");
     assert!(session.ticket().is_none(), "no keyring, no ticket");
-    client.close_transport(&mut socket).expect("close");
+    close(&mut client, &mut socket);
     drop(socket);
     assert!(
         eventually(|| fleet.instance(0).is_some_and(|i| i.session_cache().len() == 1)),
@@ -1175,10 +1121,10 @@ fn id_cache_session_dies_with_its_instance() {
 
     assert!(fleet.kill(0));
 
-    let mut client = SslClient::resuming(session, SslRng::from_seed(b"fleet-ic2"));
-    let mut socket = fleet_handshake(&fleet, &mut client);
-    assert!(!client.resumed(), "the cache entry died with instance 0");
-    client.close_transport(&mut socket).expect("close");
+    let client = SslClient::resuming(session, SslRng::from_seed(b"fleet-ic2"));
+    let (mut client, mut socket) = connect(fleet.local_addr(), client);
+    assert!(!client.machine().resumed(), "the cache entry died with instance 0");
+    close(&mut client, &mut socket);
     drop(socket);
 
     assert!(eventually(|| fleet.aggregated().full_handshakes == 2), "got {:?}", fleet.aggregated());
@@ -1201,11 +1147,11 @@ fn restarted_instance_accepts_tickets_sealed_before_restart() {
     )
     .expect("fleet start");
 
-    let mut client =
+    let client =
         SslClient::new(CipherSuite::RsaDesCbc3Sha, SslRng::from_seed(b"fleet-r1")).with_tickets();
-    let mut socket = fleet_handshake(&fleet, &mut client);
-    let session = client.session().expect("established");
-    client.close_transport(&mut socket).expect("close");
+    let (mut client, mut socket) = connect(fleet.local_addr(), client);
+    let session = client.machine().session().expect("established");
+    close(&mut client, &mut socket);
     drop(socket);
     assert!(eventually(|| fleet.aggregated().tickets_issued == 1));
 
@@ -1215,10 +1161,10 @@ fn restarted_instance_accepts_tickets_sealed_before_restart() {
     assert_eq!(fleet.live_instances(), 1);
     assert_eq!(fleet.instance(0).expect("restarted").stats().connections(), 0, "fresh stats");
 
-    let mut client = SslClient::resuming(session, SslRng::from_seed(b"fleet-r2"));
-    let mut socket = fleet_handshake(&fleet, &mut client);
-    assert!(client.resumed(), "ticket survives the instance restart");
-    client.close_transport(&mut socket).expect("close");
+    let client = SslClient::resuming(session, SslRng::from_seed(b"fleet-r2"));
+    let (mut client, mut socket) = connect(fleet.local_addr(), client);
+    assert!(client.machine().resumed(), "ticket survives the instance restart");
+    close(&mut client, &mut socket);
     drop(socket);
 
     assert!(
@@ -1240,10 +1186,10 @@ fn accept_fan_round_robins_across_instances() {
         .expect("fleet start");
 
     for i in 0..4u8 {
-        let mut client =
+        let client =
             SslClient::new(CipherSuite::RsaDesCbc3Sha, SslRng::from_seed(&[b'f', b'a', b'n', i]));
-        let mut socket = fleet_handshake(&fleet, &mut client);
-        client.close_transport(&mut socket).expect("close");
+        let (mut client, mut socket) = connect(fleet.local_addr(), client);
+        close(&mut client, &mut socket);
     }
 
     assert!(eventually(|| fleet.aggregated().connections == 4), "got {:?}", fleet.aggregated());

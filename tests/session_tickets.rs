@@ -2,6 +2,8 @@
 //! negotiation end-to-end, cross-config (shared-nothing) resumption, and
 //! silent fallback for every rejected-ticket shape.
 
+mod support;
+
 use sslperf::prelude::*;
 use sslperf::ssl::{ClientSession, SimpleSessionCache};
 use std::sync::Arc;
@@ -261,49 +263,41 @@ fn ticket_client_against_plain_server_uses_id_cache() {
     assert!(!accepted);
 }
 
-/// The blocking transport driver handles the extra NewSessionTicket flight
-/// transparently — same `handshake_transport` loop, now with a ticket in
-/// the exported session.
+/// The engine handles the extra NewSessionTicket flight transparently —
+/// the same pump loop as a ticketless handshake, now with a ticket in the
+/// exported session.
 #[test]
-fn transport_driver_carries_tickets() {
-    use sslperf::ssl::transport::duplex_pair;
-    use sslperf::ssl::RecordBuffer;
+fn engine_pump_carries_tickets() {
+    use sslperf::ssl::Engine;
 
     let keyring = Arc::new(TicketKeyring::new(b"transport-secret"));
-    let config: &'static ServerConfig =
-        Box::leak(Box::new(ticket_config(&keyring, "transport.sslperf.test")));
+    let config = ticket_config(&keyring, "transport.sslperf.test");
+    // Two engines pumped in one thread until both are established.
+    let pair = |client: SslClient, server_seed: &[u8]| {
+        let mut client = Engine::new(client).expect("client engine");
+        let server = SslServer::new(&config, SslRng::from_seed(server_seed));
+        let mut server = Engine::new(server).expect("server engine");
+        support::establish(&mut client, &mut server);
+        (client, server)
+    };
 
-    let (mut ct, mut st) = duplex_pair();
-    let mut client = SslClient::new(CipherSuite::RsaDesCbc3Sha, SslRng::from_seed(b"transport-c1"))
+    let client = SslClient::new(CipherSuite::RsaDesCbc3Sha, SslRng::from_seed(b"transport-c1"))
         .with_tickets();
-    let server_thread = std::thread::spawn(move || {
-        let mut server = SslServer::new(config, SslRng::from_seed(b"transport-s1"));
-        server.handshake_transport(&mut st).expect("server handshake");
-        let mut buf = RecordBuffer::new();
-        let range = server.recv_buffered(&mut st, &mut buf).expect("request");
-        let request = buf.as_slice()[range].to_vec();
-        server.send_buffered(&mut st, &request, &mut buf).expect("echo");
-        (server.resumed(), server.ticket_issued())
-    });
-    client.handshake_transport(&mut ct).expect("client handshake");
-    let mut buf = RecordBuffer::new();
-    client.send_buffered(&mut ct, b"ticket ride", &mut buf).expect("send");
-    let range = client.recv_buffered(&mut ct, &mut buf).expect("echo");
-    assert_eq!(&buf.as_slice()[range], b"ticket ride");
-    let (resumed, issued) = server_thread.join().expect("server thread");
-    assert!(!resumed && issued);
-    let session = client.session().expect("session");
+    let (mut client, mut server) = pair(client, b"transport-s1");
+    client.seal(b"ticket ride").expect("send");
+    server.feed(client.output()).expect("server feed");
+    let range = server.open_next().expect("open").expect("request");
+    let request = server.buffered()[range].to_vec();
+    server.seal(&request).expect("echo");
+    client.feed(server.output()).expect("client feed");
+    let range = client.open_next().expect("open").expect("echo");
+    assert_eq!(&client.buffered()[range], b"ticket ride");
+    assert!(!server.machine().resumed() && server.machine().ticket_issued());
+    let session = client.machine().session().expect("session");
     assert!(session.ticket().is_some());
 
-    let (mut ct, mut st) = duplex_pair();
-    let mut client = SslClient::resuming(session, SslRng::from_seed(b"transport-c2"));
-    let server_thread = std::thread::spawn(move || {
-        let mut server = SslServer::new(config, SslRng::from_seed(b"transport-s2"));
-        server.handshake_transport(&mut st).expect("server handshake");
-        (server.resumed(), server.ticket_accepted())
-    });
-    client.handshake_transport(&mut ct).expect("resumed handshake");
-    assert!(client.resumed());
-    let (resumed, accepted) = server_thread.join().expect("server thread");
-    assert!(resumed && accepted);
+    let client = SslClient::resuming(session, SslRng::from_seed(b"transport-c2"));
+    let (client, server) = pair(client, b"transport-s2");
+    assert!(client.machine().resumed());
+    assert!(server.machine().resumed() && server.machine().ticket_accepted());
 }
