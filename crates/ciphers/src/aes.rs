@@ -422,9 +422,11 @@ impl Aes {
     }
 
     /// Part 2: the main rounds (9 for a 128-bit key, 13 for 256), each doing
-    /// 16 table lookups, shifts and XORs (Table 5, step 2).
+    /// 16 table lookups, shifts and XORs (Table 5, step 2). Counted as
+    /// `aes_round`, one call of Nr − 1 units.
     #[must_use]
     pub fn main_rounds(&self, mut s: [u32; 4]) -> [u32; 4] {
+        counters::count("aes_round", (self.rounds - 1) as u64);
         let t = tables();
         for r in 1..self.rounds {
             let rk = &self.ek[4 * r..4 * r + 4];

@@ -129,15 +129,11 @@ pub enum ExperimentId {
     /// Protocol anatomy: SSLv3 vs TLS 1.3 handshake step latencies,
     /// measured side by side from one live dual-protocol server.
     ProtocolAnatomy,
-    /// Engine forecast: the isasim cycle model predicts tx/s per
-    /// heterogeneous engine configuration; the live event-loop server
-    /// grades each prediction with its percent error.
-    EngineForecast,
 }
 
 impl ExperimentId {
     /// Every experiment, in paper order.
-    pub const ALL: [ExperimentId; 21] = [
+    pub const ALL: [ExperimentId; 20] = [
         ExperimentId::Table1,
         ExperimentId::Fig2,
         ExperimentId::Table2,
@@ -158,7 +154,6 @@ impl ExperimentId {
         ExperimentId::LiveAnatomy,
         ExperimentId::RestartSurvival,
         ExperimentId::ProtocolAnatomy,
-        ExperimentId::EngineForecast,
     ];
 
     /// The human-readable name ("Table 1", "Figure 3", ...).
@@ -185,7 +180,6 @@ impl ExperimentId {
             ExperimentId::LiveAnatomy => "Live anatomy",
             ExperimentId::RestartSurvival => "Restart survival",
             ExperimentId::ProtocolAnatomy => "Protocol anatomy",
-            ExperimentId::EngineForecast => "Engine forecast",
         }
     }
 }
@@ -250,7 +244,6 @@ pub fn run_report(ctx: &Context, id: ExperimentId) -> Result<Report, ExperimentE
         ExperimentId::LiveAnatomy => netload::live_anatomy(ctx)?.to_string(),
         ExperimentId::RestartSurvival => netload::restart_survival(ctx)?.to_string(),
         ExperimentId::ProtocolAnatomy => netload::protocol_anatomy(ctx)?.to_string(),
-        ExperimentId::EngineForecast => netload::engine_forecast(ctx)?.to_string(),
     };
     Ok(Report { id, rendered })
 }

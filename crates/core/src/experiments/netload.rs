@@ -14,10 +14,7 @@
 
 use crate::experiments::{pct, BlockingBaseline, ExperimentError};
 use crate::Context;
-use sslperf_isasim::forecast::{rsa_kx_cycles, EngineConfig, ForecastModel};
-use sslperf_net::{
-    EngineProfile, EventLoopServer, FleetSnapshot, MetricsSnapshot, ServerFleet, ServerOptions,
-};
+use sslperf_net::{EventLoopServer, FleetSnapshot, MetricsSnapshot, ServerFleet, ServerOptions};
 use sslperf_rsa::RsaPrivateKey;
 use sslperf_ssl::{Protocol, TicketKeyring};
 use sslperf_websim::loadgen::{
@@ -26,7 +23,7 @@ use sslperf_websim::loadgen::{
 };
 use std::fmt;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Client- and server-side results for one serving architecture.
 #[derive(Debug)]
@@ -336,186 +333,6 @@ pub fn crypto_offload(ctx: &Context) -> Result<CryptoOffload, ExperimentError> {
     Ok(CryptoOffload { connections, arms })
 }
 
-/// One forecast configuration: the cycle model's prediction next to the
-/// live measurement of the same engine fleet.
-#[derive(Debug)]
-pub struct ForecastArm {
-    /// Human-readable configuration name.
-    pub label: String,
-    /// The engine profile names behind the live arm, in pool order.
-    pub engines: Vec<String>,
-    /// Transactions per second the calibrated cycle model predicts.
-    pub forecast_tps: f64,
-    /// Transactions per second the live event-loop server measured.
-    pub measured_tps: f64,
-}
-
-impl ForecastArm {
-    /// Forecast error relative to the measurement, in percent — positive
-    /// when the model over-promised.
-    #[must_use]
-    pub fn error_percent(&self) -> f64 {
-        (self.forecast_tps - self.measured_tps) * 100.0 / self.measured_tps
-    }
-}
-
-/// Results of the engine-forecast experiment: the predicted-vs-measured
-/// closure between the isasim cycle model and the live heterogeneous
-/// crypto pool.
-#[derive(Debug)]
-pub struct EngineForecast {
-    /// Concurrent connections each live arm was hit with.
-    pub connections: usize,
-    /// Simulated cycles per RSA key exchange from the cycle model.
-    pub kx_cycles: f64,
-    /// Measured wall milliseconds of one solo decrypt (the cycle anchor).
-    pub solo_kx_ms: f64,
-    /// Measured tx/s of the one-engine calibration baseline (held out of
-    /// the forecast arms so their errors are earned, not built in).
-    pub baseline_tps: f64,
-    /// The forecast configurations, in presentation order.
-    pub arms: Vec<ForecastArm>,
-}
-
-impl fmt::Display for EngineForecast {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(f, "Engine forecast ({} concurrent handshakes per arm)", self.connections)?;
-        writeln!(f, "===============================================")?;
-        writeln!(
-            f,
-            "calibration: {:.0} simulated cycles/kx, {:.2} ms solo decrypt, \
-             baseline (1x general) {:.1} tx/s",
-            self.kx_cycles, self.solo_kx_ms, self.baseline_tps
-        )?;
-        writeln!(
-            f,
-            "{:<24} {:>13} {:>13} {:>9}",
-            "configuration", "forecast tx/s", "measured tx/s", "error"
-        )?;
-        for arm in &self.arms {
-            writeln!(
-                f,
-                "{:<24} {:>13.1} {:>13.1} {:>8.1}%",
-                arm.label,
-                arm.forecast_tps,
-                arm.measured_tps,
-                arm.error_percent(),
-            )?;
-        }
-        write!(
-            f,
-            "Paper context: the design-space discussion sizes crypto-engine configurations\n\
-             on paper before building them. Here the isasim cycle model prices one RSA-CRT\n\
-             key exchange (Table 9's bn_mul_add_words kernel times Montgomery operation\n\
-             counts), a one-engine baseline anchors simulated cycles to wall time and\n\
-             splits the transaction into its parallel and serial shares (Amdahl), and\n\
-             each forecast is then graded against the same fleet measured live."
-        )
-    }
-}
-
-/// Measures one engine-fleet configuration live: starts the event-loop
-/// server with the given heterogeneous profiles, drives the shared
-/// handshake burst, and returns the measured throughput.
-fn forecast_measured_tps(
-    ctx: &Context,
-    label: &str,
-    profiles: Vec<EngineProfile>,
-    options: &EventLoadOptions,
-) -> Result<f64, ExperimentError> {
-    let mut rng = ctx.rng(&format!("engine-forecast-{label}"));
-    let key = RsaPrivateKey::generate(ctx.key_bits(), &mut rng)?;
-    let server_options = ServerOptions::builder()
-        .engine_profiles(Some(profiles))
-        .build()
-        .expect("forecast arms are valid configurations");
-    let server = EventLoopServer::start(key, "www.sslperf.test", &server_options)?;
-    let report = run_event_load(server.local_addr(), options)?;
-    server.shutdown();
-    Ok(report.transactions_per_second())
-}
-
-/// Runs the engine-forecast experiment: prices one RSA key exchange with
-/// the isasim cycle model, anchors the model on a solo decrypt plus a
-/// measured one-engine baseline, then forecasts three held-out engine
-/// configurations and grades each against the live event-loop server
-/// running the same fleet.
-///
-/// # Errors
-///
-/// Propagates key generation, serving and load-generation failures.
-pub fn engine_forecast(ctx: &Context) -> Result<EngineForecast, ExperimentError> {
-    let connections = (ctx.iterations() * 4).clamp(8, 64);
-    let options = EventLoadOptions {
-        connections,
-        file_size: 1024,
-        protocol: Protocol::Ssl3,
-        suite: ctx.suite(),
-        hold_until_all_established: true,
-        deadline: Duration::from_secs(60),
-    };
-
-    // 1. Price the key exchange in simulated cycles.
-    let kx_cycles = rsa_kx_cycles(ctx.key_bits());
-
-    // 2. Anchor the cycle scale: wall time of a solo decrypt, averaged
-    //    over a few repetitions to absorb scheduler noise.
-    let mut rng = ctx.rng("engine-forecast-anchor");
-    let key = RsaPrivateKey::generate(ctx.key_bits(), &mut rng)?;
-    let cipher = key.public_key().encrypt_pkcs1(b"engine-forecast-anchor", &mut rng)?;
-    key.decrypt_pkcs1(&cipher)?; // warm the caches before timing
-    let reps = ctx.iterations().clamp(3, 10) as u32;
-    let started = Instant::now();
-    for _ in 0..reps {
-        key.decrypt_pkcs1(&cipher)?;
-    }
-    let solo_kx_secs = started.elapsed().as_secs_f64() / f64::from(reps);
-
-    // 3. Measure the calibration baseline: a single native engine. This
-    //    configuration is held out of the forecast arms below, so their
-    //    errors measure the model rather than echo the calibration.
-    let baseline_tps =
-        forecast_measured_tps(ctx, "baseline", vec![EngineProfile::general()], &options)?;
-    let baseline = EngineConfig::uniform("1x general", 1, 1.0);
-    let model = ForecastModel::calibrate(kx_cycles, solo_kx_secs, &baseline, baseline_tps);
-
-    // 4. Forecast and measure the held-out configurations. The model sees
-    //    only the RSA cost multipliers (this is an SSLv3 RSA-kx workload);
-    //    the live pool runs the full profiles.
-    let fleets: Vec<Vec<EngineProfile>> = vec![
-        vec![EngineProfile::general(); 2],
-        vec![
-            EngineProfile::rsa_engine(),
-            EngineProfile::general_slowed(3.0),
-            EngineProfile::general_slowed(3.0),
-        ],
-        vec![EngineProfile::general(); 4],
-    ];
-    let labels = ["2x general", "rsa-engine + 2 slow", "4x general"];
-    let mut arms = Vec::new();
-    for (label, profiles) in labels.into_iter().zip(fleets) {
-        let config = EngineConfig {
-            label: label.to_string(),
-            multipliers: profiles.iter().map(|p| p.rsa_cost).collect(),
-        };
-        let forecast_tps = model.forecast_tps(&config);
-        let measured_tps = forecast_measured_tps(ctx, label, profiles.clone(), &options)?;
-        arms.push(ForecastArm {
-            label: label.to_string(),
-            engines: profiles.into_iter().map(|p| p.name).collect(),
-            forecast_tps,
-            measured_tps,
-        });
-    }
-    Ok(EngineForecast {
-        connections,
-        kx_cycles,
-        solo_kx_ms: solo_kx_secs * 1e3,
-        baseline_tps,
-        arms,
-    })
-}
-
 /// Results of the live-anatomy experiment: the paper's cost tables
 /// measured from a real serving run instead of an in-process pipeline.
 #[derive(Debug)]
@@ -778,51 +595,11 @@ pub fn restart_survival(ctx: &Context) -> Result<RestartSurvival, ExperimentErro
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::test_ctx::{ctx, eventually, timing_lock};
+    use crate::test_ctx::ctx;
     use sslperf_websim::loadgen::run_event_load_disrupted;
 
-    /// Past this the cycle model has lost contact with the machine and
-    /// explains nothing.
-    const MAX_FORECAST_ERROR_PCT: f64 = 75.0;
-
     #[test]
-    fn engine_forecast_grades_the_cycle_model() {
-        let _serial = timing_lock();
-        // 64 connections per fleet: at the shared quick context's 8 a
-        // fleet's reading is one ~4 ms burst and single arms swing past 200 %.
-        let burst = Context::builder().key_bits(512).iterations(16).build().expect("context");
-        let mut run = None;
-        let bounded = eventually(3, || {
-            let ef = engine_forecast(&burst).expect("engine forecast");
-            let bounded =
-                ef.arms.iter().all(|arm| arm.error_percent().abs() <= MAX_FORECAST_ERROR_PCT);
-            run = Some(ef);
-            bounded
-        });
-        let ef = run.expect("at least one attempt");
-        assert!(bounded, "a forecast misses by more than {MAX_FORECAST_ERROR_PCT}%:\n{ef}");
-        assert_eq!(ef.arms.len(), 3, "three held-out configurations");
-        assert!(ef.kx_cycles > 0.0, "cycle model priced the key exchange");
-        assert!(ef.solo_kx_ms > 0.0, "solo decrypt anchor measured");
-        assert!(ef.baseline_tps > 0.0, "baseline measured");
-        for arm in &ef.arms {
-            assert!(arm.forecast_tps > 0.0, "{}: model predicts", arm.label);
-            assert!(arm.measured_tps > 0.0, "{}: live run measures", arm.label);
-            assert!(arm.error_percent().is_finite(), "{}: error computes", arm.label);
-            assert!(!arm.engines.is_empty(), "{}: engine names recorded", arm.label);
-        }
-        let het = ef.arms.iter().find(|a| a.label == "rsa-engine + 2 slow");
-        let het = het.expect("heterogeneous arm present");
-        assert_eq!(het.engines[0], "rsa-engine", "dedicated engine listed first");
-        let rendered = ef.to_string();
-        assert!(rendered.contains("forecast tx/s"), "{rendered}");
-        assert!(rendered.contains("measured tx/s"), "{rendered}");
-        assert!(rendered.contains("error"), "{rendered}");
-        assert!(rendered.contains("calibration"), "{rendered}");
-    }
-
-    #[test]
-    fn killed_preferred_engine_keeps_live_serving_alive() {
+    fn killed_engine_keeps_live_serving_alive() {
         let ctx = ctx();
         let connections = 8;
         let options = EventLoadOptions {
@@ -835,22 +612,18 @@ mod tests {
         };
         let mut rng = ctx.rng("kill-engine-live");
         let key = RsaPrivateKey::generate(ctx.key_bits(), &mut rng).expect("server key");
-        // The native engine is preferred for every job class; the slowed
-        // core exists to inherit the load when the preferred one dies.
+        // Two engines: the survivor inherits the load when engine 0 dies.
         let server_options = ServerOptions::builder()
-            .engine_profiles(Some(vec![
-                EngineProfile::general(),
-                EngineProfile::general_slowed(4.0),
-            ]))
+            .crypto_workers(2)
             .build()
             .expect("valid kill-engine server options");
         let server =
             EventLoopServer::start(key, "www.sslperf.test", &server_options).expect("server");
         let report =
             run_event_load_disrupted(server.local_addr(), &options, connections / 2, || {
-                assert!(server.kill_crypto_engine(0), "preferred engine index exists");
+                assert!(server.kill_crypto_engine(0), "engine index exists");
             })
-            .expect("fleet survives losing its preferred engine");
+            .expect("fleet survives losing an engine");
         assert_eq!(report.transactions, connections, "zero handshake failures");
         let stats = server.stats();
         assert_eq!(stats.crypto_jobs(), connections as u64, "every handshake offloaded");

@@ -37,7 +37,6 @@
 #![warn(missing_docs)]
 
 pub mod cost;
-pub mod forecast;
 pub mod ir;
 pub mod kernels;
 mod machine;

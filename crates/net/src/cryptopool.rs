@@ -1,19 +1,16 @@
-//! The crypto worker pool: parallel, possibly *heterogeneous* crypto
-//! engines for the event-loop server.
+//! The crypto worker pool: parallel crypto engines for the event-loop
+//! server.
 //!
 //! The paper's §5 observes that ~90% of a full handshake is one RSA
 //! private-key decryption and proposes parallel crypto engines as the
-//! server-side fix; the multi-core SSL processor literature goes further
-//! and models *unequal* engines — a dedicated modexp unit next to
-//! general-purpose cores — behind a preferential scheduler. [`CryptoPool`]
-//! implements both: every worker thread carries an [`EngineProfile`]
-//! (per-job-class cost multipliers, plus optional bulk-cipher capability),
-//! and every engine drains one FIFO of accepted jobs.
+//! server-side fix. [`CryptoPool`] runs that proposal on real threads:
+//! every worker is an identical engine that runs every job class (RSA
+//! decryption, DHE agreement, bulk seal), and every engine drains one FIFO
+//! of accepted jobs.
 //!
-//! Scheduling: a waiting engine takes the oldest job it can run, unless an
-//! idle engine ranked ahead of it for that job's class — by (cost, engine
-//! index) — can run it too; it adds batch siblings only while no other
-//! capable engine is idle.
+//! Scheduling: a waiting engine takes the oldest job; it adds batch
+//! siblings only while no other live engine is idle, so parallelism comes
+//! before batching.
 //!
 //! Batching (`batch_max` > 1): the engine that takes a first job keeps
 //! collecting up to `batch_max` jobs, waiting at most
@@ -22,17 +19,9 @@
 //! via [`CryptoJob::execute_batch`]; each job's result fans back to its
 //! own shard's reply channel. A `batch_max` of 1 skips collection entirely
 //! and behaves exactly like the unbatched pool.
-//!
-//! Engine slowdown is simulated, not faked: after executing, a worker
-//! whose multiplier for the job class exceeds 1.0 busy-waits the extra
-//! cycles out and stretches the recorded exec cost to match, so both the
-//! wall-clock behaviour and the ledger see the cost the modelled engine
-//! would have paid — while wire flights stay byte-identical (the job's
-//! rng discipline is untouched).
 
 use crate::metrics::ServerMetrics;
 use crate::server::ServerStats;
-use sslperf_profile::{Cycles, Stopwatch};
 use sslperf_ssl::{CryptoDone, CryptoJob, CryptoOp, ServerConfig};
 use std::collections::VecDeque;
 use std::sync::atomic::Ordering;
@@ -46,97 +35,13 @@ use std::time::{Duration, Instant};
 /// no one signalled.
 const IDLE_WAIT: Duration = Duration::from_millis(10);
 
-/// The scheduling class of a queued job, derived from its [`CryptoOp`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum JobClass {
-    Rsa,
-    Dhe,
-    Bulk,
-}
-
-fn class_of(job: &CryptoJob) -> JobClass {
-    match job.op() {
-        CryptoOp::RsaDecrypt { .. } => JobClass::Rsa,
-        CryptoOp::DheAgree { .. } => JobClass::Dhe,
-        CryptoOp::BulkSeal { .. } => JobClass::Bulk,
-    }
-}
-
-/// The simulated hardware behind one pool worker: per-job-class cost
-/// multipliers relative to a native core (1.0 = native speed; a machine
-/// with one native-speed RSA engine and 3.0-multiplier general cores
-/// models an RSA engine three times faster than its cores), plus whether
-/// the engine can run bulk-cipher jobs at all.
-#[derive(Debug, Clone, PartialEq)]
-pub struct EngineProfile {
-    /// Display name for reports and experiment labels.
-    pub name: String,
-    /// Cost multiplier for RSA private-key jobs (>= 1.0).
-    pub rsa_cost: f64,
-    /// Cost multiplier for DHE agreement jobs (>= 1.0).
-    pub dhe_cost: f64,
-    /// Bulk-cipher capability: `Some(multiplier)` when the engine also
-    /// accepts record-sealing jobs, `None` for a dedicated key-exchange
-    /// engine that cannot run them.
-    pub bulk_cost: Option<f64>,
-}
-
-impl EngineProfile {
-    /// A native-speed general-purpose core: every class at 1.0.
-    #[must_use]
-    pub fn general() -> Self {
-        EngineProfile { name: "general".into(), rsa_cost: 1.0, dhe_cost: 1.0, bulk_cost: Some(1.0) }
-    }
-
-    /// A general-purpose core slowed by `factor` in every class — the
-    /// standard way to model an accelerator: run the accelerator at 1.0
-    /// and the plain cores at `factor`.
-    #[must_use]
-    pub fn general_slowed(factor: f64) -> Self {
-        EngineProfile {
-            name: format!("general-x{factor}"),
-            rsa_cost: factor,
-            dhe_cost: factor,
-            bulk_cost: Some(factor),
-        }
-    }
-
-    /// A dedicated key-exchange engine: native-speed modexp (RSA and DHE
-    /// both reduce to Montgomery exponentiation), no bulk capability.
-    #[must_use]
-    pub fn rsa_engine() -> Self {
-        EngineProfile { name: "rsa-engine".into(), rsa_cost: 1.0, dhe_cost: 1.0, bulk_cost: None }
-    }
-
-    /// Whether every multiplier is finite and at least 1.0 (the pool
-    /// simulates slowdown by busy-waiting; it cannot make real hardware
-    /// faster than native).
-    #[must_use]
-    pub fn is_valid(&self) -> bool {
-        let ok = |c: f64| c.is_finite() && c >= 1.0;
-        ok(self.rsa_cost) && ok(self.dhe_cost) && self.bulk_cost.is_none_or(ok)
-    }
-
-    fn accepts(&self, class: JobClass) -> bool {
-        class != JobClass::Bulk || self.bulk_cost.is_some()
-    }
-
-    fn cost(&self, class: JobClass) -> f64 {
-        match class {
-            JobClass::Rsa => self.rsa_cost,
-            JobClass::Dhe => self.dhe_cost,
-            JobClass::Bulk => self.bulk_cost.unwrap_or(f64::INFINITY),
-        }
-    }
-}
-
 /// Why [`CryptoPool::try_submit`] did not accept a job. The refusal is
 /// permanent — the event loop fails the connection — and the job comes
 /// back for a caller that wants to run it inline.
 #[derive(Debug)]
 pub enum SubmitError {
-    /// The pool has stopped accepting jobs (shut down, or no live engine
-    /// can ever run this job class) and will never drain this one.
+    /// The pool is shut down, or every engine has been killed, and will
+    /// never drain this job.
     ShutDown(CryptoJob),
 }
 
@@ -167,7 +72,6 @@ pub struct PoolReply {
 /// the result back to the owning connection.
 struct CryptoTask {
     conn: u64,
-    class: JobClass,
     depth_at_submit: u64,
     job: CryptoJob,
     reply: Sender<PoolReply>,
@@ -186,38 +90,60 @@ struct PoolState {
 }
 
 impl PoolState {
-    /// Where the oldest job engine `index` should take sits in the queue.
-    /// A `first` job is left to an idle engine ranked ahead of `index` for
-    /// its class; a batch sibling is left to any idle engine that can run
-    /// it, so parallelism comes before batching.
-    fn next_for(&self, index: usize, profiles: &[EngineProfile], first: bool) -> Option<usize> {
-        let me = &profiles[index];
-        self.queue.iter().position(|task| {
-            let class = task.class;
-            let ahead = |j: usize| !first || (profiles[j].cost(class), j) < (me.cost(class), index);
-            me.accepts(class)
-                && !(0..profiles.len())
-                    .any(|j| self.live[j] && self.idle[j] && profiles[j].accepts(class) && ahead(j))
-        })
+    /// Whether a live engine is waiting for a first job. A collecting
+    /// engine is never idle itself, so this is "another engine could start
+    /// the next job now", which is when a batch stops taking siblings.
+    fn any_idle(&self) -> bool {
+        self.live.iter().zip(&self.idle).any(|(&live, &idle)| live && idle)
+    }
+
+    /// Accepts one job onto the queue, or hands it back when no engine
+    /// will ever drain it.
+    // The error carries the refused job back (see `CryptoPool::try_submit`).
+    #[allow(clippy::result_large_err)]
+    fn enqueue(
+        &mut self,
+        stats: &ServerStats,
+        conn: u64,
+        job: CryptoJob,
+        reply: &Sender<PoolReply>,
+    ) -> Result<(), SubmitError> {
+        if !self.open || !self.live.contains(&true) {
+            return Err(SubmitError::ShutDown(job));
+        }
+        if matches!(job.op(), CryptoOp::BulkSeal { .. }) {
+            stats.crypto_bulk_jobs.fetch_add(1, Ordering::Relaxed);
+        }
+        // Depth counts queued + executing and is sampled here, inside the
+        // lock, so burst high-water marks are exact; the worker decrements
+        // when the job *finishes executing*, not when a collector dequeues
+        // it.
+        let depth = stats.crypto_queue_depth.fetch_add(1, Ordering::Relaxed) + 1;
+        stats.crypto_jobs.fetch_add(1, Ordering::Relaxed);
+        stats.crypto_queue_depth_max.fetch_max(depth, Ordering::Relaxed);
+        self.queue.push_back(CryptoTask {
+            conn,
+            depth_at_submit: depth,
+            job,
+            reply: reply.clone(),
+        });
+        Ok(())
     }
 }
 
 struct Shared {
     state: Mutex<PoolState>,
     ready: Condvar,
-    profiles: Vec<EngineProfile>,
     batch_max: usize,
     batch_deadline: Duration,
 }
 
-/// Worker threads — one per [`EngineProfile`] — draining one shared
-/// queue behind the preferential scheduler.
+/// Identical worker threads draining one shared queue.
 ///
 /// Shared by every shard of an [`EventLoopServer`](crate::EventLoopServer)
 /// started with [`ServerOptions::crypto_workers`](crate::ServerOptions)
-/// &gt; 0 or with explicit engine profiles. Workers execute jobs against
-/// the shared [`ServerConfig`]'s private key and update the crypto
-/// counters in [`ServerStats`]; with
+/// &gt; 0. Workers execute jobs against the shared [`ServerConfig`]'s
+/// private key and update the crypto counters in [`ServerStats`]; with
 /// [`ServerOptions::batch_max`](crate::ServerOptions) &gt; 1 they collect
 /// queued jobs into amortized decrypt batches first.
 #[derive(Debug)]
@@ -233,60 +159,51 @@ struct SharedOpaque(Shared);
 
 impl std::fmt::Debug for SharedOpaque {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("CryptoPoolShared").field("engines", &self.0.profiles.len()).finish()
+        f.debug_struct("CryptoPoolShared").field("batch_max", &self.0.batch_max).finish()
     }
 }
 
 impl CryptoPool {
-    /// Spawns `workers` identical native-speed engines, executing every
-    /// job solo — the homogeneous, unbatched shorthand for
-    /// [`CryptoPool::start_heterogeneous`].
+    /// Spawns `workers` engines, executing every job solo — the unbatched
+    /// pool.
     ///
     /// # Panics
     ///
     /// Panics when `workers` is zero.
     #[must_use]
     pub fn start(workers: usize, config: Arc<ServerConfig>, stats: Arc<ServerStats>) -> Self {
-        let profiles = vec![EngineProfile::general(); workers];
-        Self::start_heterogeneous(profiles, 1, Duration::ZERO, config, stats, None)
+        Self::start_with(workers, 1, Duration::ZERO, config, stats, None)
     }
 
-    /// Spawns one worker thread per profile. Each job starts on the idle
-    /// live engine with the lowest multiplier for its class (lowest index
-    /// among ties), and on any engine that can run it once every engine
-    /// ranked ahead is busy.
+    /// Spawns `workers` engines that collect up to `batch_max` jobs per
+    /// batch, waiting at most `batch_deadline` for siblings, and feed the
+    /// anatomy registry when one is given.
     ///
     /// # Panics
     ///
-    /// Panics when `profiles` is empty, any profile has a multiplier
-    /// below 1.0 (see [`EngineProfile::is_valid`]), or `batch_max` is
-    /// zero.
-    #[must_use]
-    pub fn start_heterogeneous(
-        profiles: Vec<EngineProfile>,
+    /// Panics when `workers` or `batch_max` is zero.
+    pub(crate) fn start_with(
+        workers: usize,
         batch_max: usize,
         batch_deadline: Duration,
         config: Arc<ServerConfig>,
         stats: Arc<ServerStats>,
         metrics: Option<Arc<ServerMetrics>>,
     ) -> Self {
-        assert!(!profiles.is_empty(), "at least one engine profile");
-        assert!(profiles.iter().all(EngineProfile::is_valid), "multipliers must be >= 1.0");
+        assert!(workers > 0, "at least one engine");
         assert!(batch_max > 0, "a batch holds at least one job");
-        let engines = profiles.len();
         let shared = Arc::new(SharedOpaque(Shared {
             state: Mutex::new(PoolState {
                 queue: VecDeque::new(),
-                live: vec![true; engines],
-                idle: vec![false; engines],
+                live: vec![true; workers],
+                idle: vec![false; workers],
                 open: true,
             }),
             ready: Condvar::new(),
-            profiles,
             batch_max,
             batch_deadline,
         }));
-        let workers = (0..engines)
+        let workers = (0..workers)
             .map(|index| {
                 let shared = Arc::clone(&shared);
                 let config = Arc::clone(&config);
@@ -300,20 +217,14 @@ impl CryptoPool {
         CryptoPool { shared, workers, stats }
     }
 
-    /// How many engines (live or killed) the pool was started with.
-    #[must_use]
-    pub fn engines(&self) -> usize {
-        self.shared.0.profiles.len()
-    }
-
     /// Submits a job without blocking. The queue has no slot bound: a
     /// connection holds at most one job, so the pool refuses a job only
     /// when it can never run it.
     ///
     /// # Errors
     ///
-    /// [`SubmitError::ShutDown`] when the pool is shut down or no live
-    /// engine accepts the job's class (permanent: fail the connection).
+    /// [`SubmitError::ShutDown`] when the pool is shut down or every engine
+    /// has been killed (permanent: fail the connection).
     // The error carries the refused job back — a payload, not an error
     // condition — so its size is inherent to the contract.
     #[allow(clippy::result_large_err)]
@@ -323,32 +234,8 @@ impl CryptoPool {
         job: CryptoJob,
         reply: &Sender<PoolReply>,
     ) -> Result<(), SubmitError> {
-        let class = class_of(&job);
         let shared = &self.shared.0;
-        let mut st = shared.state.lock().expect("pool lock");
-        let runnable =
-            (0..shared.profiles.len()).any(|i| st.live[i] && shared.profiles[i].accepts(class));
-        if !st.open || !runnable {
-            return Err(SubmitError::ShutDown(job));
-        }
-        if class == JobClass::Bulk {
-            self.stats.crypto_bulk_jobs.fetch_add(1, Ordering::Relaxed);
-        }
-        // Depth counts queued + executing and is sampled here, inside the
-        // lock, so burst high-water marks are exact; the worker decrements
-        // when the job *finishes executing*, not when a collector dequeues
-        // it.
-        let depth = self.stats.crypto_queue_depth.fetch_add(1, Ordering::Relaxed) + 1;
-        self.stats.crypto_jobs.fetch_add(1, Ordering::Relaxed);
-        self.stats.crypto_queue_depth_max.fetch_max(depth, Ordering::Relaxed);
-        st.queue.push_back(CryptoTask {
-            conn,
-            class,
-            depth_at_submit: depth,
-            job,
-            reply: reply.clone(),
-        });
-        drop(st);
+        shared.state.lock().expect("pool lock").enqueue(&self.stats, conn, job, reply)?;
         shared.ready.notify_all();
         Ok(())
     }
@@ -392,10 +279,11 @@ impl Drop for CryptoPool {
     }
 }
 
-/// Collects one batch for engine `index` under the scheduling rule: a
-/// first job, then — with `batch_max` &gt; 1 — siblings within
-/// `batch_deadline` of the first. Returns `None` when the engine is dead
-/// or the pool shut down with nothing left this engine should take.
+/// Collects one batch for engine `index` under the scheduling rule: the
+/// oldest job, then — with `batch_max` &gt; 1 — siblings within
+/// `batch_deadline` of the first, taken only while no other live engine is
+/// idle. Returns `None` when the engine is dead or the pool shut down with
+/// nothing left to take.
 fn collect_batch(index: usize, shared: &Shared) -> Option<Vec<CryptoTask>> {
     let mut st = shared.state.lock().expect("pool lock");
     st.idle[index] = true;
@@ -403,8 +291,8 @@ fn collect_batch(index: usize, shared: &Shared) -> Option<Vec<CryptoTask>> {
         if !st.live[index] {
             break None;
         }
-        if let Some(pos) = st.next_for(index, &shared.profiles, true) {
-            break st.queue.remove(pos);
+        if let Some(task) = st.queue.pop_front() {
+            break Some(task);
         }
         if !st.open {
             break None;
@@ -412,21 +300,18 @@ fn collect_batch(index: usize, shared: &Shared) -> Option<Vec<CryptoTask>> {
         st = shared.ready.wait_timeout(st, IDLE_WAIT).expect("pool lock").0;
     };
     st.idle[index] = false;
-    if !st.queue.is_empty() {
-        // Jobs left to this engine while it was idle go to the others now.
-        shared.ready.notify_all();
-    }
     let mut batch = Vec::with_capacity(shared.batch_max);
     batch.push(first?);
     if shared.batch_max > 1 {
         batch[0].job.collect();
         let deadline = Instant::now() + shared.batch_deadline;
         while batch.len() < shared.batch_max && st.live[index] {
-            if let Some(pos) = st.next_for(index, &shared.profiles, false) {
-                let mut task = st.queue.remove(pos).expect("position just found");
-                task.job.collect();
-                batch.push(task);
-                continue;
+            if !st.any_idle() {
+                if let Some(mut task) = st.queue.pop_front() {
+                    task.job.collect();
+                    batch.push(task);
+                    continue;
+                }
             }
             if !st.open {
                 break;
@@ -445,7 +330,6 @@ fn worker_loop(
     stats: &ServerStats,
     metrics: Option<&ServerMetrics>,
 ) {
-    let profile = &shared.profiles[index];
     loop {
         let Some(batch) = collect_batch(index, shared) else { return };
         let size = batch.len();
@@ -454,45 +338,16 @@ fn worker_loop(
             stats.crypto_batched_jobs.fetch_add(size as u64, Ordering::Relaxed);
         }
         let mut routes = Vec::with_capacity(size);
-        let mut classes = Vec::with_capacity(size);
         let mut jobs = Vec::with_capacity(size);
         for task in batch {
             routes.push((task.conn, task.depth_at_submit, task.reply));
-            classes.push(task.class);
             jobs.push(task.job);
         }
-        let mut dones = if size == 1 {
+        let dones = if size == 1 {
             vec![jobs.into_iter().next().expect("size checked").execute(config.key())]
         } else {
             CryptoJob::execute_batch(jobs, config.key())
         };
-        // Simulate the engine's speed: busy-wait the modelled extra cycles
-        // out, then stretch the recorded exec costs so the ledger and
-        // stats see what this engine would actually have charged.
-        let extras: Vec<u64> = classes
-            .iter()
-            .zip(&dones)
-            .map(|(class, done)| {
-                let mult = profile.cost(*class);
-                if mult > 1.0 {
-                    (done.exec().get() as f64 * (mult - 1.0)) as u64
-                } else {
-                    0
-                }
-            })
-            .collect();
-        let extra_total: u64 = extras.iter().sum();
-        if extra_total > 0 {
-            let sw = Stopwatch::start();
-            while sw.elapsed().get() < extra_total {
-                std::hint::spin_loop();
-            }
-        }
-        for (done, extra) in dones.iter_mut().zip(&extras) {
-            if *extra > 0 {
-                done.stretch_exec(Cycles::new(*extra));
-            }
-        }
         if let (Some(metrics), Some(done)) = (metrics, dones.first()) {
             metrics.note_crypto_batch(size, done.exec());
         }
@@ -509,19 +364,69 @@ fn worker_loop(
 }
 
 #[cfg(test)]
+impl CryptoPool {
+    /// Polls until `ready` holds of the pool state and returns the lock
+    /// still held, so the caller acts on exactly the state it saw.
+    fn await_state(
+        &self,
+        ready: impl Fn(&PoolState) -> bool,
+    ) -> std::sync::MutexGuard<'_, PoolState> {
+        loop {
+            let st = self.shared.0.state.lock().expect("pool lock");
+            if ready(&st) {
+                return st;
+            }
+            drop(st);
+            std::thread::yield_now();
+        }
+    }
+
+    /// Once every live engine is seen waiting on an empty queue, enqueues
+    /// the whole burst under that one acquisition of the lock, through
+    /// `try_submit`'s own enqueue. No engine can take a job until the
+    /// burst is complete, so which jobs batch together and what depth each
+    /// one sees are fixed by the burst, not by thread timing.
+    fn submit_burst(&self, jobs: Vec<(u64, CryptoJob)>, reply: &Sender<PoolReply>) {
+        let mut st = self.await_state(|st| {
+            st.queue.is_empty() && st.live.iter().zip(&st.idle).all(|(&live, &idle)| idle || !live)
+        });
+        for (conn, job) in jobs {
+            st.enqueue(&self.stats, conn, job, reply).expect("a running pool accepts every job");
+        }
+        drop(st);
+        self.shared.0.ready.notify_all();
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use sslperf_rng::SslRng;
-    use sslperf_rsa::RsaPrivateKey;
+    use sslperf_rsa::{LimbWidth, RsaPrivateKey};
     use sslperf_ssl::{
         CipherSuite, CryptoOutput, Engine, EngineDriven, SslClient, SslError, SslServer,
     };
     use std::sync::mpsc;
+    use std::sync::OnceLock;
 
     fn config() -> Arc<ServerConfig> {
         let mut rng = SslRng::from_seed(b"cryptopool-test-key");
         let key = RsaPrivateKey::generate(512, &mut rng).expect("keygen");
         Arc::new(ServerConfig::new(key, "pool.test").expect("config"))
+    }
+
+    /// A key whose decrypt is real work for a test that needs an engine
+    /// busy: 3072 bits on the u32 limbs, ~14 ms per job on a 2-vCPU guest.
+    /// Generated once per test binary.
+    fn slow_config() -> Arc<ServerConfig> {
+        static SLOW: OnceLock<Arc<ServerConfig>> = OnceLock::new();
+        let config = SLOW.get_or_init(|| {
+            let mut rng = SslRng::from_seed(b"cryptopool-slow-key");
+            let mut key = RsaPrivateKey::generate(3072, &mut rng).expect("keygen");
+            key.set_limb_width(LimbWidth::U32);
+            Arc::new(ServerConfig::new(key, "slow.pool.test").expect("config"))
+        });
+        Arc::clone(config)
     }
 
     /// Drives an offloaded engine handshake through the pool end to end.
@@ -572,93 +477,97 @@ mod tests {
     fn backlog_is_accepted_whole_and_served_in_order() {
         let config = config();
         let stats = Arc::new(ServerStats::default());
-        let pool = CryptoPool::start_heterogeneous(
-            vec![EngineProfile::general_slowed(5.0)],
-            1,
+        let pool = CryptoPool::start(1, Arc::clone(&config), Arc::clone(&stats));
+        let (reply_tx, reply_rx) = mpsc::channel();
+        let jobs = 65;
+        pool.submit_burst(
+            (0..jobs).map(|seq| (seq, suspended_job(&config, seq).1)).collect(),
+            &reply_tx,
+        );
+        let order: Vec<u64> = (0..jobs).map(|_| reply_rx.recv().expect("reply").conn).collect();
+        assert_eq!(order, (0..jobs).collect::<Vec<_>>(), "replies in submission order");
+        assert_eq!(stats.crypto_jobs(), jobs);
+        assert_eq!(stats.crypto_queue_depth_max(), jobs, "the whole backlog was queued at once");
+        assert_eq!((stats.crypto_batches(), stats.crypto_batched_jobs()), (jobs, 0));
+        pool.shutdown();
+    }
+
+    /// A second job starts on an idle engine instead of batching with the
+    /// first or waiting behind it.
+    #[test]
+    fn idle_engine_takes_the_second_job() {
+        // batch_max 4: both jobs arrive in one burst while both engines
+        // wait. The engine that takes the first sees its sibling idle and
+        // leaves the second to it: two solo batches, not one pair.
+        let config = config();
+        let stats = Arc::new(ServerStats::default());
+        let pool = CryptoPool::start_with(
+            2,
+            4,
             Duration::ZERO,
             Arc::clone(&config),
             Arc::clone(&stats),
             None,
         );
         let (reply_tx, reply_rx) = mpsc::channel();
-        let jobs = 65;
-        for seq in 0..jobs {
-            let (_, job) = suspended_job(&config, seq);
-            pool.try_submit(seq, job, &reply_tx).expect("a running pool accepts every job");
+        pool.submit_burst(
+            (0..2).map(|seq| (seq, suspended_job(&config, seq).1)).collect(),
+            &reply_tx,
+        );
+        for _ in 0..2 {
+            reply_rx.recv().expect("reply");
         }
-        let order: Vec<u64> = (0..jobs).map(|_| reply_rx.recv().expect("reply").conn).collect();
-        assert_eq!(order, (0..jobs).collect::<Vec<_>>(), "replies in submission order");
-        assert_eq!(stats.crypto_jobs(), jobs);
+        assert_eq!(
+            (stats.crypto_batches(), stats.crypto_batched_jobs()),
+            (2, 0),
+            "batch_max 4: the second job went to the idle engine"
+        );
+        pool.shutdown();
+
+        // batch_max 1: A is a 3072-bit decrypt, submitted once both engines
+        // wait; B is a one-record seal, submitted once A has left the
+        // queue. B comes back first only if the idle engine took it while
+        // A's engine was still busy.
+        let slow = slow_config();
+        let pool = CryptoPool::start(2, Arc::clone(&slow), Arc::new(ServerStats::default()));
+        let (reply_tx, reply_rx) = mpsc::channel();
+        pool.submit_burst(vec![(0, suspended_job(&slow, 0).1)], &reply_tx);
+        drop(pool.await_state(|st| st.queue.is_empty()));
+        let b = CryptoJob::new_bulk(vec![0x5a; 64], SslRng::from_seed(b"second-job"));
+        pool.try_submit(1, b, &reply_tx).expect("pool is running");
+        let order: Vec<u64> = (0..2).map(|_| reply_rx.recv().expect("reply").conn).collect();
+        assert_eq!(order, [1, 0], "batch_max 1: B ran beside A instead of waiting behind it");
         pool.shutdown();
     }
 
-    /// A job submitted while one engine is busy starts on its idle sibling
-    /// instead of waiting out the busy engine's job — batched or not.
+    /// The default deadline is zero: the collector never waits, yet a
+    /// backlog still combines, because the jobs are already queued when
+    /// the engine comes for more. Each batched result still resumes its
+    /// own handshake (results route by connection id).
     #[test]
-    fn idle_engine_takes_the_second_job() {
-        let config = config();
-        for batch_max in [1, 4] {
-            let pool = CryptoPool::start_heterogeneous(
-                vec![EngineProfile::general_slowed(200.0); 2],
-                batch_max,
-                Duration::ZERO,
-                Arc::clone(&config),
-                Arc::new(ServerStats::default()),
-                None,
-            );
-            let (reply_tx, reply_rx) = mpsc::channel();
-            let (_, first) = suspended_job(&config, 0);
-            pool.try_submit(0, first, &reply_tx).expect("pool is running");
-            std::thread::sleep(Duration::from_millis(2));
-            let (_, second) = suspended_job(&config, 1);
-            pool.try_submit(1, second, &reply_tx).expect("pool is running");
-            let mut replies: Vec<PoolReply> =
-                (0..2).map(|_| reply_rx.recv().expect("reply")).collect();
-            replies.sort_by_key(|reply| reply.conn);
-            let (a, b) = (&replies[0].done, &replies[1].done);
-            assert!(
-                b.queue_wait().get() < a.exec().get() / 4,
-                "batch_max {batch_max}: B waited {} cycles beside A's {}-cycle exec",
-                b.queue_wait().get(),
-                a.exec().get()
-            );
-            pool.shutdown();
-        }
-    }
-
-    /// A batched pool combines queued jobs and each result still resumes
-    /// its own handshake (results route by connection id).
-    #[test]
-    fn batched_pool_combines_queued_jobs() {
+    fn zero_deadline_batches_the_backlog() {
         let config = config();
         let stats = Arc::new(ServerStats::default());
-        // One worker so every job lands in the same collector; a generous
-        // deadline so the whole burst combines deterministically.
-        let pool = CryptoPool::start_heterogeneous(
-            vec![EngineProfile::general()],
+        let pool = CryptoPool::start_with(
+            1,
             4,
-            Duration::from_millis(200),
+            Duration::ZERO,
             Arc::clone(&config),
             Arc::clone(&stats),
             None,
         );
         let (reply_tx, reply_rx) = mpsc::channel();
-
-        let mut engines = Vec::new();
-        for seq in 0..4u64 {
-            let (server, job) = suspended_job(&config, seq);
-            pool.try_submit(seq, job, &reply_tx).expect("queue has room");
-            engines.push((seq, server));
+        let burst = 9u64;
+        let (mut engines, jobs): (Vec<_>, Vec<_>) =
+            (0..burst).map(|seq| suspended_job(&config, seq)).unzip();
+        pool.submit_burst((0..burst).zip(jobs).collect(), &reply_tx);
+        for _ in 0..burst {
+            let reply = reply_rx.recv().expect("reply");
+            engines[reply.conn as usize].complete_crypto(reply.done).expect("resume");
         }
-        for _ in 0..4 {
-            let reply = reply_rx.recv().expect("batched reply");
-            let (_, server) =
-                engines.iter_mut().find(|(seq, _)| *seq == reply.conn).expect("known conn");
-            server.complete_crypto(reply.done).expect("resume with batched result");
-        }
-        assert_eq!(stats.crypto_jobs(), 4);
-        assert!(stats.crypto_batches() >= 1);
-        assert!(stats.crypto_batched_jobs() >= 2, "at least one real batch formed");
+        assert_eq!(stats.crypto_jobs(), burst);
+        assert_eq!(stats.crypto_batches(), 3, "batches of 4, 4 and 1");
+        assert_eq!(stats.crypto_batched_jobs(), 8, "the two full batches");
         pool.shutdown();
     }
 
@@ -671,10 +580,10 @@ mod tests {
     fn failed_decrypt_in_a_batch_leaves_its_sibling_intact() {
         let config = config();
         let stats = Arc::new(ServerStats::default());
-        let pool = CryptoPool::start_heterogeneous(
-            vec![EngineProfile::general()],
+        let pool = CryptoPool::start_with(
+            1,
             4,
-            Duration::from_millis(200),
+            Duration::ZERO,
             Arc::clone(&config),
             Arc::clone(&stats),
             None,
@@ -697,8 +606,7 @@ mod tests {
         let doomed_job = doomed.take_crypto_job().expect("suspended job");
 
         let (mut client, mut sibling, sibling_job) = suspended_pair(&config, 2);
-        pool.try_submit(1, doomed_job, &reply_tx).expect("queue has room");
-        pool.try_submit(2, sibling_job, &reply_tx).expect("queue has room");
+        pool.submit_burst(vec![(1, doomed_job), (2, sibling_job)], &reply_tx);
         for _ in 0..2 {
             let reply = reply_rx.recv().expect("batched reply");
             if reply.conn == 1 {
@@ -717,38 +625,6 @@ mod tests {
             pump(&mut sibling, &mut client, &mut wire);
             pump(&mut client, &mut sibling, &mut wire);
         }
-        pool.shutdown();
-    }
-
-    /// The default deadline is zero: the collector never waits, yet a
-    /// backlog still combines, because what queued up while the engine was
-    /// executing is already there when it comes back for more. (The engine
-    /// is slowed so that its first job outlasts the submission loop.)
-    #[test]
-    fn zero_deadline_batches_the_backlog() {
-        let config = config();
-        let stats = Arc::new(ServerStats::default());
-        let pool = CryptoPool::start_heterogeneous(
-            vec![EngineProfile::general_slowed(100.0)],
-            4,
-            Duration::ZERO,
-            Arc::clone(&config),
-            Arc::clone(&stats),
-            None,
-        );
-        let (reply_tx, reply_rx) = mpsc::channel();
-        let burst = 9u64;
-        let (mut engines, jobs): (Vec<_>, Vec<_>) =
-            (0..burst).map(|seq| suspended_job(&config, seq)).unzip();
-        for (seq, job) in jobs.into_iter().enumerate() {
-            pool.try_submit(seq as u64, job, &reply_tx).expect("queue has room");
-        }
-        for _ in 0..burst {
-            let reply = reply_rx.recv().expect("reply");
-            engines[reply.conn as usize].complete_crypto(reply.done).expect("resume");
-        }
-        assert_eq!(stats.crypto_jobs(), burst);
-        assert!(stats.crypto_batched_jobs() >= 2, "the backlog formed a batch");
         pool.shutdown();
     }
 
@@ -776,69 +652,58 @@ mod tests {
     }
 
     /// The burst-accounting regression: depth counts queued + executing
-    /// and its high-water mark is sampled at enqueue, so a burst queued
-    /// behind a slow collector is fully visible. Before the fix the
-    /// collector decremented the depth as it *dequeued* into a batch, so
-    /// a burst absorbed into one batch under-reported its depth.
+    /// and its high-water mark is sampled at enqueue. Before the fix the
+    /// collector decremented the depth as it *dequeued* into a batch, so a
+    /// burst absorbed into one batch under-reported its depth. Here a
+    /// burst of four 3072-bit decrypts is taken as one batch, and a job
+    /// submitted while that batch executes still sees all four ahead of it.
     #[test]
     fn burst_depth_high_water_is_sampled_at_enqueue() {
-        let config = config();
+        let config = slow_config();
         let stats = Arc::new(ServerStats::default());
-        // One engine whose collector waits generously for a full batch:
-        // every job of the burst is enqueued (and its depth sampled)
-        // before anything finishes executing.
-        let burst = 6;
-        let pool = CryptoPool::start_heterogeneous(
-            vec![EngineProfile::general()],
-            burst,
-            Duration::from_secs(5),
-            Arc::clone(&config),
-            Arc::clone(&stats),
-            None,
-        );
-        let (reply_tx, reply_rx) = mpsc::channel();
-        let jobs: Vec<_> = (0..burst as u64).map(|seq| suspended_job(&config, seq).1).collect();
-        for (seq, job) in jobs.into_iter().enumerate() {
-            pool.try_submit(seq as u64, job, &reply_tx).expect("queue has room");
-        }
-        let mut max_seen = 0;
-        for _ in 0..burst {
-            let reply = reply_rx.recv().expect("burst reply");
-            max_seen = max_seen.max(reply.depth_at_submit);
-        }
-        assert_eq!(stats.crypto_queue_depth_max(), burst as u64, "burst fully visible");
-        assert_eq!(max_seen, burst as u64, "the last job saw the whole burst");
-        assert_eq!(stats.crypto_queue_depth(), 0, "depth settles once execution completes");
-        pool.shutdown();
-    }
-
-    /// Killing the preferred engine mid-backlog leaves the slower survivor
-    /// to drain the queue: every handshake still completes.
-    #[test]
-    fn killed_preferred_engine_still_completes_every_handshake() {
-        let config = config();
-        let stats = Arc::new(ServerStats::default());
-        // Engine 0 is preferred (8x); engine 1 is the slow survivor (24x).
-        // Both are slow enough that the burst below, submitted back to
-        // back, is still queued when engine 0 dies.
-        let profiles =
-            vec![EngineProfile::general_slowed(8.0), EngineProfile::general_slowed(24.0)];
-        let pool = CryptoPool::start_heterogeneous(
-            profiles,
+        let burst = 4u64;
+        let pool = CryptoPool::start_with(
             1,
+            burst as usize,
             Duration::ZERO,
             Arc::clone(&config),
             Arc::clone(&stats),
             None,
         );
         let (reply_tx, reply_rx) = mpsc::channel();
+        pool.submit_burst(
+            (0..burst).map(|seq| (seq, suspended_job(&config, seq).1)).collect(),
+            &reply_tx,
+        );
+        drop(pool.await_state(|st| st.queue.is_empty()));
+        let late = CryptoJob::new_bulk(vec![0xa5; 64], SslRng::from_seed(b"late-job"));
+        pool.try_submit(burst, late, &reply_tx).expect("pool is running");
+        let mut depths = vec![0; burst as usize + 1];
+        for _ in 0..=burst {
+            let reply = reply_rx.recv().expect("burst reply");
+            depths[reply.conn as usize] = reply.depth_at_submit;
+        }
+        assert_eq!(depths, [1, 2, 3, 4, 5], "the late job counts the executing batch");
+        assert_eq!(stats.crypto_queue_depth_max(), burst + 1, "burst fully visible");
+        assert_eq!((stats.crypto_batches(), stats.crypto_batched_jobs()), (2, burst));
+        assert_eq!(stats.crypto_queue_depth(), 0, "depth settles once execution completes");
+        pool.shutdown();
+    }
+
+    /// Killing an engine mid-backlog leaves the survivor to drain the
+    /// queue: every handshake still completes. With every engine killed the
+    /// pool refuses new work for good and hands the job back.
+    #[test]
+    fn killed_engine_leaves_the_backlog_to_the_survivor() {
+        let config = config();
+        let stats = Arc::new(ServerStats::default());
+        let pool = CryptoPool::start(2, Arc::clone(&config), Arc::clone(&stats));
+        let (reply_tx, reply_rx) = mpsc::channel();
         let burst = 8u64;
         let (mut engines, jobs): (Vec<_>, Vec<_>) =
             (0..burst).map(|seq| suspended_job(&config, seq)).unzip();
-        for (seq, job) in jobs.into_iter().enumerate() {
-            pool.try_submit(seq as u64, job, &reply_tx).expect("queue has room");
-        }
-        assert!(pool.kill_engine(0), "preferred engine dies mid-backlog");
+        pool.submit_burst((0..burst).zip(jobs).collect(), &reply_tx);
+        assert!(pool.kill_engine(0), "engine 0 dies mid-backlog");
         assert!(!pool.kill_engine(0), "already dead");
         // Every handshake still completes: the survivor drains the backlog.
         for _ in 0..burst {
@@ -848,35 +713,39 @@ mod tests {
                 .expect("resume after engine death");
         }
         assert_eq!(stats.crypto_jobs(), burst);
+        assert!(pool.kill_engine(1), "the survivor dies too");
+        let job = suspended_job(&config, 77).1;
+        match pool.try_submit(77, job, &reply_tx) {
+            Err(SubmitError::ShutDown(job)) => {
+                assert!(matches!(job.op(), CryptoOp::RsaDecrypt { .. }))
+            }
+            Ok(()) => panic!("a pool with no live engine accepted a job"),
+        }
+        assert_eq!(stats.crypto_jobs(), burst, "the refused job is not counted");
         pool.shutdown();
     }
 
-    /// Bulk-cipher jobs only run on bulk-capable engines, and their sealed
-    /// records come back through the same reply path as key-exchange
-    /// results.
+    /// Bulk-cipher jobs run on any engine, beside key-exchange jobs, and
+    /// their sealed records come back through the same reply path.
     #[test]
-    fn bulk_jobs_respect_engine_capability() {
+    fn bulk_jobs_come_back_sealed() {
         let config = config();
         let stats = Arc::new(ServerStats::default());
-        // One dedicated key-exchange engine (no bulk capability) and one
-        // general core.
-        let profiles = vec![EngineProfile::rsa_engine(), EngineProfile::general()];
-        let pool = CryptoPool::start_heterogeneous(
-            profiles,
-            1,
-            Duration::ZERO,
-            Arc::clone(&config),
-            Arc::clone(&stats),
-            None,
-        );
+        let pool = CryptoPool::start(2, Arc::clone(&config), Arc::clone(&stats));
         let (reply_tx, reply_rx) = mpsc::channel();
         for seq in 0..4u64 {
             let rng = SslRng::from_seed(format!("bulk-{seq}").as_bytes());
             let job = CryptoJob::new_bulk(vec![0xA5; 1024], rng);
-            pool.try_submit(seq, job, &reply_tx).expect("general engine has room");
+            pool.try_submit(seq, job, &reply_tx).expect("pool is running");
         }
-        for _ in 0..4 {
-            let reply = reply_rx.recv().expect("bulk reply");
+        let (mut server, job) = suspended_job(&config, 77);
+        pool.try_submit(77, job, &reply_tx).expect("pool is running");
+        for _ in 0..5 {
+            let reply = reply_rx.recv().expect("reply");
+            if reply.conn == 77 {
+                server.complete_crypto(reply.done).expect("resume");
+                continue;
+            }
             match reply.done.output() {
                 Ok(CryptoOutput::Sealed(record)) => {
                     assert!(record.len() > 1024, "MAC-then-encrypt grows the payload");
@@ -885,27 +754,15 @@ mod tests {
             }
         }
         assert_eq!(stats.crypto_bulk_jobs(), 4);
-        // Kill the only bulk-capable engine: bulk submission becomes a
-        // permanent refusal (ShutDown), while key-exchange jobs still run.
-        assert!(pool.kill_engine(1));
-        let rng = SslRng::from_seed(b"bulk-after-kill");
-        match pool.try_submit(50, CryptoJob::new_bulk(vec![1, 2, 3], rng), &reply_tx) {
-            Err(SubmitError::ShutDown(_)) => {}
-            other => panic!("no bulk-capable engine must be permanent: {other:?}"),
-        }
-        let (mut server, job) = suspended_job(&config, 77);
-        pool.try_submit(77, job, &reply_tx).expect("rsa engine still serves key exchange");
-        let reply = reply_rx.recv().expect("kx reply");
-        server.complete_crypto(reply.done).expect("resume");
+        assert_eq!(stats.crypto_jobs(), 5, "bulk and key-exchange jobs alike");
         pool.shutdown();
     }
 
-    /// With the heterogeneous pool enabled (slow engines included), the
-    /// server's wire flights are byte-identical to the inline path under
-    /// the same seeds — the rng discipline survives scheduling and the
-    /// simulated slowdown.
+    /// With the pool enabled the server's wire flights are byte-identical
+    /// to the inline path under the same seeds — the rng discipline
+    /// survives scheduling.
     #[test]
-    fn heterogeneous_pool_keeps_flights_byte_identical() {
+    fn pool_keeps_flights_byte_identical() {
         let config = config();
 
         // Inline reference: same seeds, no offload.
@@ -921,15 +778,7 @@ mod tests {
         };
 
         let stats = Arc::new(ServerStats::default());
-        let profiles = vec![EngineProfile::rsa_engine(), EngineProfile::general_slowed(3.0)];
-        let pool = CryptoPool::start_heterogeneous(
-            profiles,
-            1,
-            Duration::ZERO,
-            Arc::clone(&config),
-            Arc::clone(&stats),
-            None,
-        );
+        let pool = CryptoPool::start(2, Arc::clone(&config), Arc::clone(&stats));
         let offloaded_flights = {
             let mut client = Engine::new(SslClient::new(
                 CipherSuite::RsaDesCbc3Sha,
@@ -944,7 +793,7 @@ mod tests {
         assert_eq!(stats.crypto_jobs(), 1, "the handshake offloaded its key exchange");
         assert_eq!(
             inline_flights, offloaded_flights,
-            "flights must stay byte-identical with the heterogeneous pool enabled"
+            "flights must stay byte-identical with the pool enabled"
         );
         pool.shutdown();
     }

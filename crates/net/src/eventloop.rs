@@ -53,7 +53,7 @@
 //! done when the outbox is empty *and* no response is pending.
 
 use crate::cache::ShardedSessionCache;
-use crate::cryptopool::{CryptoPool, EngineProfile, PoolReply, SubmitError};
+use crate::cryptopool::{CryptoPool, PoolReply, SubmitError};
 use crate::metrics::ServerMetrics;
 use crate::server::{alert_for_close, build_config, Outgoing, ServerOptions, ServerStats};
 use sslperf_profile::measure;
@@ -128,8 +128,7 @@ pub struct EventLoopServer {
     stats: Arc<ServerStats>,
     cache: Arc<ShardedSessionCache>,
     config: Arc<ServerConfig>,
-    /// The crypto offload pool, present when `crypto_workers > 0` or
-    /// explicit `engine_profiles` were given.
+    /// The crypto offload pool, present when `crypto_workers > 0`.
     pool: Option<Arc<CryptoPool>>,
     metrics: Option<Arc<ServerMetrics>>,
 }
@@ -191,13 +190,9 @@ impl EventLoopServer {
         let stats = Arc::new(ServerStats::default());
         let io_timeout = options.io_timeout;
         let metrics = options.metrics.then(|| Arc::new(ServerMetrics::new()));
-        let profiles = options
-            .engine_profiles
-            .clone()
-            .unwrap_or_else(|| vec![EngineProfile::general(); options.crypto_workers]);
-        let pool = (!profiles.is_empty()).then(|| {
-            Arc::new(CryptoPool::start_heterogeneous(
-                profiles,
+        let pool = (options.crypto_workers > 0).then(|| {
+            Arc::new(CryptoPool::start_with(
+                options.crypto_workers,
                 options.batch_max,
                 options.batch_deadline,
                 Arc::clone(&config),
@@ -627,7 +622,8 @@ impl<'a> Conn<'a> {
     }
 
     /// Moves a freshly suspended key exchange to the crypto pool. A pool
-    /// that refuses it can never run it, so the connection fails outright.
+    /// refuses a job only when it is shut down or every engine has been
+    /// killed; it can never run it, so the connection fails outright.
     /// Returns true when a job entered the queue (or the connection
     /// transitioned to draining).
     fn submit_crypto(&mut self, offload: Option<&Offload<'_>>, stats: &ServerStats) -> bool {
@@ -788,8 +784,7 @@ mod tests {
         EventLoopServer::start(unit_key(), "unit.sslperf.test", options).expect("server start")
     }
 
-    /// The pool is built from one profile list: no profiles and no
-    /// `crypto_workers` means no pool at all; `crypto_workers(2)` means
+    /// `crypto_workers(0)` means no pool at all; `crypto_workers(2)` means
     /// exactly two engines.
     #[test]
     fn crypto_workers_size_the_pool() {

@@ -5,8 +5,8 @@
 //! crate supplies the serving substrate: an event-driven server
 //! ([`EventLoopServer`]) whose shard threads each multiplex many
 //! non-blocking sockets through the sans-io
-//! [`Engine`](sslperf_ssl::Engine), an optional pool of (possibly
-//! heterogeneous) crypto engines ([`CryptoPool`]) that takes the
+//! [`Engine`](sslperf_ssl::Engine), an optional pool of parallel
+//! crypto engines ([`CryptoPool`]) that takes the
 //! key-exchange operation off the shards, and a sharded LRU session cache
 //! ([`ShardedSessionCache`]) that makes §4.1's session re-negotiation work
 //! across connections. [`ServerFleet`] runs several instances behind one
@@ -52,7 +52,7 @@ mod metrics;
 mod server;
 
 pub use cache::ShardedSessionCache;
-pub use cryptopool::{CryptoPool, EngineProfile, PoolReply, SubmitError};
+pub use cryptopool::{CryptoPool, PoolReply, SubmitError};
 pub use eventloop::EventLoopServer;
 pub use fleet::{FleetSnapshot, ServerFleet};
 pub use metrics::{MetricsSnapshot, ServerMetrics, StepSnapshot};

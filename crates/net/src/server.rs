@@ -4,7 +4,6 @@
 //! the close-alert policy, and the HTTP document responder.
 
 use crate::cache::ShardedSessionCache;
-use crate::cryptopool::EngineProfile;
 use crate::metrics::ServerMetrics;
 use sslperf_profile::{measure, Cycles};
 use sslperf_rsa::RsaPrivateKey;
@@ -31,7 +30,7 @@ pub struct ServerOptions {
     pub cache_shards: usize,
     /// Sessions each shard retains before LRU eviction.
     pub cache_capacity_per_shard: usize,
-    /// Crypto worker threads for the RSA offload pool (the paper's §5
+    /// Crypto worker threads for the offload pool (the paper's §5
     /// "parallel crypto engines"). `0` — the default — keeps every
     /// decryption inline on its shard.
     pub crypto_workers: usize,
@@ -67,12 +66,6 @@ pub struct ServerOptions {
     /// the same secret) can resume each other's sessions with no shared
     /// cache — the shared-nothing multi-instance topology.
     pub ticket_keys: Option<Arc<TicketKeyring>>,
-    /// Explicit heterogeneous crypto engines for the offload pool, one
-    /// worker per profile (the multi-core SSL processor's
-    /// dedicated-engine topology). `None` — the default — spawns
-    /// `crypto_workers` identical native-speed engines instead; when set,
-    /// this takes precedence over `crypto_workers`.
-    pub engine_profiles: Option<Vec<EngineProfile>>,
 }
 
 /// Default batch-collection deadline: none. A saturated queue fills a
@@ -96,7 +89,6 @@ impl Default for ServerOptions {
             batch_max: 1,
             batch_deadline: DEFAULT_BATCH_DEADLINE,
             ticket_keys: None,
-            engine_profiles: None,
         }
     }
 }
@@ -122,17 +114,9 @@ pub enum OptionsError {
     ZeroCacheShards,
     /// `batch_max` was zero — a batch holds at least one job.
     ZeroBatch,
-    /// `batch_max > 1` with no crypto pool (neither `crypto_workers` nor
-    /// `engine_profiles`): batching happens in the crypto pool's
-    /// collector, so there is nothing to batch inline.
+    /// `batch_max > 1` with `crypto_workers == 0`: batching happens in the
+    /// crypto pool's collector, so there is nothing to batch inline.
     BatchWithoutPool,
-    /// `engine_profiles` was `Some` but empty — a heterogeneous pool
-    /// needs at least one engine.
-    NoEngines,
-    /// An [`EngineProfile`] carried a cost multiplier below 1.0 (or not
-    /// finite): the pool simulates slowdown by busy-waiting and cannot
-    /// make real hardware faster than native.
-    SubNativeEngineCost,
 }
 
 impl std::fmt::Display for OptionsError {
@@ -142,11 +126,7 @@ impl std::fmt::Display for OptionsError {
             OptionsError::ZeroCacheShards => "cache_shards must be at least 1",
             OptionsError::ZeroBatch => "batch_max must be at least 1",
             OptionsError::BatchWithoutPool => {
-                "batch_max > 1 requires a crypto pool (crypto_workers > 0 or engine_profiles)"
-            }
-            OptionsError::NoEngines => "engine_profiles must list at least one engine",
-            OptionsError::SubNativeEngineCost => {
-                "engine_profiles cost multipliers must be finite and at least 1.0"
+                "batch_max > 1 requires a crypto pool (crypto_workers > 0)"
             }
         };
         f.write_str(msg)
@@ -199,7 +179,7 @@ impl ServerOptionsBuilder {
         self
     }
 
-    /// Crypto worker threads for the RSA offload pool.
+    /// Crypto worker threads for the offload pool.
     #[must_use]
     pub fn crypto_workers(mut self, workers: usize) -> Self {
         self.options.crypto_workers = workers;
@@ -241,21 +221,13 @@ impl ServerOptionsBuilder {
         self
     }
 
-    /// Installs explicit heterogeneous crypto engines, one pool worker
-    /// per profile (takes precedence over `crypto_workers`).
-    #[must_use]
-    pub fn engine_profiles(mut self, profiles: Option<Vec<EngineProfile>>) -> Self {
-        self.options.engine_profiles = profiles;
-        self
-    }
-
     /// Validates the combination and returns the options.
     ///
     /// # Errors
     ///
     /// Returns the first [`OptionsError`] violated: zero `shards` or
     /// `cache_shards`; zero `batch_max`; `batch_max > 1` without a crypto
-    /// pool to batch in; or an empty or sub-native `engine_profiles`.
+    /// pool to batch in.
     pub fn build(self) -> Result<ServerOptions, OptionsError> {
         let o = &self.options;
         if o.shards == 0 {
@@ -267,16 +239,8 @@ impl ServerOptionsBuilder {
         if o.batch_max == 0 {
             return Err(OptionsError::ZeroBatch);
         }
-        if o.batch_max > 1 && o.crypto_workers == 0 && o.engine_profiles.is_none() {
+        if o.batch_max > 1 && o.crypto_workers == 0 {
             return Err(OptionsError::BatchWithoutPool);
-        }
-        if let Some(profiles) = &o.engine_profiles {
-            if profiles.is_empty() {
-                return Err(OptionsError::NoEngines);
-            }
-            if !profiles.iter().all(EngineProfile::is_valid) {
-                return Err(OptionsError::SubNativeEngineCost);
-            }
         }
         Ok(self.options)
     }
@@ -367,7 +331,8 @@ impl ServerStats {
         self.alerts_sent.load(Ordering::Relaxed)
     }
 
-    /// RSA decrypt jobs submitted to the crypto pool (0 in inline modes).
+    /// Jobs the crypto pool accepted — RSA decryptions, DHE agreements and
+    /// bulk seals alike (0 in inline modes).
     #[must_use]
     pub fn crypto_jobs(&self) -> u64 {
         self.crypto_jobs.load(Ordering::Relaxed)
@@ -396,7 +361,8 @@ impl ServerStats {
         Cycles::new(self.crypto_queue_wait_cycles.load(Ordering::Relaxed))
     }
 
-    /// Total cycles workers spent executing RSA decryptions.
+    /// Total cycles workers spent executing jobs of every class (RSA
+    /// decryption, DHE agreement, bulk seal).
     #[must_use]
     pub fn crypto_exec(&self) -> Cycles {
         Cycles::new(self.crypto_exec_cycles.load(Ordering::Relaxed))
@@ -461,8 +427,8 @@ impl ServerStats {
         self.tickets_expired.load(Ordering::Relaxed)
     }
 
-    /// Bulk-cipher (record sealing) jobs the pool accepted; only
-    /// bulk-capable engines run them.
+    /// Bulk-cipher (record sealing) jobs the pool accepted; every engine
+    /// runs them. Also counted in [`ServerStats::crypto_jobs`].
     #[must_use]
     pub fn crypto_bulk_jobs(&self) -> u64 {
         self.crypto_bulk_jobs.load(Ordering::Relaxed)
@@ -652,10 +618,6 @@ mod tests {
             .batch_max(4)
             .batch_deadline(Duration::from_micros(250))
             .ticket_keys(Some(Arc::new(TicketKeyring::new(b"builder-secret"))))
-            .engine_profiles(Some(vec![
-                EngineProfile::rsa_engine(),
-                EngineProfile::general_slowed(3.0),
-            ]))
             .build()
             .expect("valid combination");
         assert_eq!(options.addr, "127.0.0.1:4433");
@@ -669,7 +631,6 @@ mod tests {
         assert_eq!(options.batch_max, 4);
         assert_eq!(options.batch_deadline, Duration::from_micros(250));
         assert!(options.ticket_keys.is_some());
-        assert_eq!(options.engine_profiles.as_ref().map(Vec::len), Some(2));
     }
 
     #[test]
@@ -694,23 +655,6 @@ mod tests {
         // batch_max == 1 without a pool stays legal: that is the inline
         // (unbatched, un-offloaded) baseline every experiment starts from.
         assert!(ServerOptions::builder().crypto_workers(0).batch_max(1).build().is_ok());
-        // Explicit engines count as a pool for the batching rule.
-        assert!(ServerOptions::builder()
-            .crypto_workers(0)
-            .batch_max(2)
-            .engine_profiles(Some(vec![EngineProfile::general()]))
-            .build()
-            .is_ok());
-        assert_eq!(
-            ServerOptions::builder().engine_profiles(Some(Vec::new())).build().unwrap_err(),
-            OptionsError::NoEngines
-        );
-        // A multiplier below native speed is impossible to simulate.
-        let sub_native = EngineProfile { bulk_cost: Some(0.5), ..EngineProfile::general() };
-        assert_eq!(
-            ServerOptions::builder().engine_profiles(Some(vec![sub_native])).build().unwrap_err(),
-            OptionsError::SubNativeEngineCost
-        );
     }
 
     #[test]
@@ -720,8 +664,6 @@ mod tests {
             (OptionsError::ZeroCacheShards, "cache"),
             (OptionsError::ZeroBatch, "batch_max"),
             (OptionsError::BatchWithoutPool, "crypto_workers"),
-            (OptionsError::NoEngines, "engine_profiles"),
-            (OptionsError::SubNativeEngineCost, "at least 1.0"),
         ] {
             let text = err.to_string();
             assert!(text.contains(needle), "{err:?} display {text:?} lacks {needle:?}");

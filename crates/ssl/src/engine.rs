@@ -118,8 +118,8 @@ pub enum CryptoOp {
     /// Bulk-cipher offload: MAC-then-encrypt one record's worth of
     /// plaintext (AES-128-CBC + HMAC-SHA1, keys drawn from the job's own
     /// rng clone). Engines never suspend on this op — it exists so a
-    /// heterogeneous crypto pool can route record sealing to bulk-capable
-    /// engines alongside the key-exchange job classes.
+    /// crypto pool can run record sealing alongside the key-exchange job
+    /// classes.
     BulkSeal {
         /// Plaintext to seal; at most one record fragment.
         payload: Vec<u8>,
@@ -367,14 +367,6 @@ impl CryptoDone {
     /// a handshake machine.
     pub fn output(&self) -> &Result<CryptoOutput, RsaError> {
         &self.output
-    }
-
-    /// Adds simulated engine cycles to the recorded execution cost. A
-    /// heterogeneous crypto pool calls this after busy-waiting out a
-    /// worker's cost multiplier, so the ledger and stats see the cost the
-    /// modelled engine would actually have paid.
-    pub fn stretch_exec(&mut self, extra: Cycles) {
-        self.exec = Cycles::new(self.exec.get().saturating_add(extra.get()));
     }
 
     pub(crate) fn into_parts(self) -> (Result<CryptoOutput, RsaError>, Cycles, Cycles, Cycles) {

@@ -698,6 +698,74 @@ fn event_loop_offload_serves_concurrent_connections() {
     server.shutdown();
 }
 
+/// The one refusal the crypto pool has left: with every engine killed, a
+/// full handshake's key exchange has nowhere to run, so the connection gets
+/// exactly one fatal `handshake_failure` (40) and the close, counted once
+/// as an error and once as an alert. A resumption needs no key-exchange
+/// job and still completes a transaction.
+#[test]
+fn killed_pool_fails_full_handshakes_and_still_resumes() {
+    fn transact(client: &mut sslperf::ssl::ClientEngine, socket: &mut TcpStream) {
+        send(client, socket, b"GET /doc_1024.bin HTTP/1.0\r\n\r\n");
+        let range = recv(client, socket).expect("response");
+        let response = HttpResponse::parse(&client.buffered()[range]).expect("a complete response");
+        assert!(response.body() == synthesize_document("/doc_1024.bin", 1024));
+    }
+
+    let options = ServerOptions { shards: 1, crypto_workers: 1, ..ServerOptions::default() };
+    let server = EventLoopServer::start(key(), "net.sslperf.test", &options).expect("server start");
+    let addr = server.local_addr();
+    let stats = server.stats();
+
+    let client = SslClient::new(CipherSuite::RsaDesCbc3Sha, SslRng::from_seed(b"dead-pool-c1"));
+    let (mut client, mut socket) = connect(addr, client);
+    transact(&mut client, &mut socket);
+    let session = client.machine().session().expect("established");
+    // Dropped without close_notify, so the close moves no counter.
+    drop(socket);
+    assert!(eventually(|| stats.transactions() == 1), "got {}", stats.transactions());
+    assert_eq!(stats.crypto_jobs(), 1, "the full handshake's decrypt went through the pool");
+    let (errors, alerts) = (stats.errors(), stats.alerts_sent());
+
+    assert!(server.kill_crypto_engine(0), "the pool's only engine dies");
+
+    // A second client's full handshake, up to its key exchange.
+    let mut client =
+        Engine::new(SslClient::new(CipherSuite::RsaDesCbc3Sha, SslRng::from_seed(b"dead-pool-c2")))
+            .expect("client engine");
+    let mut socket = TcpStream::connect(addr).expect("connect");
+    socket.set_nodelay(true).expect("nodelay");
+    socket.set_read_timeout(Some(Duration::from_secs(10))).expect("read timeout");
+    client.write_to(&mut socket).expect("hello");
+    while !client.wants_write() {
+        assert!(client.read_from(&mut socket).expect("hello flight") > 0, "server hung up early");
+    }
+    client.write_to(&mut socket).expect("key exchange, change cipher spec, finished");
+    let mut wire = [0u8; 7];
+    socket.read_exact(&mut wire).expect("alert record");
+    assert_eq!(wire, [21, 3, 0, 0, 2, 2, 40], "fatal handshake_failure, byte-exact");
+    let mut rest = [0u8; 16];
+    assert_eq!(socket.read(&mut rest).expect("eof"), 0, "closed after the alert");
+    assert!(
+        eventually(|| (stats.errors(), stats.alerts_sent()) == (errors + 1, alerts + 1)),
+        "errors {} → {}, alerts {} → {}",
+        errors,
+        stats.errors(),
+        alerts,
+        stats.alerts_sent()
+    );
+
+    let client = SslClient::resuming(session, SslRng::from_seed(b"dead-pool-c3"));
+    let (mut client, mut socket) = connect(addr, client);
+    assert!(client.machine().resumed(), "the first session resumes");
+    transact(&mut client, &mut socket);
+    drop(socket);
+    assert!(eventually(|| stats.transactions() == 2), "got {}", stats.transactions());
+    assert_eq!(stats.crypto_jobs(), 1, "neither later handshake reached the pool");
+    assert_eq!((stats.errors(), stats.alerts_sent()), (errors + 1, alerts + 1));
+    server.shutdown();
+}
+
 /// Concurrent resuming clients against an event-loop server with a tiny
 /// session cache: eviction churn forces full-handshake fallbacks, and the
 /// hit/miss and full/resumed counters stay exactly consistent.
