@@ -22,7 +22,6 @@ fn ledger() -> HandshakeLedger {
         total: Cycles::new(2_600_000),
         crypto: Cycles::new(2_300_000),
         kx_queue_wait: Cycles::new(90_000),
-        kx_batch_wait: Cycles::new(12_000),
         kx_exec: Cycles::new(1_900_000),
         ticket_issued: false,
         ticket_accepted: false,
@@ -65,7 +64,6 @@ fn bench_snapshot_render(c: &mut Criterion) {
         metrics.note_record_open(1024, Cycles::new(30_000), Cycles::new(24_000));
         metrics.note_record_seal(1024, Cycles::new(31_000), Cycles::new(25_000));
         metrics.note_response(Cycles::new(4_000));
-        metrics.note_pool_job(3, Cycles::new(90_000), Cycles::new(12_000), Cycles::new(1_900_000));
         metrics.note_crypto_batch(4, Cycles::new(1_200_000));
     }
     let mut group = c.benchmark_group("metrics/exposition");

@@ -5,16 +5,15 @@
 //! aggregation that every shard, worker, and crypto thread can write to
 //! concurrently without serializing on a lock — and, on the record path,
 //! without allocating (the zero-copy pipeline's alloc-budget proof must
-//! survive instrumentation). Three primitives cover it:
+//! survive instrumentation). Two primitives cover it:
 //!
 //! - [`Counter`]: a monotonic `AtomicU64`.
-//! - [`Gauge`]: a settable level plus its high-water mark (queue depths).
 //! - [`Histogram`]: a log-linear latency histogram — power-of-two octaves
 //!   split into eight linear sub-buckets, so p50/p95/p99 come from bucket
 //!   counts (≤ 12.5% relative error) with no samples stored and every
 //!   `record` just one index computation plus three `fetch_add`s.
 //!
-//! All three are `Sync`, allocation-free after construction, and use
+//! Both are `Sync`, allocation-free after construction, and use
 //! `Relaxed` ordering: the consumers are statistical snapshots, not
 //! synchronization points.
 
@@ -59,50 +58,6 @@ impl Counter {
     #[must_use]
     pub fn get(&self) -> u64 {
         self.0.load(Ordering::Relaxed)
-    }
-}
-
-/// A settable level that also remembers its high-water mark.
-///
-/// # Examples
-///
-/// ```
-/// use sslperf_metrics::Gauge;
-///
-/// let g = Gauge::new();
-/// g.set(5);
-/// g.set(2);
-/// assert_eq!((g.get(), g.max()), (2, 5));
-/// ```
-#[derive(Debug, Default)]
-pub struct Gauge {
-    value: AtomicU64,
-    max: AtomicU64,
-}
-
-impl Gauge {
-    /// A gauge at zero.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Sets the current level, updating the high-water mark.
-    pub fn set(&self, v: u64) {
-        self.value.store(v, Ordering::Relaxed);
-        self.max.fetch_max(v, Ordering::Relaxed);
-    }
-
-    /// The current level.
-    #[must_use]
-    pub fn get(&self) -> u64 {
-        self.value.load(Ordering::Relaxed)
-    }
-
-    /// The highest level ever set.
-    #[must_use]
-    pub fn max(&self) -> u64 {
-        self.max.load(Ordering::Relaxed)
     }
 }
 
@@ -319,16 +274,6 @@ mod tests {
         c.inc();
         c.add(41);
         assert_eq!(c.get(), 42);
-    }
-
-    #[test]
-    fn gauge_tracks_level_and_max() {
-        let g = Gauge::new();
-        g.set(7);
-        g.set(3);
-        g.set(5);
-        assert_eq!(g.get(), 5);
-        assert_eq!(g.max(), 7);
     }
 
     #[test]

@@ -12,13 +12,13 @@
 //! siblings only while no other live engine is idle, so parallelism comes
 //! before batching.
 //!
-//! Batching (`batch_max` > 1): the engine that takes a first job keeps
-//! collecting up to `batch_max` jobs, waiting at most
-//! `batch_deadline` after the first (by default not at all: the batch is
-//! what was already queued). Execution happens outside the lock
-//! via [`CryptoJob::execute_batch`]; each job's result fans back to its
-//! own shard's reply channel. A `batch_max` of 1 skips collection entirely
-//! and behaves exactly like the unbatched pool.
+//! Batching (`batch_max` > 1): the engine that takes a first job also
+//! takes up to `batch_max - 1` siblings that are already queued, under the
+//! same lock acquisition. Nothing waits for a sibling: a batch is a
+//! backlog, never a timer. Execution happens outside the lock via
+//! [`CryptoJob::execute_batch`]; each job's result fans back to its own
+//! shard's reply channel. A `batch_max` of 1 takes one job at a time and
+//! behaves exactly like the unbatched pool.
 
 use crate::metrics::ServerMetrics;
 use crate::server::ServerStats;
@@ -28,7 +28,7 @@ use std::sync::atomic::Ordering;
 use std::sync::mpsc::Sender;
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// How long workers sleep between condition checks; submissions, kills
 /// and shutdown all notify, so this only bounds the staleness of checks
@@ -45,25 +45,11 @@ pub enum SubmitError {
     ShutDown(CryptoJob),
 }
 
-impl SubmitError {
-    /// Recovers the refused job.
-    #[must_use]
-    pub fn into_job(self) -> CryptoJob {
-        match self {
-            SubmitError::ShutDown(job) => job,
-        }
-    }
-}
-
 /// An executed job on its way back to the submitting shard.
 #[derive(Debug)]
 pub struct PoolReply {
     /// Shard-local connection id, echoed back from submission.
     pub conn: u64,
-    /// Jobs queued-or-executing the instant this job was accepted (this
-    /// job included) — the burst depth the job actually experienced,
-    /// sampled inside the submission lock.
-    pub depth_at_submit: u64,
     /// The executed result.
     pub done: CryptoDone,
 }
@@ -72,7 +58,6 @@ pub struct PoolReply {
 /// the result back to the owning connection.
 struct CryptoTask {
     conn: u64,
-    depth_at_submit: u64,
     job: CryptoJob,
     reply: Sender<PoolReply>,
 }
@@ -121,12 +106,7 @@ impl PoolState {
         let depth = stats.crypto_queue_depth.fetch_add(1, Ordering::Relaxed) + 1;
         stats.crypto_jobs.fetch_add(1, Ordering::Relaxed);
         stats.crypto_queue_depth_max.fetch_max(depth, Ordering::Relaxed);
-        self.queue.push_back(CryptoTask {
-            conn,
-            depth_at_submit: depth,
-            job,
-            reply: reply.clone(),
-        });
+        self.queue.push_back(CryptoTask { conn, job, reply: reply.clone() });
         Ok(())
     }
 }
@@ -135,7 +115,6 @@ struct Shared {
     state: Mutex<PoolState>,
     ready: Condvar,
     batch_max: usize,
-    batch_deadline: Duration,
 }
 
 /// Identical worker threads draining one shared queue.
@@ -172,12 +151,11 @@ impl CryptoPool {
     /// Panics when `workers` is zero.
     #[must_use]
     pub fn start(workers: usize, config: Arc<ServerConfig>, stats: Arc<ServerStats>) -> Self {
-        Self::start_with(workers, 1, Duration::ZERO, config, stats, None)
+        Self::start_with(workers, 1, config, stats, None)
     }
 
-    /// Spawns `workers` engines that collect up to `batch_max` jobs per
-    /// batch, waiting at most `batch_deadline` for siblings, and feed the
-    /// anatomy registry when one is given.
+    /// Spawns `workers` engines that take up to `batch_max` queued jobs per
+    /// batch, and feed the anatomy registry when one is given.
     ///
     /// # Panics
     ///
@@ -185,7 +163,6 @@ impl CryptoPool {
     pub(crate) fn start_with(
         workers: usize,
         batch_max: usize,
-        batch_deadline: Duration,
         config: Arc<ServerConfig>,
         stats: Arc<ServerStats>,
         metrics: Option<Arc<ServerMetrics>>,
@@ -201,7 +178,6 @@ impl CryptoPool {
             }),
             ready: Condvar::new(),
             batch_max,
-            batch_deadline,
         }));
         let workers = (0..workers)
             .map(|index| {
@@ -280,10 +256,11 @@ impl Drop for CryptoPool {
 }
 
 /// Collects one batch for engine `index` under the scheduling rule: the
-/// oldest job, then — with `batch_max` &gt; 1 — siblings within
-/// `batch_deadline` of the first, taken only while no other live engine is
-/// idle. Returns `None` when the engine is dead or the pool shut down with
-/// nothing left to take.
+/// oldest job, then — with `batch_max` &gt; 1 — siblings already queued,
+/// taken only while no other live engine is idle. The siblings come off
+/// the queue under the same lock acquisition as the first job, so a batch
+/// is exactly the backlog the engine found. Returns `None` when the engine
+/// is dead or the pool shut down with nothing left to take.
 fn collect_batch(index: usize, shared: &Shared) -> Option<Vec<CryptoTask>> {
     let mut st = shared.state.lock().expect("pool lock");
     st.idle[index] = true;
@@ -302,23 +279,9 @@ fn collect_batch(index: usize, shared: &Shared) -> Option<Vec<CryptoTask>> {
     st.idle[index] = false;
     let mut batch = Vec::with_capacity(shared.batch_max);
     batch.push(first?);
-    if shared.batch_max > 1 {
-        batch[0].job.collect();
-        let deadline = Instant::now() + shared.batch_deadline;
-        while batch.len() < shared.batch_max && st.live[index] {
-            if !st.any_idle() {
-                if let Some(mut task) = st.queue.pop_front() {
-                    task.job.collect();
-                    batch.push(task);
-                    continue;
-                }
-            }
-            if !st.open {
-                break;
-            }
-            let Some(remaining) = deadline.checked_duration_since(Instant::now()) else { break };
-            st = shared.ready.wait_timeout(st, remaining.min(IDLE_WAIT)).expect("pool lock").0;
-        }
+    while batch.len() < shared.batch_max && !st.any_idle() {
+        let Some(task) = st.queue.pop_front() else { break };
+        batch.push(task);
     }
     Some(batch)
 }
@@ -337,28 +300,22 @@ fn worker_loop(
         if size > 1 {
             stats.crypto_batched_jobs.fetch_add(size as u64, Ordering::Relaxed);
         }
-        let mut routes = Vec::with_capacity(size);
-        let mut jobs = Vec::with_capacity(size);
-        for task in batch {
-            routes.push((task.conn, task.depth_at_submit, task.reply));
-            jobs.push(task.job);
-        }
-        let dones = if size == 1 {
-            vec![jobs.into_iter().next().expect("size checked").execute(config.key())]
-        } else {
-            CryptoJob::execute_batch(jobs, config.key())
+        let (routes, jobs): (Vec<_>, Vec<_>) =
+            batch.into_iter().map(|task| ((task.conn, task.reply), task.job)).unzip();
+        let dones = match <[CryptoJob; 1]>::try_from(jobs) {
+            Ok([job]) => vec![job.execute(config.key())],
+            Err(jobs) => CryptoJob::execute_batch(jobs, config.key()),
         };
         if let (Some(metrics), Some(done)) = (metrics, dones.first()) {
             metrics.note_crypto_batch(size, done.exec());
         }
-        for ((conn, depth_at_submit, reply), done) in routes.into_iter().zip(dones) {
+        for ((conn, reply), done) in routes.into_iter().zip(dones) {
             stats.crypto_queue_wait_cycles.fetch_add(done.queue_wait().get(), Ordering::Relaxed);
-            stats.crypto_batch_wait_cycles.fetch_add(done.batch_wait().get(), Ordering::Relaxed);
             stats.crypto_exec_cycles.fetch_add(done.exec().get(), Ordering::Relaxed);
             // The job is no longer queued *or* executing.
             stats.crypto_queue_depth.fetch_sub(1, Ordering::Relaxed);
             // A send failure means the shard is gone; the result is moot.
-            let _ = reply.send(PoolReply { conn, depth_at_submit, done });
+            let _ = reply.send(PoolReply { conn, done });
         }
     }
 }
@@ -436,37 +393,18 @@ mod tests {
         let stats = Arc::new(ServerStats::default());
         let pool = CryptoPool::start(2, Arc::clone(&config), Arc::clone(&stats));
         let (reply_tx, reply_rx) = mpsc::channel();
-
-        let mut client =
-            Engine::new(SslClient::new(CipherSuite::RsaDesCbc3Sha, SslRng::from_seed(b"cp-c")))
-                .expect("client engine");
-        let mut server = Engine::new(SslServer::new(&config, SslRng::from_seed(b"cp-s")))
-            .expect("server engine");
-        server.set_crypto_offload(true);
-
-        let mut wire = vec![0u8; 16 * 1024];
-        let mut spins = 0;
-        while !(client.is_established() && server.is_established()) {
-            pump(&mut client, &mut server, &mut wire);
-            if let Some(job) = server.take_crypto_job() {
-                pool.try_submit(7, job, &reply_tx).expect("queue has room");
-            }
-            if server.crypto_pending() {
-                let reply = reply_rx.recv().expect("pool reply");
-                assert_eq!(reply.conn, 7);
-                assert_eq!(reply.depth_at_submit, 1);
-                server.complete_crypto(reply.done).expect("resume");
-            }
-            pump(&mut server, &mut client, &mut wire);
-            spins += 1;
-            assert!(spins < 16, "handshake did not converge");
-        }
+        let (mut client, mut server, job) = suspended_pair(&config, 7);
+        pool.try_submit(7, job, &reply_tx).expect("queue has room");
+        let reply = reply_rx.recv().expect("pool reply");
+        assert_eq!(reply.conn, 7);
+        server.complete_crypto(reply.done).expect("resume");
+        exchange(&mut client, &mut server, &mut Vec::new());
+        assert!(client.is_established() && server.is_established(), "handshake completes");
         assert_eq!(stats.crypto_jobs(), 1);
-        assert!(stats.crypto_queue_depth_max() >= 1);
+        assert_eq!(stats.crypto_queue_depth_max(), 1);
         // An unbatched pool reports one batch per job, all solo.
         assert_eq!(stats.crypto_batches(), 1);
         assert_eq!(stats.crypto_batched_jobs(), 0);
-        assert_eq!(stats.crypto_batch_wait(), sslperf_profile::Cycles::ZERO);
         pool.shutdown();
     }
 
@@ -501,14 +439,7 @@ mod tests {
         // leaves the second to it: two solo batches, not one pair.
         let config = config();
         let stats = Arc::new(ServerStats::default());
-        let pool = CryptoPool::start_with(
-            2,
-            4,
-            Duration::ZERO,
-            Arc::clone(&config),
-            Arc::clone(&stats),
-            None,
-        );
+        let pool = CryptoPool::start_with(2, 4, Arc::clone(&config), Arc::clone(&stats), None);
         let (reply_tx, reply_rx) = mpsc::channel();
         pool.submit_burst(
             (0..2).map(|seq| (seq, suspended_job(&config, seq).1)).collect(),
@@ -540,22 +471,15 @@ mod tests {
         pool.shutdown();
     }
 
-    /// The default deadline is zero: the collector never waits, yet a
-    /// backlog still combines, because the jobs are already queued when
-    /// the engine comes for more. Each batched result still resumes its
-    /// own handshake (results route by connection id).
+    /// The collector never waits, yet a backlog still combines, because
+    /// the jobs are already queued when the engine comes for more. Each
+    /// batched result still resumes its own handshake (results route by
+    /// connection id).
     #[test]
     fn zero_deadline_batches_the_backlog() {
         let config = config();
         let stats = Arc::new(ServerStats::default());
-        let pool = CryptoPool::start_with(
-            1,
-            4,
-            Duration::ZERO,
-            Arc::clone(&config),
-            Arc::clone(&stats),
-            None,
-        );
+        let pool = CryptoPool::start_with(1, 4, Arc::clone(&config), Arc::clone(&stats), None);
         let (reply_tx, reply_rx) = mpsc::channel();
         let burst = 9u64;
         let (mut engines, jobs): (Vec<_>, Vec<_>) =
@@ -580,14 +504,7 @@ mod tests {
     fn failed_decrypt_in_a_batch_leaves_its_sibling_intact() {
         let config = config();
         let stats = Arc::new(ServerStats::default());
-        let pool = CryptoPool::start_with(
-            1,
-            4,
-            Duration::ZERO,
-            Arc::clone(&config),
-            Arc::clone(&stats),
-            None,
-        );
+        let pool = CryptoPool::start_with(1, 4, Arc::clone(&config), Arc::clone(&stats), None);
         let (reply_tx, reply_rx) = mpsc::channel();
 
         // The doomed connection: an honest client's second flight with one
@@ -665,7 +582,6 @@ mod tests {
         let pool = CryptoPool::start_with(
             1,
             burst as usize,
-            Duration::ZERO,
             Arc::clone(&config),
             Arc::clone(&stats),
             None,
@@ -678,12 +594,10 @@ mod tests {
         drop(pool.await_state(|st| st.queue.is_empty()));
         let late = CryptoJob::new_bulk(vec![0xa5; 64], SslRng::from_seed(b"late-job"));
         pool.try_submit(burst, late, &reply_tx).expect("pool is running");
-        let mut depths = vec![0; burst as usize + 1];
         for _ in 0..=burst {
-            let reply = reply_rx.recv().expect("burst reply");
-            depths[reply.conn as usize] = reply.depth_at_submit;
+            reply_rx.recv().expect("burst reply");
         }
-        assert_eq!(depths, [1, 2, 3, 4, 5], "the late job counts the executing batch");
+        // Depth 5, not 4: the late job counts the executing batch.
         assert_eq!(stats.crypto_queue_depth_max(), burst + 1, "burst fully visible");
         assert_eq!((stats.crypto_batches(), stats.crypto_batched_jobs()), (2, burst));
         assert_eq!(stats.crypto_queue_depth(), 0, "depth settles once execution completes");
@@ -798,37 +712,85 @@ mod tests {
         pool.shutdown();
     }
 
+    /// A batch is invisible on the wire: four handshakes whose decrypts
+    /// ran as one batch put out, byte for byte, the server streams their
+    /// inline runs do under the same seeds.
+    #[test]
+    fn burst_batch_keeps_every_server_stream_byte_identical() {
+        let config = config();
+        let stats = Arc::new(ServerStats::default());
+        let pool = CryptoPool::start_with(1, 4, Arc::clone(&config), Arc::clone(&stats), None);
+        let (reply_tx, reply_rx) = mpsc::channel();
+        let mut conns: Vec<_> = (0..4)
+            .map(|seq| {
+                let (client, server) = engine_pair(&config, seq);
+                (client, server, Vec::new())
+            })
+            .collect();
+        let mut jobs = Vec::new();
+        for (seq, (client, server, stream)) in (0..).zip(&mut conns) {
+            exchange(client, server, stream);
+            jobs.push((seq, server.take_crypto_job().expect("suspended job")));
+        }
+        pool.submit_burst(jobs, &reply_tx);
+        drop(reply_tx);
+        for _ in 0..4 {
+            let reply = reply_rx.recv().expect("every burst job replies");
+            let (client, server, stream) = &mut conns[reply.conn as usize];
+            server.complete_crypto(reply.done).expect("resume with batched result");
+            exchange(client, server, stream);
+        }
+        assert_eq!((stats.crypto_batches(), stats.crypto_batched_jobs()), (1, 4));
+        for (seq, (_, _, stream)) in (0..).zip(&conns) {
+            let (mut client, mut server) = engine_pair(&config, seq);
+            server.set_crypto_offload(false);
+            let inline = drive_and_capture(&mut client, &mut server, None);
+            assert_eq!(*stream, inline, "connection {seq}: batched stream differs from inline");
+        }
+        pool.shutdown();
+    }
+
     /// Runs a full handshake, returning every server flight byte in order.
     fn drive_and_capture(
         client: &mut Engine<SslClient>,
         server: &mut Engine<SslServer<'_>>,
         pool: Option<&CryptoPool>,
     ) -> Vec<u8> {
-        let (reply_tx, reply_rx) = mpsc::channel();
-        let mut wire = vec![0u8; 16 * 1024];
         let mut server_bytes = Vec::new();
-        let mut spins = 0;
-        while !(client.is_established() && server.is_established()) {
-            pump(client, server, &mut wire);
-            if let Some(pool) = pool {
-                if let Some(job) = server.take_crypto_job() {
-                    pool.try_submit(1, job, &reply_tx).expect("queue has room");
-                }
-                if server.crypto_pending() {
-                    let reply = reply_rx.recv().expect("pool reply");
-                    server.complete_crypto(reply.done).expect("resume");
-                }
+        exchange(client, server, &mut server_bytes);
+        if let Some(pool) = pool {
+            let job = server.take_crypto_job().expect("suspended job");
+            let (reply_tx, reply_rx) = mpsc::channel();
+            pool.try_submit(1, job, &reply_tx).expect("queue has room");
+            let reply = reply_rx.recv().expect("pool reply");
+            server.complete_crypto(reply.done).expect("resume");
+            exchange(client, server, &mut server_bytes);
+        }
+        server_bytes
+    }
+
+    /// Moves bytes both ways until both engines are established or the
+    /// server suspends on its key exchange, appending every byte the
+    /// server sends to `server_bytes`.
+    fn exchange(
+        client: &mut Engine<SslClient>,
+        server: &mut Engine<SslServer<'_>>,
+        server_bytes: &mut Vec<u8>,
+    ) {
+        let mut wire = vec![0u8; 16 * 1024];
+        for _ in 0..16 {
+            if server.crypto_pending() || (client.is_established() && server.is_established()) {
+                return;
             }
+            pump(client, server, &mut wire);
             let n = server.take_output(&mut wire);
             server_bytes.extend_from_slice(&wire[..n]);
             let mut offset = 0;
             while offset < n {
                 offset += client.feed(&wire[offset..n]).expect("client feed");
             }
-            spins += 1;
-            assert!(spins < 16, "handshake did not converge");
         }
-        server_bytes
+        panic!("handshake did not converge");
     }
 
     /// Builds a server engine suspended at the RSA boundary and returns
@@ -844,11 +806,7 @@ mod tests {
         seq: u64,
     ) -> (Engine<SslClient>, Engine<SslServer<'_>>, CryptoJob) {
         let (mut client, mut server) = engine_pair(config, seq);
-        let mut wire = vec![0u8; 16 * 1024];
-        while !server.crypto_pending() {
-            pump(&mut client, &mut server, &mut wire);
-            pump(&mut server, &mut client, &mut wire);
-        }
+        exchange(&mut client, &mut server, &mut Vec::new());
         let job = server.take_crypto_job().expect("suspended job");
         (client, server, job)
     }

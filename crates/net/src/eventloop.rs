@@ -194,7 +194,6 @@ impl EventLoopServer {
             Arc::new(CryptoPool::start_with(
                 options.crypto_workers,
                 options.batch_max,
-                options.batch_deadline,
                 Arc::clone(&config),
                 Arc::clone(&stats),
                 metrics.clone(),
@@ -663,19 +662,7 @@ impl<'a> Conn<'a> {
         if self.draining || self.done {
             return;
         }
-        let done = reply.done;
-        if let Some(m) = self.metrics {
-            // The depth the job saw when it was accepted — sampled inside
-            // the pool's submission lock, not read back after the
-            // collector has already drained the burst.
-            m.note_pool_job(
-                reply.depth_at_submit,
-                done.queue_wait(),
-                done.batch_wait(),
-                done.exec(),
-            );
-        }
-        match self.engine.complete_crypto(done) {
+        match self.engine.complete_crypto(reply.done) {
             Ok(()) => {
                 self.note_established(stats);
                 if self.engine.is_established() {

@@ -20,7 +20,7 @@
 //! [`ServerOptions::metrics`](crate::ServerOptions::metrics) is on — the
 //! exposition-endpoint pattern, minus any wire-format commitments.
 
-use sslperf_metrics::{Gauge, Histogram, HistogramSnapshot};
+use sslperf_metrics::{Histogram, HistogramSnapshot};
 use sslperf_profile::{Align, Cycles, Table};
 use sslperf_ssl::{HandshakeLedger, Protocol, SERVER_STEP_NAMES, TLS13_STEP_NAMES};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -40,8 +40,6 @@ pub struct ServerMetrics {
     /// Key-exchange offload split (both protocols): cycles queued in the
     /// crypto pool.
     kx_queue_wait: Histogram,
-    /// Offload split: cycles collected but waiting for batch siblings.
-    kx_batch_wait: Histogram,
     /// Offload split: cycles executing the private operation (RSA decrypt
     /// for SSLv3, the DHE exponentiation pair for TLS 1.3).
     kx_exec: Histogram,
@@ -73,13 +71,6 @@ pub struct ServerMetrics {
     respond_cycles: AtomicU64,
     /// HTTP transactions measured into the counters above.
     transactions: AtomicU64,
-    /// Crypto-pool backlog at submission time (gauge tracks the max).
-    pool_queue_depth: Gauge,
-    /// Per-job crypto-pool queue wait / execution cycles.
-    pool_wait: Histogram,
-    pool_exec: Histogram,
-    /// Per-job cycles spent collected-but-waiting for batch siblings.
-    pool_batch_wait: Histogram,
     /// Jobs per executed crypto-pool batch (1 = solo execution).
     batch_size: Histogram,
     /// Cycles per RSA decrypt when executed solo (batch of one).
@@ -107,7 +98,6 @@ impl ServerMetrics {
             steps: std::array::from_fn(|_| Histogram::new()),
             tls13_steps: std::array::from_fn(|_| Histogram::new()),
             kx_queue_wait: Histogram::new(),
-            kx_batch_wait: Histogram::new(),
             kx_exec: Histogram::new(),
             full_handshake: Histogram::new(),
             resumed_handshake: Histogram::new(),
@@ -124,10 +114,6 @@ impl ServerMetrics {
             record_crypto_cycles: AtomicU64::new(0),
             respond_cycles: AtomicU64::new(0),
             transactions: AtomicU64::new(0),
-            pool_queue_depth: Gauge::new(),
-            pool_wait: Histogram::new(),
-            pool_exec: Histogram::new(),
-            pool_batch_wait: Histogram::new(),
             batch_size: Histogram::new(),
             exec_solo: Histogram::new(),
             exec_amortized: Histogram::new(),
@@ -171,9 +157,6 @@ impl ServerMetrics {
         if ledger.kx_queue_wait.get() > 0 {
             self.kx_queue_wait.record(ledger.kx_queue_wait.get());
         }
-        if ledger.kx_batch_wait.get() > 0 {
-            self.kx_batch_wait.record(ledger.kx_batch_wait.get());
-        }
         if ledger.kx_exec.get() > 0 {
             self.kx_exec.record(ledger.kx_exec.get());
         }
@@ -203,15 +186,6 @@ impl ServerMetrics {
     pub fn note_response(&self, cycles: Cycles) {
         self.transactions.fetch_add(1, Ordering::Relaxed);
         self.respond_cycles.fetch_add(cycles.get(), Ordering::Relaxed);
-    }
-
-    /// Records one executed crypto-pool job: a backlog-depth sample taken
-    /// as the result lands, queue wait, batch wait, and execution cycles.
-    pub fn note_pool_job(&self, depth: u64, wait: Cycles, batch_wait: Cycles, exec: Cycles) {
-        self.pool_queue_depth.set(depth);
-        self.pool_wait.record(wait.get());
-        self.pool_batch_wait.record(batch_wait.get());
-        self.pool_exec.record(exec.get());
     }
 
     /// Records one executed crypto-pool batch: its size, and the per-decrypt
@@ -245,7 +219,6 @@ impl ServerMetrics {
                 latency: self.tls13_steps[i].snapshot(),
             }),
             kx_queue_wait: self.kx_queue_wait.snapshot(),
-            kx_batch_wait: self.kx_batch_wait.snapshot(),
             kx_exec: self.kx_exec.snapshot(),
             full_handshake: self.full_handshake.snapshot(),
             resumed_handshake: self.resumed_handshake.snapshot(),
@@ -262,10 +235,6 @@ impl ServerMetrics {
             record_crypto_cycles: self.record_crypto_cycles.load(Ordering::Relaxed),
             respond_cycles: self.respond_cycles.load(Ordering::Relaxed),
             transactions: self.transactions.load(Ordering::Relaxed),
-            pool_queue_depth_max: self.pool_queue_depth.max(),
-            pool_wait: self.pool_wait.snapshot(),
-            pool_exec: self.pool_exec.snapshot(),
-            pool_batch_wait: self.pool_batch_wait.snapshot(),
             batch_size: self.batch_size.snapshot(),
             exec_solo: self.exec_solo.snapshot(),
             exec_amortized: self.exec_amortized.snapshot(),
@@ -299,10 +268,9 @@ pub struct MetricsSnapshot {
     /// Per-step TLS 1.3 latency across handshakes, in wire order.
     pub tls13_steps: [StepSnapshot; 10],
     /// Key-exchange crypto-pool queue wait, both protocols (empty when
-    /// running inline).
+    /// running inline). Kept out of the step and crypto totals: it is
+    /// waiting, not processing.
     pub kx_queue_wait: HistogramSnapshot,
-    /// Key-exchange wait for batch siblings (empty without batching).
-    pub kx_batch_wait: HistogramSnapshot,
     /// Key-exchange private-operation execution time (RSA decrypt or DHE
     /// exponentiation pair).
     pub kx_exec: HistogramSnapshot,
@@ -337,14 +305,6 @@ pub struct MetricsSnapshot {
     pub respond_cycles: u64,
     /// HTTP transactions measured.
     pub transactions: u64,
-    /// High-water mark of the crypto-pool backlog.
-    pub pool_queue_depth_max: u64,
-    /// Per-job crypto-pool queue wait distribution.
-    pub pool_wait: HistogramSnapshot,
-    /// Per-job crypto-pool execution distribution.
-    pub pool_exec: HistogramSnapshot,
-    /// Per-job batch-assembly wait distribution.
-    pub pool_batch_wait: HistogramSnapshot,
     /// Jobs per executed crypto-pool batch (1 = solo).
     pub batch_size: HistogramSnapshot,
     /// Cycles per RSA decrypt executed solo.
@@ -482,10 +442,10 @@ impl MetricsSnapshot {
 
         // The key-exchange offload split, when the crypto pool was in
         // play: RSA decrypts (SSLv3 step 5) and DHE exponentiations
-        // (TLS 1.3 step 3) share the pool, so the split is pooled. With
-        // batching on, the amortization rows break it down further: the
-        // wait each job spent collecting batch siblings, and what a job
-        // costs solo versus amortized across a batch.
+        // (TLS 1.3 step 3) share the pool, so the split is pooled. The
+        // queue wait is the one row here that no table above counts. With
+        // batching on, the amortization rows show what a job costs solo
+        // versus amortized across a batch.
         if self.kx_queue_wait.count() > 0 || self.kx_exec.count() > 0 {
             let mut kx = Table::new("Key-exchange offload split and batch amortization");
             kx.columns(&[
@@ -496,7 +456,6 @@ impl MetricsSnapshot {
             ]);
             for (name, h) in [
                 ("kx_queue_wait", &self.kx_queue_wait),
-                ("kx_batch_wait", &self.kx_batch_wait),
                 ("kx_exec", &self.kx_exec),
                 ("exec_solo (per job)", &self.exec_solo),
                 ("exec_amortized (per job)", &self.exec_amortized),
@@ -577,9 +536,6 @@ impl MetricsSnapshot {
             ("full_handshake", &self.full_handshake),
             ("resumed_handshake", &self.resumed_handshake),
             ("tls13_handshake", &self.tls13_full_handshake),
-            ("pool_queue_wait", &self.pool_wait),
-            ("pool_batch_wait", &self.pool_batch_wait),
-            ("pool_exec", &self.pool_exec),
         ] {
             quant.row(&[
                 name.to_string(),
@@ -626,14 +582,12 @@ impl MetricsSnapshot {
             out.push_str(&batch.to_string());
         }
         out.push_str(&format!(
-            "\ntransactions {} | records in/out {}/{} | bytes in/out {}/{} | \
-             pool depth max {}\n",
+            "\ntransactions {} | records in/out {}/{} | bytes in/out {}/{}\n",
             self.transactions,
             self.records_opened,
             self.records_sealed,
             self.bytes_in,
             self.bytes_out,
-            self.pool_queue_depth_max,
         ));
         out.push_str(&format!(
             "tickets issued/accepted/rejected/expired {}/{}/{}/{}\n",
@@ -674,7 +628,6 @@ mod tests {
             total: Cycles::new(step_cost * 10),
             crypto: Cycles::new(crypto),
             kx_queue_wait: Cycles::new(0),
-            kx_batch_wait: Cycles::new(0),
             kx_exec: Cycles::new(crypto / 2),
             ticket_issued: false,
             ticket_accepted: false,
@@ -691,7 +644,6 @@ mod tests {
             total: Cycles::new(step_cost * 10),
             crypto: Cycles::new(crypto),
             kx_queue_wait: Cycles::new(0),
-            kx_batch_wait: Cycles::new(0),
             kx_exec: Cycles::new(crypto / 2),
             ticket_issued: false,
             ticket_accepted: false,
@@ -785,7 +737,6 @@ mod tests {
     fn render_contains_all_three_tables() {
         let m = ServerMetrics::new();
         m.note_handshake(&ledger(false, 100, 850));
-        m.note_pool_job(3, Cycles::new(40), Cycles::new(5), Cycles::new(400));
         m.note_response(Cycles::new(10));
         let text = m.snapshot().render();
         assert!(text.contains("Live Table 1"), "{text}");
@@ -793,15 +744,13 @@ mod tests {
         assert!(text.contains("Live Table 3"), "{text}");
         assert!(text.contains("get_client_kx"), "{text}");
         assert!(text.contains("Key-exchange offload split"), "{text}");
-        assert!(text.contains("pool depth max 3"), "{text}");
     }
 
     #[test]
-    fn batch_wait_and_ticket_flags_reach_the_snapshot() {
+    fn queue_wait_and_ticket_flags_reach_the_snapshot() {
         let m = ServerMetrics::new();
         let mut full = ledger(false, 100, 800);
         full.kx_queue_wait = Cycles::new(50);
-        full.kx_batch_wait = Cycles::new(25);
         full.ticket_issued = true;
         m.note_handshake(&full);
         let mut resumed = ledger(true, 10, 40);
@@ -811,14 +760,14 @@ mod tests {
         fallback.ticket_rejected = true;
         m.note_handshake(&fallback);
         let snap = m.snapshot();
-        assert_eq!(snap.kx_batch_wait.count(), 1);
-        assert_eq!(snap.kx_batch_wait.sum(), 25);
+        assert_eq!(snap.kx_queue_wait.count(), 1);
+        assert_eq!(snap.kx_queue_wait.sum(), 50);
         assert_eq!(snap.tickets_issued, 1);
         assert_eq!(snap.tickets_accepted, 1);
         assert_eq!(snap.tickets_rejected, 1);
         assert_eq!(snap.tickets_expired, 0);
         let text = snap.render();
-        assert!(text.contains("kx_batch_wait"), "{text}");
+        assert!(text.contains("kx_queue_wait"), "{text}");
         assert!(text.contains("batch amortization"), "{text}");
         assert!(text.contains("tickets issued/accepted/rejected/expired 1/1/1/0"), "{text}");
     }

@@ -48,17 +48,12 @@ pub struct ServerOptions {
     pub metrics: bool,
     /// Most RSA jobs one crypto-pool batch may combine. `1` — the default
     /// — executes every job solo, exactly as before batching existed.
-    /// Values above 1 require `crypto_workers > 0` and let the pool's
-    /// collector drain up to this many queued jobs into one
-    /// amortized decrypt batch.
+    /// Values above 1 require `crypto_workers > 0` and let an engine take
+    /// up to this many already-queued jobs into one amortized decrypt
+    /// batch. Nothing waits for a batch to fill: a saturated pool fills
+    /// its batches from the backlog, and a lightly loaded one runs each
+    /// job as it comes.
     pub batch_max: usize,
-    /// Longest a batch collector waits for sibling jobs after the first
-    /// one, before executing a partial batch. Zero — the default — never
-    /// waits: a batch is whatever was already queued when the worker came
-    /// for the first job, so a saturated pool still fills its batches
-    /// from the backlog and a lightly loaded one pays no timer wait per
-    /// handshake. Irrelevant when `batch_max` is 1.
-    pub batch_deadline: Duration,
     /// Session-ticket keyring. `None` — the default — serves id-cache
     /// resumption only, exactly as before tickets existed. With a keyring
     /// installed the server negotiates the session-ticket extension, and
@@ -67,13 +62,6 @@ pub struct ServerOptions {
     /// cache — the shared-nothing multi-instance topology.
     pub ticket_keys: Option<Arc<TicketKeyring>>,
 }
-
-/// Default batch-collection deadline: none. A saturated queue fills a
-/// batch without it (the jobs are already waiting), and under light
-/// traffic any wait is a timer sleep on every full handshake's critical
-/// path — 200 µs asked for is ~280 µs slept, twice the 1024-bit decrypt
-/// it would amortise.
-pub(crate) const DEFAULT_BATCH_DEADLINE: Duration = Duration::ZERO;
 
 impl Default for ServerOptions {
     fn default() -> Self {
@@ -87,7 +75,6 @@ impl Default for ServerOptions {
             session_ttl: None,
             metrics: false,
             batch_max: 1,
-            batch_deadline: DEFAULT_BATCH_DEADLINE,
             ticket_keys: None,
         }
     }
@@ -207,13 +194,6 @@ impl ServerOptionsBuilder {
         self
     }
 
-    /// Longest a batch collector waits for sibling jobs.
-    #[must_use]
-    pub fn batch_deadline(mut self, deadline: Duration) -> Self {
-        self.options.batch_deadline = deadline;
-        self
-    }
-
     /// Installs a session-ticket keyring, enabling stateless resumption.
     #[must_use]
     pub fn ticket_keys(mut self, keyring: Option<Arc<TicketKeyring>>) -> Self {
@@ -259,8 +239,8 @@ pub struct ServerStats {
     pub(crate) crypto_jobs: AtomicU64,
     /// Jobs currently queued or executing. Incremented at enqueue inside
     /// the pool's submission lock, decremented when execution *completes*
-    /// (not when a batch collector dequeues), so bursts absorbed into one
-    /// batch stay fully visible to the max below.
+    /// (not when an engine dequeues), so bursts absorbed into one batch
+    /// stay fully visible to the max below.
     pub(crate) crypto_queue_depth: AtomicU64,
     pub(crate) crypto_queue_depth_max: AtomicU64,
     pub(crate) crypto_queue_wait_cycles: AtomicU64,
@@ -272,8 +252,6 @@ pub struct ServerStats {
     pub(crate) crypto_batches: AtomicU64,
     /// Jobs executed inside batches of two or more.
     pub(crate) crypto_batched_jobs: AtomicU64,
-    /// Total cycles jobs spent collected-but-waiting for batch siblings.
-    pub(crate) crypto_batch_wait_cycles: AtomicU64,
     /// NewSessionTickets issued on full handshakes.
     pub(crate) tickets_issued: AtomicU64,
     /// Handshakes resumed from a client-presented ticket.
@@ -391,14 +369,6 @@ impl ServerStats {
     #[must_use]
     pub fn crypto_batched_jobs(&self) -> u64 {
         self.crypto_batched_jobs.load(Ordering::Relaxed)
-    }
-
-    /// Total cycles jobs spent collected-but-waiting for their batch to
-    /// assemble (bounded per job by
-    /// [`ServerOptions::batch_deadline`]).
-    #[must_use]
-    pub fn crypto_batch_wait(&self) -> Cycles {
-        Cycles::new(self.crypto_batch_wait_cycles.load(Ordering::Relaxed))
     }
 
     /// NewSessionTickets issued on full handshakes (0 without a keyring).
@@ -601,7 +571,6 @@ mod tests {
         assert_eq!(built.shards, fields.shards);
         assert_eq!(built.crypto_workers, fields.crypto_workers);
         assert_eq!(built.batch_max, fields.batch_max);
-        assert_eq!(built.batch_deadline, fields.batch_deadline);
     }
 
     #[test]
@@ -616,7 +585,6 @@ mod tests {
             .session_ttl(Some(Duration::from_secs(30)))
             .metrics(true)
             .batch_max(4)
-            .batch_deadline(Duration::from_micros(250))
             .ticket_keys(Some(Arc::new(TicketKeyring::new(b"builder-secret"))))
             .build()
             .expect("valid combination");
@@ -629,7 +597,6 @@ mod tests {
         assert_eq!(options.session_ttl, Some(Duration::from_secs(30)));
         assert!(options.metrics);
         assert_eq!(options.batch_max, 4);
-        assert_eq!(options.batch_deadline, Duration::from_micros(250));
         assert!(options.ticket_keys.is_some());
     }
 

@@ -143,12 +143,8 @@ pub struct CryptoJob {
     op: CryptoOp,
     rng: SslRng,
     /// Started at suspension; elapsed time when execution begins is the
-    /// queue wait the Table 2 ledger attributes separately.
+    /// queue wait the Table 2 ledger keeps beside, not inside, the step.
     submitted: Stopwatch,
-    /// Set by [`CryptoJob::collect`] when a batching collector dequeues the
-    /// job: the frozen queue wait, plus a stopwatch for the extra time the
-    /// job spends waiting for the rest of its batch to assemble.
-    collected: Option<(Cycles, Stopwatch)>,
 }
 
 impl CryptoJob {
@@ -157,17 +153,11 @@ impl CryptoJob {
             op: CryptoOp::RsaDecrypt { ciphertext: encrypted_pre_master },
             rng,
             submitted: Stopwatch::start(),
-            collected: None,
         }
     }
 
     pub(crate) fn new_dhe(peer: sslperf_bignum::Bn, rng: SslRng) -> Self {
-        CryptoJob {
-            op: CryptoOp::DheAgree { peer },
-            rng,
-            submitted: Stopwatch::start(),
-            collected: None,
-        }
+        CryptoJob { op: CryptoOp::DheAgree { peer }, rng, submitted: Stopwatch::start() }
     }
 
     /// Creates a standalone bulk-cipher job: seal `payload` (clamped to one
@@ -177,38 +167,14 @@ impl CryptoJob {
     #[must_use]
     pub fn new_bulk(mut payload: Vec<u8>, rng: SslRng) -> Self {
         payload.truncate(crate::MAX_FRAGMENT);
-        CryptoJob {
-            op: CryptoOp::BulkSeal { payload },
-            rng,
-            submitted: Stopwatch::start(),
-            collected: None,
-        }
+        CryptoJob { op: CryptoOp::BulkSeal { payload }, rng, submitted: Stopwatch::start() }
     }
 
     /// Which operation this job performs (RSA jobs batch; DHE jobs run
-    /// solo even when collected together).
+    /// solo even when batched together).
     #[must_use]
     pub fn op(&self) -> &CryptoOp {
         &self.op
-    }
-
-    /// Marks the moment a batching collector pulled this job off the queue:
-    /// freezes the queue wait and starts the batch-wait clock, so the
-    /// step-5 ledger can attribute "waiting for batch siblings" separately
-    /// from "waiting for a worker". Jobs executed without batching never
-    /// call this and report a zero batch wait.
-    pub fn collect(&mut self) {
-        if self.collected.is_none() {
-            self.collected = Some((self.submitted.elapsed(), Stopwatch::start()));
-        }
-    }
-
-    /// Splits the wait so far into `(queue_wait, batch_wait)`.
-    fn waits(&self) -> (Cycles, Cycles) {
-        match &self.collected {
-            Some((queue_wait, batching)) => (*queue_wait, batching.elapsed()),
-            None => (self.submitted.elapsed(), Cycles::default()),
-        }
     }
 
     /// Runs the key-exchange computation. Callable from any thread; the
@@ -217,7 +183,7 @@ impl CryptoJob {
     /// server's RSA private key, needed only by the SSLv3 path).
     #[must_use]
     pub fn execute(self, key: &RsaPrivateKey) -> CryptoDone {
-        let (queue_wait, batch_wait) = self.waits();
+        let queue_wait = self.submitted.elapsed();
         let CryptoJob { op, mut rng, .. } = self;
         let (output, exec) = match op {
             CryptoOp::RsaDecrypt { ciphertext } => {
@@ -253,11 +219,11 @@ impl CryptoJob {
                 (Ok(CryptoOutput::Sealed(sealed)), exec)
             }
         };
-        CryptoDone { output, queue_wait, batch_wait, exec }
+        CryptoDone { output, queue_wait, exec }
     }
 
-    /// Runs a collected set of jobs, one [`CryptoDone`] per job in
-    /// submission order.
+    /// Runs a batch of jobs, one [`CryptoDone`] per job in submission
+    /// order.
     ///
     /// RSA jobs go through [`RsaPrivateKey::decrypt_batch`] together: the
     /// batch shares one blinding acquisition and one scratch context (see
@@ -274,47 +240,33 @@ impl CryptoJob {
     /// submission order alongside the batched RSA results.
     #[must_use]
     pub fn execute_batch(jobs: Vec<CryptoJob>, key: &RsaPrivateKey) -> Vec<CryptoDone> {
-        if jobs.is_empty() {
-            return Vec::new();
-        }
-        let mut slots: Vec<Option<CryptoDone>> = jobs.iter().map(|_| None).collect();
-        let mut rsa_idx = Vec::new();
-        let mut rsa_jobs = Vec::new();
+        let mut dones = Vec::with_capacity(jobs.len());
+        let mut rsa_slots = Vec::new();
+        let mut ciphertexts = Vec::new();
+        let mut rng = None;
         for (i, job) in jobs.into_iter().enumerate() {
-            match &job.op {
-                CryptoOp::DheAgree { .. } | CryptoOp::BulkSeal { .. } => {
-                    slots[i] = Some(job.execute(key));
+            match job.op {
+                CryptoOp::RsaDecrypt { ciphertext } => {
+                    rng.get_or_insert(job.rng);
+                    rsa_slots.push((i, job.submitted));
+                    ciphertexts.push(BatchCipher::new(ciphertext));
                 }
-                CryptoOp::RsaDecrypt { .. } => {
-                    rsa_idx.push(i);
-                    rsa_jobs.push(job);
-                }
+                op => dones.push((i, CryptoJob { op, ..job }.execute(key))),
             }
         }
-        if !rsa_jobs.is_empty() {
-            let waits: Vec<(Cycles, Cycles)> = rsa_jobs.iter().map(CryptoJob::waits).collect();
-            let mut rng = rsa_jobs[0].rng.clone();
-            let items: Vec<BatchCipher> = rsa_jobs
-                .into_iter()
-                .map(|job| match job.op {
-                    CryptoOp::RsaDecrypt { ciphertext } => BatchCipher::new(ciphertext),
-                    _ => unreachable!("partitioned above"),
-                })
-                .collect();
-            let (results, total) = measure(|| key.decrypt_batch(&items, &mut rng));
-            let amortized = Cycles::new(total.get() / items.len() as u64);
-            for ((i, pre_master), (queue_wait, batch_wait)) in
-                rsa_idx.into_iter().zip(results).zip(waits)
+        if let Some(mut rng) = rng {
+            let queue_waits: Vec<Cycles> = rsa_slots.iter().map(|(_, sw)| sw.elapsed()).collect();
+            let (results, total) = measure(|| key.decrypt_batch(&ciphertexts, &mut rng));
+            let exec = Cycles::new(total.get() / ciphertexts.len() as u64);
+            for (((i, _), queue_wait), pre_master) in
+                rsa_slots.into_iter().zip(queue_waits).zip(results)
             {
-                slots[i] = Some(CryptoDone {
-                    output: pre_master.map(CryptoOutput::PreMaster),
-                    queue_wait,
-                    batch_wait,
-                    exec: amortized,
-                });
+                let output = pre_master.map(CryptoOutput::PreMaster);
+                dones.push((i, CryptoDone { output, queue_wait, exec }));
             }
         }
-        slots.into_iter().map(|done| done.expect("every slot filled")).collect()
+        dones.sort_unstable_by_key(|&(i, _)| i);
+        dones.into_iter().map(|(_, done)| done).collect()
     }
 }
 
@@ -329,14 +281,13 @@ pub enum CryptoOutput {
     Sealed(Vec<u8>),
 }
 
-/// The result of an executed [`CryptoJob`], carrying the timing split the
-/// key-exchange ledger step needs: how long the job sat queued, how long
-/// it waited for batch siblings, and how long the computation itself ran.
+/// The result of an executed [`CryptoJob`], carrying the job's one clock:
+/// how long it sat queued (suspension to execution start) and how long
+/// the computation itself ran.
 #[derive(Debug)]
 pub struct CryptoDone {
     output: Result<CryptoOutput, RsaError>,
     queue_wait: Cycles,
-    batch_wait: Cycles,
     exec: Cycles,
 }
 
@@ -345,13 +296,6 @@ impl CryptoDone {
     #[must_use]
     pub fn queue_wait(&self) -> Cycles {
         self.queue_wait
-    }
-
-    /// Cycles spent collected-but-waiting for the rest of the batch to
-    /// assemble. Zero for jobs executed without batching.
-    #[must_use]
-    pub fn batch_wait(&self) -> Cycles {
-        self.batch_wait
     }
 
     /// Cycles the public-key computation itself took (amortized over the
@@ -369,8 +313,8 @@ impl CryptoDone {
         &self.output
     }
 
-    pub(crate) fn into_parts(self) -> (Result<CryptoOutput, RsaError>, Cycles, Cycles, Cycles) {
-        (self.output, self.queue_wait, self.batch_wait, self.exec)
+    pub(crate) fn into_parts(self) -> (Result<CryptoOutput, RsaError>, Cycles, Cycles) {
+        (self.output, self.queue_wait, self.exec)
     }
 }
 

@@ -43,8 +43,10 @@ pub const SERVER_STEP_NAMES: [&str; 10] = [
 /// This is the per-connection row behind the paper's Tables 2 and 3: step
 /// latencies in paper order, the handshake's total and crypto cycles, and
 /// the two halves of step 5 under crypto offload (queue wait vs. the RSA
-/// private decryption itself). Produced by [`SslServer::ledger`]; consumed
-/// by the serving layer's live metrics registry.
+/// private decryption itself). Steps and crypto count processing only: the
+/// queue wait is kept beside them, in `kx_queue_wait`. Produced by
+/// [`SslServer::ledger`]; consumed by the serving layer's live metrics
+/// registry.
 #[derive(Debug, Clone)]
 pub struct HandshakeLedger {
     /// Which protocol machine produced this ledger — decides whose step
@@ -63,12 +65,10 @@ pub struct HandshakeLedger {
     pub crypto: Cycles,
     /// Key-exchange offload split: cycles the crypto job waited in the
     /// pool's queue (zero when running inline). The job is an RSA private
-    /// decryption for SSLv3, a DHE exponentiation pair for TLS 1.3.
+    /// decryption for SSLv3, a DHE exponentiation pair for TLS 1.3. Not
+    /// part of `steps`, `total` or `crypto`: the connection was waiting,
+    /// not processing.
     pub kx_queue_wait: Cycles,
-    /// Key-exchange offload split: cycles the job spent collected-but-
-    /// waiting for the rest of its batch to assemble (zero without
-    /// batching).
-    pub kx_batch_wait: Cycles,
     /// Key-exchange offload split: cycles executing the private operation
     /// itself (amortized across the batch when batched).
     pub kx_exec: Cycles,
@@ -263,6 +263,8 @@ pub struct SslServer<'a> {
     offload: bool,
     /// Step 5's pre-suspension cycles, held until the job result lands.
     kx_partial: Cycles,
+    /// How long the offloaded decryption waited for an engine.
+    kx_queue_wait: Cycles,
     steps: PhaseSet,
     crypto: PhaseSet,
     crypto_detail: Vec<(usize, &'static str, Cycles)>,
@@ -297,6 +299,7 @@ impl<'a> SslServer<'a> {
             step6: Cycles::ZERO,
             offload: false,
             kx_partial: Cycles::ZERO,
+            kx_queue_wait: Cycles::ZERO,
             steps: PhaseSet::new(),
             crypto: PhaseSet::new(),
             crypto_detail: Vec::new(),
@@ -361,8 +364,7 @@ impl<'a> SslServer<'a> {
             steps,
             total: self.steps.total(),
             crypto: self.crypto.total(),
-            kx_queue_wait: self.crypto.cycles("rsa_queue_wait"),
-            kx_batch_wait: self.crypto.cycles("rsa_batch_wait"),
+            kx_queue_wait: self.kx_queue_wait,
             kx_exec: self.crypto.cycles("rsa_private_decryption"),
             ticket_issued: self.ticket_issued,
             ticket_accepted: self.ticket_accepted,
@@ -632,13 +634,12 @@ impl<'a> SslServer<'a> {
     }
 
     /// Step 5's conclusion in offload mode: derive the master secret from
-    /// the job's result, attributing queue wait and execution separately in
-    /// the crypto ledger.
+    /// the job's result. The decryption's execution is step-5 crypto; its
+    /// queue wait is kept aside for the ledger, out of the step's latency.
     fn finish_client_kx(&mut self, done: CryptoDone) -> Result<(), SslError> {
         let sw = Stopwatch::start();
-        let (output, queue_wait, batch_wait, exec) = done.into_parts();
-        self.note_crypto(5, "rsa_queue_wait", queue_wait);
-        self.note_crypto(5, "rsa_batch_wait", batch_wait);
+        let (output, queue_wait, exec) = done.into_parts();
+        self.kx_queue_wait = queue_wait;
         self.note_crypto(5, "rsa_private_decryption", exec);
         let pre_master = match output {
             Ok(crate::engine::CryptoOutput::PreMaster(pre_master)) => Ok(pre_master),
@@ -646,7 +647,7 @@ impl<'a> SslServer<'a> {
             Err(e) => Err(e),
         };
         self.derive_master(pre_master);
-        let total = self.kx_partial + queue_wait + batch_wait + exec + sw.elapsed();
+        let total = self.kx_partial + exec + sw.elapsed();
         self.kx_partial = Cycles::ZERO;
         self.steps.add(SERVER_STEP_NAMES[5], total);
         self.state = State::AwaitClientCcs;

@@ -339,6 +339,8 @@ pub struct Tls13ServerMachine<'a> {
     offload: bool,
     /// Step 2's pre-suspension cycles, held until the job result lands.
     kx_partial: Cycles,
+    /// How long the offloaded DHE job waited for an engine.
+    kx_queue_wait: Cycles,
     steps: PhaseSet,
     crypto: PhaseSet,
     crypto_detail: Vec<(usize, &'static str, Cycles)>,
@@ -361,6 +363,7 @@ impl<'a> Tls13ServerMachine<'a> {
             app_secrets: None,
             offload: false,
             kx_partial: Cycles::ZERO,
+            kx_queue_wait: Cycles::ZERO,
             steps: PhaseSet::new(),
             crypto: PhaseSet::new(),
             crypto_detail: Vec::new(),
@@ -431,8 +434,7 @@ impl<'a> Tls13ServerMachine<'a> {
             steps,
             total: self.steps.total(),
             crypto: self.crypto.total(),
-            kx_queue_wait: self.crypto.cycles("kx_queue_wait"),
-            kx_batch_wait: self.crypto.cycles("kx_batch_wait"),
+            kx_queue_wait: self.kx_queue_wait,
             kx_exec: self.crypto.cycles("kx_exec"),
             ticket_issued: false,
             ticket_accepted: false,
@@ -498,16 +500,16 @@ impl<'a> Tls13ServerMachine<'a> {
         DheAgreed { public: pair.public().to_vec(), shared }
     }
 
-    /// Step 2's conclusion in offload mode.
+    /// Step 2's conclusion in offload mode. The queue wait is kept aside
+    /// for the ledger, out of the step's latency and the crypto ledger.
     fn finish_kx(&mut self, done: CryptoDone, out: &mut Vec<u8>) -> Result<(), SslError> {
-        let (output, queue_wait, batch_wait, exec) = done.into_parts();
-        self.note_crypto(2, "kx_queue_wait", queue_wait);
-        self.note_crypto(2, "kx_batch_wait", batch_wait);
+        let (output, queue_wait, exec) = done.into_parts();
+        self.kx_queue_wait = queue_wait;
         self.note_crypto(2, "kx_exec", exec);
         let CryptoOutput::Dhe(agreed) = output? else {
             return Err(SslError::NotReady("crypto result kind"));
         };
-        let total = self.kx_partial + queue_wait + batch_wait + exec;
+        let total = self.kx_partial + exec;
         self.kx_partial = Cycles::ZERO;
         self.steps.add(TLS13_STEP_NAMES[2], total);
         self.continue_with_dhe(agreed, out)
@@ -1010,8 +1012,7 @@ mod tests {
             let n = client.take_output(&mut wire);
             server.feed(&wire[..n]).expect("server feed");
             if server.crypto_pending() {
-                let mut job = server.take_crypto_job().expect("job");
-                job.collect();
+                let job = server.take_crypto_job().expect("job");
                 let done = job.execute(config.key());
                 server.complete_crypto(done).expect("resume");
             }

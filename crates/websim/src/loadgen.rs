@@ -243,7 +243,7 @@ impl EventLoadReport {
 }
 
 /// Drives many concurrent non-blocking client connections from a single
-/// thread, each a sans-io [`ClientEngine`](sslperf_ssl::ClientEngine) fed
+/// thread, each a sans-io [`ClientEngine`] fed
 /// by readiness sweeps — the client-side mirror of the event-loop server.
 ///
 /// Unlike [`run_socket_load`] (one blocking thread per client), the

@@ -12,9 +12,13 @@ mod support;
 
 use proptest::prelude::*;
 use sslperf::prelude::*;
-use sslperf::ssl::{ClientEngine, Engine, RecordBuffer, ServerEngine, SslError};
+use sslperf::ssl::{
+    ClientEngine, Engine, EngineDriven, HandshakeLedger, RecordBuffer, ServerEngine, SslError,
+    Tls13ClientMachine, Tls13ServerMachine,
+};
 use std::net::{TcpListener, TcpStream};
 use std::sync::OnceLock;
+use std::time::Duration;
 use support::{handshake, Tapped};
 
 fn config() -> &'static ServerConfig {
@@ -284,12 +288,83 @@ fn offloaded_handshake_is_byte_identical() {
         server.seal(b"probe").expect("server seal");
         assert_eq!(server.output(), &reference.server_probe[..], "server record");
 
-        // The step-5 ledger attributes queue wait and execution separately.
+        // The step-5 ledger books execution as crypto and keeps the queue
+        // wait beside the crypto functions, not among them.
         let detail = server.machine().crypto_detail();
         let names: Vec<&str> = detail.iter().map(|(_, name, _)| *name).collect();
-        assert!(names.contains(&"rsa_queue_wait"), "queue wait attributed: {names:?}");
         assert!(names.contains(&"rsa_private_decryption"), "exec attributed: {names:?}");
+        assert!(!names.iter().any(|name| name.ends_with("_wait")), "wait is not crypto: {names:?}");
+        assert!(server.machine().ledger().kx_queue_wait.get() > 0, "queue wait attributed");
     }
+}
+
+/// Drives a handshake whose server offloads its key exchange, holding the
+/// job for `hold` between taking and executing it — the time it would
+/// spend queued behind a busy crypto pool.
+fn offloaded_handshake_with_queue_wait<C: EngineDriven, S: EngineDriven>(
+    client: &mut Engine<C>,
+    server: &mut Engine<S>,
+    hold: Duration,
+) {
+    server.set_crypto_offload(true);
+    let mut wire = Vec::new();
+    let mut suspensions = 0;
+    for _ in 0..16 {
+        if client.is_established() && server.is_established() {
+            break;
+        }
+        shuttle(client, server, usize::MAX, &mut wire);
+        if let Some(job) = server.take_crypto_job() {
+            std::thread::sleep(hold);
+            server.complete_crypto(job.execute(config().key())).expect("resume");
+            suspensions += 1;
+        }
+        shuttle(server, client, usize::MAX, &mut wire);
+    }
+    assert!(client.is_established() && server.is_established(), "handshake did not converge");
+    assert_eq!(suspensions, 1, "one key-exchange job per full handshake");
+}
+
+/// The ledger measures processing, not waiting: a key-exchange job that
+/// sat 50 ms in a queue reports those cycles as `kx_queue_wait`, while the
+/// key-exchange step and the crypto functions count only the work. Both
+/// protocols, since both suspend at the same engine point.
+#[test]
+fn queue_wait_stays_out_of_step_latency_and_crypto() {
+    let hold = Duration::from_millis(50);
+    let (mut client, mut server) = engines(CipherSuite::RsaDesCbc3Sha);
+    offloaded_handshake_with_queue_wait(&mut client, &mut server, hold);
+    let ssl3 = server.machine();
+    assert_wait_kept_aside(&ssl3.ledger(), ssl3.crypto_detail(), "get_client_kx", hold);
+
+    let mut client = Engine::new(Tls13ClientMachine::new(
+        CipherSuite::RsaDesCbc3Sha,
+        SslRng::from_seed(b"sansio-t13-c"),
+    ))
+    .expect("client engine");
+    let mut server =
+        Engine::new(Tls13ServerMachine::new(config(), SslRng::from_seed(b"sansio-t13-s")))
+            .expect("server engine");
+    offloaded_handshake_with_queue_wait(&mut client, &mut server, hold);
+    let tls13 = server.machine();
+    assert_wait_kept_aside(&tls13.ledger(), tls13.crypto_detail(), "dhe_key_exchange", hold);
+}
+
+/// Asserts the ledger kept a queue wait of at least `hold` beside the
+/// key-exchange step `kx_step`: not inside its latency, not among the
+/// crypto functions.
+fn assert_wait_kept_aside(
+    ledger: &HandshakeLedger,
+    crypto_detail: &[(usize, &'static str, Cycles)],
+    kx_step: &str,
+    hold: Duration,
+) {
+    let wait = ledger.kx_queue_wait;
+    assert!(wait >= Cycles::from_duration(hold), "{kx_step}: queue wait {wait} under the hold");
+    let (_, step) = ledger.steps.iter().find(|(name, _)| *name == kx_step).expect("kx step");
+    assert!(*step < wait, "{kx_step} ({step}) counts the queue wait ({wait})");
+    let names: Vec<&str> = crypto_detail.iter().map(|(_, name, _)| *name).collect();
+    assert!(!names.iter().any(|name| name.ends_with("_wait")), "{kx_step}: {names:?}");
 }
 
 /// Completing crypto that was never requested is an orderly error, not a

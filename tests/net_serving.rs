@@ -15,7 +15,7 @@ use sslperf::websim::loadgen::{
 };
 use std::io::{Read, Write};
 use std::net::{Shutdown, TcpStream};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 use support::{close, connect, establish, handshake, recv, send, Tapped};
 
@@ -24,6 +24,21 @@ use support::{close, connect, establish, handshake, recv, send, Tapped};
 fn key() -> RsaPrivateKey {
     let mut rng = SslRng::from_seed(b"net-serving-tests");
     RsaPrivateKey::generate(512, &mut rng).expect("keygen")
+}
+
+/// A key whose decrypt outlasts a burst's arrival spread: 3072 bits on
+/// the u32 limbs, ~14 ms per decrypt on a 2-vCPU host. The burst's later
+/// key exchanges queue behind the first decrypts, so batches form from a
+/// real backlog. Generated once per test binary.
+fn slow_key() -> RsaPrivateKey {
+    static SLOW: OnceLock<RsaPrivateKey> = OnceLock::new();
+    let key = SLOW.get_or_init(|| {
+        let mut rng = SslRng::from_seed(b"net-serving-slow-key-3072");
+        let mut key = RsaPrivateKey::generate(3072, &mut rng).expect("keygen");
+        key.set_limb_width(sslperf::bignum::LimbWidth::U32);
+        key
+    });
+    key.clone()
 }
 
 fn start_server() -> EventLoopServer {
@@ -968,12 +983,10 @@ fn batched_flights_are_byte_identical_to_unbatched() {
             .shards(1)
             .crypto_workers(1)
             .batch_max(batch_max)
-            // Generous: the single collector must see the whole burst.
-            .batch_deadline(Duration::from_millis(500))
             .build()
             .expect("valid batch options");
         let server =
-            EventLoopServer::start(key(), "net.sslperf.test", &options).expect("server start");
+            EventLoopServer::start(slow_key(), "net.sslperf.test", &options).expect("server start");
         let addr = server.local_addr();
 
         let streams: Vec<Vec<u8>> = std::thread::scope(|scope| {
@@ -1023,8 +1036,8 @@ fn batched_flights_are_byte_identical_to_unbatched() {
 }
 
 /// A concurrent burst through a batching pool end to end: every
-/// connection transacts, every decrypt goes through the pool, real
-/// batches form, and the batch-wait share of the queue time is accounted.
+/// connection transacts, every decrypt goes through the pool, and real
+/// batches form from the backlog behind the first decrypts.
 #[test]
 fn event_loop_batch_burst_serves_and_accounts() {
     const CONNECTIONS: usize = 16;
@@ -1032,11 +1045,10 @@ fn event_loop_batch_burst_serves_and_accounts() {
         .shards(2)
         .crypto_workers(2)
         .batch_max(4)
-        // Wide enough that the barrier burst reliably forms batches.
-        .batch_deadline(Duration::from_millis(50))
         .build()
         .expect("valid batch options");
-    let server = EventLoopServer::start(key(), "net.sslperf.test", &options).expect("server start");
+    let server =
+        EventLoopServer::start(slow_key(), "net.sslperf.test", &options).expect("server start");
 
     let load = EventLoadOptions {
         connections: CONNECTIONS,
@@ -1064,7 +1076,6 @@ fn event_loop_batch_burst_serves_and_accounts() {
         stats.crypto_batches()
     );
     assert!(stats.crypto_batched_jobs() >= 2, "at least one real batch formed");
-    assert!(stats.crypto_batch_wait().get() > 0, "collector wait must be attributed to batch_wait");
     assert_eq!(stats.errors(), 0, "clean run");
     server.shutdown();
 }
