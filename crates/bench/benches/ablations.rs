@@ -189,6 +189,52 @@ fn ablate_cbc_chain(c: &mut Criterion) {
     group.finish();
 }
 
+/// §6.2's two round units at once: a record's SHA-1 MAC update and its
+/// AES-CBC encryption in turn (`sequential`: `Sha1::update`, then
+/// `encrypt_cbc`) against one stitched pass (`update_and_encrypt_cbc`, then
+/// `encrypt_cbc` on what it left), each from the 7 bytes the 71-byte SSLv3
+/// MAC prefix leaves buffered, on one 16 KiB fragment and on 64 B, where no
+/// whole grain follows the buffered block and nothing is stitched. Arms are
+/// labelled by the AES and SHA backends; without both units the stitched
+/// arm runs the sequential path, a control.
+fn ablate_stitched_seal(c: &mut Criterion) {
+    let aes = Aes::new(&[8u8; 16]).expect("key");
+    let mut primed = Sha1::new();
+    primed.update(&[0x36; 71]);
+    let label = format!("{}_{}", aes.backend_name(), primed.backend_name());
+    let mut group = c.benchmark_group("ablate_stitched_seal");
+    for (size_name, size) in [("16k", 16_384usize), ("64b", 64)] {
+        group.throughput(Throughput::Bytes(size as u64));
+        let mut data = vec![0x42u8; size];
+        let mut iv = [0u8; 16];
+        group.bench_function(format!("sequential_{size_name}_{label}"), |b| {
+            b.iter(|| {
+                let mut h = primed.clone();
+                h.update(black_box(&data));
+                aes.encrypt_cbc(&mut iv, &mut data);
+                black_box(h.finalize())
+            });
+        });
+        group.bench_function(format!("stitched_{size_name}_{label}"), |b| {
+            b.iter(|| {
+                let mut h = primed.clone();
+                let done = match aes.ni_encrypt_schedule() {
+                    Some(schedule) => {
+                        h.update_and_encrypt_cbc(schedule, &mut iv, black_box(&mut data))
+                    }
+                    None => {
+                        h.update(black_box(&data));
+                        0
+                    }
+                };
+                aes.encrypt_cbc(&mut iv, &mut data[done..]);
+                black_box(h.finalize())
+            });
+        });
+    }
+    group.finish();
+}
+
 /// §6.2(3): the crypto-engine argument — MAC and encryption of a record
 /// serially vs overlapped on two threads.
 fn ablate_crypto_engine(c: &mut Criterion) {
@@ -265,6 +311,7 @@ criterion_group!(
     ablate_fused_round,
     ablate_sha_unit,
     ablate_cbc_chain,
+    ablate_stitched_seal,
     ablate_crypto_engine,
     ablate_three_operand
 );

@@ -341,6 +341,16 @@ impl Aes {
         &self.ek
     }
 
+    /// The encryption schedule as `AESENC` consumes it — the `Nr + 1` round
+    /// keys as 16 bytes each, in order — when the rounds run on AES-NI;
+    /// `None` on the table backend. A kernel outside this crate that runs
+    /// its own AES-NI rounds (the stitched record seal in
+    /// `sslperf_hashes::Sha1::update_and_encrypt_cbc`) reads it from here.
+    #[must_use]
+    pub fn ni_encrypt_schedule(&self) -> Option<&[u8]> {
+        self.ni.then_some(&self.ek_b[..])
+    }
+
     /// Encrypts one block with the *textbook* round structure — per-byte
     /// SubBytes, ShiftRows and a gf-multiply MixColumns — instead of the
     /// fused `Te` tables.

@@ -143,6 +143,13 @@ impl<C: BlockCipher> Cbc<C> {
         &self.cipher
     }
 
+    /// Borrows the wrapped cipher together with the running chaining
+    /// vector, for a caller that CBC-encrypts part of a record with its own
+    /// kernel and must carry the chain on exactly as [`Cbc::encrypt`] would.
+    pub fn cipher_and_iv_mut(&mut self) -> (&C, &mut [u8]) {
+        (&self.cipher, &mut self.iv)
+    }
+
     /// Encrypts `data` in place; the final ciphertext block becomes the IV
     /// for the next call (SSL v3 record chaining).
     ///

@@ -53,6 +53,19 @@ impl BlockBuffer {
         self.buf_len = tail.len();
     }
 
+    /// Bytes an update must take to leave the buffer empty: zero when it
+    /// already is.
+    pub(crate) fn to_boundary(&self) -> usize {
+        (BLOCK_LEN - self.buf_len) % BLOCK_LEN
+    }
+
+    /// Adds `n` bytes — whole blocks the caller compressed straight from
+    /// its input while the buffer was empty — to the message length.
+    pub(crate) fn count_compressed(&mut self, n: usize) {
+        debug_assert!(self.buf_len == 0 && n.is_multiple_of(BLOCK_LEN), "not at a block boundary");
+        self.len = self.len.wrapping_add(n as u64);
+    }
+
     /// Pads the message and compresses the last block — two blocks when
     /// fewer than nine bytes of the current one are free. The pad and the
     /// bit length (as `encode_len` lays it out: big-endian for SHA,

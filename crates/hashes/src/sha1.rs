@@ -86,6 +86,61 @@ impl Sha1 {
         self.buffer.update(data, |blocks| compress_blocks(kernel, state, blocks));
     }
 
+    /// Absorbs `data` exactly as [`Sha1::update`] does and, in the same
+    /// pass, AES-CBC-encrypts a prefix of it in place. Returns `n`, a
+    /// multiple of 64: `data[..n]` then holds the ciphertext of those bytes
+    /// under `schedule`, chained from `iv`, which holds the last ciphertext
+    /// block on return; `data[n..]` is untouched, for the caller to encrypt
+    /// on from `iv`.
+    ///
+    /// This is function stitching (the technique behind OpenSSL's
+    /// `aesni_cbc_sha1_enc`): one loop runs each 64-byte grain's four CBC
+    /// blocks and one SHA-1 block with both dependency chains in registers,
+    /// so the AES and SHA units work at once instead of in turn. Every
+    /// SHA-1 block is read before the grain holding its first bytes is
+    /// overwritten, so any number of buffered bytes (0–63) works.
+    ///
+    /// `schedule` is the AES-NI encryption schedule, 16 bytes per round key
+    /// (`sslperf_ciphers::Aes::ni_encrypt_schedule`). Stitching needs this
+    /// hasher on the SHA unit ([`Sha1::backend_name`] `"ni"`), a CPU with
+    /// AES-NI and one whole grain past the buffered block; otherwise `n` is
+    /// 0 and this is `update`. Counters: `sha1_block` as `update` counts,
+    /// plus one `aes_block` unit per encrypted block.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `schedule` is 11, 13 or 15 round keys (176, 208 or 240
+    /// bytes) and `iv` is 16 bytes.
+    pub fn update_and_encrypt_cbc(
+        &mut self,
+        schedule: &[u8],
+        iv: &mut [u8],
+        data: &mut [u8],
+    ) -> usize {
+        assert!(
+            matches!(schedule.len(), 176 | 208 | 240),
+            "AES schedule must be 11, 13 or 15 keys"
+        );
+        assert_eq!(iv.len(), 16, "CBC chaining vector must be one block");
+        #[cfg(target_arch = "x86_64")]
+        if self.kernel == Kernel::Ni && crate::ni::aes_available() {
+            let head = self.buffer.to_boundary();
+            let stitched = data.len().saturating_sub(head) / BLOCK_LEN * BLOCK_LEN;
+            if stitched > 0 {
+                self.update(&data[..head]);
+                counters::count("sha1_block", (stitched / BLOCK_LEN) as u64);
+                counters::count("aes_block", (stitched / 16) as u64);
+                let span = &mut data[..head + stitched];
+                crate::ni::sha1_aes_cbc(&mut self.state, schedule, iv, span, head);
+                self.buffer.count_compressed(stitched);
+                self.update(&data[head + stitched..]);
+                return stitched;
+            }
+        }
+        self.update(data);
+        0
+    }
+
     /// Pads the message, runs the final block operation(s) and returns the
     /// 160-bit digest (the *Final* phase).
     #[must_use]

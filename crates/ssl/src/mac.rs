@@ -4,7 +4,7 @@
 //! with 48 pad bytes for MD5 and 40 for SHA-1. Every data record the paper
 //! measures carries one of these (the `mac` rows of Table 2).
 
-use sslperf_hashes::{HashAlg, Hasher};
+use sslperf_hashes::{HashAlg, Hasher, Sha1};
 use sslperf_profile::counters;
 
 const PAD1: [u8; 48] = [0x36; 48];
@@ -62,21 +62,60 @@ pub fn compute_into(
     tag: &mut [u8],
 ) {
     counters::count("ssl3_mac", data.len() as u64);
-    let n = pad_len(alg);
     let mut inner = Hasher::new(alg);
-    inner.update(secret);
-    inner.update(&PAD1[..n]);
-    inner.update(&seq.to_be_bytes());
-    inner.update(&[content_type]);
-    inner.update(&(data.len() as u16).to_be_bytes());
+    absorb_header(alg, secret, seq, content_type, data.len(), |part| inner.update(part));
     inner.update(data);
     let mut inner_digest = [0u8; MAX_MAC_LEN];
     let inner_digest = &mut inner_digest[..alg.output_len()];
     inner.finalize_into(inner_digest);
+    outer_into(alg, secret, inner_digest, tag);
+}
 
+/// Computes the SHA-1 record MAC of `data` into `tag` as [`compute_into`]
+/// does while AES-CBC-encrypting a prefix of `data` in the same pass
+/// ([`Sha1::update_and_encrypt_cbc`], with `schedule` and `iv` as it takes
+/// them). Returns how many leading bytes of `data` are now ciphertext — a
+/// multiple of 64, possibly 0; the caller encrypts the rest of the record
+/// on from `iv` once `tag` is in place.
+pub(crate) fn compute_into_stitched(
+    secret: &[u8],
+    seq: u64,
+    content_type: u8,
+    data: &mut [u8],
+    tag: &mut [u8],
+    schedule: &[u8],
+    iv: &mut [u8],
+) -> usize {
+    counters::count("ssl3_mac", data.len() as u64);
+    let mut inner = Sha1::new();
+    absorb_header(HashAlg::Sha1, secret, seq, content_type, data.len(), |part| inner.update(part));
+    let encrypted = inner.update_and_encrypt_cbc(schedule, iv, data);
+    outer_into(HashAlg::Sha1, secret, &inner.finalize(), tag);
+    encrypted
+}
+
+/// Feeds the inner hash everything before the data:
+/// `secret ‖ pad₁ ‖ seq ‖ type ‖ length`.
+fn absorb_header(
+    alg: HashAlg,
+    secret: &[u8],
+    seq: u64,
+    content_type: u8,
+    data_len: usize,
+    mut update: impl FnMut(&[u8]),
+) {
+    update(secret);
+    update(&PAD1[..pad_len(alg)]);
+    update(&seq.to_be_bytes());
+    update(&[content_type]);
+    update(&(data_len as u16).to_be_bytes());
+}
+
+/// The outer hash, `hash(secret ‖ pad₂ ‖ inner_digest)`, into `tag`.
+fn outer_into(alg: HashAlg, secret: &[u8], inner_digest: &[u8], tag: &mut [u8]) {
     let mut outer = Hasher::new(alg);
     outer.update(secret);
-    outer.update(&PAD2[..n]);
+    outer.update(&PAD2[..pad_len(alg)]);
     outer.update(inner_digest);
     outer.finalize_into(tag);
 }

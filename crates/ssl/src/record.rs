@@ -6,7 +6,8 @@
 //! reset when a `ChangeCipherSpec` activates new keys.
 
 use crate::{mac, BulkCipher, SslError, VERSION};
-use sslperf_hashes::HashAlg;
+use sslperf_ciphers::{Aes, BlockCipher};
+use sslperf_hashes::{HashAlg, Sha1};
 use sslperf_profile::{measure, PhaseSet};
 use std::ops::Range;
 
@@ -135,15 +136,39 @@ impl ContentType {
     }
 }
 
-/// One direction's security state: cipher, MAC secret and sequence number.
+/// A direction's record protection once its keys are active. Cipher, MAC
+/// hash and MAC secret arrive together, so a protected state has all three.
+#[derive(Debug, Clone)]
+struct Protection {
+    cipher: BulkCipher,
+    mac_alg: HashAlg,
+    mac_secret: Vec<u8>,
+}
+
+/// One direction's security state: protection (none until a
+/// ChangeCipherSpec) and sequence number.
 #[derive(Debug, Clone, Default)]
 struct ConnState {
-    cipher: Option<BulkCipher>,
-    mac_alg: Option<HashAlg>,
-    mac_secret: Vec<u8>,
+    protection: Option<Protection>,
     seq: u64,
-    /// Cycles spent in "cipher" and "mac", for crypto/non-crypto splits.
+    /// Cycles spent in "cipher" and "mac" — or, for a stitched seal,
+    /// which no timer can split, in "pri_encryption_and_mac" — for
+    /// crypto/non-crypto splits.
     crypto: PhaseSet,
+}
+
+/// What a stitched seal runs on — the AES-NI cipher, its encryption
+/// schedule and the running IV — when this direction can stitch: AES-CBC on
+/// AES-NI with a SHA-1 MAC on the SHA unit. `None` sends the record down
+/// the sequential path (DES, 3DES, RC4, MD5, the table AES and the portable
+/// SHA-1).
+fn stitchable(cipher: &mut BulkCipher, mac_alg: HashAlg) -> Option<(&Aes, &[u8], &mut [u8])> {
+    let BulkCipher::AesCbc(cbc) = cipher else { return None };
+    if mac_alg != HashAlg::Sha1 || Sha1::new().backend_name() != "ni" {
+        return None;
+    }
+    let (aes, iv) = cbc.cipher_and_iv_mut();
+    Some((aes, aes.ni_encrypt_schedule()?, iv))
 }
 
 impl ConnState {
@@ -151,38 +176,56 @@ impl ConnState {
     /// appends the MAC (and, for block ciphers, SSLv3 padding) and encrypts
     /// the whole body within `buf`. With the null cipher the plaintext is
     /// already the wire body and nothing is copied.
+    ///
+    /// An AES-CBC + SHA-1 record on both round units is stitched: the MAC
+    /// and the encryption of the data's whole 64-byte grains run in one
+    /// pass, then the rest of the body is encrypted once the MAC is in
+    /// place. The bytes are the sequential path's.
     fn protect_in_place(
         &mut self,
         content_type: ContentType,
         buf: &mut Vec<u8>,
         body_start: usize,
     ) -> Result<(), SslError> {
-        let Some(cipher) = &mut self.cipher else {
-            self.seq += 1;
+        let seq = self.seq;
+        self.seq += 1;
+        let Some(Protection { cipher, mac_alg, mac_secret }) = &mut self.protection else {
             return Ok(());
         };
-        let alg = self.mac_alg.expect("mac set whenever cipher is");
-        let data_len = buf.len() - body_start;
-        buf.resize(buf.len() + alg.output_len(), 0);
-        let (data, tag) = buf[body_start..].split_at_mut(data_len);
-        let ((), mac_cycles) = measure(|| {
-            mac::compute_into(alg, &self.mac_secret, self.seq, content_type as u8, data, tag);
-        });
-        self.crypto.add("mac", mac_cycles);
-        self.seq += 1;
+        let (data_len, mac_len) = (buf.len() - body_start, mac_alg.output_len());
+        buf.resize(buf.len() + mac_len, 0);
         if let Some(block) = cipher.block_len() {
             // SSLv3 padding: pad to a block multiple; last byte is the count
             // of padding bytes preceding it.
-            let body_len = buf.len() - body_start;
-            let overshoot = (body_len + 1) % block;
-            let pad = if overshoot == 0 { 0 } else { block - overshoot };
+            let pad = (block - (data_len + mac_len + 1) % block) % block;
             buf.resize(buf.len() + pad, 0);
             buf.push(pad as u8);
         }
-        let (result, cipher_cycles) = measure(|| cipher.encrypt(&mut buf[body_start..]));
-        self.crypto.add("cipher", cipher_cycles);
-        result?;
-        Ok(())
+        let body = &mut buf[body_start..];
+        let ct = content_type as u8;
+        match stitchable(cipher, *mac_alg) {
+            Some((aes, schedule, iv)) => {
+                let ((), cycles) = measure(|| {
+                    let (data, rest) = body.split_at_mut(data_len);
+                    let tag = &mut rest[..mac_len];
+                    let done =
+                        mac::compute_into_stitched(mac_secret, seq, ct, data, tag, schedule, iv);
+                    aes.encrypt_cbc(iv, &mut body[done..]);
+                });
+                self.crypto.add("pri_encryption_and_mac", cycles);
+                Ok(())
+            }
+            None => {
+                let (data, rest) = body.split_at_mut(data_len);
+                let ((), mac_cycles) = measure(|| {
+                    mac::compute_into(*mac_alg, mac_secret, seq, ct, data, &mut rest[..mac_len]);
+                });
+                self.crypto.add("mac", mac_cycles);
+                let (result, cipher_cycles) = measure(|| cipher.encrypt(body));
+                self.crypto.add("cipher", cipher_cycles);
+                result
+            }
+        }
     }
 
     /// Unprotects a wire-format record body in place: decrypts, strips
@@ -200,11 +243,11 @@ impl ConnState {
         content_type: ContentType,
         body: &mut [u8],
     ) -> Result<usize, SslError> {
-        let Some(cipher) = &mut self.cipher else {
+        let Some(Protection { cipher, mac_alg, mac_secret }) = &mut self.protection else {
             self.seq += 1;
             return Ok(body.len());
         };
-        let alg = self.mac_alg.expect("mac set whenever cipher is");
+        let alg = *mac_alg;
         let (result, cipher_cycles) = measure(|| cipher.decrypt(body));
         self.crypto.add("cipher", cipher_cycles);
         result?;
@@ -237,7 +280,7 @@ impl ConnState {
         let (ok, mac_cycles) = measure(|| {
             mac::verify(
                 alg,
-                &self.mac_secret,
+                mac_secret,
                 self.seq,
                 content_type as u8,
                 &body[..data_len],
@@ -324,9 +367,7 @@ impl RecordLayer {
     /// Resets the write sequence number.
     pub fn activate_write(&mut self, cipher: BulkCipher, mac_alg: HashAlg, mac_secret: Vec<u8>) {
         self.write = ConnState {
-            cipher: Some(cipher),
-            mac_alg: Some(mac_alg),
-            mac_secret,
+            protection: Some(Protection { cipher, mac_alg, mac_secret }),
             seq: 0,
             crypto: std::mem::take(&mut self.write.crypto),
         };
@@ -336,9 +377,7 @@ impl RecordLayer {
     /// arrives). Resets the read sequence number.
     pub fn activate_read(&mut self, cipher: BulkCipher, mac_alg: HashAlg, mac_secret: Vec<u8>) {
         self.read = ConnState {
-            cipher: Some(cipher),
-            mac_alg: Some(mac_alg),
-            mac_secret,
+            protection: Some(Protection { cipher, mac_alg, mac_secret }),
             seq: 0,
             crypto: std::mem::take(&mut self.read.crypto),
         };
@@ -366,13 +405,13 @@ impl RecordLayer {
     /// True once outbound records are encrypted.
     #[must_use]
     pub fn write_protected(&self) -> bool {
-        self.write.cipher.is_some()
+        self.write.protection.is_some()
     }
 
     /// True once inbound records are decrypted.
     #[must_use]
     pub fn read_protected(&self) -> bool {
-        self.read.cipher.is_some()
+        self.read.protection.is_some()
     }
 
     /// Seals `payload` as one or more records of `content_type` into a
@@ -402,11 +441,11 @@ impl RecordLayer {
         out: &mut Vec<u8>,
     ) -> Result<(), SslError> {
         out.reserve(payload.len() + 64);
-        let mut chunks = payload.chunks(MAX_FRAGMENT);
         // An empty payload still produces one (empty) record.
-        let first: &[u8] = if payload.is_empty() { &[] } else { chunks.next().expect("nonempty") };
-        self.seal_one(content_type, first, out)?;
-        for chunk in chunks {
+        if payload.is_empty() {
+            return self.seal_one(content_type, payload, out);
+        }
+        for chunk in payload.chunks(MAX_FRAGMENT) {
             self.seal_one(content_type, chunk, out)?;
         }
         Ok(())
@@ -489,6 +528,8 @@ impl RecordLayer {
 mod tests {
     use super::*;
     use crate::CipherSuite;
+    use sslperf_ciphers::{AesBackend, Cbc, PerBlock};
+    use sslperf_profile::counters;
 
     fn protected_pair(suite: CipherSuite) -> (RecordLayer, RecordLayer) {
         let key = vec![0x42u8; suite.key_len()];
@@ -712,6 +753,120 @@ mod tests {
             let wire = seal(&mut tx, ContentType::ApplicationData, &vec![0u8; len]);
             let body_len = wire.len() - 5;
             assert_eq!(body_len % 16, 0, "len {len}");
+        }
+    }
+
+    /// Seals one 16 KiB AES128-SHA record on the AES backend given,
+    /// returning the phases it booked, its `aes_block`, `sha1_block` and
+    /// `ssl3_mac` units, and the wire bytes.
+    fn seal_16k(backend: AesBackend) -> (Vec<String>, [u64; 3], Vec<u8>) {
+        let aes = Aes::with_backend(&[0x42; 16], backend).unwrap();
+        let mut tx = RecordLayer::new();
+        let cipher = BulkCipher::AesCbc(Cbc::new(aes, vec![0x17; 16]).unwrap());
+        tx.activate_write(cipher, HashAlg::Sha1, vec![0x33; 20]);
+        let mut buf = RecordBuffer::new();
+        let payload = [0x5a; MAX_FRAGMENT];
+        let ((), snap) = counters::counted(|| {
+            tx.seal_into(ContentType::ApplicationData, &payload, &mut buf).unwrap();
+        });
+        let mut phases: Vec<String> =
+            tx.crypto_phases().iter().map(|p| p.name().to_owned()).collect();
+        phases.sort();
+        let units = ["aes_block", "sha1_block", "ssl3_mac"].map(|name| snap.units(name));
+        (phases, units, buf.into_vec())
+    }
+
+    /// The seal path this host takes, witnessed by what it books: with
+    /// AES-NI and the SHA unit a 16 KiB AES128-SHA seal is one stitched
+    /// `pri_encryption_and_mac` span; without either, and always on the
+    /// table AES, it books `cipher` and `mac` apart. Either way it counts
+    /// the sequential path's AES blocks, SHA-1 blocks and MAC'd bytes and
+    /// writes its bytes, so this asserts something on every host.
+    #[test]
+    fn stitched_seal_witness() {
+        let (table_phases, table_units, table_wire) = seal_16k(AesBackend::Table);
+        assert_eq!(table_phases, ["cipher", "mac"]);
+        // 16 384 + 20 + 11 pad + 1 = 1026 blocks; 258 inner + 2 outer
+        // SHA-1 blocks.
+        assert_eq!(table_units, [1026, 260, MAX_FRAGMENT as u64]);
+
+        let ni = Aes::ni_available();
+        let (phases, units, wire) = seal_16k(if ni { AesBackend::Ni } else { AesBackend::Table });
+        let stitched = ni && Sha1::new().backend_name() == "ni";
+        eprintln!("aes-ni {ni}, sha unit {}: seal booked {phases:?}", Sha1::new().backend_name());
+        let want: &[&str] = if stitched { &["pri_encryption_and_mac"] } else { &["cipher", "mac"] };
+        assert_eq!(phases, want);
+        assert_eq!(units, table_units, "aes_block, sha1_block, ssl3_mac units");
+        assert_eq!(wire, table_wire);
+    }
+
+    mod properties {
+        use super::*;
+        use proptest::collection::vec;
+        use proptest::prelude::*;
+
+        const CONTENT_TYPES: [ContentType; 4] = [
+            ContentType::ChangeCipherSpec,
+            ContentType::Alert,
+            ContentType::Handshake,
+            ContentType::ApplicationData,
+        ];
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(96))]
+
+            /// AES-CBC + SHA-1 seals — stitched wherever this host can —
+            /// against a reference built from `mac::compute` and the
+            /// per-block CBC default, two records in a row so the IV
+            /// carries, at any length up to a full fragment (half the cases
+            /// under 200 bytes, where the grain boundaries are), any
+            /// sequence number and content type; and every sealed record
+            /// opens under the sequential open.
+            #[test]
+            fn seal_matches_sequential_reference(
+                suite_sel in 0usize..2,
+                short in 0usize..200,
+                long in 0usize..=MAX_FRAGMENT,
+                pick_long in any::<bool>(),
+                seq in any::<u64>(),
+                type_sel in 0usize..4,
+                key in vec(any::<u8>(), 32..=32),
+                iv in vec(any::<u8>(), 16..=16),
+                secret in vec(any::<u8>(), 20..=20),
+                fill in any::<u8>(),
+            ) {
+                let suite = [CipherSuite::RsaAes128Sha, CipherSuite::RsaAes256Sha][suite_sel];
+                let key = &key[..suite.key_len()];
+                let content_type = CONTENT_TYPES[type_sel];
+                let len = if pick_long { long } else { short };
+                let data: Vec<u8> =
+                    (0..len).map(|i| (i as u8).wrapping_mul(0x9d) ^ fill).collect();
+
+                let mut reference =
+                    Cbc::new(PerBlock(Aes::new(key).unwrap()), iv.clone()).unwrap();
+                let mut tx = RecordLayer::new();
+                tx.activate_write(suite.new_cipher(key, &iv).unwrap(), HashAlg::Sha1, secret.clone());
+                tx.write.seq = seq;
+                let mut rx = RecordLayer::new();
+                rx.activate_read(suite.new_cipher(key, &iv).unwrap(), HashAlg::Sha1, secret.clone());
+                rx.read.seq = seq;
+
+                for record_seq in [seq, seq.wrapping_add(1)] {
+                    let mut body = data.clone();
+                    body.extend(mac::compute(HashAlg::Sha1, &secret, record_seq, content_type as u8, &data));
+                    let pad = 15 - body.len() % 16;
+                    body.resize(body.len() + pad, 0);
+                    body.push(pad as u8);
+                    reference.encrypt(&mut body).unwrap();
+
+                    let mut buf = RecordBuffer::new();
+                    tx.seal_into(content_type, &data, &mut buf).unwrap();
+                    prop_assert_eq!(&buf.as_slice()[RECORD_HEADER_LEN..], &body[..]);
+                    let (opened_type, range) = rx.open_in_place(&mut buf).unwrap();
+                    prop_assert_eq!(opened_type, content_type);
+                    prop_assert_eq!(&buf.as_slice()[range], &data[..]);
+                }
+            }
         }
     }
 }

@@ -679,6 +679,45 @@ proptest! {
         let hmac = sha1_portable(&[&block.map(|k| k ^ 0x5c), &inner]);
         prop_assert_eq!(Hmac::mac(HashAlg::Sha1, &key, &data), hmac.to_vec());
     }
+
+    /// The stitched seal kernel against its two halves run in turn:
+    /// `Sha1::update_and_encrypt_cbc` after 0–63 buffered bytes must leave
+    /// the digest `Sha1::update` leaves, and the ciphertext and IV
+    /// `Aes::encrypt_cbc` leaves on the prefix it reports, for AES-128,
+    /// -192 and -256 and 0–1200 bytes — and stitch every whole grain past
+    /// the buffered block when the hasher is on the SHA unit.
+    #[test]
+    fn stitched_seal_matches_update_then_encrypt_cbc(
+        buffered in 0usize..64,
+        key_sel in 0usize..3,
+        key in vec(any::<u8>(), 32..=32),
+        iv in vec(any::<u8>(), 16..=16),
+        prefix in vec(any::<u8>(), 63..=63),
+        data in vec(any::<u8>(), 0..=1200),
+    ) {
+        use sslperf::ciphers::AesBackend;
+        if !Aes::ni_available() {
+            return Ok(());
+        }
+        let aes = Aes::with_backend(&key[..[16, 24, 32][key_sel]], AesBackend::Ni).expect("ni");
+        let schedule = aes.ni_encrypt_schedule().expect("ni backend");
+        let mut fused = Sha1::new();
+        fused.update(&prefix[..buffered]);
+        let mut reference = fused.clone();
+
+        let (mut fused_iv, mut fused_data) = (iv.clone(), data.clone());
+        let n = fused.update_and_encrypt_cbc(schedule, &mut fused_iv, &mut fused_data);
+        let whole_grains = data.len().saturating_sub((64 - buffered) % 64) / 64 * 64;
+        let want = if fused.backend_name() == "ni" { whole_grains } else { 0 };
+        prop_assert_eq!(n, want);
+
+        reference.update(&data);
+        let (mut reference_iv, mut reference_data) = (iv.clone(), data.clone());
+        aes.encrypt_cbc(&mut reference_iv, &mut reference_data[..n]);
+        prop_assert_eq!(fused_data, reference_data);
+        prop_assert_eq!(fused_iv, reference_iv);
+        prop_assert_eq!(fused.finalize(), reference.finalize());
+    }
 }
 
 // ---- batched RSA decryption ----
