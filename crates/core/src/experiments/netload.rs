@@ -358,9 +358,9 @@ impl fmt::Display for LiveAnatomy {
     }
 }
 
-/// Runs the live-anatomy experiment: starts the event-loop server with the
-/// metrics registry and a small crypto pool, drives it with the resuming
-/// socket workload, and freezes the registry into the paper-shaped tables.
+/// Runs the live-anatomy experiment: starts the event-loop server with a
+/// small crypto pool, drives it with the resuming socket workload, and
+/// freezes its registry into the paper-shaped tables.
 ///
 /// # Errors
 ///
@@ -379,12 +379,11 @@ pub fn live_anatomy(ctx: &Context) -> Result<LiveAnatomy, ExperimentError> {
     let key = RsaPrivateKey::generate(ctx.key_bits(), &mut rng)?;
     let server_options = ServerOptions::builder()
         .crypto_workers(2)
-        .metrics(true)
         .build()
         .expect("valid live-anatomy server options");
     let server = EventLoopServer::start(key, "www.sslperf.test", &server_options)?;
     run_socket_load(server.local_addr(), &options)?;
-    let snapshot = server.metrics().expect("metrics enabled by options").snapshot();
+    let snapshot = server.stats().snapshot();
     let transactions = server.stats().transactions();
     server.shutdown();
     Ok(LiveAnatomy { transactions, snapshot })
@@ -438,7 +437,7 @@ impl fmt::Display for ProtocolAnatomy {
 }
 
 /// Runs the protocol-anatomy experiment: starts one event-loop server
-/// accepting both protocols (metrics on, small crypto pool so the TLS 1.3
+/// accepting both protocols (small crypto pool so the TLS 1.3
 /// DHE exponentiation is offloaded like SSLv3's RSA decryption), drives it
 /// with an SSLv3 burst and then a TLS 1.3 burst, and freezes the registry
 /// into side-by-side per-protocol anatomy tables.
@@ -452,7 +451,6 @@ pub fn protocol_anatomy(ctx: &Context) -> Result<ProtocolAnatomy, ExperimentErro
     let key = RsaPrivateKey::generate(ctx.key_bits(), &mut rng)?;
     let server_options = ServerOptions::builder()
         .crypto_workers(2)
-        .metrics(true)
         .build()
         .expect("valid protocol-anatomy server options");
     let server = EventLoopServer::start(key, "www.sslperf.test", &server_options)?;
@@ -469,7 +467,7 @@ pub fn protocol_anatomy(ctx: &Context) -> Result<ProtocolAnatomy, ExperimentErro
     };
     let ssl3 = arm(Protocol::Ssl3)?;
     let tls13 = arm(Protocol::Tls13)?;
-    let snapshot = server.metrics().expect("metrics enabled by options").snapshot();
+    let snapshot = server.stats().snapshot();
     server.shutdown();
     Ok(ProtocolAnatomy { ssl3, tls13, snapshot })
 }

@@ -67,7 +67,7 @@ pub mod prelude {
     pub use sslperf_ciphers::{Aes, BlockCipher, Cbc, Des, Des3, Rc4};
     pub use sslperf_hashes::{HashAlg, Hasher, Hmac, Md5, Sha1};
     pub use sslperf_net::{
-        EventLoopServer, FleetSnapshot, MetricsSnapshot, ServerFleet, ServerMetrics, ServerOptions,
+        EventLoopServer, FleetSnapshot, MetricsSnapshot, ServerFleet, ServerOptions, ServerStats,
         ShardedSessionCache,
     };
     pub use sslperf_profile::{Cycles, PhaseSet, Table};

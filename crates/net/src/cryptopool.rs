@@ -20,8 +20,7 @@
 //! shard's reply channel. A `batch_max` of 1 takes one job at a time and
 //! behaves exactly like the unbatched pool.
 
-use crate::metrics::ServerMetrics;
-use crate::server::ServerStats;
+use crate::metrics::ServerStats;
 use sslperf_ssl::{CryptoDone, CryptoJob, CryptoOp, ServerConfig};
 use std::collections::VecDeque;
 use std::sync::atomic::Ordering;
@@ -97,14 +96,14 @@ impl PoolState {
             return Err(SubmitError::ShutDown(job));
         }
         if matches!(job.op(), CryptoOp::BulkSeal { .. }) {
-            stats.crypto_bulk_jobs.fetch_add(1, Ordering::Relaxed);
+            stats.crypto_bulk_jobs.inc();
         }
         // Depth counts queued + executing and is sampled here, inside the
         // lock, so burst high-water marks are exact; the worker decrements
         // when the job *finishes executing*, not when a collector dequeues
         // it.
         let depth = stats.crypto_queue_depth.fetch_add(1, Ordering::Relaxed) + 1;
-        stats.crypto_jobs.fetch_add(1, Ordering::Relaxed);
+        stats.crypto_jobs.inc();
         stats.crypto_queue_depth_max.fetch_max(depth, Ordering::Relaxed);
         self.queue.push_back(CryptoTask { conn, job, reply: reply.clone() });
         Ok(())
@@ -122,7 +121,7 @@ struct Shared {
 /// Shared by every shard of an [`EventLoopServer`](crate::EventLoopServer)
 /// started with [`ServerOptions::crypto_workers`](crate::ServerOptions)
 /// &gt; 0. Workers execute jobs against the shared [`ServerConfig`]'s
-/// private key and update the crypto counters in [`ServerStats`]; with
+/// private key and record each batch in [`ServerStats`]; with
 /// [`ServerOptions::batch_max`](crate::ServerOptions) &gt; 1 they collect
 /// queued jobs into amortized decrypt batches first.
 #[derive(Debug)]
@@ -151,11 +150,11 @@ impl CryptoPool {
     /// Panics when `workers` is zero.
     #[must_use]
     pub fn start(workers: usize, config: Arc<ServerConfig>, stats: Arc<ServerStats>) -> Self {
-        Self::start_with(workers, 1, config, stats, None)
+        Self::start_with(workers, 1, config, stats)
     }
 
     /// Spawns `workers` engines that take up to `batch_max` queued jobs per
-    /// batch, and feed the anatomy registry when one is given.
+    /// batch.
     ///
     /// # Panics
     ///
@@ -165,7 +164,6 @@ impl CryptoPool {
         batch_max: usize,
         config: Arc<ServerConfig>,
         stats: Arc<ServerStats>,
-        metrics: Option<Arc<ServerMetrics>>,
     ) -> Self {
         assert!(workers > 0, "at least one engine");
         assert!(batch_max > 0, "a batch holds at least one job");
@@ -184,10 +182,7 @@ impl CryptoPool {
                 let shared = Arc::clone(&shared);
                 let config = Arc::clone(&config);
                 let stats = Arc::clone(&stats);
-                let metrics = metrics.clone();
-                std::thread::spawn(move || {
-                    worker_loop(index, &shared.0, &config, &stats, metrics.as_deref());
-                })
+                std::thread::spawn(move || worker_loop(index, &shared.0, &config, &stats))
             })
             .collect();
         CryptoPool { shared, workers, stats }
@@ -286,34 +281,19 @@ fn collect_batch(index: usize, shared: &Shared) -> Option<Vec<CryptoTask>> {
     Some(batch)
 }
 
-fn worker_loop(
-    index: usize,
-    shared: &Shared,
-    config: &ServerConfig,
-    stats: &ServerStats,
-    metrics: Option<&ServerMetrics>,
-) {
+fn worker_loop(index: usize, shared: &Shared, config: &ServerConfig, stats: &ServerStats) {
     loop {
         let Some(batch) = collect_batch(index, shared) else { return };
-        let size = batch.len();
-        stats.crypto_batches.fetch_add(1, Ordering::Relaxed);
-        if size > 1 {
-            stats.crypto_batched_jobs.fetch_add(size as u64, Ordering::Relaxed);
-        }
         let (routes, jobs): (Vec<_>, Vec<_>) =
             batch.into_iter().map(|task| ((task.conn, task.reply), task.job)).unzip();
         let dones = match <[CryptoJob; 1]>::try_from(jobs) {
             Ok([job]) => vec![job.execute(config.key())],
             Err(jobs) => CryptoJob::execute_batch(jobs, config.key()),
         };
-        if let (Some(metrics), Some(done)) = (metrics, dones.first()) {
-            metrics.note_crypto_batch(size, done.exec());
-        }
+        stats.note_crypto_batch(&dones);
+        // The batch is no longer queued *or* executing.
+        stats.crypto_queue_depth.fetch_sub(dones.len() as u64, Ordering::Relaxed);
         for ((conn, reply), done) in routes.into_iter().zip(dones) {
-            stats.crypto_queue_wait_cycles.fetch_add(done.queue_wait().get(), Ordering::Relaxed);
-            stats.crypto_exec_cycles.fetch_add(done.exec().get(), Ordering::Relaxed);
-            // The job is no longer queued *or* executing.
-            stats.crypto_queue_depth.fetch_sub(1, Ordering::Relaxed);
             // A send failure means the shard is gone; the result is moot.
             let _ = reply.send(PoolReply { conn, done });
         }
@@ -439,7 +419,7 @@ mod tests {
         // leaves the second to it: two solo batches, not one pair.
         let config = config();
         let stats = Arc::new(ServerStats::default());
-        let pool = CryptoPool::start_with(2, 4, Arc::clone(&config), Arc::clone(&stats), None);
+        let pool = CryptoPool::start_with(2, 4, Arc::clone(&config), Arc::clone(&stats));
         let (reply_tx, reply_rx) = mpsc::channel();
         pool.submit_burst(
             (0..2).map(|seq| (seq, suspended_job(&config, seq).1)).collect(),
@@ -479,7 +459,7 @@ mod tests {
     fn zero_deadline_batches_the_backlog() {
         let config = config();
         let stats = Arc::new(ServerStats::default());
-        let pool = CryptoPool::start_with(1, 4, Arc::clone(&config), Arc::clone(&stats), None);
+        let pool = CryptoPool::start_with(1, 4, Arc::clone(&config), Arc::clone(&stats));
         let (reply_tx, reply_rx) = mpsc::channel();
         let burst = 9u64;
         let (mut engines, jobs): (Vec<_>, Vec<_>) =
@@ -504,7 +484,7 @@ mod tests {
     fn failed_decrypt_in_a_batch_leaves_its_sibling_intact() {
         let config = config();
         let stats = Arc::new(ServerStats::default());
-        let pool = CryptoPool::start_with(1, 4, Arc::clone(&config), Arc::clone(&stats), None);
+        let pool = CryptoPool::start_with(1, 4, Arc::clone(&config), Arc::clone(&stats));
         let (reply_tx, reply_rx) = mpsc::channel();
 
         // The doomed connection: an honest client's second flight with one
@@ -579,13 +559,8 @@ mod tests {
         let config = slow_config();
         let stats = Arc::new(ServerStats::default());
         let burst = 4u64;
-        let pool = CryptoPool::start_with(
-            1,
-            burst as usize,
-            Arc::clone(&config),
-            Arc::clone(&stats),
-            None,
-        );
+        let pool =
+            CryptoPool::start_with(1, burst as usize, Arc::clone(&config), Arc::clone(&stats));
         let (reply_tx, reply_rx) = mpsc::channel();
         pool.submit_burst(
             (0..burst).map(|seq| (seq, suspended_job(&config, seq).1)).collect(),
@@ -719,7 +694,7 @@ mod tests {
     fn burst_batch_keeps_every_server_stream_byte_identical() {
         let config = config();
         let stats = Arc::new(ServerStats::default());
-        let pool = CryptoPool::start_with(1, 4, Arc::clone(&config), Arc::clone(&stats), None);
+        let pool = CryptoPool::start_with(1, 4, Arc::clone(&config), Arc::clone(&stats));
         let (reply_tx, reply_rx) = mpsc::channel();
         let mut conns: Vec<_> = (0..4)
             .map(|seq| {

@@ -54,8 +54,8 @@
 
 use crate::cache::ShardedSessionCache;
 use crate::cryptopool::{CryptoPool, PoolReply, SubmitError};
-use crate::metrics::ServerMetrics;
-use crate::server::{alert_for_close, build_config, Outgoing, ServerOptions, ServerStats};
+use crate::metrics::ServerStats;
+use crate::server::{alert_for_close, build_config, Outgoing, ServerOptions};
 use sslperf_profile::measure;
 use sslperf_rng::SslRng;
 use sslperf_rsa::RsaPrivateKey;
@@ -130,7 +130,6 @@ pub struct EventLoopServer {
     config: Arc<ServerConfig>,
     /// The crypto offload pool, present when `crypto_workers > 0`.
     pool: Option<Arc<CryptoPool>>,
-    metrics: Option<Arc<ServerMetrics>>,
 }
 
 impl EventLoopServer {
@@ -188,15 +187,13 @@ impl EventLoopServer {
 
         let stop = Arc::new(AtomicBool::new(false));
         let stats = Arc::new(ServerStats::default());
-        let io_timeout = options.io_timeout;
-        let metrics = options.metrics.then(|| Arc::new(ServerMetrics::new()));
+        let (io_timeout, expose_metrics) = (options.io_timeout, options.metrics);
         let pool = (options.crypto_workers > 0).then(|| {
             Arc::new(CryptoPool::start_with(
                 options.crypto_workers,
                 options.batch_max,
                 Arc::clone(&config),
                 Arc::clone(&stats),
-                metrics.clone(),
             ))
         });
         let shards = (0..options.shards)
@@ -206,7 +203,6 @@ impl EventLoopServer {
                 let stats = Arc::clone(&stats);
                 let stop = Arc::clone(&stop);
                 let pool = pool.clone();
-                let metrics = metrics.clone();
                 let seed_prefix = Arc::clone(&seed_prefix);
                 std::thread::spawn(move || {
                     shard_loop(
@@ -218,13 +214,13 @@ impl EventLoopServer {
                         &stop,
                         io_timeout,
                         pool.as_deref(),
-                        metrics.as_deref(),
+                        expose_metrics,
                     );
                 })
             })
             .collect();
 
-        Ok(EventLoopServer { addr, stop, shards, stats, cache, config, pool, metrics })
+        Ok(EventLoopServer { addr, stop, shards, stats, cache, config, pool })
     }
 
     /// The bound address clients should connect to.
@@ -233,7 +229,9 @@ impl EventLoopServer {
         self.addr
     }
 
-    /// The shared serving counters.
+    /// The server's registry: every serving counter and the live anatomy,
+    /// recorded on every run. [`ServerStats::snapshot`] freezes it into
+    /// the paper-shaped tables.
     #[must_use]
     pub fn stats(&self) -> &ServerStats {
         &self.stats
@@ -255,13 +253,6 @@ impl EventLoopServer {
     #[must_use]
     pub fn config(&self) -> &Arc<ServerConfig> {
         &self.config
-    }
-
-    /// The live anatomy registry, present when
-    /// [`ServerOptions::metrics`] was set.
-    #[must_use]
-    pub fn metrics(&self) -> Option<&ServerMetrics> {
-        self.metrics.as_deref()
     }
 
     /// Kills one crypto engine by index (see
@@ -322,7 +313,7 @@ fn shard_loop(
     stop: &AtomicBool,
     io_timeout: Option<Duration>,
     pool: Option<&CryptoPool>,
-    metrics: Option<&ServerMetrics>,
+    expose_metrics: bool,
 ) {
     let mut conns: Vec<Conn<'_>> = Vec::new();
     let mut scratch = vec![0u8; SCRATCH_LEN];
@@ -336,9 +327,15 @@ fn shard_loop(
             progress = true;
             seq += 1;
             let seed = format!("{seed_prefix}-{shard}-{seq}");
-            if let Some(conn) =
-                Conn::accept(stream, config, seq, &seed, io_timeout, offload.is_some(), metrics)
-            {
+            if let Some(conn) = Conn::accept(
+                stream,
+                config,
+                seq,
+                &seed,
+                io_timeout,
+                offload.is_some(),
+                expose_metrics,
+            ) {
                 conns.push(conn);
             }
         }
@@ -404,8 +401,8 @@ struct Conn<'a> {
     draining: bool,
     /// Finished; the shard drops the connection on its next sweep.
     done: bool,
-    /// The live anatomy registry, when the server enabled it.
-    metrics: Option<&'a ServerMetrics>,
+    /// Whether `GET /metrics` is answered with the rendered registry.
+    expose_metrics: bool,
 }
 
 impl<'a> Conn<'a> {
@@ -418,7 +415,7 @@ impl<'a> Conn<'a> {
         seed: &str,
         io_timeout: Option<Duration>,
         offload: bool,
-        metrics: Option<&'a ServerMetrics>,
+        expose_metrics: bool,
     ) -> Option<Self> {
         stream.set_nonblocking(true).ok()?;
         let _ = stream.set_nodelay(true);
@@ -436,7 +433,7 @@ impl<'a> Conn<'a> {
             outgoing: None,
             draining: false,
             done: false,
-            metrics,
+            expose_metrics,
         })
     }
 
@@ -485,10 +482,10 @@ impl<'a> Conn<'a> {
                         // response a half-closed client was owed): drop it.
                         self.done = true;
                     } else if self.crypto_pending() {
-                        stats.crypto_deadline_deferrals.fetch_add(1, Ordering::Relaxed);
+                        stats.crypto_deadline_deferrals.inc();
                         self.touch(now);
                     } else {
-                        stats.timeouts.fetch_add(1, Ordering::Relaxed);
+                        stats.timeouts.inc();
                         let alert = if self.engine.is_established() {
                             Alert::close_notify()
                         } else {
@@ -498,7 +495,7 @@ impl<'a> Conn<'a> {
                         // reading it: the alert is the last thing sent.
                         self.outgoing = None;
                         if self.engine.queue_alert(alert).is_ok() {
-                            stats.alerts_sent.fetch_add(1, Ordering::Relaxed);
+                            stats.alerts_sent.inc();
                         }
                         self.start_draining(now);
                         progress = true;
@@ -570,8 +567,8 @@ impl<'a> Conn<'a> {
     /// Seals the pending response's next fragments into the outbox: up to
     /// [`OUTBOX_LOW_WATER`] bytes queued, at most `refills` records (the
     /// pump's remaining budget, decremented here). The fragment that ends a
-    /// response counts the transaction and opens the next pipelined
-    /// request, if one is already buffered.
+    /// response reports it (a workload response is a transaction) and
+    /// opens the next pipelined request, if one is already buffered.
     fn refill(&mut self, scratch: &mut [u8], stats: &ServerStats, refills: &mut usize) {
         while *refills > 0 && self.engine.pending_output() < OUTBOX_LOW_WATER {
             let Some(outgoing) = self.outgoing.as_mut() else { return };
@@ -581,10 +578,7 @@ impl<'a> Conn<'a> {
             }
             *refills -= 1;
             if outgoing.is_done() {
-                if let Some(m) = self.metrics {
-                    outgoing.report(m);
-                }
-                stats.transactions.fetch_add(1, Ordering::Relaxed);
+                outgoing.report(stats);
                 self.outgoing = None;
                 self.drain_requests(stats);
             }
@@ -640,10 +634,10 @@ impl<'a> Conn<'a> {
                 // The handshake can never resume: its decrypt has nowhere
                 // to run. Fail fast with a fatal alert (SSLv3 has no
                 // internal_error description) instead of retrying forever.
-                stats.errors.fetch_add(1, Ordering::Relaxed);
+                stats.errors.inc();
                 if self.engine.queue_alert(Alert::fatal(AlertDescription::HandshakeFailure)).is_ok()
                 {
-                    stats.alerts_sent.fetch_add(1, Ordering::Relaxed);
+                    stats.alerts_sent.inc();
                 }
                 self.draining = true;
                 true
@@ -679,22 +673,7 @@ impl<'a> Conn<'a> {
             return;
         }
         self.counted = true;
-        stats.connections.fetch_add(1, Ordering::Relaxed);
-        let machine = self.engine.machine();
-        if machine.resumed() {
-            stats.resumed_handshakes.fetch_add(1, Ordering::Relaxed);
-        } else {
-            stats.full_handshakes.fetch_add(1, Ordering::Relaxed);
-        }
-        stats.note_ticket_flags(
-            machine.ticket_issued(),
-            machine.ticket_accepted(),
-            machine.ticket_rejected(),
-            machine.ticket_expired(),
-        );
-        if let Some(m) = self.metrics {
-            m.note_handshake(&self.engine.machine().ledger());
-        }
+        stats.note_handshake(&self.engine.machine().ledger());
     }
 
     /// Opens the next complete buffered application record and installs
@@ -703,23 +682,22 @@ impl<'a> Conn<'a> {
     /// one pending, later requests stay buffered until [`Conn::refill`]
     /// seals its last fragment and calls back here.
     ///
-    /// With metrics on, the open is timed end-to-end (pure compute here —
-    /// the sans-io engine never touches the socket), and the crypto-kernel
-    /// share is read as the delta of the record layer's monotone crypto
-    /// counter around the call.
+    /// The open is timed end-to-end (pure compute here — the sans-io
+    /// engine never touches the socket), and the crypto-kernel share is
+    /// read as the delta of the record layer's monotone crypto counter
+    /// around the call.
     fn drain_requests(&mut self, stats: &ServerStats) {
         while !self.draining && self.outgoing.is_none() {
             let crypto_before = self.engine.machine().record_crypto_cycles();
             let (opened, open_cycles) = measure(|| self.engine.open_next());
             match opened {
                 Ok(Some(range)) => {
-                    if let Some(m) = self.metrics {
-                        let crypto = self.engine.machine().record_crypto_cycles() - crypto_before;
-                        m.note_record_open(range.len(), open_cycles, crypto);
-                    }
+                    let crypto = self.engine.machine().record_crypto_cycles() - crypto_before;
+                    stats.note_record_open(range.len(), open_cycles, crypto);
                     match HttpRequest::parse(&self.engine.buffered()[range]) {
                         Ok(request) => {
-                            self.outgoing = Some(Outgoing::for_request(&request, self.metrics));
+                            self.outgoing =
+                                Some(Outgoing::for_request(&request, stats, self.expose_metrics));
                         }
                         Err(e) => self.fail(&e, stats),
                     }
@@ -739,15 +717,15 @@ impl<'a> Conn<'a> {
         match error {
             SslError::PeerAlert(alert) if alert.is_close_notify() => {
                 if self.engine.queue_close_notify().is_ok() {
-                    stats.alerts_sent.fetch_add(1, Ordering::Relaxed);
+                    stats.alerts_sent.inc();
                 }
             }
             SslError::Io(_) => {}
             _ => {
-                stats.errors.fetch_add(1, Ordering::Relaxed);
+                stats.errors.inc();
                 if let Some(alert) = alert_for_close(error) {
                     if self.engine.queue_alert(alert).is_ok() {
-                        stats.alerts_sent.fetch_add(1, Ordering::Relaxed);
+                        stats.alerts_sent.inc();
                     }
                 }
             }
@@ -815,7 +793,7 @@ mod tests {
             socket.set_nonblocking(true).expect("nonblocking");
             let (accepted, _) = listener.accept().expect("accept");
             let conn =
-                Conn::accept(accepted, config, 1, "unit-conn", Some(IO_TIMEOUT), false, None)
+                Conn::accept(accepted, config, 1, "unit-conn", Some(IO_TIMEOUT), false, false)
                     .expect("socket setup");
             let rng = SslRng::from_seed(b"unit-client");
             let client =

@@ -2,7 +2,7 @@
 //!
 //! One machine-scale SSL deployment is not one server process: it is N
 //! independent instances behind one address, each with its own session
-//! cache, crypto pool, and metrics. With id-based resumption that
+//! cache, crypto pool, and stats. With id-based resumption that
 //! topology breaks §4.1's optimization — a session cached by instance A
 //! is a miss on instance B, and dies entirely when A restarts. With
 //! encrypted session tickets ([`sslperf_ssl::TicketKeyring`]) the
@@ -21,7 +21,8 @@
 //! is the same.
 
 use crate::eventloop::{EventLoopServer, Intake};
-use crate::server::{ServerOptions, ServerStats};
+use crate::metrics::ServerStats;
+use crate::server::ServerOptions;
 use sslperf_rsa::RsaPrivateKey;
 use sslperf_ssl::SslError;
 use std::io::ErrorKind;
@@ -42,8 +43,8 @@ type FeedTable = Arc<Mutex<Vec<Option<Sender<TcpStream>>>>>;
 /// N independent [`EventLoopServer`] instances behind one listening
 /// address, fed by an accept-fan thread.
 ///
-/// Instances are shared-nothing: each has its own session cache, stats,
-/// and (optional) metrics registry. They share at most the ticket keyring
+/// Instances are shared-nothing: each has its own session cache and
+/// stats registry. They share at most the ticket keyring
 /// passed in [`ServerOptions::ticket_keys`] — which is exactly the point:
 /// ticket resumption needs no other shared state. Individual instances
 /// can be [killed](ServerFleet::kill) and

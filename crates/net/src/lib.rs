@@ -12,6 +12,13 @@
 //! across connections. [`ServerFleet`] runs several instances behind one
 //! address, resuming each other's sessions through shared ticket keys.
 //!
+//! Every server records what it serves in one registry, [`ServerStats`]:
+//! connections, transactions, ticket verdicts, crypto-pool batches and the
+//! live handshake anatomy of the paper's Tables 1–3, always on, each fact
+//! at one site. [`ServerStats::snapshot`] renders it;
+//! [`ServerOptions::metrics`] only decides whether `GET /metrics` serves
+//! that rendering to clients.
+//!
 //! # Examples
 //!
 //! ```
@@ -55,5 +62,5 @@ pub use cache::ShardedSessionCache;
 pub use cryptopool::{CryptoPool, PoolReply, SubmitError};
 pub use eventloop::EventLoopServer;
 pub use fleet::{FleetSnapshot, ServerFleet};
-pub use metrics::{MetricsSnapshot, ServerMetrics, StepSnapshot};
-pub use server::{OptionsError, ServerOptions, ServerOptionsBuilder, ServerStats};
+pub use metrics::{MetricsSnapshot, ServerStats, StepSnapshot};
+pub use server::{OptionsError, ServerOptions, ServerOptionsBuilder};

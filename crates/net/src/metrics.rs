@@ -1,17 +1,36 @@
-//! Live handshake-anatomy metrics for the serving layer.
+//! The server's one registry of serving facts.
 //!
 //! The paper's Tables 1–3 come from profiling an Apache/mod_ssl server
-//! under load; [`ServerMetrics`] reproduces that anatomy *live* from real
+//! under load; [`ServerStats`] reproduces that anatomy *live* from real
 //! sockets instead of post-hoc from a profiler. Every connection feeds its
 //! per-step handshake ledger ([`HandshakeLedger`]) and per-record crypto
 //! cycles into one shared registry built from the lock-cheap primitives in
-//! `sslperf-metrics`: atomic counters for totals, log-linear histograms
-//! for latency quantiles (p50/p95/p99 without storing samples). Recording
-//! is a handful of relaxed atomic adds — no locks, no allocation — so the
-//! steady-state record path stays zero-copy *and* zero-alloc with metrics
-//! enabled.
+//! `sslperf-metrics`: counters for totals, log-linear histograms for
+//! latency quantiles (p50/p95/p99 without storing samples). Recording is a
+//! handful of relaxed atomic adds — no locks, no allocation — so it is
+//! always on, and the steady-state record path stays zero-copy *and*
+//! zero-alloc.
 //!
-//! [`ServerMetrics::snapshot`] freezes the registry into a
+//! Each serving fact is recorded at exactly one site:
+//!
+//! - a handshake's outcome (full or resumed, ticket verdict, step
+//!   latencies, crypto share): [`ServerStats::note_handshake`], once per
+//!   established connection, from its ledger;
+//! - a transaction: [`ServerStats::note_response`], once per *workload*
+//!   response (a document or a 404). The `/metrics` exposition is
+//!   observability, not a transaction;
+//! - application records: [`ServerStats::note_record_open`] and
+//!   [`ServerStats::note_record_seal`];
+//! - a crypto-pool batch, and each of its jobs' queue wait and execution:
+//!   the pool engine that ran it, once per batch;
+//! - errors, timeouts, alerts, deadline deferrals and the pool's queue
+//!   depth: where the event loop or the pool decides them.
+//!
+//! The getters read those records back — `connections` is the count of
+//! the three end-to-end handshake histograms, `crypto_exec` the sum of the
+//! per-job execution histogram — so no fact has a second copy to drift.
+//!
+//! [`ServerStats::snapshot`] freezes the registry into a
 //! [`MetricsSnapshot`], whose [`render`](MetricsSnapshot::render) lays the
 //! live data out in the paper's shapes: Table 2 (step latency shares of
 //! the full handshake), Table 3 (crypto share of handshake processing),
@@ -20,29 +39,21 @@
 //! [`ServerOptions::metrics`](crate::ServerOptions::metrics) is on — the
 //! exposition-endpoint pattern, minus any wire-format commitments.
 
-use sslperf_metrics::{Histogram, HistogramSnapshot};
+use sslperf_metrics::{Counter, Histogram, HistogramSnapshot};
 use sslperf_profile::{Align, Cycles, Table};
-use sslperf_ssl::{HandshakeLedger, Protocol, SERVER_STEP_NAMES, TLS13_STEP_NAMES};
+use sslperf_ssl::{CryptoDone, HandshakeLedger, Protocol, SERVER_STEP_NAMES, TLS13_STEP_NAMES};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// The shared, lock-cheap metrics registry for one running server.
-///
-/// Handed to every shard/worker as `Option<&ServerMetrics>`; `None` keeps
-/// the serving paths free of even the atomic adds. All recording methods
-/// take `&self` and are safe to call from any thread.
-#[derive(Debug)]
-pub struct ServerMetrics {
+/// Everything a running server records, shared across shards and crypto
+/// engines. All recording methods take `&self` and are safe to call from
+/// any thread.
+#[derive(Debug, Default)]
+pub struct ServerStats {
     /// Per-step SSLv3 handshake latency, full handshakes only (Table 2
     /// rows).
     steps: [Histogram; 10],
     /// Per-step TLS 1.3 handshake latency, keyed by [`TLS13_STEP_NAMES`].
     tls13_steps: [Histogram; 10],
-    /// Key-exchange offload split (both protocols): cycles queued in the
-    /// crypto pool.
-    kx_queue_wait: Histogram,
-    /// Offload split: cycles executing the private operation (RSA decrypt
-    /// for SSLv3, the DHE exponentiation pair for TLS 1.3).
-    kx_exec: Histogram,
     /// End-to-end SSLv3 handshake cycles, full key exchange.
     full_handshake: Histogram,
     /// End-to-end SSLv3 handshake cycles, session resumption.
@@ -51,96 +62,80 @@ pub struct ServerMetrics {
     tls13_full_handshake: Histogram,
     /// Crypto cycles summed over full SSLv3 handshakes (Table 3
     /// numerator).
-    full_crypto_cycles: AtomicU64,
+    full_crypto_cycles: Counter,
     /// Crypto cycles summed over resumed handshakes.
-    resumed_crypto_cycles: AtomicU64,
+    resumed_crypto_cycles: Counter,
     /// Crypto cycles summed over TLS 1.3 handshakes.
-    tls13_crypto_cycles: AtomicU64,
+    tls13_crypto_cycles: Counter,
+    /// Session-ticket outcomes (stateless resumption), per handshake.
+    tickets_issued: Counter,
+    tickets_accepted: Counter,
+    tickets_rejected: Counter,
+    tickets_expired: Counter,
     /// Application records decrypted / encrypted after the handshake.
-    records_opened: AtomicU64,
-    records_sealed: AtomicU64,
+    records_opened: Counter,
+    records_sealed: Counter,
     /// Application payload bytes through the record layer.
-    bytes_in: AtomicU64,
-    bytes_out: AtomicU64,
+    bytes_in: Counter,
+    bytes_out: Counter,
     /// Cycles in the record layer's open / seal paths (libssl + libcrypto).
-    open_cycles: AtomicU64,
-    seal_cycles: AtomicU64,
+    open_cycles: Counter,
+    seal_cycles: Counter,
     /// Cycles inside cipher + MAC kernels during open/seal (libcrypto only).
-    record_crypto_cycles: AtomicU64,
-    /// Cycles synthesizing HTTP responses (the paper's "other").
-    respond_cycles: AtomicU64,
-    /// HTTP transactions measured into the counters above.
-    transactions: AtomicU64,
+    record_crypto_cycles: Counter,
+    /// Workload responses served: the transactions of Table 1.
+    transactions: Counter,
+    /// Cycles synthesizing those responses (the paper's "other").
+    respond_cycles: Counter,
+    pub(crate) errors: Counter,
+    pub(crate) timeouts: Counter,
+    pub(crate) alerts_sent: Counter,
+    /// Deadline expiries forgiven because the connection was waiting on
+    /// the crypto pool, not on the client.
+    pub(crate) crypto_deadline_deferrals: Counter,
+    /// Jobs the crypto pool accepted, of every class.
+    pub(crate) crypto_jobs: Counter,
+    /// Bulk-cipher (record sealing) jobs the pool accepted.
+    pub(crate) crypto_bulk_jobs: Counter,
+    /// Jobs currently queued or executing. Incremented at enqueue inside
+    /// the pool's submission lock, decremented when execution *completes*
+    /// (not when an engine dequeues), so bursts absorbed into one batch
+    /// stay fully visible to the max below.
+    pub(crate) crypto_queue_depth: AtomicU64,
+    pub(crate) crypto_queue_depth_max: AtomicU64,
+    /// Cycles each executed pool job waited in the queue.
+    crypto_queue_wait: Histogram,
+    /// Cycles each executed pool job ran (RSA decrypt, DHE pair, bulk
+    /// seal; amortized across its batch when batched).
+    crypto_exec: Histogram,
     /// Jobs per executed crypto-pool batch (1 = solo execution).
     batch_size: Histogram,
-    /// Cycles per RSA decrypt when executed solo (batch of one).
+    /// Cycles per job when executed solo (batch of one).
     exec_solo: Histogram,
-    /// Amortized cycles per RSA decrypt inside batches of two or more.
+    /// Amortized cycles per job inside batches of two or more, one entry
+    /// per job.
     exec_amortized: Histogram,
-    /// Session-ticket outcomes (stateless resumption), per handshake.
-    tickets_issued: AtomicU64,
-    tickets_accepted: AtomicU64,
-    tickets_rejected: AtomicU64,
-    tickets_expired: AtomicU64,
 }
 
-impl Default for ServerMetrics {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl ServerMetrics {
-    /// An empty registry.
-    #[must_use]
-    pub fn new() -> Self {
-        ServerMetrics {
-            steps: std::array::from_fn(|_| Histogram::new()),
-            tls13_steps: std::array::from_fn(|_| Histogram::new()),
-            kx_queue_wait: Histogram::new(),
-            kx_exec: Histogram::new(),
-            full_handshake: Histogram::new(),
-            resumed_handshake: Histogram::new(),
-            tls13_full_handshake: Histogram::new(),
-            full_crypto_cycles: AtomicU64::new(0),
-            resumed_crypto_cycles: AtomicU64::new(0),
-            tls13_crypto_cycles: AtomicU64::new(0),
-            records_opened: AtomicU64::new(0),
-            records_sealed: AtomicU64::new(0),
-            bytes_in: AtomicU64::new(0),
-            bytes_out: AtomicU64::new(0),
-            open_cycles: AtomicU64::new(0),
-            seal_cycles: AtomicU64::new(0),
-            record_crypto_cycles: AtomicU64::new(0),
-            respond_cycles: AtomicU64::new(0),
-            transactions: AtomicU64::new(0),
-            batch_size: Histogram::new(),
-            exec_solo: Histogram::new(),
-            exec_amortized: Histogram::new(),
-            tickets_issued: AtomicU64::new(0),
-            tickets_accepted: AtomicU64::new(0),
-            tickets_rejected: AtomicU64::new(0),
-            tickets_expired: AtomicU64::new(0),
-        }
-    }
-
-    /// Feeds one completed handshake's anatomy into the registry.
+impl ServerStats {
+    /// Feeds one completed handshake's anatomy into the registry: the one
+    /// place a handshake's outcome is counted.
     ///
     /// The ledger routes by protocol: SSLv3 full handshakes populate the
     /// Table 2 step histograms and the Table 3 crypto accumulators,
     /// resumed handshakes only record their end-to-end latency (their
     /// step mix is not the paper's Table 2), and TLS 1.3 handshakes feed
     /// their own step histograms so the two anatomies render side by
-    /// side. The key-exchange offload split is pooled across protocols —
-    /// it describes the crypto pool, not a protocol.
+    /// side. The ledger's key-exchange queue wait and execution are not
+    /// read here: the pool engine that ran the job records them.
     pub fn note_handshake(&self, ledger: &HandshakeLedger) {
-        self.tickets_issued.fetch_add(u64::from(ledger.ticket_issued), Ordering::Relaxed);
-        self.tickets_accepted.fetch_add(u64::from(ledger.ticket_accepted), Ordering::Relaxed);
-        self.tickets_rejected.fetch_add(u64::from(ledger.ticket_rejected), Ordering::Relaxed);
-        self.tickets_expired.fetch_add(u64::from(ledger.ticket_expired), Ordering::Relaxed);
+        self.tickets_issued.add(u64::from(ledger.ticket_issued));
+        self.tickets_accepted.add(u64::from(ledger.ticket_accepted));
+        self.tickets_rejected.add(u64::from(ledger.ticket_rejected));
+        self.tickets_expired.add(u64::from(ledger.ticket_expired));
         if ledger.resumed {
             self.resumed_handshake.record(ledger.total.get());
-            self.resumed_crypto_cycles.fetch_add(ledger.crypto.get(), Ordering::Relaxed);
+            self.resumed_crypto_cycles.add(ledger.crypto.get());
             return;
         }
         let (handshake, crypto, steps) = match ledger.protocol {
@@ -150,15 +145,9 @@ impl ServerMetrics {
             }
         };
         handshake.record(ledger.total.get());
-        crypto.fetch_add(ledger.crypto.get(), Ordering::Relaxed);
+        crypto.add(ledger.crypto.get());
         for (hist, (_, cycles)) in steps.iter().zip(ledger.steps.iter()) {
             hist.record(cycles.get());
-        }
-        if ledger.kx_queue_wait.get() > 0 {
-            self.kx_queue_wait.record(ledger.kx_queue_wait.get());
-        }
-        if ledger.kx_exec.get() > 0 {
-            self.kx_exec.record(ledger.kx_exec.get());
         }
     }
 
@@ -166,40 +155,186 @@ impl ServerMetrics {
     /// `payload` plaintext bytes, `cycles` across the whole open, of which
     /// `crypto` were inside cipher + MAC kernels.
     pub fn note_record_open(&self, payload: usize, cycles: Cycles, crypto: Cycles) {
-        self.records_opened.fetch_add(1, Ordering::Relaxed);
-        self.bytes_in.fetch_add(payload as u64, Ordering::Relaxed);
-        self.open_cycles.fetch_add(cycles.get(), Ordering::Relaxed);
-        self.record_crypto_cycles.fetch_add(crypto.get(), Ordering::Relaxed);
+        self.records_opened.inc();
+        self.bytes_in.add(payload as u64);
+        self.open_cycles.add(cycles.get());
+        self.record_crypto_cycles.add(crypto.get());
     }
 
-    /// Records one application record sealed on the write path (same
-    /// accounting as [`ServerMetrics::note_record_open`]).
+    /// Records one response's sealing on the write path (same accounting
+    /// as [`ServerStats::note_record_open`]).
     pub fn note_record_seal(&self, payload: usize, cycles: Cycles, crypto: Cycles) {
-        self.records_sealed.fetch_add(1, Ordering::Relaxed);
-        self.bytes_out.fetch_add(payload as u64, Ordering::Relaxed);
-        self.seal_cycles.fetch_add(cycles.get(), Ordering::Relaxed);
-        self.record_crypto_cycles.fetch_add(crypto.get(), Ordering::Relaxed);
+        self.records_sealed.inc();
+        self.bytes_out.add(payload as u64);
+        self.seal_cycles.add(cycles.get());
+        self.record_crypto_cycles.add(crypto.get());
     }
 
-    /// Records one HTTP transaction: the cycles spent synthesizing the
-    /// response (the paper's non-SSL "other" share).
+    /// Records one transaction: a workload response, and the cycles spent
+    /// synthesizing it (the paper's non-SSL "other" share).
     pub fn note_response(&self, cycles: Cycles) {
-        self.transactions.fetch_add(1, Ordering::Relaxed);
-        self.respond_cycles.fetch_add(cycles.get(), Ordering::Relaxed);
+        self.transactions.inc();
+        self.respond_cycles.add(cycles.get());
     }
 
-    /// Records one executed crypto-pool batch: its size, and the per-decrypt
-    /// execution cost — into the solo histogram for a batch of one, into
-    /// the amortized histogram (weighted by size, so quantiles are
-    /// per-job) for real batches. The solo-vs-amortized split is the batch
-    /// ablation's headline number.
-    pub fn note_crypto_batch(&self, size: usize, per_job_exec: Cycles) {
-        self.batch_size.record(size as u64);
-        if size <= 1 {
-            self.exec_solo.record(per_job_exec.get());
+    /// Records one executed crypto-pool batch: its size; each job's queue
+    /// wait and execution; and the per-job execution cost into the solo
+    /// histogram for a batch of one, into the amortized histogram
+    /// (weighted by size, so quantiles are per-job) for real batches. The
+    /// solo-vs-amortized split is the batch ablation's headline number.
+    pub(crate) fn note_crypto_batch(&self, dones: &[CryptoDone]) {
+        let Some(first) = dones.first() else { return };
+        let size = dones.len() as u64;
+        self.batch_size.record(size);
+        if size == 1 {
+            self.exec_solo.record(first.exec().get());
         } else {
-            self.exec_amortized.record_n(per_job_exec.get(), size as u64);
+            self.exec_amortized.record_n(first.exec().get(), size);
         }
+        for done in dones {
+            self.crypto_queue_wait.record(done.queue_wait().get());
+            self.crypto_exec.record(done.exec().get());
+        }
+    }
+
+    /// Connections whose handshake completed.
+    #[must_use]
+    pub fn connections(&self) -> u64 {
+        self.full_handshakes() + self.resumed_handshakes()
+    }
+
+    /// Workload request/response exchanges served: documents and 404s,
+    /// not the `/metrics` exposition.
+    #[must_use]
+    pub fn transactions(&self) -> u64 {
+        self.transactions.get()
+    }
+
+    /// Handshakes that ran a full key exchange, either protocol.
+    #[must_use]
+    pub fn full_handshakes(&self) -> u64 {
+        self.full_handshake.count() + self.tls13_full_handshake.count()
+    }
+
+    /// Handshakes resumed from the session cache or a ticket.
+    #[must_use]
+    pub fn resumed_handshakes(&self) -> u64 {
+        self.resumed_handshake.count()
+    }
+
+    /// Connections dropped on protocol or transport errors.
+    #[must_use]
+    pub fn errors(&self) -> u64 {
+        self.errors.get()
+    }
+
+    /// Connections evicted after stalling past the I/O timeout (the
+    /// slowloris guard; not double-counted in [`ServerStats::errors`]).
+    #[must_use]
+    pub fn timeouts(&self) -> u64 {
+        self.timeouts.get()
+    }
+
+    /// Alert records sent before closing, including orderly `close_notify`
+    /// replies — every error path says goodbye on the wire.
+    #[must_use]
+    pub fn alerts_sent(&self) -> u64 {
+        self.alerts_sent.get()
+    }
+
+    /// Jobs the crypto pool accepted — RSA decryptions, DHE agreements and
+    /// bulk seals alike (0 in inline modes).
+    #[must_use]
+    pub fn crypto_jobs(&self) -> u64 {
+        self.crypto_jobs.get()
+    }
+
+    /// Jobs currently queued or executing in the crypto pool (transient;
+    /// settles to 0 when the pool is idle).
+    #[must_use]
+    pub fn crypto_queue_depth(&self) -> u64 {
+        self.crypto_queue_depth.load(Ordering::Relaxed)
+    }
+
+    /// High-water mark of in-flight crypto jobs (queued + executing),
+    /// sampled at enqueue inside the submission lock — how deep the
+    /// parallel-engine backlog ever got, burst-accurate even when a batch
+    /// collector absorbs the whole burst at once.
+    #[must_use]
+    pub fn crypto_queue_depth_max(&self) -> u64 {
+        self.crypto_queue_depth_max.load(Ordering::Relaxed)
+    }
+
+    /// Total cycles jobs spent waiting in the crypto queue before a
+    /// worker picked them up.
+    #[must_use]
+    pub fn crypto_queue_wait(&self) -> Cycles {
+        Cycles::new(self.crypto_queue_wait.sum())
+    }
+
+    /// Total cycles workers spent executing jobs of every class (RSA
+    /// decryption, DHE agreement, bulk seal).
+    #[must_use]
+    pub fn crypto_exec(&self) -> Cycles {
+        Cycles::new(self.crypto_exec.sum())
+    }
+
+    /// Event-loop deadline expiries that were *deferred* rather than
+    /// evicted because the connection's key-exchange job was queued or
+    /// executing — crypto-pool wait is the server's latency, not the
+    /// client's, so it must not trip the slowloris guard. A nonzero value
+    /// under load means the pool is saturated enough that queue wait
+    /// exceeds [`ServerOptions::io_timeout`](crate::ServerOptions::io_timeout).
+    #[must_use]
+    pub fn crypto_deadline_deferrals(&self) -> u64 {
+        self.crypto_deadline_deferrals.get()
+    }
+
+    /// Batches the crypto pool executed — one per collector drain, whether
+    /// it gathered one job or `batch_max`.
+    #[must_use]
+    pub fn crypto_batches(&self) -> u64 {
+        self.batch_size.count()
+    }
+
+    /// Jobs that ran inside a real batch (two or more combined). Solo
+    /// executions are `crypto_jobs - crypto_batched_jobs`.
+    #[must_use]
+    pub fn crypto_batched_jobs(&self) -> u64 {
+        self.exec_amortized.count()
+    }
+
+    /// NewSessionTickets issued on full handshakes (0 without a keyring).
+    #[must_use]
+    pub fn tickets_issued(&self) -> u64 {
+        self.tickets_issued.get()
+    }
+
+    /// Handshakes resumed from a client-presented ticket.
+    #[must_use]
+    pub fn tickets_accepted(&self) -> u64 {
+        self.tickets_accepted.get()
+    }
+
+    /// Tickets rejected as tampered or sealed under an unknown key; each
+    /// fell back silently to a full handshake.
+    #[must_use]
+    pub fn tickets_rejected(&self) -> u64 {
+        self.tickets_rejected.get()
+    }
+
+    /// Tickets rejected as expired; each fell back silently to a full
+    /// handshake.
+    #[must_use]
+    pub fn tickets_expired(&self) -> u64 {
+        self.tickets_expired.get()
+    }
+
+    /// Bulk-cipher (record sealing) jobs the pool accepted; every engine
+    /// runs them. Also counted in [`ServerStats::crypto_jobs`].
+    #[must_use]
+    pub fn crypto_bulk_jobs(&self) -> u64 {
+        self.crypto_bulk_jobs.get()
     }
 
     /// Freezes the registry into an owned, renderable snapshot.
@@ -218,30 +353,30 @@ impl ServerMetrics {
                 name: TLS13_STEP_NAMES[i],
                 latency: self.tls13_steps[i].snapshot(),
             }),
-            kx_queue_wait: self.kx_queue_wait.snapshot(),
-            kx_exec: self.kx_exec.snapshot(),
+            kx_queue_wait: self.crypto_queue_wait.snapshot(),
+            kx_exec: self.crypto_exec.snapshot(),
             full_handshake: self.full_handshake.snapshot(),
             resumed_handshake: self.resumed_handshake.snapshot(),
             tls13_full_handshake: self.tls13_full_handshake.snapshot(),
-            full_crypto_cycles: self.full_crypto_cycles.load(Ordering::Relaxed),
-            resumed_crypto_cycles: self.resumed_crypto_cycles.load(Ordering::Relaxed),
-            tls13_crypto_cycles: self.tls13_crypto_cycles.load(Ordering::Relaxed),
-            records_opened: self.records_opened.load(Ordering::Relaxed),
-            records_sealed: self.records_sealed.load(Ordering::Relaxed),
-            bytes_in: self.bytes_in.load(Ordering::Relaxed),
-            bytes_out: self.bytes_out.load(Ordering::Relaxed),
-            open_cycles: self.open_cycles.load(Ordering::Relaxed),
-            seal_cycles: self.seal_cycles.load(Ordering::Relaxed),
-            record_crypto_cycles: self.record_crypto_cycles.load(Ordering::Relaxed),
-            respond_cycles: self.respond_cycles.load(Ordering::Relaxed),
-            transactions: self.transactions.load(Ordering::Relaxed),
+            full_crypto_cycles: self.full_crypto_cycles.get(),
+            resumed_crypto_cycles: self.resumed_crypto_cycles.get(),
+            tls13_crypto_cycles: self.tls13_crypto_cycles.get(),
+            records_opened: self.records_opened.get(),
+            records_sealed: self.records_sealed.get(),
+            bytes_in: self.bytes_in.get(),
+            bytes_out: self.bytes_out.get(),
+            open_cycles: self.open_cycles.get(),
+            seal_cycles: self.seal_cycles.get(),
+            record_crypto_cycles: self.record_crypto_cycles.get(),
+            respond_cycles: self.respond_cycles.get(),
+            transactions: self.transactions.get(),
             batch_size: self.batch_size.snapshot(),
             exec_solo: self.exec_solo.snapshot(),
             exec_amortized: self.exec_amortized.snapshot(),
-            tickets_issued: self.tickets_issued.load(Ordering::Relaxed),
-            tickets_accepted: self.tickets_accepted.load(Ordering::Relaxed),
-            tickets_rejected: self.tickets_rejected.load(Ordering::Relaxed),
-            tickets_expired: self.tickets_expired.load(Ordering::Relaxed),
+            tickets_issued: self.tickets_issued.get(),
+            tickets_accepted: self.tickets_accepted.get(),
+            tickets_rejected: self.tickets_rejected.get(),
+            tickets_expired: self.tickets_expired.get(),
         }
     }
 }
@@ -256,7 +391,7 @@ pub struct StepSnapshot {
     pub latency: HistogramSnapshot,
 }
 
-/// A point-in-time copy of a [`ServerMetrics`] registry.
+/// A point-in-time copy of a [`ServerStats`] registry.
 ///
 /// All fields are plain owned data; [`MetricsSnapshot::render`] lays them
 /// out in the paper's table shapes.
@@ -267,12 +402,12 @@ pub struct MetricsSnapshot {
     pub steps: [StepSnapshot; 10],
     /// Per-step TLS 1.3 latency across handshakes, in wire order.
     pub tls13_steps: [StepSnapshot; 10],
-    /// Key-exchange crypto-pool queue wait, both protocols (empty when
+    /// Crypto-pool queue wait per executed job, both protocols (empty when
     /// running inline). Kept out of the step and crypto totals: it is
     /// waiting, not processing.
     pub kx_queue_wait: HistogramSnapshot,
-    /// Key-exchange private-operation execution time (RSA decrypt or DHE
-    /// exponentiation pair).
+    /// Crypto-pool execution time per job: the private operation (RSA
+    /// decrypt or DHE exponentiation pair), amortized across its batch.
     pub kx_exec: HistogramSnapshot,
     /// End-to-end full SSLv3-handshake latency.
     pub full_handshake: HistogramSnapshot,
@@ -619,6 +754,9 @@ fn kilo(cycles: u64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sslperf_rng::SslRng;
+    use sslperf_rsa::RsaPrivateKey;
+    use sslperf_ssl::CryptoJob;
 
     fn ledger(resumed: bool, step_cost: u64, crypto: u64) -> HandshakeLedger {
         HandshakeLedger {
@@ -652,9 +790,17 @@ mod tests {
         }
     }
 
+    /// `size` executed one-record seal jobs, as an engine hands them back.
+    fn executed(size: usize) -> Vec<CryptoDone> {
+        let mut rng = SslRng::from_seed(b"metrics-unit-key");
+        let key = RsaPrivateKey::generate(512, &mut rng).expect("keygen");
+        let jobs = (0..size).map(|_| CryptoJob::new_bulk(vec![0x5a; 64], rng.clone())).collect();
+        CryptoJob::execute_batch(jobs, &key)
+    }
+
     #[test]
     fn full_handshake_populates_steps_and_crypto_share() {
-        let m = ServerMetrics::new();
+        let m = ServerStats::default();
         m.note_handshake(&ledger(false, 100, 900));
         let snap = m.snapshot();
         assert_eq!(snap.full_handshake.count(), 1);
@@ -664,13 +810,14 @@ mod tests {
         for step in &snap.steps {
             assert_eq!(step.latency.count(), 1, "step {}", step.name);
         }
-        assert_eq!(snap.kx_exec.count(), 1);
-        assert_eq!(snap.kx_queue_wait.count(), 0);
+        assert_eq!((m.connections(), m.full_handshakes(), m.resumed_handshakes()), (1, 1, 0));
+        // The ledger's offload split is the pool's to record, not ours.
+        assert_eq!((snap.kx_exec.count(), snap.kx_queue_wait.count()), (0, 0));
     }
 
     #[test]
     fn tls13_ledgers_route_to_their_own_anatomy() {
-        let m = ServerMetrics::new();
+        let m = ServerStats::default();
         m.note_handshake(&ledger(false, 100, 900));
         m.note_handshake(&tls13_ledger(80, 600));
         let snap = m.snapshot();
@@ -685,8 +832,8 @@ mod tests {
         for step in &snap.tls13_steps {
             assert_eq!(step.latency.count(), 1, "tls13 step {}", step.name);
         }
-        // ...but the pooled key-exchange split sees both.
-        assert_eq!(snap.kx_exec.count(), 2);
+        // ...but both are full handshakes to the getters.
+        assert_eq!((m.full_handshakes(), m.connections()), (2, 2));
         let text = snap.render();
         assert!(text.contains("Live anatomy: TLS 1.3"), "{text}");
         assert!(text.contains("dhe_key_exchange"), "{text}");
@@ -695,7 +842,7 @@ mod tests {
 
     #[test]
     fn tls13_section_absent_without_tls13_traffic() {
-        let m = ServerMetrics::new();
+        let m = ServerStats::default();
         m.note_handshake(&ledger(false, 100, 900));
         let text = m.snapshot().render();
         assert!(!text.contains("Live anatomy: TLS 1.3"), "{text}");
@@ -703,7 +850,7 @@ mod tests {
 
     #[test]
     fn resumed_handshake_skips_step_histograms() {
-        let m = ServerMetrics::new();
+        let m = ServerStats::default();
         m.note_handshake(&ledger(true, 10, 50));
         let snap = m.snapshot();
         assert_eq!(snap.resumed_handshake.count(), 1);
@@ -712,11 +859,12 @@ mod tests {
         for step in &snap.steps {
             assert_eq!(step.latency.count(), 0);
         }
+        assert_eq!((m.connections(), m.full_handshakes(), m.resumed_handshakes()), (1, 0, 1));
     }
 
     #[test]
     fn per_transaction_split_accounts_every_cycle_once() {
-        let m = ServerMetrics::new();
+        let m = ServerStats::default();
         m.note_handshake(&ledger(false, 100, 800));
         m.note_record_open(64, Cycles::new(300), Cycles::new(200));
         m.note_record_seal(128, Cycles::new(500), Cycles::new(400));
@@ -724,6 +872,7 @@ mod tests {
         m.note_response(Cycles::new(150));
         let snap = m.snapshot();
         assert_eq!(snap.transactions, 2);
+        assert_eq!(m.transactions(), 2, "the getter and the snapshot read one counter");
         // libcrypto: (800 handshake + 600 record) / 2 txns.
         assert_eq!(snap.libcrypto_cycles_per_transaction(), 700);
         // libssl: (1000-800 handshake) + (800-600 record) = 400 / 2.
@@ -735,7 +884,7 @@ mod tests {
 
     #[test]
     fn render_contains_all_three_tables() {
-        let m = ServerMetrics::new();
+        let m = ServerStats::default();
         m.note_handshake(&ledger(false, 100, 850));
         m.note_response(Cycles::new(10));
         let text = m.snapshot().render();
@@ -743,14 +892,35 @@ mod tests {
         assert!(text.contains("Live Table 2"), "{text}");
         assert!(text.contains("Live Table 3"), "{text}");
         assert!(text.contains("get_client_kx"), "{text}");
+    }
+
+    /// A pool batch is recorded once, and the batch getters, the per-job
+    /// timing getters and the rendered offload split all read that record.
+    #[test]
+    fn pool_batches_feed_the_getters_and_the_split() {
+        let m = ServerStats::default();
+        let solo = executed(1);
+        let batch = executed(3);
+        m.note_crypto_batch(&solo);
+        m.note_crypto_batch(&batch);
+        m.note_crypto_batch(&[]);
+        assert_eq!((m.crypto_batches(), m.crypto_batched_jobs()), (2, 3));
+        let exec: u64 = solo.iter().chain(&batch).map(|d| d.exec().get()).sum();
+        let wait: u64 = solo.iter().chain(&batch).map(|d| d.queue_wait().get()).sum();
+        assert_eq!((m.crypto_exec().get(), m.crypto_queue_wait().get()), (exec, wait));
+        let snap = m.snapshot();
+        assert_eq!((snap.kx_exec.count(), snap.kx_queue_wait.count()), (4, 4));
+        assert_eq!((snap.exec_solo.count(), snap.exec_amortized.count()), (1, 3));
+        let text = snap.render();
         assert!(text.contains("Key-exchange offload split"), "{text}");
+        assert!(text.contains("kx_queue_wait"), "{text}");
+        assert!(text.contains("Crypto-pool batching"), "{text}");
     }
 
     #[test]
-    fn queue_wait_and_ticket_flags_reach_the_snapshot() {
-        let m = ServerMetrics::new();
+    fn ticket_flags_reach_the_getters_and_the_snapshot() {
+        let m = ServerStats::default();
         let mut full = ledger(false, 100, 800);
-        full.kx_queue_wait = Cycles::new(50);
         full.ticket_issued = true;
         m.note_handshake(&full);
         let mut resumed = ledger(true, 10, 40);
@@ -759,23 +929,28 @@ mod tests {
         let mut fallback = ledger(false, 100, 800);
         fallback.ticket_rejected = true;
         m.note_handshake(&fallback);
+        let mut stale = ledger(false, 100, 800);
+        stale.ticket_expired = true;
+        m.note_handshake(&stale);
+        let getters =
+            (m.tickets_issued(), m.tickets_accepted(), m.tickets_rejected(), m.tickets_expired());
+        assert_eq!(getters, (1, 1, 1, 1));
         let snap = m.snapshot();
-        assert_eq!(snap.kx_queue_wait.count(), 1);
-        assert_eq!(snap.kx_queue_wait.sum(), 50);
-        assert_eq!(snap.tickets_issued, 1);
-        assert_eq!(snap.tickets_accepted, 1);
-        assert_eq!(snap.tickets_rejected, 1);
-        assert_eq!(snap.tickets_expired, 0);
+        let snapped = (
+            snap.tickets_issued,
+            snap.tickets_accepted,
+            snap.tickets_rejected,
+            snap.tickets_expired,
+        );
+        assert_eq!(snapped, getters);
         let text = snap.render();
-        assert!(text.contains("kx_queue_wait"), "{text}");
-        assert!(text.contains("batch amortization"), "{text}");
-        assert!(text.contains("tickets issued/accepted/rejected/expired 1/1/1/0"), "{text}");
+        assert!(text.contains("tickets issued/accepted/rejected/expired 1/1/1/1"), "{text}");
     }
 
     #[test]
     fn empty_snapshot_renders_without_division_blowups() {
-        let text = ServerMetrics::new().snapshot().render();
+        let text = ServerStats::default().snapshot().render();
         assert!(text.contains("Live Table 2"));
-        assert_eq!(ServerMetrics::new().snapshot().handshake_crypto_percent(), 0.0);
+        assert_eq!(ServerStats::default().snapshot().handshake_crypto_percent(), 0.0);
     }
 }

@@ -1,10 +1,10 @@
 //! What every [`EventLoopServer`](crate::EventLoopServer) is configured
-//! and observed through: [`ServerOptions`] (with its validating builder),
-//! the [`ServerStats`] counters, the shared [`ServerConfig`] construction,
-//! the close-alert policy, and the HTTP document responder.
+//! through: [`ServerOptions`] (with its validating builder), the shared
+//! [`ServerConfig`] construction, the close-alert policy, and the HTTP
+//! document responder.
 
 use crate::cache::ShardedSessionCache;
-use crate::metrics::ServerMetrics;
+use crate::metrics::ServerStats;
 use sslperf_profile::{measure, Cycles};
 use sslperf_rsa::RsaPrivateKey;
 use sslperf_ssl::alert::{Alert, AlertDescription};
@@ -12,7 +12,6 @@ use sslperf_ssl::{
     Engine, ServerConfig, ServerMachine, SslError, TicketKeyring, TicketSessionStore,
 };
 use sslperf_websim::http::{HttpRequest, HttpResponse, ResponseStream};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -38,13 +37,13 @@ pub struct ServerOptions {
     /// treated as cache misses (full handshake) and removed on lookup.
     /// `None` — the default — never expires sessions by age.
     pub session_ttl: Option<Duration>,
-    /// When true, every connection feeds its handshake-step ledger and
-    /// record-path crypto cycles into a [`ServerMetrics`] registry
-    /// (retrieved with
-    /// [`EventLoopServer::metrics`](crate::EventLoopServer::metrics)), and
-    /// `GET /metrics` returns the rendered
-    /// [`MetricsSnapshot`](crate::MetricsSnapshot) instead of a document.
-    /// Off by default: the anatomy costs a few atomics per record.
+    /// When true, `GET /metrics` returns the rendered
+    /// [`MetricsSnapshot`](crate::MetricsSnapshot) of the server's
+    /// [`ServerStats`] instead of a document. Recording is always on
+    /// whatever this says (read it with
+    /// [`EventLoopServer::stats`](crate::EventLoopServer::stats)); this
+    /// only decides whether any client may read it. Off by default: the
+    /// exposition shows server internals to whoever asks.
     pub metrics: bool,
     /// Most RSA jobs one crypto-pool batch may combine. `1` — the default
     /// — executes every job solo, exactly as before batching existed.
@@ -180,7 +179,7 @@ impl ServerOptionsBuilder {
         self
     }
 
-    /// Enables the live handshake-anatomy metrics registry.
+    /// Serves the rendered registry on `GET /metrics`.
     #[must_use]
     pub fn metrics(mut self, enabled: bool) -> Self {
         self.options.metrics = enabled;
@@ -223,207 +222,6 @@ impl ServerOptionsBuilder {
             return Err(OptionsError::BatchWithoutPool);
         }
         Ok(self.options)
-    }
-}
-
-/// Monotonic serving counters, shared across shards and crypto engines.
-#[derive(Debug, Default)]
-pub struct ServerStats {
-    pub(crate) connections: AtomicU64,
-    pub(crate) transactions: AtomicU64,
-    pub(crate) full_handshakes: AtomicU64,
-    pub(crate) resumed_handshakes: AtomicU64,
-    pub(crate) errors: AtomicU64,
-    pub(crate) timeouts: AtomicU64,
-    pub(crate) alerts_sent: AtomicU64,
-    pub(crate) crypto_jobs: AtomicU64,
-    /// Jobs currently queued or executing. Incremented at enqueue inside
-    /// the pool's submission lock, decremented when execution *completes*
-    /// (not when an engine dequeues), so bursts absorbed into one batch
-    /// stay fully visible to the max below.
-    pub(crate) crypto_queue_depth: AtomicU64,
-    pub(crate) crypto_queue_depth_max: AtomicU64,
-    pub(crate) crypto_queue_wait_cycles: AtomicU64,
-    pub(crate) crypto_exec_cycles: AtomicU64,
-    /// Deadline expiries forgiven because the connection was waiting on
-    /// the crypto pool, not on the client.
-    pub(crate) crypto_deadline_deferrals: AtomicU64,
-    /// Batches the crypto pool executed (each counts 1, whatever its size).
-    pub(crate) crypto_batches: AtomicU64,
-    /// Jobs executed inside batches of two or more.
-    pub(crate) crypto_batched_jobs: AtomicU64,
-    /// NewSessionTickets issued on full handshakes.
-    pub(crate) tickets_issued: AtomicU64,
-    /// Handshakes resumed from a client-presented ticket.
-    pub(crate) tickets_accepted: AtomicU64,
-    /// Tickets rejected as tampered/unknown (fell back to full handshake).
-    pub(crate) tickets_rejected: AtomicU64,
-    /// Tickets rejected as expired (fell back to full handshake).
-    pub(crate) tickets_expired: AtomicU64,
-    /// Bulk-cipher (record sealing) jobs accepted by the pool.
-    pub(crate) crypto_bulk_jobs: AtomicU64,
-}
-
-impl ServerStats {
-    /// Connections whose handshake completed.
-    #[must_use]
-    pub fn connections(&self) -> u64 {
-        self.connections.load(Ordering::Relaxed)
-    }
-
-    /// HTTP request/response exchanges served.
-    #[must_use]
-    pub fn transactions(&self) -> u64 {
-        self.transactions.load(Ordering::Relaxed)
-    }
-
-    /// Handshakes that ran the full RSA key exchange.
-    #[must_use]
-    pub fn full_handshakes(&self) -> u64 {
-        self.full_handshakes.load(Ordering::Relaxed)
-    }
-
-    /// Handshakes resumed from the session cache.
-    #[must_use]
-    pub fn resumed_handshakes(&self) -> u64 {
-        self.resumed_handshakes.load(Ordering::Relaxed)
-    }
-
-    /// Connections dropped on protocol or transport errors.
-    #[must_use]
-    pub fn errors(&self) -> u64 {
-        self.errors.load(Ordering::Relaxed)
-    }
-
-    /// Connections evicted after stalling past the I/O timeout (the
-    /// slowloris guard; not double-counted in [`ServerStats::errors`]).
-    #[must_use]
-    pub fn timeouts(&self) -> u64 {
-        self.timeouts.load(Ordering::Relaxed)
-    }
-
-    /// Alert records sent before closing, including orderly `close_notify`
-    /// replies — every error path says goodbye on the wire.
-    #[must_use]
-    pub fn alerts_sent(&self) -> u64 {
-        self.alerts_sent.load(Ordering::Relaxed)
-    }
-
-    /// Jobs the crypto pool accepted — RSA decryptions, DHE agreements and
-    /// bulk seals alike (0 in inline modes).
-    #[must_use]
-    pub fn crypto_jobs(&self) -> u64 {
-        self.crypto_jobs.load(Ordering::Relaxed)
-    }
-
-    /// Jobs currently queued or executing in the crypto pool (transient;
-    /// settles to 0 when the pool is idle).
-    #[must_use]
-    pub fn crypto_queue_depth(&self) -> u64 {
-        self.crypto_queue_depth.load(Ordering::Relaxed)
-    }
-
-    /// High-water mark of in-flight crypto jobs (queued + executing),
-    /// sampled at enqueue inside the submission lock — how deep the
-    /// parallel-engine backlog ever got, burst-accurate even when a batch
-    /// collector absorbs the whole burst at once.
-    #[must_use]
-    pub fn crypto_queue_depth_max(&self) -> u64 {
-        self.crypto_queue_depth_max.load(Ordering::Relaxed)
-    }
-
-    /// Total cycles jobs spent waiting in the crypto queue before a
-    /// worker picked them up.
-    #[must_use]
-    pub fn crypto_queue_wait(&self) -> Cycles {
-        Cycles::new(self.crypto_queue_wait_cycles.load(Ordering::Relaxed))
-    }
-
-    /// Total cycles workers spent executing jobs of every class (RSA
-    /// decryption, DHE agreement, bulk seal).
-    #[must_use]
-    pub fn crypto_exec(&self) -> Cycles {
-        Cycles::new(self.crypto_exec_cycles.load(Ordering::Relaxed))
-    }
-
-    /// Event-loop deadline expiries that were *deferred* rather than
-    /// evicted because the connection's key-exchange job was queued or
-    /// executing — crypto-pool wait is the server's latency, not the
-    /// client's, so it must not trip the slowloris guard. A nonzero value
-    /// under load means the pool is saturated enough that queue wait
-    /// exceeds [`ServerOptions::io_timeout`].
-    #[must_use]
-    pub fn crypto_deadline_deferrals(&self) -> u64 {
-        self.crypto_deadline_deferrals.load(Ordering::Relaxed)
-    }
-
-    /// Batches the crypto pool executed — one per collector drain, whether
-    /// it gathered one job or `batch_max`.
-    #[must_use]
-    pub fn crypto_batches(&self) -> u64 {
-        self.crypto_batches.load(Ordering::Relaxed)
-    }
-
-    /// Jobs that ran inside a real batch (two or more combined). Solo
-    /// executions are `crypto_jobs - crypto_batched_jobs`.
-    #[must_use]
-    pub fn crypto_batched_jobs(&self) -> u64 {
-        self.crypto_batched_jobs.load(Ordering::Relaxed)
-    }
-
-    /// NewSessionTickets issued on full handshakes (0 without a keyring).
-    #[must_use]
-    pub fn tickets_issued(&self) -> u64 {
-        self.tickets_issued.load(Ordering::Relaxed)
-    }
-
-    /// Handshakes resumed from a client-presented ticket.
-    #[must_use]
-    pub fn tickets_accepted(&self) -> u64 {
-        self.tickets_accepted.load(Ordering::Relaxed)
-    }
-
-    /// Tickets rejected as tampered or sealed under an unknown key; each
-    /// fell back silently to a full handshake.
-    #[must_use]
-    pub fn tickets_rejected(&self) -> u64 {
-        self.tickets_rejected.load(Ordering::Relaxed)
-    }
-
-    /// Tickets rejected as expired; each fell back silently to a full
-    /// handshake.
-    #[must_use]
-    pub fn tickets_expired(&self) -> u64 {
-        self.tickets_expired.load(Ordering::Relaxed)
-    }
-
-    /// Bulk-cipher (record sealing) jobs the pool accepted; every engine
-    /// runs them. Also counted in [`ServerStats::crypto_jobs`].
-    #[must_use]
-    pub fn crypto_bulk_jobs(&self) -> u64 {
-        self.crypto_bulk_jobs.load(Ordering::Relaxed)
-    }
-
-    /// Bumps the ticket counters from one completed handshake's flags.
-    pub(crate) fn note_ticket_flags(
-        &self,
-        issued: bool,
-        accepted: bool,
-        rejected: bool,
-        expired: bool,
-    ) {
-        if issued {
-            self.tickets_issued.fetch_add(1, Ordering::Relaxed);
-        }
-        if accepted {
-            self.tickets_accepted.fetch_add(1, Ordering::Relaxed);
-        }
-        if rejected {
-            self.tickets_rejected.fetch_add(1, Ordering::Relaxed);
-        }
-        if expired {
-            self.tickets_expired.fetch_add(1, Ordering::Relaxed);
-        }
     }
 }
 
@@ -472,8 +270,8 @@ pub(crate) fn alert_for_close(error: &SslError) -> Option<Alert> {
 pub(crate) struct Outgoing {
     stream: ResponseStream,
     /// Whether the response is workload (a document, a 404) and so counts
-    /// as a transaction in Table 1's "other" bucket. The `/metrics`
-    /// exposition does not — it is observability.
+    /// as a transaction. The `/metrics` exposition does not — it is
+    /// observability.
     workload: bool,
     /// Cycles building the head and generating body bytes.
     respond_cycles: Cycles,
@@ -484,21 +282,27 @@ pub(crate) struct Outgoing {
 }
 
 impl Outgoing {
-    /// The response to one parsed request: the live-metrics exposition for
-    /// `GET /metrics` when the registry is on, the document the path names
-    /// otherwise, a 404 for any other path.
-    pub(crate) fn for_request(request: &HttpRequest, metrics: Option<&ServerMetrics>) -> Self {
-        let exposition = metrics.filter(|_| request.path() == "/metrics");
-        let (stream, respond_cycles) = measure(|| match exposition {
-            Some(m) => HttpResponse::ok(m.snapshot().render().into_bytes()).into(),
-            None => match document_size(request.path()) {
+    /// The response to one parsed request: the rendered `stats` for
+    /// `GET /metrics` when `expose_metrics` is set, the document the path
+    /// names otherwise, a 404 for any other path.
+    pub(crate) fn for_request(
+        request: &HttpRequest,
+        stats: &ServerStats,
+        expose_metrics: bool,
+    ) -> Self {
+        let exposition = expose_metrics && request.path() == "/metrics";
+        let (stream, respond_cycles) = measure(|| {
+            if exposition {
+                return HttpResponse::ok(stats.snapshot().render().into_bytes()).into();
+            }
+            match document_size(request.path()) {
                 Some(size) => ResponseStream::document(request.path(), size),
                 None => HttpResponse::not_found().into(),
-            },
+            }
         });
         Outgoing {
             stream,
-            workload: exposition.is_none(),
+            workload: !exposition,
             respond_cycles,
             sealed_bytes: 0,
             seal_cycles: Cycles::ZERO,
@@ -534,11 +338,12 @@ impl Outgoing {
         Ok(())
     }
 
-    /// Feeds the finished response's totals into the anatomy registry.
-    pub(crate) fn report(&self, metrics: &ServerMetrics) {
-        metrics.note_record_seal(self.sealed_bytes, self.seal_cycles, self.crypto_cycles);
+    /// Feeds the finished response into the registry: its seal, and — for
+    /// a workload response — the transaction.
+    pub(crate) fn report(&self, stats: &ServerStats) {
+        stats.note_record_seal(self.sealed_bytes, self.seal_cycles, self.crypto_cycles);
         if self.workload {
-            metrics.note_response(self.respond_cycles);
+            stats.note_response(self.respond_cycles);
         }
     }
 }

@@ -244,42 +244,6 @@ impl<'a> ServerMachine<'a> {
         }
     }
 
-    /// True when this connection issued a NewSessionTicket (SSLv3 only).
-    #[must_use]
-    pub fn ticket_issued(&self) -> bool {
-        match self {
-            ServerMachine::V3(m) => m.ticket_issued(),
-            _ => false,
-        }
-    }
-
-    /// True when the handshake resumed from a presented ticket.
-    #[must_use]
-    pub fn ticket_accepted(&self) -> bool {
-        match self {
-            ServerMachine::V3(m) => m.ticket_accepted(),
-            _ => false,
-        }
-    }
-
-    /// True when a presented ticket was rejected as tampered or unknown.
-    #[must_use]
-    pub fn ticket_rejected(&self) -> bool {
-        match self {
-            ServerMachine::V3(m) => m.ticket_rejected(),
-            _ => false,
-        }
-    }
-
-    /// True when a presented ticket was rejected as expired.
-    #[must_use]
-    pub fn ticket_expired(&self) -> bool {
-        match self {
-            ServerMachine::V3(m) => m.ticket_expired(),
-            _ => false,
-        }
-    }
-
     /// Record-layer symmetric-crypto cycles accumulated so far.
     #[must_use]
     pub fn record_crypto_cycles(&self) -> Cycles {

@@ -29,11 +29,11 @@
 
 use crate::cache::{CachedSession, IssuedTicket, SessionCache, SessionStore};
 use crate::CipherSuite;
-use sslperf_ciphers::{Aes, Cbc};
+use sslperf_ciphers::{Aes, BlockCipher};
 use sslperf_hashes::{HashAlg, Hmac};
 use std::fmt::Debug;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
 /// AES-128 key length for the ticket cipher.
@@ -57,19 +57,20 @@ pub enum TicketError {
     Invalid,
 }
 
-/// One epoch's sealing keys, derived from the keyring secret.
-#[derive(Clone)]
+/// One epoch's sealing keys, derived from the keyring secret once, at
+/// rotation: the AES schedule is expanded here, so sealing and opening
+/// never build a cipher.
 struct TicketKey {
     /// Key id on the wire: the derivation epoch.
     id: u32,
-    aes: [u8; TICKET_AES_KEY_LEN],
+    aes: Aes,
     mac: [u8; TICKET_MAC_LEN],
 }
 
 impl TicketKey {
     /// Derives epoch `id`'s keys from the shared secret: independent
     /// HMAC-SHA1 invocations per role, truncated to the key lengths.
-    fn derive(secret: &[u8], id: u32) -> Self {
+    fn derive(secret: &[u8], id: u32) -> Arc<Self> {
         let mut label = Vec::with_capacity(16);
         label.extend_from_slice(b"ticket-aes-");
         label.extend_from_slice(&id.to_be_bytes());
@@ -78,18 +79,19 @@ impl TicketKey {
         label.extend_from_slice(b"ticket-mac-");
         label.extend_from_slice(&id.to_be_bytes());
         let mac_full = Hmac::mac(HashAlg::Sha1, secret, &label);
-        let mut aes = [0u8; TICKET_AES_KEY_LEN];
-        aes.copy_from_slice(&aes_full[..TICKET_AES_KEY_LEN]);
+        // Proof: `Aes::new` refuses only key lengths other than 16, 24 and
+        // 32 bytes, and this slice is TICKET_AES_KEY_LEN = 16 bytes long.
+        let aes = Aes::new(&aes_full[..TICKET_AES_KEY_LEN]).expect("a 16-byte AES-128 key");
         let mut mac = [0u8; TICKET_MAC_LEN];
         mac.copy_from_slice(&mac_full[..TICKET_MAC_LEN]);
-        TicketKey { id, aes, mac }
+        Arc::new(TicketKey { id, aes, mac })
     }
 }
 
 /// The rotating key state: the sealing key and its predecessor.
 struct KeyState {
-    current: TicketKey,
-    previous: Option<TicketKey>,
+    current: Arc<TicketKey>,
+    previous: Option<Arc<TicketKey>>,
     /// When the current key was installed, on the monotonic clock
     /// (drives auto-rotation; a wall-clock step cannot stall or rush it).
     rotated_at: Instant,
@@ -126,7 +128,9 @@ impl Clock {
 }
 
 /// The shared ticket-sealing keyring: derives per-epoch keys from one
-/// secret, seals and opens tickets, rotates keys, and counts outcomes.
+/// secret, seals and opens tickets, and rotates keys. It counts nothing:
+/// each handshake's ticket verdict lands in its ledger, and the serving
+/// layer's registry counts the ledgers.
 ///
 /// Every server instance that should accept each other's tickets holds a
 /// clone of the same `Arc<TicketKeyring>` (or, across real processes,
@@ -144,10 +148,6 @@ pub struct TicketKeyring {
     /// Per-ticket IV derivation counter (unique IVs without consuming any
     /// handshake RNG — the wire pin depends on the RNG stream).
     iv_counter: AtomicU64,
-    issued: AtomicU64,
-    accepted: AtomicU64,
-    rejected: AtomicU64,
-    expired: AtomicU64,
 }
 
 impl Debug for TicketKeyring {
@@ -155,10 +155,6 @@ impl Debug for TicketKeyring {
         f.debug_struct("TicketKeyring")
             .field("lifetime", &self.lifetime)
             .field("rotate_every", &self.rotate_every)
-            .field("issued", &self.issued())
-            .field("accepted", &self.accepted())
-            .field("rejected", &self.rejected())
-            .field("expired", &self.expired())
             .finish_non_exhaustive()
     }
 }
@@ -191,10 +187,6 @@ impl TicketKeyring {
             lifetime,
             rotate_every,
             iv_counter: AtomicU64::new(0),
-            issued: AtomicU64::new(0),
-            accepted: AtomicU64::new(0),
-            rejected: AtomicU64::new(0),
-            expired: AtomicU64::new(0),
         }
     }
 
@@ -204,10 +196,17 @@ impl TicketKeyring {
         self.lifetime
     }
 
+    /// The key state. A panic while the lock is held cannot leave it half
+    /// written (every update is one assignment of a whole key or instant),
+    /// so a poisoned lock still guards valid keys and is taken as is.
+    fn keys(&self) -> MutexGuard<'_, KeyState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Installs the next epoch's key: the current key becomes the
     /// (still-accepted) previous key, and anything older is forgotten.
     pub fn rotate(&self) {
-        let mut state = self.state.lock().expect("keyring lock");
+        let mut state = self.keys();
         let next = TicketKey::derive(&self.secret, state.current.id.wrapping_add(1));
         state.previous = Some(std::mem::replace(&mut state.current, next));
         state.rotated_at = Instant::now();
@@ -217,23 +216,19 @@ impl TicketKeyring {
     /// due. Called on every seal/open so a quiet keyring still rotates.
     fn maybe_rotate(&self) {
         let Some(period) = self.rotate_every else { return };
-        let due = {
-            let state = self.state.lock().expect("keyring lock");
-            // Monotonic age: a backward wall-clock step used to make
-            // `SystemTime::elapsed` fail and silently skip rotations.
-            state.rotated_at.elapsed() >= period
-        };
+        // Monotonic age: a backward wall-clock step used to make
+        // `SystemTime::elapsed` fail and silently skip rotations.
+        let due = self.keys().rotated_at.elapsed() >= period;
         if due {
             self.rotate();
         }
     }
 
-    /// Seals `session` into a ticket under the current key and counts it
-    /// as issued.
+    /// Seals `session` into a ticket under the current key.
     #[must_use]
     pub fn seal(&self, session: &CachedSession) -> Vec<u8> {
         self.maybe_rotate();
-        let key = self.state.lock().expect("keyring lock").current.clone();
+        let key = Arc::clone(&self.keys().current);
         let iv = self.next_iv(&key);
 
         let mut state = Vec::with_capacity(11 + session.master.len());
@@ -241,12 +236,12 @@ impl TicketKeyring {
         state.extend_from_slice(&self.clock.now_ms().to_be_bytes());
         state.push(session.master.len() as u8);
         state.extend_from_slice(&session.master);
-        // PKCS#7-style padding to the AES block length.
+        // PKCS#7-style padding to the AES block length, which is what
+        // `encrypt_cbc` needs: whole blocks behind a one-block IV.
         let pad = TICKET_BLOCK_LEN - state.len() % TICKET_BLOCK_LEN;
         state.extend(std::iter::repeat_n(pad as u8, pad));
-        let mut cbc = Cbc::new(Aes::new(&key.aes).expect("16-byte key"), iv.to_vec())
-            .expect("block-length iv");
-        cbc.encrypt(&mut state).expect("block-aligned");
+        let mut chain = iv;
+        key.aes.encrypt_cbc(&mut chain, &mut state);
 
         let mut ticket = Vec::with_capacity(4 + TICKET_BLOCK_LEN + state.len() + TICKET_MAC_LEN);
         ticket.extend_from_slice(&key.id.to_be_bytes());
@@ -254,11 +249,10 @@ impl TicketKeyring {
         ticket.extend_from_slice(&state);
         let tag = Hmac::mac(HashAlg::Sha1, &key.mac, &ticket);
         ticket.extend_from_slice(&tag);
-        self.issued.fetch_add(1, Ordering::Relaxed);
         ticket
     }
 
-    /// Opens a presented ticket, counting the outcome.
+    /// Opens a presented ticket.
     ///
     /// # Errors
     ///
@@ -267,43 +261,36 @@ impl TicketKeyring {
     /// lifetime. Callers fall back to a full handshake either way.
     pub fn open(&self, ticket: &[u8]) -> Result<CachedSession, TicketError> {
         self.maybe_rotate();
-        match self.open_inner(ticket, self.clock.now_ms()) {
-            Ok(session) => {
-                self.accepted.fetch_add(1, Ordering::Relaxed);
-                Ok(session)
-            }
-            Err(TicketError::Expired) => {
-                self.expired.fetch_add(1, Ordering::Relaxed);
-                Err(TicketError::Expired)
-            }
-            Err(TicketError::Invalid) => {
-                self.rejected.fetch_add(1, Ordering::Relaxed);
-                Err(TicketError::Invalid)
-            }
-        }
+        self.open_inner(ticket, self.clock.now_ms())
     }
 
     /// The open path with the clock injected: `now_ms` comes from the
     /// keyring's monotonic clock in production and from the proptests'
     /// synthetic timelines in tests.
     fn open_inner(&self, ticket: &[u8], now_ms: u64) -> Result<CachedSession, TicketError> {
-        // Shortest possible ticket: id + iv + one cipher block + tag.
-        if ticket.len() < 4 + TICKET_BLOCK_LEN + TICKET_BLOCK_LEN + TICKET_MAC_LEN {
+        let Some((body, tag)) = ticket.split_last_chunk::<TICKET_MAC_LEN>() else {
+            return Err(TicketError::Invalid);
+        };
+        let Some((key_id, rest)) = body.split_first_chunk::<4>() else {
+            return Err(TicketError::Invalid);
+        };
+        let Some((iv, ct)) = rest.split_first_chunk::<TICKET_BLOCK_LEN>() else {
+            return Err(TicketError::Invalid);
+        };
+        // At least one cipher block, and only whole ones.
+        if ct.is_empty() || !ct.len().is_multiple_of(TICKET_BLOCK_LEN) {
             return Err(TicketError::Invalid);
         }
-        let key_id = u32::from_be_bytes(ticket[..4].try_into().expect("length checked"));
+        let key_id = u32::from_be_bytes(*key_id);
         let key = {
-            let state = self.state.lock().expect("keyring lock");
-            if state.current.id == key_id {
-                state.current.clone()
-            } else if state.previous.as_ref().is_some_and(|p| p.id == key_id) {
-                state.previous.clone().expect("just matched")
-            } else {
-                return Err(TicketError::Invalid);
-            }
+            let state = self.keys();
+            std::iter::once(&state.current)
+                .chain(&state.previous)
+                .find(|key| key.id == key_id)
+                .map(Arc::clone)
+                .ok_or(TicketError::Invalid)?
         };
 
-        let (body, tag) = ticket.split_at(ticket.len() - TICKET_MAC_LEN);
         let expected = Hmac::mac(HashAlg::Sha1, &key.mac, body);
         // Constant-time comparison: no early exit to time against.
         let diff = expected.iter().zip(tag).fold(0u8, |acc, (a, b)| acc | (a ^ b));
@@ -311,15 +298,11 @@ impl TicketKeyring {
             return Err(TicketError::Invalid);
         }
 
-        let mut ct = body[4 + TICKET_BLOCK_LEN..].to_vec();
-        if ct.is_empty() || !ct.len().is_multiple_of(TICKET_BLOCK_LEN) {
-            return Err(TicketError::Invalid);
-        }
-        let iv = &body[4..4 + TICKET_BLOCK_LEN];
-        let mut cbc = Cbc::new(Aes::new(&key.aes).expect("16-byte key"), iv.to_vec())
-            .expect("block-length iv");
-        cbc.decrypt(&mut ct).map_err(|_| TicketError::Invalid)?;
-        let pad = *ct.last().expect("non-empty") as usize;
+        let mut ct = ct.to_vec();
+        let mut chain = *iv;
+        key.aes.decrypt_cbc(&mut chain, &mut ct);
+        let Some(&pad) = ct.last() else { return Err(TicketError::Invalid) };
+        let pad = usize::from(pad);
         if pad == 0 || pad > TICKET_BLOCK_LEN || pad > ct.len() {
             return Err(TicketError::Invalid);
         }
@@ -328,17 +311,17 @@ impl TicketKeyring {
         }
         let state = &ct[..ct.len() - pad];
 
-        if state.len() < 11 {
+        let Some((head, master)) = state.split_first_chunk::<11>() else {
+            return Err(TicketError::Invalid);
+        };
+        let [suite_hi, suite_lo, issued_ms @ .., master_len] = *head;
+        let suite = CipherSuite::from_wire_id(u16::from_be_bytes([suite_hi, suite_lo]))
+            .map_err(|_| TicketError::Invalid)?;
+        let issued_ms = u64::from_be_bytes(issued_ms);
+        if master.len() != usize::from(master_len) {
             return Err(TicketError::Invalid);
         }
-        let suite_id = u16::from_be_bytes([state[0], state[1]]);
-        let suite = CipherSuite::from_wire_id(suite_id).map_err(|_| TicketError::Invalid)?;
-        let issued_ms = u64::from_be_bytes(state[2..10].try_into().expect("length checked"));
-        let master_len = state[10] as usize;
-        if state.len() != 11 + master_len {
-            return Err(TicketError::Invalid);
-        }
-        let master = state[11..].to_vec();
+        let master = master.to_vec();
 
         // Saturating age: a ticket "from the future" (issued by a sibling
         // process whose wall anchor runs ahead) counts as fresh rather
@@ -360,31 +343,6 @@ impl TicketKeyring {
         let mut iv = [0u8; TICKET_BLOCK_LEN];
         iv.copy_from_slice(&full[..TICKET_BLOCK_LEN]);
         iv
-    }
-
-    /// Tickets sealed.
-    #[must_use]
-    pub fn issued(&self) -> u64 {
-        self.issued.load(Ordering::Relaxed)
-    }
-
-    /// Tickets opened successfully.
-    #[must_use]
-    pub fn accepted(&self) -> u64 {
-        self.accepted.load(Ordering::Relaxed)
-    }
-
-    /// Tickets refused as tampered/unknown (silent full-handshake
-    /// fallback).
-    #[must_use]
-    pub fn rejected(&self) -> u64 {
-        self.rejected.load(Ordering::Relaxed)
-    }
-
-    /// Authentic tickets refused for age (silent full-handshake fallback).
-    #[must_use]
-    pub fn expired(&self) -> u64 {
-        self.expired.load(Ordering::Relaxed)
     }
 }
 
@@ -462,9 +420,6 @@ mod tests {
             assert_eq!(opened.master, vec![0x5a; 48]);
             assert_eq!(opened.suite, suite);
         }
-        assert_eq!(ring.issued(), 6);
-        assert_eq!(ring.accepted(), 6);
-        assert_eq!(ring.rejected(), 0);
     }
 
     #[test]
@@ -484,8 +439,6 @@ mod tests {
             bad[i] ^= 0x01;
             assert_eq!(ring.open(&bad), Err(TicketError::Invalid), "byte {i}");
         }
-        assert_eq!(ring.rejected(), t.len() as u64);
-        assert_eq!(ring.expired(), 0);
     }
 
     #[test]
@@ -521,8 +474,6 @@ mod tests {
         let t = ring.seal(&session(CipherSuite::RsaDesCbc3Sha));
         std::thread::sleep(Duration::from_millis(5));
         assert_eq!(ring.open(&t), Err(TicketError::Expired));
-        assert_eq!(ring.expired(), 1);
-        assert_eq!(ring.rejected(), 0);
     }
 
     #[test]

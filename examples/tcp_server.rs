@@ -21,7 +21,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut rng = SslRng::from_seed(b"tcp-server-example");
     let key = RsaPrivateKey::generate(key_bits, &mut rng)?;
 
-    let options = ServerOptions::builder().metrics(true).build()?;
+    let options = ServerOptions::default();
     let server = EventLoopServer::start(key, "www.sslperf.test", &options)?;
     println!(
         "Serving on https://{} with {} shards ({} session-cache shards)\n",
@@ -62,10 +62,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         stats.errors()
     );
 
-    // The live-anatomy registry: the same text a client would get from
-    // `GET /metrics` over an established SSL connection.
-    let snapshot = server.metrics().expect("metrics enabled above").snapshot();
-    println!("\n{}", snapshot.render());
+    // The live anatomy from the same registry: the text a client would get
+    // from `GET /metrics` on a server started with `metrics(true)`.
+    println!("\n{}", stats.snapshot().render());
     server.shutdown();
     Ok(())
 }

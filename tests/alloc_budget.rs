@@ -577,16 +577,17 @@ fn batched_crypto_cycle_allocation_is_bounded() {
 
 /// The live metrics registry must not break the steady-state budget: an
 /// engine exchange that records every open/seal/response into a
-/// [`ServerMetrics`] — exactly what the event-loop server does per record
-/// when `ServerOptions::metrics` is on — still allocates nothing. The
-/// registry is atomic adds into preallocated histograms; a regression
-/// here (say, a label map or a lazily grown bucket) would silently tax
-/// every record served.
+/// [`ServerStats`] — exactly what the event-loop server does per record —
+/// still allocates nothing. The registry is atomic adds into preallocated
+/// histograms; a regression here (say, a label map or a lazily grown
+/// bucket) would silently tax every record served.
+///
+/// [`ServerStats`]: sslperf::net::ServerStats
 #[test]
 fn metrics_recording_keeps_engine_steady_state_allocation_free() {
     const WARMUP: usize = 4;
     const MEASURED: u64 = 100;
-    use sslperf::net::ServerMetrics;
+    use sslperf::net::ServerStats;
     use sslperf::prelude::{ServerConfig, SslClient, SslRng, SslServer};
     use sslperf::profile::measure;
     use sslperf::rsa::RsaPrivateKey;
@@ -596,7 +597,7 @@ fn metrics_recording_keeps_engine_steady_state_allocation_free() {
     let mut rng = SslRng::from_seed(b"alloc-budget-metrics-key");
     let key = RsaPrivateKey::generate(512, &mut rng).expect("keygen");
     let config = ServerConfig::new(key, "alloc.test").expect("config");
-    let metrics = ServerMetrics::new();
+    let metrics = ServerStats::default();
 
     let mut client =
         Engine::new(SslClient::new(CipherSuite::RsaDesCbc3Sha, SslRng::from_seed(b"abm-c")))
@@ -614,7 +615,7 @@ fn metrics_recording_keeps_engine_steady_state_allocation_free() {
     let exchange = |client: &mut sslperf::ssl::ClientEngine,
                     server: &mut sslperf::ssl::ServerEngine<'_>,
                     wire: &mut [u8],
-                    metrics: &ServerMetrics| {
+                    metrics: &ServerStats| {
         client.seal(&payload).expect("client seal");
         let n = client.take_output(wire);
         assert_eq!(server.feed(&wire[..n]).expect("server feed"), n);

@@ -1,6 +1,6 @@
 //! Acceptance coverage for the live handshake-anatomy metrics layer:
 //! dozens of real-socket transactions through the event-loop server with
-//! crypto offload feed the [`ServerMetrics`] registry, and the frozen
+//! crypto offload feed the [`ServerStats`] registry, and the frozen
 //! snapshot must reproduce the paper's anatomy — every handshake step
 //! observed, crypto dominating the full handshake with the RSA step
 //! (step 5, `get_client_kx`) the single largest, and monotone latency
@@ -67,8 +67,7 @@ fn live_anatomy_reproduces_paper_shape_from_real_sockets() {
     assert!(eventually(|| stats.transactions() >= connections), "got {}", stats.transactions());
     assert_eq!(stats.errors(), 0, "clean run");
 
-    let metrics = server.metrics().expect("metrics enabled");
-    let snap = metrics.snapshot();
+    let snap = stats.snapshot();
 
     // Transaction counters: every served request was measured.
     assert!(snap.transactions >= connections, "txns measured: {}", snap.transactions);
@@ -155,9 +154,9 @@ fn streamed_response_is_one_seal_and_one_transaction() {
     assert!(response == expected, "three records, one byte-exact response");
     close(&mut client, &mut socket);
 
-    let metrics = server.metrics().expect("metrics enabled");
-    assert!(eventually(|| metrics.snapshot().transactions == 1));
-    let snap = metrics.snapshot();
+    let stats = server.stats();
+    assert!(eventually(|| stats.snapshot().transactions == 1));
+    let snap = stats.snapshot();
     assert_eq!(snap.bytes_out, expected.len() as u64, "head + {SIZE} body bytes sealed");
     assert_eq!(snap.records_sealed, 1, "one seal entry per transaction, not per refill");
     assert_eq!(snap.records_opened, 1);
@@ -168,7 +167,8 @@ fn streamed_response_is_one_seal_and_one_transaction() {
 
 /// `GET /metrics` over a live SSL connection returns the rendered
 /// snapshot instead of a synthesized document — and only when the
-/// registry is enabled.
+/// exposition is switched on. Recording is not: a default server keeps the
+/// same registry, and the exposition fetch is never a transaction.
 #[test]
 fn metrics_endpoint_serves_rendered_snapshot() {
     let options = ServerOptions { metrics: true, ..ServerOptions::default() };
@@ -194,22 +194,35 @@ fn metrics_endpoint_serves_rendered_snapshot() {
     close(&mut client, &mut socket);
     drop(socket);
 
-    let snap = server.metrics().expect("metrics enabled").snapshot();
+    // A response is reported before its bytes are written, so both are in.
+    // One definition of a transaction: the document counts, the
+    // exposition does not, and the getter and the snapshot agree.
+    let stats = server.stats();
+    let snap = stats.snapshot();
     assert_eq!(snap.full_handshake.count(), 1);
-    assert!(snap.transactions >= 1, "the document transaction was measured");
+    assert_eq!(
+        (stats.transactions(), snap.transactions),
+        (1, 1),
+        "the document is the one transaction"
+    );
     server.shutdown();
 
-    // Control: with metrics off, /metrics is just an unknown document path.
+    // Control: a default server records the same anatomy, but /metrics is
+    // just an unknown document path.
     let server = EventLoopServer::start(key(), "metrics.sslperf.test", &ServerOptions::default())
         .expect("server start");
-    assert!(server.metrics().is_none(), "registry absent by default");
     let client = SslClient::new(CipherSuite::RsaDesCbc3Sha, SslRng::from_seed(b"mx-c2"));
     let (mut client, mut socket) = connect(server.local_addr(), client);
     let body = fetch(&mut client, &mut socket, b"GET /metrics HTTP/1.0\r\nHost: metrics\r\n\r\n");
     assert!(
         String::from_utf8_lossy(&body).starts_with("HTTP/1.0 404"),
-        "plain server knows no /metrics"
+        "plain server does not expose its registry"
     );
     close(&mut client, &mut socket);
+    let snap = server.stats().snapshot();
+    assert_eq!(snap.full_handshake.count(), 1, "recorded without the exposition");
+    for step in &snap.steps {
+        assert!(step.latency.count() > 0, "step {} recorded", step.name);
+    }
     server.shutdown();
 }

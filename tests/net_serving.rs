@@ -1175,7 +1175,7 @@ fn ticket_session_resumes_on_surviving_instance_after_kill() {
     // Shared-nothing means shared *nothing*: no instance ever stored the
     // session by id.
     assert_eq!(fleet.instance(1).expect("live instance").session_cache().len(), 0);
-    assert_eq!((keyring.issued(), keyring.accepted()), (1, 1));
+    assert_eq!((agg.tickets_issued, agg.tickets_accepted), (1, 1));
     fleet.shutdown();
 }
 

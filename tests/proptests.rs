@@ -790,7 +790,7 @@ proptest! {
 
     /// Seal/open round-trips the exact session state for every suite and
     /// master-secret length, across one key rotation (the previous key
-    /// stays accepted), and the keyring counts both sides.
+    /// stays accepted).
     #[test]
     fn ticket_seal_open_round_trips(
         suite_idx in 0usize..CipherSuite::ALL.len(),
@@ -807,8 +807,6 @@ proptest! {
         }
         let opened = keyring.open(&ticket);
         prop_assert_eq!(opened, Ok(session));
-        prop_assert_eq!((keyring.issued(), keyring.accepted()), (1, 1));
-        prop_assert_eq!((keyring.rejected(), keyring.expired()), (0, 0));
     }
 
     /// A bit flipped anywhere in the ticket — key id, IV, ciphertext, or
@@ -828,7 +826,6 @@ proptest! {
         let at = flip_byte.index(ticket.len());
         ticket[at] ^= 1 << flip_bit;
         prop_assert_eq!(keyring.open(&ticket), Err(TicketError::Invalid));
-        prop_assert_eq!((keyring.accepted(), keyring.rejected()), (0, 1));
     }
 
     /// Every proper prefix of a ticket rejects as `Invalid` — truncation
@@ -848,7 +845,7 @@ proptest! {
 
     /// An authentic ticket past its lifetime rejects as `Expired` — the
     /// caller's fallback is the same silent full handshake, but the
-    /// keyring counts it separately for the metrics split.
+    /// handshake's ledger flags it separately for the metrics split.
     #[test]
     fn ticket_expiry_rejects(
         suite_idx in 0usize..CipherSuite::ALL.len(),
@@ -862,7 +859,6 @@ proptest! {
         // A zero lifetime expires the ticket as soon as the clock advances.
         std::thread::sleep(Duration::from_millis(2));
         prop_assert_eq!(keyring.open(&ticket), Err(TicketError::Expired));
-        prop_assert_eq!((keyring.accepted(), keyring.expired()), (0, 1));
     }
 
     /// Two rotations retire a ticket's key entirely (current + previous
@@ -880,7 +876,6 @@ proptest! {
         keyring.rotate();
         keyring.rotate();
         prop_assert_eq!(keyring.open(&ticket), Err(TicketError::Invalid));
-        prop_assert_eq!((keyring.accepted(), keyring.rejected()), (0, 1));
     }
 }
 

@@ -76,7 +76,7 @@ fn one_server_serves_both_protocols_with_side_by_side_anatomy() {
     // handshake plus one DHE agreement per TLS 1.3 handshake.
     assert_eq!(stats.crypto_jobs(), total, "every key exchange rode the pool");
 
-    let snap = server.metrics().expect("metrics enabled").snapshot();
+    let snap = stats.snapshot();
     assert_eq!(snap.full_handshake.count(), CONNECTIONS as u64, "SSLv3 ledgers");
     assert_eq!(snap.tls13_full_handshake.count(), CONNECTIONS as u64, "TLS 1.3 ledgers");
     for step in &snap.steps {
