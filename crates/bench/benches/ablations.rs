@@ -235,6 +235,34 @@ fn ablate_stitched_seal(c: &mut Criterion) {
     group.finish();
 }
 
+/// Table 11's slowest cipher with its CBC decrypt blocks two in flight:
+/// 3DES-CBC one block at a time through the trait's default (`per_block`)
+/// against `Des3`'s own `encrypt_cbc`/`decrypt_cbc` (`cbc`), on a 1 KiB
+/// response and a 16 KiB record. Encryption chains, so its two arms differ
+/// only by the word-level loop; decryption keeps two independent blocks
+/// in flight.
+fn ablate_des3_cbc(c: &mut Criterion) {
+    use sslperf_core::ciphers::PerBlock;
+    let key: Vec<u8> = (1..=24).collect();
+    let des3 = Des3::new(&key).expect("key");
+    let per_block = PerBlock(des3.clone());
+    let mut group = c.benchmark_group("ablate_des3_cbc");
+    for (size_name, size) in [("1k", 1024usize), ("16k", 16_384)] {
+        group.throughput(Throughput::Bytes(size as u64));
+        for (arm, cipher) in [("per_block", &per_block as &dyn BlockCipher), ("cbc", &des3)] {
+            let mut data = vec![0x42u8; size];
+            let mut iv = [0u8; 8];
+            group.bench_function(format!("encrypt_{arm}_{size_name}"), |b| {
+                b.iter(|| cipher.encrypt_cbc(&mut iv, black_box(&mut data)));
+            });
+            group.bench_function(format!("decrypt_{arm}_{size_name}"), |b| {
+                b.iter(|| cipher.decrypt_cbc(&mut iv, black_box(&mut data)));
+            });
+        }
+    }
+    group.finish();
+}
+
 /// §6.2(3): the crypto-engine argument — MAC and encryption of a record
 /// serially vs overlapped on two threads.
 fn ablate_crypto_engine(c: &mut Criterion) {
@@ -312,6 +340,7 @@ criterion_group!(
     ablate_sha_unit,
     ablate_cbc_chain,
     ablate_stitched_seal,
+    ablate_des3_cbc,
     ablate_crypto_engine,
     ablate_three_operand
 );

@@ -5,15 +5,15 @@
 //! holds for encryption only: block i's input needs block i − 1's output, so
 //! one chain keeps one block in flight. Decryption reads ciphertext, which
 //! is all known up front, so its blocks are independent and only the final
-//! XOR reaches back one block — AES-NI decrypts eight at once
-//! ([`Aes`](crate::Aes)'s override of [`BlockCipher::decrypt_cbc`]). The IV
-//! handling matches SSL v3: the chaining state carries over from record to
-//! record.
+//! XOR reaches back one block — AES-NI decrypts eight at once and DES/3DES
+//! two ([`Aes`](crate::Aes)'s and [`Des3`](crate::Des3)'s overrides of
+//! [`BlockCipher::decrypt_cbc`]). The IV handling matches SSL v3: the
+//! chaining state carries over from record to record.
 //!
 //! `encrypt_per_block` and `decrypt_per_block` are the per-block loops
-//! behind the trait's provided methods: the paper-faithful path DES, 3DES
-//! and the table AES take, and — through [`PerBlock`] — the oracle the
-//! fused AES-NI kernel is tested against.
+//! behind the trait's provided methods: the path the table AES takes, and
+//! — through [`PerBlock`] — the oracle the AES-NI and DES CBC overrides
+//! are tested and ablated against.
 
 use crate::{BlockCipher, CipherError};
 

@@ -5,10 +5,18 @@
 //! eight fused SP tables (S-box + P permutation, 8 lookups per round), and a
 //! *final permutation*. Like OpenSSL's `des_encrypt3`, 3DES shares a single
 //! IP/FP pair around the 48 rounds.
+//!
+//! The kernel has `des_encrypt3`'s shape too. IP and FP are five
+//! `PERM_OP` bit-group swaps each, not 64 single-bit moves. Between them
+//! both halves stay rotated right by one bit, so E costs no rotate of its
+//! own: the even S-box inputs already sit at bits 26/18/10/2 and the odd
+//! ones at the same bits one rotate by four later. Each round's subkey is
+//! packed to match as two words, and the SP tables are pre-rotated so their
+//! output lands in the rotated half. CBC works on `u64` words, and its
+//! decryption keeps two independent blocks in flight.
 
 use crate::{BlockCipher, CipherError};
 use sslperf_profile::counters;
-use std::sync::OnceLock;
 
 /// Initial permutation (FIPS 46-3), 1-based bit numbers from the MSB.
 const IP: [u8; 64] = [
@@ -91,34 +99,43 @@ const SBOX: [[u8; 64]; 8] = [
 ];
 
 /// Applies a 1-based-from-MSB bit permutation: output bit `i` (MSB first)
-/// is input bit `table[i]` of an `in_width`-bit value.
-fn permute(input: u64, in_width: u32, table: &[u8]) -> u64 {
+/// is input bit `table[i]` of an `in_width`-bit value. The key schedule's
+/// PC-1 and PC-2 and the SP tables' P use it; the block path uses [`ip`]
+/// and [`fp`].
+const fn permute(input: u64, in_width: u32, table: &[u8]) -> u64 {
     let mut out = 0u64;
-    for &src in table {
-        out = (out << 1) | ((input >> (in_width - u32::from(src))) & 1);
+    let mut i = 0;
+    while i < table.len() {
+        out = (out << 1) | ((input >> (in_width - table[i] as u32)) & 1);
+        i += 1;
     }
     out
 }
 
-/// Fused SP tables: `sp[i][v]` is `P(S_i(v))` positioned in the 32-bit
-/// Feistel output.
-fn sp_tables() -> &'static [[u32; 64]; 8] {
-    static SP: OnceLock<[[u32; 64]; 8]> = OnceLock::new();
-    SP.get_or_init(|| {
-        let mut sp = [[0u32; 64]; 8];
-        for (i, sbox) in SBOX.iter().enumerate() {
-            #[allow(clippy::needless_range_loop)] // v is the S-box input value
-            for v in 0..64usize {
-                let row = ((v >> 5) & 1) * 2 + (v & 1);
-                let col = (v >> 1) & 0xf;
-                let s = u64::from(sbox[row * 16 + col]);
-                // S_i's nibble occupies bits 4i+1..4i+4 of the pre-P word.
-                let positioned = s << (28 - 4 * i);
-                sp[i][v] = permute(positioned, 32, &P) as u32;
-            }
+/// Fused SP tables: `SP[i][v]` is `P(S_i(v))` positioned in the 32-bit
+/// Feistel output. The analysis kernels load these.
+static SP: [[u32; 64]; 8] = sp_tables(0);
+
+/// [`SP`] rotated right by one bit, the form the rounds' rotated halves
+/// need. Both tables are built at compile time.
+static SP_ROR1: [[u32; 64]; 8] = sp_tables(1);
+
+const fn sp_tables(ror: u32) -> [[u32; 64]; 8] {
+    let mut sp = [[0u32; 64]; 8];
+    let mut i = 0;
+    while i < 8 {
+        let mut v = 0;
+        while v < 64 {
+            let row = ((v >> 5) & 1) * 2 + (v & 1);
+            let col = (v >> 1) & 0xf;
+            // S_i's nibble occupies bits 4i+1..4i+4 of the pre-P word.
+            let s = (SBOX[i][row * 16 + col] as u64) << (28 - 4 * i);
+            sp[i][v] = (permute(s, 32, &P) as u32).rotate_right(ror);
+            v += 1;
         }
-        sp
-    })
+        i += 1;
+    }
+    sp
 }
 
 pub(crate) fn ip_table() -> &'static [u8; 64] {
@@ -130,13 +147,52 @@ pub(crate) fn fp_table() -> &'static [u8; 64] {
 }
 
 pub(crate) fn sp_tables_for_analysis() -> &'static [[u32; 64]; 8] {
-    sp_tables()
+    &SP
 }
 
-/// One 16-round key schedule, stored as eight 6-bit chunks per round.
-type KeySchedule = [[u8; 8]; 16];
+/// OpenSSL's `PERM_OP`: swaps the bits of `b` that `mask` selects with the
+/// bits of `a` that sit `n` places above them.
+#[inline(always)]
+fn perm_op(a: &mut u32, b: &mut u32, n: u32, mask: u32) {
+    let t = ((*a >> n) ^ *b) & mask;
+    *b ^= t;
+    *a ^= t << n;
+}
 
-fn key_schedule(key: &[u8; 8]) -> KeySchedule {
+/// The initial permutation as five bit-group swaps, returning the halves
+/// (L0, R0) each rotated right by one bit, the form the rounds keep.
+#[inline(always)]
+fn ip(block: u64) -> (u32, u32) {
+    let (mut l, mut r) = ((block >> 32) as u32, block as u32);
+    perm_op(&mut l, &mut r, 4, 0x0f0f_0f0f);
+    perm_op(&mut l, &mut r, 16, 0x0000_ffff);
+    perm_op(&mut r, &mut l, 2, 0x3333_3333);
+    perm_op(&mut r, &mut l, 8, 0x00ff_00ff);
+    perm_op(&mut l, &mut r, 1, 0x5555_5555);
+    (l.rotate_right(1), r.rotate_right(1))
+}
+
+/// The final permutation: [`ip`]'s swaps undone in reverse order, from
+/// rotated halves.
+#[inline(always)]
+fn fp(l: u32, r: u32) -> u64 {
+    let (mut l, mut r) = (l.rotate_left(1), r.rotate_left(1));
+    perm_op(&mut l, &mut r, 1, 0x5555_5555);
+    perm_op(&mut r, &mut l, 8, 0x00ff_00ff);
+    perm_op(&mut r, &mut l, 2, 0x3333_3333);
+    perm_op(&mut l, &mut r, 16, 0x0000_ffff);
+    perm_op(&mut l, &mut r, 4, 0x0f0f_0f0f);
+    (u64::from(l) << 32) | u64::from(r)
+}
+
+/// One 16-round key schedule: per round, the eight 6-bit subkey chunks
+/// packed into two words as [`feistel`] XORs them. Decryption walks it
+/// backwards.
+type KeySchedule = [[u32; 2]; 16];
+
+/// FIPS 46-3's key schedule (PC-1, the rotations, PC-2): each round's
+/// 48-bit subkey as eight 6-bit chunks, one per S-box.
+fn subkey_chunks(key: &[u8; 8]) -> [[u8; 8]; 16] {
     counters::count("des_key_setup", 1);
     let key64 = u64::from_be_bytes(*key);
     let key56 = permute(key64, 64, &PC1);
@@ -155,30 +211,152 @@ fn key_schedule(key: &[u8; 8]) -> KeySchedule {
     ks
 }
 
-/// The Feistel function: expansion (as rotated 6-bit windows), subkey XOR,
-/// eight SP-table lookups, XOR-combine.
-fn feistel(r: u32, subkey: &[u8; 8]) -> u32 {
-    let sp = sp_tables();
-    let t = r.rotate_right(1);
-    let mut f = 0u32;
-    for (i, &k) in subkey.iter().enumerate() {
-        let chunk = ((t.rotate_left(4 * i as u32) >> 26) & 0x3f) as u8 ^ k;
-        f ^= sp[i][chunk as usize];
-    }
-    f
+/// Packs each round's chunks: the even ones at bits 26/18/10/2 of the
+/// first word, the odd ones at the same bits of the second.
+fn pack(chunks: &[[u8; 8]; 16]) -> KeySchedule {
+    chunks.map(|c| {
+        let word =
+            |odd: usize| (0..4).fold(0u32, |w, j| w | u32::from(c[2 * j + odd]) << (26 - 8 * j));
+        [word(0), word(1)]
+    })
 }
 
-/// Runs 16 Feistel rounds (reversed subkeys when `decrypt`) and applies the
-/// end-of-cipher half swap.
-fn rounds(mut l: u32, mut r: u32, ks: &KeySchedule, decrypt: bool) -> (u32, u32) {
-    for i in 0..16 {
-        let subkey = if decrypt { &ks[15 - i] } else { &ks[i] };
-        let f = feistel(r, subkey);
-        let next_r = l ^ f;
-        l = r;
-        r = next_r;
+/// The Feistel function on a half kept rotated right by one bit. E and the
+/// subkey XOR are two word XORs, the even S-box inputs landing at bits
+/// 26/18/10/2 of `u` and the odd ones at the same bits of `w`; then eight
+/// SP lookups, whose output comes out rotated to match.
+#[inline(always)]
+fn feistel(r: u32, k: &[u32; 2]) -> u32 {
+    let u = r ^ k[0];
+    let w = r.rotate_left(4) ^ k[1];
+    SP_ROR1[0][(u >> 26) as usize]
+        ^ SP_ROR1[2][(u >> 18 & 0x3f) as usize]
+        ^ SP_ROR1[4][(u >> 10 & 0x3f) as usize]
+        ^ SP_ROR1[6][(u >> 2 & 0x3f) as usize]
+        ^ SP_ROR1[1][(w >> 26) as usize]
+        ^ SP_ROR1[3][(w >> 18 & 0x3f) as usize]
+        ^ SP_ROR1[5][(w >> 10 & 0x3f) as usize]
+        ^ SP_ROR1[7][(w >> 2 & 0x3f) as usize]
+}
+
+/// Sixteen rounds over `N` independent blocks' rotated halves, ending with
+/// the end-of-cipher half swap. `DECRYPT` walks the schedule backwards; it
+/// is fixed at compile time, so no round branches on the direction.
+#[inline(always)]
+fn sixteen_rounds<const DECRYPT: bool, const N: usize>(
+    mut l: [u32; N],
+    mut r: [u32; N],
+    ks: &KeySchedule,
+) -> ([u32; N], [u32; N]) {
+    for round in 0..16 {
+        let k = &ks[if DECRYPT { 15 - round } else { round }];
+        for i in 0..N {
+            let next_r = l[i] ^ feistel(r[i], k);
+            l[i] = r[i];
+            r[i] = next_r;
+        }
     }
     (r, l)
+}
+
+/// What DES and 3DES plug into the one block core.
+trait Core {
+    /// Counter each block books once: `des_block` or `des3_block`.
+    const BLOCK: &'static str;
+    /// Rounds per block, booked as one `des_round` call.
+    const ROUNDS: u64;
+    /// All substitution rounds over `N` blocks' rotated halves.
+    fn rounds<const DECRYPT: bool, const N: usize>(
+        &self,
+        l: [u32; N],
+        r: [u32; N],
+    ) -> ([u32; N], [u32; N]);
+}
+
+/// IP, the rounds and FP over `N` independent blocks, booking each block's
+/// counters.
+#[inline(always)]
+fn crypt<K: Core, const DECRYPT: bool, const N: usize>(cipher: &K, blocks: [u64; N]) -> [u64; N] {
+    let (mut l, mut r) = ([0u32; N], [0u32; N]);
+    for (i, &block) in blocks.iter().enumerate() {
+        counters::count(K::BLOCK, 1);
+        counters::count("des_round", K::ROUNDS);
+        (l[i], r[i]) = ip(block);
+    }
+    let (l, r) = cipher.rounds::<DECRYPT, N>(l, r);
+    std::array::from_fn(|i| fp(l[i], r[i]))
+}
+
+/// The phased API's rounds: one direction branch per call, none per round.
+fn phased_rounds<K: Core>(cipher: &K, l: u32, r: u32, decrypt: bool) -> (u32, u32) {
+    counters::count("des_round", K::ROUNDS);
+    let ([l], [r]) = if decrypt {
+        cipher.rounds::<true, 1>([l], [r])
+    } else {
+        cipher.rounds::<false, 1>([l], [r])
+    };
+    (l, r)
+}
+
+/// `bytes` as one block; any other length breaks the caller's contract.
+fn one_block<'a>(bytes: &'a mut [u8], what: &str) -> &'a mut [u8; 8] {
+    let len = bytes.len();
+    match bytes.try_into() {
+        Ok(block) => block,
+        Err(_) => panic!("{what} must be 8 bytes, got {len}"),
+    }
+}
+
+fn crypt_block<K: Core, const DECRYPT: bool>(cipher: &K, block: &mut [u8]) {
+    let block = one_block(block, "DES block");
+    let [out] = crypt::<K, DECRYPT, 1>(cipher, [u64::from_be_bytes(*block)]);
+    *block = out.to_be_bytes();
+}
+
+/// `data` as whole blocks and `iv` as one, or the CBC contract's panic.
+fn cbc_blocks<'a, 'b>(
+    iv: &'a mut [u8],
+    data: &'b mut [u8],
+) -> (&'a mut [u8; 8], &'b mut [[u8; 8]]) {
+    let iv = one_block(iv, "CBC chaining vector");
+    let (blocks, tail) = data.as_chunks_mut::<8>();
+    assert!(tail.is_empty(), "CBC data must be whole blocks");
+    (iv, blocks)
+}
+
+/// CBC encryption on `u64` words, one block in flight: each block's input
+/// is the previous block's output.
+fn encrypt_cbc<K: Core>(cipher: &K, iv: &mut [u8], data: &mut [u8]) {
+    let (iv, blocks) = cbc_blocks(iv, data);
+    let mut chain = u64::from_be_bytes(*iv);
+    for block in blocks {
+        [chain] = crypt::<K, false, 1>(cipher, [u64::from_be_bytes(*block) ^ chain]);
+        *block = chain.to_be_bytes();
+    }
+    *iv = chain.to_be_bytes();
+}
+
+/// CBC decryption on `u64` words, two blocks in flight: ciphertext is all
+/// known up front, so only the final XOR reaches back a block. Every pair
+/// is read before it is written, so decrypting in place is sound.
+fn decrypt_cbc<K: Core>(cipher: &K, iv: &mut [u8], data: &mut [u8]) {
+    let (iv, blocks) = cbc_blocks(iv, data);
+    let mut prev = u64::from_be_bytes(*iv);
+    let (pairs, odd) = blocks.as_chunks_mut::<2>();
+    for [a, b] in pairs {
+        let c = [u64::from_be_bytes(*a), u64::from_be_bytes(*b)];
+        let [p0, p1] = crypt::<K, true, 2>(cipher, c);
+        *a = (p0 ^ prev).to_be_bytes();
+        *b = (p1 ^ c[0]).to_be_bytes();
+        prev = c[1];
+    }
+    for block in odd {
+        let c = u64::from_be_bytes(*block);
+        let [p] = crypt::<K, true, 1>(cipher, [c]);
+        *block = (p ^ prev).to_be_bytes();
+        prev = c;
+    }
+    *iv = prev.to_be_bytes();
 }
 
 /// Single DES (56-bit key in 8 bytes; parity bits ignored).
@@ -211,45 +389,48 @@ impl Des {
     pub fn new(key: &[u8]) -> Result<Self, CipherError> {
         let key: &[u8; 8] =
             key.try_into().map_err(|_| CipherError::InvalidKeyLen { got: key.len() })?;
-        Ok(Des { ks: key_schedule(key) })
+        Ok(Des { ks: pack(&subkey_chunks(key)) })
     }
 
-    /// The sixteen round subkeys as 6-bit chunks — exposed for the
-    /// ISA-level analysis kernels.
+    /// The sixteen round subkeys as 6-bit chunks, unpacked from the
+    /// schedule — exposed for the ISA-level analysis kernels.
     #[must_use]
-    pub fn round_subkeys(&self) -> &[[u8; 8]; 16] {
-        &self.ks
+    pub fn round_subkeys(&self) -> [[u8; 8]; 16] {
+        self.ks.map(|k| std::array::from_fn(|i| (k[i % 2] >> (26 - 8 * (i / 2))) as u8 & 0x3f))
     }
 
     /// Part 1 of the block operation: the initial permutation (Table 6).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `block` is not 8 bytes.
+    /// The halves come back in the rounds' working form, each rotated
+    /// right by one bit; only [`Des::final_permutation`] reads them.
     #[must_use]
-    pub fn initial_permutation(block: &[u8]) -> (u32, u32) {
-        let v = u64::from_be_bytes(block.try_into().expect("DES block must be 8 bytes"));
-        let p = permute(v, 64, &IP);
-        ((p >> 32) as u32, p as u32)
+    pub fn initial_permutation(block: &[u8; 8]) -> (u32, u32) {
+        ip(u64::from_be_bytes(*block))
     }
 
     /// Part 2: the 16 substitution rounds (counted as `des_round`, one call
     /// of 16 units).
     #[must_use]
     pub fn substitution_rounds(&self, l: u32, r: u32, decrypt: bool) -> (u32, u32) {
-        counters::count("des_round", 16);
-        rounds(l, r, &self.ks, decrypt)
+        phased_rounds(self, l, r, decrypt)
     }
 
     /// Part 3: the final permutation, storing back to bytes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `out` is not 8 bytes.
-    pub fn final_permutation(l: u32, r: u32, out: &mut [u8]) {
-        let v = (u64::from(l) << 32) | u64::from(r);
-        let p = permute(v, 64, &FP);
-        out.copy_from_slice(&p.to_be_bytes());
+    pub fn final_permutation(l: u32, r: u32, out: &mut [u8; 8]) {
+        *out = fp(l, r).to_be_bytes();
+    }
+}
+
+impl Core for Des {
+    const BLOCK: &'static str = "des_block";
+    const ROUNDS: u64 = 16;
+
+    #[inline(always)]
+    fn rounds<const DECRYPT: bool, const N: usize>(
+        &self,
+        l: [u32; N],
+        r: [u32; N],
+    ) -> ([u32; N], [u32; N]) {
+        sixteen_rounds::<DECRYPT, N>(l, r, &self.ks)
     }
 }
 
@@ -259,17 +440,19 @@ impl BlockCipher for Des {
     }
 
     fn encrypt_block(&self, block: &mut [u8]) {
-        counters::count("des_block", 1);
-        let (l, r) = Des::initial_permutation(block);
-        let (l, r) = self.substitution_rounds(l, r, false);
-        Des::final_permutation(l, r, block);
+        crypt_block::<Self, false>(self, block);
     }
 
     fn decrypt_block(&self, block: &mut [u8]) {
-        counters::count("des_block", 1);
-        let (l, r) = Des::initial_permutation(block);
-        let (l, r) = self.substitution_rounds(l, r, true);
-        Des::final_permutation(l, r, block);
+        crypt_block::<Self, true>(self, block);
+    }
+
+    fn encrypt_cbc(&self, iv: &mut [u8], data: &mut [u8]) {
+        encrypt_cbc(self, iv, data);
+    }
+
+    fn decrypt_cbc(&self, iv: &mut [u8], data: &mut [u8]) {
+        decrypt_cbc(self, iv, data);
     }
 }
 
@@ -293,9 +476,9 @@ impl BlockCipher for Des {
 /// ```
 #[derive(Debug, Clone)]
 pub struct Des3 {
-    ks1: KeySchedule,
-    ks2: KeySchedule,
-    ks3: KeySchedule,
+    /// K1, K2 reversed, K3: encryption walks the 48 rounds forwards (E-D-E)
+    /// and decryption backwards (D-E-D).
+    ks: [KeySchedule; 3],
 }
 
 impl Des3 {
@@ -308,11 +491,12 @@ impl Des3 {
     ///
     /// Returns [`CipherError::InvalidKeyLen`] unless `key` is 24 bytes.
     pub fn new(key: &[u8]) -> Result<Self, CipherError> {
-        if key.len() != 24 {
+        let ([k1, k2, k3], []) = key.as_chunks::<8>() else {
             return Err(CipherError::InvalidKeyLen { got: key.len() });
-        }
-        let k = |i: usize| -> [u8; 8] { key[8 * i..8 * i + 8].try_into().expect("8 bytes") };
-        Ok(Des3 { ks1: key_schedule(&k(0)), ks2: key_schedule(&k(1)), ks3: key_schedule(&k(2)) })
+        };
+        let [ks1, mut ks2, ks3] = [k1, k2, k3].map(|k| pack(&subkey_chunks(k)));
+        ks2.reverse();
+        Ok(Des3 { ks: [ks1, ks2, ks3] })
     }
 
     /// Part 2 of the 3DES block operation: all 48 substitution rounds
@@ -320,16 +504,26 @@ impl Des3 {
     /// one `des_round` call of 48 units.
     #[must_use]
     pub fn substitution_rounds(&self, l: u32, r: u32, decrypt: bool) -> (u32, u32) {
-        counters::count("des_round", 48);
-        if decrypt {
-            let (l, r) = rounds(l, r, &self.ks3, true);
-            let (l, r) = rounds(l, r, &self.ks2, false);
-            rounds(l, r, &self.ks1, true)
-        } else {
-            let (l, r) = rounds(l, r, &self.ks1, false);
-            let (l, r) = rounds(l, r, &self.ks2, true);
-            rounds(l, r, &self.ks3, false)
-        }
+        phased_rounds(self, l, r, decrypt)
+    }
+}
+
+impl Core for Des3 {
+    const BLOCK: &'static str = "des3_block";
+    const ROUNDS: u64 = 48;
+
+    /// Three passes; each one's closing half swap is the next one's
+    /// opening swap, as between OpenSSL's three `des_encrypt2` calls.
+    #[inline(always)]
+    fn rounds<const DECRYPT: bool, const N: usize>(
+        &self,
+        l: [u32; N],
+        r: [u32; N],
+    ) -> ([u32; N], [u32; N]) {
+        let [first, second, third] = if DECRYPT { [2, 1, 0] } else { [0, 1, 2] };
+        let (l, r) = sixteen_rounds::<DECRYPT, N>(l, r, &self.ks[first]);
+        let (l, r) = sixteen_rounds::<DECRYPT, N>(l, r, &self.ks[second]);
+        sixteen_rounds::<DECRYPT, N>(l, r, &self.ks[third])
     }
 }
 
@@ -339,17 +533,96 @@ impl BlockCipher for Des3 {
     }
 
     fn encrypt_block(&self, block: &mut [u8]) {
-        counters::count("des3_block", 1);
-        let (l, r) = Des::initial_permutation(block);
-        let (l, r) = self.substitution_rounds(l, r, false);
-        Des::final_permutation(l, r, block);
+        crypt_block::<Self, false>(self, block);
     }
 
     fn decrypt_block(&self, block: &mut [u8]) {
-        counters::count("des3_block", 1);
-        let (l, r) = Des::initial_permutation(block);
-        let (l, r) = self.substitution_rounds(l, r, true);
-        Des::final_permutation(l, r, block);
+        crypt_block::<Self, true>(self, block);
+    }
+
+    fn encrypt_cbc(&self, iv: &mut [u8], data: &mut [u8]) {
+        encrypt_cbc(self, iv, data);
+    }
+
+    fn decrypt_cbc(&self, iv: &mut [u8], data: &mut [u8]) {
+        decrypt_cbc(self, iv, data);
+    }
+}
+
+#[cfg(test)]
+mod oracle {
+    //! The FIPS 46-3 bit-table DES the kernel replaced, kept as the
+    //! reference it is tested against: IP and FP as 64 single-bit moves,
+    //! unrotated halves, and a Feistel function that cuts its eight 6-bit
+    //! windows one rotate at a time and XORs the subkey a chunk at a time.
+
+    use super::{permute, subkey_chunks, BlockCipher, FP, IP, SP};
+
+    type Chunks = [[u8; 8]; 16];
+
+    fn feistel(r: u32, subkey: &[u8; 8]) -> u32 {
+        let t = r.rotate_right(1);
+        let mut f = 0u32;
+        for (i, &k) in subkey.iter().enumerate() {
+            let chunk = ((t.rotate_left(4 * i as u32) >> 26) & 0x3f) as u8 ^ k;
+            f ^= SP[i][chunk as usize];
+        }
+        f
+    }
+
+    /// 16 rounds (reversed subkeys when `decrypt`) and the half swap.
+    fn rounds(mut l: u32, mut r: u32, ks: &Chunks, decrypt: bool) -> (u32, u32) {
+        for i in 0..16 {
+            let subkey = if decrypt { &ks[15 - i] } else { &ks[i] };
+            let next_r = l ^ feistel(r, subkey);
+            l = r;
+            r = next_r;
+        }
+        (r, l)
+    }
+
+    /// One block through IP, each `(schedule, decrypt)` pass, and FP.
+    fn block(passes: &[(&Chunks, bool)], block: &mut [u8]) {
+        let v = u64::from_be_bytes(block.try_into().unwrap());
+        let p = permute(v, 64, &IP);
+        let (mut l, mut r) = ((p >> 32) as u32, p as u32);
+        for &(ks, decrypt) in passes {
+            (l, r) = rounds(l, r, ks, decrypt);
+        }
+        let out = permute((u64::from(l) << 32) | u64::from(r), 64, &FP);
+        block.copy_from_slice(&out.to_be_bytes());
+    }
+
+    /// DES (an 8-byte key) or EDE 3DES (24 bytes) one block at a time; the
+    /// trait's per-block CBC default chains it.
+    pub(super) struct Reference(Vec<Chunks>);
+
+    impl Reference {
+        pub(super) fn new(key: &[u8]) -> Self {
+            Reference(key.chunks_exact(8).map(|k| subkey_chunks(k.try_into().unwrap())).collect())
+        }
+    }
+
+    impl BlockCipher for Reference {
+        fn block_len(&self) -> usize {
+            8
+        }
+
+        fn encrypt_block(&self, b: &mut [u8]) {
+            match &self.0[..] {
+                [k] => block(&[(k, false)], b),
+                [k1, k2, k3] => block(&[(k1, false), (k2, true), (k3, false)], b),
+                _ => unreachable!("one or three keys"),
+            }
+        }
+
+        fn decrypt_block(&self, b: &mut [u8]) {
+            match &self.0[..] {
+                [k] => block(&[(k, true)], b),
+                [k1, k2, k3] => block(&[(k3, true), (k2, false), (k1, true)], b),
+                _ => unreachable!("one or three keys"),
+            }
+        }
     }
 }
 
@@ -469,10 +742,157 @@ mod tests {
     }
 
     #[test]
+    fn round_subkeys_unpack_the_packed_schedule() {
+        let key = [0x13u8, 0x34, 0x57, 0x79, 0x9b, 0xbc, 0xdf, 0xf1];
+        assert_eq!(Des::new(&key).unwrap().round_subkeys(), subkey_chunks(&key));
+    }
+
+    #[test]
     fn counts_key_setup() {
         let (_, snap) = counters::counted(|| {
             let _ = Des3::new(&[1u8; 24]).unwrap();
         });
         assert_eq!(snap.calls("des_key_setup"), 3);
+    }
+
+    /// The swap networks are the FIPS tables, in the rounds' rotated form.
+    #[test]
+    fn swap_networks_match_bit_tables() {
+        let mut rng = proptest::test_runner::TestRng::deterministic("des::ip_fp");
+        let values = [0u64, 1, u64::MAX, 0x0123_4567_89ab_cdef, 1 << 63];
+        for v in values.into_iter().chain((0..1000).map(|_| rng.next_u64())) {
+            let p = permute(v, 64, &IP);
+            let (l, r) = ip(v);
+            assert_eq!(
+                (l.rotate_left(1), r.rotate_left(1)),
+                ((p >> 32) as u32, p as u32),
+                "{v:#x}"
+            );
+            let (l, r) = ((v >> 32) as u32, v as u32);
+            assert_eq!(fp(l.rotate_right(1), r.rotate_right(1)), permute(v, 64, &FP), "{v:#x}");
+        }
+    }
+
+    /// Kernel CBC against the reference's per-block chaining, each
+    /// direction as two calls split after `split` blocks so the IV carries
+    /// between them.
+    fn check_cbc(kernel: &dyn BlockCipher, key: &[u8], iv: [u8; 8], data: &[u8], split: usize) {
+        let reference = oracle::Reference::new(key);
+        let (mut want, mut want_iv) = (data.to_vec(), iv);
+        reference.encrypt_cbc(&mut want_iv, &mut want);
+        let (mut got, mut got_iv) = (data.to_vec(), iv);
+        let (a, b) = got.split_at_mut(8 * split);
+        kernel.encrypt_cbc(&mut got_iv, a);
+        kernel.encrypt_cbc(&mut got_iv, b);
+        assert_eq!((&got, got_iv), (&want, want_iv), "encrypt, {} blocks", data.len() / 8);
+
+        let (mut back, mut back_iv) = (want.clone(), iv);
+        reference.decrypt_cbc(&mut back_iv, &mut back);
+        assert_eq!((&back[..], back_iv), (data, want_iv), "reference round trip");
+        let (mut got, mut got_iv) = (want, iv);
+        let (a, b) = got.split_at_mut(8 * split);
+        kernel.decrypt_cbc(&mut got_iv, a);
+        kernel.decrypt_cbc(&mut got_iv, b);
+        assert_eq!((&got[..], got_iv), (data, want_iv), "decrypt, {} blocks", data.len() / 8);
+    }
+
+    /// Every whole-block length up to 2 KiB, odd block counts (the tail
+    /// after the two-in-flight loop) included: DES, 3DES with independent
+    /// keys, and 3DES with K1 = K2 = K3.
+    #[test]
+    fn cbc_matches_reference_at_every_length() {
+        let mut rng = proptest::test_runner::TestRng::deterministic("des::cbc_lengths");
+        let mut bytes = |n: usize| (0..n).map(|_| rng.next_u64() as u8).collect::<Vec<u8>>();
+        let key8 = bytes(8);
+        let key24 = bytes(24);
+        let equal = [&key8[..], &key8, &key8].concat();
+        let des = Des::new(&key8).unwrap();
+        let triples = [(Des3::new(&key24).unwrap(), key24), (Des3::new(&equal).unwrap(), equal)];
+        for blocks in 0..=256 {
+            let data = bytes(8 * blocks);
+            let iv: [u8; 8] = bytes(8).try_into().unwrap();
+            let split = usize::from(data.first().copied().unwrap_or(0)) % (blocks + 1);
+            check_cbc(&des, &key8, iv, &data, split);
+            for (des3, key) in &triples {
+                check_cbc(des3, key, iv, &data, split);
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(64))]
+
+        /// Random keys, IVs, lengths and split points; `which` picks DES,
+        /// 3DES, or 3DES with its three keys equal.
+        #[test]
+        fn cbc_matches_reference_on_random_keys(
+            which in 0usize..3,
+            key in proptest::collection::vec(proptest::prelude::any::<u8>(), 24..=24),
+            iv in proptest::collection::vec(proptest::prelude::any::<u8>(), 8..=8),
+            blocks in 0usize..=256,
+            split in proptest::prelude::any::<usize>(),
+            fill in proptest::prelude::any::<u8>(),
+        ) {
+            let key = match which {
+                0 => key[..8].to_vec(),
+                1 => key,
+                _ => key[..8].repeat(3),
+            };
+            let kernel: Box<dyn BlockCipher> = if which == 0 {
+                Box::new(Des::new(&key).unwrap())
+            } else {
+                Box::new(Des3::new(&key).unwrap())
+            };
+            let data: Vec<u8> = (0..8 * blocks).map(|i| (i as u8).wrapping_mul(0x9d) ^ fill).collect();
+            check_cbc(&*kernel, &key, iv.try_into().unwrap(), &data, split % (blocks + 1));
+        }
+    }
+
+    /// The CBC override and the trait's per-block default write the same
+    /// bytes, call after call.
+    #[test]
+    fn cbc_override_matches_per_block_default() {
+        let key: Vec<u8> = (0..24u8).map(|i| i.wrapping_mul(37)).collect();
+        let mut fast = crate::Cbc::new(Des3::new(&key).unwrap(), vec![0x5a; 8]).unwrap();
+        let mut slow =
+            crate::Cbc::new(crate::PerBlock(Des3::new(&key).unwrap()), vec![0x5a; 8]).unwrap();
+        for blocks in [0usize, 1, 2, 3, 7, 128, 129] {
+            let data: Vec<u8> = (0..8 * blocks).map(|i| (i * 7) as u8).collect();
+            let (mut a, mut b) = (data.clone(), data.clone());
+            fast.encrypt(&mut a).unwrap();
+            slow.encrypt(&mut b).unwrap();
+            assert_eq!((&a, fast.iv()), (&b, slow.iv()), "encrypt, {blocks} blocks");
+            fast.decrypt(&mut a).unwrap();
+            slow.decrypt(&mut b).unwrap();
+            assert_eq!((&a, fast.iv()), (&b, slow.iv()), "decrypt, {blocks} blocks");
+        }
+    }
+
+    /// One CBC call over N blocks books what N `encrypt_block` calls book:
+    /// N block calls and N `des_round` calls of 16 (DES) or 48 (3DES).
+    #[test]
+    fn cbc_books_the_same_counters_as_single_blocks() {
+        let des = Des::new(&[0x13; 8]).unwrap();
+        let des3 = Des3::new(&[0x31; 24]).unwrap();
+        let cases: [(&dyn BlockCipher, &str, u64); 2] =
+            [(&des, "des_block", 16), (&des3, "des3_block", 48)];
+        for (cipher, block_counter, rounds) in cases {
+            for n in [0u64, 1, 2, 3, 8, 129] {
+                let mut data = vec![0x77u8; 8 * n as usize];
+                let (_, singles) = counters::counted(|| {
+                    data.chunks_exact_mut(8).for_each(|b| cipher.encrypt_block(b));
+                });
+                let mut iv = [0u8; 8];
+                let (_, enc) = counters::counted(|| cipher.encrypt_cbc(&mut iv, &mut data));
+                let (_, dec) = counters::counted(|| cipher.decrypt_cbc(&mut iv, &mut data));
+                for snap in [&enc, &dec] {
+                    assert_eq!(snap.calls(block_counter), n, "{block_counter} x {n}");
+                    assert_eq!(snap.units(block_counter), n, "{block_counter} x {n}");
+                    assert_eq!(snap.calls("des_round"), n, "{block_counter} x {n}");
+                    assert_eq!(snap.units("des_round"), rounds * n, "{block_counter} x {n}");
+                    assert_eq!(snap, &singles, "{block_counter} x {n}");
+                }
+            }
+        }
     }
 }

@@ -151,7 +151,7 @@ pub fn simulate_des_block(key: &[u8; 8], block: &[u8; 8]) -> (KernelRun, [u8; 8]
     let des = Des::new(key).expect("8-byte key");
     let mut machine = Machine::new(0x10000);
     load_common(&mut machine, block);
-    load_subkeys(&mut machine, KS, des.round_subkeys());
+    load_subkeys(&mut machine, KS, &des.round_subkeys());
     let stats = machine.run(&des_program(), 10_000_000).expect("kernel runs clean");
     let out: [u8; 8] = machine.read_mem(OUT, 8).try_into().expect("8 bytes");
     (KernelRun { stats, bytes: 8 }, out)
@@ -170,7 +170,7 @@ pub fn simulate_des3_block(key: &[u8; 24], block: &[u8; 8]) -> (KernelRun, [u8; 
     for i in 0..3usize {
         let sub: [u8; 8] = key[8 * i..8 * i + 8].try_into().expect("8 bytes");
         let des = Des::new(&sub).expect("valid subkey");
-        load_subkeys(&mut machine, KS + 128 * i as u32, des.round_subkeys());
+        load_subkeys(&mut machine, KS + 128 * i as u32, &des.round_subkeys());
     }
     let stats = machine.run(&des3_program(), 10_000_000).expect("kernel runs clean");
     let out: [u8; 8] = machine.read_mem(OUT, 8).try_into().expect("8 bytes");

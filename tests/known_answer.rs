@@ -1,16 +1,16 @@
 //! Known-answer tests pinning the cipher, hash, MAC, and KDF primitives to
 //! their published vectors: AES to FIPS 197 and, in CBC mode, to NIST
-//! SP 800-38A appendix F.2, MD5 to RFC 1321 §A.5, SHA-1 to FIPS 180-1 appendix
-//! examples, HMAC-MD5/HMAC-SHA1 to RFC 2202, HKDF-SHA-256 to RFC 5869
-//! appendix A, the ffdhe2048 group to RFC 7919 appendix A.1, and the
-//! SSLv3 KDF to a fixed golden transcript. Everything above these
+//! SP 800-38A appendix F.2, 3DES to the NIST SP 800-67 example, MD5 to
+//! RFC 1321 §A.5, SHA-1 to FIPS 180-1 appendix examples, HMAC-MD5/HMAC-SHA1
+//! to RFC 2202, HKDF-SHA-256 to RFC 5869 appendix A, the ffdhe2048 group to
+//! RFC 7919 appendix A.1, and the SSLv3 KDF to a fixed golden transcript. Everything above these
 //! primitives (transcript hashes, Finished verification, key derivation,
 //! the TLS 1.3 key schedule) silently depends on their exact bit-level
 //! behaviour; the proptests prove internal consistency, these prove
 //! conformance.
 
 use sslperf::bignum::{Bn, LimbWidth, MontCtx};
-use sslperf::ciphers::{Aes, AesBackend, BlockCipher, Cbc, CipherError};
+use sslperf::ciphers::{Aes, AesBackend, BlockCipher, Cbc, CipherError, Des3};
 use sslperf::hashes::{hkdf, HashAlg, Hmac, Md5, Sha1, Sha256};
 use sslperf::prelude::SslRng;
 use sslperf::ssl::{dhe, kdf};
@@ -174,6 +174,21 @@ fn aes_backend_forcing_behaves() {
     // Auto never fails on a valid key, whatever the CPU.
     let auto = Aes::new(&key).expect("auto backend");
     assert!(auto.backend_name() == "ni" || auto.backend_name() == "table");
+}
+
+/// NIST SP 800-67's three-key TDEA example: three ECB blocks, encrypted
+/// and decrypted one `encrypt_block`/`decrypt_block` at a time.
+#[test]
+fn des3_sp800_67_example() {
+    let key = unhex("0123456789abcdef23456789abcdef01456789abcdef0123");
+    let plain = b"The qufck brown fox jump";
+    let cipher = "a826fd8ce53b855fcce21c8112256fe668d5c05dd9b6b900";
+    let des3 = Des3::new(&key).expect("24-byte key");
+    let mut data = plain.to_vec();
+    data.chunks_exact_mut(8).for_each(|block| des3.encrypt_block(block));
+    assert_eq!(hex(&data), cipher, "encrypt");
+    data.chunks_exact_mut(8).for_each(|block| des3.decrypt_block(block));
+    assert_eq!(&data[..], plain, "decrypt");
 }
 
 /// RFC 1321 §A.5 — the complete MD5 test suite.
