@@ -22,6 +22,13 @@
 //! can still reconstruct Table 8. A base that never changes gets a
 //! [`FixedBaseComb`] instead of a ladder.
 //!
+//! The two halves of an RSA-1024 CRT private operation go through
+//! [`MontCtx::mod_exp_pair`]: on a CPU with the AVX-512 integer FMA unit
+//! both run in one radix-2^52 loop whose operation count and table
+//! addresses do not depend on the exponents — the crate's one `unsafe`
+//! island, behind a wrapper that checks the CPU — and elsewhere they are
+//! two [`MontCtx::mod_exp`] calls.
+//!
 //! # Examples
 //!
 //! ```
@@ -35,7 +42,7 @@
 //! assert!(r.is_zero());
 //! ```
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 mod arith;
@@ -43,13 +50,15 @@ mod comb;
 mod div;
 mod gcd;
 mod mont;
+#[cfg(target_arch = "x86_64")]
+mod mont52;
 mod mont64;
 mod prime;
 pub mod words;
 
 pub use comb::FixedBaseComb;
 pub use gcd::ExtendedGcd;
-pub use mont::{MontCtx, MontScratch};
+pub use mont::MontCtx;
 pub use prime::{generate_prime, is_probable_prime, EntropySource};
 
 use std::cmp::Ordering;

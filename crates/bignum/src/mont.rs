@@ -10,10 +10,15 @@
 //! [`bn_mul_add_words`]: crate::words::bn_mul_add_words
 //! [`bn_sub_words`]: crate::words::bn_sub_words
 
+#[cfg(target_arch = "x86_64")]
+use crate::mont52::{self, Mont52};
 use crate::mont64::Mont64;
 use crate::words::{bn_mul_add_words, bn_sub_words};
 use crate::{default_limb_width, Bn, BnError, LimbWidth};
 use sslperf_profile::counters;
+use std::borrow::Cow;
+#[cfg(target_arch = "x86_64")]
+use std::sync::OnceLock;
 
 /// Precomputed context for arithmetic modulo an odd number `n`.
 ///
@@ -41,6 +46,10 @@ pub struct MontCtx {
     m64: Option<Mont64>,
     /// Which limb width this context's arithmetic runs on.
     limbs: LimbWidth,
+    /// The radix-2^52 form of `n` for [`MontCtx::mod_exp_pair`]'s IFMA
+    /// kernel, built on the first pair that takes it.
+    #[cfg(target_arch = "x86_64")]
+    m52: OnceLock<Mont52>,
 }
 
 impl MontCtx {
@@ -80,7 +89,16 @@ impl MontCtx {
             LimbWidth::U32 => None,
             LimbWidth::U64 => Some(Mont64::new(n)),
         };
-        Ok(MontCtx { n: n.clone(), n0, rr, k, m64, limbs })
+        Ok(MontCtx {
+            n: n.clone(),
+            n0,
+            rr,
+            k,
+            m64,
+            limbs,
+            #[cfg(target_arch = "x86_64")]
+            m52: OnceLock::new(),
+        })
     }
 
     /// The limb width this context's arithmetic runs on.
@@ -161,7 +179,7 @@ impl MontCtx {
     /// form: `a·R mod n`.
     #[must_use]
     pub fn to_mont(&self, a: &Bn) -> Bn {
-        let reduced = if a >= &self.n { a.mod_op(&self.n) } else { a.clone() };
+        let reduced = self.reduce(a);
         if let Some(m) = &self.m64 {
             return m.enter_bn(&reduced);
         }
@@ -187,6 +205,64 @@ impl MontCtx {
         self.mod_exp_window(base, exp, window_bits(exp.bit_len()))
     }
 
+    /// `base^exp mod n` and `other_base^other_exp mod other.n` together —
+    /// the two halves of an RSA-CRT private operation.
+    ///
+    /// When the CPU has the AVX-512 integer FMA unit and both contexts run
+    /// 8-limb [`LimbWidth::U64`] arithmetic (moduli of 449–512 bits), both
+    /// exponentiations advance in one radix-2^52 loop whose operation count,
+    /// branches and table addresses do not depend on either exponent (see
+    /// DESIGN.md §3b, Kernels). Otherwise this is two [`MontCtx::mod_exp`]
+    /// calls. Either way the results are the same values.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use sslperf_bignum::{Bn, MontCtx};
+    ///
+    /// let p = MontCtx::new(&Bn::from_u64(1_000_003))?;
+    /// let q = MontCtx::new(&Bn::from_u64(999_983))?;
+    /// let (two, e) = (Bn::from_u64(2), Bn::from_u64(20));
+    /// assert_eq!(p.mod_exp_pair(&two, &e, &q, &two, &e), (p.mod_exp(&two, &e), q.mod_exp(&two, &e)));
+    /// # Ok::<(), sslperf_bignum::BnError>(())
+    /// ```
+    #[must_use]
+    pub fn mod_exp_pair(
+        &self,
+        base: &Bn,
+        exp: &Bn,
+        other: &MontCtx,
+        other_base: &Bn,
+        other_exp: &Bn,
+    ) -> (Bn, Bn) {
+        #[cfg(target_arch = "x86_64")]
+        if let (Some(a), Some(b)) = (self.ifma(), other.ifma()) {
+            let (base, other_base) = (self.reduce(base), other.reduce(other_base));
+            let [r, s] = mont52::mod_exp_pair([a, b], [&base, &other_base], [exp, other_exp]);
+            return (r, s);
+        }
+        (self.mod_exp(base, exp), other.mod_exp(other_base, other_exp))
+    }
+
+    /// This modulus prepared for the IFMA pair kernel, when the CPU has
+    /// the unit and the context runs 8 limbs of 64 bits; built on first use.
+    #[cfg(target_arch = "x86_64")]
+    fn ifma(&self) -> Option<&Mont52> {
+        if self.m64.as_ref()?.k() != 8 || !mont52::available() {
+            return None;
+        }
+        Some(self.m52.get_or_init(|| Mont52::new(&self.n)))
+    }
+
+    /// `a mod n`, borrowing `a` when it is already reduced.
+    fn reduce<'a>(&self, a: &'a Bn) -> Cow<'a, Bn> {
+        if a >= &self.n {
+            Cow::Owned(a.mod_op(&self.n))
+        } else {
+            Cow::Borrowed(a)
+        }
+    }
+
     /// Computes `base^exp mod n` with a caller-chosen window width
     /// (1–6 bits) — the explicit-width door for the window ablation and
     /// for any experiment that must pin OpenSSL's 4 bits.
@@ -200,8 +276,10 @@ impl MontCtx {
         if exp.is_zero() {
             return if self.n.is_one() { Bn::zero() } else { Bn::one() };
         }
-        if self.m64.is_some() {
-            return self.mod_exp_u64(base, exp, window as usize);
+        if let Some(m) = &self.m64 {
+            // One conversion into the u64 domain, the whole ladder on the
+            // fused kernels, one conversion back.
+            return m.mod_exp(&self.reduce(base), exp, window as usize);
         }
         counters::count("BN_mod_exp", exp.bit_len() as u64);
         let g = self.to_mont(base);
@@ -236,218 +314,9 @@ impl MontCtx {
     }
 }
 
-/// Reusable work buffers for the u32 path's Montgomery arithmetic — the
-/// batch-friendly face of [`MontCtx`].
-///
-/// On [`LimbWidth::U32`] every [`MontCtx::mod_exp`] call allocates a fresh
-/// double-width product buffer per multiplication (~1300 of them for an
-/// RSA-half exponent) plus its window table. A batched caller — the RSA
-/// batch-decrypt path, which runs the same-modulus exponentiation once per
-/// job — passes one `MontScratch` instead and [`MontCtx::mod_exp_scratch`]
-/// reuses these buffers across every multiplication *and* across every
-/// exponentiation sharing the scratch, leaving one allocation per result.
-/// The buffers grow to the largest modulus seen and are modulus-agnostic,
-/// so a single scratch serves both CRT halves (`mod p`, then `mod q`). A
-/// [`LimbWidth::U64`] context works on the stack and leaves the scratch
-/// untouched, so one scratch still serves a mixed batch.
-///
-/// # Examples
-///
-/// ```
-/// use sslperf_bignum::{Bn, MontCtx, MontScratch};
-///
-/// let n = Bn::from_u64(1_000_003);
-/// let ctx = MontCtx::new(&n)?;
-/// let mut scratch = MontScratch::new();
-/// let base = Bn::from_u64(2);
-/// let exp = Bn::from_u64(20);
-/// assert_eq!(ctx.mod_exp_scratch(&base, &exp, &mut scratch), ctx.mod_exp(&base, &exp));
-/// # Ok::<(), sslperf_bignum::BnError>(())
-/// ```
-#[derive(Debug, Default, Clone)]
-pub struct MontScratch {
-    /// Double-width product buffer fed to the reduction.
-    prod: Vec<u32>,
-    /// Destination for the conditional final subtraction.
-    diff: Vec<u32>,
-    /// The modulus zero-padded to the minuend's length.
-    npad: Vec<u32>,
-    /// Diagonal-terms buffer for the dedicated squaring.
-    sqtmp: Vec<u32>,
-    /// The 2^w-entry window table, entries overwritten in place.
-    table: Vec<Bn>,
-    /// Ping-pong accumulators for the square-and-multiply loop.
-    acc: Bn,
-    acc2: Bn,
-}
-
-impl MontScratch {
-    /// Empty scratch; buffers grow on first use and are then reused.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-impl MontCtx {
-    /// Schoolbook product of `a` and `b` written into `prod` (resized, no
-    /// allocation once grown).
-    fn mul_buf(a: &Bn, b: &Bn, prod: &mut Vec<u32>) {
-        counters::count("BN_mul", a.words.len() as u64);
-        prod.clear();
-        prod.resize(a.words.len() + b.words.len(), 0);
-        for (i, &w) in b.words.iter().enumerate() {
-            let carry = bn_mul_add_words(&mut prod[i..i + a.words.len()], &a.words, w);
-            prod[i + a.words.len()] = carry;
-        }
-    }
-
-    /// Montgomery reduction of the double-width value in `t`, result
-    /// written into `out` — the allocation-free twin of [`MontCtx::redc`].
-    fn redc_buf(&self, t: &mut Vec<u32>, out: &mut Bn, diff: &mut Vec<u32>, npad: &mut Vec<u32>) {
-        counters::count("BN_from_montgomery", self.k as u64);
-        t.resize(2 * self.k + 1, 0);
-        for i in 0..self.k {
-            let m = t[i].wrapping_mul(self.n0);
-            let carry = bn_mul_add_words(&mut t[i..i + self.k], &self.n.words, m);
-            let mut c = u64::from(carry);
-            let mut idx = i + self.k;
-            while c != 0 {
-                let s = u64::from(t[idx]) + c;
-                t[idx] = s as u32;
-                c = s >> 32;
-                idx += 1;
-            }
-        }
-        out.words.clear();
-        out.words.extend_from_slice(&t[self.k..]);
-        out.normalize();
-        if *out >= self.n {
-            diff.clear();
-            diff.resize(out.words.len(), 0);
-            npad.clear();
-            npad.extend_from_slice(&self.n.words);
-            npad.resize(out.words.len(), 0);
-            let borrow = bn_sub_words(diff, &out.words, npad);
-            debug_assert_eq!(borrow, 0);
-            std::mem::swap(&mut out.words, diff);
-            out.normalize();
-        }
-    }
-
-    /// `a·b·R⁻¹ mod n` into `out`, using only the given buffers.
-    fn mont_mul_buf(
-        &self,
-        a: &Bn,
-        b: &Bn,
-        out: &mut Bn,
-        prod: &mut Vec<u32>,
-        diff: &mut Vec<u32>,
-        npad: &mut Vec<u32>,
-    ) {
-        Self::mul_buf(a, b, prod);
-        self.redc_buf(prod, out, diff, npad);
-    }
-
-    /// Dedicated squaring of `a` written into `prod` — the allocation-free
-    /// face of [`Bn::sqr`]'s `bn_sqr_normal`.
-    fn sqr_buf(a: &Bn, prod: &mut Vec<u32>, sqtmp: &mut Vec<u32>) {
-        counters::count("BN_sqr", a.words.len() as u64);
-        prod.clear();
-        prod.resize(2 * a.words.len(), 0);
-        sqtmp.clear();
-        sqtmp.resize(2 * a.words.len(), 0);
-        Bn::sqr_into(&a.words, prod, sqtmp);
-    }
-
-    /// `a²·R⁻¹ mod n` into `out`, using only the given buffers.
-    #[allow(clippy::too_many_arguments)]
-    fn mont_sqr_buf(
-        &self,
-        a: &Bn,
-        out: &mut Bn,
-        prod: &mut Vec<u32>,
-        diff: &mut Vec<u32>,
-        npad: &mut Vec<u32>,
-        sqtmp: &mut Vec<u32>,
-    ) {
-        Self::sqr_buf(a, prod, sqtmp);
-        self.redc_buf(prod, out, diff, npad);
-    }
-
-    /// The 64-bit-limb windowed exponentiation: one conversion into the
-    /// u64 Montgomery domain, the whole ladder on the fused kernels, one
-    /// conversion back. Callers have already handled the zero exponent.
-    fn mod_exp_u64(&self, base: &Bn, exp: &Bn, window: usize) -> Bn {
-        let m = self.m64.as_ref().expect("u64 engine present");
-        if base >= &self.n {
-            m.mod_exp(&base.mod_op(&self.n), exp, window)
-        } else {
-            m.mod_exp(base, exp, window)
-        }
-    }
-
-    /// Computes `base^exp mod n` exactly as [`MontCtx::mod_exp`] does —
-    /// same window policy, same value — reusing `scratch` for every
-    /// intermediate buffer of the u32 path. In steady state the only
-    /// allocation is the returned result, which is what makes batched RSA
-    /// decryption's repeated same-modulus exponentiations cheap to
-    /// interleave.
-    #[must_use]
-    pub fn mod_exp_scratch(&self, base: &Bn, exp: &Bn, scratch: &mut MontScratch) -> Bn {
-        if exp.is_zero() {
-            return if self.n.is_one() { Bn::zero() } else { Bn::one() };
-        }
-        let window = window_bits(exp.bit_len()) as usize;
-        if self.m64.is_some() {
-            return self.mod_exp_u64(base, exp, window);
-        }
-        counters::count("BN_mod_exp", exp.bit_len() as u64);
-        let MontScratch { prod, diff, npad, sqtmp, table, acc, acc2, .. } = scratch;
-        let table_len = 1usize << window;
-        if table.len() < table_len {
-            table.resize_with(table_len, Bn::zero);
-        }
-        // table[0] = 1·R, table[1] = g = base·R, table[i] = table[i-1]·g.
-        let one_mont = self.to_mont(&Bn::one());
-        table[0].copy_from(&one_mont);
-        let g = self.to_mont(base);
-        table[1].copy_from(&g);
-        for i in 2..table_len {
-            let (lo, hi) = table.split_at_mut(i);
-            self.mont_mul_buf(&lo[i - 1], &g, &mut hi[0], prod, diff, npad);
-        }
-
-        let bits = exp.bit_len();
-        let chunks = bits.div_ceil(window);
-        acc.copy_from(&table[0]);
-        for chunk_idx in (0..chunks).rev() {
-            if chunk_idx != chunks - 1 {
-                for _ in 0..window {
-                    self.mont_sqr_buf(acc, acc2, prod, diff, npad, sqtmp);
-                    std::mem::swap(acc, acc2);
-                }
-            }
-            let mut idx = 0usize;
-            for b in (0..window).rev() {
-                let bit_pos = chunk_idx * window + b;
-                idx = (idx << 1) | usize::from(exp.bit(bit_pos));
-            }
-            if idx != 0 {
-                self.mont_mul_buf(acc, &table[idx], acc2, prod, diff, npad);
-                std::mem::swap(acc, acc2);
-            }
-        }
-        prod.clear();
-        prod.extend_from_slice(&acc.words);
-        self.redc_buf(prod, acc2, diff, npad);
-        acc2.clone()
-    }
-}
-
 /// The window width, in bits, that keeps table build plus multiplications
-/// smallest for an exponent of `exp_bits` bits — the one policy behind
-/// [`MontCtx::mod_exp`] and [`MontCtx::mod_exp_scratch`].
+/// smallest for an exponent of `exp_bits` bits — OpenSSL's
+/// `BN_window_bits_for_exponent_size`, behind [`MontCtx::mod_exp`].
 fn window_bits(exp_bits: usize) -> u32 {
     match exp_bits {
         0..=23 => 1,
@@ -607,51 +476,6 @@ mod tests {
     }
 
     #[test]
-    fn scratch_exponentiation_matches_allocating_path() {
-        let n = bn("c0ffee0000000000000000000000000000000000000000000000000000000061");
-        let ctx = MontCtx::new(&n).unwrap();
-        let mut scratch = MontScratch::new();
-        for (base, exp) in [
-            ("2", "10001"),
-            ("123456789abcdef", "fedcba9876543210"),
-            ("0", "5"),
-            ("1", "ffffffffffffffff"),
-            ("deadbeef", "0"),
-        ] {
-            let base = bn(base);
-            let exp = bn(exp);
-            assert_eq!(
-                ctx.mod_exp_scratch(&base, &exp, &mut scratch),
-                ctx.mod_exp(&base, &exp),
-                "base {base:?} exp {exp:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn one_scratch_serves_multiple_moduli() {
-        // The batch decrypt path interleaves mod-p and mod-q halves through
-        // one scratch; buffers must not leak state across moduli.
-        let p = bn("ffffffffffffffc5");
-        let q = bn("fffffffffffffffffffffffffffffff1");
-        let ctx_p = MontCtx::new(&p).unwrap();
-        let ctx_q = MontCtx::new(&q).unwrap();
-        let mut scratch = MontScratch::new();
-        let base = bn("123456789abcdef");
-        let exp = bn("abcdef123");
-        for _ in 0..3 {
-            assert_eq!(
-                ctx_p.mod_exp_scratch(&base, &exp, &mut scratch),
-                ctx_p.mod_exp(&base, &exp)
-            );
-            assert_eq!(
-                ctx_q.mod_exp_scratch(&base, &exp, &mut scratch),
-                ctx_q.mod_exp(&base, &exp)
-            );
-        }
-    }
-
-    #[test]
     fn counters_see_hot_functions() {
         use sslperf_profile::counters;
         let n = bn("fffffffffffffffffffffffffffffff1");
@@ -715,21 +539,6 @@ mod tests {
             let base = bn("123456789");
             let exp = bn("abcdef");
             assert_eq!(ctx32.mod_exp(&base, &exp), ctx64.mod_exp(&base, &exp), "modulus {n:?}");
-        }
-    }
-
-    #[test]
-    fn scratch_serves_both_widths_interleaved() {
-        let n = bn("fffffffffffffffffffffffffffffff1");
-        let ctx32 = MontCtx::with_limb_width(&n, LimbWidth::U32).unwrap();
-        let ctx64 = MontCtx::with_limb_width(&n, LimbWidth::U64).unwrap();
-        let mut scratch = MontScratch::new();
-        let base = bn("123456789abcdef");
-        let exp = bn("abcdef123");
-        let want = ctx32.mod_exp(&base, &exp);
-        for _ in 0..3 {
-            assert_eq!(ctx32.mod_exp_scratch(&base, &exp, &mut scratch), want);
-            assert_eq!(ctx64.mod_exp_scratch(&base, &exp, &mut scratch), want);
         }
     }
 }

@@ -5,13 +5,10 @@
 //! share — Fiat / Shacham–Boneh batching needs distinct pairwise-coprime
 //! exponents over one modulus, which SSL traffic never supplies (see
 //! EXPERIMENTS.md §batch-rsa). What a batch amortizes instead is the
-//! per-job overhead: one blinding acquisition for the whole batch (a
-//! cache-miss blinding setup costs a modular inversion plus a full public
-//! exponentiation), one reusable
-//! [`MontScratch`](sslperf_bignum::MontScratch) for every Montgomery
-//! product (no steady-state allocation), and the CRT halves run
-//! *op-major* — every job's mod-`p` half, then every job's mod-`q` half —
-//! so each Montgomery context stays hot across the batch.
+//! blinding acquisition: one for the whole batch (a cache-miss blinding
+//! setup costs a modular inversion plus a full public exponentiation) and
+//! one factor rotation at the end. Each job then runs the key's one CRT
+//! path, the same as [`RsaPrivateKey::raw_decrypt`].
 //!
 //! Error isolation: one bad ciphertext (out of range, bad padding) fails
 //! only its own slot; sibling jobs complete normally. Blinding still
@@ -19,7 +16,7 @@
 //! to sequential ones.
 
 use crate::{pkcs1, RsaError, RsaPrivateKey};
-use sslperf_bignum::{Bn, EntropySource, MontScratch};
+use sslperf_bignum::{Bn, EntropySource};
 use sslperf_profile::counters;
 
 /// One ciphertext in a batch, encrypted under the key's public exponent.
@@ -44,10 +41,9 @@ impl BatchCipher {
 
 impl RsaPrivateKey {
     /// Decrypts a batch of PKCS #1 ciphertexts, one result slot per item,
-    /// in item order, sharing one blinding acquisition and one scratch
-    /// context across the batch — see the module docs. A failing item
-    /// (out-of-range ciphertext, bad padding) occupies only its own slot;
-    /// siblings decrypt normally.
+    /// in item order, sharing one blinding acquisition across the batch —
+    /// see the module docs. A failing item (out-of-range ciphertext, bad
+    /// padding) occupies only its own slot; siblings decrypt normally.
     ///
     /// `rng` seeds the blinding draw when the key's blinding cache is cold,
     /// exactly like [`RsaPrivateKey::decrypt_instrumented`]; blinding
@@ -70,60 +66,20 @@ impl RsaPrivateKey {
             Some(b) => Ok(b),
             None => self.new_blinding(rng),
         };
-        let mut scratch = MontScratch::new();
 
-        // data→bn, range check, blind — per item.
-        let slots: Vec<Result<Bn, RsaError>> = items
+        // Per item: data→bn, range check, blind, the CRT exponentiation,
+        // unblind under the shared factor (rotation happens once, below),
+        // bn→data and PKCS #1 block parsing.
+        let results = items
             .iter()
             .map(|item| {
                 let c = Bn::from_bytes_be(&item.cipher);
                 if &c >= self.modulus() {
                     return Err(RsaError::CiphertextOutOfRange);
                 }
-                match &blinding {
-                    Ok(b) => Ok(b.blind(&c)),
-                    Err(e) => Err(*e),
-                }
-            })
-            .collect();
-
-        // Op-major interleaved CRT: every job's mod-p half first, then
-        // every job's mod-q half — mont_p's modulus and window table stay
-        // hot across the whole batch, and the shared scratch means no
-        // steady-state allocation inside either loop.
-        let p_halves: Vec<Option<Bn>> = slots
-            .iter()
-            .map(|slot| {
-                let c = slot.as_ref().ok()?;
-                Some(self.mont_p.mod_exp_scratch(&c.mod_op(&self.p), &self.dp, &mut scratch))
-            })
-            .collect();
-        let q_halves: Vec<Option<Bn>> = slots
-            .iter()
-            .map(|slot| {
-                let c = slot.as_ref().ok()?;
-                Some(self.mont_q.mod_exp_scratch(&c.mod_op(&self.q), &self.dq, &mut scratch))
-            })
-            .collect();
-
-        let results = slots
-            .iter()
-            .enumerate()
-            .map(|(i, slot)| {
-                if let Err(e) = slot {
-                    return Err(*e);
-                }
-                counters::count("rsa_private_op", 1);
-                let m1 = p_halves[i].as_ref().expect("p-half computed");
-                let m2 = q_halves[i].as_ref().expect("q-half computed");
-                // Garner recombination, then unmask under the shared
-                // blinding factor (rotation happens once, below).
-                let h = self.qinv.mod_mul(&m1.mod_sub(m2, &self.p), &self.p);
-                let m_blinded = m2.add(&h.mul(&self.q));
-                let b = blinding.as_ref().expect("a blinded slot implies blinding");
-                // bn→data plus PKCS #1 block parsing.
-                let block = b.unblind_shared(&m_blinded).to_bytes_be_padded(self.modulus_bytes());
-                pkcs1::parse_type2(&block)
+                let b = blinding.as_ref().map_err(|e| *e)?;
+                let m = b.unblind_shared(&self.crt(&b.blind(&c)));
+                pkcs1::parse_type2(&m.to_bytes_be_padded(self.modulus_bytes()))
             })
             .collect();
 

@@ -5,9 +5,13 @@
 //! `r^e mod N` for a random `r`, and afterwards the result by `r⁻¹ mod N`,
 //! so the private exponentiation runs on a value the attacker cannot
 //! correlate with the wire ciphertext.
+//!
+//! Both factors are kept in the Montgomery form of the key's `mod N`
+//! context, so blinding, unblinding and each rotation are one Montgomery
+//! product — no conversion in or out, no long division.
 
 use crate::{RsaError, RsaPublicKey};
-use sslperf_bignum::{Bn, EntropySource};
+use sslperf_bignum::{Bn, EntropySource, MontCtx};
 use sslperf_profile::counters;
 
 /// A reusable blinding context `(A = r^e mod N, Aᵢ = r⁻¹ mod N)`.
@@ -16,10 +20,11 @@ use sslperf_profile::counters;
 /// consecutive decryptions use different masks without a fresh inversion.
 #[derive(Debug, Clone)]
 pub struct Blinding {
-    n: Bn,
-    /// `r^e mod N` — multiplied into the ciphertext.
+    /// Arithmetic mod `N`: the public key's Montgomery context.
+    mont: MontCtx,
+    /// `r^e·R mod N` — multiplied into the ciphertext.
     factor: Bn,
-    /// `r⁻¹ mod N` — multiplied into the recovered plaintext.
+    /// `r⁻¹·R mod N` — multiplied into the recovered plaintext.
     unblind: Bn,
 }
 
@@ -40,20 +45,22 @@ impl Blinding {
             let Ok(unblind) = r.mod_inverse(public.modulus()) else {
                 continue;
             };
-            let factor = public.raw_encrypt(&r)?;
-            return Ok(Blinding { n: public.modulus().clone(), factor, unblind });
+            let mont = public.mont_n.clone();
+            let factor = mont.to_mont(&public.raw_encrypt(&r)?);
+            let unblind = mont.to_mont(&unblind);
+            return Ok(Blinding { mont, factor, unblind });
         }
         Err(RsaError::KeyGeneration)
     }
 
-    /// Masks a ciphertext: returns `c · r^e mod N`.
+    /// Masks a ciphertext `c < N`: returns `c · r^e mod N`.
     #[must_use]
     pub fn blind(&self, c: &Bn) -> Bn {
         counters::count("blinding_convert", 1);
-        c.mod_mul(&self.factor, &self.n)
+        self.mont.mont_mul(c, &self.factor)
     }
 
-    /// Unmasks a plaintext: returns `m · r⁻¹ mod N`, then squares the stored
+    /// Unmasks a plaintext `m < N`: returns `m · r⁻¹ mod N`, then squares the stored
     /// factors so the next call uses a fresh mask.
     #[must_use = "the unblinded plaintext is the result of the decryption"]
     pub fn unblind(&mut self, m: &Bn) -> Bn {
@@ -69,15 +76,15 @@ impl Blinding {
     #[must_use = "the unblinded plaintext is the result of the decryption"]
     pub fn unblind_shared(&self, m: &Bn) -> Bn {
         counters::count("blinding_convert", 1);
-        m.mod_mul(&self.unblind, &self.n)
+        self.mont.mont_mul(m, &self.unblind)
     }
 
     /// Squares the stored factors so the next use gets a fresh mask —
     /// OpenSSL's `BN_BLINDING_update`, split out of [`Blinding::unblind`]
     /// for batch use (one rotation per batch, not per job).
     pub fn rotate(&mut self) {
-        self.factor = self.factor.mod_mul(&self.factor.clone(), &self.n);
-        self.unblind = self.unblind.mod_mul(&self.unblind.clone(), &self.n);
+        self.factor = self.mont.mont_sqr(&self.factor);
+        self.unblind = self.mont.mont_sqr(&self.unblind);
     }
 }
 
@@ -111,6 +118,27 @@ mod tests {
         let _ = blinding.unblind(&Bn::from_u64(1)); // rotates the factors
         let second = blinding.blind(&c);
         assert_ne!(first, second, "factor must rotate after use");
+    }
+
+    #[test]
+    fn montgomery_factors_give_the_plain_modular_products() {
+        let key = rsa512();
+        let n = key.modulus();
+        let mut rng = SslRng::from_seed(b"mont-blinding");
+        let mut blinding = key.new_blinding(&mut rng).unwrap();
+        let c = rng.next_bn_below(n);
+        for _ in 0..3 {
+            let factor = blinding.mont.from_mont(&blinding.factor);
+            let unblind = blinding.mont.from_mont(&blinding.unblind);
+            // (r^e)·(r⁻¹)^e = 1: the pair still masks and unmasks together.
+            let e = key.public_key().exponent();
+            assert!(factor.mod_mul(&unblind.mod_exp(e, n), n).is_one());
+            assert_eq!(blinding.blind(&c), c.mod_mul(&factor, n));
+            assert_eq!(blinding.unblind_shared(&c), c.mod_mul(&unblind, n));
+            blinding.rotate();
+            assert_eq!(blinding.mont.from_mont(&blinding.factor), factor.mod_mul(&factor, n));
+            assert_eq!(blinding.mont.from_mont(&blinding.unblind), unblind.mod_mul(&unblind, n));
+        }
     }
 
     #[test]

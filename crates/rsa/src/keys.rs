@@ -76,8 +76,9 @@ pub struct RsaPrivateKey {
     pub(crate) dp: Bn,
     /// `d mod (q-1)`.
     pub(crate) dq: Bn,
-    /// `q⁻¹ mod p` (Garner's coefficient).
-    pub(crate) qinv: Bn,
+    /// `q⁻¹·R mod p`: Garner's coefficient in `mont_p`'s Montgomery form,
+    /// so one Montgomery product applies it.
+    pub(crate) qinv_mont: Bn,
     pub(crate) mont_p: MontCtx,
     pub(crate) mont_q: MontCtx,
     pub(crate) blinding: std::sync::Mutex<Option<Blinding>>,
@@ -92,7 +93,7 @@ impl Clone for RsaPrivateKey {
             q: self.q.clone(),
             dp: self.dp.clone(),
             dq: self.dq.clone(),
-            qinv: self.qinv.clone(),
+            qinv_mont: self.qinv_mont.clone(),
             mont_p: self.mont_p.clone(),
             mont_q: self.mont_q.clone(),
             // The blinding cache is per-instance state, re-created lazily.
@@ -141,6 +142,7 @@ impl RsaPrivateKey {
             let qinv = q.mod_inverse(&p).map_err(|_| RsaError::KeyGeneration)?;
             let mont_p = MontCtx::new(&p).map_err(|_| RsaError::KeyGeneration)?;
             let mont_q = MontCtx::new(&q).map_err(|_| RsaError::KeyGeneration)?;
+            let qinv_mont = mont_p.to_mont(&qinv);
             let public = RsaPublicKey::from_parts(n, e.clone())?;
             return Ok(RsaPrivateKey {
                 public,
@@ -149,7 +151,7 @@ impl RsaPrivateKey {
                 q,
                 dp,
                 dq,
-                qinv,
+                qinv_mont,
                 mont_p,
                 mont_q,
                 blinding: std::sync::Mutex::new(None),
@@ -193,13 +195,21 @@ impl RsaPrivateKey {
         if c >= &self.public.n {
             return Err(RsaError::CiphertextOutOfRange);
         }
+        Ok(self.crt(c))
+    }
+
+    /// `c^d mod N` for `c < N` by the Chinese Remainder Theorem — the one
+    /// CRT path behind [`RsaPrivateKey::raw_decrypt`] and
+    /// [`RsaPrivateKey::decrypt_batch`]: both halves through
+    /// [`MontCtx::mod_exp_pair`], then Garner's recombination with one
+    /// Montgomery product mod `p`.
+    pub(crate) fn crt(&self, c: &Bn) -> Bn {
         counters::count("rsa_private_op", 1);
         // m1 = c^dP mod p ; m2 = c^dQ mod q
-        let m1 = self.mont_p.mod_exp(&c.mod_op(&self.p), &self.dp);
-        let m2 = self.mont_q.mod_exp(&c.mod_op(&self.q), &self.dq);
+        let (m1, m2) = self.mont_p.mod_exp_pair(c, &self.dp, &self.mont_q, c, &self.dq);
         // h = qInv (m1 - m2) mod p ; m = m2 + h q
-        let h = self.qinv.mod_mul(&m1.mod_sub(&m2, &self.p), &self.p);
-        Ok(m2.add(&h.mul(&self.q)))
+        let h = self.mont_p.mont_mul(&self.qinv_mont, &m1.mod_sub(&m2, &self.p));
+        m2.add(&h.mul(&self.q))
     }
 
     /// The raw private operation without CRT (`c^d mod N` directly), kept as
@@ -217,7 +227,7 @@ impl RsaPrivateKey {
     }
 
     /// Rebuilds every cached Montgomery context (`mod p`, `mod q`, `mod N`)
-    /// on the given limb width, so all subsequent decryptions with this key
+    /// and the Montgomery-form coefficient on the given limb width, so all subsequent decryptions with this key
     /// run on that kernel family.
     ///
     /// Keys are born on [`sslperf_bignum::default_limb_width`]; this is the
@@ -231,7 +241,11 @@ impl RsaPrivateKey {
     /// Never in practice: the moduli were accepted by `MontCtx` at key
     /// construction and do not change.
     pub fn set_limb_width(&mut self, limbs: LimbWidth) {
+        // R can differ between the widths, so Garner's coefficient leaves
+        // the old Montgomery form and enters the new one.
+        let qinv = self.mont_p.from_mont(&self.qinv_mont);
         self.mont_p = MontCtx::with_limb_width(&self.p, limbs).expect("p stays odd");
+        self.qinv_mont = self.mont_p.to_mont(&qinv);
         self.mont_q = MontCtx::with_limb_width(&self.q, limbs).expect("q stays odd");
         self.public.mont_n = MontCtx::with_limb_width(&self.public.n, limbs).expect("n stays odd");
         *self.blinding.lock().expect("blinding lock poisoned") = None;
@@ -285,6 +299,18 @@ mod tests {
         let key = rsa512();
         let mut rng = SslRng::from_seed(b"crt-check");
         for _ in 0..5 {
+            let c = rng.next_bn_below(key.modulus());
+            assert_eq!(key.raw_decrypt(&c).unwrap(), key.raw_decrypt_no_crt(&c).unwrap());
+        }
+    }
+
+    #[test]
+    fn crt_pair_equals_plain_exponentiation_rsa1024() {
+        // 512-bit halves: on a CPU with avx512ifma both run in the IFMA
+        // pair kernel, elsewhere in two scalar exponentiations.
+        let key = rsa1024();
+        let mut rng = SslRng::from_seed(b"crt-pair-check");
+        for _ in 0..8 {
             let c = rng.next_bn_below(key.modulus());
             assert_eq!(key.raw_decrypt(&c).unwrap(), key.raw_decrypt_no_crt(&c).unwrap());
         }

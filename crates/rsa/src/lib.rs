@@ -8,8 +8,9 @@
 //! * [`RsaPrivateKey::generate`] — Miller–Rabin prime generation, e = 65537,
 //!   CRT parameters, cached Montgomery contexts.
 //! * [`RsaPrivateKey::raw_decrypt`] — CRT exponentiation
-//!   (`m₁ = c^dP mod p`, `m₂ = c^dQ mod q`, Garner recombination), with a
-//!   non-CRT variant for the ablation bench.
+//!   (`m₁ = c^dP mod p`, `m₂ = c^dQ mod q` together through
+//!   [`MontCtx::mod_exp_pair`](sslperf_bignum::MontCtx::mod_exp_pair),
+//!   Garner recombination), with a non-CRT variant for the ablation bench.
 //! * [`Blinding`] — Kocher-style timing-attack blinding (the paper's step 3,
 //!   citing Brumley & Boneh).
 //! * [`pkcs1`] — PKCS #1 v1.5 block formats (the paper's step 6 parses
@@ -35,8 +36,10 @@
 //!
 //! # Security
 //!
-//! Performance-study code: no constant-time guarantees, PKCS#1 v1.5 padding
-//! oracle not mitigated. Never use for real secrets.
+//! Performance-study code: no constant-time guarantees beyond the RSA-1024
+//! CRT exponentiation on a CPU with `avx512ifma` (whose walk does not
+//! depend on the exponents), PKCS#1 v1.5 padding oracle not mitigated.
+//! Never use for real secrets.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -1,9 +1,9 @@
 //! The faster kernel of every selectable pair is in fact the faster one.
 //!
 //! Each kernel family keeps a paper-faithful reference beside the unit that
-//! replaced it on the serving path: u32 Montgomery limbs beside u64, the
-//! AES tables beside AES-NI, the portable SHA compression beside the SHA
-//! extensions. The differential tests prove each pair computes the same
+//! replaced it on the serving path: u32 Montgomery limbs beside u64, two
+//! scalar u64 exponentiations beside the IFMA CRT pair, the AES tables
+//! beside AES-NI, the portable SHA compression beside the SHA extensions. The differential tests prove each pair computes the same
 //! bytes; these prove the ordering the selection rests on, inside one
 //! process, by pinning each side explicitly — so they hold whatever
 //! `SSLPERF_LIMBS` / `SSLPERF_AES` make the process default. Every
@@ -12,7 +12,7 @@
 //! would be a benchmark, and `benchmark/` is the benchmark. A case whose
 //! hardware unit the CPU lacks prints why it is skipped, as the KATs do.
 
-use sslperf::bignum::{Bn, LimbWidth, MontCtx};
+use sslperf::bignum::{generate_prime, Bn, EntropySource, LimbWidth, MontCtx};
 use sslperf::ciphers::AesBackend;
 use sslperf::hashes::Sha256;
 use sslperf::prelude::*;
@@ -91,6 +91,34 @@ fn u64_limbs_square_faster_than_u32() {
         })
     });
     assert_faster("256 Montgomery squarings mod 2^1024, u64 limbs vs u32", wide, narrow);
+}
+
+#[test]
+fn ifma_crt_pair_decrypts_faster_than_scalar_u64() {
+    #[cfg(target_arch = "x86_64")]
+    let ifma = is_x86_feature_detected!("avx512ifma") && is_x86_feature_detected!("avx512vl");
+    #[cfg(not(target_arch = "x86_64"))]
+    let ifma = false;
+    if !ifma {
+        println!("skipped: this CPU has no avx512ifma, the scalar u64 kernel is the only one");
+        return;
+    }
+    let _serial = serial();
+    // The two halves of an RSA-1024 private operation, on u64 contexts:
+    // `mod_exp_pair` takes the IFMA kernel, `mod_exp` the scalar one.
+    let mut rng = SslRng::from_seed(b"kernel-speed-crt");
+    let [p, q] = [(); 2].map(|()| {
+        MontCtx::with_limb_width(&generate_prime(512, &mut rng), LimbWidth::U64).expect("odd")
+    });
+    let c = rng.next_bn_below(&p.modulus().mul(q.modulus()));
+    let (dp, dq) = (rng.next_bn_below(p.modulus()), rng.next_bn_below(q.modulus()));
+    let pair = best_of(|| {
+        std::hint::black_box(p.mod_exp_pair(&c, &dp, &q, &c, &dq));
+    });
+    let scalar = best_of(|| {
+        std::hint::black_box((p.mod_exp(&c, &dp), q.mod_exp(&c, &dq)));
+    });
+    assert_faster("RSA-1024 CRT halves, IFMA pair vs two scalar u64 mod_exps", pair, scalar);
 }
 
 /// Best time to seal one full AES128-SHA record on the given round unit.
