@@ -143,14 +143,15 @@ pub struct DheAgreed {
     pub shared: Vec<u8>,
 }
 
-/// Generates an ephemeral key pair and agrees against `peer_public` in one
-/// step — the unit of work the crypto pool executes for TLS 1.3, mirroring
-/// how `RsaPrivateKey::decrypt` is the unit for SSLv3.
-pub fn agree_ephemeral(rng: &mut SslRng, peer_public: &[u8]) -> Result<DheAgreed, SslError> {
-    let peer = validate_public(peer_public)?;
+/// Generates an ephemeral key pair and agrees against a validated peer
+/// public value in one step — the unit of work a TLS 1.3 server's
+/// [`crate::CryptoJob`] executes, mirroring how `RsaPrivateKey::decrypt` is
+/// the unit for SSLv3.
+#[must_use]
+pub fn agree_ephemeral(rng: &mut SslRng, peer: &Bn) -> DheAgreed {
     let pair = DheKeyPair::generate(rng);
-    let shared = pair.agree(&peer);
-    Ok(DheAgreed { public: pair.public, shared })
+    let shared = pair.agree(peer);
+    DheAgreed { public: pair.public, shared }
 }
 
 #[cfg(test)]
@@ -201,8 +202,8 @@ mod tests {
     #[test]
     fn agree_ephemeral_round_trip() {
         let b = DheKeyPair::generate(&mut SslRng::from_seed(b"dhe-peer"));
-        let agreed =
-            agree_ephemeral(&mut SslRng::from_seed(b"dhe-self"), b.public()).expect("agree");
+        let peer = validate_public(b.public()).expect("b public");
+        let agreed = agree_ephemeral(&mut SslRng::from_seed(b"dhe-self"), &peer);
         let shared_b = b.agree(&validate_public(&agreed.public).expect("public"));
         assert_eq!(agreed.shared, shared_b);
     }

@@ -92,11 +92,10 @@ mod sealed {
 pub enum MachineStep {
     /// The message was fully handled; keep pumping.
     Continue,
-    /// The machine parked itself on an expensive private-key operation.
-    /// The driver executes the job (inline or on a worker pool) and hands
-    /// the result back through [`Engine::complete_crypto`]. Boxed: the
-    /// job carries the full RNG state, which would otherwise dominate the
-    /// size of every step result.
+    /// The machine parked itself on its key exchange; the engine runs the
+    /// job or hands it to a pool (see [`Engine::set_crypto_offload`]).
+    /// Boxed: the job carries the full RNG state, which would otherwise
+    /// dominate the size of every step result.
     PendingCrypto(Box<CryptoJob>),
 }
 
@@ -133,11 +132,10 @@ pub enum CryptoOp {
 /// TLS 1.3 — both suspend at the same engine point and resume through
 /// [`Engine::complete_crypto`].
 ///
-/// The job carries a clone of the connection's seeded [`SslRng`] — the
-/// same clone the inline path uses and then discards (for the RSA
-/// blinding draw, or the DHE exponent) — so offloaded handshakes stay
-/// byte-identical to inline ones: the connection's own rng stream never
-/// advances during the operation regardless of which worker performs it.
+/// The job carries a clone of the connection's seeded [`SslRng`] (for the
+/// RSA blinding draw, or the DHE exponent), so the connection's own rng
+/// stream never advances during the operation: a handshake is
+/// byte-identical whether the engine or a pool worker runs its job.
 #[derive(Debug)]
 pub struct CryptoJob {
     op: CryptoOp,
@@ -193,11 +191,7 @@ impl CryptoJob {
                 (pre_master.map(CryptoOutput::PreMaster), exec)
             }
             CryptoOp::DheAgree { peer } => {
-                let (agreed, exec) = measure(|| {
-                    let pair = crate::dhe::DheKeyPair::generate(&mut rng);
-                    let shared = pair.agree(&peer);
-                    crate::dhe::DheAgreed { public: pair.public().to_vec(), shared }
-                });
+                let (agreed, exec) = measure(|| crate::dhe::agree_ephemeral(&mut rng, &peer));
                 (Ok(CryptoOutput::Dhe(agreed)), exec)
             }
             CryptoOp::BulkSeal { payload } => {
@@ -326,6 +320,8 @@ impl CryptoDone {
 /// implementations only see whole messages, in order, plus the cycles the
 /// engine spent opening the record each message arrived in (so the paper's
 /// per-step attribution survives the sans-io split).
+/// A server machine always suspends at its key exchange; who runs the job
+/// is the engine's choice ([`Engine::set_crypto_offload`]).
 pub trait EngineDriven: sealed::Sealed {
     /// Emits any connection-opening bytes (the client hello flight; servers
     /// emit nothing).
@@ -337,8 +333,8 @@ pub trait EngineDriven: sealed::Sealed {
 
     /// Handles one complete handshake message (4-byte header included),
     /// appending any reply records to `out`. Returns
-    /// [`MachineStep::PendingCrypto`] when the machine suspended on an
-    /// out-of-band crypto operation (offload mode only).
+    /// [`MachineStep::PendingCrypto`] when the machine suspended on its
+    /// key exchange.
     ///
     /// # Errors
     ///
@@ -363,11 +359,11 @@ pub trait EngineDriven: sealed::Sealed {
         Err(SslError::NotReady("machine does not suspend on crypto"))
     }
 
-    /// Switches crypto offloading on or off. Off (the default, and a no-op
-    /// for machines that never suspend) keeps every crypto operation
-    /// inline, which is what the blocking and flight-based drivers want.
-    fn set_crypto_offload(&mut self, enabled: bool) {
-        let _ = enabled;
+    /// The private key a suspended [`CryptoJob`] executes against when
+    /// the engine runs it itself. `None` (the default) for machines that
+    /// never suspend.
+    fn crypto_key(&self) -> Option<&RsaPrivateKey> {
+        None
     }
 
     /// Handles a change-cipher-spec record body.
@@ -411,8 +407,8 @@ impl<M: EngineDriven + ?Sized> EngineDriven for &mut M {
         (**self).complete_crypto(done, out)
     }
 
-    fn set_crypto_offload(&mut self, enabled: bool) {
-        (**self).set_crypto_offload(enabled);
+    fn crypto_key(&self) -> Option<&RsaPrivateKey> {
+        (**self).crypto_key()
     }
 
     fn on_change_cipher_spec(&mut self, body: &[u8], open_cycles: Cycles) -> Result<(), SslError> {
@@ -454,6 +450,8 @@ pub struct Engine<M: EngineDriven> {
     outbox: RecordBuffer,
     out_pos: usize,
     failed: Option<SslError>,
+    /// True when a pool runs key-exchange jobs; false when the engine does.
+    offload: bool,
     /// A job the machine suspended on, not yet taken by the driver.
     pending_job: Option<CryptoJob>,
     /// True from suspension until [`Engine::complete_crypto`]; while set,
@@ -491,6 +489,7 @@ impl<M: EngineDriven> Engine<M> {
             outbox: RecordBuffer::new(),
             out_pos: 0,
             failed: None,
+            offload: false,
             pending_job: None,
             awaiting_crypto: false,
         }
@@ -585,13 +584,14 @@ impl<M: EngineDriven> Engine<M> {
     /// records the caller has not yet drained with [`Engine::open_next`].
     ///
     /// Besides progress (`Ok`) and poison (`Err`), a feed can leave the
-    /// connection in a third state: *pending crypto*. When the machine is
-    /// in offload mode (see [`Engine::set_crypto_offload`]) and hits its
-    /// RSA private-key operation, the handshake suspends —
+    /// connection in a third state: *pending crypto*. When a pool is
+    /// attached (see [`Engine::set_crypto_offload`]) and the machine hits
+    /// its key exchange, the handshake suspends —
     /// [`Engine::crypto_pending`] turns true and [`Engine::take_crypto_job`]
     /// yields the [`CryptoJob`] to execute out-of-band. Until
     /// [`Engine::complete_crypto`] delivers the result, further fed bytes
     /// buffer (bounded by the high-water mark) without being processed.
+    /// Without a pool the engine runs the job itself within the feed.
     ///
     /// # Errors
     ///
@@ -691,16 +691,18 @@ impl<M: EngineDriven> Engine<M> {
         Ok(n)
     }
 
-    /// Switches the wrapped machine's crypto offloading on or off. While
-    /// on, the server's RSA pre-master decryption suspends the handshake
-    /// as a [`CryptoJob`] instead of running inline. A no-op for machines
-    /// that never suspend (the client).
+    /// Attaches or detaches a crypto pool. A server machine always suspends
+    /// at its key exchange with a [`CryptoJob`]. Without a pool (the
+    /// default) the engine runs the job itself at once, booking a queue
+    /// wait of exactly zero; with one, the handshake waits for
+    /// [`Engine::complete_crypto`]. A no-op for the client, which never
+    /// suspends.
     pub fn set_crypto_offload(&mut self, enabled: bool) {
-        self.machine.set_crypto_offload(enabled);
+        self.offload = enabled;
     }
 
     /// True while the handshake is suspended on an out-of-band crypto
-    /// operation (between a feed that hit the RSA boundary and the
+    /// operation (between a feed that hit the key-exchange boundary and the
     /// matching [`Engine::complete_crypto`]).
     #[must_use]
     pub fn crypto_pending(&self) -> bool {
@@ -811,10 +813,11 @@ impl<M: EngineDriven> Engine<M> {
             let msg = &self.msgs[self.msg_pos..self.msg_pos + msg_len];
             match self.machine.on_handshake_message(msg, open_cycles, self.outbox.vec_mut())? {
                 MachineStep::Continue => {}
-                MachineStep::PendingCrypto(job) => {
+                MachineStep::PendingCrypto(job) if self.offload => {
                     self.pending_job = Some(*job);
                     self.awaiting_crypto = true;
                 }
+                MachineStep::PendingCrypto(job) => self.run_crypto(*job)?,
             }
             open_cycles = Cycles::ZERO;
             self.msg_pos += msg_len;
@@ -824,6 +827,14 @@ impl<M: EngineDriven> Engine<M> {
             self.msg_pos = 0;
         }
         Ok(())
+    }
+
+    /// Runs a suspended job on the caller's thread and resumes the machine
+    /// at once, with a queue wait of exactly zero.
+    fn run_crypto(&mut self, job: CryptoJob) -> Result<(), SslError> {
+        let key = self.machine.crypto_key().ok_or(SslError::NotReady("no key for crypto job"))?;
+        let done = CryptoDone { queue_wait: Cycles::ZERO, ..job.execute(key) };
+        self.machine.complete_crypto(done, self.outbox.vec_mut())
     }
 
     /// Returns the total wire length of the record at `in_pos`, or `None`

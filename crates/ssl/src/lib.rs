@@ -69,6 +69,7 @@ mod client;
 pub mod dhe;
 mod engine;
 pub mod kdf;
+mod ledger;
 pub mod mac;
 mod machine;
 mod messages;
@@ -87,12 +88,13 @@ pub use engine::{
     ClientEngine, CryptoDone, CryptoJob, CryptoOp, CryptoOutput, Engine, EngineDriven, MachineStep,
     ServerEngine,
 };
+pub use ledger::HandshakeLedger;
 pub use machine::{ClientConfig, ClientMachine, Protocol, ServerMachine};
 pub use messages::{HandshakeType, SessionId};
 pub use record::{
     ContentType, RecordBuffer, RecordLayer, MAX_FRAGMENT, MAX_RECORD_BODY, RECORD_HEADER_LEN,
 };
-pub use server::{HandshakeLedger, ServerConfig, SslServer, SERVER_STEP_NAMES};
+pub use server::{ServerConfig, SslServer, SERVER_STEP_NAMES};
 pub use suites::{BulkCipher, CipherSuite};
 pub use ticket::{TicketError, TicketKeyring, TicketSessionStore};
 pub use tls13::{Tls13ClientMachine, Tls13ServerMachine, TLS13_STEP_NAMES};

@@ -10,12 +10,14 @@
 //! fixed at construction by a [`ClientConfig`].
 
 use crate::engine::{CryptoDone, EngineDriven, MachineStep};
+use crate::ledger::HandshakeLedger;
 use crate::record::RecordLayer;
-use crate::server::{HandshakeLedger, ServerConfig};
+use crate::server::ServerConfig;
 use crate::tls13::{Tls13ClientMachine, Tls13ServerMachine};
 use crate::{CipherSuite, SslClient, SslError, SslServer};
 use sslperf_profile::Cycles;
 use sslperf_rng::SslRng;
+use sslperf_rsa::RsaPrivateKey;
 
 /// The protocols a machine can speak.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -172,7 +174,7 @@ impl EngineDriven for ClientMachine {
 /// record version, and the version bytes inside the first ClientHello
 /// (identical to the record-header version for both protocols) pick the
 /// machine. The chosen machine then owns the connection — record layer,
-/// step ledger, crypto offload — and the wire bytes it produces are
+/// step ledger, key-exchange job — and the wire bytes it produces are
 /// byte-identical to driving that machine directly, because the
 /// dispatcher never writes and the inner machine is handed the untouched
 /// hello message.
@@ -190,9 +192,6 @@ pub enum ServerMachine<'a> {
         /// Version-agnostic record layer used only to open the first
         /// hello record.
         layer: RecordLayer,
-        /// Crypto-offload setting received before dispatch, replayed onto
-        /// the chosen machine.
-        offload: bool,
     },
     /// Dispatched to the SSLv3 machine.
     V3(SslServer<'a>),
@@ -207,7 +206,7 @@ impl<'a> ServerMachine<'a> {
     pub fn new(config: &'a ServerConfig, rng: SslRng) -> Self {
         let mut layer = RecordLayer::new();
         layer.set_accept_any_version(true);
-        ServerMachine::Undecided { config, rng, layer, offload: false }
+        ServerMachine::Undecided { config, rng, layer }
     }
 
     /// The dispatched protocol, `None` until the first hello arrives.
@@ -270,31 +269,23 @@ impl<'a> ServerMachine<'a> {
 
     /// Reads the version bytes from a ClientHello message body and builds
     /// the matching machine, consulting the configured allow-list.
-    fn dispatch(&mut self, msg: &[u8]) -> Result<(), SslError> {
-        let ServerMachine::Undecided { config, rng, offload, .. } = &*self else {
-            unreachable!("dispatch called twice");
-        };
+    fn dispatch(config: &'a ServerConfig, rng: SslRng, msg: &[u8]) -> Result<Self, SslError> {
         if msg.len() < 6 || msg[0] != 1 {
             return Err(SslError::UnexpectedMessage { expected: "client hello" });
         }
-        let (config, rng, offload) = (*config, rng.clone(), *offload);
-        let version = (msg[4], msg[5]);
-        let mut machine = match version {
+        match (msg[4], msg[5]) {
             v if v == Protocol::Ssl3.wire_version()
                 && config.protocols().contains(&Protocol::Ssl3) =>
             {
-                ServerMachine::V3(SslServer::new(config, rng))
+                Ok(ServerMachine::V3(SslServer::new(config, rng)))
             }
             v if v == Protocol::Tls13.wire_version()
                 && config.protocols().contains(&Protocol::Tls13) =>
             {
-                ServerMachine::T13(Tls13ServerMachine::new(config, rng))
+                Ok(ServerMachine::T13(Tls13ServerMachine::new(config, rng)))
             }
-            (major, minor) => return Err(SslError::UnsupportedVersion { major, minor }),
-        };
-        machine.set_crypto_offload(offload);
-        *self = machine;
-        Ok(())
+            (major, minor) => Err(SslError::UnsupportedVersion { major, minor }),
+        }
     }
 }
 
@@ -309,11 +300,13 @@ impl EngineDriven for ServerMachine<'_> {
         open_cycles: Cycles,
         out: &mut Vec<u8>,
     ) -> Result<MachineStep, SslError> {
-        if matches!(self, ServerMachine::Undecided { .. }) {
-            self.dispatch(msg)?;
-        }
         match self {
-            ServerMachine::Undecided { .. } => unreachable!("dispatched above"),
+            ServerMachine::Undecided { config, rng, .. } => {
+                let mut machine = Self::dispatch(config, rng.clone(), msg)?;
+                let step = machine.on_handshake_message(msg, open_cycles, out);
+                *self = machine;
+                step
+            }
             ServerMachine::V3(m) => m.on_handshake_message(msg, open_cycles, out),
             ServerMachine::T13(m) => m.on_handshake_message(msg, open_cycles, out),
         }
@@ -327,11 +320,11 @@ impl EngineDriven for ServerMachine<'_> {
         }
     }
 
-    fn set_crypto_offload(&mut self, enabled: bool) {
+    fn crypto_key(&self) -> Option<&RsaPrivateKey> {
         match self {
-            ServerMachine::Undecided { offload, .. } => *offload = enabled,
-            ServerMachine::V3(m) => m.set_crypto_offload(enabled),
-            ServerMachine::T13(m) => m.set_crypto_offload(enabled),
+            ServerMachine::Undecided { .. } => None,
+            ServerMachine::V3(m) => m.crypto_key(),
+            ServerMachine::T13(m) => m.crypto_key(),
         }
     }
 

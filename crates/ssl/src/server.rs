@@ -11,8 +11,9 @@
 use crate::cache::{
     CachedSession, CachedSessionStore, IssuedTicket, SessionCache, SessionStore, SimpleSessionCache,
 };
-use crate::engine::{CryptoDone, CryptoJob, Engine, EngineDriven, MachineStep};
+use crate::engine::{CryptoDone, CryptoJob, CryptoOutput, Engine, EngineDriven, MachineStep};
 use crate::kdf::{self, KeyMaterial};
+use crate::ledger::{HandshakeLedger, HandshakeRecorder};
 use crate::machine::Protocol;
 use crate::messages::{HandshakeMessage, SessionId};
 use crate::record::{ContentType, RecordBuffer, RecordLayer};
@@ -21,7 +22,7 @@ use crate::transcript::{Transcript, SENDER_CLIENT, SENDER_SERVER};
 use crate::{CipherSuite, SslError};
 use sslperf_profile::{measure, Cycles, PhaseSet, Stopwatch};
 use sslperf_rng::SslRng;
-use sslperf_rsa::{x509::Certificate, RsaError, RsaPrivateKey};
+use sslperf_rsa::{x509::Certificate, RsaPrivateKey};
 use std::ops::Range;
 
 /// The ten server-side handshake steps of the paper's Table 2.
@@ -37,52 +38,6 @@ pub const SERVER_STEP_NAMES: [&str; 10] = [
     "send_finished",
     "server_flush",
 ];
-
-/// One connection's handshake anatomy, exported after establishment.
-///
-/// This is the per-connection row behind the paper's Tables 2 and 3: step
-/// latencies in paper order, the handshake's total and crypto cycles, and
-/// the two halves of step 5 under crypto offload (queue wait vs. the RSA
-/// private decryption itself). Steps and crypto count processing only: the
-/// queue wait is kept beside them, in `kx_queue_wait`. Produced by
-/// [`SslServer::ledger`]; consumed by the serving layer's live metrics
-/// registry.
-#[derive(Debug, Clone)]
-pub struct HandshakeLedger {
-    /// Which protocol machine produced this ledger — decides whose step
-    /// names populate `steps` ([`SERVER_STEP_NAMES`] for SSLv3,
-    /// [`TLS13_STEP_NAMES`](crate::tls13::TLS13_STEP_NAMES) for TLS 1.3).
-    pub protocol: Protocol,
-    /// True when the handshake resumed a cached session (steps 5/6 carry
-    /// no RSA work in that case).
-    pub resumed: bool,
-    /// `(step name, cycles)` for the protocol's ten steps, in wire order.
-    pub steps: [(&'static str, Cycles); 10],
-    /// Sum of all step latencies — the handshake's total cost.
-    pub total: Cycles,
-    /// Cycles spent inside crypto functions during the handshake
-    /// (Table 3's "crypto" share).
-    pub crypto: Cycles,
-    /// Key-exchange offload split: cycles the crypto job waited in the
-    /// pool's queue (zero when running inline). The job is an RSA private
-    /// decryption for SSLv3, a DHE exponentiation pair for TLS 1.3. Not
-    /// part of `steps`, `total` or `crypto`: the connection was waiting,
-    /// not processing.
-    pub kx_queue_wait: Cycles,
-    /// Key-exchange offload split: cycles executing the private operation
-    /// itself (amortized across the batch when batched).
-    pub kx_exec: Cycles,
-    /// True when this full handshake issued a NewSessionTicket.
-    pub ticket_issued: bool,
-    /// True when the handshake resumed from a client-presented ticket.
-    pub ticket_accepted: bool,
-    /// True when a presented ticket was rejected as tampered or unknown
-    /// (the handshake silently continued as full).
-    pub ticket_rejected: bool,
-    /// True when a presented ticket was rejected as expired (the handshake
-    /// silently continued as full).
-    pub ticket_expired: bool,
-}
 
 /// Long-lived server configuration: the RSA key, the certificate, and the
 /// session store shared by every connection (session re-negotiation is the
@@ -215,8 +170,8 @@ impl ServerConfig {
 enum State {
     AwaitClientHello,
     AwaitClientKx,
-    /// Offload mode: suspended mid-step-5, waiting for the executed
-    /// [`CryptoJob`]'s result.
+    /// Suspended mid-step-5, waiting for the executed [`CryptoJob`]'s
+    /// result.
     AwaitKxCrypto,
     AwaitClientCcs,
     AwaitClientFinished,
@@ -257,17 +212,7 @@ pub struct SslServer<'a> {
     /// an event-driven driver may deliver in separate readiness events;
     /// the partial timing accumulates here until the step completes.
     step6: Cycles,
-    /// When true, step 5's RSA decryption suspends as a [`CryptoJob`]
-    /// instead of running inline (set through the engine's
-    /// `set_crypto_offload`).
-    offload: bool,
-    /// Step 5's pre-suspension cycles, held until the job result lands.
-    kx_partial: Cycles,
-    /// How long the offloaded decryption waited for an engine.
-    kx_queue_wait: Cycles,
-    steps: PhaseSet,
-    crypto: PhaseSet,
-    crypto_detail: Vec<(usize, &'static str, Cycles)>,
+    anatomy: HandshakeRecorder,
 }
 
 impl<'a> SslServer<'a> {
@@ -297,40 +242,30 @@ impl<'a> SslServer<'a> {
             expected_client_finished: None,
             key_material: None,
             step6: Cycles::ZERO,
-            offload: false,
-            kx_partial: Cycles::ZERO,
-            kx_queue_wait: Cycles::ZERO,
-            steps: PhaseSet::new(),
-            crypto: PhaseSet::new(),
-            crypto_detail: Vec::new(),
+            anatomy: HandshakeRecorder::new(Protocol::Ssl3),
         };
-        server.note_crypto(0, "init_finished_mac", init_cycles);
-        server.steps.add(SERVER_STEP_NAMES[0], sw.elapsed());
+        server.anatomy.note(0, "init_finished_mac", init_cycles);
+        server.anatomy.step(0, sw.elapsed());
         server
-    }
-
-    fn note_crypto(&mut self, step: usize, name: &'static str, cycles: Cycles) {
-        self.crypto.add(name, cycles);
-        self.crypto_detail.push((step, name, cycles));
     }
 
     /// Per-step latency (Table 2's latency column).
     #[must_use]
     pub fn steps(&self) -> &PhaseSet {
-        &self.steps
+        &self.anatomy.steps
     }
 
     /// Per-crypto-function latency, aggregated over the handshake.
     #[must_use]
     pub fn crypto(&self) -> &PhaseSet {
-        &self.crypto
+        &self.anatomy.crypto
     }
 
     /// `(step index, crypto function, cycles)` triples in call order
     /// (Table 2's right-hand columns).
     #[must_use]
     pub fn crypto_detail(&self) -> &[(usize, &'static str, Cycles)] {
-        &self.crypto_detail
+        &self.anatomy.crypto_detail
     }
 
     /// Record-layer symmetric-crypto cycles (cipher + MAC) accumulated over
@@ -355,21 +290,12 @@ impl<'a> SslServer<'a> {
     /// connection into its aggregate histograms.
     #[must_use]
     pub fn ledger(&self) -> HandshakeLedger {
-        let steps = std::array::from_fn(|i| {
-            (SERVER_STEP_NAMES[i], self.steps.cycles(SERVER_STEP_NAMES[i]))
-        });
         HandshakeLedger {
-            protocol: Protocol::Ssl3,
-            resumed: self.resumed,
-            steps,
-            total: self.steps.total(),
-            crypto: self.crypto.total(),
-            kx_queue_wait: self.kx_queue_wait,
-            kx_exec: self.crypto.cycles("rsa_private_decryption"),
             ticket_issued: self.ticket_issued,
             ticket_accepted: self.ticket_accepted,
             ticket_rejected: self.ticket_rejected,
             ticket_expired: self.ticket_expired,
+            ..self.anatomy.ledger(self.resumed)
         }
     }
 
@@ -477,8 +403,8 @@ impl<'a> SslServer<'a> {
             // back silently to a full handshake (no alert oracle).
             match ticket.as_deref() {
                 Some(blob) if !blob.is_empty() && !session_id.is_empty() => {
-                    let (opened, cycles) = measure(|| self.config.accept_ticket(blob));
-                    self.note_crypto(1, "ticket_open", cycles);
+                    let opened =
+                        self.anatomy.time(1, "ticket_open", || self.config.accept_ticket(blob));
                     match opened {
                         Ok(session) => {
                             self.ticket_accepted = true;
@@ -506,18 +432,15 @@ impl<'a> SslServer<'a> {
             self.session_id = session_id.as_bytes().to_vec();
         } else {
             self.suite = chosen;
-            let (sid, cycles) = measure(|| self.rng.bytes(32));
-            self.note_crypto(1, "rand_pseudo_bytes", cycles);
+            let sid = self.anatomy.time(1, "rand_pseudo_bytes", || self.rng.bytes(32));
             self.session_id = sid;
         }
-        let (_, cycles) = measure(|| self.transcript.absorb(msg));
-        self.note_crypto(1, "finish_mac", cycles);
-        self.steps.add(SERVER_STEP_NAMES[1], sw.elapsed() + open_cycles);
+        self.anatomy.time(1, "finish_mac", || self.transcript.absorb(msg));
+        self.anatomy.step(1, sw.elapsed() + open_cycles);
 
         // Step 2: send_server_hello.
         let sw = Stopwatch::start();
-        let (random, cycles) = measure(|| self.rng.bytes(32));
-        self.note_crypto(2, "rand_pseudo_bytes", cycles);
+        let random = self.anatomy.time(2, "rand_pseudo_bytes", || self.rng.bytes(32));
         self.server_random.copy_from_slice(&random);
         let hello = HandshakeMessage::ServerHello {
             random: self.server_random,
@@ -528,10 +451,9 @@ impl<'a> SslServer<'a> {
             ticket: self.ticket_negotiated && !self.resumed,
         }
         .encode();
-        let (_, cycles) = measure(|| self.transcript.absorb(&hello));
-        self.note_crypto(2, "finish_mac", cycles);
+        self.anatomy.time(2, "finish_mac", || self.transcript.absorb(&hello));
         self.records.seal_append(ContentType::Handshake, &hello, out)?;
-        self.steps.add(SERVER_STEP_NAMES[2], sw.elapsed());
+        self.anatomy.step(2, sw.elapsed());
 
         if self.resumed {
             // Abbreviated handshake: CCS + finished immediately.
@@ -543,26 +465,22 @@ impl<'a> SslServer<'a> {
 
         // Step 3: send_server_cert (X509 encoding charged as crypto).
         let sw = Stopwatch::start();
-        let (cert_msg, cycles) = measure(|| {
+        let cert_msg = self.anatomy.time(3, "x509_functions", || {
             // Re-encode through the certificate type, as mod_ssl re-serializes
             // the X509 object per handshake.
-            let cert = Certificate::from_bytes(&self.config.cert_wire)
-                .expect("own certificate is well-formed");
-            HandshakeMessage::Certificate { cert: cert.to_bytes() }.encode()
-        });
-        self.note_crypto(3, "x509_functions", cycles);
-        let (_, cycles) = measure(|| self.transcript.absorb(&cert_msg));
-        self.note_crypto(3, "finish_mac", cycles);
+            Certificate::from_bytes(&self.config.cert_wire)
+                .map(|cert| HandshakeMessage::Certificate { cert: cert.to_bytes() }.encode())
+        })?;
+        self.anatomy.time(3, "finish_mac", || self.transcript.absorb(&cert_msg));
         self.records.seal_append(ContentType::Handshake, &cert_msg, out)?;
-        self.steps.add(SERVER_STEP_NAMES[3], sw.elapsed());
+        self.anatomy.step(3, sw.elapsed());
 
         // Step 4: send_server_done (+ internal buffer control).
         let sw = Stopwatch::start();
         let done = HandshakeMessage::ServerHelloDone.encode();
-        let (_, cycles) = measure(|| self.transcript.absorb(&done));
-        self.note_crypto(4, "finish_mac", cycles);
+        self.anatomy.time(4, "finish_mac", || self.transcript.absorb(&done));
         self.records.seal_append(ContentType::Handshake, &done, out)?;
-        self.steps.add(SERVER_STEP_NAMES[4], sw.elapsed());
+        self.anatomy.step(4, sw.elapsed());
 
         self.state = State::AwaitClientKx;
         Ok(())
@@ -593,9 +511,8 @@ impl<'a> SslServer<'a> {
         Ok(out)
     }
 
-    /// Step 5: get_client_kx — RSA-decrypt the pre-master, derive the
-    /// master secret. In offload mode the decryption suspends as a
-    /// [`CryptoJob`] and the step concludes in
+    /// Step 5: get_client_kx — suspends on the RSA decryption of the
+    /// pre-master as a [`CryptoJob`]; the step concludes in
     /// [`SslServer::finish_client_kx`].
     fn on_client_kx(&mut self, msg: &[u8], open_cycles: Cycles) -> Result<MachineStep, SslError> {
         let sw = Stopwatch::start();
@@ -603,84 +520,54 @@ impl<'a> SslServer<'a> {
         let HandshakeMessage::ClientKeyExchange { encrypted_pre_master } = decoded else {
             return Err(SslError::UnexpectedMessage { expected: "client key exchange" });
         };
-        if self.offload {
-            // Absorb at suspension time — order-safe, since the finished
-            // hashes are only computed later at the client's CCS. The rng
-            // clone carries the blinding draw out-of-band; the inline path
-            // below clones and discards the very same state, which is why
-            // both paths stay byte-identical.
-            let (_, cycles) = measure(|| self.transcript.absorb(msg));
-            self.note_crypto(5, "finish_mac", cycles);
-            self.kx_partial = sw.elapsed() + open_cycles;
-            self.state = State::AwaitKxCrypto;
-            return Ok(MachineStep::PendingCrypto(Box::new(CryptoJob::new(
-                encrypted_pre_master,
-                self.rng.clone(),
-            ))));
-        }
-        let (pre_master, cycles) = {
-            let key = &self.config.key;
-            let mut scratch = PhaseSet::new();
-            let mut rng = self.rng.clone();
-            measure(|| key.decrypt_instrumented(&encrypted_pre_master, &mut rng, &mut scratch))
-        };
-        self.note_crypto(5, "rsa_private_decryption", cycles);
-        self.derive_master(pre_master);
-        let (_, cycles) = measure(|| self.transcript.absorb(msg));
-        self.note_crypto(5, "finish_mac", cycles);
-        self.steps.add(SERVER_STEP_NAMES[5], sw.elapsed() + open_cycles);
-        self.state = State::AwaitClientCcs;
-        Ok(MachineStep::Continue)
+        // Absorbed at suspension: the finished hashes are only computed at
+        // the client's CCS. The job decrypts with a clone of the rng (the
+        // blinding draw), so the connection's own stream never advances
+        // whoever runs it.
+        self.anatomy.time(5, "finish_mac", || self.transcript.absorb(msg));
+        self.anatomy.suspend_kx(5, sw.elapsed() + open_cycles);
+        self.state = State::AwaitKxCrypto;
+        let job = CryptoJob::new(encrypted_pre_master, self.rng.clone());
+        Ok(MachineStep::PendingCrypto(Box::new(job)))
     }
 
-    /// Step 5's conclusion in offload mode: derive the master secret from
-    /// the job's result. The decryption's execution is step-5 crypto; its
-    /// queue wait is kept aside for the ledger, out of the step's latency.
+    /// Step 5's conclusion: derive the master secret from the job's
+    /// result. The decryption's execution is step-5 crypto; its queue wait
+    /// is kept aside for the ledger, out of the step's latency.
+    ///
+    /// A ClientKeyExchange that fails to decrypt, unpad, or carry a 48-byte
+    /// `3.0 ‖ random` block must be indistinguishable on the wire from one
+    /// that succeeds (the Bleichenbacher oracle), so any failure continues
+    /// the handshake under a random pre-master and the connection dies
+    /// where a wrong-key client's does: at the client's finished record,
+    /// with that alert. The substitute is drawn on every handshake, from a
+    /// fork of the connection rng, so neither the draw nor its absence
+    /// moves the stream later flights read.
     fn finish_client_kx(&mut self, done: CryptoDone) -> Result<(), SslError> {
         let sw = Stopwatch::start();
-        let (output, queue_wait, exec) = done.into_parts();
-        self.kx_queue_wait = queue_wait;
-        self.note_crypto(5, "rsa_private_decryption", exec);
-        let pre_master = match output {
-            Ok(crate::engine::CryptoOutput::PreMaster(pre_master)) => Ok(pre_master),
+        let decrypted = match self.anatomy.resume_kx("rsa_private_decryption", done) {
+            Ok(CryptoOutput::PreMaster(block)) => Some(block),
             Ok(_) => return Err(SslError::NotReady("crypto result kind")),
-            Err(e) => Err(e),
+            Err(_) => None,
         };
-        self.derive_master(pre_master);
-        let total = self.kx_partial + exec + sw.elapsed();
-        self.kx_partial = Cycles::ZERO;
-        self.steps.add(SERVER_STEP_NAMES[5], total);
-        self.state = State::AwaitClientCcs;
-        Ok(())
-    }
-
-    /// Derives the master secret from step 5's decryption result (the
-    /// shared tail of both step-5 paths). A ClientKeyExchange that fails to
-    /// decrypt, unpad, or carry a 48-byte `3.0 ‖ random` block must be
-    /// indistinguishable on the wire from one that succeeds (the
-    /// Bleichenbacher oracle), so any failure continues the handshake under
-    /// a random pre-master and the connection dies where a wrong-key
-    /// client's does: at the client's finished record, with that alert. The
-    /// substitute is drawn on every handshake, from a fork of the
-    /// connection rng, so neither the draw nor its absence moves the stream
-    /// later flights read.
-    fn derive_master(&mut self, decrypted: Result<Vec<u8>, RsaError>) {
         let mut fork = self.rng.clone();
         fork.add_entropy(b"client key exchange fallback");
         let mut fallback = [0u8; 48];
         fork.fill_bytes(&mut fallback);
         let pre_master: &[u8] = match &decrypted {
-            Ok(block)
+            Some(block)
                 if block.len() == 48 && block[..2] == [crate::VERSION.0, crate::VERSION.1] =>
             {
                 block
             }
             _ => &fallback,
         };
-        let (master, cycles) =
-            measure(|| kdf::master_secret(pre_master, &self.client_random, &self.server_random));
-        self.note_crypto(5, "gen_master_secret", cycles);
-        self.master = master;
+        self.master = self.anatomy.time(5, "gen_master_secret", || {
+            kdf::master_secret(pre_master, &self.client_random, &self.server_random)
+        });
+        self.anatomy.end_kx(sw.elapsed());
+        self.state = State::AwaitClientCcs;
+        Ok(())
     }
 
     /// Step 6a: the client's CCS — generate the key block, switch the read
@@ -698,9 +585,9 @@ impl<'a> SslServer<'a> {
         let read_cipher = self.suite.new_cipher(&km.client_key, &km.client_iv)?;
         self.records.activate_read(read_cipher, self.suite.mac_alg(), km.client_mac.clone());
         if self.expected_client_finished.is_none() {
-            let (expected, cycles) =
-                measure(|| self.transcript.finished_hashes(&SENDER_CLIENT, &self.master));
-            self.note_crypto(6, "final_finish_mac", cycles);
+            let expected = self.anatomy.time(6, "final_finish_mac", || {
+                self.transcript.finished_hashes(&SENDER_CLIENT, &self.master)
+            });
             self.expected_client_finished = Some(expected);
         }
         self.step6 += sw.elapsed() + open_cycles;
@@ -718,7 +605,7 @@ impl<'a> SslServer<'a> {
         out: &mut Vec<u8>,
     ) -> Result<(), SslError> {
         let sw = Stopwatch::start();
-        self.note_crypto(6, "pri_decryption_and_mac", open_cycles);
+        self.anatomy.note(6, "pri_decryption_and_mac", open_cycles);
         let (decoded, _) = HandshakeMessage::decode(msg)?;
         let HandshakeMessage::Finished { md5_hash, sha_hash } = decoded else {
             return Err(SslError::UnexpectedMessage { expected: "client finished" });
@@ -727,11 +614,10 @@ impl<'a> SslServer<'a> {
         if md5_hash != exp_md5 || sha_hash != exp_sha {
             return Err(SslError::BadFinished);
         }
-        let (_, cycles) = measure(|| self.transcript.absorb(msg));
-        self.note_crypto(6, "finish_mac", cycles);
+        self.anatomy.time(6, "finish_mac", || self.transcript.absorb(msg));
         let step6 = self.step6 + sw.elapsed() + open_cycles;
         self.step6 = Cycles::ZERO;
-        self.steps.add(SERVER_STEP_NAMES[6], step6);
+        self.anatomy.step(6, step6);
 
         if !self.resumed {
             if self.ticket_negotiated {
@@ -747,16 +633,15 @@ impl<'a> SslServer<'a> {
         if !self.ticket_negotiated {
             self.config.store(self.session_id.clone(), self.master.clone(), self.suite);
         }
-        let (_, cycles) = measure(|| {
+        self.anatomy.time(9, "cleanse", || {
             // OPENSSL_cleanse-equivalent: overwrite transient key material.
             if let Some(km) = &mut self.key_material {
                 km.client_mac.fill(0);
             }
             sslperf_profile::counters::count("OPENSSL_cleanse", 1);
         });
-        self.note_crypto(9, "cleanse", cycles);
         self.key_material = None;
-        self.steps.add(SERVER_STEP_NAMES[9], sw.elapsed());
+        self.anatomy.step(9, sw.elapsed());
 
         self.state = State::Established;
         Ok(())
@@ -779,7 +664,7 @@ impl<'a> SslServer<'a> {
         }
         .encode();
         self.records.seal_append(ContentType::Handshake, &nst, out)?;
-        self.note_crypto(8, "ticket_seal", sw.elapsed());
+        self.anatomy.note(8, "ticket_seal", sw.elapsed());
         self.ticket_issued = true;
         Ok(())
     }
@@ -799,22 +684,21 @@ impl<'a> SslServer<'a> {
         let km = self.key_material.clone().expect("generated above");
         let write_cipher = self.suite.new_cipher(&km.server_key, &km.server_iv)?;
         self.records.activate_write(write_cipher, self.suite.mac_alg(), km.server_mac.clone());
-        self.steps.add(SERVER_STEP_NAMES[7], sw.elapsed());
+        self.anatomy.step(7, sw.elapsed());
 
         // Step 8: send_finished.
         let sw = Stopwatch::start();
-        let (hashes, cycles) =
-            measure(|| self.transcript.finished_hashes(&SENDER_SERVER, &self.master));
-        self.note_crypto(8, "final_finish_mac", cycles);
+        let hashes = self.anatomy.time(8, "final_finish_mac", || {
+            self.transcript.finished_hashes(&SENDER_SERVER, &self.master)
+        });
         let (md5_hash, sha_hash) = hashes;
         let fin = HandshakeMessage::Finished { md5_hash, sha_hash }.encode();
-        let (_, cycles) = measure(|| self.transcript.absorb(&fin));
-        self.note_crypto(8, "finish_mac", cycles);
-        let (sealed, cycles) =
-            measure(|| self.records.seal_append(ContentType::Handshake, &fin, out));
-        self.note_crypto(8, "pri_encryption_and_mac", cycles);
+        self.anatomy.time(8, "finish_mac", || self.transcript.absorb(&fin));
+        let sealed = self.anatomy.time(8, "pri_encryption_and_mac", || {
+            self.records.seal_append(ContentType::Handshake, &fin, out)
+        });
         sealed?;
-        self.steps.add(SERVER_STEP_NAMES[8], sw.elapsed());
+        self.anatomy.step(8, sw.elapsed());
         // Returns the *client* finished hashes expected later in resumed mode.
         let expected = self.transcript.finished_hashes(&SENDER_CLIENT, &self.master);
         Ok(expected)
@@ -822,7 +706,7 @@ impl<'a> SslServer<'a> {
 
     fn generate_key_block(&mut self, step: usize) -> Result<(), SslError> {
         let suite = self.suite;
-        let (block, cycles) = measure(|| {
+        let block = self.anatomy.time(step, "gen_key_block", || {
             kdf::key_block(
                 &self.master,
                 &self.server_random,
@@ -830,7 +714,6 @@ impl<'a> SslServer<'a> {
                 suite.key_block_len(),
             )
         });
-        self.note_crypto(step, "gen_key_block", cycles);
         self.key_material = Some(KeyMaterial::parse(
             &block,
             suite.mac_alg().output_len(),
@@ -936,8 +819,8 @@ impl EngineDriven for SslServer<'_> {
         self.finish_client_kx(done)
     }
 
-    fn set_crypto_offload(&mut self, enabled: bool) {
-        self.offload = enabled;
+    fn crypto_key(&self) -> Option<&RsaPrivateKey> {
+        Some(self.config.key())
     }
 
     fn on_change_cipher_spec(&mut self, body: &[u8], open_cycles: Cycles) -> Result<(), SslError> {

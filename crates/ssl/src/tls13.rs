@@ -9,7 +9,7 @@
 //!
 //! ```text
 //! client                              server
-//!   ClientHello(key_share)  ───────▶  [DHE: inline or CryptoJob]
+//!   ClientHello(key_share)  ───────▶  [DHE CryptoJob: engine or pool]
 //!   (all further records    ◀───────  ServerHello(key_share)
 //!    under handshake keys)  ◀───────  EncryptedExtensions ‖ Certificate
 //!                           ◀───────  CertificateVerify ‖ Finished
@@ -34,18 +34,18 @@
 //! no resumption/PSK, no client authentication, and the hello keeps the
 //! SSLv3 body layout (no `supported_versions` dance).
 
-use crate::dhe::{DheAgreed, DheKeyPair};
+use crate::dhe::DheKeyPair;
 use crate::engine::{CryptoDone, CryptoJob, CryptoOutput, EngineDriven, MachineStep};
+use crate::ledger::{HandshakeLedger, HandshakeRecorder};
 use crate::machine::Protocol;
 use crate::messages::{decode_extension_block, encode_extensions, Reader, EXT_KEY_SHARE};
 use crate::record::{ContentType, RecordLayer};
-use crate::server::{HandshakeLedger, ServerConfig};
+use crate::server::ServerConfig;
 use crate::{CipherSuite, SslError};
-use sslperf_bignum::Bn;
 use sslperf_hashes::{hkdf, HashAlg, Hmac, Sha256};
-use sslperf_profile::{measure, Cycles, PhaseSet, Stopwatch};
+use sslperf_profile::{Cycles, PhaseSet, Stopwatch};
 use sslperf_rng::SslRng;
-use sslperf_rsa::{x509::Certificate, RsaPublicKey};
+use sslperf_rsa::{x509::Certificate, RsaPrivateKey, RsaPublicKey};
 
 /// The record-header version the TLS 1.3-style machines stamp and expect:
 /// `(3, 4)`. RFC 8446 echoes 0x0303 for middlebox compatibility; we have
@@ -311,8 +311,8 @@ fn cert_verify_content(th: &[u8]) -> Vec<u8> {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum ServerState {
     AwaitClientHello,
-    /// Offload mode: suspended mid-step-2, waiting for the executed DHE
-    /// [`CryptoJob`]'s result.
+    /// Suspended mid-step-2, waiting for the executed DHE [`CryptoJob`]'s
+    /// result.
     AwaitKxCrypto,
     AwaitClientFinished,
     Established,
@@ -336,14 +336,7 @@ pub struct Tls13ServerMachine<'a> {
     /// Application traffic secrets, installed once the client Finished
     /// verifies: `(client_ap, server_ap)`.
     app_secrets: Option<(Vec<u8>, Vec<u8>)>,
-    offload: bool,
-    /// Step 2's pre-suspension cycles, held until the job result lands.
-    kx_partial: Cycles,
-    /// How long the offloaded DHE job waited for an engine.
-    kx_queue_wait: Cycles,
-    steps: PhaseSet,
-    crypto: PhaseSet,
-    crypto_detail: Vec<(usize, &'static str, Cycles)>,
+    anatomy: HandshakeRecorder,
 }
 
 impl<'a> Tls13ServerMachine<'a> {
@@ -361,18 +354,8 @@ impl<'a> Tls13ServerMachine<'a> {
             server_random: [0; 32],
             expected_client_finished: None,
             app_secrets: None,
-            offload: false,
-            kx_partial: Cycles::ZERO,
-            kx_queue_wait: Cycles::ZERO,
-            steps: PhaseSet::new(),
-            crypto: PhaseSet::new(),
-            crypto_detail: Vec::new(),
+            anatomy: HandshakeRecorder::new(Protocol::Tls13),
         }
-    }
-
-    fn note_crypto(&mut self, step: usize, name: &'static str, cycles: Cycles) {
-        self.crypto.add(name, cycles);
-        self.crypto_detail.push((step, name, cycles));
     }
 
     fn th(&self) -> [u8; 32] {
@@ -380,26 +363,25 @@ impl<'a> Tls13ServerMachine<'a> {
     }
 
     fn absorb(&mut self, step: usize, msg: &[u8]) {
-        let (_, cycles) = measure(|| self.transcript.update(msg));
-        self.note_crypto(step, "sha256_transcript", cycles);
+        self.anatomy.time(step, "sha256_transcript", || self.transcript.update(msg));
     }
 
     /// Per-step latency, keyed by [`TLS13_STEP_NAMES`].
     #[must_use]
     pub fn steps(&self) -> &PhaseSet {
-        &self.steps
+        &self.anatomy.steps
     }
 
     /// Per-crypto-function latency, aggregated over the handshake.
     #[must_use]
     pub fn crypto(&self) -> &PhaseSet {
-        &self.crypto
+        &self.anatomy.crypto
     }
 
     /// `(step index, crypto function, cycles)` triples in call order.
     #[must_use]
     pub fn crypto_detail(&self) -> &[(usize, &'static str, Cycles)] {
-        &self.crypto_detail
+        &self.anatomy.crypto_detail
     }
 
     /// The negotiated cipher suite.
@@ -426,36 +408,22 @@ impl<'a> Tls13ServerMachine<'a> {
     /// one metrics layer serves both protocols.
     #[must_use]
     pub fn ledger(&self) -> HandshakeLedger {
-        let steps =
-            std::array::from_fn(|i| (TLS13_STEP_NAMES[i], self.steps.cycles(TLS13_STEP_NAMES[i])));
-        HandshakeLedger {
-            protocol: Protocol::Tls13,
-            resumed: false,
-            steps,
-            total: self.steps.total(),
-            crypto: self.crypto.total(),
-            kx_queue_wait: self.kx_queue_wait,
-            kx_exec: self.crypto.cycles("kx_exec"),
-            ticket_issued: false,
-            ticket_accepted: false,
-            ticket_rejected: false,
-            ticket_expired: false,
-        }
+        self.anatomy.ledger(false)
     }
 
     /// Steps 0–2 up to the DHE boundary: parse the hello, pick parameters,
-    /// then either run the exponentiations inline or suspend.
+    /// then suspend on the exponentiations as a [`CryptoJob`]; the step
+    /// concludes in `finish_kx`.
     fn on_client_hello(
         &mut self,
         msg: &[u8],
         open_cycles: Cycles,
-        out: &mut Vec<u8>,
     ) -> Result<MachineStep, SslError> {
         // Step 0: get_client_hello.
         let sw = Stopwatch::start();
         let hello = decode_client_hello(msg)?;
         self.absorb(0, msg);
-        self.steps.add(TLS13_STEP_NAMES[0], sw.elapsed() + open_cycles);
+        self.anatomy.step(0, sw.elapsed() + open_cycles);
 
         // Step 1: select_params — suite choice, server random, key-share
         // validation (the cheap Bn range check; the exponentiations are
@@ -465,109 +433,77 @@ impl<'a> Tls13ServerMachine<'a> {
             .into_iter()
             .find(|s| hello.suites.contains(&s.wire_id()))
             .ok_or(SslError::NoCommonCipher)?;
-        let (random, cycles) = measure(|| self.rng.bytes(32));
-        self.note_crypto(1, "rand_pseudo_bytes", cycles);
+        let random = self.anatomy.time(1, "rand_pseudo_bytes", || self.rng.bytes(32));
         self.server_random.copy_from_slice(&random);
         let peer = crate::dhe::validate_public(&hello.key_share)?;
-        self.steps.add(TLS13_STEP_NAMES[1], sw.elapsed());
+        self.anatomy.step(1, sw.elapsed());
 
-        // Step 2: dhe_key_exchange. Both paths draw the ephemeral exponent
-        // from a *clone* of the connection rng — the connection's own
-        // stream never advances, so offloaded and inline handshakes emit
-        // byte-identical flights.
-        if self.offload {
-            self.kx_partial = Stopwatch::start().elapsed();
-            self.state = ServerState::AwaitKxCrypto;
-            return Ok(MachineStep::PendingCrypto(Box::new(CryptoJob::new_dhe(
-                peer,
-                self.rng.clone(),
-            ))));
-        }
-        let sw = Stopwatch::start();
-        let agreed = self.agree_inline(&peer);
-        self.note_crypto(2, "kx_exec", sw.elapsed());
-        self.steps.add(TLS13_STEP_NAMES[2], sw.elapsed());
-        self.continue_with_dhe(agreed, out)?;
-        Ok(MachineStep::Continue)
+        // Step 2: dhe_key_exchange. The job draws the ephemeral exponent
+        // from a *clone* of the connection rng, so the connection's own
+        // stream never advances whoever runs it.
+        self.anatomy.suspend_kx(2, Cycles::ZERO);
+        self.state = ServerState::AwaitKxCrypto;
+        Ok(MachineStep::PendingCrypto(Box::new(CryptoJob::new_dhe(peer, self.rng.clone()))))
     }
 
-    /// The inline DHE computation, matching [`CryptoJob::execute`]'s
-    /// `DheAgree` arm operation-for-operation.
-    fn agree_inline(&self, peer: &Bn) -> DheAgreed {
-        let mut rng = self.rng.clone();
-        let pair = DheKeyPair::generate(&mut rng);
-        let shared = pair.agree(peer);
-        DheAgreed { public: pair.public().to_vec(), shared }
-    }
-
-    /// Step 2's conclusion in offload mode. The queue wait is kept aside
-    /// for the ledger, out of the step's latency and the crypto ledger.
+    /// Step 2's conclusion, then steps 3–8: ServerHello through Finished.
+    /// The job's queue wait is kept aside for the ledger, out of the step's
+    /// latency and the crypto ledger.
     fn finish_kx(&mut self, done: CryptoDone, out: &mut Vec<u8>) -> Result<(), SslError> {
-        let (output, queue_wait, exec) = done.into_parts();
-        self.kx_queue_wait = queue_wait;
-        self.note_crypto(2, "kx_exec", exec);
-        let CryptoOutput::Dhe(agreed) = output? else {
+        let sw = Stopwatch::start();
+        let CryptoOutput::Dhe(agreed) = self.anatomy.resume_kx("kx_exec", done)? else {
             return Err(SslError::NotReady("crypto result kind"));
         };
-        let total = self.kx_partial + exec;
-        self.kx_partial = Cycles::ZERO;
-        self.steps.add(TLS13_STEP_NAMES[2], total);
-        self.continue_with_dhe(agreed, out)
-    }
+        self.anatomy.end_kx(sw.elapsed());
 
-    /// Steps 3–8: ServerHello through Finished, shared by the inline and
-    /// offload paths.
-    fn continue_with_dhe(&mut self, agreed: DheAgreed, out: &mut Vec<u8>) -> Result<(), SslError> {
         // Step 4: send_server_hello (plaintext, carrying our key share).
         let sw = Stopwatch::start();
         let sh = encode_server_hello(&self.server_random, self.suite.wire_id(), &agreed.public);
         self.absorb(4, &sh);
         self.records.seal_append(ContentType::Handshake, &sh, out)?;
-        self.steps.add(TLS13_STEP_NAMES[4], sw.elapsed());
+        self.anatomy.step(4, sw.elapsed());
 
         // Step 3: derive_handshake_keys — the §7.1 schedule down to the
         // handshake traffic secrets at th(CH..SH), then both epochs
         // activate (no CCS: the very next record is encrypted).
         let sw = Stopwatch::start();
         let th_ch_sh = self.th();
-        let (secrets, cycles) = measure(|| handshake_secrets(&agreed.shared, &th_ch_sh));
-        self.note_crypto(3, "hkdf_key_schedule", cycles);
+        let secrets = self
+            .anatomy
+            .time(3, "hkdf_key_schedule", || handshake_secrets(&agreed.shared, &th_ch_sh));
         activate_epoch(&mut self.records, self.suite, &secrets.server_hs, true)?;
         activate_epoch(&mut self.records, self.suite, &secrets.client_hs, false)?;
-        self.steps.add(TLS13_STEP_NAMES[3], sw.elapsed());
+        self.anatomy.step(3, sw.elapsed());
 
         // Step 5: send_encrypted_exts (empty extension block).
         let sw = Stopwatch::start();
         let ee = frame(MT_ENCRYPTED_EXTENSIONS, &[0, 0]);
         self.absorb(5, &ee);
         self.records.seal_append(ContentType::Handshake, &ee, out)?;
-        self.steps.add(TLS13_STEP_NAMES[5], sw.elapsed());
+        self.anatomy.step(5, sw.elapsed());
 
         // Step 6: send_certificate (same re-serialization the SSLv3 path
         // charges as x509_functions).
         let sw = Stopwatch::start();
-        let (cert_msg, cycles) = measure(|| {
-            let cert = Certificate::from_bytes(self.config.cert_wire())
-                .expect("own certificate is well-formed");
-            let wire = cert.to_bytes();
+        let cert_msg = self.anatomy.time(6, "x509_functions", || {
+            let wire = Certificate::from_bytes(self.config.cert_wire())?.to_bytes();
             let mut body = Vec::with_capacity(3 + wire.len());
             body.extend_from_slice(&(wire.len() as u32).to_be_bytes()[1..]);
             body.extend_from_slice(&wire);
-            frame(MT_CERTIFICATE, &body)
-        });
-        self.note_crypto(6, "x509_functions", cycles);
+            Ok::<_, SslError>(frame(MT_CERTIFICATE, &body))
+        })?;
         self.absorb(6, &cert_msg);
         self.records.seal_append(ContentType::Handshake, &cert_msg, out)?;
-        self.steps.add(TLS13_STEP_NAMES[6], sw.elapsed());
+        self.anatomy.step(6, sw.elapsed());
 
         // Step 7: send_cert_verify — sign the transcript so the ephemeral
         // share is authenticated (this is where TLS 1.3 spends its RSA
         // private operation, vs. SSLv3's step-5 decryption).
         let sw = Stopwatch::start();
         let content = cert_verify_content(&self.th());
-        let (sig, cycles) = measure(|| self.config.key().sign_pkcs1(HashAlg::Sha256, &content));
-        self.note_crypto(7, "rsa_sign", cycles);
-        let sig = sig?;
+        let sig = self
+            .anatomy
+            .time(7, "rsa_sign", || self.config.key().sign_pkcs1(HashAlg::Sha256, &content))?;
         let mut body = Vec::with_capacity(4 + sig.len());
         body.extend_from_slice(&SIG_RSA_PKCS1_SHA256.to_be_bytes());
         body.extend_from_slice(&(sig.len() as u16).to_be_bytes());
@@ -575,24 +511,26 @@ impl<'a> Tls13ServerMachine<'a> {
         let cv = frame(MT_CERTIFICATE_VERIFY, &body);
         self.absorb(7, &cv);
         self.records.seal_append(ContentType::Handshake, &cv, out)?;
-        self.steps.add(TLS13_STEP_NAMES[7], sw.elapsed());
+        self.anatomy.step(7, sw.elapsed());
 
         // Step 8: send_finished, then chain to the application secrets and
         // the expected client Finished (both pinned to th(CH..SFin)).
         let sw = Stopwatch::start();
-        let (vd, cycles) = measure(|| verify_data(&secrets.server_hs, &self.th()));
-        self.note_crypto(8, "hmac_finished", cycles);
+        let vd = self.anatomy.time(8, "hmac_finished", || {
+            verify_data(&secrets.server_hs, &self.transcript.clone().finalize())
+        });
         let fin = frame(MT_FINISHED, &vd);
         self.absorb(8, &fin);
         self.records.seal_append(ContentType::Handshake, &fin, out)?;
         let th_ch_sfin = self.th();
-        let (ap, cycles) = measure(|| application_secrets(&secrets.master, &th_ch_sfin));
-        self.note_crypto(8, "hkdf_key_schedule", cycles);
+        let ap = self
+            .anatomy
+            .time(8, "hkdf_key_schedule", || application_secrets(&secrets.master, &th_ch_sfin));
         self.app_secrets = Some(ap);
-        let (expected, cycles) = measure(|| verify_data(&secrets.client_hs, &th_ch_sfin));
-        self.note_crypto(8, "hmac_finished", cycles);
+        let expected =
+            self.anatomy.time(8, "hmac_finished", || verify_data(&secrets.client_hs, &th_ch_sfin));
         self.expected_client_finished = Some(expected);
-        self.steps.add(TLS13_STEP_NAMES[8], sw.elapsed());
+        self.anatomy.step(8, sw.elapsed());
 
         self.state = ServerState::AwaitClientFinished;
         Ok(())
@@ -610,7 +548,7 @@ impl<'a> Tls13ServerMachine<'a> {
         let (client_ap, server_ap) = self.app_secrets.take().expect("derived at send_finished");
         activate_epoch(&mut self.records, self.suite, &server_ap, true)?;
         activate_epoch(&mut self.records, self.suite, &client_ap, false)?;
-        self.steps.add(TLS13_STEP_NAMES[9], sw.elapsed() + open_cycles);
+        self.anatomy.step(9, sw.elapsed() + open_cycles);
         self.state = ServerState::Established;
         Ok(())
     }
@@ -625,10 +563,10 @@ impl EngineDriven for Tls13ServerMachine<'_> {
         &mut self,
         msg: &[u8],
         open_cycles: Cycles,
-        out: &mut Vec<u8>,
+        _out: &mut Vec<u8>,
     ) -> Result<MachineStep, SslError> {
         match self.state {
-            ServerState::AwaitClientHello => self.on_client_hello(msg, open_cycles, out),
+            ServerState::AwaitClientHello => self.on_client_hello(msg, open_cycles),
             ServerState::AwaitClientFinished => {
                 self.on_client_finished(msg, open_cycles).map(|()| MachineStep::Continue)
             }
@@ -648,8 +586,8 @@ impl EngineDriven for Tls13ServerMachine<'_> {
         self.finish_kx(done, out)
     }
 
-    fn set_crypto_offload(&mut self, enabled: bool) {
-        self.offload = enabled;
+    fn crypto_key(&self) -> Option<&RsaPrivateKey> {
+        Some(self.config.key())
     }
 
     fn on_change_cipher_spec(

@@ -12,9 +12,10 @@ mod support;
 
 use proptest::prelude::*;
 use sslperf::prelude::*;
+use sslperf::profile::counters;
 use sslperf::ssl::{
-    ClientEngine, Engine, EngineDriven, HandshakeLedger, RecordBuffer, ServerEngine, SslError,
-    Tls13ClientMachine, Tls13ServerMachine,
+    ClientConfig, ClientEngine, ClientMachine, Engine, EngineDriven, HandshakeLedger, Protocol,
+    RecordBuffer, ServerEngine, ServerMachine, SslError, Tls13ClientMachine, Tls13ServerMachine,
 };
 use std::net::{TcpListener, TcpStream};
 use std::sync::OnceLock;
@@ -365,6 +366,81 @@ fn assert_wait_kept_aside(
     assert!(*step < wait, "{kx_step} ({step}) counts the queue wait ({wait})");
     let names: Vec<&str> = crypto_detail.iter().map(|(_, name, _)| *name).collect();
     assert!(!names.iter().any(|name| name.ends_with("_wait")), "{kx_step}: {names:?}");
+}
+
+/// What one server handshake booked: every profile counter its feeds and
+/// its key-exchange job touched, its ledger, and its crypto rows without
+/// their cycles.
+struct ServerWork {
+    counters: counters::Snapshot,
+    ledger: HandshakeLedger,
+    rows: Vec<(usize, &'static str)>,
+}
+
+/// Runs one full `protocol` handshake whose key exchange the server engine
+/// runs itself (`offload` false) or hands to this driver, which executes
+/// it (`offload` true). Counts the server's work only.
+fn server_work(protocol: Protocol, offload: bool) -> ServerWork {
+    // A fresh key per run, so the blinding state starts cold in both modes.
+    let config = ServerConfig::new(config().key().clone(), "work.test").expect("config");
+    let client_config = ClientConfig::new(protocol, CipherSuite::RsaDesCbc3Sha);
+    let mut client = Engine::new(ClientMachine::new(client_config, SslRng::from_seed(b"work-c")))
+        .expect("client engine");
+    let mut server = Engine::new(ServerMachine::new(&config, SslRng::from_seed(b"work-s")))
+        .expect("server engine");
+    server.set_crypto_offload(offload);
+    counters::reset();
+    for _ in 0..8 {
+        if client.is_established() && server.is_established() {
+            break;
+        }
+        let flight = client.output().to_vec();
+        client.consume_output(flight.len());
+        let counting = counters::enable();
+        server.feed(&flight).expect("server feed");
+        if let Some(job) = server.take_crypto_job() {
+            server.complete_crypto(job.execute(config.key())).expect("resume");
+        }
+        drop(counting);
+        let flight = server.output().to_vec();
+        server.consume_output(flight.len());
+        client.feed(&flight).expect("client feed");
+    }
+    assert!(client.is_established() && server.is_established(), "{protocol}: no convergence");
+    let counters = counters::snapshot();
+    counters::reset();
+    let detail = match server.machine() {
+        ServerMachine::V3(m) => m.crypto_detail(),
+        ServerMachine::T13(m) => m.crypto_detail(),
+        ServerMachine::Undecided { .. } => panic!("{protocol}: no hello dispatched"),
+    };
+    let rows = detail.iter().map(|&(step, name, _)| (step, name)).collect();
+    ServerWork { counters, ledger: server.machine().ledger(), rows }
+}
+
+/// One key-exchange path: a job the engine runs itself and a job a driver
+/// runs do the same work — the same profile counters (calls and units),
+/// one RSA private decryption or two DHE exponentiations, the same ledger
+/// steps and crypto rows — and the engine's own run waits in no queue.
+#[test]
+fn inline_and_offloaded_key_exchange_do_the_same_work() {
+    for protocol in [Protocol::Ssl3, Protocol::Tls13] {
+        let inline = server_work(protocol, false);
+        let offloaded = server_work(protocol, true);
+        assert_eq!(inline.counters, offloaded.counters, "{protocol}: profile counters");
+        let kx = (inline.counters.calls("rsa_private_op"), inline.counters.calls("dhe_mod_exp"));
+        match protocol {
+            Protocol::Ssl3 => assert_eq!(kx, (1, 0), "{protocol}: one RSA decryption"),
+            // The second private operation is the CertificateVerify
+            // signature, which runs on the connection's own thread.
+            Protocol::Tls13 => assert_eq!(kx, (1, 2), "{protocol}: one DHE pair"),
+        }
+        let names = |work: &ServerWork| work.ledger.steps.map(|(name, _)| name);
+        assert_eq!(names(&inline), names(&offloaded), "{protocol}: ledger steps");
+        assert_eq!(inline.rows, offloaded.rows, "{protocol}: crypto_detail rows");
+        assert_eq!(inline.ledger.kx_queue_wait, Cycles::ZERO, "{protocol}: inline queue wait");
+        assert!(inline.ledger.kx_exec > Cycles::ZERO, "{protocol}: inline exec booked");
+    }
 }
 
 /// Completing crypto that was never requested is an orderly error, not a
