@@ -146,16 +146,8 @@ pub struct CryptoJob {
 }
 
 impl CryptoJob {
-    pub(crate) fn new(encrypted_pre_master: Vec<u8>, rng: SslRng) -> Self {
-        CryptoJob {
-            op: CryptoOp::RsaDecrypt { ciphertext: encrypted_pre_master },
-            rng,
-            submitted: Stopwatch::start(),
-        }
-    }
-
-    pub(crate) fn new_dhe(peer: sslperf_bignum::Bn, rng: SslRng) -> Self {
-        CryptoJob { op: CryptoOp::DheAgree { peer }, rng, submitted: Stopwatch::start() }
+    pub(crate) fn new(op: CryptoOp, rng: SslRng) -> Self {
+        CryptoJob { op, rng, submitted: Stopwatch::start() }
     }
 
     /// Creates a standalone bulk-cipher job: seal `payload` (clamped to one
@@ -165,7 +157,7 @@ impl CryptoJob {
     #[must_use]
     pub fn new_bulk(mut payload: Vec<u8>, rng: SslRng) -> Self {
         payload.truncate(crate::MAX_FRAGMENT);
-        CryptoJob { op: CryptoOp::BulkSeal { payload }, rng, submitted: Stopwatch::start() }
+        Self::new(CryptoOp::BulkSeal { payload }, rng)
     }
 
     /// Which operation this job performs (RSA jobs batch; DHE jobs run

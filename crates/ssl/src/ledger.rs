@@ -61,11 +61,10 @@ pub struct HandshakeLedger {
 #[derive(Debug)]
 pub(crate) struct HandshakeRecorder {
     protocol: Protocol,
-    pub(crate) steps: PhaseSet,
-    pub(crate) crypto: PhaseSet,
-    pub(crate) crypto_detail: Vec<(usize, &'static str, Cycles)>,
-    /// The suspended key-exchange step and its processing before the job.
-    kx_step: usize,
+    steps: PhaseSet,
+    crypto: PhaseSet,
+    crypto_detail: Vec<(usize, &'static str, Cycles)>,
+    /// The key-exchange step's processing before its suspension.
     kx_partial: Cycles,
     kx_queue_wait: Cycles,
     kx_exec: Cycles,
@@ -78,7 +77,6 @@ impl HandshakeRecorder {
             steps: PhaseSet::new(),
             crypto: PhaseSet::new(),
             crypto_detail: Vec::new(),
-            kx_step: 0,
             kx_partial: Cycles::ZERO,
             kx_queue_wait: Cycles::ZERO,
             kx_exec: Cycles::ZERO,
@@ -110,32 +108,43 @@ impl HandshakeRecorder {
         self.steps.add(self.names()[step], cycles);
     }
 
-    /// Opens the key-exchange step at the machine's suspension, with the
-    /// step's processing so far.
-    pub(crate) fn suspend_kx(&mut self, step: usize, partial: Cycles) {
-        self.kx_step = step;
+    /// Holds the key-exchange step's processing up to the suspension.
+    pub(crate) fn suspend_kx(&mut self, partial: Cycles) {
         self.kx_partial = partial;
     }
 
-    /// Books the executed job: its queue wait beside the steps, its
-    /// execution as the crypto function `exec_name`. Returns what it
+    /// Books the executed job at `step`: its queue wait beside the steps,
+    /// its execution as the crypto function `exec_name`. Returns what it
     /// produced; [`HandshakeRecorder::end_kx`] closes the step.
     pub(crate) fn resume_kx(
         &mut self,
+        step: usize,
         exec_name: &'static str,
         done: CryptoDone,
     ) -> Result<CryptoOutput, RsaError> {
         let (output, queue_wait, exec) = done.into_parts();
         self.kx_queue_wait = queue_wait;
         self.kx_exec = exec;
-        self.note(self.kx_step, exec_name, exec);
+        self.note(step, exec_name, exec);
         output
     }
 
-    /// Closes the key-exchange step: its processing before the suspension,
-    /// the job's execution, and `tail` after the resume.
-    pub(crate) fn end_kx(&mut self, tail: Cycles) {
-        self.step(self.kx_step, self.kx_partial + self.kx_exec + tail);
+    /// Closes the key-exchange `step`: its processing before the
+    /// suspension, the job's execution, and `tail` after the resume.
+    pub(crate) fn end_kx(&mut self, step: usize, tail: Cycles) {
+        self.step(step, self.kx_partial + self.kx_exec + tail);
+    }
+
+    pub(crate) fn steps(&self) -> &PhaseSet {
+        &self.steps
+    }
+
+    pub(crate) fn crypto(&self) -> &PhaseSet {
+        &self.crypto
+    }
+
+    pub(crate) fn crypto_detail(&self) -> &[(usize, &'static str, Cycles)] {
+        &self.crypto_detail
     }
 
     /// The ledger row, with every ticket flag clear (the SSLv3 machine

@@ -11,7 +11,9 @@
 use crate::cache::{
     CachedSession, CachedSessionStore, IssuedTicket, SessionCache, SessionStore, SimpleSessionCache,
 };
-use crate::engine::{CryptoDone, CryptoJob, CryptoOutput, Engine, EngineDriven, MachineStep};
+use crate::engine::{
+    CryptoDone, CryptoJob, CryptoOp, CryptoOutput, Engine, EngineDriven, MachineStep,
+};
 use crate::kdf::{self, KeyMaterial};
 use crate::ledger::{HandshakeLedger, HandshakeRecorder};
 use crate::machine::Protocol;
@@ -252,20 +254,20 @@ impl<'a> SslServer<'a> {
     /// Per-step latency (Table 2's latency column).
     #[must_use]
     pub fn steps(&self) -> &PhaseSet {
-        &self.anatomy.steps
+        self.anatomy.steps()
     }
 
     /// Per-crypto-function latency, aggregated over the handshake.
     #[must_use]
     pub fn crypto(&self) -> &PhaseSet {
-        &self.anatomy.crypto
+        self.anatomy.crypto()
     }
 
     /// `(step index, crypto function, cycles)` triples in call order
     /// (Table 2's right-hand columns).
     #[must_use]
     pub fn crypto_detail(&self) -> &[(usize, &'static str, Cycles)] {
-        &self.anatomy.crypto_detail
+        self.anatomy.crypto_detail()
     }
 
     /// Record-layer symmetric-crypto cycles (cipher + MAC) accumulated over
@@ -525,10 +527,10 @@ impl<'a> SslServer<'a> {
         // blinding draw), so the connection's own stream never advances
         // whoever runs it.
         self.anatomy.time(5, "finish_mac", || self.transcript.absorb(msg));
-        self.anatomy.suspend_kx(5, sw.elapsed() + open_cycles);
+        self.anatomy.suspend_kx(sw.elapsed() + open_cycles);
         self.state = State::AwaitKxCrypto;
-        let job = CryptoJob::new(encrypted_pre_master, self.rng.clone());
-        Ok(MachineStep::PendingCrypto(Box::new(job)))
+        let op = CryptoOp::RsaDecrypt { ciphertext: encrypted_pre_master };
+        Ok(MachineStep::PendingCrypto(Box::new(CryptoJob::new(op, self.rng.clone()))))
     }
 
     /// Step 5's conclusion: derive the master secret from the job's
@@ -545,7 +547,7 @@ impl<'a> SslServer<'a> {
     /// moves the stream later flights read.
     fn finish_client_kx(&mut self, done: CryptoDone) -> Result<(), SslError> {
         let sw = Stopwatch::start();
-        let decrypted = match self.anatomy.resume_kx("rsa_private_decryption", done) {
+        let decrypted = match self.anatomy.resume_kx(5, "rsa_private_decryption", done) {
             Ok(CryptoOutput::PreMaster(block)) => Some(block),
             Ok(_) => return Err(SslError::NotReady("crypto result kind")),
             Err(_) => None,
@@ -565,7 +567,7 @@ impl<'a> SslServer<'a> {
         self.master = self.anatomy.time(5, "gen_master_secret", || {
             kdf::master_secret(pre_master, &self.client_random, &self.server_random)
         });
-        self.anatomy.end_kx(sw.elapsed());
+        self.anatomy.end_kx(5, sw.elapsed());
         self.state = State::AwaitClientCcs;
         Ok(())
     }

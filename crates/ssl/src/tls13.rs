@@ -35,7 +35,7 @@
 //! SSLv3 body layout (no `supported_versions` dance).
 
 use crate::dhe::DheKeyPair;
-use crate::engine::{CryptoDone, CryptoJob, CryptoOutput, EngineDriven, MachineStep};
+use crate::engine::{CryptoDone, CryptoJob, CryptoOp, CryptoOutput, EngineDriven, MachineStep};
 use crate::ledger::{HandshakeLedger, HandshakeRecorder};
 use crate::machine::Protocol;
 use crate::messages::{decode_extension_block, encode_extensions, Reader, EXT_KEY_SHARE};
@@ -369,19 +369,19 @@ impl<'a> Tls13ServerMachine<'a> {
     /// Per-step latency, keyed by [`TLS13_STEP_NAMES`].
     #[must_use]
     pub fn steps(&self) -> &PhaseSet {
-        &self.anatomy.steps
+        self.anatomy.steps()
     }
 
     /// Per-crypto-function latency, aggregated over the handshake.
     #[must_use]
     pub fn crypto(&self) -> &PhaseSet {
-        &self.anatomy.crypto
+        self.anatomy.crypto()
     }
 
     /// `(step index, crypto function, cycles)` triples in call order.
     #[must_use]
     pub fn crypto_detail(&self) -> &[(usize, &'static str, Cycles)] {
-        &self.anatomy.crypto_detail
+        self.anatomy.crypto_detail()
     }
 
     /// The negotiated cipher suite.
@@ -441,9 +441,10 @@ impl<'a> Tls13ServerMachine<'a> {
         // Step 2: dhe_key_exchange. The job draws the ephemeral exponent
         // from a *clone* of the connection rng, so the connection's own
         // stream never advances whoever runs it.
-        self.anatomy.suspend_kx(2, Cycles::ZERO);
+        self.anatomy.suspend_kx(Cycles::ZERO);
         self.state = ServerState::AwaitKxCrypto;
-        Ok(MachineStep::PendingCrypto(Box::new(CryptoJob::new_dhe(peer, self.rng.clone()))))
+        let job = CryptoJob::new(CryptoOp::DheAgree { peer }, self.rng.clone());
+        Ok(MachineStep::PendingCrypto(Box::new(job)))
     }
 
     /// Step 2's conclusion, then steps 3–8: ServerHello through Finished.
@@ -451,10 +452,10 @@ impl<'a> Tls13ServerMachine<'a> {
     /// latency and the crypto ledger.
     fn finish_kx(&mut self, done: CryptoDone, out: &mut Vec<u8>) -> Result<(), SslError> {
         let sw = Stopwatch::start();
-        let CryptoOutput::Dhe(agreed) = self.anatomy.resume_kx("kx_exec", done)? else {
+        let CryptoOutput::Dhe(agreed) = self.anatomy.resume_kx(2, "kx_exec", done)? else {
             return Err(SslError::NotReady("crypto result kind"));
         };
-        self.anatomy.end_kx(sw.elapsed());
+        self.anatomy.end_kx(2, sw.elapsed());
 
         // Step 4: send_server_hello (plaintext, carrying our key share).
         let sw = Stopwatch::start();
