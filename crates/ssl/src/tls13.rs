@@ -438,10 +438,9 @@ impl<'a> Tls13ServerMachine<'a> {
         let peer = crate::dhe::validate_public(&hello.key_share)?;
         self.anatomy.step(1, sw.elapsed());
 
-        // Step 2: dhe_key_exchange. The job draws the ephemeral exponent
-        // from a *clone* of the connection rng, so the connection's own
-        // stream never advances whoever runs it.
-        self.anatomy.suspend_kx(Cycles::ZERO);
+        // Step 2: dhe_key_exchange, all of it in the job. The job draws the
+        // ephemeral exponent from a *clone* of the connection rng, so the
+        // connection's own stream never advances whoever runs it.
         self.state = ServerState::AwaitKxCrypto;
         let job = CryptoJob::new(CryptoOp::DheAgree { peer }, self.rng.clone());
         Ok(MachineStep::PendingCrypto(Box::new(job)))
