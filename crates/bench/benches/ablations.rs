@@ -2,7 +2,7 @@
 //! decision the paper motivates.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use sslperf_bench::{handshake, key, server_config};
+use sslperf_bench::{establish, handshake, key, server_config};
 use sslperf_core::bignum::{Bn, MontCtx};
 use sslperf_core::prelude::*;
 use sslperf_core::ssl::mac as ssl3_mac;
@@ -24,21 +24,15 @@ fn ablate_resume(c: &mut Criterion) {
     group.bench_function("resumed_handshake", |b| {
         config.clear_session_cache();
         let (client, _) = handshake(config, CipherSuite::RsaDesCbc3Sha, 31337);
-        let session = client.session().expect("established");
+        let session = client.machine().session().expect("established");
         let mut seed = 0u64;
         b.iter(|| {
             seed += 1;
-            let mut client = SslClient::resuming(
+            let client = SslClient::resuming(
                 session.clone(),
                 SslRng::from_seed(format!("ar-{seed}").as_bytes()),
             );
-            let mut server =
-                SslServer::new(config, SslRng::from_seed(format!("as-{seed}").as_bytes()));
-            let f1 = client.hello().expect("hello");
-            let f2 = server.process_client_hello(&f1).expect("flight");
-            let f3 = client.process_server_flight(&f2).expect("flight");
-            let _ = server.process_client_flight(&f3).expect("done");
-            black_box((client, server));
+            black_box(establish(config, client, format!("as-{seed}").as_bytes()));
         });
     });
     group.finish();

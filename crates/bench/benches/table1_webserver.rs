@@ -30,7 +30,7 @@ fn bench_resumed_transaction(c: &mut Criterion) {
     let server = SecureWebServer::new(config, CipherSuite::RsaDesCbc3Sha);
     config.clear_session_cache();
     let (client, _) = handshake(config, CipherSuite::RsaDesCbc3Sha, 99);
-    let session = client.session().expect("established");
+    let session = client.machine().session().expect("established");
     let mut group = c.benchmark_group("table1_fig2/transaction_resumed");
     group.sample_size(20);
     group.bench_function("1k", |b| {

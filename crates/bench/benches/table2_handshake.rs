@@ -2,7 +2,7 @@
 //! step 5 in isolation, and the abbreviated (resumed) handshake.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use sslperf_bench::{handshake, key, server_config};
+use sslperf_bench::{establish, handshake, key, server_config};
 use sslperf_core::prelude::*;
 use std::hint::black_box;
 
@@ -27,24 +27,19 @@ fn bench_resumed_handshake(c: &mut Criterion) {
     let config = server_config();
     config.clear_session_cache();
     let (client, _) = handshake(config, CipherSuite::RsaDesCbc3Sha, 7777);
-    let session = client.session().expect("established");
+    let session = client.machine().session().expect("established");
     let mut group = c.benchmark_group("table2/handshake_resumed");
     group.sample_size(30);
     group.bench_function("DES-CBC3-SHA", |b| {
         let mut seed = 0u64;
         b.iter(|| {
             seed += 1;
-            let mut client = SslClient::resuming(
+            let client = SslClient::resuming(
                 session.clone(),
                 SslRng::from_seed(format!("resume-{seed}").as_bytes()),
             );
-            let mut server =
-                SslServer::new(config, SslRng::from_seed(format!("rsrv-{seed}").as_bytes()));
-            let f1 = client.hello().expect("hello");
-            let f2 = server.process_client_hello(&f1).expect("flight 2");
-            let f3 = client.process_server_flight(&f2).expect("flight 3");
-            let _ = server.process_client_flight(&f3).expect("done");
-            assert!(server.resumed());
+            let (client, server) = establish(config, client, format!("rsrv-{seed}").as_bytes());
+            assert!(server.machine().resumed());
             black_box((client, server));
         });
     });

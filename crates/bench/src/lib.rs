@@ -24,6 +24,7 @@
 #![forbid(unsafe_code)]
 
 use sslperf_core::prelude::*;
+use sslperf_core::ssl::{ClientEngine, Engine, ServerEngine};
 use std::sync::OnceLock;
 
 /// A deterministic RSA key of the given size, generated once per process.
@@ -71,15 +72,33 @@ pub fn handshake(
     config: &ServerConfig,
     suite: CipherSuite,
     seed: u64,
-) -> (SslClient, SslServer<'_>) {
-    let mut client = SslClient::new(suite, SslRng::from_seed(format!("bench-c-{seed}").as_bytes()));
+) -> (ClientEngine, ServerEngine<'_>) {
+    let client = SslClient::new(suite, SslRng::from_seed(format!("bench-c-{seed}").as_bytes()));
+    establish(config, client, format!("bench-s-{seed}").as_bytes())
+}
+
+/// Drives `client` (fresh or resuming) through a handshake against a new
+/// server seeded with `server_seed`, passing whole flights between the two
+/// engines until both are established.
+///
+/// # Panics
+///
+/// Panics if any flight fails or the handshake does not complete.
+#[must_use]
+pub fn establish<'a>(
+    config: &'a ServerConfig,
+    client: SslClient,
+    server_seed: &[u8],
+) -> (ClientEngine, ServerEngine<'a>) {
+    let mut client = Engine::new(client).expect("client hello");
     let mut server =
-        SslServer::new(config, SslRng::from_seed(format!("bench-s-{seed}").as_bytes()));
-    let f1 = client.hello().expect("hello");
-    let f2 = server.process_client_hello(&f1).expect("flight 2");
-    let f3 = client.process_server_flight(&f2).expect("flight 3");
-    let f4 = server.process_client_flight(&f3).expect("flight 4");
-    client.process_server_finish(&f4).expect("established");
+        Engine::new(SslServer::new(config, SslRng::from_seed(server_seed))).expect("server");
+    // Two round trips: a resumed handshake's last flight is empty.
+    for _ in 0..2 {
+        server.feed_from(&mut client).expect("client flight");
+        client.feed_from(&mut server).expect("server flight");
+    }
+    assert!(client.is_established() && server.is_established(), "handshake incomplete");
     (client, server)
 }
 

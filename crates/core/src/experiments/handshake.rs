@@ -4,7 +4,7 @@ use crate::experiments::{kcycles, pct, ExperimentError};
 use crate::Context;
 use sslperf_profile::{Align, Cycles, PhaseSet, Table};
 use sslperf_rng::SslRng;
-use sslperf_ssl::{SslClient, SslServer, SERVER_STEP_NAMES};
+use sslperf_ssl::{Engine, SslClient, SslError, SslServer, SERVER_STEP_NAMES};
 use std::fmt;
 
 /// Human descriptions for each step, condensed from the paper's Table 2.
@@ -131,18 +131,22 @@ pub fn table2(ctx: &Context) -> Result<Table2, ExperimentError> {
     let mut crypto = PhaseSet::new();
     let mut detail: Vec<(usize, &'static str, Cycles)> = Vec::new();
     for i in 0..ctx.iterations() {
-        let mut client =
+        let client =
             SslClient::new(ctx.suite(), SslRng::from_seed(format!("t2-client-{i}").as_bytes()));
-        let mut server = SslServer::new(
+        let mut client = Engine::new(client)?;
+        let mut server = Engine::new(SslServer::new(
             ctx.server_config(),
             SslRng::from_seed(format!("t2-server-{i}").as_bytes()),
-        );
-        let f1 = client.hello()?;
-        let f2 = server.process_client_hello(&f1)?;
-        let f3 = client.process_server_flight(&f2)?;
-        let f4 = server.process_client_flight(&f3)?;
-        client.process_server_finish(&f4)?;
-        debug_assert!(server.is_established());
+        ))?;
+        // The four flights of a full handshake, as `ssltest` passes them.
+        for _ in 0..2 {
+            server.feed_from(&mut client)?;
+            client.feed_from(&mut server)?;
+        }
+        if !(client.is_established() && server.is_established()) {
+            return Err(SslError::NotReady("handshake incomplete").into());
+        }
+        let server = server.machine();
         steps.merge(server.steps());
         crypto.merge(server.crypto());
         for (s, name, cycles) in server.crypto_detail() {

@@ -98,6 +98,9 @@ pub enum OptionsError {
     ZeroShards,
     /// `cache_shards` was zero — the session cache needs at least one.
     ZeroCacheShards,
+    /// `cache_capacity_per_shard` was zero — each cache shard holds at
+    /// least one session.
+    ZeroCacheCapacity,
     /// `batch_max` was zero — a batch holds at least one job.
     ZeroBatch,
     /// `batch_max > 1` with `crypto_workers == 0`: batching happens in the
@@ -110,6 +113,7 @@ impl std::fmt::Display for OptionsError {
         let msg = match self {
             OptionsError::ZeroShards => "shards must be at least 1",
             OptionsError::ZeroCacheShards => "cache_shards must be at least 1",
+            OptionsError::ZeroCacheCapacity => "cache_capacity_per_shard must be at least 1",
             OptionsError::ZeroBatch => "batch_max must be at least 1",
             OptionsError::BatchWithoutPool => {
                 "batch_max > 1 requires a crypto pool (crypto_workers > 0)"
@@ -204,9 +208,9 @@ impl ServerOptionsBuilder {
     ///
     /// # Errors
     ///
-    /// Returns the first [`OptionsError`] violated: zero `shards` or
-    /// `cache_shards`; zero `batch_max`; `batch_max > 1` without a crypto
-    /// pool to batch in.
+    /// Returns the first [`OptionsError`] violated: zero `shards`,
+    /// `cache_shards` or `cache_capacity_per_shard`; zero `batch_max`;
+    /// `batch_max > 1` without a crypto pool to batch in.
     pub fn build(self) -> Result<ServerOptions, OptionsError> {
         let o = &self.options;
         if o.shards == 0 {
@@ -214,6 +218,9 @@ impl ServerOptionsBuilder {
         }
         if o.cache_shards == 0 {
             return Err(OptionsError::ZeroCacheShards);
+        }
+        if o.cache_capacity_per_shard == 0 {
+            return Err(OptionsError::ZeroCacheCapacity);
         }
         if o.batch_max == 0 {
             return Err(OptionsError::ZeroBatch);
@@ -427,6 +434,16 @@ mod tests {
         // batch_max == 1 without a pool stays legal: that is the inline
         // (unbatched, un-offloaded) baseline every experiment starts from.
         assert!(ServerOptions::builder().crypto_workers(0).batch_max(1).build().is_ok());
+    }
+
+    /// A zero-capacity cache shard is refused at build time; the server
+    /// would otherwise panic building its session cache at start.
+    #[test]
+    fn builder_rejects_zero_cache_capacity() {
+        let err = ServerOptions::builder().cache_capacity_per_shard(0).build().unwrap_err();
+        assert_eq!(err, OptionsError::ZeroCacheCapacity);
+        assert!(err.to_string().contains("cache_capacity_per_shard"), "{err}");
+        assert!(ServerOptions::builder().cache_capacity_per_shard(1).build().is_ok());
     }
 
     #[test]

@@ -1,19 +1,18 @@
 //! The SSL v3 client state machine.
 //!
 //! The handshake logic lives in per-message handlers driven by the sans-io
-//! [`Engine`](crate::Engine); the flight-based `process_*` methods are thin
-//! wrappers over it, producing byte-identical wire traffic.
+//! [`Engine`](crate::Engine): wrap a client with `Engine::new`, which emits
+//! the hello, and the engine does the rest.
 
-use crate::engine::{Engine, EngineDriven, MachineStep};
+use crate::engine::{EngineDriven, MachineStep};
 use crate::kdf::{self, KeyMaterial};
 use crate::messages::{HandshakeMessage, SessionId};
-use crate::record::{ContentType, RecordBuffer, RecordLayer};
+use crate::record::{ContentType, RecordLayer};
 use crate::transcript::{Transcript, SENDER_CLIENT, SENDER_SERVER};
 use crate::{CipherSuite, SslError, VERSION};
 use sslperf_profile::Cycles;
 use sslperf_rng::SslRng;
 use sslperf_rsa::{x509::Certificate, RsaPublicKey};
-use std::ops::Range;
 
 /// A resumable session handle returned by [`SslClient::session`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -211,17 +210,6 @@ impl SslClient {
         })
     }
 
-    /// Produces the client hello flight.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SslError::UnexpectedMessage`] if called twice.
-    pub fn hello(&mut self) -> Result<Vec<u8>, SslError> {
-        let mut out = Vec::new();
-        self.start_hello(&mut out)?;
-        Ok(out)
-    }
-
     fn start_hello(&mut self, out: &mut Vec<u8>) -> Result<(), SslError> {
         if self.state != State::Start {
             return Err(SslError::UnexpectedMessage { expected: "nothing (bad state)" });
@@ -248,56 +236,6 @@ impl SslClient {
         Ok(())
     }
 
-    /// Processes the server's reply to the hello.
-    ///
-    /// For a full handshake (hello ‖ certificate ‖ done) the reply is
-    /// key-exchange ‖ change-cipher-spec ‖ finished, and
-    /// [`SslClient::process_server_finish`] must follow. When the server
-    /// resumed (hello ‖ CCS ‖ finished), the reply is the client's
-    /// CCS ‖ finished and the connection is established on return.
-    ///
-    /// # Errors
-    ///
-    /// Returns decode, RSA, certificate or sequencing errors.
-    pub fn process_server_flight(&mut self, flight: &[u8]) -> Result<Vec<u8>, SslError> {
-        if self.state != State::AwaitServerHello {
-            return Err(SslError::UnexpectedMessage { expected: "nothing (bad state)" });
-        }
-        let out = {
-            let mut engine = Engine::attach(&mut *self);
-            engine.feed_flight(flight)?;
-            engine.drain_output()
-        };
-        match self.state {
-            // Full handshake paused awaiting the server's CCS ‖ finished,
-            // or resumed handshake complete — both are full flights.
-            State::AwaitServerCcs | State::Established => Ok(out),
-            _ => Err(SslError::Decode("record header")),
-        }
-    }
-
-    /// Processes the server's final CCS ‖ finished flight of a full
-    /// handshake.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SslError::BadFinished`] on a transcript mismatch.
-    pub fn process_server_finish(&mut self, flight: &[u8]) -> Result<(), SslError> {
-        // Only valid mid-full-handshake: the client flight was sent (which
-        // sets the expectation) and the server's CCS is still pending.
-        if self.state != State::AwaitServerCcs || self.expected_server_finished.is_none() {
-            return Err(SslError::UnexpectedMessage { expected: "nothing (bad state)" });
-        }
-        {
-            let mut engine = Engine::attach(&mut *self);
-            engine.feed_flight(flight)?;
-        }
-        if self.state != State::Established {
-            return Err(SslError::Decode("record header"));
-        }
-        Ok(())
-    }
-
     fn on_server_hello(&mut self, msg: &[u8]) -> Result<(), SslError> {
         let (decoded, _) = HandshakeMessage::decode(msg)?;
         let HandshakeMessage::ServerHello { random, session_id, suite, ticket } = decoded else {
@@ -313,12 +251,16 @@ impl SslClient {
             return Err(SslError::NoCommonCipher);
         }
         self.transcript.absorb(msg);
-        let offered = self.resume.as_ref().map(|s| s.id.clone()).unwrap_or_default();
-        self.resumed = !offered.is_empty() && offered == session_id.as_bytes();
+        // The server resumes by echoing the non-empty id this client offered.
+        let resumed = self
+            .resume
+            .as_ref()
+            .filter(|offer| !offer.id.is_empty() && offer.id.as_slice() == session_id.as_bytes());
+        self.resumed = resumed.is_some();
         self.session_id = session_id.as_bytes().to_vec();
-        if self.resumed {
+        if let Some(offer) = resumed {
             // Server sends CCS ‖ finished right away under the cached master.
-            self.master = self.resume.clone().expect("resumed implies offer").master;
+            self.master.clone_from(&offer.master);
             self.state = State::AwaitServerCcs;
         } else {
             self.state = State::AwaitCertificate;
@@ -350,7 +292,10 @@ impl SslClient {
 
         // Client key exchange: 48-byte pre-master = version ‖ 46 random,
         // encrypted to the key proven by the certificate we just verified.
-        let server_key = self.server_key.take().expect("certificate precedes hello done");
+        let server_key = self
+            .server_key
+            .take()
+            .ok_or(SslError::UnexpectedMessage { expected: "certificate" })?;
         let mut pre_master = vec![VERSION.0, VERSION.1];
         pre_master.extend(self.rng.bytes(46));
         let encrypted = server_key.encrypt_pkcs1(&pre_master, &mut self.rng)?;
@@ -404,7 +349,10 @@ impl SslClient {
         let HandshakeMessage::Finished { md5_hash, sha_hash } = decoded else {
             return Err(SslError::UnexpectedMessage { expected: "server finished" });
         };
-        let expected = self.expected_server_finished.take().expect("set at CCS");
+        let expected = self
+            .expected_server_finished
+            .take()
+            .ok_or(SslError::UnexpectedMessage { expected: "change cipher spec" })?;
         if (md5_hash, sha_hash) != expected {
             return Err(SslError::BadFinished);
         }
@@ -446,65 +394,6 @@ impl SslClient {
         self.expected_server_finished =
             Some(self.transcript.finished_hashes(&SENDER_SERVER, &self.master));
         Ok(())
-    }
-
-    /// Encrypts application data into a reusable [`RecordBuffer`] without
-    /// allocating (bulk-data phase, zero-copy path).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SslError::NotReady`] before the handshake completes.
-    pub fn seal_into(&mut self, data: &[u8], out: &mut RecordBuffer) -> Result<(), SslError> {
-        if self.state != State::Established {
-            return Err(SslError::NotReady("handshake incomplete"));
-        }
-        self.records.seal_into(ContentType::ApplicationData, data, out)
-    }
-
-    /// Decrypts the single application-data record in `buf` in place,
-    /// returning the range of `buf` holding the plaintext.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SslError::NotReady`] before the handshake completes,
-    /// [`SslError::PeerAlert`] when the peer closed the session, or
-    /// record-layer errors.
-    pub fn open_in_place(&mut self, buf: &mut RecordBuffer) -> Result<Range<usize>, SslError> {
-        if self.state != State::Established {
-            return Err(SslError::NotReady("handshake incomplete"));
-        }
-        match self.records.open_in_place(buf)? {
-            (ContentType::ApplicationData, range) => Ok(range),
-            (ContentType::Alert, range) => {
-                Err(SslError::PeerAlert(crate::alert::Alert::from_bytes(&buf.as_slice()[range])?))
-            }
-            _ => Err(SslError::UnexpectedMessage { expected: "application data" }),
-        }
-    }
-
-    /// Ends the session with a `close_notify` alert record (the "End
-    /// Session" arrow of the paper's Figure 1).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SslError::NotReady`] before the handshake completes.
-    pub fn close(&mut self) -> Result<Vec<u8>, SslError> {
-        if self.state != State::Established {
-            return Err(SslError::NotReady("handshake incomplete"));
-        }
-        self.seal_alert(&crate::alert::Alert::close_notify())
-    }
-
-    /// Seals an alert record in whatever cipher state the connection is in
-    /// — usable mid-handshake, so error paths can say why they are closing.
-    ///
-    /// # Errors
-    ///
-    /// Propagates record-layer failures.
-    pub fn seal_alert(&mut self, alert: &crate::alert::Alert) -> Result<Vec<u8>, SslError> {
-        let mut out = Vec::new();
-        self.records.seal_append(ContentType::Alert, &alert.to_bytes(), &mut out)?;
-        Ok(out)
     }
 }
 
@@ -551,6 +440,7 @@ impl EngineDriven for SslClient {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Engine;
 
     #[test]
     #[should_panic(expected = "at least one suite")]
@@ -560,21 +450,22 @@ mod tests {
 
     #[test]
     fn out_of_order_calls_rejected() {
-        let mut client = SslClient::new(CipherSuite::RsaRc4Md5, SslRng::from_seed(b"c"));
-        assert!(client.process_server_flight(&[]).is_err());
-        assert!(client.process_server_finish(&[]).is_err());
-        assert!(client.seal_into(b"x", &mut RecordBuffer::new()).is_err());
-        let _ = client.hello().unwrap();
-        assert!(client.hello().is_err(), "hello twice");
+        let client = SslClient::new(CipherSuite::RsaRc4Md5, SslRng::from_seed(b"c"));
         assert!(client.session().is_none(), "no session before establishment");
+        let mut engine = Engine::new(client).unwrap();
+        assert_eq!(engine.seal(b"x"), Err(SslError::NotReady("handshake incomplete")));
+        assert_eq!(engine.open_next(), Err(SslError::NotReady("handshake incomplete")));
+        // The hello is sent once: a client that already sent it cannot
+        // open another connection.
+        assert!(Engine::new(engine.into_machine()).is_err(), "hello twice");
     }
 
     #[test]
     fn client_randoms_differ_between_connections() {
-        let mut c1 = SslClient::new(CipherSuite::RsaRc4Md5, SslRng::from_seed(b"one"));
-        let mut c2 = SslClient::new(CipherSuite::RsaRc4Md5, SslRng::from_seed(b"two"));
-        let h1 = c1.hello().unwrap();
-        let h2 = c2.hello().unwrap();
-        assert_ne!(h1, h2);
+        let hello = |seed: &[u8]| {
+            let client = SslClient::new(CipherSuite::RsaRc4Md5, SslRng::from_seed(seed));
+            Engine::new(client).unwrap().output().to_vec()
+        };
+        assert_ne!(hello(b"one"), hello(b"two"));
     }
 }

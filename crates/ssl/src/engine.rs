@@ -14,8 +14,8 @@
 //!
 //! Every driver in the workspace is a thin loop over this type:
 //!
-//! * the flight-based `process_*` methods feed one peer flight and drain
-//!   the reply,
+//! * in-memory drivers pass whole flights between two engines with
+//!   [`Engine::feed_from`] (the paper's `ssltest`-style Table 2 harness),
 //! * socket drivers move bytes with [`Engine::read_from`] /
 //!   [`Engine::write_to`] over any `std::io` stream (the blocking load
 //!   clients and baseline server), or feed whatever a non-blocking `read`
@@ -83,7 +83,6 @@ mod sealed {
     impl Sealed for crate::tls13::Tls13ServerMachine<'_> {}
     impl Sealed for crate::machine::ClientMachine {}
     impl Sealed for crate::machine::ServerMachine<'_> {}
-    impl<M: Sealed + ?Sized> Sealed for &mut M {}
 }
 
 /// What a state machine did with one handshake message: kept going, or
@@ -305,8 +304,9 @@ impl CryptoDone {
 }
 
 /// A handshake state machine an [`Engine`] can drive (sealed: implemented
-/// by [`SslClient`] and [`SslServer`], plus mutable references to either so
-/// the flight-based drivers can borrow a machine they own).
+/// by the SSLv3 and TLS 1.3 client and server machines and the
+/// protocol-dispatching [`ClientMachine`](crate::ClientMachine) /
+/// [`ServerMachine`](crate::ServerMachine)).
 ///
 /// The engine handles record framing and handshake-message reassembly;
 /// implementations only see whole messages, in order, plus the cycles the
@@ -381,45 +381,6 @@ pub trait EngineDriven: sealed::Sealed {
     }
 }
 
-impl<M: EngineDriven + ?Sized> EngineDriven for &mut M {
-    fn start(&mut self, out: &mut Vec<u8>) -> Result<(), SslError> {
-        (**self).start(out)
-    }
-
-    fn on_handshake_message(
-        &mut self,
-        msg: &[u8],
-        open_cycles: Cycles,
-        out: &mut Vec<u8>,
-    ) -> Result<MachineStep, SslError> {
-        (**self).on_handshake_message(msg, open_cycles, out)
-    }
-
-    fn complete_crypto(&mut self, done: CryptoDone, out: &mut Vec<u8>) -> Result<(), SslError> {
-        (**self).complete_crypto(done, out)
-    }
-
-    fn crypto_key(&self) -> Option<&RsaPrivateKey> {
-        (**self).crypto_key()
-    }
-
-    fn on_change_cipher_spec(&mut self, body: &[u8], open_cycles: Cycles) -> Result<(), SslError> {
-        (**self).on_change_cipher_spec(body, open_cycles)
-    }
-
-    fn record_layer(&mut self) -> &mut RecordLayer {
-        (**self).record_layer()
-    }
-
-    fn handshake_done(&self) -> bool {
-        (**self).handshake_done()
-    }
-
-    fn accepts_record_version(&self, major: u8, minor: u8) -> bool {
-        (**self).accepts_record_version(major, minor)
-    }
-}
-
 /// A client-side sans-io connection.
 pub type ClientEngine = Engine<SslClient>;
 
@@ -460,19 +421,7 @@ impl<M: EngineDriven> Engine<M> {
     ///
     /// Propagates state-machine errors from the opening flight.
     pub fn new(machine: M) -> Result<Self, SslError> {
-        let mut engine = Self::attach(machine);
-        let result = engine.machine.start(engine.outbox.vec_mut());
-        if let Err(e) = result {
-            engine.failed = Some(e.clone());
-            return Err(e);
-        }
-        Ok(engine)
-    }
-
-    /// Wraps a machine mid-state without emitting anything — used by the
-    /// flight-based wrappers, which manage the opening flight themselves.
-    pub(crate) fn attach(machine: M) -> Self {
-        Engine {
+        let mut engine = Engine {
             machine,
             inbox: RecordBuffer::new(),
             in_pos: 0,
@@ -484,7 +433,12 @@ impl<M: EngineDriven> Engine<M> {
             offload: false,
             pending_job: None,
             awaiting_crypto: false,
+        };
+        if let Err(e) = engine.machine.start(engine.outbox.vec_mut()) {
+            engine.failed = Some(e.clone());
+            return Err(e);
         }
+        Ok(engine)
     }
 
     /// The wrapped state machine (step timings, suite, session handles).
@@ -595,6 +549,22 @@ impl<M: EngineDriven> Engine<M> {
             inbox.extend_from_slice(&bytes[..take]);
             Ok(take)
         })
+    }
+
+    /// Feeds `peer`'s pending output into this engine and consumes what
+    /// was taken — one whole flight through memory, the way OpenSSL's
+    /// `ssltest` harness (the paper's §3.2 instrument) connects two state
+    /// machines in one process. Returns how many bytes moved: all of them
+    /// unless this engine's inbound buffer is full of application records
+    /// not yet drained with [`Engine::open_next`].
+    ///
+    /// # Errors
+    ///
+    /// Every error [`Engine::feed`] returns; `peer` keeps its output then.
+    pub fn feed_from<N: EngineDriven>(&mut self, peer: &mut Engine<N>) -> Result<usize, SslError> {
+        let n = self.feed(peer.output())?;
+        peer.consume_output(n);
+        Ok(n)
     }
 
     /// Reads once from `rd` straight into the inbound buffer — at most its
@@ -948,37 +918,6 @@ impl<M: EngineDriven> Engine<M> {
             &alert.to_bytes(),
             self.outbox.vec_mut(),
         )
-    }
-
-    /// Feeds a whole flight, erroring on a truncated trailing record — the
-    /// contract of the flight-based `process_*` wrappers.
-    pub(crate) fn feed_flight(&mut self, flight: &[u8]) -> Result<(), SslError> {
-        let mut off = 0;
-        while off < flight.len() {
-            let n = self.feed(&flight[off..])?;
-            if n == 0 {
-                break;
-            }
-            off += n;
-        }
-        if !self.machine.handshake_done() && self.unconsumed() > 0 {
-            let err = if self.unconsumed() < RECORD_HEADER_LEN {
-                SslError::Decode("record header")
-            } else {
-                SslError::Decode("record body")
-            };
-            self.failed = Some(err.clone());
-            return Err(err);
-        }
-        Ok(())
-    }
-
-    /// Takes the entire pending output as a vector (flight wrappers).
-    pub(crate) fn drain_output(&mut self) -> Vec<u8> {
-        let out = self.output().to_vec();
-        let n = self.pending_output();
-        self.consume_output(n);
-        out
     }
 }
 

@@ -10,48 +10,52 @@
 //! ten steps of the paper's Table 2 and records per-step latency and
 //! per-crypto-function latency into [`sslperf_profile::PhaseSet`]s.
 //!
-//! Message flow is *flight-based*, like OpenSSL's `ssltest` harness the
-//! paper used (§3.2): each call consumes one peer flight and produces the
-//! next, with bytes moving through caller-owned buffers rather than sockets.
+//! Message flow follows OpenSSL's `ssltest` harness the paper used
+//! (§3.2): client and server state machines in one process, each wrapped
+//! in a sans-io [`Engine`], passing whole flights through memory rather
+//! than sockets. [`Engine::new`] emits a client's hello; each
+//! [`Engine::feed_from`] hands one engine the other's pending flight and
+//! lets it produce the next.
 //!
 //! ```text
-//! client                         server
-//!   hello()            ───────▶  process_client_hello()
-//!   process_server_flight() ◀──  (hello ‖ certificate ‖ done)
-//!   (kx ‖ ccs ‖ finished) ─────▶ process_client_flight()
-//!   process_server_finish() ◀──  (ccs ‖ finished)
-//!   seal_into()/open_in_place() ◀▶ seal_into()/open_in_place()
+//! client                           server
+//!   Engine::new(SslClient)  ─────▶  server.feed_from(&mut client)
+//!   client.feed_from(&mut server) ◀─ (hello ‖ certificate ‖ done)
+//!   (kx ‖ ccs ‖ finished)  ──────▶  server.feed_from(&mut client)
+//!   client.feed_from(&mut server) ◀─ (ccs ‖ finished)
+//!   seal()/open_next()     ◀─────▶  seal()/open_next()
 //! ```
 //!
-//! Sockets drive the same machines through the sans-io [`Engine`]:
-//! [`Engine::read_from`] and [`Engine::write_to`] for a blocking
-//! `std::io` stream, [`Engine::feed`] and [`Engine::output`] for an event
-//! loop.
+//! Sockets drive the same engines: [`Engine::read_from`] and
+//! [`Engine::write_to`] for a blocking `std::io` stream, [`Engine::feed`]
+//! and [`Engine::output`] for an event loop.
 //!
 //! # Examples
 //!
 //! ```
 //! use sslperf_rng::SslRng;
 //! use sslperf_rsa::RsaPrivateKey;
-//! use sslperf_ssl::{CipherSuite, RecordBuffer, ServerConfig, SslClient, SslServer};
+//! use sslperf_ssl::{CipherSuite, Engine, ServerConfig, SslClient, SslServer};
 //!
 //! let mut rng = SslRng::from_seed(b"doc-handshake");
 //! let key = RsaPrivateKey::generate(512, &mut rng)?;
 //! let config = ServerConfig::new(key, "doc.example")?;
 //!
-//! let mut client = SslClient::new(CipherSuite::RsaDesCbc3Sha, SslRng::from_seed(b"c"));
-//! let mut server = SslServer::new(&config, SslRng::from_seed(b"s"));
+//! let suite = CipherSuite::RsaDesCbc3Sha;
+//! let mut client = Engine::new(SslClient::new(suite, SslRng::from_seed(b"c")))?;
+//! let mut server = Engine::new(SslServer::new(&config, SslRng::from_seed(b"s")))?;
 //!
-//! let flight1 = client.hello()?;
-//! let flight2 = server.process_client_hello(&flight1)?;
-//! let flight3 = client.process_server_flight(&flight2)?;
-//! let flight4 = server.process_client_flight(&flight3)?;
-//! client.process_server_finish(&flight4)?;
+//! server.feed_from(&mut client)?; // client hello
+//! client.feed_from(&mut server)?; // hello ‖ certificate ‖ done
+//! server.feed_from(&mut client)?; // kx ‖ ccs ‖ finished
+//! client.feed_from(&mut server)?; // ccs ‖ finished
+//! assert!(client.is_established() && server.is_established());
 //!
-//! let mut record = RecordBuffer::new();
-//! client.seal_into(b"GET / HTTP/1.0\r\n\r\n", &mut record)?;
-//! let range = server.open_in_place(&mut record)?;
-//! assert_eq!(&record.as_slice()[range], b"GET / HTTP/1.0\r\n\r\n");
+//! client.seal(b"GET / HTTP/1.0\r\n\r\n")?;
+//! server.feed_from(&mut client)?;
+//! let range = server.open_next()?.expect("one whole record");
+//! assert_eq!(&server.buffered()[range], b"GET / HTTP/1.0\r\n\r\n");
+//! println!("{}", server.machine().steps()); // the paper's Table 2, live
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 //!

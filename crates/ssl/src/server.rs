@@ -1,31 +1,28 @@
 //! The instrumented SSL v3 server, partitioned into the paper's ten steps.
 //!
 //! The handshake logic lives in per-message handlers driven by the sans-io
-//! [`Engine`](crate::Engine); the flight-based `process_*` methods are thin
-//! wrappers over it, producing byte-identical wire traffic. Step timing
-//! survives the split: the engine reports the cycles it spent opening each
-//! record, and the handlers fold them into the step the record belongs to,
-//! so a step that spans several readiness events (e.g. step 6's CCS +
-//! finished) still lands in [`SslServer::steps`] as one entry.
+//! [`Engine`](crate::Engine). Step timing survives the split: the engine
+//! reports the cycles it spent opening each record, and the handlers fold
+//! them into the step the record belongs to, so a step that spans several
+//! feeds (e.g. step 6's CCS + finished) still lands in
+//! [`SslServer::steps`] as one entry, whether the bytes came as whole
+//! flights or one at a time.
 
 use crate::cache::{
     CachedSession, CachedSessionStore, IssuedTicket, SessionCache, SessionStore, SimpleSessionCache,
 };
-use crate::engine::{
-    CryptoDone, CryptoJob, CryptoOp, CryptoOutput, Engine, EngineDriven, MachineStep,
-};
+use crate::engine::{CryptoDone, CryptoJob, CryptoOp, CryptoOutput, EngineDriven, MachineStep};
 use crate::kdf::{self, KeyMaterial};
 use crate::ledger::{HandshakeLedger, HandshakeRecorder};
 use crate::machine::Protocol;
 use crate::messages::{HandshakeMessage, SessionId};
-use crate::record::{ContentType, RecordBuffer, RecordLayer};
+use crate::record::{ContentType, RecordLayer};
 use crate::ticket::TicketError;
 use crate::transcript::{Transcript, SENDER_CLIENT, SENDER_SERVER};
 use crate::{CipherSuite, SslError};
 use sslperf_profile::{measure, Cycles, PhaseSet, Stopwatch};
 use sslperf_rng::SslRng;
 use sslperf_rsa::{x509::Certificate, RsaPrivateKey};
-use std::ops::Range;
 
 /// The ten server-side handshake steps of the paper's Table 2.
 pub const SERVER_STEP_NAMES: [&str; 10] = [
@@ -182,10 +179,10 @@ enum State {
 
 /// One server-side SSL connection.
 ///
-/// Construction is the paper's step 0 (*Init*); the two `process_*` methods
-/// cover steps 1–9. Every step's wall time lands in [`SslServer::steps`]
-/// and every crypto call in [`SslServer::crypto`] /
-/// [`SslServer::crypto_detail`].
+/// Construction is the paper's step 0 (*Init*); the
+/// [`Engine`](crate::Engine) feeds that drive it cover steps 1–9. Every
+/// step's wall time lands in [`SslServer::steps`] and every crypto call in
+/// [`SslServer::crypto`] / [`SslServer::crypto_detail`].
 #[derive(Debug)]
 pub struct SslServer<'a> {
     config: &'a ServerConfig,
@@ -350,30 +347,6 @@ impl<'a> SslServer<'a> {
         self.ticket_expired
     }
 
-    /// Processes the client hello flight and produces the server's reply:
-    /// hello ‖ certificate ‖ hello-done for a full handshake, or
-    /// hello ‖ change-cipher-spec ‖ finished when resuming (Table 2 steps
-    /// 1–4).
-    ///
-    /// # Errors
-    ///
-    /// Returns decode errors, [`SslError::NoCommonCipher`], or
-    /// [`SslError::UnexpectedMessage`] out of sequence.
-    pub fn process_client_hello(&mut self, flight: &[u8]) -> Result<Vec<u8>, SslError> {
-        if self.state != State::AwaitClientHello {
-            return Err(SslError::UnexpectedMessage { expected: "nothing (bad state)" });
-        }
-        let out = {
-            let mut engine = Engine::attach(&mut *self);
-            engine.feed_flight(flight)?;
-            engine.drain_output()
-        };
-        match self.state {
-            State::AwaitClientKx | State::AwaitClientCcs => Ok(out),
-            _ => Err(SslError::UnexpectedMessage { expected: "client hello record" }),
-        }
-    }
-
     /// Steps 1–4, driven by one reassembled client-hello message.
     fn on_client_hello(
         &mut self,
@@ -488,31 +461,6 @@ impl<'a> SslServer<'a> {
         Ok(())
     }
 
-    /// Processes the client's second flight. For a full handshake that is
-    /// key-exchange ‖ change-cipher-spec ‖ finished, answered with
-    /// change-cipher-spec ‖ finished (Table 2 steps 5–9); when resuming it
-    /// is just the client's CCS ‖ finished, answered with nothing.
-    ///
-    /// # Errors
-    ///
-    /// Returns MAC, decode or [`SslError::BadFinished`] errors; a key
-    /// exchange that does not decrypt surfaces as the MAC failure of the
-    /// finished record behind it.
-    pub fn process_client_flight(&mut self, flight: &[u8]) -> Result<Vec<u8>, SslError> {
-        if !matches!(self.state, State::AwaitClientKx | State::AwaitClientCcs) {
-            return Err(SslError::UnexpectedMessage { expected: "nothing (bad state)" });
-        }
-        let out = {
-            let mut engine = Engine::attach(&mut *self);
-            engine.feed_flight(flight)?;
-            engine.drain_output()
-        };
-        if self.state != State::Established {
-            return Err(SslError::Decode("record header"));
-        }
-        Ok(out)
-    }
-
     /// Step 5: get_client_kx — suspends on the RSA decryption of the
     /// pre-master as a [`CryptoJob`]; the step concludes in
     /// [`SslServer::finish_client_kx`].
@@ -580,12 +528,11 @@ impl<'a> SslServer<'a> {
         if body != [1] {
             return Err(SslError::UnexpectedMessage { expected: "change cipher spec" });
         }
-        if self.key_material.is_none() {
-            self.generate_key_block(6)?;
-        }
-        let km = self.key_material.clone().expect("just generated");
-        let read_cipher = self.suite.new_cipher(&km.client_key, &km.client_iv)?;
-        self.records.activate_read(read_cipher, self.suite.mac_alg(), km.client_mac.clone());
+        let suite = self.suite;
+        let km = self.key_material(6);
+        let read_cipher = suite.new_cipher(&km.client_key, &km.client_iv)?;
+        let mac_key = km.client_mac.clone();
+        self.records.activate_read(read_cipher, suite.mac_alg(), mac_key);
         if self.expected_client_finished.is_none() {
             let expected = self.anatomy.time(6, "final_finish_mac", || {
                 self.transcript.finished_hashes(&SENDER_CLIENT, &self.master)
@@ -612,7 +559,9 @@ impl<'a> SslServer<'a> {
         let HandshakeMessage::Finished { md5_hash, sha_hash } = decoded else {
             return Err(SslError::UnexpectedMessage { expected: "client finished" });
         };
-        let (exp_md5, exp_sha) = self.expected_client_finished.expect("computed at CCS");
+        let (exp_md5, exp_sha) = self
+            .expected_client_finished
+            .ok_or(SslError::UnexpectedMessage { expected: "change cipher spec" })?;
         if md5_hash != exp_md5 || sha_hash != exp_sha {
             return Err(SslError::BadFinished);
         }
@@ -679,13 +628,12 @@ impl<'a> SslServer<'a> {
     ) -> Result<([u8; 16], [u8; 20]), SslError> {
         // Step 7: send_cipher_spec.
         let sw = Stopwatch::start();
-        if self.key_material.is_none() {
-            self.generate_key_block(7)?;
-        }
+        let suite = self.suite;
+        let km = self.key_material(7);
+        let write_cipher = suite.new_cipher(&km.server_key, &km.server_iv)?;
+        let mac_key = km.server_mac.clone();
         self.records.seal_append(ContentType::ChangeCipherSpec, &[1], out)?;
-        let km = self.key_material.clone().expect("generated above");
-        let write_cipher = self.suite.new_cipher(&km.server_key, &km.server_iv)?;
-        self.records.activate_write(write_cipher, self.suite.mac_alg(), km.server_mac.clone());
+        self.records.activate_write(write_cipher, suite.mac_alg(), mac_key);
         self.anatomy.step(7, sw.elapsed());
 
         // Step 8: send_finished.
@@ -706,82 +654,27 @@ impl<'a> SslServer<'a> {
         Ok(expected)
     }
 
-    fn generate_key_block(&mut self, step: usize) -> Result<(), SslError> {
+    /// The connection's key block, generated on first use and booked as
+    /// `gen_key_block` under `step` (step 6 on a full handshake, step 7 on a
+    /// resumed one, whichever side switches ciphers first).
+    fn key_material(&mut self, step: usize) -> &KeyMaterial {
         let suite = self.suite;
-        let block = self.anatomy.time(step, "gen_key_block", || {
-            kdf::key_block(
-                &self.master,
-                &self.server_random,
-                &self.client_random,
-                suite.key_block_len(),
+        self.key_material.get_or_insert_with(|| {
+            let block = self.anatomy.time(step, "gen_key_block", || {
+                kdf::key_block(
+                    &self.master,
+                    &self.server_random,
+                    &self.client_random,
+                    suite.key_block_len(),
+                )
+            });
+            KeyMaterial::parse(
+                &block,
+                suite.mac_alg().output_len(),
+                suite.key_len(),
+                suite.iv_len(),
             )
-        });
-        self.key_material = Some(KeyMaterial::parse(
-            &block,
-            suite.mac_alg().output_len(),
-            suite.key_len(),
-            suite.iv_len(),
-        ));
-        Ok(())
-    }
-
-    /// Encrypts application data into a reusable [`RecordBuffer`] without
-    /// allocating (bulk-data phase, zero-copy path).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SslError::NotReady`] before the handshake completes.
-    pub fn seal_into(&mut self, data: &[u8], out: &mut RecordBuffer) -> Result<(), SslError> {
-        if self.state != State::Established {
-            return Err(SslError::NotReady("handshake incomplete"));
-        }
-        self.records.seal_into(ContentType::ApplicationData, data, out)
-    }
-
-    /// Decrypts the single application-data record in `buf` in place,
-    /// returning the range of `buf` holding the plaintext.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SslError::NotReady`] before the handshake completes,
-    /// [`SslError::PeerAlert`] when the peer closed the session, or
-    /// record-layer errors.
-    pub fn open_in_place(&mut self, buf: &mut RecordBuffer) -> Result<Range<usize>, SslError> {
-        if self.state != State::Established {
-            return Err(SslError::NotReady("handshake incomplete"));
-        }
-        match self.records.open_in_place(buf)? {
-            (ContentType::ApplicationData, range) => Ok(range),
-            (ContentType::Alert, range) => {
-                Err(SslError::PeerAlert(crate::alert::Alert::from_bytes(&buf.as_slice()[range])?))
-            }
-            _ => Err(SslError::UnexpectedMessage { expected: "application data" }),
-        }
-    }
-
-    /// Ends the session with a `close_notify` alert record (the "End
-    /// Session" arrow of the paper's Figure 1).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SslError::NotReady`] before the handshake completes.
-    pub fn close(&mut self) -> Result<Vec<u8>, SslError> {
-        if self.state != State::Established {
-            return Err(SslError::NotReady("handshake incomplete"));
-        }
-        self.seal_alert(&crate::alert::Alert::close_notify())
-    }
-
-    /// Seals an alert record in whatever cipher state the connection is in
-    /// — usable mid-handshake, so error paths can say why they are closing.
-    ///
-    /// # Errors
-    ///
-    /// Propagates record-layer failures.
-    pub fn seal_alert(&mut self, alert: &crate::alert::Alert) -> Result<Vec<u8>, SslError> {
-        let mut out = Vec::new();
-        self.records.seal_append(ContentType::Alert, &alert.to_bytes(), &mut out)?;
-        Ok(out)
+        })
     }
 }
 
@@ -845,6 +738,7 @@ impl EngineDriven for SslServer<'_> {
 mod tests {
     use super::*;
     use crate::test_support::server_config;
+    use crate::Engine;
 
     #[test]
     fn config_accessors() {
@@ -858,15 +752,15 @@ mod tests {
 
     #[test]
     fn server_rejects_out_of_order_calls() {
-        let config = server_config();
-        let mut server = SslServer::new(config, SslRng::from_seed(b"s"));
+        let mut server = Engine::new(SslServer::new(server_config(), SslRng::from_seed(b"s")))
+            .expect("server engine");
+        assert_eq!(server.seal(b"x"), Err(SslError::NotReady("handshake incomplete")));
+        assert_eq!(server.open_next(), Err(SslError::NotReady("handshake incomplete")));
+        // A change-cipher-spec record before the client hello.
         assert!(matches!(
-            server.process_client_flight(&[]),
+            server.feed(&[20, 3, 0, 0, 1, 1]),
             Err(SslError::UnexpectedMessage { .. })
         ));
-        let mut buf = RecordBuffer::new();
-        assert!(matches!(server.seal_into(b"x", &mut buf), Err(SslError::NotReady(_))));
-        assert!(matches!(server.open_in_place(&mut buf), Err(SslError::NotReady(_))));
     }
 
     #[test]
@@ -881,8 +775,10 @@ mod tests {
     #[test]
     fn garbage_flight_is_rejected() {
         let config = server_config();
-        let mut server = SslServer::new(config, SslRng::from_seed(b"s"));
-        assert!(server.process_client_hello(&[0xff; 40]).is_err());
+        let mut server =
+            Engine::new(SslServer::new(config, SslRng::from_seed(b"s"))).expect("server engine");
+        let err = server.feed(&[0xff; 40]).expect_err("garbage is not a record");
+        assert_eq!(server.last_error(), Some(&err), "the error is latched");
     }
 
     #[test]

@@ -30,7 +30,7 @@ use costs::CostModel;
 use sslperf_profile::{measure, Cycles, PhaseSet, Stopwatch};
 use sslperf_rng::SslRng;
 use sslperf_ssl::{
-    CipherSuite, RecordBuffer, ServerConfig, SslClient, SslError, SslServer, MAX_FRAGMENT,
+    CipherSuite, Engine, ServerConfig, SslClient, SslError, SslServer, MAX_FRAGMENT,
 };
 
 /// Component labels in the paper's Table 1 order.
@@ -120,47 +120,43 @@ impl<'a> SecureWebServer<'a> {
     ) -> Result<TransactionReport, SslError> {
         let client_rng = SslRng::from_seed(&[b"client", &seed.to_le_bytes()[..]].concat());
         let server_rng = SslRng::from_seed(&[b"server", &seed.to_le_bytes()[..]].concat());
-        let mut client = match session {
+        let mut client = Engine::new(match session {
             Some(s) => SslClient::resuming(s, client_rng),
             None => SslClient::new(self.suite, client_rng),
-        };
+        })?;
         let mut wire_bytes = 0usize;
         let mut ssl_total = Cycles::ZERO;
 
         // --- TCP connection (cost model only: no kernel in-process). ---
         let mut components = PhaseSet::new();
 
-        // --- SSL handshake: server side measured for real. ---
-        let flight1 = client.hello()?;
-        wire_bytes += flight1.len();
+        // --- SSL handshake, flight by flight: server side measured for
+        // real (the client hello is already pending). ---
         let sw = Stopwatch::start();
-        let mut server = SslServer::new(self.config, server_rng);
-        let flight2 = server.process_client_hello(&flight1)?;
+        let mut server = Engine::new(SslServer::new(self.config, server_rng))?;
         ssl_total += sw.elapsed();
-        wire_bytes += flight2.len();
-
-        let flight3 = client.process_server_flight(&flight2)?;
-        wire_bytes += flight3.len();
-        let sw = Stopwatch::start();
-        let flight4 = server.process_client_flight(&flight3)?;
-        ssl_total += sw.elapsed();
-        wire_bytes += flight4.len();
-        if !flight4.is_empty() {
-            client.process_server_finish(&flight4)?;
+        // Two round trips: a resumed handshake's last flight is empty.
+        for _ in 0..2 {
+            let sw = Stopwatch::start();
+            wire_bytes += server.feed_from(&mut client)?;
+            ssl_total += sw.elapsed();
+            wire_bytes += client.feed_from(&mut server)?;
+        }
+        if !(client.is_established() && server.is_established()) {
+            return Err(SslError::NotReady("handshake incomplete"));
         }
 
         // --- HTTP request over the secure channel (zero-copy pipeline:
-        // every record is sealed, "transported" and opened inside one
-        // buffer). ---
+        // every record is sealed into one engine's outbox and opened in
+        // place in the other's inbox). ---
         let path = format!("/doc_{file_size}.bin");
-        let mut record = RecordBuffer::new();
-        client.seal_into(http::HttpRequest::get(&path).to_bytes().as_slice(), &mut record)?;
-        wire_bytes += record.len();
+        client.seal(http::HttpRequest::get(&path).to_bytes().as_slice())?;
 
         let sw = Stopwatch::start();
-        let request_range = server.open_in_place(&mut record)?;
+        wire_bytes += server.feed_from(&mut client)?;
+        let request_range = server.open_next()?.ok_or(SslError::Decode("record body"))?;
         ssl_total += sw.elapsed();
-        let request_plain = &record.as_slice()[request_range];
+        let request_plain = &server.buffered()[request_range];
 
         // httpd work: parse the request, build the response (real work,
         // measured).
@@ -177,12 +173,13 @@ impl<'a> SecureWebServer<'a> {
         // (unmeasured) client.
         for fragment in response_bytes.chunks(MAX_FRAGMENT) {
             let sw = Stopwatch::start();
-            server.seal_into(fragment, &mut record)?;
+            server.seal(fragment)?;
             ssl_total += sw.elapsed();
-            wire_bytes += record.len();
-            client.open_in_place(&mut record)?;
+            wire_bytes += client.feed_from(&mut server)?;
+            client.open_next()?.ok_or(SslError::Decode("record body"))?;
         }
 
+        let server = server.machine();
         // --- Component accounting. ---
         // libcrypto: handshake crypto functions + record-layer cipher/MAC.
         let handshake_crypto = server.crypto().total();
@@ -264,6 +261,23 @@ mod tests {
         })
     }
 
+    /// A full handshake between two engines seeded from `seed`, flight by
+    /// flight.
+    fn establish(
+        suite: CipherSuite,
+        seed: &[u8],
+    ) -> (Engine<SslClient>, Engine<SslServer<'static>>) {
+        let rng = |side: &[u8]| SslRng::from_seed(&[seed, side].concat());
+        let mut client = Engine::new(SslClient::new(suite, rng(b"-client"))).unwrap();
+        let mut server = Engine::new(SslServer::new(config(), rng(b"-server"))).unwrap();
+        for _ in 0..2 {
+            server.feed_from(&mut client).unwrap();
+            client.feed_from(&mut server).unwrap();
+        }
+        assert!(client.is_established() && server.is_established());
+        (client, server)
+    }
+
     #[test]
     fn transaction_completes_and_accounts_components() {
         let server = SecureWebServer::new(config(), CipherSuite::RsaDesCbc3Sha);
@@ -313,16 +327,8 @@ mod tests {
         assert!(!first.resumed);
         // Pull the session out of a fresh client/server pair through the
         // public API: run a handshake manually.
-        let client_rng = SslRng::from_seed(b"resume-client");
-        let server_rng = SslRng::from_seed(b"resume-server");
-        let mut client = SslClient::new(CipherSuite::RsaDesCbc3Sha, client_rng);
-        let mut ssl_server = SslServer::new(config(), server_rng);
-        let f1 = client.hello().unwrap();
-        let f2 = ssl_server.process_client_hello(&f1).unwrap();
-        let f3 = client.process_server_flight(&f2).unwrap();
-        let f4 = ssl_server.process_client_flight(&f3).unwrap();
-        client.process_server_finish(&f4).unwrap();
-        let session = client.session().unwrap();
+        let (client, _) = establish(CipherSuite::RsaDesCbc3Sha, b"resume");
+        let session = client.machine().session().unwrap();
 
         let resumed = server.run_with_session(1024, 11, Some(session)).unwrap();
         assert!(resumed.resumed);
@@ -339,19 +345,12 @@ mod tests {
     /// in Figure 2 whole: the categories sum to the record crypto total.
     #[test]
     fn figure2_files_every_record_phase() {
-        let mut client =
-            SslClient::new(CipherSuite::RsaAes128Sha, SslRng::from_seed(b"fig2-client"));
-        let mut server = SslServer::new(config(), SslRng::from_seed(b"fig2-server"));
-        let f1 = client.hello().unwrap();
-        let f2 = server.process_client_hello(&f1).unwrap();
-        let f3 = client.process_server_flight(&f2).unwrap();
-        let f4 = server.process_client_flight(&f3).unwrap();
-        client.process_server_finish(&f4).unwrap();
-        let mut record = RecordBuffer::new();
-        server.seal_into(&[0x42; MAX_FRAGMENT], &mut record).unwrap();
-        client.open_in_place(&mut record).unwrap();
+        let (mut client, mut server) = establish(CipherSuite::RsaAes128Sha, b"fig2");
+        server.seal(&[0x42; MAX_FRAGMENT]).unwrap();
+        client.feed_from(&mut server).unwrap();
+        client.open_next().unwrap().expect("one whole record");
 
-        let phases = server.record_crypto();
+        let phases = server.machine().record_crypto();
         assert!(phases.total() > Cycles::ZERO);
         let categories = figure2_categories(&PhaseSet::new(), &phases);
         assert_eq!(categories.total(), phases.total(), "{phases:?}");

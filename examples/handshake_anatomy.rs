@@ -6,6 +6,7 @@
 
 use sslperf::experiments::{handshake, webserver};
 use sslperf::prelude::*;
+use sslperf::ssl::Engine;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let quick = std::env::args().any(|a| a == "--quick");
@@ -28,14 +29,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let full = server.run_with_session(1024, 7, None).expect("full transaction");
 
     // Establish a session, then resume it.
-    let mut client = SslClient::new(ctx.suite(), SslRng::from_seed(b"anatomy-client"));
-    let mut ssl_server = SslServer::new(ctx.server_config(), SslRng::from_seed(b"anatomy-server"));
-    let f1 = client.hello().expect("hello");
-    let f2 = ssl_server.process_client_hello(&f1).expect("flight 2");
-    let f3 = client.process_server_flight(&f2).expect("flight 3");
-    let f4 = ssl_server.process_client_flight(&f3).expect("flight 4");
-    client.process_server_finish(&f4).expect("established");
-    let session = client.session().expect("established session");
+    let client = SslClient::new(ctx.suite(), SslRng::from_seed(b"anatomy-client"));
+    let mut client = Engine::new(client)?;
+    let ssl_server = SslServer::new(ctx.server_config(), SslRng::from_seed(b"anatomy-server"));
+    let mut ssl_server = Engine::new(ssl_server)?;
+    for _ in 0..2 {
+        ssl_server.feed_from(&mut client)?;
+        client.feed_from(&mut ssl_server)?;
+    }
+    let session = client.machine().session().expect("established session");
     let resumed = server.run_with_session(1024, 8, Some(session)).expect("resumed transaction");
     assert!(resumed.resumed);
 

@@ -1,13 +1,14 @@
 //! Quickstart: a full SSL v3 session over in-memory buffers.
 //!
 //! Mirrors the paper's `ssltest` methodology (§3.2): client and server
-//! state machines in one process, exchanging flights through byte buffers,
-//! then moving application data over the established channel.
+//! state machines in one process, each in a sans-io `Engine`, exchanging
+//! whole flights through memory, then moving application data over the
+//! established channel.
 //!
 //! Run with: `cargo run --release --example quickstart`
 
 use sslperf::prelude::*;
-use sslperf::ssl::{RecordBuffer, MAX_FRAGMENT};
+use sslperf::ssl::{Engine, MAX_FRAGMENT};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 1. Server identity: RSA key + self-signed certificate.
@@ -16,36 +17,34 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let key = RsaPrivateKey::generate(1024, &mut rng)?;
     let config = ServerConfig::new(key, "quickstart.example")?;
 
-    // 2. Handshake, flight by flight (paper Figure 1).
+    // 2. Handshake, flight by flight (paper Figure 1): each engine takes
+    // the other's whole pending flight and answers with the next one.
     let suite = CipherSuite::RsaDesCbc3Sha; // the paper's DES-CBC3-SHA
-    let mut client = SslClient::new(suite, SslRng::from_seed(b"client"));
-    let mut server = SslServer::new(&config, SslRng::from_seed(b"server"));
+    let mut client = Engine::new(SslClient::new(suite, SslRng::from_seed(b"client")))?;
+    let mut server = Engine::new(SslServer::new(&config, SslRng::from_seed(b"server")))?;
 
-    let flight1 = client.hello()?;
-    println!("client hello               → {:5} bytes", flight1.len());
-    let flight2 = server.process_client_hello(&flight1)?;
-    println!("hello+cert+done            ← {:5} bytes", flight2.len());
-    let flight3 = client.process_server_flight(&flight2)?;
-    println!("kx+ccs+finished            → {:5} bytes", flight3.len());
-    let flight4 = server.process_client_flight(&flight3)?;
-    println!("ccs+finished               ← {:5} bytes", flight4.len());
-    client.process_server_finish(&flight4)?;
+    println!("client hello               → {:5} bytes", server.feed_from(&mut client)?);
+    println!("hello+cert+done            ← {:5} bytes", client.feed_from(&mut server)?);
+    println!("kx+ccs+finished            → {:5} bytes", server.feed_from(&mut client)?);
+    println!("ccs+finished               ← {:5} bytes", client.feed_from(&mut server)?);
     assert!(client.is_established() && server.is_established());
-    println!("handshake complete with {}\n", server.suite());
+    println!("handshake complete with {}\n", server.machine().suite());
 
     // 3. Bulk data transfer (encrypted, MACed, fragmented), every record
-    // sealed and opened in place inside one reusable buffer.
-    let mut buf = RecordBuffer::new();
+    // sealed into the sender's outbox and opened in place in the
+    // receiver's inbox.
     let request = b"GET /index.html HTTP/1.0\r\n\r\n";
-    client.seal_into(request, &mut buf)?;
-    let range = server.open_in_place(&mut buf)?;
-    assert_eq!(&buf.as_slice()[range], request);
+    client.seal(request)?;
+    server.feed_from(&mut client)?;
+    let range = server.open_next()?.ok_or("request record incomplete")?;
+    assert_eq!(&server.buffered()[range], request);
     let response = vec![0x42u8; 20_000]; // spans two records
     let mut received = Vec::new();
     for fragment in response.chunks(MAX_FRAGMENT) {
-        server.seal_into(fragment, &mut buf)?;
-        let range = client.open_in_place(&mut buf)?;
-        received.extend_from_slice(&buf.as_slice()[range]);
+        server.seal(fragment)?;
+        client.feed_from(&mut server)?;
+        let range = client.open_next()?.ok_or("response record incomplete")?;
+        received.extend_from_slice(&client.buffered()[range]);
     }
     assert_eq!(received, response);
     println!(
@@ -56,8 +55,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 4. The instrumentation the paper is about: per-step handshake costs.
     println!("Server handshake anatomy (Table 2 shape):");
-    print!("{}", server.steps());
+    print!("{}", server.machine().steps());
     println!("\nCrypto functions inside the handshake:");
-    print!("{}", server.crypto());
+    print!("{}", server.machine().crypto());
     Ok(())
 }

@@ -1,12 +1,13 @@
 //! Byte-boundary torture tests for the sans-io handshake engine.
 //!
-//! The engine must produce *exactly* the wire bytes of the flight-based
-//! API no matter how the peer's bytes arrive: one byte at a time, in
-//! arbitrary chunks, or with several handshake messages coalesced into a
-//! single record. Determinism of [`SslRng`] makes the comparison exact —
-//! same seeds, same bytes — so these tests assert byte-for-byte equality
-//! of every flight and of post-handshake sealed records (which proves the
-//! derived session keys and Finished hashes match too).
+//! The engine must produce *exactly* the wire bytes of the whole-flight
+//! reference run (`tests/support`'s `drain` + `feed_all`, the way `ssltest`
+//! passes flights) no matter how the peer's bytes arrive: one byte at a
+//! time, in arbitrary chunks, or with several handshake messages coalesced
+//! into a single record. Determinism of [`SslRng`] makes the comparison
+//! exact — same seeds, same bytes — so these tests assert byte-for-byte
+//! equality of every flight and of post-handshake sealed records (which
+//! proves the derived session keys and Finished hashes match too).
 
 mod support;
 
@@ -15,12 +16,12 @@ use sslperf::prelude::*;
 use sslperf::profile::counters;
 use sslperf::ssl::{
     ClientConfig, ClientEngine, ClientMachine, Engine, EngineDriven, HandshakeLedger, Protocol,
-    RecordBuffer, ServerEngine, ServerMachine, SslError, Tls13ClientMachine, Tls13ServerMachine,
+    ServerEngine, ServerMachine, SslError, Tls13ClientMachine, Tls13ServerMachine,
 };
 use std::net::{TcpListener, TcpStream};
 use std::sync::OnceLock;
 use std::time::Duration;
-use support::{handshake, Tapped};
+use support::{drain, feed_all, handshake, Tapped};
 
 fn config() -> &'static ServerConfig {
     static CONFIG: OnceLock<ServerConfig> = OnceLock::new();
@@ -31,9 +32,9 @@ fn config() -> &'static ServerConfig {
     })
 }
 
-/// The reference run: the flight-based API with fixed seeds. Returns the
-/// full client→server and server→client wires plus one sealed probe
-/// record from each side.
+/// The reference run: two engines with fixed seeds, passing whole flights.
+/// Returns the full client→server and server→client wires plus one sealed
+/// probe record from each side.
 struct Reference {
     c2s: Vec<u8>,
     s2c: Vec<u8>,
@@ -42,22 +43,16 @@ struct Reference {
 }
 
 fn reference(suite: CipherSuite) -> Reference {
-    let mut client = SslClient::new(suite, SslRng::from_seed(b"sansio-c"));
-    let mut server = SslServer::new(config(), SslRng::from_seed(b"sansio-s"));
-    let f1 = client.hello().expect("hello");
-    let f2 = server.process_client_hello(&f1).expect("server flight");
-    let f3 = client.process_server_flight(&f2).expect("client flight");
-    let f4 = server.process_client_flight(&f3).expect("server finish");
-    client.process_server_finish(&f4).expect("client finish");
-    let mut client_probe = RecordBuffer::new();
-    client.seal_into(b"probe", &mut client_probe).expect("client seal");
-    let mut server_probe = RecordBuffer::new();
-    server.seal_into(b"probe", &mut server_probe).expect("server seal");
+    let (mut client, mut server) = engines(suite);
+    let [f1, f2, f3, f4] = support::flights(&mut client, &mut server);
+    assert!(client.is_established() && server.is_established());
+    client.seal(b"probe").expect("client seal");
+    server.seal(b"probe").expect("server seal");
     Reference {
         c2s: [f1, f3].concat(),
         s2c: [f2, f4].concat(),
-        client_probe: client_probe.into_vec(),
-        server_probe: server_probe.into_vec(),
+        client_probe: drain(&mut client),
+        server_probe: drain(&mut server),
     }
 }
 
@@ -69,31 +64,21 @@ fn engines(suite: CipherSuite) -> (ClientEngine, ServerEngine<'static>) {
     (client, server)
 }
 
-/// Moves every pending byte from `from` to `to` in `chunk`-sized feeds,
-/// appending what crossed to `wire`.
-fn shuttle<A: sslperf::ssl::EngineDriven, B: sslperf::ssl::EngineDriven>(
+/// Passes `from`'s pending flight to `to` in `chunk`-sized feeds and
+/// returns it.
+fn pass<A: EngineDriven, B: EngineDriven>(
     from: &mut Engine<A>,
     to: &mut Engine<B>,
     chunk: usize,
-    wire: &mut Vec<u8>,
-) {
-    while from.wants_write() {
-        let take = from.pending_output().min(chunk);
-        let bytes = from.output()[..take].to_vec();
-        from.consume_output(take);
-        wire.extend_from_slice(&bytes);
-        let mut offset = 0;
-        while offset < bytes.len() {
-            let n = to.feed(&bytes[offset..]).expect("feed");
-            assert!(n > 0, "engine must accept handshake bytes");
-            offset += n;
-        }
-    }
+) -> Vec<u8> {
+    let flight = drain(from);
+    flight.chunks(chunk).for_each(|piece| feed_all(to, piece));
+    flight
 }
 
 /// Runs a full engine-vs-engine handshake moving bytes in `chunk`-sized
 /// pieces, then asserts the wires and post-handshake records are
-/// byte-identical to the flight-based reference.
+/// byte-identical to the whole-flight reference.
 fn assert_chunked_run_matches(suite: CipherSuite, chunk: usize) {
     let reference = reference(suite);
     let (mut client, mut server) = engines(suite);
@@ -101,8 +86,8 @@ fn assert_chunked_run_matches(suite: CipherSuite, chunk: usize) {
     let mut stalls = 0;
     while !(client.is_established() && server.is_established()) {
         let before = (c2s.len(), s2c.len());
-        shuttle(&mut client, &mut server, chunk, &mut c2s);
-        shuttle(&mut server, &mut client, chunk, &mut s2c);
+        c2s.extend(pass(&mut client, &mut server, chunk));
+        s2c.extend(pass(&mut server, &mut client, chunk));
         if (c2s.len(), s2c.len()) == before {
             stalls += 1;
             assert!(stalls < 4, "handshake stalled (chunk {chunk})");
@@ -157,7 +142,7 @@ proptest! {
 
 /// Re-frames a plaintext handshake flight (several records) into one
 /// record carrying all the messages back to back — legal SSLv3 framing
-/// the flight API never produces, which the engine must still accept.
+/// the machines never produce, which the engine must still accept.
 fn coalesce_records(flight: &[u8]) -> Vec<u8> {
     let mut payload = Vec::new();
     let mut rest = flight;
@@ -196,17 +181,9 @@ fn coalesced_messages_in_one_record_match() {
     let coalesced = coalesce_records(&reference.s2c[..f2_len]);
     assert!(coalesced.len() < f2_len, "re-framing must drop record headers");
 
-    let mut c2s = Vec::new();
-    let drain = |engine: &mut ClientEngine, out: &mut Vec<u8>| {
-        while engine.wants_write() {
-            out.extend_from_slice(engine.output());
-            let n = engine.pending_output();
-            engine.consume_output(n);
-        }
-    };
-    drain(&mut client, &mut c2s);
+    let mut c2s = drain(&mut client);
     assert_eq!(client.feed(&coalesced).expect("feed coalesced"), coalesced.len());
-    drain(&mut client, &mut c2s);
+    c2s.extend(drain(&mut client));
     assert_eq!(c2s, reference.c2s, "coalesced framing must not change the client flight");
 
     // Finish the handshake with the reference server's CCS+finished.
@@ -261,7 +238,7 @@ fn offloaded_handshake_is_byte_identical() {
         let mut stalls = 0;
         while !(client.is_established() && server.is_established()) {
             let before = (c2s.len(), s2c.len());
-            shuttle(&mut client, &mut server, chunk, &mut c2s);
+            c2s.extend(pass(&mut client, &mut server, chunk));
             if server.crypto_pending() {
                 // Out-of-band execution: the same decrypt the inline path
                 // runs, carried by the job (blinding state included).
@@ -273,7 +250,7 @@ fn offloaded_handshake_is_byte_identical() {
                 server.complete_crypto(done).expect("resume");
                 suspensions += 1;
             }
-            shuttle(&mut server, &mut client, chunk, &mut s2c);
+            s2c.extend(pass(&mut server, &mut client, chunk));
             if (c2s.len(), s2c.len()) == before {
                 stalls += 1;
                 assert!(stalls < 4, "offloaded handshake stalled (chunk {chunk})");
@@ -308,19 +285,18 @@ fn offloaded_handshake_with_queue_wait<C: EngineDriven, S: EngineDriven>(
     hold: Duration,
 ) {
     server.set_crypto_offload(true);
-    let mut wire = Vec::new();
     let mut suspensions = 0;
     for _ in 0..16 {
         if client.is_established() && server.is_established() {
             break;
         }
-        shuttle(client, server, usize::MAX, &mut wire);
+        feed_all(server, &drain(client));
         if let Some(job) = server.take_crypto_job() {
             std::thread::sleep(hold);
             server.complete_crypto(job.execute(config().key())).expect("resume");
             suspensions += 1;
         }
-        shuttle(server, client, usize::MAX, &mut wire);
+        feed_all(client, &drain(server));
     }
     assert!(client.is_established() && server.is_established(), "handshake did not converge");
     assert_eq!(suspensions, 1, "one key-exchange job per full handshake");
@@ -394,17 +370,14 @@ fn server_work(protocol: Protocol, offload: bool) -> ServerWork {
         if client.is_established() && server.is_established() {
             break;
         }
-        let flight = client.output().to_vec();
-        client.consume_output(flight.len());
+        let flight = drain(&mut client);
         let counting = counters::enable();
-        server.feed(&flight).expect("server feed");
+        feed_all(&mut server, &flight);
         if let Some(job) = server.take_crypto_job() {
             server.complete_crypto(job.execute(config.key())).expect("resume");
         }
         drop(counting);
-        let flight = server.output().to_vec();
-        server.consume_output(flight.len());
-        client.feed(&flight).expect("client feed");
+        feed_all(&mut client, &drain(&mut server));
     }
     assert!(client.is_established() && server.is_established(), "{protocol}: no convergence");
     let counters = counters::snapshot();
@@ -460,11 +433,7 @@ fn complete_crypto_without_suspension_errors() {
 fn engine_resumes_and_poisons_cleanly() {
     // Establish once to obtain a session.
     let (mut client, mut server) = engines(CipherSuite::RsaDesCbc3Sha);
-    let (mut a, mut b) = (Vec::new(), Vec::new());
-    while !(client.is_established() && server.is_established()) {
-        shuttle(&mut client, &mut server, usize::MAX, &mut a);
-        shuttle(&mut server, &mut client, usize::MAX, &mut b);
-    }
+    support::establish(&mut client, &mut server);
     let session = client.machine().session().expect("established");
 
     // Resume through fresh engines.
@@ -472,10 +441,9 @@ fn engine_resumes_and_poisons_cleanly() {
         .expect("client engine");
     let mut server = Engine::new(SslServer::new(config(), SslRng::from_seed(b"resume-s")))
         .expect("server engine");
-    let (mut a, mut b) = (Vec::new(), Vec::new());
     while !(client.is_established() && server.is_established()) {
-        shuttle(&mut client, &mut server, 3, &mut a);
-        shuttle(&mut server, &mut client, 3, &mut b);
+        pass(&mut client, &mut server, 3);
+        pass(&mut server, &mut client, 3);
     }
     assert!(client.machine().resumed(), "client resumed");
     assert!(server.machine().resumed(), "server resumed");

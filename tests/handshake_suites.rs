@@ -1,9 +1,12 @@
 //! Cross-crate integration: full handshakes for every cipher suite,
 //! resumption, negotiation and failure paths.
 
+mod support;
+
 use sslperf::prelude::*;
-use sslperf::ssl::RecordBuffer;
+use sslperf::ssl::{ClientEngine, Engine, EngineDriven, ServerEngine, SslError};
 use std::sync::OnceLock;
+use support::{drain, feed_all};
 
 fn config() -> &'static ServerConfig {
     static CONFIG: OnceLock<ServerConfig> = OnceLock::new();
@@ -14,33 +17,39 @@ fn config() -> &'static ServerConfig {
     })
 }
 
-fn run_handshake(suite: CipherSuite, seed: &str) -> (SslClient, SslServer<'static>) {
-    let mut client = SslClient::new(suite, SslRng::from_seed(format!("{seed}-c").as_bytes()));
-    let mut server = SslServer::new(config(), SslRng::from_seed(format!("{seed}-s").as_bytes()));
-    let f1 = client.hello().expect("hello");
-    let f2 = server.process_client_hello(&f1).expect("server flight");
-    let f3 = client.process_server_flight(&f2).expect("client flight");
-    let f4 = server.process_client_flight(&f3).expect("server finish");
-    client.process_server_finish(&f4).expect("client established");
-    assert!(client.is_established() && server.is_established());
+fn engines(client: SslClient, server_seed: &[u8]) -> (ClientEngine, ServerEngine<'static>) {
+    let client = Engine::new(client).expect("client engine");
+    let server = Engine::new(SslServer::new(config(), SslRng::from_seed(server_seed)));
+    (client, server.expect("server engine"))
+}
+
+fn run_handshake(suite: CipherSuite, seed: &str) -> (ClientEngine, ServerEngine<'static>) {
+    let client = SslClient::new(suite, SslRng::from_seed(format!("{seed}-c").as_bytes()));
+    let (mut client, mut server) = engines(client, format!("{seed}-s").as_bytes());
+    support::establish(&mut client, &mut server);
     (client, server)
+}
+
+/// Opens the next record `engine` holds, which must be whole.
+fn open<M: EngineDriven>(engine: &mut Engine<M>) -> Result<Vec<u8>, SslError> {
+    let range = engine.open_next()?.expect("one whole record");
+    Ok(engine.buffered()[range].to_vec())
 }
 
 #[test]
 fn every_suite_completes_and_transfers() {
     for suite in CipherSuite::ALL {
         let (mut client, mut server) = run_handshake(suite, &format!("suite-{suite}"));
-        assert_eq!(client.suite(), suite);
-        assert_eq!(server.suite(), suite);
-        let mut buf = RecordBuffer::new();
+        assert_eq!(client.machine().suite(), suite);
+        assert_eq!(server.machine().suite(), suite);
         for len in [0usize, 1, 100, 5000] {
             let data: Vec<u8> = (0..len).map(|i| (i * 31) as u8).collect();
-            client.seal_into(&data, &mut buf).expect("seal");
-            let range = server.open_in_place(&mut buf).expect("open");
-            assert_eq!(&buf.as_slice()[range], data, "{suite} len {len}");
-            server.seal_into(&data, &mut buf).expect("seal");
-            let range = client.open_in_place(&mut buf).expect("open");
-            assert_eq!(&buf.as_slice()[range], data, "{suite} reverse");
+            client.seal(&data).expect("seal");
+            feed_all(&mut server, &drain(&mut client));
+            assert_eq!(open(&mut server).expect("open"), data, "{suite} len {len}");
+            server.seal(&data).expect("seal");
+            feed_all(&mut client, &drain(&mut server));
+            assert_eq!(open(&mut client).expect("open"), data, "{suite} reverse");
         }
     }
 }
@@ -53,7 +62,7 @@ fn both_sides_derive_identical_keys() {
     // master secret both sides derived.
     config().clear_session_cache();
     let (client, _server) = run_handshake(CipherSuite::RsaAes128Sha, "derive");
-    let session = client.session().expect("session");
+    let session = client.machine().session().expect("session");
     assert_eq!(session.suite(), CipherSuite::RsaAes128Sha);
     assert!(!session.id().is_empty());
 }
@@ -62,59 +71,49 @@ fn both_sides_derive_identical_keys() {
 fn session_resumption_skips_rsa() {
     config().clear_session_cache();
     let (client, _server) = run_handshake(CipherSuite::RsaDesCbc3Sha, "resume-full");
-    let session = client.session().expect("session");
+    let session = client.machine().session().expect("session");
 
-    let mut client2 = SslClient::resuming(session, SslRng::from_seed(b"resume-c2"));
-    let mut server2 = SslServer::new(config(), SslRng::from_seed(b"resume-s2"));
-    let f1 = client2.hello().expect("hello");
-    let f2 = server2.process_client_hello(&f1).expect("abbreviated flight");
-    let f3 = client2.process_server_flight(&f2).expect("client ccs+fin");
-    let out = server2.process_client_flight(&f3).expect("server done");
+    let client2 = SslClient::resuming(session, SslRng::from_seed(b"resume-c2"));
+    let (mut client2, mut server2) = engines(client2, b"resume-s2");
+    let [_, _, _, out] = support::flights(&mut client2, &mut server2);
     assert!(out.is_empty(), "abbreviated handshake sends nothing after the client flight");
     assert!(client2.is_established() && server2.is_established());
-    assert!(client2.resumed() && server2.resumed());
+    assert!(client2.machine().resumed() && server2.machine().resumed());
     // No RSA in the resumed handshake.
     assert!(
-        server2.crypto().get("rsa_private_decryption").is_none(),
+        server2.machine().crypto().get("rsa_private_decryption").is_none(),
         "resumption must skip the RSA private operation"
     );
     // And data still flows.
-    let mut c = client2;
-    let mut s = server2;
-    let mut buf = RecordBuffer::new();
-    c.seal_into(b"resumed!", &mut buf).expect("seal");
-    let range = s.open_in_place(&mut buf).expect("open");
-    assert_eq!(&buf.as_slice()[range], b"resumed!");
+    client2.seal(b"resumed!").expect("seal");
+    feed_all(&mut server2, &drain(&mut client2));
+    assert_eq!(open(&mut server2).expect("open"), b"resumed!");
 }
 
 #[test]
 fn server_picks_preferred_suite_from_client_list() {
-    let mut client = SslClient::with_suites(
+    let client = SslClient::with_suites(
         vec![CipherSuite::RsaRc4Md5, CipherSuite::RsaDesCbc3Sha],
         SslRng::from_seed(b"pref-c"),
     );
-    let mut server = SslServer::new(config(), SslRng::from_seed(b"pref-s"));
-    let f1 = client.hello().expect("hello");
-    let f2 = server.process_client_hello(&f1).expect("flight");
-    let f3 = client.process_server_flight(&f2).expect("flight");
-    let f4 = server.process_client_flight(&f3).expect("flight");
-    client.process_server_finish(&f4).expect("established");
+    let (mut client, mut server) = engines(client, b"pref-s");
+    support::establish(&mut client, &mut server);
     // Server prefers 3DES (its list order), even though the client listed
     // RC4 first.
-    assert_eq!(server.suite(), CipherSuite::RsaDesCbc3Sha);
-    assert_eq!(client.suite(), CipherSuite::RsaDesCbc3Sha);
+    assert_eq!(server.machine().suite(), CipherSuite::RsaDesCbc3Sha);
+    assert_eq!(client.machine().suite(), CipherSuite::RsaDesCbc3Sha);
 }
 
 #[test]
 fn tampered_finished_is_rejected() {
-    let mut client = SslClient::new(CipherSuite::RsaRc4Sha, SslRng::from_seed(b"tamper-c"));
-    let mut server = SslServer::new(config(), SslRng::from_seed(b"tamper-s"));
-    let f1 = client.hello().expect("hello");
-    let f2 = server.process_client_hello(&f1).expect("flight");
-    let mut f3 = client.process_server_flight(&f2).expect("flight");
+    let client = SslClient::new(CipherSuite::RsaRc4Sha, SslRng::from_seed(b"tamper-c"));
+    let (mut client, mut server) = engines(client, b"tamper-s");
+    feed_all(&mut server, &drain(&mut client));
+    feed_all(&mut client, &drain(&mut server));
+    let mut f3 = drain(&mut client);
     let last = f3.len() - 1;
     f3[last] ^= 0x80; // corrupt the encrypted finished record
-    let err = server.process_client_flight(&f3).expect_err("tampering detected");
+    let err = server.feed(&f3).expect_err("tampering detected");
     assert!(
         matches!(err, SslError::MacMismatch | SslError::BadPadding | SslError::BadFinished),
         "got {err:?}"
@@ -124,40 +123,34 @@ fn tampered_finished_is_rejected() {
 #[test]
 fn tampered_application_record_is_rejected() {
     let (mut client, mut server) = run_handshake(CipherSuite::RsaAes256Sha, "tamper-app");
-    let mut buf = RecordBuffer::new();
-    client.seal_into(b"super secret transfer", &mut buf).expect("seal");
-    let mut wire = buf.into_vec();
+    client.seal(b"super secret transfer").expect("seal");
+    let mut wire = drain(&mut client);
     wire[7] ^= 1;
-    let mut buf = RecordBuffer::new();
-    buf.extend_from_slice(&wire);
-    assert!(server.open_in_place(&mut buf).is_err());
+    feed_all(&mut server, &wire);
+    assert!(server.open_next().is_err());
 }
 
 #[test]
 fn cross_connection_records_do_not_decrypt() {
     let (mut c1, _) = run_handshake(CipherSuite::RsaAes128Sha, "cross-1");
     let (_, mut s2) = run_handshake(CipherSuite::RsaAes128Sha, "cross-2");
-    let mut buf = RecordBuffer::new();
-    c1.seal_into(b"for connection one only", &mut buf).expect("seal");
-    assert!(s2.open_in_place(&mut buf).is_err(), "keys must differ between connections");
+    c1.seal(b"for connection one only").expect("seal");
+    feed_all(&mut s2, &drain(&mut c1));
+    assert!(s2.open_next().is_err(), "keys must differ between connections");
 }
-
-use sslperf::ssl::SslError;
 
 #[test]
 fn close_notify_ends_session() {
     let (mut client, mut server) = run_handshake(CipherSuite::RsaRc4Md5, "close");
-    let mut buf = RecordBuffer::new();
-    buf.extend_from_slice(&client.close().expect("close"));
-    let err = server.open_in_place(&mut buf).expect_err("close surfaces as PeerAlert");
+    client.queue_close_notify().expect("close");
+    feed_all(&mut server, &drain(&mut client));
+    let err = open(&mut server).expect_err("close surfaces as PeerAlert");
     match err {
         SslError::PeerAlert(alert) => assert!(alert.is_close_notify()),
         other => panic!("expected close_notify, got {other:?}"),
     }
     // And the other direction.
-    buf.clear();
-    buf.extend_from_slice(&server.close().expect("close"));
-    assert!(
-        matches!(client.open_in_place(&mut buf), Err(SslError::PeerAlert(a)) if a.is_close_notify())
-    );
+    server.queue_close_notify().expect("close");
+    feed_all(&mut client, &drain(&mut server));
+    assert!(matches!(open(&mut client), Err(SslError::PeerAlert(a)) if a.is_close_notify()));
 }

@@ -5,7 +5,9 @@
 mod support;
 
 use sslperf::prelude::*;
-use sslperf::ssl::{ClientSession, SimpleSessionCache, TicketError};
+use sslperf::ssl::{
+    ClientEngine, ClientSession, Engine, ServerEngine, SimpleSessionCache, TicketError,
+};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -27,34 +29,36 @@ fn ticket_config(keyring: &Arc<TicketKeyring>, name: &str) -> ServerConfig {
 
 type Flights = ([usize; 4], [String; 4]);
 
+/// Two engines for one connection: a client wrapping `client` (its hello
+/// already pending) and a server seeded with `server_seed`.
+fn engines<'a>(
+    config: &'a ServerConfig,
+    client: SslClient,
+    server_seed: &[u8],
+) -> (ClientEngine, ServerEngine<'a>) {
+    let client = Engine::new(client).expect("client engine");
+    let server = Engine::new(SslServer::new(config, SslRng::from_seed(server_seed)));
+    (client, server.expect("server engine"))
+}
+
+/// `(len, sha1)` of each flight.
+fn pins(flights: &[Vec<u8>; 4]) -> Flights {
+    (flights.each_ref().map(Vec::len), flights.each_ref().map(|f| sha1_hex(f)))
+}
+
 /// Runs a full then a resumed handshake with the pre-PR pin seeds and
 /// returns `(len, sha1)` for each of the eight flights.
 fn pinned_flights(config: &ServerConfig) -> (Flights, Flights) {
-    let mut client =
-        SslClient::new(CipherSuite::RsaDesCbc3Sha, SslRng::from_seed(b"pin-client-full"));
-    let mut server = SslServer::new(config, SslRng::from_seed(b"pin-server-full"));
-    let f1 = client.hello().expect("hello");
-    let f2 = server.process_client_hello(&f1).expect("server flight");
-    let f3 = client.process_server_flight(&f2).expect("client flight");
-    let f4 = server.process_client_flight(&f3).expect("server finish");
-    client.process_server_finish(&f4).expect("client established");
-    let full = (
-        [f1.len(), f2.len(), f3.len(), f4.len()],
-        [sha1_hex(&f1), sha1_hex(&f2), sha1_hex(&f3), sha1_hex(&f4)],
-    );
-
-    let session = client.session().expect("session");
-    let mut client = SslClient::resuming(session, SslRng::from_seed(b"pin-client-resumed"));
-    let mut server = SslServer::new(config, SslRng::from_seed(b"pin-server-resumed"));
-    let r1 = client.hello().expect("hello");
-    let r2 = server.process_client_hello(&r1).expect("abbreviated flight");
-    let r3 = client.process_server_flight(&r2).expect("client ccs+fin");
-    let r4 = server.process_client_flight(&r3).expect("server done");
+    let client = SslClient::new(CipherSuite::RsaDesCbc3Sha, SslRng::from_seed(b"pin-client-full"));
+    let (mut client, mut server) = engines(config, client, b"pin-server-full");
+    let full = pins(&support::flights(&mut client, &mut server));
     assert!(client.is_established() && server.is_established());
-    let resumed = (
-        [r1.len(), r2.len(), r3.len(), r4.len()],
-        [sha1_hex(&r1), sha1_hex(&r2), sha1_hex(&r3), sha1_hex(&r4)],
-    );
+
+    let session = client.machine().session().expect("session");
+    let client = SslClient::resuming(session, SslRng::from_seed(b"pin-client-resumed"));
+    let (mut client, mut server) = engines(config, client, b"pin-server-resumed");
+    let resumed = pins(&support::flights(&mut client, &mut server));
+    assert!(client.is_established() && server.is_established());
     (full, resumed)
 }
 
@@ -104,21 +108,18 @@ fn legacy_flights_unchanged_under_ticket_store() {
 }
 
 fn full_ticket_handshake(config: &ServerConfig, seed: &str) -> ClientSession {
-    let mut client = SslClient::new(
+    let client = SslClient::new(
         CipherSuite::RsaDesCbc3Sha,
         SslRng::from_seed(format!("{seed}-c").as_bytes()),
     )
     .with_tickets();
-    let mut server = SslServer::new(config, SslRng::from_seed(format!("{seed}-s").as_bytes()));
-    let f1 = client.hello().expect("hello");
-    let f2 = server.process_client_hello(&f1).expect("server flight");
-    let f3 = client.process_server_flight(&f2).expect("client flight");
-    let f4 = server.process_client_flight(&f3).expect("server finish");
-    client.process_server_finish(&f4).expect("client established");
+    let (mut client, mut server) = engines(config, client, format!("{seed}-s").as_bytes());
+    support::establish(&mut client, &mut server);
+    let server = server.machine();
     assert!(server.ticket_negotiated(), "extension negotiated");
     assert!(server.ticket_issued(), "ticket issued on full handshake");
     assert!(!server.resumed());
-    client.session().expect("session")
+    client.machine().session().expect("session")
 }
 
 fn resume_with(
@@ -126,17 +127,10 @@ fn resume_with(
     session: ClientSession,
     seed: &str,
 ) -> (SslClient, bool, bool) {
-    let mut client =
-        SslClient::resuming(session, SslRng::from_seed(format!("{seed}-c").as_bytes()));
-    let mut server = SslServer::new(config, SslRng::from_seed(format!("{seed}-s").as_bytes()));
-    let f1 = client.hello().expect("hello");
-    let f2 = server.process_client_hello(&f1).expect("server flight");
-    let f3 = client.process_server_flight(&f2).expect("client flight");
-    let f4 = server.process_client_flight(&f3).expect("server finish");
-    if !f4.is_empty() {
-        client.process_server_finish(&f4).expect("client established");
-    }
-    assert!(client.is_established() && server.is_established());
+    let client = SslClient::resuming(session, SslRng::from_seed(format!("{seed}-c").as_bytes()));
+    let (mut client, mut server) = engines(config, client, format!("{seed}-s").as_bytes());
+    support::establish(&mut client, &mut server);
+    let (client, server) = (client.into_machine(), server.machine());
     assert_eq!(client.resumed(), server.resumed());
     (client, server.resumed(), server.ticket_accepted())
 }
@@ -244,17 +238,13 @@ fn rotation_keeps_previous_key_tickets_valid() {
 #[test]
 fn ticket_client_against_plain_server_uses_id_cache() {
     let config = ServerConfig::new(pin_key(), "plain.sslperf.test").expect("config");
-    let mut client =
+    let client =
         SslClient::new(CipherSuite::RsaDesCbc3Sha, SslRng::from_seed(b"plain-c")).with_tickets();
-    let mut server = SslServer::new(&config, SslRng::from_seed(b"plain-s"));
-    let f1 = client.hello().expect("hello");
-    let f2 = server.process_client_hello(&f1).expect("server flight");
-    let f3 = client.process_server_flight(&f2).expect("client flight");
-    let f4 = server.process_client_flight(&f3).expect("server finish");
-    client.process_server_finish(&f4).expect("client established");
-    assert!(!server.ticket_negotiated());
-    assert!(!server.ticket_issued());
-    let session = client.session().expect("session");
+    let (mut client, mut server) = engines(&config, client, b"plain-s");
+    support::establish(&mut client, &mut server);
+    assert!(!server.machine().ticket_negotiated());
+    assert!(!server.machine().ticket_issued());
+    let session = client.machine().session().expect("session");
     assert!(session.ticket().is_none());
     assert_eq!(config.cached_sessions(), 1, "plain server still caches by id");
 
@@ -268,15 +258,11 @@ fn ticket_client_against_plain_server_uses_id_cache() {
 /// exported session.
 #[test]
 fn engine_pump_carries_tickets() {
-    use sslperf::ssl::Engine;
-
     let keyring = Arc::new(TicketKeyring::new(b"transport-secret"));
     let config = ticket_config(&keyring, "transport.sslperf.test");
     // Two engines pumped in one thread until both are established.
     let pair = |client: SslClient, server_seed: &[u8]| {
-        let mut client = Engine::new(client).expect("client engine");
-        let server = SslServer::new(&config, SslRng::from_seed(server_seed));
-        let mut server = Engine::new(server).expect("server engine");
+        let (mut client, mut server) = engines(&config, client, server_seed);
         support::establish(&mut client, &mut server);
         (client, server)
     };

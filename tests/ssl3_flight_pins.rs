@@ -1,21 +1,24 @@
 //! Engine-level SSLv3 flight pinning: the refactor safety net for the
 //! protocol-generic engine work.
 //!
-//! `tests/session_tickets.rs` pins the flight bytes of the *flight-based*
-//! drivers (`process_client_hello` & co.). These tests pin the same wire
-//! traffic as produced by the sans-io [`Engine`] — the path the event-loop
-//! server actually runs — with captured lengths and SHA-1 digests under
-//! seeded RNG, for every cipher suite and for inline vs. offloaded RSA.
+//! `tests/session_tickets.rs` pins the legacy and ticket flights with its
+//! own seeds. These tests pin the wire traffic of the sans-io [`Engine`]
+//! — passed whole flight by whole flight, as `tests/support`'s reference
+//! driver does — with captured lengths and SHA-1 digests under seeded
+//! RNG, for every cipher suite and for inline vs. offloaded RSA.
 //! Any refactor that threads protocol choice through the record layer,
 //! engine, or server machine must keep every digest here byte-identical.
 //!
 //! Re-capture (only after an *intentional* wire change):
 //! `cargo test --test ssl3_flight_pins -- --ignored --nocapture`
 
+mod support;
+
 use sslperf::bignum::LimbWidth;
 use sslperf::prelude::*;
-use sslperf::ssl::{ClientEngine, Engine, EngineDriven, SimpleSessionCache};
+use sslperf::ssl::{ClientEngine, ClientSession, Engine, SimpleSessionCache};
 use std::sync::Arc;
+use support::{drain, feed_all};
 
 fn sha1_hex(data: &[u8]) -> String {
     let mut h = Sha1::new();
@@ -46,22 +49,6 @@ fn ticket_config() -> ServerConfig {
     ServerConfig::with_store(pin_key(), "pin.sslperf.test", Box::new(store)).expect("config")
 }
 
-/// Takes everything the engine wants to write, as one flight.
-fn drain<M: EngineDriven>(engine: &mut Engine<M>) -> Vec<u8> {
-    let out = engine.output().to_vec();
-    engine.consume_output(out.len());
-    out
-}
-
-fn feed_all<M: EngineDriven>(engine: &mut Engine<M>, flight: &[u8]) {
-    let mut off = 0;
-    while off < flight.len() {
-        let n = engine.feed(&flight[off..]).expect("feed");
-        assert!(n > 0, "engine refused bytes mid-flight");
-        off += n;
-    }
-}
-
 /// Executes a suspended crypto job inline, exactly as the pool would.
 fn run_pending(server: &mut Engine<SslServer<'_>>, config: &ServerConfig) {
     if let Some(job) = server.take_crypto_job() {
@@ -73,24 +60,24 @@ fn run_pending(server: &mut Engine<SslServer<'_>>, config: &ServerConfig) {
 /// flights (client hello / server flight / client flight / server finish).
 fn engine_handshake(
     config: &ServerConfig,
-    mut client: ClientEngine,
+    client: &mut ClientEngine,
     server_seed: &[u8],
     offload: bool,
 ) -> [Vec<u8>; 4] {
     let mut server =
         Engine::new(SslServer::new(config, SslRng::from_seed(server_seed))).expect("server engine");
     server.set_crypto_offload(offload);
-    let f1 = drain(&mut client);
+    let f1 = drain(client);
     feed_all(&mut server, &f1);
     let f2 = drain(&mut server);
-    feed_all(&mut client, &f2);
-    let f3 = drain(&mut client);
+    feed_all(client, &f2);
+    let f3 = drain(client);
     feed_all(&mut server, &f3);
     if offload {
         run_pending(&mut server, config);
     }
     let f4 = drain(&mut server);
-    feed_all(&mut client, &f4);
+    feed_all(client, &f4);
     assert!(client.is_established(), "client established");
     assert!(server.is_established(), "server established");
     [f1, f2, f3, f4]
@@ -98,6 +85,14 @@ fn engine_handshake(
 
 fn client_engine(suite: CipherSuite, seed: &[u8]) -> ClientEngine {
     Engine::new(SslClient::new(suite, SslRng::from_seed(seed))).expect("client engine")
+}
+
+/// The session the resumed pins resume: a full handshake whose server
+/// seed fixes the session id and the master secret.
+fn pinned_session(config: &ServerConfig) -> ClientSession {
+    let mut client = client_engine(CipherSuite::RsaDesCbc3Sha, b"engine-pin-client-full");
+    engine_handshake(config, &mut client, b"engine-pin-server-full-replay", false);
+    client.machine().session().expect("session")
 }
 
 fn flight_pins(flights: &[Vec<u8>; 4]) -> ([usize; 4], [String; 4]) {
@@ -119,8 +114,8 @@ fn flight_pins(flights: &[Vec<u8>; 4]) -> ([usize; 4], [String; 4]) {
 fn engine_full_handshake_flights_pinned() {
     for limbs in [LimbWidth::U64, LimbWidth::U32] {
         let config = pin_config_with_width(limbs);
-        let client = client_engine(CipherSuite::RsaDesCbc3Sha, b"engine-pin-client-full");
-        let flights = engine_handshake(&config, client, b"engine-pin-server-full", false);
+        let mut client = client_engine(CipherSuite::RsaDesCbc3Sha, b"engine-pin-client-full");
+        let flights = engine_handshake(&config, &mut client, b"engine-pin-server-full", false);
         let (lens, digests) = flight_pins(&flights);
         assert_eq!(lens, [48, 300, 150, 75], "{} limbs", limbs.name());
         assert_eq!(
@@ -178,28 +173,11 @@ fn tls13_wire_identical_across_limb_widths() {
 #[test]
 fn engine_resumed_handshake_flights_pinned() {
     let config = pin_config();
-    let client = client_engine(CipherSuite::RsaDesCbc3Sha, b"engine-pin-client-full");
-    let flights = engine_handshake(&config, client, b"engine-pin-server-full", false);
-    let session = {
-        // Recover the session handle from a machine-owned replay: the
-        // engine consumed the same flights, so the session is identical.
-        let mut c = SslClient::new(
-            CipherSuite::RsaDesCbc3Sha,
-            SslRng::from_seed(b"engine-pin-client-full"),
-        );
-        let mut s = SslServer::new(&config, SslRng::from_seed(b"engine-pin-server-full-replay"));
-        let f1 = c.hello().expect("hello");
-        let f2 = s.process_client_hello(&f1).expect("flight");
-        let f3 = c.process_server_flight(&f2).expect("flight");
-        let f4 = s.process_client_flight(&f3).expect("finish");
-        c.process_server_finish(&f4).expect("established");
-        let _ = flights;
-        c.session().expect("session")
-    };
-    let client =
+    let session = pinned_session(&config);
+    let mut client =
         Engine::new(SslClient::resuming(session, SslRng::from_seed(b"engine-pin-client-resumed")))
             .expect("client engine");
-    let flights = engine_handshake(&config, client, b"engine-pin-server-resumed", false);
+    let flights = engine_handshake(&config, &mut client, b"engine-pin-server-resumed", false);
     let (lens, digests) = flight_pins(&flights);
     assert_eq!(lens, [80, 153, 75, 0]);
     assert_eq!(
@@ -216,12 +194,12 @@ fn engine_resumed_handshake_flights_pinned() {
 #[test]
 fn engine_ticket_handshake_flights_pinned() {
     let config = ticket_config();
-    let client = Engine::new(
+    let mut client = Engine::new(
         SslClient::new(CipherSuite::RsaDesCbc3Sha, SslRng::from_seed(b"engine-pin-client-ticket"))
             .with_tickets(),
     )
     .expect("client engine");
-    let flights = engine_handshake(&config, client, b"engine-pin-server-ticket", false);
+    let flights = engine_handshake(&config, &mut client, b"engine-pin-server-ticket", false);
     let (lens, digests) = flight_pins(&flights);
     // Flight 4 carries the NewSessionTicket, whose sealed state embeds the
     // issue timestamp — length and framing are stable, bytes are not.
@@ -252,9 +230,9 @@ fn engine_every_suite_concatenated_flights_pinned() {
     let config = pin_config();
     for (i, suite) in CipherSuite::ALL.into_iter().enumerate() {
         let seed = format!("engine-pin-suite-{}", suite.name());
-        let client = client_engine(suite, seed.as_bytes());
+        let mut client = client_engine(suite, seed.as_bytes());
         let server_seed = format!("{seed}-server");
-        let flights = engine_handshake(&config, client, server_seed.as_bytes(), false);
+        let flights = engine_handshake(&config, &mut client, server_seed.as_bytes(), false);
         let concat: Vec<u8> = flights.iter().flatten().copied().collect();
         assert_eq!(pinned[i].0, suite.name(), "pin table order");
         assert_eq!(sha1_hex(&concat), pinned[i].1, "{suite}");
@@ -269,13 +247,13 @@ fn offloaded_flights_byte_identical_to_inline() {
     let config = pin_config();
     let inline = engine_handshake(
         &config,
-        client_engine(CipherSuite::RsaDesCbc3Sha, b"engine-pin-client-full"),
+        &mut client_engine(CipherSuite::RsaDesCbc3Sha, b"engine-pin-client-full"),
         b"engine-pin-server-full",
         false,
     );
     let offloaded = engine_handshake(
         &config,
-        client_engine(CipherSuite::RsaDesCbc3Sha, b"engine-pin-client-full"),
+        &mut client_engine(CipherSuite::RsaDesCbc3Sha, b"engine-pin-client-full"),
         b"engine-pin-server-full",
         true,
     );
@@ -288,40 +266,28 @@ fn offloaded_flights_byte_identical_to_inline() {
 #[ignore = "re-capture helper, not a check"]
 fn capture_current_flights() {
     let config = pin_config();
-    let client = client_engine(CipherSuite::RsaDesCbc3Sha, b"engine-pin-client-full");
-    let flights = engine_handshake(&config, client, b"engine-pin-server-full", false);
+    let mut client = client_engine(CipherSuite::RsaDesCbc3Sha, b"engine-pin-client-full");
+    let flights = engine_handshake(&config, &mut client, b"engine-pin-server-full", false);
     let (lens, digests) = flight_pins(&flights);
     println!("full lens: {lens:?}");
     println!("full digests: {digests:#?}");
 
-    let session = {
-        let mut c = SslClient::new(
-            CipherSuite::RsaDesCbc3Sha,
-            SslRng::from_seed(b"engine-pin-client-full"),
-        );
-        let mut s = SslServer::new(&config, SslRng::from_seed(b"engine-pin-server-full-replay"));
-        let f1 = c.hello().expect("hello");
-        let f2 = s.process_client_hello(&f1).expect("flight");
-        let f3 = c.process_server_flight(&f2).expect("flight");
-        let f4 = s.process_client_flight(&f3).expect("finish");
-        c.process_server_finish(&f4).expect("established");
-        c.session().expect("session")
-    };
-    let client =
+    let session = pinned_session(&config);
+    let mut client =
         Engine::new(SslClient::resuming(session, SslRng::from_seed(b"engine-pin-client-resumed")))
             .expect("client engine");
-    let flights = engine_handshake(&config, client, b"engine-pin-server-resumed", false);
+    let flights = engine_handshake(&config, &mut client, b"engine-pin-server-resumed", false);
     let (lens, digests) = flight_pins(&flights);
     println!("resumed lens: {lens:?}");
     println!("resumed digests: {digests:#?}");
 
     let config = ticket_config();
-    let client = Engine::new(
+    let mut client = Engine::new(
         SslClient::new(CipherSuite::RsaDesCbc3Sha, SslRng::from_seed(b"engine-pin-client-ticket"))
             .with_tickets(),
     )
     .expect("client engine");
-    let flights = engine_handshake(&config, client, b"engine-pin-server-ticket", false);
+    let flights = engine_handshake(&config, &mut client, b"engine-pin-server-ticket", false);
     let (lens, digests) = flight_pins(&flights);
     println!("ticket lens: {lens:?}");
     println!("ticket digests: {digests:#?}");
@@ -329,9 +295,9 @@ fn capture_current_flights() {
     let config = pin_config();
     for suite in CipherSuite::ALL {
         let seed = format!("engine-pin-suite-{}", suite.name());
-        let client = client_engine(suite, seed.as_bytes());
+        let mut client = client_engine(suite, seed.as_bytes());
         let server_seed = format!("{seed}-server");
-        let flights = engine_handshake(&config, client, server_seed.as_bytes(), false);
+        let flights = engine_handshake(&config, &mut client, server_seed.as_bytes(), false);
         let concat: Vec<u8> = flights.iter().flatten().copied().collect();
         println!("(\"{}\", \"{}\"),", suite.name(), sha1_hex(&concat));
     }

@@ -1,5 +1,7 @@
-//! Blocking socket helpers shared by the integration tests: a sans-io
-//! [`Engine`] driven over a `std::io` stream with `read_from`/`write_to`.
+//! Engine drivers shared by the integration tests: the whole-flight
+//! reference driver (`drain` + `feed_all`, two engines in one thread, as
+//! `ssltest` runs them) and blocking socket helpers (a sans-io [`Engine`]
+//! driven over a `std::io` stream with `read_from`/`write_to`).
 
 // Each test binary uses its own subset.
 #![allow(dead_code)]
@@ -33,14 +35,49 @@ impl<S: Write> Write for Tapped<S> {
     }
 }
 
+/// Takes everything the engine wants to write, as one flight.
+pub fn drain<M: EngineDriven>(engine: &mut Engine<M>) -> Vec<u8> {
+    let out = engine.output().to_vec();
+    engine.consume_output(out.len());
+    out
+}
+
+/// Feeds a whole flight, asserting the engine takes every byte of it.
+pub fn feed_all<M: EngineDriven>(engine: &mut Engine<M>, flight: &[u8]) {
+    let mut off = 0;
+    while off < flight.len() {
+        let n = engine.feed(&flight[off..]).expect("feed");
+        assert!(n > 0, "engine refused bytes mid-flight");
+        off += n;
+    }
+}
+
+/// One handshake's four flights, each passed whole to the peer: the client
+/// hello, the server's reply, the client's reply and the server's finish
+/// (empty on a resumed handshake).
+pub fn flights<A: EngineDriven, B: EngineDriven>(
+    client: &mut Engine<A>,
+    server: &mut Engine<B>,
+) -> [Vec<u8>; 4] {
+    let f1 = drain(client);
+    feed_all(server, &f1);
+    let f2 = drain(server);
+    feed_all(client, &f2);
+    let f3 = drain(client);
+    feed_all(server, &f3);
+    let f4 = drain(server);
+    feed_all(client, &f4);
+    [f1, f2, f3, f4]
+}
+
 /// Pumps two engines in one thread until both are established.
 pub fn establish<A: EngineDriven, B: EngineDriven>(client: &mut Engine<A>, server: &mut Engine<B>) {
-    let mut wire = [0u8; 4096];
     while !(client.is_established() && server.is_established()) {
-        let n = client.take_output(&mut wire);
-        server.feed(&wire[..n]).expect("server feed");
-        let n = server.take_output(&mut wire);
-        client.feed(&wire[..n]).expect("client feed");
+        let up = drain(client);
+        feed_all(server, &up);
+        let down = drain(server);
+        feed_all(client, &down);
+        assert!(!(up.is_empty() && down.is_empty()), "handshake stalled");
     }
 }
 
