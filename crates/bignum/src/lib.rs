@@ -82,7 +82,7 @@ pub enum LimbWidth {
 
 impl LimbWidth {
     /// Short lowercase name ("u32" / "u64"), as used by `SSLPERF_LIMBS` and
-    /// the bench report.
+    /// test messages.
     #[must_use]
     pub fn name(self) -> &'static str {
         match self {

@@ -64,7 +64,7 @@ impl MontCtx {
     }
 
     /// Builds a context on an explicit limb width — the hook the
-    /// differential tests and the kernel bench use to force the
+    /// differential tests and the Table 8/11 experiments use to force the
     /// paper-faithful u32 path or the raw-speed u64 path in-process.
     ///
     /// # Errors
@@ -349,7 +349,7 @@ impl Bn {
     /// Plain left-to-right square-and-multiply `self^exp mod m`.
     ///
     /// Kept as the correctness oracle for the Montgomery path and as the
-    /// no-Montgomery baseline in the ablation benches.
+    /// no-Montgomery arm of `paper_report`'s window ablation.
     ///
     /// # Panics
     ///

@@ -357,7 +357,7 @@ impl Aes {
     ///
     /// This is the software baseline for the paper's §6.2(2) argument that
     /// a table-lookup unit (or fused tables, in software) pays off; the
-    /// `ablate_fused_round` bench compares the two. Results are
+    /// `ablate_fused_round` ablation compares the two. Results are
     /// bit-identical to [`BlockCipher::encrypt_block`].
     ///
     /// # Panics

@@ -4,7 +4,10 @@ use crate::experiments::{kcycles, pct, ExperimentError};
 use crate::Context;
 use sslperf_profile::{Align, Cycles, PhaseSet, Table};
 use sslperf_rng::SslRng;
-use sslperf_ssl::{Engine, SslClient, SslError, SslServer, SERVER_STEP_NAMES};
+use sslperf_ssl::{
+    ClientEngine, Engine, ServerConfig, ServerEngine, SslClient, SslError, SslServer,
+    SERVER_STEP_NAMES,
+};
 use std::fmt;
 
 /// Human descriptions for each step, condensed from the paper's Table 2.
@@ -133,19 +136,8 @@ pub fn table2(ctx: &Context) -> Result<Table2, ExperimentError> {
     for i in 0..ctx.iterations() {
         let client =
             SslClient::new(ctx.suite(), SslRng::from_seed(format!("t2-client-{i}").as_bytes()));
-        let mut client = Engine::new(client)?;
-        let mut server = Engine::new(SslServer::new(
-            ctx.server_config(),
-            SslRng::from_seed(format!("t2-server-{i}").as_bytes()),
-        ))?;
-        // The four flights of a full handshake, as `ssltest` passes them.
-        for _ in 0..2 {
-            server.feed_from(&mut client)?;
-            client.feed_from(&mut server)?;
-        }
-        if !(client.is_established() && server.is_established()) {
-            return Err(SslError::NotReady("handshake incomplete").into());
-        }
+        let (_, server) =
+            establish(ctx.server_config(), client, format!("t2-server-{i}").as_bytes())?;
         let server = server.machine();
         steps.merge(server.steps());
         crypto.merge(server.crypto());
@@ -161,6 +153,33 @@ pub fn table2(ctx: &Context) -> Result<Table2, ExperimentError> {
         ctx.server_config().clear_session_cache();
     }
     Ok(Table2 { steps, crypto, detail, runs: ctx.iterations() })
+}
+
+/// Drives `client` (fresh or resuming) through a handshake with a new
+/// server on `config` seeded with `server_seed`, passing whole flights
+/// between the two engines in memory as `ssltest` does: two round trips,
+/// the four flights of a full handshake (a resumed one's last is empty).
+///
+/// # Errors
+///
+/// Propagates SSL failures from either side, and
+/// [`SslError::NotReady`] when the two round trips leave either side
+/// unestablished.
+pub(crate) fn establish<'a>(
+    config: &'a ServerConfig,
+    client: SslClient,
+    server_seed: &[u8],
+) -> Result<(ClientEngine, ServerEngine<'a>), ExperimentError> {
+    let mut client = Engine::new(client)?;
+    let mut server = Engine::new(SslServer::new(config, SslRng::from_seed(server_seed)))?;
+    for _ in 0..2 {
+        server.feed_from(&mut client)?;
+        client.feed_from(&mut server)?;
+    }
+    if !(client.is_established() && server.is_established()) {
+        return Err(SslError::NotReady("handshake incomplete").into());
+    }
+    Ok((client, server))
 }
 
 /// The paper's Table 3 reference percentages.

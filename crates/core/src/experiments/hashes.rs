@@ -20,15 +20,6 @@ impl Table10 {
     fn total(&self, sha: bool) -> f64 {
         self.parts.iter().map(|(_, m, s)| if sha { *s } else { *m }).sum()
     }
-
-    /// The update phase's share for MD5 (paper: 90.9%).
-    #[must_use]
-    pub fn md5_update_percent(&self) -> f64 {
-        self.parts
-            .iter()
-            .find(|(n, _, _)| *n == "Update")
-            .map_or(0.0, |(_, m, _)| m * 100.0 / self.total(false))
-    }
 }
 
 impl fmt::Display for Table10 {
@@ -85,8 +76,8 @@ pub fn table10(ctx: &Context) -> Table10 {
     // Table 10 is the paper's software anatomy (Update 92.1 % of SHA-1, SHA-1
     // ≈ 1.6× MD5), so SHA-1 is pinned to the portable kernel: on the SHA
     // unit it outruns MD5 and the table would describe the instruction, not
-    // the algorithm. `ablate_sha_unit` (benches/ablations.rs) measures the
-    // unit against it.
+    // the algorithm. `ablate_sha_unit` (`ablations.rs`) measures the unit
+    // against it.
     let sha_init = measure_min(s, iters, || {
         black_box(Sha1::portable());
     });

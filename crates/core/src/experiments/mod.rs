@@ -11,6 +11,7 @@
 //! experiment so callers can select a subset, and [`run_all_reports`]
 //! produces the whole paper in order.
 
+pub mod ablations;
 pub mod arch;
 mod baseline;
 pub mod handshake;
@@ -129,11 +130,14 @@ pub enum ExperimentId {
     /// Protocol anatomy: SSLv3 vs TLS 1.3 handshake step latencies,
     /// measured side by side from one live dual-protocol server.
     ProtocolAnatomy,
+    /// §6's design-choice ablations: each decision's arms timed side by
+    /// side, with the counts the structural ones rest on.
+    Ablations,
 }
 
 impl ExperimentId {
     /// Every experiment, in paper order.
-    pub const ALL: [ExperimentId; 20] = [
+    pub const ALL: [ExperimentId; 21] = [
         ExperimentId::Table1,
         ExperimentId::Fig2,
         ExperimentId::Table2,
@@ -154,6 +158,7 @@ impl ExperimentId {
         ExperimentId::LiveAnatomy,
         ExperimentId::RestartSurvival,
         ExperimentId::ProtocolAnatomy,
+        ExperimentId::Ablations,
     ];
 
     /// The human-readable name ("Table 1", "Figure 3", ...).
@@ -180,6 +185,7 @@ impl ExperimentId {
             ExperimentId::LiveAnatomy => "Live anatomy",
             ExperimentId::RestartSurvival => "Restart survival",
             ExperimentId::ProtocolAnatomy => "Protocol anatomy",
+            ExperimentId::Ablations => "Ablations",
         }
     }
 }
@@ -244,6 +250,7 @@ pub fn run_report(ctx: &Context, id: ExperimentId) -> Result<Report, ExperimentE
         ExperimentId::LiveAnatomy => netload::live_anatomy(ctx)?.to_string(),
         ExperimentId::RestartSurvival => netload::restart_survival(ctx)?.to_string(),
         ExperimentId::ProtocolAnatomy => netload::protocol_anatomy(ctx)?.to_string(),
+        ExperimentId::Ablations => ablations::ablations(ctx)?.to_string(),
     };
     Ok(Report { id, rendered })
 }

@@ -275,15 +275,6 @@ impl Table6 {
     fn total(&self, triple: bool) -> f64 {
         self.parts.iter().map(|(_, d, t)| if triple { *t } else { *d }).sum()
     }
-
-    /// Substitution share for DES (paper: 74.7%).
-    #[must_use]
-    pub fn des_substitution_percent(&self) -> f64 {
-        self.parts
-            .iter()
-            .find(|(n, _, _)| *n == "Substitution")
-            .map_or(0.0, |(_, d, _)| d * 100.0 / self.total(false))
-    }
 }
 
 impl fmt::Display for Table6 {

@@ -9,8 +9,7 @@ const OPAD: u8 = 0x5c;
 /// A keyed message-authentication code: `H((K ^ opad) || H((K ^ ipad) || m))`.
 ///
 /// SSL v3 proper uses an older concatenation MAC (implemented in
-/// `sslperf-ssl`), but HMAC is the construction TLS adopted and serves as a
-/// baseline in the MAC benches.
+/// `sslperf-ssl`), but HMAC is the construction TLS adopted.
 ///
 /// # Examples
 ///

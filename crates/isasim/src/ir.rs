@@ -44,12 +44,6 @@ pub fn mem_idx(disp: u32, index: Reg, scale: u8) -> MemRef {
     MemRef { base: None, index: Some((index, scale)), disp }
 }
 
-/// Builds a `[base + index*scale + disp]` reference.
-#[must_use]
-pub fn mem_bi(base: Reg, index: Reg, scale: u8, disp: u32) -> MemRef {
-    MemRef { base: Some(base), index: Some((index, scale)), disp }
-}
-
 /// An instruction operand.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Operand {
@@ -328,11 +322,6 @@ impl Program {
     /// Emits a shift/rotate by immediate.
     pub fn shift(&mut self, op: ShiftOp, dst: impl Into<Operand>, count: u8) -> &mut Self {
         self.push(Instr::Shift(op, dst.into(), count))
-    }
-
-    /// Emits `leal`.
-    pub fn lea(&mut self, dst: Reg, src: MemRef) -> &mut Self {
-        self.push(Instr::Lea(dst, src))
     }
 
     /// Emits `mull src`.

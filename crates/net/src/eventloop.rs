@@ -39,8 +39,9 @@
 //! preserving the architecture under study.
 //!
 //! Stalled connections are evicted by per-connection deadlines
-//! ([`ServerOptions::io_timeout`]): a connection that neither delivers nor
-//! accepts bytes before its deadline is counted in
+//! ([`ServerOptionsBuilder::io_timeout`](crate::ServerOptionsBuilder::io_timeout)):
+//! a connection that neither delivers nor accepts bytes before its
+//! deadline is counted in
 //! [`ServerStats::timeouts`] and closed with an alert — fatal
 //! `handshake_failure` mid-handshake (a slowloris suspect), orderly
 //! `close_notify` once established; either way whatever was left of a
@@ -141,10 +142,6 @@ impl EventLoopServer {
     ///
     /// Returns [`SslError::Io`] when the bind fails and certificate errors
     /// from [`ServerConfig::with_cache`].
-    ///
-    /// # Panics
-    ///
-    /// Panics when `options.shards` is zero.
     pub fn start(
         key: RsaPrivateKey,
         name: &str,
@@ -172,7 +169,6 @@ impl EventLoopServer {
         addr: SocketAddr,
         seed_tag: &str,
     ) -> Result<Self, SslError> {
-        assert!(options.shards > 0, "at least one shard");
         let cache = Arc::new(ShardedSessionCache::with_ttl(
             options.cache_shards,
             options.cache_capacity_per_shard,

@@ -44,10 +44,10 @@ type FeedTable = Arc<Mutex<Vec<Option<Sender<TcpStream>>>>>;
 /// address, fed by an accept-fan thread.
 ///
 /// Instances are shared-nothing: each has its own session cache and
-/// stats registry. They share at most the ticket keyring
-/// passed in [`ServerOptions::ticket_keys`] — which is exactly the point:
-/// ticket resumption needs no other shared state. Individual instances
-/// can be [killed](ServerFleet::kill) and
+/// stats registry. They share at most the ticket keyring passed in
+/// [`ServerOptionsBuilder::ticket_keys`](crate::ServerOptionsBuilder::ticket_keys)
+/// — which is exactly the point: ticket resumption needs no other shared
+/// state. Individual instances can be [killed](ServerFleet::kill) and
 /// [restarted](ServerFleet::restart) while the fleet keeps serving, and
 /// [`ServerFleet::aggregated`] keeps counting a killed instance's traffic
 /// toward the fleet totals.
@@ -249,21 +249,23 @@ fn accept_fan(listener: &TcpListener, feeds: &FeedTable, stop: &AtomicBool) {
     let mut cursor = 0usize;
     while !stop.load(Ordering::SeqCst) {
         match listener.accept() {
-            Ok((stream, _)) => {
+            Ok((mut stream, _)) => {
                 let Ok(mut feeds) = feeds.lock() else { return };
                 let slots = feeds.len();
-                let mut pending = Some(stream);
+                // A refused send hands the socket back, so the loop holds it
+                // by value until an instance takes it; one left over after
+                // the last slot drops here.
                 for step in 0..slots {
                     let slot = (cursor + step) % slots;
                     let Some(tx) = feeds[slot].as_ref() else { continue };
-                    match tx.send(pending.take().expect("socket still undelivered")) {
+                    match tx.send(stream) {
                         Ok(()) => {
                             cursor = (slot + 1) % slots;
                             break;
                         }
-                        Err(mpsc::SendError(stream)) => {
+                        Err(mpsc::SendError(returned)) => {
                             feeds[slot] = None;
-                            pending = Some(stream);
+                            stream = returned;
                         }
                     }
                 }

@@ -16,7 +16,7 @@
 //! connections, transactions, ticket verdicts, crypto-pool batches and the
 //! live handshake anatomy of the paper's Tables 1–3, always on, each fact
 //! at one site. [`ServerStats::snapshot`] renders it;
-//! [`ServerOptions::metrics`] only decides whether `GET /metrics` serves
+//! [`ServerOptionsBuilder::metrics`] only decides whether `GET /metrics` serves
 //! that rendering to clients.
 //!
 //! # Examples

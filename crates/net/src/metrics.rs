@@ -36,8 +36,9 @@
 //! the full handshake), Table 3 (crypto share of handshake processing),
 //! and Table 1 (libcrypto/libssl/other split per transaction). The same
 //! text is served over `GET /metrics` when
-//! [`ServerOptions::metrics`](crate::ServerOptions::metrics) is on — the
-//! exposition-endpoint pattern, minus any wire-format commitments.
+//! [`ServerOptionsBuilder::metrics`](crate::ServerOptionsBuilder::metrics)
+//! is on — the exposition-endpoint pattern, minus any wire-format
+//! commitments.
 
 use sslperf_metrics::{Counter, Histogram, HistogramSnapshot};
 use sslperf_profile::{Align, Cycles, Table};
@@ -284,7 +285,8 @@ impl ServerStats {
     /// executing — crypto-pool wait is the server's latency, not the
     /// client's, so it must not trip the slowloris guard. A nonzero value
     /// under load means the pool is saturated enough that queue wait
-    /// exceeds [`ServerOptions::io_timeout`](crate::ServerOptions::io_timeout).
+    /// exceeds the
+    /// [`io_timeout`](crate::ServerOptionsBuilder::io_timeout).
     #[must_use]
     pub fn crypto_deadline_deferrals(&self) -> u64 {
         self.crypto_deadline_deferrals.get()

@@ -16,27 +16,31 @@ use std::sync::Arc;
 use std::time::Duration;
 
 /// Tunables for [`EventLoopServer::start`](crate::EventLoopServer::start).
+///
+/// Built only by [`ServerOptions::builder`] (or [`Default`]), so every
+/// value a server starts with has passed [`ServerOptionsBuilder::build`]'s
+/// checks.
 #[derive(Debug, Clone)]
 pub struct ServerOptions {
     /// Address to bind; port 0 picks a free port.
-    pub addr: String,
+    pub(crate) addr: String,
     /// Event-loop shard threads multiplexing connections.
-    pub shards: usize,
+    pub(crate) shards: usize,
     /// The slowloris guard: per-connection idle/handshake deadlines on
     /// the event-loop shards. `None` waits forever.
-    pub io_timeout: Option<Duration>,
+    pub(crate) io_timeout: Option<Duration>,
     /// Shards in the session cache.
-    pub cache_shards: usize,
+    pub(crate) cache_shards: usize,
     /// Sessions each shard retains before LRU eviction.
-    pub cache_capacity_per_shard: usize,
+    pub(crate) cache_capacity_per_shard: usize,
     /// Crypto worker threads for the offload pool (the paper's §5
     /// "parallel crypto engines"). `0` — the default — keeps every
     /// decryption inline on its shard.
-    pub crypto_workers: usize,
+    pub(crate) crypto_workers: usize,
     /// Session lifetime for the cache: sessions older than this are
     /// treated as cache misses (full handshake) and removed on lookup.
     /// `None` — the default — never expires sessions by age.
-    pub session_ttl: Option<Duration>,
+    pub(crate) session_ttl: Option<Duration>,
     /// When true, `GET /metrics` returns the rendered
     /// [`MetricsSnapshot`](crate::MetricsSnapshot) of the server's
     /// [`ServerStats`] instead of a document. Recording is always on
@@ -44,7 +48,7 @@ pub struct ServerOptions {
     /// [`EventLoopServer::stats`](crate::EventLoopServer::stats)); this
     /// only decides whether any client may read it. Off by default: the
     /// exposition shows server internals to whoever asks.
-    pub metrics: bool,
+    pub(crate) metrics: bool,
     /// Most RSA jobs one crypto-pool batch may combine. `1` — the default
     /// — executes every job solo, exactly as before batching existed.
     /// Values above 1 require `crypto_workers > 0` and let an engine take
@@ -52,14 +56,14 @@ pub struct ServerOptions {
     /// batch. Nothing waits for a batch to fill: a saturated pool fills
     /// its batches from the backlog, and a lightly loaded one runs each
     /// job as it comes.
-    pub batch_max: usize,
+    pub(crate) batch_max: usize,
     /// Session-ticket keyring. `None` — the default — serves id-cache
     /// resumption only, exactly as before tickets existed. With a keyring
     /// installed the server negotiates the session-ticket extension, and
     /// every instance sharing the same `Arc` (or a keyring derived from
     /// the same secret) can resume each other's sessions with no shared
     /// cache — the shared-nothing multi-instance topology.
-    pub ticket_keys: Option<Arc<TicketKeyring>>,
+    pub(crate) ticket_keys: Option<Arc<TicketKeyring>>,
 }
 
 impl Default for ServerOptions {
@@ -80,10 +84,9 @@ impl Default for ServerOptions {
 }
 
 impl ServerOptions {
-    /// Starts a validated, fluent construction of [`ServerOptions`] —
-    /// plain struct literals keep working, but the builder rejects
-    /// inconsistent combinations (zero shards, batching without a crypto
-    /// pool) at build time instead of panicking at server start.
+    /// Starts a validated, fluent construction of [`ServerOptions`]: the
+    /// builder rejects inconsistent combinations (zero shards, batching
+    /// without a crypto pool) at build time instead of at server start.
     #[must_use]
     pub fn builder() -> ServerOptionsBuilder {
         ServerOptionsBuilder { options: ServerOptions::default() }

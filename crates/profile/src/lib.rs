@@ -6,8 +6,8 @@
 //!
 //! * [`Cycles`] — a cycle count at the paper's reference frequency
 //!   ([`REF_HZ`]), converted from wall-clock time.
-//! * [`Stopwatch`] and the [`measure`]/[`measure_min`] helpers — `rdtsc`
-//!   style interval measurement.
+//! * [`Stopwatch`] and the [`measure`]/[`measure_min`]/[`measure_spread`]
+//!   helpers — `rdtsc` style interval measurement.
 //! * [`PhaseSet`] — named-phase accumulation used for every breakdown table
 //!   in the paper (handshake steps, cipher phases, RSA steps, hash phases).
 //! * [`counters`] — a thread-local per-function call/work-unit registry, the
@@ -116,17 +116,69 @@ pub fn measure_avg(iters: u32, mut f: impl FnMut()) -> Cycles {
 /// # Panics
 ///
 /// Panics if `samples` or `iters` is zero.
-pub fn measure_min(samples: u32, iters: u32, mut f: impl FnMut()) -> Cycles {
+pub fn measure_min(samples: u32, iters: u32, f: impl FnMut()) -> Cycles {
     assert!(samples > 0 && iters > 0, "measure_min requires at least one sample and iteration");
-    let mut best = u64::MAX;
-    for _ in 0..samples {
-        let sw = Stopwatch::start();
-        for _ in 0..iters {
-            f();
-        }
-        best = best.min(sw.elapsed().get() / u64::from(iters));
+    Cycles::new(per_iteration(samples, iters, f).into_iter().min().unwrap_or(0))
+}
+
+/// The median and quartiles of a set of timing samples.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Spread {
+    /// Lower quartile.
+    pub q1: Cycles,
+    /// Median.
+    pub median: Cycles,
+    /// Upper quartile.
+    pub q3: Cycles,
+}
+
+impl Spread {
+    /// The interquartile range, `q3 − q1`.
+    #[must_use]
+    pub fn iqr(&self) -> Cycles {
+        self.q3.saturating_sub(self.q1)
     }
-    Cycles::new(best)
+}
+
+/// Runs `f` in `samples` batches of `iters` iterations each, as
+/// [`measure_min`] does, and returns the median and quartiles of the
+/// per-iteration cycle counts instead of their minimum: the middle of the
+/// distribution and how wide it is, for comparing two arms of an ablation.
+///
+/// # Panics
+///
+/// Panics if `samples` or `iters` is zero.
+///
+/// # Examples
+///
+/// ```
+/// use sslperf_profile::measure_spread;
+///
+/// let s = measure_spread(5, 100, || {
+///     std::hint::black_box((0..100u64).sum::<u64>());
+/// });
+/// assert!(s.q1 <= s.median && s.median <= s.q3);
+/// ```
+pub fn measure_spread(samples: u32, iters: u32, f: impl FnMut()) -> Spread {
+    assert!(samples > 0 && iters > 0, "measure_spread requires at least one sample and iteration");
+    let mut sorted = per_iteration(samples, iters, f);
+    sorted.sort_unstable();
+    // Nearest rank on the sorted samples.
+    let at = |q: usize| Cycles::new(sorted[(sorted.len() - 1) * q / 4]);
+    Spread { q1: at(1), median: at(2), q3: at(3) }
+}
+
+/// Per-iteration cycles of `samples` batches of `iters` runs of `f`.
+fn per_iteration(samples: u32, iters: u32, mut f: impl FnMut()) -> Vec<u64> {
+    (0..samples)
+        .map(|_| {
+            let sw = Stopwatch::start();
+            for _ in 0..iters {
+                f();
+            }
+            sw.elapsed().get() / u64::from(iters)
+        })
+        .collect()
 }
 
 /// Prevents the compiler from optimizing away a computed value.

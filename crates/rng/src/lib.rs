@@ -126,14 +126,6 @@ impl SslRng {
         buf
     }
 
-    /// Returns a pseudo-random `u32`.
-    #[must_use]
-    pub fn next_u32(&mut self) -> u32 {
-        let mut b = [0u8; 4];
-        self.fill_bytes(&mut b);
-        u32::from_le_bytes(b)
-    }
-
     /// Returns a pseudo-random `u64`.
     #[must_use]
     pub fn next_u64(&mut self) -> u64 {

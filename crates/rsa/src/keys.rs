@@ -213,7 +213,7 @@ impl RsaPrivateKey {
     }
 
     /// The raw private operation without CRT (`c^d mod N` directly), kept as
-    /// the baseline for the CRT ablation bench (~4× slower).
+    /// the baseline arm of `paper_report`'s CRT ablation (~4× slower).
     ///
     /// # Errors
     ///
@@ -232,7 +232,7 @@ impl RsaPrivateKey {
     ///
     /// Keys are born on [`sslperf_bignum::default_limb_width`]; this is the
     /// per-key override the differential tests, the flight pins and the
-    /// kernel bench use to compare the paper-faithful u32 path against the
+    /// kernel-speed tests use to compare the paper-faithful u32 path against the
     /// raw-speed u64 path in one process. The cached blinding state is
     /// dropped and re-derived lazily.
     ///

@@ -10,7 +10,7 @@
 //! * [`RsaPrivateKey::raw_decrypt`] — CRT exponentiation
 //!   (`m₁ = c^dP mod p`, `m₂ = c^dQ mod q` together through
 //!   [`MontCtx::mod_exp_pair`](sslperf_bignum::MontCtx::mod_exp_pair),
-//!   Garner recombination), with a non-CRT variant for the ablation bench.
+//!   Garner recombination), with a non-CRT variant for the CRT ablation.
 //! * [`Blinding`] — Kocher-style timing-attack blinding (the paper's step 3,
 //!   citing Brumley & Boneh).
 //! * [`pkcs1`] — PKCS #1 v1.5 block formats (the paper's step 6 parses

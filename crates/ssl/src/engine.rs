@@ -446,11 +446,6 @@ impl<M: EngineDriven> Engine<M> {
         &self.machine
     }
 
-    /// Mutable access to the wrapped state machine.
-    pub fn machine_mut(&mut self) -> &mut M {
-        &mut self.machine
-    }
-
     /// Unwraps the engine, returning the state machine.
     pub fn into_machine(self) -> M {
         self.machine

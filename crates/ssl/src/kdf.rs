@@ -64,8 +64,8 @@ pub fn key_block(master: &[u8], server_random: &[u8], client_random: &[u8], len:
 /// OpenSSL shipped alongside SSLv3 (§3.1 notes the library supports both):
 /// `PRF(secret, label, seed) = P_MD5(S1, ...) xor P_SHA1(S2, ...)`.
 ///
-/// Used by the KDF-comparison bench; SSL v3 connections in this crate use
-/// [`fn@derive`].
+/// Kept as the successor construction for comparison; SSL v3 connections in
+/// this crate use [`fn@derive`].
 #[must_use]
 pub fn tls1_prf(secret: &[u8], label: &[u8], seed: &[u8], out_len: usize) -> Vec<u8> {
     use sslperf_hashes::{HashAlg, Hmac};

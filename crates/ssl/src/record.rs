@@ -402,18 +402,6 @@ impl RecordLayer {
         self.write.crypto.total() + self.read.crypto.total()
     }
 
-    /// True once outbound records are encrypted.
-    #[must_use]
-    pub fn write_protected(&self) -> bool {
-        self.write.protection.is_some()
-    }
-
-    /// True once inbound records are decrypted.
-    #[must_use]
-    pub fn read_protected(&self) -> bool {
-        self.read.protection.is_some()
-    }
-
     /// Seals `payload` as one or more records of `content_type` into a
     /// reusable [`RecordBuffer`], MACing and encrypting in place. The buffer
     /// is cleared first; once warmed to capacity, sealing allocates nothing.

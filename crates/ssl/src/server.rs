@@ -124,12 +124,6 @@ impl ServerConfig {
         &self.key
     }
 
-    /// The installed session store.
-    #[must_use]
-    pub fn session_store(&self) -> &dyn SessionStore {
-        self.store.as_ref()
-    }
-
     /// Number of cached (resumable) sessions held server-side.
     #[must_use]
     pub fn cached_sessions(&self) -> usize {

@@ -21,12 +21,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut rng = SslRng::from_seed(b"tcp-server-example");
     let key = RsaPrivateKey::generate(key_bits, &mut rng)?;
 
-    let options = ServerOptions::default();
+    let shards = 2;
+    let options = ServerOptions::builder().shards(shards).build()?;
     let server = EventLoopServer::start(key, "www.sslperf.test", &options)?;
     println!(
-        "Serving on https://{} with {} shards ({} session-cache shards)\n",
+        "Serving on https://{} with {shards} shards ({} session-cache shards)\n",
         server.local_addr(),
-        options.shards,
         server.session_cache().shard_count()
     );
 

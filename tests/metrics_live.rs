@@ -45,8 +45,12 @@ fn live_anatomy_reproduces_paper_shape_from_real_sockets() {
     const CLIENTS: usize = 8;
     const TXN: usize = 8;
     const WARMUP: usize = 1;
-    let options =
-        ServerOptions { shards: 2, crypto_workers: 2, metrics: true, ..ServerOptions::default() };
+    let options = ServerOptions::builder()
+        .shards(2)
+        .crypto_workers(2)
+        .metrics(true)
+        .build()
+        .expect("valid options");
     let server =
         EventLoopServer::start(key(), "metrics.sslperf.test", &options).expect("server start");
 
@@ -137,7 +141,7 @@ fn fetch(client: &mut ClientEngine, socket: &mut TcpStream, request: &[u8]) -> V
 #[test]
 fn streamed_response_is_one_seal_and_one_transaction() {
     const SIZE: usize = 40_000;
-    let options = ServerOptions { metrics: true, ..ServerOptions::default() };
+    let options = ServerOptions::builder().metrics(true).build().expect("valid options");
     let server =
         EventLoopServer::start(key(), "metrics.sslperf.test", &options).expect("server start");
     let client = SslClient::new(CipherSuite::RsaAes128Sha, SslRng::from_seed(b"mx-stream"));
@@ -171,7 +175,7 @@ fn streamed_response_is_one_seal_and_one_transaction() {
 /// same registry, and the exposition fetch is never a transaction.
 #[test]
 fn metrics_endpoint_serves_rendered_snapshot() {
-    let options = ServerOptions { metrics: true, ..ServerOptions::default() };
+    let options = ServerOptions::builder().metrics(true).build().expect("valid options");
     let server =
         EventLoopServer::start(key(), "metrics.sslperf.test", &options).expect("server start");
 

@@ -229,7 +229,8 @@ fn loaded_server_end_to_end() {
 /// serve all of them.
 #[test]
 fn event_loop_holds_8x_more_connections_than_threads() {
-    let options = ServerOptions { shards: 2, ..ServerOptions::default() };
+    let shards = 2;
+    let options = ServerOptions::builder().shards(shards).build().expect("valid options");
     let server = EventLoopServer::start(key(), "net.sslperf.test", &options).expect("server start");
 
     let load = EventLoadOptions {
@@ -246,7 +247,7 @@ fn event_loop_holds_8x_more_connections_than_threads() {
         report.peak_established, 16,
         "all 16 connections must be established at the same instant"
     );
-    assert!(report.peak_established >= 8 * options.shards, "≥8× concurrency over thread count");
+    assert!(report.peak_established >= 8 * shards, "≥8× concurrency over thread count");
     assert_eq!(report.transactions, 16, "every connection completes its transaction");
 
     let stats = server.stats();
@@ -275,11 +276,11 @@ fn read_plaintext_alert(socket: &mut TcpStream) -> (u8, u8) {
 /// goodbye with a fatal `handshake_failure` alert before the close.
 #[test]
 fn event_loop_evicts_stalled_client_with_alert() {
-    let options = ServerOptions {
-        shards: 1,
-        io_timeout: Some(Duration::from_millis(200)),
-        ..ServerOptions::default()
-    };
+    let options = ServerOptions::builder()
+        .shards(1)
+        .io_timeout(Some(Duration::from_millis(200)))
+        .build()
+        .expect("valid options");
     let server = EventLoopServer::start(key(), "net.sslperf.test", &options).expect("server start");
 
     let mut socket = TcpStream::connect(server.local_addr()).expect("connect");
@@ -555,10 +556,11 @@ fn malformed_key_exchange_is_indistinguishable_until_finished() {
     use sslperf::bignum::Bn;
     use std::io::ErrorKind;
 
-    let el_options = ServerOptions { shards: 1, ..ServerOptions::default() };
+    let el_options = ServerOptions::builder().shards(1).build().expect("valid options");
     let inline =
         EventLoopServer::start(key(), "net.sslperf.test", &el_options).expect("event-loop start");
-    let off_options = ServerOptions { shards: 1, crypto_workers: 2, ..ServerOptions::default() };
+    let off_options =
+        ServerOptions::builder().shards(1).crypto_workers(2).build().expect("valid options");
     let offload =
         EventLoopServer::start(key(), "net.sslperf.test", &off_options).expect("offload start");
 
@@ -688,7 +690,8 @@ fn garbage_request_gets_illegal_parameter_alert() {
 /// the queue-wait/execution split accounted.
 #[test]
 fn event_loop_offload_serves_concurrent_connections() {
-    let options = ServerOptions { shards: 2, crypto_workers: 2, ..ServerOptions::default() };
+    let options =
+        ServerOptions::builder().shards(2).crypto_workers(2).build().expect("valid options");
     let server = EventLoopServer::start(key(), "net.sslperf.test", &options).expect("server start");
 
     let load = EventLoadOptions {
@@ -727,7 +730,8 @@ fn killed_pool_fails_full_handshakes_and_still_resumes() {
         assert!(response.body() == synthesize_document("/doc_1024.bin", 1024));
     }
 
-    let options = ServerOptions { shards: 1, crypto_workers: 1, ..ServerOptions::default() };
+    let options =
+        ServerOptions::builder().shards(1).crypto_workers(1).build().expect("valid options");
     let server = EventLoopServer::start(key(), "net.sslperf.test", &options).expect("server start");
     let addr = server.local_addr();
     let stats = server.stats();
@@ -789,12 +793,12 @@ fn event_loop_cache_overflow_under_concurrent_resumption() {
     const CLIENTS: usize = 4;
     const TXN: usize = 4;
     const WARMUP: usize = 1;
-    let options = ServerOptions {
-        shards: 2,
-        cache_shards: 1,
-        cache_capacity_per_shard: 2, // smaller than the client count
-        ..ServerOptions::default()
-    };
+    let options = ServerOptions::builder()
+        .shards(2)
+        .cache_shards(1)
+        .cache_capacity_per_shard(2) // smaller than the client count
+        .build()
+        .expect("valid options");
     let server = EventLoopServer::start(key(), "net.sslperf.test", &options).expect("server start");
 
     let load = SocketLoadOptions {
@@ -921,12 +925,12 @@ fn saturated_crypto_pool_does_not_evict_waiting_handshakes() {
     // the 32-decrypt backlog inside io_timeout and the queue never builds
     // the pressure this test exists to exercise.
     key.set_limb_width(sslperf::bignum::LimbWidth::U32);
-    let options = ServerOptions {
-        shards: 2,
-        crypto_workers: 1,
-        io_timeout: Some(Duration::from_millis(75)),
-        ..ServerOptions::default()
-    };
+    let options = ServerOptions::builder()
+        .shards(2)
+        .crypto_workers(1)
+        .io_timeout(Some(Duration::from_millis(75)))
+        .build()
+        .expect("valid options");
     let server = EventLoopServer::start(key, "net.sslperf.test", &options).expect("server start");
 
     // No establishment barrier: holding requests back would make early
@@ -1086,8 +1090,10 @@ fn event_loop_batch_burst_serves_and_accounts() {
 /// never a hit on stale keys).
 #[test]
 fn expired_session_falls_back_to_full_handshake_over_tcp() {
-    let options =
-        ServerOptions { session_ttl: Some(Duration::from_millis(50)), ..ServerOptions::default() };
+    let options = ServerOptions::builder()
+        .session_ttl(Some(Duration::from_millis(50)))
+        .build()
+        .expect("valid options");
     let server = EventLoopServer::start(key(), "net.sslperf.test", &options).expect("server start");
 
     let client = SslClient::new(CipherSuite::RsaDesCbc3Sha, SslRng::from_seed(b"ttl-c1"));

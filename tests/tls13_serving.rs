@@ -57,8 +57,12 @@ fn load(protocol: Protocol, connections: usize) -> EventLoadOptions {
 #[test]
 fn one_server_serves_both_protocols_with_side_by_side_anatomy() {
     const CONNECTIONS: usize = 8;
-    let options =
-        ServerOptions { shards: 2, crypto_workers: 2, metrics: true, ..ServerOptions::default() };
+    let options = ServerOptions::builder()
+        .shards(2)
+        .crypto_workers(2)
+        .metrics(true)
+        .build()
+        .expect("valid options");
     let server = EventLoopServer::start(key(), "tls13.sslperf.test", &options).expect("start");
 
     let ssl3 =
@@ -114,7 +118,7 @@ fn one_server_serves_both_protocols_with_side_by_side_anatomy() {
 fn tls13_dhe_offload_rides_the_crypto_pool() {
     const CONNECTIONS: usize = 6;
 
-    let inline_options = ServerOptions { shards: 1, ..ServerOptions::default() };
+    let inline_options = ServerOptions::builder().shards(1).build().expect("valid options");
     let server =
         EventLoopServer::start(key(), "tls13.sslperf.test", &inline_options).expect("start");
     let report = run_event_load(server.local_addr(), &load(Protocol::Tls13, CONNECTIONS))
@@ -126,7 +130,8 @@ fn tls13_dhe_offload_rides_the_crypto_pool() {
     assert_eq!(stats.errors(), 0);
     server.shutdown();
 
-    let pooled_options = ServerOptions { shards: 1, crypto_workers: 2, ..ServerOptions::default() };
+    let pooled_options =
+        ServerOptions::builder().shards(1).crypto_workers(2).build().expect("valid options");
     let server =
         EventLoopServer::start(key(), "tls13.sslperf.test", &pooled_options).expect("start");
     let report = run_event_load(server.local_addr(), &load(Protocol::Tls13, CONNECTIONS))
