@@ -190,10 +190,83 @@ fn fp(l: u32, r: u32) -> u64 {
 /// backwards.
 type KeySchedule = [[u32; 2]; 16];
 
-/// FIPS 46-3's key schedule (PC-1, the rotations, PC-2): each round's
-/// 48-bit subkey as eight 6-bit chunks, one per S-box.
-fn subkey_chunks(key: &[u8; 8]) -> [[u8; 8]; 16] {
+/// PC-1 by key byte: `PC1_BYTES[i][b >> 1]` is key byte `i`'s share of
+/// C‖D (its parity bit, the LSB, is dropped). Built at compile time.
+static PC1_BYTES: [[u64; 128]; 8] = pc1_tables();
+
+const fn pc1_tables() -> [[u64; 128]; 8] {
+    let mut t = [[0u64; 128]; 8];
+    let mut i = 0;
+    while i < 8 {
+        let mut v = 0;
+        while v < 128 {
+            t[i][v] = permute((v as u64) << (57 - 8 * i), 64, &PC1);
+            v += 1;
+        }
+        i += 1;
+    }
+    t
+}
+
+/// Where each 6-bit chunk of a 28-bit key half starts; the last chunk
+/// holds the half's low four bits.
+const HALF_CHUNK_SHIFTS: [u32; 5] = [22, 16, 10, 4, 0];
+
+/// PC-2 and [`feistel`]'s packing by 6-bit chunk of a rotated key half:
+/// `PC2_CHUNKS[k][v]` is chunk `k % 5` of C (`k < 5`) or of D holding `v`,
+/// as its bits of the two round-key words. A round key is the OR of ten
+/// lookups. Built at compile time.
+static PC2_CHUNKS: [[[u32; 2]; 64]; 10] = pc2_tables();
+
+const fn pc2_tables() -> [[[u32; 2]; 64]; 10] {
+    let mut t = [[[0u32; 2]; 64]; 10];
+    let mut k = 0;
+    while k < 10 {
+        let half_shift = if k < 5 { 28 } else { 0 };
+        let mask = if k % 5 == 4 { 0xf } else { 0x3f };
+        let mut v = 0;
+        while v < 64 {
+            let cd = ((v & mask) as u64) << (HALF_CHUNK_SHIFTS[k % 5] + half_shift);
+            let subkey = permute(cd, 56, &PC2);
+            let mut i = 0;
+            while i < 8 {
+                let chunk = ((subkey >> (42 - 6 * i)) & 0x3f) as u32;
+                t[k][v][i % 2] |= chunk << (26 - 8 * (i / 2));
+                i += 1;
+            }
+            v += 1;
+        }
+        k += 1;
+    }
+    t
+}
+
+/// The key schedule in OpenSSL's `DES_set_key` shape: PC-1 as eight byte
+/// lookups, then per round the two 28-bit rotations and PC-2 as ten chunk
+/// lookups, emitting the packed schedule directly.
+fn key_schedule(key: &[u8; 8]) -> KeySchedule {
     counters::count("des_key_setup", 1);
+    let cd = (0..8).fold(0u64, |cd, i| cd | PC1_BYTES[i][usize::from(key[i] >> 1)]);
+    let (mut c, mut d) = ((cd >> 28) as u32, cd as u32 & 0x0fff_ffff);
+    let mut ks = [[0u32; 2]; 16];
+    for (round, k) in ks.iter_mut().enumerate() {
+        c = ((c << SHIFTS[round]) | (c >> (28 - SHIFTS[round]))) & 0x0fff_ffff;
+        d = ((d << SHIFTS[round]) | (d >> (28 - SHIFTS[round]))) & 0x0fff_ffff;
+        for (j, &shift) in HALF_CHUNK_SHIFTS.iter().enumerate() {
+            let from_c = PC2_CHUNKS[j][(c >> shift & 0x3f) as usize];
+            let from_d = PC2_CHUNKS[j + 5][(d >> shift & 0x3f) as usize];
+            k[0] |= from_c[0] | from_d[0];
+            k[1] |= from_c[1] | from_d[1];
+        }
+    }
+    ks
+}
+
+/// FIPS 46-3's key schedule one bit at a time (PC-1, the rotations,
+/// PC-2): each round's 48-bit subkey as eight 6-bit chunks, one per
+/// S-box. The reference [`key_schedule`] is tested against.
+#[cfg(test)]
+fn subkey_chunks(key: &[u8; 8]) -> [[u8; 8]; 16] {
     let key64 = u64::from_be_bytes(*key);
     let key56 = permute(key64, 64, &PC1);
     let mut c = (key56 >> 28) as u32 & 0x0fff_ffff;
@@ -213,6 +286,7 @@ fn subkey_chunks(key: &[u8; 8]) -> [[u8; 8]; 16] {
 
 /// Packs each round's chunks: the even ones at bits 26/18/10/2 of the
 /// first word, the odd ones at the same bits of the second.
+#[cfg(test)]
 fn pack(chunks: &[[u8; 8]; 16]) -> KeySchedule {
     chunks.map(|c| {
         let word =
@@ -389,7 +463,7 @@ impl Des {
     pub fn new(key: &[u8]) -> Result<Self, CipherError> {
         let key: &[u8; 8] =
             key.try_into().map_err(|_| CipherError::InvalidKeyLen { got: key.len() })?;
-        Ok(Des { ks: pack(&subkey_chunks(key)) })
+        Ok(Des { ks: key_schedule(key) })
     }
 
     /// The sixteen round subkeys as 6-bit chunks, unpacked from the
@@ -494,7 +568,7 @@ impl Des3 {
         let ([k1, k2, k3], []) = key.as_chunks::<8>() else {
             return Err(CipherError::InvalidKeyLen { got: key.len() });
         };
-        let [ks1, mut ks2, ks3] = [k1, k2, k3].map(|k| pack(&subkey_chunks(k)));
+        let [ks1, mut ks2, ks3] = [k1, k2, k3].map(key_schedule);
         ks2.reverse();
         Ok(Des3 { ks: [ks1, ks2, ks3] })
     }
@@ -745,6 +819,43 @@ mod tests {
     fn round_subkeys_unpack_the_packed_schedule() {
         let key = [0x13u8, 0x34, 0x57, 0x79, 0x9b, 0xbc, 0xdf, 0xf1];
         assert_eq!(Des::new(&key).unwrap().round_subkeys(), subkey_chunks(&key));
+    }
+
+    /// The table-driven schedule is the FIPS bit-permutation one, packed,
+    /// over 10 000 random keys and the weak and semi-weak keys (whose
+    /// round keys the reference confirms: a weak key's sixteen are equal).
+    #[test]
+    fn key_schedule_matches_bit_permutation_reference() {
+        const WEAK: [u64; 4] = [
+            0x0101_0101_0101_0101,
+            0xfefe_fefe_fefe_fefe,
+            0xe0e0_e0e0_f1f1_f1f1,
+            0x1f1f_1f1f_0e0e_0e0e,
+        ];
+        const SEMI_WEAK: [u64; 12] = [
+            0x011f_011f_010e_010e,
+            0x1f01_1f01_0e01_0e01,
+            0x01e0_01e0_01f1_01f1,
+            0xe001_e001_f101_f101,
+            0x01fe_01fe_01fe_01fe,
+            0xfe01_fe01_fe01_fe01,
+            0x1fe0_1fe0_0ef1_0ef1,
+            0xe01f_e01f_f10e_f10e,
+            0x1ffe_1ffe_0efe_0efe,
+            0xfe1f_fe1f_fe0e_fe0e,
+            0xe0fe_e0fe_f1fe_f1fe,
+            0xfee0_fee0_fef1_fef1,
+        ];
+        for key in WEAK {
+            let ks = key_schedule(&key.to_be_bytes());
+            assert!(ks.iter().all(|k| *k == ks[0]), "weak key {key:#018x}");
+        }
+        let mut rng = proptest::test_runner::TestRng::deterministic("des::key_schedule");
+        let random = (0..10_000).map(|_| rng.next_u64());
+        for key in WEAK.into_iter().chain(SEMI_WEAK).chain(random) {
+            let key = key.to_be_bytes();
+            assert_eq!(key_schedule(&key), pack(&subkey_chunks(&key)), "key {key:02x?}");
+        }
     }
 
     #[test]

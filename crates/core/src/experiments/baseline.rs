@@ -40,7 +40,7 @@ impl BlockingBaseline {
     /// Returns [`SslError::Io`] when the bind fails and certificate errors
     /// from [`ServerConfig::with_cache`].
     pub fn start(key: RsaPrivateKey, name: &str, workers: usize) -> Result<Self, SslError> {
-        let cache = Arc::new(ShardedSessionCache::new(8, 1024));
+        let cache = Arc::new(ShardedSessionCache::default());
         let config = Arc::new(ServerConfig::with_cache(key, name, Box::new(Arc::clone(&cache)))?);
         let io = |e: std::io::Error| SslError::Io(e.to_string());
         let listener = Arc::new(TcpListener::bind("127.0.0.1:0").map_err(io)?);

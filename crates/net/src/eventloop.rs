@@ -53,7 +53,6 @@
 //! stated on the state, not on that ordering: a draining connection is
 //! done when the outbox is empty *and* no response is pending.
 
-use crate::cache::ShardedSessionCache;
 use crate::cryptopool::{CryptoPool, PoolReply, SubmitError};
 use crate::metrics::ServerStats;
 use crate::server::{alert_for_close, build_config, Outgoing, ServerOptions};
@@ -61,7 +60,9 @@ use sslperf_profile::measure;
 use sslperf_rng::SslRng;
 use sslperf_rsa::RsaPrivateKey;
 use sslperf_ssl::alert::{Alert, AlertDescription};
-use sslperf_ssl::{Engine, ServerConfig, ServerMachine, SslError, MAX_FRAGMENT};
+use sslperf_ssl::{
+    Engine, ServerConfig, ServerMachine, ShardedSessionCache, SslError, MAX_FRAGMENT,
+};
 use sslperf_websim::http::HttpRequest;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};

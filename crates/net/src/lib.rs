@@ -9,8 +9,12 @@
 //! crypto engines ([`CryptoPool`]) that takes the
 //! key-exchange operation off the shards, and a sharded LRU session cache
 //! ([`ShardedSessionCache`]) that makes §4.1's session re-negotiation work
-//! across connections. [`ServerFleet`] runs several instances behind one
-//! address, resuming each other's sessions through shared ticket keys.
+//! across connections. The cache is `sslperf-ssl`'s, re-exported: one
+//! slab of fixed-size slots per shard with O(1) lookup, store and
+//! eviction, 112 bytes per session at the default 8 × 1024 geometry that
+//! [`ServerOptions`] and [`ServerConfig::new`](sslperf_ssl::ServerConfig::new)
+//! share. [`ServerFleet`] runs several instances behind one address,
+//! resuming each other's sessions through shared ticket keys.
 //!
 //! Every server records what it serves in one registry, [`ServerStats`]:
 //! connections, transactions, ticket verdicts, crypto-pool batches and the
@@ -51,16 +55,15 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod cache;
 mod cryptopool;
 mod eventloop;
 mod fleet;
 mod metrics;
 mod server;
 
-pub use cache::ShardedSessionCache;
 pub use cryptopool::{CryptoPool, PoolReply, SubmitError};
 pub use eventloop::EventLoopServer;
 pub use fleet::{FleetSnapshot, ServerFleet};
 pub use metrics::{MetricsSnapshot, ServerStats, StepSnapshot};
 pub use server::{OptionsError, ServerOptions, ServerOptionsBuilder};
+pub use sslperf_ssl::ShardedSessionCache;

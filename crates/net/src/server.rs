@@ -3,13 +3,13 @@
 //! [`ServerConfig`] construction, the close-alert policy, and the HTTP
 //! document responder.
 
-use crate::cache::ShardedSessionCache;
 use crate::metrics::ServerStats;
 use sslperf_profile::{measure, Cycles};
 use sslperf_rsa::RsaPrivateKey;
 use sslperf_ssl::alert::{Alert, AlertDescription};
 use sslperf_ssl::{
-    Engine, ServerConfig, ServerMachine, SslError, TicketKeyring, TicketSessionStore,
+    Engine, ServerConfig, ServerMachine, ShardedSessionCache, SslError, TicketKeyring,
+    TicketSessionStore,
 };
 use sslperf_websim::http::{HttpRequest, HttpResponse, ResponseStream};
 use std::sync::Arc;
@@ -72,8 +72,8 @@ impl Default for ServerOptions {
             addr: "127.0.0.1:0".into(),
             shards: 2,
             io_timeout: Some(Duration::from_secs(30)),
-            cache_shards: 8,
-            cache_capacity_per_shard: 1024,
+            cache_shards: ShardedSessionCache::DEFAULT_SHARDS,
+            cache_capacity_per_shard: ShardedSessionCache::DEFAULT_CAPACITY_PER_SHARD,
             crypto_workers: 0,
             session_ttl: None,
             metrics: false,

@@ -109,6 +109,9 @@ pub struct SslClient {
     /// The ticket received on this connection, exported via
     /// [`SslClient::session`].
     fresh_ticket: Option<Vec<u8>>,
+    /// The connection's key block, derived once when the first cipher
+    /// switches and dropped when the handshake completes.
+    key_material: Option<KeyMaterial>,
 }
 
 impl SslClient {
@@ -144,6 +147,7 @@ impl SslClient {
             tickets_enabled: false,
             expect_ticket: false,
             fresh_ticket: None,
+            key_material: None,
         }
     }
 
@@ -330,9 +334,11 @@ impl SslClient {
         if body != [1] {
             return Err(SslError::UnexpectedMessage { expected: "change cipher spec" });
         }
+        let suite = self.suite;
         let km = self.key_material();
-        let read = self.suite.new_cipher(&km.server_key, &km.server_iv)?;
-        self.records.activate_read(read, self.suite.mac_alg(), km.server_mac.clone());
+        let read = suite.new_cipher(&km.server_key, &km.server_iv)?;
+        let mac_key = km.server_mac.clone();
+        self.records.activate_read(read, suite.mac_alg(), mac_key);
         // In the resumed flow the server finishes first: expectation is the
         // transcript as it stands now.
         let expected = self
@@ -361,30 +367,38 @@ impl SslClient {
             // Abbreviated handshake: the client answers CCS ‖ finished.
             self.send_ccs_and_finished(out)?;
         }
+        self.key_material = None;
         self.state = State::Established;
         Ok(())
     }
 
-    fn key_material(&self) -> KeyMaterial {
-        let block = kdf::key_block(
-            &self.master,
-            &self.server_random,
-            &self.client_random,
-            self.suite.key_block_len(),
-        );
-        KeyMaterial::parse(
-            &block,
-            self.suite.mac_alg().output_len(),
-            self.suite.key_len(),
-            self.suite.iv_len(),
-        )
+    /// The connection's key block, derived on first use: by the client's
+    /// cipher switch on a full handshake, by the server's on a resumed one.
+    fn key_material(&mut self) -> &KeyMaterial {
+        let suite = self.suite;
+        self.key_material.get_or_insert_with(|| {
+            let block = kdf::key_block(
+                &self.master,
+                &self.server_random,
+                &self.client_random,
+                suite.key_block_len(),
+            );
+            KeyMaterial::parse(
+                &block,
+                suite.mac_alg().output_len(),
+                suite.key_len(),
+                suite.iv_len(),
+            )
+        })
     }
 
     fn send_ccs_and_finished(&mut self, out: &mut Vec<u8>) -> Result<(), SslError> {
         self.records.seal_append(ContentType::ChangeCipherSpec, &[1], out)?;
+        let suite = self.suite;
         let km = self.key_material();
-        let write = self.suite.new_cipher(&km.client_key, &km.client_iv)?;
-        self.records.activate_write(write, self.suite.mac_alg(), km.client_mac.clone());
+        let write = suite.new_cipher(&km.client_key, &km.client_iv)?;
+        let mac_key = km.client_mac.clone();
+        self.records.activate_write(write, suite.mac_alg(), mac_key);
         let (md5_hash, sha_hash) = self.transcript.finished_hashes(&SENDER_CLIENT, &self.master);
         let fin = HandshakeMessage::Finished { md5_hash, sha_hash }.encode();
         self.transcript.absorb(&fin);

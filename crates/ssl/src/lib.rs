@@ -85,7 +85,8 @@ pub mod tls13;
 mod transcript;
 
 pub use cache::{
-    CachedSession, CachedSessionStore, IssuedTicket, SessionCache, SessionStore, SimpleSessionCache,
+    CachedSession, CachedSessionStore, IssuedTicket, SessionCache, SessionStore,
+    ShardedSessionCache,
 };
 pub use client::{ClientSession, SslClient};
 pub use engine::{

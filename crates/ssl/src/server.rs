@@ -9,7 +9,8 @@
 //! flights or one at a time.
 
 use crate::cache::{
-    CachedSession, CachedSessionStore, IssuedTicket, SessionCache, SessionStore, SimpleSessionCache,
+    CachedSession, CachedSessionStore, IssuedTicket, SessionCache, SessionStore,
+    ShardedSessionCache,
 };
 use crate::engine::{CryptoDone, CryptoJob, CryptoOp, CryptoOutput, EngineDriven, MachineStep};
 use crate::kdf::{self, KeyMaterial};
@@ -52,13 +53,13 @@ pub struct ServerConfig {
 
 impl ServerConfig {
     /// Builds a configuration with a fresh self-signed certificate and the
-    /// default single-lock [`SimpleSessionCache`].
+    /// [`ShardedSessionCache`] at its default geometry.
     ///
     /// # Errors
     ///
     /// Propagates certificate-signing failures.
     pub fn new(key: RsaPrivateKey, name: &str) -> Result<Self, SslError> {
-        Self::with_cache(key, name, Box::new(SimpleSessionCache::new()))
+        Self::with_cache(key, name, Box::new(ShardedSessionCache::default()))
     }
 
     /// Builds a configuration with a caller-supplied session cache (e.g. a

@@ -405,7 +405,7 @@ impl SessionStore for TicketSessionStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::SimpleSessionCache;
+    use crate::ShardedSessionCache;
 
     fn session(suite: CipherSuite) -> CachedSession {
         CachedSession { master: vec![0x5a; 48], suite }
@@ -561,7 +561,8 @@ mod tests {
     #[test]
     fn ticket_store_delegates_and_issues() {
         let ring = Arc::new(TicketKeyring::new(b"test-secret"));
-        let store = TicketSessionStore::new(Arc::clone(&ring), Box::new(SimpleSessionCache::new()));
+        let store =
+            TicketSessionStore::new(Arc::clone(&ring), Box::new(ShardedSessionCache::default()));
         assert!(store.supports_tickets());
         let issued = store.issue_ticket(&session(CipherSuite::RsaAes128Sha)).expect("issues");
         assert_eq!(issued.lifetime_hint_secs, 3600);

@@ -658,3 +658,29 @@ fn metrics_recording_keeps_engine_steady_state_allocation_free() {
     assert_eq!(snap.transactions, (WARMUP as u64) + MEASURED);
     assert_eq!(snap.full_handshake.count(), 1, "the handshake ledger was fed");
 }
+
+/// A full cache stores without allocating — eviction and a re-store of a
+/// live id included: the session is copied into a recycled slot. A hit
+/// allocates exactly once, for the master secret it returns.
+#[test]
+fn full_session_cache_stores_without_allocating() {
+    use sslperf::ssl::{CachedSession, SessionCache, ShardedSessionCache};
+    let cache = ShardedSessionCache::new(1, 8);
+    let session = |n: u8| CachedSession { master: vec![n; 48], suite: CipherSuite::RsaDesCbc3Sha };
+    for i in 0..8u8 {
+        cache.store(vec![i; 32], session(i));
+    }
+    let stores: Vec<_> = (8..40u8).map(|i| (vec![i; 32], session(i))).collect();
+    let ((), stored) = allocations_during(|| {
+        for (id, session) in stores {
+            cache.store(id, session);
+        }
+    });
+    assert_eq!(stored, 0, "32 stores into a full cache, every one evicting");
+    let (id, again) = (vec![39u8; 32], session(0xaa));
+    let ((), restored) = allocations_during(|| cache.store(id, again));
+    assert_eq!(restored, 0, "a re-store of a live id");
+    let (hit, allocated) = allocations_during(|| cache.lookup(&[39; 32]));
+    assert_eq!(hit, Some(session(0xaa)));
+    assert_eq!(allocated, 1, "the returned master secret only");
+}

@@ -879,6 +879,119 @@ proptest! {
     }
 }
 
+// ---- the session cache against an exact-LRU model ----
+
+/// The reference the cache must match: per shard, the live sessions from
+/// least to most recently used, evicting the front past `capacity`.
+struct LruModel {
+    shards: Vec<Vec<(Vec<u8>, sslperf::ssl::CachedSession)>>,
+    capacity: usize,
+    zero_ttl: bool,
+    hits: u64,
+    misses: u64,
+    expired: u64,
+}
+
+impl LruModel {
+    fn store(&mut self, shard: usize, id: Vec<u8>, session: sslperf::ssl::CachedSession) {
+        let entries = &mut self.shards[shard];
+        entries.retain(|(live, _)| *live != id);
+        entries.push((id, session));
+        if entries.len() > self.capacity {
+            entries.remove(0);
+        }
+    }
+
+    fn lookup(&mut self, shard: usize, id: &[u8]) -> Option<sslperf::ssl::CachedSession> {
+        if id.is_empty() {
+            return None;
+        }
+        let entries = &mut self.shards[shard];
+        let Some(at) = entries.iter().position(|(live, _)| live == id) else {
+            self.misses += 1;
+            return None;
+        };
+        let entry = entries.remove(at);
+        if self.zero_ttl {
+            self.misses += 1;
+            self.expired += 1;
+            return None;
+        }
+        self.hits += 1;
+        let session = entry.1.clone();
+        entries.push(entry);
+        Some(session)
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Random stores (re-stores of live ids included), lookups, empty-id
+    /// lookups and clears, on 1–4 shards of 1–8 sessions, with no TTL or a
+    /// zero one: every lookup, `len`, shard length and counter matches an
+    /// exact-LRU model after every operation.
+    #[test]
+    fn session_cache_matches_exact_lru_model(
+        shards in 1usize..=4,
+        capacity in 1usize..=8,
+        zero_ttl in any::<bool>(),
+        id_lens in vec(0usize..=32, 1..12),
+        ops in vec(any::<u32>(), 0..160),
+    ) {
+        use sslperf::ssl::{CachedSession, SessionCache, ShardedSessionCache};
+        use std::time::Duration;
+        let ttl = zero_ttl.then_some(Duration::ZERO);
+        let cache = ShardedSessionCache::with_ttl(shards, capacity, ttl);
+        let mut model = LruModel {
+            shards: vec![Vec::new(); shards],
+            capacity,
+            zero_ttl,
+            hits: 0,
+            misses: 0,
+            expired: 0,
+        };
+        // A small pool of ids, so stores replace and lookups hit.
+        let ids: Vec<Vec<u8>> = id_lens
+            .iter()
+            .enumerate()
+            .map(|(i, &len)| (0..len).map(|j| (i * 31 + j) as u8).collect())
+            .collect();
+        for op in ops {
+            let id = &ids[(op >> 4) as usize % ids.len()];
+            match op % 16 {
+                0..=7 => {
+                    let session = CachedSession {
+                        master: vec![(op >> 8) as u8; 48],
+                        suite: CipherSuite::ALL[(op >> 16) as usize % CipherSuite::ALL.len()],
+                    };
+                    model.store(cache.shard_index(id), id.clone(), session.clone());
+                    cache.store(id.clone(), session);
+                }
+                8..=13 => {
+                    let want = model.lookup(cache.shard_index(id), id);
+                    prop_assert_eq!(cache.lookup(id), want);
+                }
+                14 => {
+                    prop_assert_eq!(cache.lookup(&[]), None);
+                }
+                _ => {
+                    model.shards.iter_mut().for_each(Vec::clear);
+                    cache.clear();
+                }
+            }
+            for (s, entries) in model.shards.iter().enumerate() {
+                prop_assert_eq!(cache.shard_len(s), entries.len());
+            }
+            prop_assert_eq!(cache.len(), model.shards.iter().map(Vec::len).sum::<usize>());
+            prop_assert_eq!(
+                (cache.hits(), cache.misses(), cache.expired()),
+                (model.hits, model.misses, model.expired)
+            );
+        }
+    }
+}
+
 // ---- streamed responses ----
 
 /// Pulls `stream` dry through fills whose lengths cycle through `cuts`.

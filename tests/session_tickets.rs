@@ -6,7 +6,7 @@ mod support;
 
 use sslperf::prelude::*;
 use sslperf::ssl::{
-    ClientEngine, ClientSession, Engine, ServerEngine, SimpleSessionCache, TicketError,
+    ClientEngine, ClientSession, Engine, ServerEngine, ShardedSessionCache, TicketError,
 };
 use std::sync::Arc;
 use std::time::Duration;
@@ -23,7 +23,8 @@ fn pin_key() -> RsaPrivateKey {
 }
 
 fn ticket_config(keyring: &Arc<TicketKeyring>, name: &str) -> ServerConfig {
-    let store = TicketSessionStore::new(Arc::clone(keyring), Box::new(SimpleSessionCache::new()));
+    let store =
+        TicketSessionStore::new(Arc::clone(keyring), Box::new(ShardedSessionCache::default()));
     ServerConfig::with_store(pin_key(), name, Box::new(store)).expect("config")
 }
 

@@ -16,7 +16,7 @@ mod support;
 
 use sslperf::bignum::LimbWidth;
 use sslperf::prelude::*;
-use sslperf::ssl::{ClientEngine, ClientSession, Engine, SimpleSessionCache};
+use sslperf::ssl::{ClientEngine, ClientSession, Engine, ShardedSessionCache};
 use std::sync::Arc;
 use support::{drain, feed_all};
 
@@ -45,7 +45,7 @@ fn pin_config_with_width(limbs: LimbWidth) -> ServerConfig {
 
 fn ticket_config() -> ServerConfig {
     let keyring = Arc::new(TicketKeyring::new(b"engine-pin-ticket-keys"));
-    let store = TicketSessionStore::new(keyring, Box::new(SimpleSessionCache::new()));
+    let store = TicketSessionStore::new(keyring, Box::new(ShardedSessionCache::default()));
     ServerConfig::with_store(pin_key(), "pin.sslperf.test", Box::new(store)).expect("config")
 }
 
