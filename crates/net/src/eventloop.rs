@@ -31,12 +31,12 @@
 //! the paper's serving analysis leads to (the `loaded_server` experiment
 //! measures it against a blocking baseline).
 //!
-//! There is no async runtime and no `poll(2)` binding here (the workspace
-//! forbids unsafe code and external deps): readiness is discovered by
-//! attempting the syscall and treating `WouldBlock` as "not ready", with a
-//! short sleep when a full sweep makes no progress. That costs a bounded
-//! idle latency (~0.5 ms) but keeps the loop dependency-free while
-//! preserving the architecture under study.
+//! There is no async runtime and no `poll(2)` binding here (this crate is
+//! `#![forbid(unsafe_code)]` and the workspace takes no external deps):
+//! readiness is discovered by attempting the syscall and treating
+//! `WouldBlock` as "not ready", with a short sleep when a full sweep makes
+//! no progress. That costs a bounded idle latency (~0.5 ms) but keeps the
+//! loop dependency-free while preserving the architecture under study.
 //!
 //! Stalled connections are evicted by per-connection deadlines
 //! ([`ServerOptionsBuilder::io_timeout`](crate::ServerOptionsBuilder::io_timeout)):

@@ -12,7 +12,7 @@
 //!
 //! The kernel-native way to fan one port across processes is
 //! `SO_REUSEPORT`; setting socket options needs `setsockopt` and
-//! therefore unsafe code, which this workspace forbids. [`ServerFleet`]
+//! therefore unsafe code, which this crate forbids. [`ServerFleet`]
 //! substitutes an accept-fan thread: it owns the one bound listener and
 //! round-robins accepted sockets over channels to the instances' shard
 //! loops (the `Intake::Fed` path in the event-loop module). The

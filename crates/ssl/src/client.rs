@@ -70,15 +70,25 @@ impl ClientSession {
     }
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Where the client is in the handshake, holding what is valid there:
+/// the key the server certificate proved, the finished hashes expected
+/// from the server, and `ticket`, the server hello's extension echo
+/// announcing a NewSessionTicket flight ahead of the server's CCS. Every
+/// input runs with `Failed` in place of the state it took, so a handler
+/// that returns an error leaves the machine there.
+// The key is inline, as the field it replaced was: one state per
+// connection, so boxing it would only add an allocation per handshake.
+#[allow(clippy::large_enum_variant)]
+#[derive(Debug)]
 enum State {
     Start,
     AwaitServerHello,
-    AwaitCertificate,
-    AwaitServerHelloDone,
-    AwaitServerCcs,
-    AwaitServerFinished,
+    AwaitCertificate { ticket: bool },
+    AwaitServerHelloDone { server_key: RsaPublicKey, ticket: bool },
+    AwaitServerCcs { ticket: bool },
+    AwaitServerFinished { expected: ([u8; 16], [u8; 20]) },
     Established,
+    Failed,
 }
 
 /// One client-side SSL connection over caller-owned buffers.
@@ -96,16 +106,9 @@ pub struct SslClient {
     master: Vec<u8>,
     resume: Option<ClientSession>,
     resumed: bool,
-    expected_server_finished: Option<([u8; 16], [u8; 20])>,
-    /// The verified key from the server certificate, held between the
-    /// certificate and hello-done messages of a full handshake.
-    server_key: Option<RsaPublicKey>,
     /// True when the client advertises the session-ticket extension in its
     /// hello. Off by default: the legacy hello stays byte-identical.
     tickets_enabled: bool,
-    /// Set by the server hello's extension echo: a NewSessionTicket flight
-    /// precedes the server's CCS.
-    expect_ticket: bool,
     /// The ticket received on this connection, exported via
     /// [`SslClient::session`].
     fresh_ticket: Option<Vec<u8>>,
@@ -142,10 +145,7 @@ impl SslClient {
             master: Vec::new(),
             resume: None,
             resumed: false,
-            expected_server_finished: None,
-            server_key: None,
             tickets_enabled: false,
-            expect_ticket: false,
             fresh_ticket: None,
             key_material: None,
         }
@@ -181,7 +181,7 @@ impl SslClient {
     /// True once the handshake completed.
     #[must_use]
     pub fn is_established(&self) -> bool {
-        self.state == State::Established
+        matches!(self.state, State::Established)
     }
 
     /// True when the server accepted session resumption.
@@ -196,7 +196,7 @@ impl SslClient {
     /// still-valid ticket that was presented.
     #[must_use]
     pub fn session(&self) -> Option<ClientSession> {
-        if self.state != State::Established {
+        if !self.is_established() {
             return None;
         }
         let ticket = self.fresh_ticket.clone().or_else(|| {
@@ -215,11 +215,10 @@ impl SslClient {
     }
 
     fn start_hello(&mut self, out: &mut Vec<u8>) -> Result<(), SslError> {
-        if self.state != State::Start {
+        let State::Start = std::mem::replace(&mut self.state, State::Failed) else {
             return Err(SslError::UnexpectedMessage { expected: "nothing (bad state)" });
-        }
-        let random = self.rng.bytes(32);
-        self.client_random.copy_from_slice(&random);
+        };
+        self.rng.fill_bytes(&mut self.client_random);
         let offered_id =
             self.resume.as_ref().map_or_else(SessionId::empty, |s| SessionId::new(s.id.clone()));
         // Extension data: absent entirely for legacy clients, empty to
@@ -248,7 +247,6 @@ impl SslClient {
         if ticket && !self.tickets_enabled {
             return Err(SslError::UnexpectedMessage { expected: "no ticket extension" });
         }
-        self.expect_ticket = ticket;
         self.server_random = random;
         self.suite = CipherSuite::from_wire_id(suite)?;
         if !self.offered.contains(&self.suite) {
@@ -265,14 +263,14 @@ impl SslClient {
         if let Some(offer) = resumed {
             // Server sends CCS ‖ finished right away under the cached master.
             self.master.clone_from(&offer.master);
-            self.state = State::AwaitServerCcs;
+            self.state = State::AwaitServerCcs { ticket };
         } else {
-            self.state = State::AwaitCertificate;
+            self.state = State::AwaitCertificate { ticket };
         }
         Ok(())
     }
 
-    fn on_certificate(&mut self, msg: &[u8]) -> Result<(), SslError> {
+    fn on_certificate(&mut self, msg: &[u8], ticket: bool) -> Result<(), SslError> {
         let (decoded, _) = HandshakeMessage::decode(msg)?;
         let HandshakeMessage::Certificate { cert } = decoded else {
             return Err(SslError::UnexpectedMessage { expected: "certificate" });
@@ -282,12 +280,17 @@ impl SslClient {
         let server_key = certificate.public_key()?;
         // Self-signed chain: verify the signature with the embedded key.
         certificate.verify(&server_key)?;
-        self.server_key = Some(server_key);
-        self.state = State::AwaitServerHelloDone;
+        self.state = State::AwaitServerHelloDone { server_key, ticket };
         Ok(())
     }
 
-    fn on_server_hello_done(&mut self, msg: &[u8], out: &mut Vec<u8>) -> Result<(), SslError> {
+    fn on_server_hello_done(
+        &mut self,
+        msg: &[u8],
+        server_key: &RsaPublicKey,
+        ticket: bool,
+        out: &mut Vec<u8>,
+    ) -> Result<(), SslError> {
         let (decoded, _) = HandshakeMessage::decode(msg)?;
         if decoded != HandshakeMessage::ServerHelloDone {
             return Err(SslError::UnexpectedMessage { expected: "server hello done" });
@@ -296,10 +299,6 @@ impl SslClient {
 
         // Client key exchange: 48-byte pre-master = version ‖ 46 random,
         // encrypted to the key proven by the certificate we just verified.
-        let server_key = self
-            .server_key
-            .take()
-            .ok_or(SslError::UnexpectedMessage { expected: "certificate" })?;
         let mut pre_master = vec![VERSION.0, VERSION.1];
         pre_master.extend(self.rng.bytes(46));
         let encrypted = server_key.encrypt_pkcs1(&pre_master, &mut self.rng)?;
@@ -309,7 +308,7 @@ impl SslClient {
         self.master = kdf::master_secret(&pre_master, &self.client_random, &self.server_random);
 
         self.send_ccs_and_finished(out)?;
-        self.state = State::AwaitServerCcs;
+        self.state = State::AwaitServerCcs { ticket };
         Ok(())
     }
 
@@ -318,15 +317,12 @@ impl SslClient {
     /// Deliberately *not* absorbed into the transcript (the server mirrors
     /// this), so the finished hashes are unaffected.
     fn on_new_session_ticket(&mut self, msg: &[u8]) -> Result<(), SslError> {
-        if !self.expect_ticket {
-            return Err(SslError::UnexpectedMessage { expected: "change cipher spec" });
-        }
         let (decoded, _) = HandshakeMessage::decode(msg)?;
         let HandshakeMessage::NewSessionTicket { ticket, .. } = decoded else {
             return Err(SslError::UnexpectedMessage { expected: "new session ticket" });
         };
         self.fresh_ticket = Some(ticket);
-        self.expect_ticket = false;
+        self.state = State::AwaitServerCcs { ticket: false };
         Ok(())
     }
 
@@ -339,26 +335,23 @@ impl SslClient {
         let read = suite.new_cipher(&km.server_key, &km.server_iv)?;
         let mac_key = km.server_mac.clone();
         self.records.activate_read(read, suite.mac_alg(), mac_key);
-        // In the resumed flow the server finishes first: expectation is the
-        // transcript as it stands now.
-        let expected = self
-            .expected_server_finished
-            .take()
-            .unwrap_or_else(|| self.transcript.finished_hashes(&SENDER_SERVER, &self.master));
-        self.expected_server_finished = Some(expected);
-        self.state = State::AwaitServerFinished;
+        // The server's finished covers the transcript as it stands now: ours
+        // included on a full handshake, the hellos alone on a resumed one.
+        let expected = self.transcript.finished_hashes(&SENDER_SERVER, &self.master);
+        self.state = State::AwaitServerFinished { expected };
         Ok(())
     }
 
-    fn on_server_finished(&mut self, msg: &[u8], out: &mut Vec<u8>) -> Result<(), SslError> {
+    fn on_server_finished(
+        &mut self,
+        msg: &[u8],
+        expected: ([u8; 16], [u8; 20]),
+        out: &mut Vec<u8>,
+    ) -> Result<(), SslError> {
         let (decoded, _) = HandshakeMessage::decode(msg)?;
         let HandshakeMessage::Finished { md5_hash, sha_hash } = decoded else {
             return Err(SslError::UnexpectedMessage { expected: "server finished" });
         };
-        let expected = self
-            .expected_server_finished
-            .take()
-            .ok_or(SslError::UnexpectedMessage { expected: "change cipher spec" })?;
         if (md5_hash, sha_hash) != expected {
             return Err(SslError::BadFinished);
         }
@@ -402,12 +395,7 @@ impl SslClient {
         let (md5_hash, sha_hash) = self.transcript.finished_hashes(&SENDER_CLIENT, &self.master);
         let fin = HandshakeMessage::Finished { md5_hash, sha_hash }.encode();
         self.transcript.absorb(&fin);
-        self.records.seal_append(ContentType::Handshake, &fin, out)?;
-        // The server's finished covers the transcript including ours (full
-        // handshake ordering).
-        self.expected_server_finished =
-            Some(self.transcript.finished_hashes(&SENDER_SERVER, &self.master));
-        Ok(())
+        self.records.seal_append(ContentType::Handshake, &fin, out)
     }
 }
 
@@ -422,23 +410,26 @@ impl EngineDriven for SslClient {
         _open_cycles: Cycles,
         out: &mut Vec<u8>,
     ) -> Result<MachineStep, SslError> {
-        match self.state {
+        match std::mem::replace(&mut self.state, State::Failed) {
             State::AwaitServerHello => self.on_server_hello(msg),
-            State::AwaitCertificate => self.on_certificate(msg),
-            State::AwaitServerHelloDone => self.on_server_hello_done(msg, out),
-            State::AwaitServerFinished => self.on_server_finished(msg, out),
-            State::AwaitServerCcs => self.on_new_session_ticket(msg),
-            State::Start | State::Established => {
+            State::AwaitCertificate { ticket } => self.on_certificate(msg, ticket),
+            State::AwaitServerHelloDone { server_key, ticket } => {
+                self.on_server_hello_done(msg, &server_key, ticket, out)
+            }
+            State::AwaitServerFinished { expected } => self.on_server_finished(msg, expected, out),
+            State::AwaitServerCcs { ticket: true } => self.on_new_session_ticket(msg),
+            State::Start | State::AwaitServerCcs { ticket: false } | State::Established => {
                 Err(SslError::UnexpectedMessage { expected: "change cipher spec" })
             }
+            State::Failed => Err(SslError::NotReady("handshake not in progress")),
         }?;
         Ok(MachineStep::Continue)
     }
 
     fn on_change_cipher_spec(&mut self, body: &[u8], _open_cycles: Cycles) -> Result<(), SslError> {
-        if self.state != State::AwaitServerCcs {
+        let State::AwaitServerCcs { .. } = std::mem::replace(&mut self.state, State::Failed) else {
             return Err(SslError::UnexpectedMessage { expected: "handshake message" });
-        }
+        };
         self.on_server_ccs(body)
     }
 
@@ -447,7 +438,7 @@ impl EngineDriven for SslClient {
     }
 
     fn handshake_done(&self) -> bool {
-        self.state == State::Established
+        matches!(self.state, State::Established)
     }
 }
 

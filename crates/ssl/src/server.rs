@@ -160,16 +160,26 @@ impl ServerConfig {
     }
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Where the server is in the handshake, holding what is valid there.
+///
+/// `AwaitKxCrypto` is suspended mid-step-5, waiting for the executed
+/// [`CryptoJob`]'s result. `AwaitClientCcs` holds the client finished
+/// hashes when they are already known: a resumed handshake sends the
+/// server finished first, a full one computes them at the CCS (step 6).
+/// Step 6 (`get_finished`) spans two records (CCS then finished), which an
+/// event-driven driver may deliver in separate readiness events, so
+/// `AwaitClientFinished` also holds the step's timing so far. Every input
+/// runs with `Failed` in place of the state it took, so a handler that
+/// returns an error leaves the machine there and later inputs are refused.
+#[derive(Debug)]
 enum State {
     AwaitClientHello,
     AwaitClientKx,
-    /// Suspended mid-step-5, waiting for the executed [`CryptoJob`]'s
-    /// result.
     AwaitKxCrypto,
-    AwaitClientCcs,
-    AwaitClientFinished,
+    AwaitClientCcs { expected: Option<([u8; 16], [u8; 20])> },
+    AwaitClientFinished { expected: ([u8; 16], [u8; 20]), step6: Cycles },
     Established,
+    Failed,
 }
 
 /// One server-side SSL connection.
@@ -199,13 +209,7 @@ pub struct SslServer<'a> {
     ticket_accepted: bool,
     ticket_rejected: bool,
     ticket_expired: bool,
-    /// Client finished hashes computed ahead of reading the message.
-    expected_client_finished: Option<([u8; 16], [u8; 20])>,
     key_material: Option<KeyMaterial>,
-    /// Step 6 (`get_finished`) spans two records (CCS then finished), which
-    /// an event-driven driver may deliver in separate readiness events;
-    /// the partial timing accumulates here until the step completes.
-    step6: Cycles,
     anatomy: HandshakeRecorder,
 }
 
@@ -233,9 +237,7 @@ impl<'a> SslServer<'a> {
             ticket_accepted: false,
             ticket_rejected: false,
             ticket_expired: false,
-            expected_client_finished: None,
             key_material: None,
-            step6: Cycles::ZERO,
             anatomy: HandshakeRecorder::new(Protocol::Ssl3),
         };
         server.anatomy.note(0, "init_finished_mac", init_cycles);
@@ -302,7 +304,7 @@ impl<'a> SslServer<'a> {
     /// True once the handshake completed.
     #[must_use]
     pub fn is_established(&self) -> bool {
-        self.state == State::Established
+        matches!(self.state, State::Established)
     }
 
     /// True when this connection resumed a cached session.
@@ -410,8 +412,7 @@ impl<'a> SslServer<'a> {
 
         // Step 2: send_server_hello.
         let sw = Stopwatch::start();
-        let random = self.anatomy.time(2, "rand_pseudo_bytes", || self.rng.bytes(32));
-        self.server_random.copy_from_slice(&random);
+        self.anatomy.time(2, "rand_pseudo_bytes", || self.rng.fill_bytes(&mut self.server_random));
         let hello = HandshakeMessage::ServerHello {
             random: self.server_random,
             session_id: SessionId::new(self.session_id.clone()),
@@ -426,10 +427,11 @@ impl<'a> SslServer<'a> {
         self.anatomy.step(2, sw.elapsed());
 
         if self.resumed {
-            // Abbreviated handshake: CCS + finished immediately.
-            let finished = self.send_ccs_and_finished(out)?;
-            self.expected_client_finished = Some(finished);
-            self.state = State::AwaitClientCcs;
+            // Abbreviated handshake: CCS + finished immediately, so the
+            // client's finished covers ours.
+            self.send_ccs_and_finished(out)?;
+            let expected = self.transcript.finished_hashes(&SENDER_CLIENT, &self.master);
+            self.state = State::AwaitClientCcs { expected: Some(expected) };
             return Ok(());
         }
 
@@ -511,14 +513,20 @@ impl<'a> SslServer<'a> {
             kdf::master_secret(pre_master, &self.client_random, &self.server_random)
         });
         self.anatomy.end_kx(5, sw.elapsed());
-        self.state = State::AwaitClientCcs;
+        self.state = State::AwaitClientCcs { expected: None };
         Ok(())
     }
 
     /// Step 6a: the client's CCS — generate the key block, switch the read
-    /// cipher, pre-compute the expected finished hashes. Timing accumulates
-    /// in `step6` until the finished message completes the step.
-    fn on_client_ccs(&mut self, body: &[u8], open_cycles: Cycles) -> Result<(), SslError> {
+    /// cipher, pre-compute the expected finished hashes unless `expected`
+    /// holds them. The step's timing waits in the next state until the
+    /// finished message completes it.
+    fn on_client_ccs(
+        &mut self,
+        body: &[u8],
+        open_cycles: Cycles,
+        expected: Option<([u8; 16], [u8; 20])>,
+    ) -> Result<(), SslError> {
         let sw = Stopwatch::start();
         if body != [1] {
             return Err(SslError::UnexpectedMessage { expected: "change cipher spec" });
@@ -528,14 +536,13 @@ impl<'a> SslServer<'a> {
         let read_cipher = suite.new_cipher(&km.client_key, &km.client_iv)?;
         let mac_key = km.client_mac.clone();
         self.records.activate_read(read_cipher, suite.mac_alg(), mac_key);
-        if self.expected_client_finished.is_none() {
-            let expected = self.anatomy.time(6, "final_finish_mac", || {
+        let expected = expected.unwrap_or_else(|| {
+            self.anatomy.time(6, "final_finish_mac", || {
                 self.transcript.finished_hashes(&SENDER_CLIENT, &self.master)
-            });
-            self.expected_client_finished = Some(expected);
-        }
-        self.step6 += sw.elapsed() + open_cycles;
-        self.state = State::AwaitClientFinished;
+            })
+        });
+        let step6 = sw.elapsed() + open_cycles;
+        self.state = State::AwaitClientFinished { expected, step6 };
         Ok(())
     }
 
@@ -546,6 +553,8 @@ impl<'a> SslServer<'a> {
         &mut self,
         msg: &[u8],
         open_cycles: Cycles,
+        expected: ([u8; 16], [u8; 20]),
+        step6: Cycles,
         out: &mut Vec<u8>,
     ) -> Result<(), SslError> {
         let sw = Stopwatch::start();
@@ -554,22 +563,17 @@ impl<'a> SslServer<'a> {
         let HandshakeMessage::Finished { md5_hash, sha_hash } = decoded else {
             return Err(SslError::UnexpectedMessage { expected: "client finished" });
         };
-        let (exp_md5, exp_sha) = self
-            .expected_client_finished
-            .ok_or(SslError::UnexpectedMessage { expected: "change cipher spec" })?;
-        if md5_hash != exp_md5 || sha_hash != exp_sha {
+        if (md5_hash, sha_hash) != expected {
             return Err(SslError::BadFinished);
         }
         self.anatomy.time(6, "finish_mac", || self.transcript.absorb(msg));
-        let step6 = self.step6 + sw.elapsed() + open_cycles;
-        self.step6 = Cycles::ZERO;
-        self.anatomy.step(6, step6);
+        self.anatomy.step(6, step6 + sw.elapsed() + open_cycles);
 
         if !self.resumed {
             if self.ticket_negotiated {
                 self.send_new_session_ticket(out)?;
             }
-            let _ = self.send_ccs_and_finished(out)?;
+            self.send_ccs_and_finished(out)?;
         }
 
         // Step 9: server_flush — cache the session (id-cache peers only;
@@ -617,10 +621,7 @@ impl<'a> SslServer<'a> {
 
     /// Steps 7–8: send change-cipher-spec, then the server finished message
     /// under the new keys.
-    fn send_ccs_and_finished(
-        &mut self,
-        out: &mut Vec<u8>,
-    ) -> Result<([u8; 16], [u8; 20]), SslError> {
+    fn send_ccs_and_finished(&mut self, out: &mut Vec<u8>) -> Result<(), SslError> {
         // Step 7: send_cipher_spec.
         let sw = Stopwatch::start();
         let suite = self.suite;
@@ -644,9 +645,7 @@ impl<'a> SslServer<'a> {
         });
         sealed?;
         self.anatomy.step(8, sw.elapsed());
-        // Returns the *client* finished hashes expected later in resumed mode.
-        let expected = self.transcript.finished_hashes(&SENDER_CLIENT, &self.master);
-        Ok(expected)
+        Ok(())
     }
 
     /// The connection's key block, generated on first use and booked as
@@ -685,27 +684,28 @@ impl EngineDriven for SslServer<'_> {
         open_cycles: Cycles,
         out: &mut Vec<u8>,
     ) -> Result<MachineStep, SslError> {
-        match self.state {
+        match std::mem::replace(&mut self.state, State::Failed) {
             State::AwaitClientHello => {
                 self.on_client_hello(msg, open_cycles, out).map(|()| MachineStep::Continue)
             }
             State::AwaitClientKx => self.on_client_kx(msg, open_cycles),
-            State::AwaitClientFinished => {
-                self.on_client_finished(msg, open_cycles, out).map(|()| MachineStep::Continue)
-            }
+            State::AwaitClientFinished { expected, step6 } => self
+                .on_client_finished(msg, open_cycles, expected, step6, out)
+                .map(|()| MachineStep::Continue),
             State::AwaitKxCrypto => {
                 Err(SslError::UnexpectedMessage { expected: "crypto completion" })
             }
-            State::AwaitClientCcs | State::Established => {
+            State::AwaitClientCcs { .. } | State::Established => {
                 Err(SslError::UnexpectedMessage { expected: "change cipher spec" })
             }
+            State::Failed => Err(SslError::NotReady("handshake not in progress")),
         }
     }
 
     fn complete_crypto(&mut self, done: CryptoDone, _out: &mut Vec<u8>) -> Result<(), SslError> {
-        if self.state != State::AwaitKxCrypto {
+        let State::AwaitKxCrypto = std::mem::replace(&mut self.state, State::Failed) else {
             return Err(SslError::NotReady("no crypto operation pending"));
-        }
+        };
         self.finish_client_kx(done)
     }
 
@@ -714,10 +714,11 @@ impl EngineDriven for SslServer<'_> {
     }
 
     fn on_change_cipher_spec(&mut self, body: &[u8], open_cycles: Cycles) -> Result<(), SslError> {
-        if self.state != State::AwaitClientCcs {
+        let State::AwaitClientCcs { expected } = std::mem::replace(&mut self.state, State::Failed)
+        else {
             return Err(SslError::UnexpectedMessage { expected: "handshake message" });
-        }
-        self.on_client_ccs(body, open_cycles)
+        };
+        self.on_client_ccs(body, open_cycles, expected)
     }
 
     fn record_layer(&mut self) -> &mut RecordLayer {
@@ -725,7 +726,7 @@ impl EngineDriven for SslServer<'_> {
     }
 
     fn handshake_done(&self) -> bool {
-        self.state == State::Established
+        matches!(self.state, State::Established)
     }
 }
 

@@ -308,14 +308,22 @@ fn cert_verify_content(th: &[u8]) -> Vec<u8> {
 // Server machine
 // ---------------------------------------------------------------------------
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Where the server is in the handshake, holding what is valid there.
+///
+/// `AwaitKxCrypto` is suspended mid-step-2, waiting for the executed DHE
+/// [`CryptoJob`]'s result; the ServerHello then carries its random.
+/// `AwaitClientFinished` follows the server Finished: the client Finished
+/// verify-data and the application traffic secrets, all at th(CH..SFin).
+/// Every input runs with `Failed` in place of the state it took, so a
+/// handler that returns an error leaves the machine there and later inputs
+/// are refused.
+#[derive(Debug)]
 enum ServerState {
     AwaitClientHello,
-    /// Suspended mid-step-2, waiting for the executed DHE [`CryptoJob`]'s
-    /// result.
-    AwaitKxCrypto,
-    AwaitClientFinished,
+    AwaitKxCrypto { server_random: [u8; 32] },
+    AwaitClientFinished { expected: Vec<u8>, client_ap: Vec<u8>, server_ap: Vec<u8> },
     Established,
+    Failed,
 }
 
 /// The server side of the TLS 1.3-style handshake, instrumented into the
@@ -329,13 +337,6 @@ pub struct Tls13ServerMachine<'a> {
     transcript: Sha256,
     state: ServerState,
     suite: CipherSuite,
-    server_random: [u8; 32],
-    /// Expected client Finished verify-data, computed when the server
-    /// Finished goes out.
-    expected_client_finished: Option<Vec<u8>>,
-    /// Application traffic secrets, installed once the client Finished
-    /// verifies: `(client_ap, server_ap)`.
-    app_secrets: Option<(Vec<u8>, Vec<u8>)>,
     anatomy: HandshakeRecorder,
 }
 
@@ -351,9 +352,6 @@ impl<'a> Tls13ServerMachine<'a> {
             transcript: Sha256::new(),
             state: ServerState::AwaitClientHello,
             suite: CipherSuite::RsaDesCbc3Sha,
-            server_random: [0; 32],
-            expected_client_finished: None,
-            app_secrets: None,
             anatomy: HandshakeRecorder::new(Protocol::Tls13),
         }
     }
@@ -393,7 +391,7 @@ impl<'a> Tls13ServerMachine<'a> {
     /// True once the handshake completed.
     #[must_use]
     pub fn is_established(&self) -> bool {
-        self.state == ServerState::Established
+        matches!(self.state, ServerState::Established)
     }
 
     /// Record-layer symmetric-crypto cycles accumulated so far.
@@ -433,15 +431,15 @@ impl<'a> Tls13ServerMachine<'a> {
             .into_iter()
             .find(|s| hello.suites.contains(&s.wire_id()))
             .ok_or(SslError::NoCommonCipher)?;
-        let random = self.anatomy.time(1, "rand_pseudo_bytes", || self.rng.bytes(32));
-        self.server_random.copy_from_slice(&random);
+        let mut server_random = [0; 32];
+        self.anatomy.time(1, "rand_pseudo_bytes", || self.rng.fill_bytes(&mut server_random));
         let peer = crate::dhe::validate_public(&hello.key_share)?;
         self.anatomy.step(1, sw.elapsed());
 
         // Step 2: dhe_key_exchange, all of it in the job. The job draws the
         // ephemeral exponent from a *clone* of the connection rng, so the
         // connection's own stream never advances whoever runs it.
-        self.state = ServerState::AwaitKxCrypto;
+        self.state = ServerState::AwaitKxCrypto { server_random };
         let job = CryptoJob::new(CryptoOp::DheAgree { peer }, self.rng.clone());
         Ok(MachineStep::PendingCrypto(Box::new(job)))
     }
@@ -449,7 +447,12 @@ impl<'a> Tls13ServerMachine<'a> {
     /// Step 2's conclusion, then steps 3–8: ServerHello through Finished.
     /// The job's queue wait is kept aside for the ledger, out of the step's
     /// latency and the crypto ledger.
-    fn finish_kx(&mut self, done: CryptoDone, out: &mut Vec<u8>) -> Result<(), SslError> {
+    fn finish_kx(
+        &mut self,
+        server_random: &[u8; 32],
+        done: CryptoDone,
+        out: &mut Vec<u8>,
+    ) -> Result<(), SslError> {
         let sw = Stopwatch::start();
         let CryptoOutput::Dhe(agreed) = self.anatomy.resume_kx(2, "kx_exec", done)? else {
             return Err(SslError::NotReady("crypto result kind"));
@@ -458,7 +461,7 @@ impl<'a> Tls13ServerMachine<'a> {
 
         // Step 4: send_server_hello (plaintext, carrying our key share).
         let sw = Stopwatch::start();
-        let sh = encode_server_hello(&self.server_random, self.suite.wire_id(), &agreed.public);
+        let sh = encode_server_hello(server_random, self.suite.wire_id(), &agreed.public);
         self.absorb(4, &sh);
         self.records.seal_append(ContentType::Handshake, &sh, out)?;
         self.anatomy.step(4, sw.elapsed());
@@ -523,31 +526,34 @@ impl<'a> Tls13ServerMachine<'a> {
         self.absorb(8, &fin);
         self.records.seal_append(ContentType::Handshake, &fin, out)?;
         let th_ch_sfin = self.th();
-        let ap = self
+        let (client_ap, server_ap) = self
             .anatomy
             .time(8, "hkdf_key_schedule", || application_secrets(&secrets.master, &th_ch_sfin));
-        self.app_secrets = Some(ap);
         let expected =
             self.anatomy.time(8, "hmac_finished", || verify_data(&secrets.client_hs, &th_ch_sfin));
-        self.expected_client_finished = Some(expected);
         self.anatomy.step(8, sw.elapsed());
 
-        self.state = ServerState::AwaitClientFinished;
+        self.state = ServerState::AwaitClientFinished { expected, client_ap, server_ap };
         Ok(())
     }
 
     /// Step 9: verify the client Finished and switch to application keys.
-    fn on_client_finished(&mut self, msg: &[u8], open_cycles: Cycles) -> Result<(), SslError> {
+    fn on_client_finished(
+        &mut self,
+        msg: &[u8],
+        open_cycles: Cycles,
+        expected: &[u8],
+        client_ap: &[u8],
+        server_ap: &[u8],
+    ) -> Result<(), SslError> {
         let sw = Stopwatch::start();
         let body = body_of(msg, MT_FINISHED, "client finished")?;
-        let expected = self.expected_client_finished.take().expect("computed at send_finished");
-        if body != expected.as_slice() {
+        if body != expected {
             return Err(SslError::BadFinished);
         }
         self.absorb(9, msg);
-        let (client_ap, server_ap) = self.app_secrets.take().expect("derived at send_finished");
-        activate_epoch(&mut self.records, self.suite, &server_ap, true)?;
-        activate_epoch(&mut self.records, self.suite, &client_ap, false)?;
+        activate_epoch(&mut self.records, self.suite, server_ap, true)?;
+        activate_epoch(&mut self.records, self.suite, client_ap, false)?;
         self.anatomy.step(9, sw.elapsed() + open_cycles);
         self.state = ServerState::Established;
         Ok(())
@@ -565,25 +571,28 @@ impl EngineDriven for Tls13ServerMachine<'_> {
         open_cycles: Cycles,
         _out: &mut Vec<u8>,
     ) -> Result<MachineStep, SslError> {
-        match self.state {
+        match std::mem::replace(&mut self.state, ServerState::Failed) {
             ServerState::AwaitClientHello => self.on_client_hello(msg, open_cycles),
-            ServerState::AwaitClientFinished => {
-                self.on_client_finished(msg, open_cycles).map(|()| MachineStep::Continue)
-            }
-            ServerState::AwaitKxCrypto => {
+            ServerState::AwaitClientFinished { expected, client_ap, server_ap } => self
+                .on_client_finished(msg, open_cycles, &expected, &client_ap, &server_ap)
+                .map(|()| MachineStep::Continue),
+            ServerState::AwaitKxCrypto { .. } => {
                 Err(SslError::UnexpectedMessage { expected: "crypto completion" })
             }
             ServerState::Established => {
                 Err(SslError::UnexpectedMessage { expected: "application data" })
             }
+            ServerState::Failed => Err(SslError::NotReady("handshake not in progress")),
         }
     }
 
     fn complete_crypto(&mut self, done: CryptoDone, out: &mut Vec<u8>) -> Result<(), SslError> {
-        if self.state != ServerState::AwaitKxCrypto {
+        let ServerState::AwaitKxCrypto { server_random } =
+            std::mem::replace(&mut self.state, ServerState::Failed)
+        else {
             return Err(SslError::NotReady("no crypto operation pending"));
-        }
-        self.finish_kx(done, out)
+        };
+        self.finish_kx(&server_random, done, out)
     }
 
     fn crypto_key(&self) -> Option<&RsaPrivateKey> {
@@ -595,6 +604,7 @@ impl EngineDriven for Tls13ServerMachine<'_> {
         _body: &[u8],
         _open_cycles: Cycles,
     ) -> Result<(), SslError> {
+        self.state = ServerState::Failed;
         Err(SslError::UnexpectedMessage { expected: "handshake message (no CCS in TLS 1.3)" })
     }
 
@@ -603,7 +613,7 @@ impl EngineDriven for Tls13ServerMachine<'_> {
     }
 
     fn handshake_done(&self) -> bool {
-        self.state == ServerState::Established
+        matches!(self.state, ServerState::Established)
     }
 
     fn accepts_record_version(&self, major: u8, minor: u8) -> bool {
@@ -615,14 +625,23 @@ impl EngineDriven for Tls13ServerMachine<'_> {
 // Client machine
 // ---------------------------------------------------------------------------
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Where the client is in the handshake, holding what is valid there:
+/// from `start` the key pair until the ServerHello, then the handshake
+/// secrets until the server Finished, beside the server certificate's key
+/// for CertificateVerify. `Failed` is left behind as the server's is.
+// The key is inline, as the field it replaced was: one state per
+// connection, so boxing it would only add an allocation per handshake.
+#[allow(clippy::large_enum_variant)]
+#[derive(Debug)]
 enum ClientState {
-    AwaitServerHello,
-    AwaitEncryptedExts,
-    AwaitCertificate,
-    AwaitCertVerify,
-    AwaitServerFinished,
+    Start,
+    AwaitServerHello { dhe: DheKeyPair },
+    AwaitEncryptedExts { secrets: HandshakeSecrets },
+    AwaitCertificate { secrets: HandshakeSecrets },
+    AwaitCertVerify { secrets: HandshakeSecrets, server_key: RsaPublicKey },
+    AwaitServerFinished { secrets: HandshakeSecrets },
     Established,
+    Failed,
 }
 
 /// The client side of the TLS 1.3-style handshake. Clients never offload:
@@ -634,11 +653,6 @@ pub struct Tls13ClientMachine {
     transcript: Sha256,
     state: ClientState,
     suite: CipherSuite,
-    dhe: Option<DheKeyPair>,
-    /// Handshake secrets, live between ServerHello and Finished.
-    secrets: Option<HandshakeSecrets>,
-    /// The server certificate's public key, for CertificateVerify.
-    server_key: Option<RsaPublicKey>,
 }
 
 impl Tls13ClientMachine {
@@ -649,11 +663,8 @@ impl Tls13ClientMachine {
             rng,
             records: RecordLayer::with_wire_version(WIRE_VERSION),
             transcript: Sha256::new(),
-            state: ClientState::AwaitServerHello,
+            state: ClientState::Start,
             suite,
-            dhe: None,
-            secrets: None,
-            server_key: None,
         }
     }
 
@@ -670,27 +681,25 @@ impl Tls13ClientMachine {
     /// True once the handshake completed.
     #[must_use]
     pub fn is_established(&self) -> bool {
-        self.state == ClientState::Established
+        matches!(self.state, ClientState::Established)
     }
 
-    fn on_server_hello(&mut self, msg: &[u8]) -> Result<(), SslError> {
+    fn on_server_hello(&mut self, msg: &[u8], dhe: &DheKeyPair) -> Result<(), SslError> {
         let hello = decode_server_hello(msg)?;
         if hello.suite != self.suite.wire_id() {
             return Err(SslError::NoCommonCipher);
         }
         let peer = crate::dhe::validate_public(&hello.key_share)?;
-        let pair = self.dhe.take().expect("key pair generated at start");
-        let shared = pair.agree(&peer);
+        let shared = dhe.agree(&peer);
         self.transcript.update(msg);
         let secrets = handshake_secrets(&shared, &self.th());
         activate_epoch(&mut self.records, self.suite, &secrets.server_hs, false)?;
         activate_epoch(&mut self.records, self.suite, &secrets.client_hs, true)?;
-        self.secrets = Some(secrets);
-        self.state = ClientState::AwaitEncryptedExts;
+        self.state = ClientState::AwaitEncryptedExts { secrets };
         Ok(())
     }
 
-    fn on_encrypted_exts(&mut self, msg: &[u8]) -> Result<(), SslError> {
+    fn on_encrypted_exts(&mut self, msg: &[u8], secrets: HandshakeSecrets) -> Result<(), SslError> {
         let body = body_of(msg, MT_ENCRYPTED_EXTENSIONS, "encrypted extensions")?;
         let mut r = Reader { buf: body };
         let block_len = r.u16()? as usize;
@@ -698,11 +707,11 @@ impl Tls13ClientMachine {
             return Err(SslError::Decode("encrypted extensions"));
         }
         self.transcript.update(msg);
-        self.state = ClientState::AwaitCertificate;
+        self.state = ClientState::AwaitCertificate { secrets };
         Ok(())
     }
 
-    fn on_certificate(&mut self, msg: &[u8]) -> Result<(), SslError> {
+    fn on_certificate(&mut self, msg: &[u8], secrets: HandshakeSecrets) -> Result<(), SslError> {
         let body = body_of(msg, MT_CERTIFICATE, "certificate")?;
         let mut r = Reader { buf: body };
         let len = r.u24()? as usize;
@@ -710,14 +719,18 @@ impl Tls13ClientMachine {
         if !r.buf.is_empty() {
             return Err(SslError::Decode("certificate message"));
         }
-        let cert = Certificate::from_bytes(wire)?;
-        self.server_key = Some(cert.public_key()?);
+        let server_key = Certificate::from_bytes(wire)?.public_key()?;
         self.transcript.update(msg);
-        self.state = ClientState::AwaitCertVerify;
+        self.state = ClientState::AwaitCertVerify { secrets, server_key };
         Ok(())
     }
 
-    fn on_cert_verify(&mut self, msg: &[u8]) -> Result<(), SslError> {
+    fn on_cert_verify(
+        &mut self,
+        msg: &[u8],
+        secrets: HandshakeSecrets,
+        server_key: &RsaPublicKey,
+    ) -> Result<(), SslError> {
         let body = body_of(msg, MT_CERTIFICATE_VERIFY, "certificate verify")?;
         let mut r = Reader { buf: body };
         let scheme = r.u16()?;
@@ -730,16 +743,19 @@ impl Tls13ClientMachine {
             return Err(SslError::Decode("certificate verify"));
         }
         let content = cert_verify_content(&self.th());
-        let key = self.server_key.as_ref().expect("certificate precedes verify");
-        key.verify_pkcs1(HashAlg::Sha256, &content, sig)?;
+        server_key.verify_pkcs1(HashAlg::Sha256, &content, sig)?;
         self.transcript.update(msg);
-        self.state = ClientState::AwaitServerFinished;
+        self.state = ClientState::AwaitServerFinished { secrets };
         Ok(())
     }
 
-    fn on_server_finished(&mut self, msg: &[u8], out: &mut Vec<u8>) -> Result<(), SslError> {
+    fn on_server_finished(
+        &mut self,
+        msg: &[u8],
+        secrets: &HandshakeSecrets,
+        out: &mut Vec<u8>,
+    ) -> Result<(), SslError> {
         let body = body_of(msg, MT_FINISHED, "server finished")?;
-        let secrets = self.secrets.take().expect("derived at server hello");
         let expected = verify_data(&secrets.server_hs, &self.th());
         if body != expected.as_slice() {
             return Err(SslError::BadFinished);
@@ -762,17 +778,16 @@ impl Tls13ClientMachine {
 
 impl EngineDriven for Tls13ClientMachine {
     fn start(&mut self, out: &mut Vec<u8>) -> Result<(), SslError> {
-        if self.dhe.is_some() || self.state != ClientState::AwaitServerHello {
+        let ClientState::Start = std::mem::replace(&mut self.state, ClientState::Failed) else {
             return Err(SslError::NotReady("connection already started"));
-        }
+        };
         let mut random = [0u8; 32];
-        let bytes = self.rng.bytes(32);
-        random.copy_from_slice(&bytes);
+        self.rng.fill_bytes(&mut random);
         let pair = DheKeyPair::generate(&mut self.rng);
         let hello = encode_client_hello(&random, &[self.suite.wire_id()], pair.public());
-        self.dhe = Some(pair);
         self.transcript.update(&hello);
         self.records.seal_append(ContentType::Handshake, &hello, out)?;
+        self.state = ClientState::AwaitServerHello { dhe: pair };
         Ok(())
     }
 
@@ -782,14 +797,21 @@ impl EngineDriven for Tls13ClientMachine {
         _open_cycles: Cycles,
         out: &mut Vec<u8>,
     ) -> Result<MachineStep, SslError> {
-        match self.state {
-            ClientState::AwaitServerHello => self.on_server_hello(msg),
-            ClientState::AwaitEncryptedExts => self.on_encrypted_exts(msg),
-            ClientState::AwaitCertificate => self.on_certificate(msg),
-            ClientState::AwaitCertVerify => self.on_cert_verify(msg),
-            ClientState::AwaitServerFinished => self.on_server_finished(msg, out),
+        match std::mem::replace(&mut self.state, ClientState::Failed) {
+            ClientState::AwaitServerHello { dhe } => self.on_server_hello(msg, &dhe),
+            ClientState::AwaitEncryptedExts { secrets } => self.on_encrypted_exts(msg, secrets),
+            ClientState::AwaitCertificate { secrets } => self.on_certificate(msg, secrets),
+            ClientState::AwaitCertVerify { secrets, server_key } => {
+                self.on_cert_verify(msg, secrets, &server_key)
+            }
+            ClientState::AwaitServerFinished { secrets } => {
+                self.on_server_finished(msg, &secrets, out)
+            }
             ClientState::Established => {
                 Err(SslError::UnexpectedMessage { expected: "application data" })
+            }
+            ClientState::Start | ClientState::Failed => {
+                Err(SslError::NotReady("handshake not in progress"))
             }
         }
         .map(|()| MachineStep::Continue)
@@ -800,6 +822,7 @@ impl EngineDriven for Tls13ClientMachine {
         _body: &[u8],
         _open_cycles: Cycles,
     ) -> Result<(), SslError> {
+        self.state = ClientState::Failed;
         Err(SslError::UnexpectedMessage { expected: "handshake message (no CCS in TLS 1.3)" })
     }
 
@@ -808,7 +831,7 @@ impl EngineDriven for Tls13ClientMachine {
     }
 
     fn handshake_done(&self) -> bool {
-        self.state == ClientState::Established
+        matches!(self.state, ClientState::Established)
     }
 
     fn accepts_record_version(&self, major: u8, minor: u8) -> bool {
