@@ -76,8 +76,8 @@ impl ClientSession {
 /// announcing a NewSessionTicket flight ahead of the server's CCS. Every
 /// input runs with `Failed` in place of the state it took, so a handler
 /// that returns an error leaves the machine there.
-// The key is inline, as the field it replaced was: one state per
-// connection, so boxing it would only add an allocation per handshake.
+// One state per connection: boxing the key would only add an
+// allocation per handshake.
 #[allow(clippy::large_enum_variant)]
 #[derive(Debug)]
 enum State {

@@ -629,8 +629,8 @@ impl EngineDriven for Tls13ServerMachine<'_> {
 /// from `start` the key pair until the ServerHello, then the handshake
 /// secrets until the server Finished, beside the server certificate's key
 /// for CertificateVerify. `Failed` is left behind as the server's is.
-// The key is inline, as the field it replaced was: one state per
-// connection, so boxing it would only add an allocation per handshake.
+// One state per connection: boxing the key would only add an
+// allocation per handshake.
 #[allow(clippy::large_enum_variant)]
 #[derive(Debug)]
 enum ClientState {
