@@ -14,7 +14,7 @@
 
 use crate::experiments::{pct, BlockingBaseline, ExperimentError};
 use crate::Context;
-use sslperf_net::{EventLoopServer, FleetSnapshot, MetricsSnapshot, ServerFleet, ServerOptions};
+use sslperf_net::{EventLoopServer, MetricsSnapshot, ServerFleet, ServerOptions};
 use sslperf_rsa::RsaPrivateKey;
 use sslperf_ssl::{Protocol, TicketKeyring};
 use sslperf_websim::loadgen::{
@@ -480,8 +480,10 @@ pub struct RestartArm {
     pub label: String,
     /// Client-side restart-survival report.
     pub report: RestartLoadReport,
-    /// Fleet-wide server counters, killed instances included.
-    pub fleet: FleetSnapshot,
+    /// Fleet-wide server stats, killed instances included.
+    pub fleet: MetricsSnapshot,
+    /// Instances killed during the arm.
+    pub retired_instances: usize,
 }
 
 /// Results of the restart-survival experiment: stateless-ticket
@@ -568,8 +570,9 @@ fn restart_arm(
         }
     })?;
     let snapshot = fleet.aggregated();
+    let retired_instances = fleet.retired_instances();
     fleet.shutdown();
-    Ok(RestartArm { label: label.to_string(), report, fleet: snapshot })
+    Ok(RestartArm { label: label.to_string(), report, fleet: snapshot, retired_instances })
 }
 
 /// Runs the restart-survival experiment: the same full-fleet restart
@@ -687,7 +690,7 @@ mod tests {
         assert_eq!(id.established, rs.clients, "every id-cache client establishes");
         assert_eq!(id.resumed, 0, "id-cache sessions die with the instances");
         assert_eq!(rs.id_cache.fleet.tickets_issued, 0, "no keyring, no tickets");
-        assert_eq!(rs.ticket.fleet.retired_instances, rs.instances, "all instances restarted");
+        assert_eq!(rs.ticket.retired_instances, rs.instances, "all instances restarted");
         let rendered = rs.to_string();
         assert!(rendered.contains("Restart survival"), "{rendered}");
         assert!(rendered.contains("session tickets"), "{rendered}");

@@ -216,6 +216,18 @@ impl HistogramSnapshot {
         self.max
     }
 
+    /// Adds `other`'s observations to this snapshot, bucket by bucket, so
+    /// the quantiles of the merge are those of one histogram that had
+    /// recorded both.
+    pub fn merge(&mut self, other: &HistogramSnapshot) {
+        for (mine, theirs) in self.counts.iter_mut().zip(&other.counts) {
+            *mine += theirs;
+        }
+        self.count += other.count;
+        self.sum += other.sum;
+        self.max = self.max.max(other.max);
+    }
+
     /// Arithmetic mean, or 0 for an empty snapshot.
     #[must_use]
     pub fn mean(&self) -> u64 {
@@ -350,6 +362,27 @@ mod tests {
         assert_eq!(sa.max(), sb.max());
         assert_eq!(sa.p50(), sb.p50());
         assert_eq!(sa.p99(), sb.p99());
+    }
+
+    #[test]
+    fn merged_snapshots_equal_one_histogram_of_both() {
+        let (a, b, both) = (Histogram::new(), Histogram::new(), Histogram::new());
+        for v in (1..=300u64).map(|v| v * 7) {
+            let half = if v % 2 == 0 { &a } else { &b };
+            half.record(v);
+            both.record(v);
+        }
+        let mut merged = a.snapshot();
+        merged.merge(&b.snapshot());
+        let whole = both.snapshot();
+        assert_eq!(merged.counts, whole.counts);
+        assert_eq!(
+            (merged.count(), merged.sum(), merged.max()),
+            (whole.count(), whole.sum(), whole.max())
+        );
+        let mut empty = Histogram::new().snapshot();
+        empty.merge(&whole);
+        assert_eq!((empty.p50(), empty.p99()), (whole.p50(), whole.p99()));
     }
 
     #[test]

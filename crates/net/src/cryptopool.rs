@@ -27,12 +27,6 @@ use std::sync::atomic::Ordering;
 use std::sync::mpsc::Sender;
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
-use std::time::Duration;
-
-/// How long workers sleep between condition checks; submissions, kills
-/// and shutdown all notify, so this only bounds the staleness of checks
-/// no one signalled.
-const IDLE_WAIT: Duration = Duration::from_millis(10);
 
 /// Why [`CryptoPool::try_submit`] did not accept a job. The refusal is
 /// permanent — the event loop fails the connection — and the job comes
@@ -269,7 +263,10 @@ fn collect_batch(index: usize, shared: &Shared) -> Option<Vec<CryptoTask>> {
         if !st.open {
             break None;
         }
-        st = shared.ready.wait_timeout(st, IDLE_WAIT).expect("pool lock").0;
+        // Submissions, kills and shutdown change the state under this
+        // lock and then notify, so no wake-up is lost between the checks
+        // above and the wait.
+        st = shared.ready.wait(st).expect("pool lock");
     };
     st.idle[index] = false;
     let mut batch = Vec::with_capacity(shared.batch_max);
@@ -345,6 +342,7 @@ mod tests {
     };
     use std::sync::mpsc;
     use std::sync::OnceLock;
+    use std::time::Duration;
 
     fn config() -> Arc<ServerConfig> {
         let mut rng = SslRng::from_seed(b"cryptopool-test-key");

@@ -25,6 +25,11 @@
 //! protocol machine — and a 1 KiB one is one fragment, one refill, one
 //! write.
 //!
+//! Every shard accepts from one shared non-blocking listener: the
+//! server's own, or, under [`ServerFleet`](crate::ServerFleet), the
+//! fleet's, which the shards of all its instances share, so the kernel's
+//! one accept queue feeds whichever shard asks first.
+//!
 //! A thread-per-connection server
 //! caps its concurrency at its thread count; one shard carries an order
 //! of magnitude more concurrent handshakes, which is the C10k argument
@@ -67,8 +72,8 @@ use sslperf_websim::http::HttpRequest;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{self, Receiver, Sender};
-use std::sync::{Arc, Mutex};
+use std::sync::mpsc::{self, Sender};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -91,32 +96,6 @@ const OUTBOX_LOW_WATER: usize = 4 * MAX_FRAGMENT;
 /// shard serves nobody else meanwhile; with it a bulk download yields to
 /// the other connections every four records.
 const REFILLS_PER_PUMP: usize = 4;
-
-/// Where a shard gets new sockets from.
-///
-/// A standalone [`EventLoopServer`] owns its listener and every shard
-/// accepts straight off it (`Bound`). Under [`crate::ServerFleet`] the
-/// fleet owns the one bound socket and a fan thread distributes accepted
-/// streams to instances over channels (`Fed`) — the std-only stand-in for
-/// `SO_REUSEPORT`, which needs `setsockopt` and therefore unsafe code.
-#[derive(Debug, Clone)]
-pub(crate) enum Intake {
-    /// Accept directly from a shared non-blocking listener.
-    Bound(Arc<TcpListener>),
-    /// Receive sockets pre-accepted by a fan thread.
-    Fed(Arc<Mutex<Receiver<TcpStream>>>),
-}
-
-impl Intake {
-    /// Takes the next pending socket without blocking, or `None` when the
-    /// backlog is empty (or the source is gone).
-    fn next(&self) -> Option<TcpStream> {
-        match self {
-            Intake::Bound(listener) => listener.accept().ok().map(|(stream, _)| stream),
-            Intake::Fed(feed) => feed.lock().ok()?.try_recv().ok(),
-        }
-    }
-}
 
 /// A running SSL web server.
 ///
@@ -148,28 +127,25 @@ impl EventLoopServer {
         name: &str,
         options: &ServerOptions,
     ) -> Result<Self, SslError> {
-        let listener = TcpListener::bind(&options.addr).map_err(|e| SslError::Io(e.to_string()))?;
-        listener.set_nonblocking(true).map_err(|e| SslError::Io(e.to_string()))?;
-        let addr = listener.local_addr().map_err(|e| SslError::Io(e.to_string()))?;
-        Self::start_with_intake(key, name, options, Intake::Bound(Arc::new(listener)), addr, "")
+        Self::start_on(key, name, options, bind(options)?, "")
     }
 
-    /// The shared start path: `start` hands it a bound listener, the fleet
-    /// hands it a channel fed by the accept-fan thread. `seed_tag`
-    /// distinguishes the per-connection RNG streams of servers that
-    /// coexist behind one address — without it, two fleet instances would
-    /// draw identical "random" session ids for their nth connections,
-    /// and a fresh full-handshake id could collide with the id another
-    /// instance handed the same client. Empty keeps the standalone
-    /// seeding unchanged.
-    pub(crate) fn start_with_intake(
+    /// The shared start path: every shard accepts from `listener`, which
+    /// `start` binds for this server alone and the fleet binds once for
+    /// all its instances. `seed_tag` distinguishes the per-connection RNG
+    /// streams of servers that coexist behind one address — without it,
+    /// two fleet instances would draw identical "random" session ids for
+    /// their nth connections, and a fresh full-handshake id could collide
+    /// with the id another instance handed the same client. Empty keeps
+    /// the standalone seeding unchanged.
+    pub(crate) fn start_on(
         key: RsaPrivateKey,
         name: &str,
         options: &ServerOptions,
-        intake: Intake,
-        addr: SocketAddr,
+        listener: Arc<TcpListener>,
         seed_tag: &str,
     ) -> Result<Self, SslError> {
+        let addr = listener.local_addr().map_err(|e| SslError::Io(e.to_string()))?;
         let cache = Arc::new(ShardedSessionCache::with_ttl(
             options.cache_shards,
             options.cache_capacity_per_shard,
@@ -195,7 +171,7 @@ impl EventLoopServer {
         });
         let shards = (0..options.shards)
             .map(|shard| {
-                let intake = intake.clone();
+                let listener = Arc::clone(&listener);
                 let config = Arc::clone(&config);
                 let stats = Arc::clone(&stats);
                 let stop = Arc::clone(&stop);
@@ -205,7 +181,7 @@ impl EventLoopServer {
                     shard_loop(
                         shard,
                         &seed_prefix,
-                        &intake,
+                        &listener,
                         &config,
                         &stats,
                         &stop,
@@ -232,12 +208,6 @@ impl EventLoopServer {
     #[must_use]
     pub fn stats(&self) -> &ServerStats {
         &self.stats
-    }
-
-    /// A shared handle to the counters, so the fleet can keep aggregating
-    /// an instance's numbers after the instance itself is killed.
-    pub(crate) fn stats_arc(&self) -> Arc<ServerStats> {
-        Arc::clone(&self.stats)
     }
 
     /// The sharded session cache (hit/miss counters live here).
@@ -267,7 +237,9 @@ impl EventLoopServer {
         self.stop_threads();
     }
 
-    fn stop_threads(&mut self) {
+    /// Joins every thread that records into [`EventLoopServer::stats`]:
+    /// after this the registry holds the server's final numbers.
+    pub(crate) fn stop_threads(&mut self) {
         self.stop.store(true, Ordering::SeqCst);
         // The listener is non-blocking, so shards notice the flag on their
         // next sweep without any unblocking trick.
@@ -284,6 +256,14 @@ impl Drop for EventLoopServer {
     fn drop(&mut self) {
         self.stop_threads();
     }
+}
+
+/// Binds the non-blocking listener at `options.addr` that a server's (or a
+/// fleet's) shards accept from.
+pub(crate) fn bind(options: &ServerOptions) -> Result<Arc<TcpListener>, SslError> {
+    let listener = TcpListener::bind(&options.addr).map_err(|e| SslError::Io(e.to_string()))?;
+    listener.set_nonblocking(true).map_err(|e| SslError::Io(e.to_string()))?;
+    Ok(Arc::new(listener))
 }
 
 /// A shard's handle to the crypto offload machinery: the shared pool plus
@@ -304,7 +284,7 @@ struct Offload<'p> {
 fn shard_loop(
     shard: usize,
     seed_prefix: &str,
-    intake: &Intake,
+    listener: &TcpListener,
     config: &ServerConfig,
     stats: &ServerStats,
     stop: &AtomicBool,
@@ -320,7 +300,7 @@ fn shard_loop(
     while !stop.load(Ordering::SeqCst) {
         let mut progress = false;
         // Accept burst: drain the backlog, then get back to serving.
-        while let Some(stream) = intake.next() {
+        while let Ok((stream, _)) = listener.accept() {
             progress = true;
             seq += 1;
             let seed = format!("{seed_prefix}-{shard}-{seq}");

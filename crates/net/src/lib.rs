@@ -13,8 +13,8 @@
 //! slab of fixed-size slots per shard with O(1) lookup, store and
 //! eviction, 112 bytes per session at the default 8 × 1024 geometry that
 //! [`ServerOptions`] and [`ServerConfig::new`](sslperf_ssl::ServerConfig::new)
-//! share. [`ServerFleet`] runs several instances behind one address,
-//! resuming each other's sessions through shared ticket keys.
+//! share. [`ServerFleet`] runs several instances on one shared listening
+//! socket, resuming each other's sessions through shared ticket keys.
 //!
 //! Every server records what it serves in one registry, [`ServerStats`]:
 //! connections, transactions, ticket verdicts, crypto-pool batches and the
@@ -63,7 +63,7 @@ mod server;
 
 pub use cryptopool::{CryptoPool, PoolReply, SubmitError};
 pub use eventloop::EventLoopServer;
-pub use fleet::{FleetSnapshot, ServerFleet};
+pub use fleet::ServerFleet;
 pub use metrics::{MetricsSnapshot, ServerStats, StepSnapshot};
 pub use server::{OptionsError, ServerOptions, ServerOptionsBuilder};
 pub use sslperf_ssl::ShardedSessionCache;

@@ -379,6 +379,8 @@ impl ServerStats {
             tickets_accepted: self.tickets_accepted.get(),
             tickets_rejected: self.tickets_rejected.get(),
             tickets_expired: self.tickets_expired.get(),
+            errors: self.errors.get(),
+            timeouts: self.timeouts.get(),
         }
     }
 }
@@ -456,9 +458,109 @@ pub struct MetricsSnapshot {
     pub tickets_rejected: u64,
     /// Tickets rejected as expired (silent full handshake).
     pub tickets_expired: u64,
+    /// Connections dropped on protocol or transport errors.
+    pub errors: u64,
+    /// Connections evicted after stalling past the I/O timeout.
+    pub timeouts: u64,
 }
 
 impl MetricsSnapshot {
+    /// Adds `other`'s records to this snapshot: counters add up and
+    /// histograms merge bucket by bucket, so the merge of several servers'
+    /// snapshots renders as one server that served all their traffic.
+    pub fn merge(&mut self, other: &MetricsSnapshot) {
+        // Destructured field by field, so a field added to the snapshot
+        // does not compile until it is merged here too.
+        let MetricsSnapshot {
+            steps,
+            tls13_steps,
+            kx_queue_wait,
+            kx_exec,
+            full_handshake,
+            resumed_handshake,
+            tls13_full_handshake,
+            full_crypto_cycles,
+            resumed_crypto_cycles,
+            tls13_crypto_cycles,
+            records_opened,
+            records_sealed,
+            bytes_in,
+            bytes_out,
+            open_cycles,
+            seal_cycles,
+            record_crypto_cycles,
+            respond_cycles,
+            transactions,
+            batch_size,
+            exec_solo,
+            exec_amortized,
+            tickets_issued,
+            tickets_accepted,
+            tickets_rejected,
+            tickets_expired,
+            errors,
+            timeouts,
+        } = other;
+        for (mine, theirs) in
+            self.steps.iter_mut().chain(&mut self.tls13_steps).zip(steps.iter().chain(tls13_steps))
+        {
+            mine.latency.merge(&theirs.latency);
+        }
+        for (mine, theirs) in [
+            (&mut self.kx_queue_wait, kx_queue_wait),
+            (&mut self.kx_exec, kx_exec),
+            (&mut self.full_handshake, full_handshake),
+            (&mut self.resumed_handshake, resumed_handshake),
+            (&mut self.tls13_full_handshake, tls13_full_handshake),
+            (&mut self.batch_size, batch_size),
+            (&mut self.exec_solo, exec_solo),
+            (&mut self.exec_amortized, exec_amortized),
+        ] {
+            mine.merge(theirs);
+        }
+        for (mine, theirs) in [
+            (&mut self.full_crypto_cycles, full_crypto_cycles),
+            (&mut self.resumed_crypto_cycles, resumed_crypto_cycles),
+            (&mut self.tls13_crypto_cycles, tls13_crypto_cycles),
+            (&mut self.records_opened, records_opened),
+            (&mut self.records_sealed, records_sealed),
+            (&mut self.bytes_in, bytes_in),
+            (&mut self.bytes_out, bytes_out),
+            (&mut self.open_cycles, open_cycles),
+            (&mut self.seal_cycles, seal_cycles),
+            (&mut self.record_crypto_cycles, record_crypto_cycles),
+            (&mut self.respond_cycles, respond_cycles),
+            (&mut self.transactions, transactions),
+            (&mut self.tickets_issued, tickets_issued),
+            (&mut self.tickets_accepted, tickets_accepted),
+            (&mut self.tickets_rejected, tickets_rejected),
+            (&mut self.tickets_expired, tickets_expired),
+            (&mut self.errors, errors),
+            (&mut self.timeouts, timeouts),
+        ] {
+            *mine += theirs;
+        }
+    }
+
+    /// Connections whose handshake completed, as
+    /// [`ServerStats::connections`] counts them.
+    #[must_use]
+    pub fn connections(&self) -> u64 {
+        self.full_handshakes() + self.resumed_handshakes()
+    }
+
+    /// Handshakes that ran a full key exchange, either protocol.
+    #[must_use]
+    pub fn full_handshakes(&self) -> u64 {
+        self.full_handshake.count() + self.tls13_full_handshake.count()
+    }
+
+    /// Handshakes resumed from the session cache or a ticket.
+    #[must_use]
+    pub fn resumed_handshakes(&self) -> u64 {
+        self.resumed_handshake.count()
+    }
+
     /// Crypto's share of full-handshake processing, in percent — the live
     /// Table 3 number (the paper reports ~91% at 1024-bit keys).
     #[must_use]

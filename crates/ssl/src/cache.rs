@@ -123,7 +123,9 @@ pub trait SessionStore: Send + Sync + Debug {
     }
 
     /// Seals `session` into a fresh ticket, or `None` when tickets are
-    /// unsupported (the caller then relies on the id cache alone).
+    /// unsupported. A store that [supports tickets](Self::supports_tickets)
+    /// must issue one: the server hello has already announced it, so a
+    /// `None` there fails the handshake.
     fn issue_ticket(&self, _session: &CachedSession) -> Option<IssuedTicket> {
         None
     }

@@ -427,10 +427,14 @@ impl EngineDriven for SslClient {
     }
 
     fn on_change_cipher_spec(&mut self, body: &[u8], _open_cycles: Cycles) -> Result<(), SslError> {
-        let State::AwaitServerCcs { .. } = std::mem::replace(&mut self.state, State::Failed) else {
-            return Err(SslError::UnexpectedMessage { expected: "handshake message" });
-        };
-        self.on_server_ccs(body)
+        match std::mem::replace(&mut self.state, State::Failed) {
+            State::AwaitServerCcs { ticket: false } => self.on_server_ccs(body),
+            // RFC 5077: an announced NewSessionTicket comes before the CCS.
+            State::AwaitServerCcs { ticket: true } => {
+                Err(SslError::UnexpectedMessage { expected: "new session ticket" })
+            }
+            _ => Err(SslError::UnexpectedMessage { expected: "handshake message" }),
+        }
     }
 
     fn record_layer(&mut self) -> &mut RecordLayer {

@@ -163,11 +163,10 @@ impl ServerConfig {
 /// Where the server is in the handshake, holding what is valid there.
 ///
 /// `AwaitKxCrypto` is suspended mid-step-5, waiting for the executed
-/// [`CryptoJob`]'s result. `AwaitClientCcs` holds the client finished
-/// hashes when they are already known: a resumed handshake sends the
-/// server finished first, a full one computes them at the CCS (step 6).
-/// Step 6 (`get_finished`) spans two records (CCS then finished), which an
-/// event-driven driver may deliver in separate readiness events, so
+/// [`CryptoJob`]'s result. The expected client finished hashes are
+/// computed at the client's CCS (step 6) on either handshake, as OpenSSL
+/// does. Step 6 (`get_finished`) spans two records (CCS then finished),
+/// which an event-driven driver may deliver in separate readiness events, so
 /// `AwaitClientFinished` also holds the step's timing so far. Every input
 /// runs with `Failed` in place of the state it took, so a handler that
 /// returns an error leaves the machine there and later inputs are refused.
@@ -176,7 +175,7 @@ enum State {
     AwaitClientHello,
     AwaitClientKx,
     AwaitKxCrypto,
-    AwaitClientCcs { expected: Option<([u8; 16], [u8; 20])> },
+    AwaitClientCcs,
     AwaitClientFinished { expected: ([u8; 16], [u8; 20]), step6: Cycles },
     Established,
     Failed,
@@ -430,8 +429,7 @@ impl<'a> SslServer<'a> {
             // Abbreviated handshake: CCS + finished immediately, so the
             // client's finished covers ours.
             self.send_ccs_and_finished(out)?;
-            let expected = self.transcript.finished_hashes(&SENDER_CLIENT, &self.master);
-            self.state = State::AwaitClientCcs { expected: Some(expected) };
+            self.state = State::AwaitClientCcs;
             return Ok(());
         }
 
@@ -513,20 +511,17 @@ impl<'a> SslServer<'a> {
             kdf::master_secret(pre_master, &self.client_random, &self.server_random)
         });
         self.anatomy.end_kx(5, sw.elapsed());
-        self.state = State::AwaitClientCcs { expected: None };
+        self.state = State::AwaitClientCcs;
         Ok(())
     }
 
-    /// Step 6a: the client's CCS — generate the key block, switch the read
-    /// cipher, pre-compute the expected finished hashes unless `expected`
-    /// holds them. The step's timing waits in the next state until the
+    /// Step 6a: the client's CCS — generate the key block (on a full
+    /// handshake), switch the read cipher, pre-compute the expected
+    /// finished hashes over the transcript as it stands: the client's
+    /// messages on a full handshake, the hellos and the server finished on
+    /// a resumed one. The step's timing waits in the next state until the
     /// finished message completes it.
-    fn on_client_ccs(
-        &mut self,
-        body: &[u8],
-        open_cycles: Cycles,
-        expected: Option<([u8; 16], [u8; 20])>,
-    ) -> Result<(), SslError> {
+    fn on_client_ccs(&mut self, body: &[u8], open_cycles: Cycles) -> Result<(), SslError> {
         let sw = Stopwatch::start();
         if body != [1] {
             return Err(SslError::UnexpectedMessage { expected: "change cipher spec" });
@@ -536,10 +531,8 @@ impl<'a> SslServer<'a> {
         let read_cipher = suite.new_cipher(&km.client_key, &km.client_iv)?;
         let mac_key = km.client_mac.clone();
         self.records.activate_read(read_cipher, suite.mac_alg(), mac_key);
-        let expected = expected.unwrap_or_else(|| {
-            self.anatomy.time(6, "final_finish_mac", || {
-                self.transcript.finished_hashes(&SENDER_CLIENT, &self.master)
-            })
+        let expected = self.anatomy.time(6, "final_finish_mac", || {
+            self.transcript.finished_hashes(&SENDER_CLIENT, &self.master)
         });
         let step6 = sw.elapsed() + open_cycles;
         self.state = State::AwaitClientFinished { expected, step6 };
@@ -604,9 +597,13 @@ impl<'a> SslServer<'a> {
     /// hashes — and every non-negotiating flight — are unaffected.
     fn send_new_session_ticket(&mut self, out: &mut Vec<u8>) -> Result<(), SslError> {
         let session = CachedSession { master: self.master.clone(), suite: self.suite };
-        let Some(issued) = self.config.issue_ticket(&session) else {
-            return Ok(());
-        };
+        // The server hello announced this ticket, and the client must not
+        // take the CCS in its place: a store that issues none fails the
+        // handshake.
+        let issued = self
+            .config
+            .issue_ticket(&session)
+            .ok_or(SslError::NotReady("announced session ticket not issued"))?;
         let sw = Stopwatch::start();
         let nst = HandshakeMessage::NewSessionTicket {
             lifetime_hint_secs: issued.lifetime_hint_secs,
@@ -695,7 +692,7 @@ impl EngineDriven for SslServer<'_> {
             State::AwaitKxCrypto => {
                 Err(SslError::UnexpectedMessage { expected: "crypto completion" })
             }
-            State::AwaitClientCcs { .. } | State::Established => {
+            State::AwaitClientCcs | State::Established => {
                 Err(SslError::UnexpectedMessage { expected: "change cipher spec" })
             }
             State::Failed => Err(SslError::NotReady("handshake not in progress")),
@@ -714,11 +711,10 @@ impl EngineDriven for SslServer<'_> {
     }
 
     fn on_change_cipher_spec(&mut self, body: &[u8], open_cycles: Cycles) -> Result<(), SslError> {
-        let State::AwaitClientCcs { expected } = std::mem::replace(&mut self.state, State::Failed)
-        else {
+        let State::AwaitClientCcs = std::mem::replace(&mut self.state, State::Failed) else {
             return Err(SslError::UnexpectedMessage { expected: "handshake message" });
         };
-        self.on_client_ccs(body, open_cycles, expected)
+        self.on_client_ccs(body, open_cycles)
     }
 
     fn record_layer(&mut self) -> &mut RecordLayer {

@@ -15,8 +15,9 @@
 mod support;
 
 use sslperf::prelude::*;
+use sslperf::ssl::alert::{Alert, AlertDescription, AlertLevel};
 use sslperf::ssl::{
-    ClientSession, ContentType, CryptoJob, Engine, EngineDriven, HandshakeType, MachineStep,
+    CachedSession, ClientSession, ContentType, CryptoJob, Engine, EngineDriven, MachineStep,
     RecordBuffer, SslError,
 };
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -322,13 +323,8 @@ fn probe_machine<M: EngineDriven>(
             let (first, then) = run.unwrap_or_else(|_| panic!("{at}: panicked"));
             match (first, then) {
                 (Ok(()), _) => {
-                    let due = next.map(Input::kind);
-                    // A client whose server hello announced a ticket still
-                    // takes the CCS in the ticket's place.
-                    let ticket = HandshakeType::NewSessionTicket as u16;
-                    let lenient = probe.kind() == CCS && due == Some(ticket);
                     assert!(
-                        due == Some(probe.kind()) || lenient,
+                        next.map(Input::kind) == Some(probe.kind()),
                         "{at}: accepted where {:?} was due",
                         next.map(Input::describe)
                     );
@@ -509,4 +505,93 @@ fn tls13_client_refuses_a_server_hello_before_start() {
     let step = unstarted.on_handshake_message(server_hello, Cycles::ZERO, &mut out);
     assert!(step.is_err(), "an unstarted client took a ServerHello");
     assert!(out.is_empty());
+}
+
+#[test]
+fn ssl3_client_refuses_the_ccs_in_place_of_an_announced_ticket() {
+    let mut client =
+        Engine::new(SslClient::new(SUITE, rng("nst-c")).with_tickets()).expect("client engine");
+    let mut server =
+        Engine::new(SslServer::new(ticket_config(), rng("nst-s"))).expect("server engine");
+    server.feed_from(&mut client).expect("client hello");
+    client.feed_from(&mut server).expect("server hello flight");
+    server.feed_from(&mut client).expect("client finished flight");
+    let finish = records(&support::drain(&mut server));
+    let kinds: Vec<u8> = finish.iter().map(|record| record[0]).collect();
+    assert_eq!(kinds, [22, 20, 22], "NewSessionTicket, CCS, Finished");
+    let refused = client.feed(&finish[1]);
+    assert_eq!(refused, Err(SslError::UnexpectedMessage { expected: "new session ticket" }));
+    assert!(!client.is_established());
+}
+
+/// A store that announces tickets and issues none.
+#[derive(Debug)]
+struct AnnouncesTicketsIssuesNone;
+
+impl SessionStore for AnnouncesTicketsIssuesNone {
+    fn lookup(&self, _id: &[u8]) -> Option<CachedSession> {
+        None
+    }
+
+    fn store(&self, _id: Vec<u8>, _session: CachedSession) {}
+
+    fn supports_tickets(&self) -> bool {
+        true
+    }
+
+    fn len(&self) -> usize {
+        0
+    }
+
+    fn clear(&self) {}
+}
+
+#[test]
+fn ssl3_server_fails_the_handshake_when_an_announced_ticket_is_not_issued() {
+    let config = ServerConfig::with_store(
+        key().clone(),
+        "states.test",
+        Box::new(AnnouncesTicketsIssuesNone),
+    )
+    .expect("config");
+    let mut client =
+        Engine::new(SslClient::new(SUITE, rng("no-nst-c")).with_tickets()).expect("client engine");
+    let mut server = Engine::new(SslServer::new(&config, rng("no-nst-s"))).expect("server engine");
+    server.feed_from(&mut client).expect("client hello");
+    assert!(server.machine().ticket_negotiated(), "the server hello announces a ticket");
+    client.feed_from(&mut server).expect("server hello flight");
+    let error = SslError::NotReady("announced session ticket not issued");
+    assert_eq!(server.feed_from(&mut client), Err(error.clone()));
+    assert_eq!(server.last_error(), Some(&error), "the engine is poisoned");
+    assert!(server.output().is_empty(), "no CCS or Finished follows the missing ticket");
+    assert!(!server.is_established());
+
+    // The driver's fatal alert still goes out through the poisoned engine.
+    server.queue_alert(Alert::fatal(AlertDescription::HandshakeFailure)).expect("alert");
+    let alert = client.feed_from(&mut server).expect_err("the client reads the alert");
+    assert!(
+        matches!(alert, SslError::PeerAlert(a) if a.level == AlertLevel::Fatal),
+        "got {alert:?}"
+    );
+    assert!(!client.is_established());
+}
+
+#[test]
+fn resumed_handshake_books_the_client_finished_hash_in_step_6() {
+    // A cache of its own: `config()`'s holds the scenarios' sessions.
+    let config = ServerConfig::new(key().clone(), "states.test").expect("config");
+    let mut client = Engine::new(SslClient::new(SUITE, rng("attr-c1"))).expect("client engine");
+    let mut server = Engine::new(SslServer::new(&config, rng("attr-s1"))).expect("server engine");
+    support::establish(&mut client, &mut server);
+    let plain = client.machine().session().expect("session");
+    let mut client =
+        Engine::new(SslClient::resuming(plain, rng("attr-c2"))).expect("client engine");
+    let mut server = Engine::new(SslServer::new(&config, rng("attr-s2"))).expect("server engine");
+    support::establish(&mut client, &mut server);
+    assert!(server.machine().resumed());
+    let booked: Vec<(usize, &str)> =
+        server.machine().crypto_detail().iter().map(|&(step, name, _)| (step, name)).collect();
+    for (step, name) in [(6, "final_finish_mac"), (7, "gen_key_block"), (8, "final_finish_mac")] {
+        assert!(booked.contains(&(step, name)), "step {step} books no {name}: {booked:?}");
+    }
 }

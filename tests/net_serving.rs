@@ -1137,8 +1137,8 @@ fn ticket_session_resumes_on_surviving_instance_after_kill() {
     )
     .expect("fleet start");
 
-    // The fan routes the first connection to instance 0: full handshake,
-    // NewSessionTicket issued under the shared keyring.
+    // Whichever instance accepts the first connection runs a full
+    // handshake and issues a NewSessionTicket under the shared keyring.
     let client =
         SslClient::new(CipherSuite::RsaDesCbc3Sha, SslRng::from_seed(b"fleet-c1")).with_tickets();
     let (mut client, mut socket) = connect(fleet.local_addr(), client);
@@ -1149,13 +1149,18 @@ fn ticket_session_resumes_on_surviving_instance_after_kill() {
     drop(socket);
     assert!(eventually(|| fleet.aggregated().tickets_issued == 1), "got {:?}", fleet.aggregated());
 
-    // Kill instance 0. With id-based caching the session would now be
-    // gone — its cache entry lived in the dead instance's memory.
-    assert!(fleet.kill(0), "instance 0 goes down");
+    // Kill the instance that issued it. With id-based caching the session
+    // would now be gone — its cache entry lived in the dead instance's
+    // memory.
+    let first = (0..2)
+        .find(|&i| fleet.instance(i).is_some_and(|s| s.stats().tickets_issued() == 1))
+        .expect("one instance issued the ticket");
+    let survivor = 1 - first;
+    assert!(fleet.kill(first), "the issuing instance goes down");
     assert_eq!(fleet.live_instances(), 1);
 
-    // Reconnect: the fan routes to surviving instance 1. It has no cache
-    // entry for this session; the ticket alone resumes it.
+    // Reconnect: only the survivor accepts. It has no cache entry for
+    // this session; the ticket alone resumes it.
     let client = SslClient::resuming(session, SslRng::from_seed(b"fleet-c2"));
     let (mut client, mut socket) = connect(fleet.local_addr(), client);
     assert!(
@@ -1168,26 +1173,27 @@ fn ticket_session_resumes_on_surviving_instance_after_kill() {
     assert!(
         eventually(|| {
             let agg = fleet.aggregated();
-            agg.connections == 2 && agg.resumed_handshakes == 1 && agg.tickets_accepted == 1
+            agg.connections() == 2 && agg.resumed_handshakes() == 1 && agg.tickets_accepted == 1
         }),
         "got {:?}",
         fleet.aggregated()
     );
     let agg = fleet.aggregated();
-    assert_eq!((agg.live_instances, agg.retired_instances), (1, 1));
-    assert_eq!(agg.full_handshakes, 1);
+    assert_eq!((fleet.live_instances(), fleet.retired_instances()), (1, 1));
+    assert_eq!(agg.full_handshakes(), 1);
     assert_eq!((agg.tickets_rejected, agg.tickets_expired), (0, 0));
-    assert!((agg.resumption_hit_rate() - 50.0).abs() < 1e-9);
+    assert_eq!(agg.resumed_handshakes() * 2, agg.connections(), "half the connections resumed");
     // Shared-nothing means shared *nothing*: no instance ever stored the
     // session by id.
-    assert_eq!(fleet.instance(1).expect("live instance").session_cache().len(), 0);
+    assert_eq!(fleet.instance(survivor).expect("live instance").session_cache().len(), 0);
     assert_eq!((agg.tickets_issued, agg.tickets_accepted), (1, 1));
     fleet.shutdown();
 }
 
 /// The id-cache contrast arm: the identical kill/reconnect sequence
-/// without a keyring. The session's cache entry dies with instance 0, so
-/// the surviving instance can only run a full handshake.
+/// without a keyring. The session's cache entry dies with the instance
+/// that served it, so the surviving instance can only run a full
+/// handshake.
 #[test]
 fn id_cache_session_dies_with_its_instance() {
     let mut fleet = ServerFleet::start(key(), "net.sslperf.test", 2, &fleet_options(None))
@@ -1199,21 +1205,30 @@ fn id_cache_session_dies_with_its_instance() {
     assert!(session.ticket().is_none(), "no keyring, no ticket");
     close(&mut client, &mut socket);
     drop(socket);
+    let mut first = None;
     assert!(
-        eventually(|| fleet.instance(0).is_some_and(|i| i.session_cache().len() == 1)),
-        "instance 0 cached the session by id"
+        eventually(|| {
+            first =
+                (0..2).find(|&i| fleet.instance(i).is_some_and(|s| s.session_cache().len() == 1));
+            first.is_some()
+        }),
+        "an instance cached the session by id"
     );
 
-    assert!(fleet.kill(0));
+    assert!(fleet.kill(first.expect("the caching instance")));
 
     let client = SslClient::resuming(session, SslRng::from_seed(b"fleet-ic2"));
     let (mut client, mut socket) = connect(fleet.local_addr(), client);
-    assert!(!client.machine().resumed(), "the cache entry died with instance 0");
+    assert!(!client.machine().resumed(), "the cache entry died with its instance");
     close(&mut client, &mut socket);
     drop(socket);
 
-    assert!(eventually(|| fleet.aggregated().full_handshakes == 2), "got {:?}", fleet.aggregated());
-    assert_eq!(fleet.aggregated().resumed_handshakes, 0);
+    assert!(
+        eventually(|| fleet.aggregated().full_handshakes() == 2),
+        "got {:?}",
+        fleet.aggregated()
+    );
+    assert_eq!(fleet.aggregated().resumed_handshakes(), 0);
     fleet.shutdown();
 }
 
@@ -1255,7 +1270,7 @@ fn restarted_instance_accepts_tickets_sealed_before_restart() {
     assert!(
         eventually(|| {
             let agg = fleet.aggregated();
-            agg.tickets_accepted == 1 && agg.retired_instances == 1 && agg.connections == 2
+            agg.tickets_accepted == 1 && fleet.retired_instances() == 1 && agg.connections() == 2
         }),
         "got {:?}",
         fleet.aggregated()
@@ -1263,25 +1278,106 @@ fn restarted_instance_accepts_tickets_sealed_before_restart() {
     fleet.shutdown();
 }
 
-/// The accept fan spreads sequential connections round-robin over the
-/// instances, and the aggregate equals the per-instance sums.
+/// One full handshake through the fleet's address.
+fn fleet_handshake(fleet: &ServerFleet, seed: &[u8]) {
+    let client = SslClient::new(CipherSuite::RsaDesCbc3Sha, SslRng::from_seed(seed));
+    let (mut client, mut socket) = connect(fleet.local_addr(), client);
+    close(&mut client, &mut socket);
+}
+
+/// Every instance accepts from the one listener: with the other instance
+/// down, each one alone serves the fleet's address.
 #[test]
-fn accept_fan_round_robins_across_instances() {
-    let fleet = ServerFleet::start(key(), "net.sslperf.test", 2, &fleet_options(None))
+fn each_instance_alone_serves_the_shared_listener() {
+    let mut fleet = ServerFleet::start(key(), "net.sslperf.test", 2, &fleet_options(None))
         .expect("fleet start");
-
-    for i in 0..4u8 {
-        let client =
-            SslClient::new(CipherSuite::RsaDesCbc3Sha, SslRng::from_seed(&[b'f', b'a', b'n', i]));
-        let (mut client, mut socket) = connect(fleet.local_addr(), client);
-        close(&mut client, &mut socket);
+    for (down, up) in [(0, 1), (1, 0)] {
+        assert!(fleet.kill(down), "instance {down} goes down");
+        let served = fleet.instance(up).expect("live").stats().connections();
+        fleet_handshake(&fleet, &[b'a', b'l', b'o', b'n', b'e', up as u8]);
+        let stats = fleet.instance(up).expect("live").stats();
+        assert!(
+            eventually(|| stats.connections() == served + 1),
+            "instance {up} alone must serve the connection"
+        );
+        fleet.restart(down).expect("restart");
     }
+    assert_eq!(fleet.aggregated().errors, 0, "clean run");
+    fleet.shutdown();
+}
 
-    assert!(eventually(|| fleet.aggregated().connections == 4), "got {:?}", fleet.aggregated());
-    for index in 0..2 {
-        let stats = fleet.instance(index).expect("live").stats();
-        assert_eq!(stats.connections(), 2, "round-robin must give instance {index} exactly half");
+/// The fleet's aggregate is the merge of its instances' snapshots, a
+/// killed instance's included, and its counters are the per-instance
+/// sums.
+#[test]
+fn aggregate_equals_merge_of_instance_snapshots() {
+    let mut fleet = ServerFleet::start(key(), "net.sslperf.test", 2, &fleet_options(None))
+        .expect("fleet start");
+    for i in 0..3u8 {
+        fleet_handshake(&fleet, &[b'a', b'g', b'g', i]);
     }
+    assert!(eventually(|| fleet.aggregated().connections() == 3), "got {:?}", fleet.aggregated());
+
+    // Retire an instance that served traffic, then serve more.
+    let busy = (0..2)
+        .find(|&i| fleet.instance(i).is_some_and(|s| s.stats().connections() > 0))
+        .expect("an instance served");
+    let retired = fleet.instance(busy).expect("live").stats().snapshot();
+    assert!(fleet.kill(busy));
+    fleet.restart(busy).expect("restart");
+    for i in 3..5u8 {
+        fleet_handshake(&fleet, &[b'a', b'g', b'g', i]);
+    }
+    assert!(eventually(|| fleet.aggregated().connections() == 5), "got {:?}", fleet.aggregated());
+
+    let live: Vec<&ServerStats> =
+        (0..2).map(|i| fleet.instance(i).expect("live").stats()).collect();
+    let mut merged = retired.clone();
+    for stats in &live {
+        merged.merge(&stats.snapshot());
+    }
+    let agg = fleet.aggregated();
+    assert_eq!(format!("{agg:?}"), format!("{merged:?}"), "aggregate = merge of snapshots");
+    assert_eq!(agg.render(), merged.render());
+    assert_eq!(fleet.retired_instances(), 1);
+    let sum = |f: fn(&ServerStats) -> u64| live.iter().map(|s| f(s)).sum::<u64>();
+    assert_eq!(agg.connections(), retired.connections() + sum(ServerStats::connections));
+    assert_eq!(
+        agg.full_handshakes(),
+        retired.full_handshakes() + sum(ServerStats::full_handshakes)
+    );
+    assert_eq!(agg.errors, retired.errors + sum(ServerStats::errors));
+    assert_eq!(agg.errors, 0, "clean run");
+    fleet.shutdown();
+}
+
+/// The listener outlives the instances: a connection made while none is
+/// live waits in the backlog and is served by the next one to start.
+#[test]
+fn connection_made_while_no_instance_is_live_is_served_after_restart() {
+    let mut fleet = ServerFleet::start(key(), "net.sslperf.test", 1, &fleet_options(None))
+        .expect("fleet start");
+    assert!(fleet.kill(0));
+    assert_eq!(fleet.live_instances(), 0);
+
+    let addr = fleet.local_addr();
+    let pending = std::thread::spawn(move || {
+        let mut socket = TcpStream::connect(addr).expect("the kernel completes the connect");
+        socket.set_nodelay(true).expect("nodelay");
+        socket.set_read_timeout(Some(Duration::from_secs(30))).expect("read timeout");
+        let client = SslClient::new(CipherSuite::RsaDesCbc3Sha, SslRng::from_seed(b"backlog"));
+        let mut engine = Engine::new(client).expect("client engine");
+        handshake(&mut engine, &mut socket).map(|()| (engine, socket))
+    });
+    std::thread::sleep(Duration::from_millis(200));
+    assert!(!pending.is_finished(), "nothing answers while no instance is live");
+
+    fleet.restart(0).expect("restart instance 0");
+    let (mut client, mut socket) =
+        pending.join().expect("client thread").expect("served after the restart");
+    close(&mut client, &mut socket);
+    let stats = fleet.instance(0).expect("restarted").stats();
+    assert!(eventually(|| stats.connections() == 1), "the restarted instance served it");
     assert_eq!(fleet.aggregated().errors, 0, "clean run");
     fleet.shutdown();
 }
