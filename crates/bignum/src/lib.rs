@@ -16,9 +16,9 @@
 //! Montgomery contexts additionally carry a raw-speed engine over **64-bit
 //! limbs** with `u128` accumulators — one fused multiply and one
 //! square-then-reduce, instantiated at the limb counts the serving
-//! workloads run: [`MontCtx`] picks the limb width at construction
-//! ([`LimbWidth`], default [`default_limb_width`]), keeping the
-//! paper-faithful u32 path compiled and selectable so the profile counters
+//! workloads run. [`MontCtx::new`] builds on it;
+//! [`MontCtx::with_limb_width`] with [`LimbWidth::U32`] keeps the
+//! paper-faithful u32 path selectable per context, so the profile counters
 //! can still reconstruct Table 8. A base that never changes gets a
 //! [`FixedBaseComb`] instead of a ladder.
 //!
@@ -63,7 +63,6 @@ pub use prime::{generate_prime, is_probable_prime, EntropySource};
 
 use std::cmp::Ordering;
 use std::fmt;
-use std::sync::OnceLock;
 
 /// Limb width of a Montgomery arithmetic engine.
 ///
@@ -81,8 +80,8 @@ pub enum LimbWidth {
 }
 
 impl LimbWidth {
-    /// Short lowercase name ("u32" / "u64"), as used by `SSLPERF_LIMBS` and
-    /// test messages.
+    /// Short lowercase name ("u32" / "u64"), as used in reports and test
+    /// messages.
     #[must_use]
     pub fn name(self) -> &'static str {
         match self {
@@ -90,19 +89,6 @@ impl LimbWidth {
             LimbWidth::U64 => "u64",
         }
     }
-}
-
-/// The process-wide default limb width for new [`MontCtx`] instances.
-///
-/// Reads the `SSLPERF_LIMBS` environment variable once: `u32` forces the
-/// paper-faithful path, anything else (including unset) selects `u64`.
-#[must_use]
-pub fn default_limb_width() -> LimbWidth {
-    static WIDTH: OnceLock<LimbWidth> = OnceLock::new();
-    *WIDTH.get_or_init(|| match std::env::var("SSLPERF_LIMBS").as_deref() {
-        Ok("u32") => LimbWidth::U32,
-        _ => LimbWidth::U64,
-    })
 }
 
 /// Errors returned by fallible `Bn` operations.

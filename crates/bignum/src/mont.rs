@@ -14,7 +14,7 @@
 use crate::mont52::{self, Mont52};
 use crate::mont64::Mont64;
 use crate::words::{bn_mul_add_words, bn_sub_words};
-use crate::{default_limb_width, Bn, BnError, LimbWidth};
+use crate::{Bn, BnError, LimbWidth};
 use sslperf_profile::counters;
 use std::borrow::Cow;
 #[cfg(target_arch = "x86_64")]
@@ -53,14 +53,14 @@ pub struct MontCtx {
 }
 
 impl MontCtx {
-    /// Builds a context for the odd modulus `n > 1` on the process-default
-    /// limb width ([`default_limb_width`]).
+    /// Builds a context for the odd modulus `n > 1` on the raw-speed
+    /// [`LimbWidth::U64`] limbs.
     ///
     /// # Errors
     ///
     /// Returns [`BnError::EvenModulus`] if `n` is even, zero or one.
     pub fn new(n: &Bn) -> Result<Self, BnError> {
-        Self::with_limb_width(n, default_limb_width())
+        Self::with_limb_width(n, LimbWidth::U64)
     }
 
     /// Builds a context on an explicit limb width — the hook the

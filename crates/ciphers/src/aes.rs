@@ -118,13 +118,11 @@ pub(crate) fn sbox_table() -> &'static [u8; 256] {
 /// they differ only in how a round executes — 16 `Te`/`Td` lookups versus
 /// one `AESENC`/`AESDEC` instruction. This is the software analogue of the
 /// paper's §6.2(2) "custom round unit" proposal, and the
-/// `kernel-speed` experiment measures the gap between them.
+/// `kernel-speed` experiment measures the gap between them. [`Aes::new`]
+/// picks [`AesBackend::Ni`] exactly when the CPU has the unit; the tables
+/// are reached by asking for [`AesBackend::Table`] per instance.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AesBackend {
-    /// Use AES-NI when the CPU supports it, else fall back to the tables.
-    /// Setting `SSLPERF_AES=table` in the environment forces the fallback
-    /// process-wide (read once, at the first `Auto` construction).
-    Auto,
     /// Require the hardware round unit (x86-64 `AESENC`/`AESDEC`).
     Ni,
     /// Require the portable fused-table software rounds.
@@ -132,11 +130,11 @@ pub enum AesBackend {
 }
 
 impl AesBackend {
-    /// Stable lowercase name, as used by `SSLPERF_AES` and bench reports.
+    /// Stable lowercase name, as used in reports and by
+    /// [`Aes::backend_name`].
     #[must_use]
     pub fn name(self) -> &'static str {
         match self {
-            AesBackend::Auto => "auto",
             AesBackend::Ni => "ni",
             AesBackend::Table => "table",
         }
@@ -153,17 +151,6 @@ fn ni_available() -> bool {
     {
         false
     }
-}
-
-/// Resolves [`AesBackend::Auto`]: AES-NI if present, unless the
-/// `SSLPERF_AES=table` override asks for the portable path. Cached so the
-/// environment is consulted once per process, mirroring
-/// `sslperf_bignum::default_limb_width`.
-fn auto_uses_ni() -> bool {
-    static CHOICE: OnceLock<bool> = OnceLock::new();
-    *CHOICE.get_or_init(|| {
-        !matches!(std::env::var("SSLPERF_AES").as_deref(), Ok("table")) && ni_available()
-    })
 }
 
 const RCON: [u32; 10] = [
@@ -230,14 +217,14 @@ impl Aes {
     pub const BLOCK_LEN: usize = 16;
 
     /// Expands `key` into round-key schedules (the paper's *key setup*
-    /// phase). Accepts 16, 24 or 32-byte keys. Rounds run on the
-    /// [`AesBackend::Auto`] backend — AES-NI when the CPU has it.
+    /// phase). Accepts 16, 24 or 32-byte keys. Rounds run on AES-NI
+    /// exactly when [`Aes::ni_available`], else on the tables.
     ///
     /// # Errors
     ///
     /// Returns [`CipherError::InvalidKeyLen`] for other lengths.
     pub fn new(key: &[u8]) -> Result<Self, CipherError> {
-        Self::with_backend(key, AesBackend::Auto)
+        Self::with_backend(key, if ni_available() { AesBackend::Ni } else { AesBackend::Table })
     }
 
     /// Like [`Aes::new`] but with an explicit round [`AesBackend`].
@@ -255,7 +242,6 @@ impl Aes {
             got => return Err(CipherError::InvalidKeyLen { got }),
         };
         let ni = match backend {
-            AesBackend::Auto => auto_uses_ni(),
             AesBackend::Ni => {
                 if !ni_available() {
                     return Err(CipherError::BackendUnavailable);
@@ -968,16 +954,14 @@ mod tests {
     }
 
     #[test]
-    fn auto_backend_respects_cpu_and_env() {
+    fn new_uses_ni_exactly_when_the_cpu_has_it() {
         let aes = Aes::new(&[0u8; 16]).unwrap();
-        let forced_table = std::env::var("SSLPERF_AES").as_deref() == Ok("table");
-        let expected = if Aes::ni_available() && !forced_table { "ni" } else { "table" };
+        let expected = if Aes::ni_available() { "ni" } else { "table" };
         assert_eq!(aes.backend_name(), expected);
     }
 
     #[test]
     fn backend_names_are_stable() {
-        assert_eq!(AesBackend::Auto.name(), "auto");
         assert_eq!(AesBackend::Ni.name(), "ni");
         assert_eq!(AesBackend::Table.name(), "table");
     }

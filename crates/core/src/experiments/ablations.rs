@@ -21,8 +21,8 @@
 use crate::experiments::handshake::establish;
 use crate::experiments::ExperimentError;
 use crate::Context;
-use sslperf_bignum::{Bn, FixedBaseComb, MontCtx};
-use sslperf_ciphers::{Aes, BlockCipher, Cbc, Des3, PerBlock};
+use sslperf_bignum::{Bn, FixedBaseComb, LimbWidth, MontCtx};
+use sslperf_ciphers::{Aes, AesBackend, BlockCipher, Cbc, Des3, PerBlock};
 use sslperf_hashes::{HashAlg, Sha1, Sha256};
 use sslperf_isasim::kernels;
 use sslperf_net::ServerStats;
@@ -347,7 +347,8 @@ fn window(timer: &Timer, key: &RsaPrivateKey) -> Result<Ablation, ExperimentErro
     })
 }
 
-/// The ffdhe2048 group's key generation, `2^x mod p` with a 256-bit `x`.
+/// The ffdhe2048 group's key generation, `2^x mod p` with a 256-bit `x`,
+/// on one limb width.
 struct Ffdhe2048 {
     ctx: MontCtx,
     g: Bn,
@@ -356,8 +357,9 @@ struct Ffdhe2048 {
 }
 
 impl Ffdhe2048 {
-    fn new() -> Result<Self, ExperimentError> {
-        let ctx = MontCtx::new(&Bn::from_hex(sslperf_ssl::dhe::FFDHE2048_P_HEX)?)?;
+    fn new(limbs: LimbWidth) -> Result<Self, ExperimentError> {
+        let p = Bn::from_hex(sslperf_ssl::dhe::FFDHE2048_P_HEX)?;
+        let ctx = MontCtx::with_limb_width(&p, limbs)?;
         let g = Bn::from_u64(2);
         let comb = ctx.fixed_base_comb(&g, 256);
         let x = Bn::from_bytes_be(&SslRng::from_seed(b"ablate-fixed-base").bytes(32));
@@ -377,7 +379,7 @@ impl Ffdhe2048 {
 /// the window ladder (what `agree` must run, its base being the peer's)
 /// against the fixed-base comb (what `generate` runs).
 fn fixed_base(timer: &Timer) -> Result<Ablation, ExperimentError> {
-    let group = Ffdhe2048::new()?;
+    let group = Ffdhe2048::new(LimbWidth::U64)?;
     let [ladder, comb] = group.counts();
     let arms = vec![
         timer
@@ -399,9 +401,10 @@ fn fixed_base(timer: &Timer) -> Result<Ablation, ExperimentError> {
 }
 
 /// §6.2(2): fused Te-table rounds vs textbook per-byte rounds — the
-/// software version of the paper's table-lookup hardware unit.
+/// software version of the paper's table-lookup hardware unit. Both arms
+/// run on the table backend, whatever round unit the CPU has.
 fn fused_round(timer: &Timer) -> Result<Ablation, ExperimentError> {
-    let aes = Aes::new(&[9u8; 16])?;
+    let aes = Aes::with_backend(&[9u8; 16], AesBackend::Table)?;
     let mut block = [0x5au8; 16];
     let fused = timer.arm("fused_tables", || {
         aes.encrypt_block(&mut block);
@@ -718,30 +721,34 @@ mod tests {
     #[test]
     fn wider_window_books_fewer_multiplies() {
         let key = ctx().key_1024();
-        let mont = MontCtx::new(key.modulus()).expect("odd modulus");
         let base = Bn::from_u64(0xdead_beef_cafe_babe);
-        let (windows, plain) = window_counts(&mont, &base, key.exponent());
-        assert!(
-            multiplies(&windows[3]) < multiplies(&windows[0]),
-            "window 4 {} vs window 1 {}",
-            bignum_calls(&windows[3]),
-            bignum_calls(&windows[0])
-        );
-        // The plain path multiplies and divides; it never reduces in
-        // Montgomery form.
-        assert_eq!(plain.calls("BN_from_montgomery") + plain.calls("mont_sqr64"), 0);
-        assert!(plain.calls("BN_div") > 0, "{}", bignum_calls(&plain));
+        for limbs in [LimbWidth::U64, LimbWidth::U32] {
+            let mont = MontCtx::with_limb_width(key.modulus(), limbs).expect("odd modulus");
+            let (windows, plain) = window_counts(&mont, &base, key.exponent());
+            assert!(
+                multiplies(&windows[3]) < multiplies(&windows[0]),
+                "window 4 {} vs window 1 {}",
+                bignum_calls(&windows[3]),
+                bignum_calls(&windows[0])
+            );
+            // The plain path multiplies and divides; it never reduces in
+            // Montgomery form.
+            assert_eq!(plain.calls("BN_from_montgomery") + plain.calls("mont_sqr64"), 0);
+            assert!(plain.calls("BN_div") > 0, "{}", bignum_calls(&plain));
+        }
     }
 
     #[test]
     fn comb_books_fewer_products_than_the_ladder() {
-        let [ladder, comb] = Ffdhe2048::new().expect("ffdhe2048").counts();
-        assert!(
-            products(&comb) > 0 && products(&comb) < products(&ladder),
-            "comb {} vs ladder {}",
-            bignum_calls(&comb),
-            bignum_calls(&ladder)
-        );
+        for limbs in [LimbWidth::U64, LimbWidth::U32] {
+            let [ladder, comb] = Ffdhe2048::new(limbs).expect("ffdhe2048").counts();
+            assert!(
+                products(&comb) > 0 && products(&comb) < products(&ladder),
+                "comb {} vs ladder {}",
+                bignum_calls(&comb),
+                bignum_calls(&ladder)
+            );
+        }
     }
 
     #[test]

@@ -237,7 +237,7 @@ pub fn calibrate(ctx: &Context) -> Result<KernelCosts, ExperimentError> {
 pub fn table8(ctx: &Context) -> Result<Table8, ExperimentError> {
     // Table 8 reconstructs the paper's VTune profile of 32-bit x86 OpenSSL,
     // so the experiment always runs on the paper-faithful u32 kernels —
-    // regardless of the process-default limb width the serving paths use.
+    // not on the u64 limbs the serving paths use.
     let mut key = ctx.key_1024().clone();
     key.set_limb_width(sslperf_bignum::LimbWidth::U32);
     let key = &key;

@@ -60,7 +60,7 @@
 
 use crate::cryptopool::{CryptoPool, PoolReply, SubmitError};
 use crate::metrics::ServerStats;
-use crate::server::{alert_for_close, build_config, Outgoing, ServerOptions};
+use crate::server::{build_config, Outgoing, ServerOptions};
 use sslperf_profile::measure;
 use sslperf_rng::SslRng;
 use sslperf_rsa::RsaPrivateKey;
@@ -700,7 +700,7 @@ impl<'a> Conn<'a> {
             SslError::Io(_) => {}
             _ => {
                 stats.errors.inc();
-                if let Some(alert) = alert_for_close(error) {
+                if let Some(alert) = Alert::for_error(error) {
                     if self.engine.queue_alert(alert).is_ok() {
                         stats.alerts_sent.inc();
                     }

@@ -6,7 +6,6 @@
 use crate::metrics::ServerStats;
 use sslperf_profile::{measure, Cycles};
 use sslperf_rsa::RsaPrivateKey;
-use sslperf_ssl::alert::{Alert, AlertDescription};
 use sslperf_ssl::{
     Engine, ServerConfig, ServerMachine, ShardedSessionCache, SslError, TicketKeyring,
     TicketSessionStore,
@@ -251,23 +250,6 @@ pub(crate) fn build_config(
             Box::new(TicketSessionStore::new(Arc::clone(keyring), Box::new(Arc::clone(cache)))),
         ),
         None => ServerConfig::with_cache(key, name, Box::new(Arc::clone(cache))),
-    }
-}
-
-/// The alert to send before closing a connection that hit `error`.
-///
-/// Hard transport failures and peer-initiated alerts get none — there is
-/// nobody left to tell. Everything else maps through [`Alert::for_error`],
-/// defaulting to a fatal `illegal_parameter` for decode-class errors the
-/// mapping leaves out. (Deadline evictions never come through here: the
-/// event loop picks their alert from the connection state directly.)
-pub(crate) fn alert_for_close(error: &SslError) -> Option<Alert> {
-    match error {
-        SslError::Io(_) | SslError::PeerAlert(_) => None,
-        _ => Some(
-            Alert::for_error(error)
-                .unwrap_or_else(|| Alert::fatal(AlertDescription::IllegalParameter)),
-        ),
     }
 }
 

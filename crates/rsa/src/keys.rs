@@ -230,8 +230,8 @@ impl RsaPrivateKey {
     /// and the Montgomery-form coefficient on the given limb width, so all subsequent decryptions with this key
     /// run on that kernel family.
     ///
-    /// Keys are born on [`sslperf_bignum::default_limb_width`]; this is the
-    /// per-key override the differential tests, the flight pins and the
+    /// Keys are born on [`LimbWidth::U64`] (what [`MontCtx::new`] builds);
+    /// this is the per-key override the differential tests, the flight pins and the
     /// kernel-speed tests use to compare the paper-faithful u32 path against the
     /// raw-speed u64 path in one process. The cached blinding state is
     /// dropped and re-derived lazily.

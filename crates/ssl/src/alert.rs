@@ -82,17 +82,26 @@ impl Alert {
         Alert { level: AlertLevel::Fatal, description }
     }
 
-    /// The fatal alert a server would send for `error`, if any (decode
-    /// errors of already-broken connections map to `None`).
+    /// The fatal alert to send before closing a connection that hit
+    /// `error`: the one mapping from errors to alerts. Hard transport
+    /// failures and the peer's own alerts get none — there is nobody left
+    /// to tell. A fault on this side (a state the handshake cannot leave, a
+    /// cipher that refused its input) fails the handshake; malformed input
+    /// is an illegal parameter.
     #[must_use]
     pub fn for_error(error: &SslError) -> Option<Alert> {
         let description = match error {
             SslError::MacMismatch | SslError::BadPadding => AlertDescription::BadRecordMac,
             SslError::UnexpectedMessage { .. } => AlertDescription::UnexpectedMessage,
-            SslError::BadFinished | SslError::NoCommonCipher => AlertDescription::HandshakeFailure,
+            SslError::BadFinished
+            | SslError::NoCommonCipher
+            | SslError::NotReady(_)
+            | SslError::Cipher(_) => AlertDescription::HandshakeFailure,
             SslError::Rsa(_) => AlertDescription::BadCertificate,
-            SslError::UnsupportedVersion { .. } => AlertDescription::IllegalParameter,
-            _ => return None,
+            SslError::Decode(_) | SslError::UnsupportedVersion { .. } => {
+                AlertDescription::IllegalParameter
+            }
+            SslError::Io(_) | SslError::PeerAlert(_) => return None,
         };
         Some(Alert::fatal(description))
     }
@@ -175,7 +184,22 @@ mod tests {
             Alert::for_error(&SslError::BadFinished).unwrap().description,
             AlertDescription::HandshakeFailure
         );
-        assert!(Alert::for_error(&SslError::NotReady("x")).is_none());
+        let ticket = SslError::NotReady("announced session ticket not issued");
+        let cipher = SslError::Cipher(sslperf_ciphers::CipherError::BackendUnavailable);
+        for error in [SslError::NotReady("x"), ticket, cipher] {
+            assert_eq!(
+                Alert::for_error(&error),
+                Some(Alert::fatal(AlertDescription::HandshakeFailure)),
+                "{error}"
+            );
+        }
+        assert_eq!(
+            Alert::for_error(&SslError::Decode("request")),
+            Some(Alert::fatal(AlertDescription::IllegalParameter))
+        );
+        assert_eq!(Alert::for_error(&SslError::Io("reset".into())), None);
+        let peer = SslError::PeerAlert(Alert::fatal(AlertDescription::BadRecordMac));
+        assert_eq!(Alert::for_error(&peer), None);
     }
 
     #[test]

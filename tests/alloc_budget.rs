@@ -60,17 +60,29 @@ fn allocations_during<R>(f: impl FnOnce() -> R) -> (R, u64) {
     (result, ALLOCATIONS.with(Cell::get) - before)
 }
 
+use sslperf::ciphers::{Aes, AesBackend, Cbc};
 use sslperf::prelude::CipherSuite;
-use sslperf::ssl::{ContentType, RecordBuffer, RecordLayer};
+use sslperf::ssl::{BulkCipher, ContentType, RecordBuffer, RecordLayer};
 
-fn protected_pair(suite: CipherSuite) -> (RecordLayer, RecordLayer) {
+/// A write and a read layer keyed alike for `suite`: on the ciphers
+/// `new_cipher` picks, or with `table_aes` on AES's table rounds, which
+/// `Aes::new` never picks on a CPU with AES-NI.
+fn protected_pair(suite: CipherSuite, table_aes: bool) -> (RecordLayer, RecordLayer) {
     let key = vec![0x42u8; suite.key_len()];
     let iv = vec![0x17u8; suite.iv_len()];
     let mac = vec![0x33u8; suite.mac_alg().output_len()];
+    let cipher = || {
+        if table_aes {
+            let aes = Aes::with_backend(&key, AesBackend::Table).unwrap();
+            BulkCipher::AesCbc(Cbc::new(aes, iv.clone()).unwrap())
+        } else {
+            suite.new_cipher(&key, &iv).unwrap()
+        }
+    };
     let mut tx = RecordLayer::new();
-    tx.activate_write(suite.new_cipher(&key, &iv).unwrap(), suite.mac_alg(), mac.clone());
+    tx.activate_write(cipher(), suite.mac_alg(), mac.clone());
     let mut rx = RecordLayer::new();
-    rx.activate_read(suite.new_cipher(&key, &iv).unwrap(), suite.mac_alg(), mac);
+    rx.activate_read(cipher(), suite.mac_alg(), mac);
     (tx, rx)
 }
 
@@ -80,9 +92,11 @@ fn steady_state_record_processing_allocates_nothing() {
     const MEASURED: u64 = 100;
     let payload = vec![0xa5u8; 1024];
 
-    // --- Record layer, all suites: seal_into + open_in_place. ---
-    for suite in CipherSuite::ALL {
-        let (mut tx, mut rx) = protected_pair(suite);
+    // --- Record layer, all suites: seal_into + open_in_place; the AES
+    // suites once more on the table rounds. ---
+    let table_arms = [CipherSuite::RsaAes128Sha, CipherSuite::RsaAes256Sha].map(|s| (s, true));
+    for (suite, table_aes) in CipherSuite::ALL.map(|s| (s, false)).into_iter().chain(table_arms) {
+        let (mut tx, mut rx) = protected_pair(suite, table_aes);
         let mut wire = RecordBuffer::with_record_capacity();
         let mut inbound = RecordBuffer::with_record_capacity();
 
@@ -108,7 +122,7 @@ fn steady_state_record_processing_allocates_nothing() {
         assert_eq!(
             delta,
             0,
-            "{suite}: {delta} allocations over {MEASURED} records \
+            "{suite} (table AES: {table_aes}): {delta} allocations over {MEASURED} records \
              ({} per record) — the steady-state pipeline must not allocate",
             delta as f64 / MEASURED as f64
         );
@@ -475,14 +489,9 @@ fn crypto_job_cycle_allocation_is_bounded() {
 /// table and a product buffer per Montgomery operation.
 #[test]
 fn dhe_keygen_and_agree_allocation_is_bounded() {
-    use sslperf::bignum::{default_limb_width, LimbWidth};
     use sslperf::prelude::SslRng;
     use sslperf::ssl::dhe::{validate_public, DheKeyPair};
 
-    if default_limb_width() == LimbWidth::U32 {
-        // The paper-faithful path allocates per word-kernel pass by design.
-        return;
-    }
     let mut rng = SslRng::from_seed(b"alloc-budget-dhe");
     // Warm the process: the group's context and comb are built once.
     let peer = DheKeyPair::generate(&mut rng);

@@ -14,6 +14,7 @@ mod support;
 use proptest::prelude::*;
 use sslperf::prelude::*;
 use sslperf::profile::counters;
+use sslperf::rsa::LimbWidth;
 use sslperf::ssl::{
     ClientConfig, ClientEngine, ClientMachine, Engine, EngineDriven, HandshakeLedger, Protocol,
     ServerEngine, ServerMachine, SslError, Tls13ClientMachine, Tls13ServerMachine,
@@ -353,12 +354,15 @@ struct ServerWork {
     rows: Vec<(usize, &'static str)>,
 }
 
-/// Runs one full `protocol` handshake whose key exchange the server engine
-/// runs itself (`offload` false) or hands to this driver, which executes
-/// it (`offload` true). Counts the server's work only.
-fn server_work(protocol: Protocol, offload: bool) -> ServerWork {
+/// Runs one full `protocol` handshake, with the server key on `limbs`,
+/// whose key exchange the server engine runs itself (`offload` false) or
+/// hands to this driver, which executes it (`offload` true). Counts the
+/// server's work only.
+fn server_work(protocol: Protocol, limbs: LimbWidth, offload: bool) -> ServerWork {
     // A fresh key per run, so the blinding state starts cold in both modes.
-    let config = ServerConfig::new(config().key().clone(), "work.test").expect("config");
+    let mut key = config().key().clone();
+    key.set_limb_width(limbs);
+    let config = ServerConfig::new(key, "work.test").expect("config");
     let client_config = ClientConfig::new(protocol, CipherSuite::RsaDesCbc3Sha);
     let mut client = Engine::new(ClientMachine::new(client_config, SslRng::from_seed(b"work-c")))
         .expect("client engine");
@@ -394,12 +398,16 @@ fn server_work(protocol: Protocol, offload: bool) -> ServerWork {
 /// One key-exchange path: a job the engine runs itself and a job a driver
 /// runs do the same work — the same profile counters (calls and units),
 /// one RSA private decryption or two DHE exponentiations, the same ledger
-/// steps and crypto rows — and the engine's own run waits in no queue.
+/// steps and crypto rows — and the engine's own run waits in no queue. The
+/// key runs on both limb widths: the u32 kernel is the paper's.
 #[test]
 fn inline_and_offloaded_key_exchange_do_the_same_work() {
-    for protocol in [Protocol::Ssl3, Protocol::Tls13] {
-        let inline = server_work(protocol, false);
-        let offloaded = server_work(protocol, true);
+    for (protocol, limbs) in [Protocol::Ssl3, Protocol::Tls13]
+        .into_iter()
+        .flat_map(|p| [LimbWidth::U64, LimbWidth::U32].map(|l| (p, l)))
+    {
+        let inline = server_work(protocol, limbs, false);
+        let offloaded = server_work(protocol, limbs, true);
         assert_eq!(inline.counters, offloaded.counters, "{protocol}: profile counters");
         let kx = (inline.counters.calls("rsa_private_op"), inline.counters.calls("dhe_mod_exp"));
         match protocol {

@@ -228,17 +228,23 @@ impl<C: EngineDriven, S: EngineDriven> Scenario<C, S> {
 }
 
 /// The session an established SSLv3 client holds (and `config`'s store
-/// keeps, on the id-cache path).
-fn session(config: &'static ServerConfig, client: SslClient) -> ClientSession {
+/// keeps, on the id-cache path). The server's seed picks the session id,
+/// so each caller passes its own: two callers on one seed would share an
+/// id, and the later one would overwrite the earlier one's cached master.
+fn session(config: &'static ServerConfig, client: SslClient, server_seed: &str) -> ClientSession {
     let mut client = Engine::new(client).expect("client engine");
-    let mut server = Engine::new(SslServer::new(config, rng("session-s"))).expect("server engine");
+    let mut server = Engine::new(SslServer::new(config, rng(server_seed))).expect("server engine");
     support::establish(&mut client, &mut server);
     client.machine().session().expect("session")
 }
 
 fn ssl3_scenarios() -> Vec<Scenario<SslClient, SslServer<'static>>> {
-    let plain = session(config(), SslClient::new(SUITE, rng("session-c")));
-    let ticket = session(ticket_config(), SslClient::new(SUITE, rng("session-c")).with_tickets());
+    let plain = session(config(), SslClient::new(SUITE, rng("session-c")), "plain-session-s");
+    let ticket = session(
+        ticket_config(),
+        SslClient::new(SUITE, rng("session-c")).with_tickets(),
+        "ticket-session-s",
+    );
     assert!(ticket.ticket().is_some(), "the ticket store issued a ticket");
     vec![
         Scenario::new(
@@ -566,8 +572,11 @@ fn ssl3_server_fails_the_handshake_when_an_announced_ticket_is_not_issued() {
     assert!(server.output().is_empty(), "no CCS or Finished follows the missing ticket");
     assert!(!server.is_established());
 
-    // The driver's fatal alert still goes out through the poisoned engine.
-    server.queue_alert(Alert::fatal(AlertDescription::HandshakeFailure)).expect("alert");
+    // The driver's fatal alert still goes out through the poisoned engine:
+    // the one a server sends for this fault, a failed handshake.
+    let alert = Alert::for_error(&error).expect("a server fault gets an alert");
+    assert_eq!(alert, Alert::fatal(AlertDescription::HandshakeFailure));
+    server.queue_alert(alert).expect("alert");
     let alert = client.feed_from(&mut server).expect_err("the client reads the alert");
     assert!(
         matches!(alert, SslError::PeerAlert(a) if a.level == AlertLevel::Fatal),

@@ -5,8 +5,8 @@
 //! scalar u64 exponentiations beside the IFMA CRT pair, the AES tables
 //! beside AES-NI, the portable SHA compression beside the SHA extensions. The differential tests prove each pair computes the same
 //! bytes; these prove the ordering the selection rests on, inside one
-//! process, by pinning each side explicitly — so they hold whatever
-//! `SSLPERF_LIMBS` / `SSLPERF_AES` make the process default. Every
+//! process, by pinning each side explicitly rather than trusting what the
+//! constructors pick from the CPU. Every
 //! comparison is a best-of-[`SAMPLES`] minimum against a best-of-
 //! [`SAMPLES`] minimum and asserts nothing but `fast < slow`: a margin
 //! would be a benchmark, and `benchmark/` is the benchmark. A case whose

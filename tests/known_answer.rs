@@ -171,8 +171,8 @@ fn aes_backend_forcing_behaves() {
             assert_eq!(e, CipherError::BackendUnavailable);
         }
     }
-    // Auto never fails on a valid key, whatever the CPU.
-    let auto = Aes::new(&key).expect("auto backend");
+    // `Aes::new` never fails on a valid key, whatever the CPU.
+    let auto = Aes::new(&key).expect("the backend the CPU picks");
     assert!(auto.backend_name() == "ni" || auto.backend_name() == "table");
 }
 
@@ -501,7 +501,7 @@ fn ffdhe2048_rfc7919_group_parameters() {
 /// them (32 seeded bytes, top bit pinned), then the exponentiations run
 /// through an explicit [`MontCtx`] per width — so a u64-kernel bug that
 /// skews any 2048-bit exponentiation breaks this test by name, whatever
-/// the process default width is.
+/// width `MontCtx::new` builds on.
 #[test]
 fn ffdhe2048_golden_transcript_per_limb_width() {
     let p = Bn::from_hex(dhe::FFDHE2048_P_HEX).expect("ffdhe2048 prime literal");

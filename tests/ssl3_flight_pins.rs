@@ -35,8 +35,8 @@ fn pin_config() -> ServerConfig {
     ServerConfig::new(pin_key(), "pin.sslperf.test").expect("config")
 }
 
-/// The same pin key, forced onto one limb kernel regardless of the
-/// process default (`SSLPERF_LIMBS`).
+/// The same pin key, forced onto one limb kernel (keys are born on u64
+/// limbs).
 fn pin_config_with_width(limbs: LimbWidth) -> ServerConfig {
     let mut key = pin_key();
     key.set_limb_width(limbs);
