@@ -18,8 +18,8 @@ use sslperf_net::{EventLoopServer, MetricsSnapshot, ServerFleet, ServerOptions};
 use sslperf_rsa::RsaPrivateKey;
 use sslperf_ssl::{Protocol, TicketKeyring};
 use sslperf_websim::loadgen::{
-    run_event_load, run_restart_load, run_socket_load, EventLoadOptions, EventLoadReport,
-    RestartLoadOptions, RestartLoadReport, SocketLoadOptions, SocketLoadReport,
+    run_restart_load, run_socket_load, RestartLoadOptions, RestartLoadReport, SocketLoadOptions,
+    SocketLoadReport,
 };
 use std::fmt;
 use std::sync::Arc;
@@ -111,11 +111,11 @@ pub fn loaded_server(ctx: &Context) -> Result<NetLoad, ExperimentError> {
     let options = SocketLoadOptions {
         clients: 8,
         transactions_per_client: ctx.iterations().clamp(2, 16),
-        warmup_per_client: 1,
         resume: true,
         file_size: 1024,
+        protocol: Protocol::Ssl3,
         suite: ctx.suite(),
-        tickets: false,
+        hold_until_all_established: false,
     };
 
     let mut rng = ctx.rng("netload-server-key");
@@ -127,7 +127,7 @@ pub fn loaded_server(ctx: &Context) -> Result<NetLoad, ExperimentError> {
     // included) ran the full one.
     let cache = server.session_cache();
     let connections =
-        options.clients * (options.transactions_per_client + options.warmup_per_client);
+        options.clients * (options.transactions_per_client + options.warmup_per_client());
     let pool = ModeLoad {
         report,
         cache_hits: cache.hits(),
@@ -165,7 +165,7 @@ pub struct OffloadArm {
     /// Most RSA jobs one crypto-pool batch may combine (1 = unbatched).
     pub batch_max: usize,
     /// Client-side results (throughput, handshake latency percentiles).
-    pub report: EventLoadReport,
+    pub report: SocketLoadReport,
     /// RSA jobs the pool accepted (0 for the inline arms).
     pub crypto_jobs: u64,
     /// High-water mark of the job queue.
@@ -232,7 +232,7 @@ fn offload_arm(
     crypto_workers: usize,
     batch_max: usize,
     event_loop: bool,
-    options: &EventLoadOptions,
+    options: &SocketLoadOptions,
     connections: usize,
 ) -> Result<OffloadArm, ExperimentError> {
     let mut rng = ctx.rng(&label);
@@ -244,7 +244,7 @@ fn offload_arm(
             .build()
             .expect("ablation arms are valid configurations");
         let server = EventLoopServer::start(key, "www.sslperf.test", &server_options)?;
-        let report = run_event_load(server.local_addr(), options)?;
+        let report = run_socket_load(server.local_addr(), options)?;
         let stats = server.stats();
         let (jobs, depth) = (stats.crypto_jobs(), stats.crypto_queue_depth_max());
         let (batches, batched) = (stats.crypto_batches(), stats.crypto_batched_jobs());
@@ -263,7 +263,7 @@ fn offload_arm(
         // The baseline parks one blocking thread per held connection, so
         // it needs as many workers as the burst has sockets.
         let server = BlockingBaseline::start(key, "www.sslperf.test", connections)?;
-        let report = run_event_load(server.local_addr(), options)?;
+        let report = run_socket_load(server.local_addr(), options)?;
         server.shutdown();
         Ok(OffloadArm {
             label,
@@ -288,13 +288,14 @@ fn offload_arm(
 /// Propagates key generation, serving and load-generation failures.
 pub fn crypto_offload(ctx: &Context) -> Result<CryptoOffload, ExperimentError> {
     let connections = (ctx.iterations() * 4).clamp(8, 64);
-    let options = EventLoadOptions {
-        connections,
+    let options = SocketLoadOptions {
+        clients: connections,
+        transactions_per_client: 1,
+        resume: false,
         file_size: 1024,
         protocol: Protocol::Ssl3,
         suite: ctx.suite(),
         hold_until_all_established: true,
-        deadline: Duration::from_secs(60),
     };
 
     let mut arms = Vec::new();
@@ -369,11 +370,11 @@ pub fn live_anatomy(ctx: &Context) -> Result<LiveAnatomy, ExperimentError> {
     let options = SocketLoadOptions {
         clients: 4,
         transactions_per_client: ctx.iterations().clamp(2, 16),
-        warmup_per_client: 1,
         resume: true,
         file_size: 1024,
+        protocol: Protocol::Ssl3,
         suite: ctx.suite(),
-        tickets: false,
+        hold_until_all_established: false,
     };
     let mut rng = ctx.rng("netload-anatomy-key");
     let key = RsaPrivateKey::generate(ctx.key_bits(), &mut rng)?;
@@ -394,9 +395,9 @@ pub fn live_anatomy(ctx: &Context) -> Result<LiveAnatomy, ExperimentError> {
 #[derive(Debug)]
 pub struct ProtocolAnatomy {
     /// Client-side report for the SSLv3 arm.
-    pub ssl3: EventLoadReport,
+    pub ssl3: SocketLoadReport,
     /// Client-side report for the TLS 1.3 arm.
-    pub tls13: EventLoadReport,
+    pub tls13: SocketLoadReport,
     /// The frozen metrics registry after both arms ran, holding one
     /// anatomy table per protocol.
     pub snapshot: MetricsSnapshot,
@@ -455,15 +456,16 @@ pub fn protocol_anatomy(ctx: &Context) -> Result<ProtocolAnatomy, ExperimentErro
         .expect("valid protocol-anatomy server options");
     let server = EventLoopServer::start(key, "www.sslperf.test", &server_options)?;
     let arm = |protocol| {
-        let options = EventLoadOptions {
-            connections,
+        let options = SocketLoadOptions {
+            clients: connections,
+            transactions_per_client: 1,
+            resume: false,
             file_size: 1024,
             protocol,
             suite: ctx.suite(),
             hold_until_all_established: true,
-            deadline: Duration::from_secs(60),
         };
-        run_event_load(server.local_addr(), &options)
+        run_socket_load(server.local_addr(), &options)
     };
     let ssl3 = arm(Protocol::Ssl3)?;
     let tls13 = arm(Protocol::Tls13)?;
@@ -597,19 +599,20 @@ pub fn restart_survival(ctx: &Context) -> Result<RestartSurvival, ExperimentErro
 mod tests {
     use super::*;
     use crate::test_ctx::ctx;
-    use sslperf_websim::loadgen::run_event_load_disrupted;
+    use sslperf_websim::loadgen::run_socket_load_disrupted;
 
     #[test]
     fn killed_engine_keeps_live_serving_alive() {
         let ctx = ctx();
         let connections = 8;
-        let options = EventLoadOptions {
-            connections,
+        let options = SocketLoadOptions {
+            clients: connections,
+            transactions_per_client: 1,
+            resume: false,
             file_size: 1024,
             protocol: Protocol::Ssl3,
             suite: ctx.suite(),
             hold_until_all_established: true,
-            deadline: Duration::from_secs(60),
         };
         let mut rng = ctx.rng("kill-engine-live");
         let key = RsaPrivateKey::generate(ctx.key_bits(), &mut rng).expect("server key");
@@ -621,7 +624,7 @@ mod tests {
         let server =
             EventLoopServer::start(key, "www.sslperf.test", &server_options).expect("server");
         let report =
-            run_event_load_disrupted(server.local_addr(), &options, connections / 2, || {
+            run_socket_load_disrupted(server.local_addr(), &options, connections / 2, || {
                 assert!(server.kill_crypto_engine(0), "engine index exists");
             })
             .expect("fleet survives losing an engine");

@@ -60,42 +60,6 @@ pub fn key_block(master: &[u8], server_random: &[u8], client_random: &[u8], len:
     derive(master, server_random, client_random, len)
 }
 
-/// The TLS 1.0 PRF (RFC 2246 §5), included as the successor construction
-/// OpenSSL shipped alongside SSLv3 (§3.1 notes the library supports both):
-/// `PRF(secret, label, seed) = P_MD5(S1, ...) xor P_SHA1(S2, ...)`.
-///
-/// Kept as the successor construction for comparison; SSL v3 connections in
-/// this crate use [`fn@derive`].
-#[must_use]
-pub fn tls1_prf(secret: &[u8], label: &[u8], seed: &[u8], out_len: usize) -> Vec<u8> {
-    use sslperf_hashes::{HashAlg, Hmac};
-    counters::count("tls1_prf", out_len as u64);
-    let half = secret.len().div_ceil(2);
-    let s1 = &secret[..half];
-    let s2 = &secret[secret.len() - half..];
-    let mut label_seed = label.to_vec();
-    label_seed.extend_from_slice(seed);
-
-    let p_hash = |alg: HashAlg, key: &[u8]| -> Vec<u8> {
-        let mut out = Vec::with_capacity(out_len);
-        // A(1) = HMAC(key, seed); A(i) = HMAC(key, A(i-1)).
-        let mut a = Hmac::mac(alg, key, &label_seed);
-        while out.len() < out_len {
-            let mut h = Hmac::new(alg, key);
-            h.update(&a);
-            h.update(&label_seed);
-            out.extend_from_slice(&h.finalize());
-            a = Hmac::mac(alg, key, &a);
-        }
-        out.truncate(out_len);
-        out
-    };
-
-    let md5_part = p_hash(HashAlg::Md5, s1);
-    let sha_part = p_hash(HashAlg::Sha1, s2);
-    md5_part.iter().zip(&sha_part).map(|(a, b)| a ^ b).collect()
-}
-
 /// The parsed key block: MAC secrets, cipher keys and IVs for both
 /// directions, in the SSLv3 layout order.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -211,24 +175,6 @@ mod tests {
     #[should_panic(expected = "key block too short")]
     fn short_key_block_panics() {
         let _ = KeyMaterial::parse(&[0u8; 10], 20, 24, 8);
-    }
-
-    #[test]
-    fn tls1_prf_properties() {
-        // RFC 2246 structural properties: length-exact, deterministic, and
-        // sensitive to every input.
-        let base = tls1_prf(b"master", b"key expansion", b"seed", 104);
-        assert_eq!(base.len(), 104);
-        assert_eq!(base, tls1_prf(b"master", b"key expansion", b"seed", 104));
-        assert_ne!(base, tls1_prf(b"mastes", b"key expansion", b"seed", 104));
-        assert_ne!(base, tls1_prf(b"master", b"key expansioo", b"seed", 104));
-        assert_ne!(base, tls1_prf(b"master", b"key expansion", b"seee", 104));
-        // Prefix property (P_hash streams).
-        let short = tls1_prf(b"master", b"key expansion", b"seed", 16);
-        assert_eq!(&base[..16], &short[..]);
-        // Odd-length secrets split with one shared byte.
-        let odd = tls1_prf(&[1, 2, 3], b"l", b"s", 32);
-        assert_eq!(odd.len(), 32);
     }
 
     #[test]

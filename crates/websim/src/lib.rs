@@ -14,7 +14,7 @@
 //!   (fixed per-connection and per-byte charges typical of 2004-era Linux),
 //!   applied to the actual byte counts on the simulated wire.
 //!
-//! The headline experiment: [`SecureWebServer::run_transaction`] executes
+//! The headline experiment: [`SecureWebServer::run_with_session`] executes
 //! one full HTTPS GET (TCP "connect", SSL handshake, request, response,
 //! teardown) and returns a [`TransactionReport`] whose component split is
 //! the paper's Table 1 row set.
@@ -87,31 +87,12 @@ impl<'a> SecureWebServer<'a> {
     /// accounts every cycle to a component.
     ///
     /// `seed` determines all randomness (client and server), making runs
-    /// reproducible. When `resume_from` carries a previous session, the
-    /// client attempts resumption.
+    /// reproducible. When `session` carries a previous session, the client
+    /// attempts resumption.
     ///
     /// # Errors
     ///
     /// Propagates any SSL failure (none occur for well-formed inputs).
-    pub fn run_transaction(
-        &self,
-        file_size: usize,
-        seed: u64,
-        resume_from: Option<sslperf_ssl::SslClient>,
-    ) -> Result<TransactionReport, SslError> {
-        // `resume_from` as a whole client keeps the session handle API
-        // simple: we pull the session out of an established client.
-        let session = resume_from.and_then(|c| c.session());
-        self.run_with_session(file_size, seed, session)
-    }
-
-    /// Like [`SecureWebServer::run_transaction`] but resuming an explicit
-    /// session handle. Returns the report and the client (whose session can
-    /// seed further resumptions).
-    ///
-    /// # Errors
-    ///
-    /// Propagates any SSL failure.
     pub fn run_with_session(
         &self,
         file_size: usize,
@@ -281,7 +262,7 @@ mod tests {
     #[test]
     fn transaction_completes_and_accounts_components() {
         let server = SecureWebServer::new(config(), CipherSuite::RsaDesCbc3Sha);
-        let report = server.run_transaction(1024, 1, None).unwrap();
+        let report = server.run_with_session(1024, 1, None).unwrap();
         for name in COMPONENT_NAMES {
             assert!(report.components.get(name).is_some(), "missing {name}");
         }
@@ -293,7 +274,7 @@ mod tests {
     #[test]
     fn ssl_dominates_transaction() {
         let server = SecureWebServer::new(config(), CipherSuite::RsaDesCbc3Sha);
-        let report = server.run_transaction(1024, 2, None).unwrap();
+        let report = server.run_with_session(1024, 2, None).unwrap();
         // The paper reports ~70%; with a 512-bit key and modern hardware the
         // exact number differs, but SSL must still dominate.
         assert!(report.ssl_percent() > 40.0, "got {:.1}%", report.ssl_percent());
@@ -302,7 +283,7 @@ mod tests {
     #[test]
     fn public_key_dominates_crypto_at_small_files() {
         let server = SecureWebServer::new(config(), CipherSuite::RsaDesCbc3Sha);
-        let report = server.run_transaction(1024, 3, None).unwrap();
+        let report = server.run_with_session(1024, 3, None).unwrap();
         let public = report.crypto_categories.percent("public");
         let private = report.crypto_categories.percent("private");
         assert!(public > private, "public {public:.1}% vs private {private:.1}%");
@@ -311,8 +292,8 @@ mod tests {
     #[test]
     fn private_share_grows_with_file_size() {
         let server = SecureWebServer::new(config(), CipherSuite::RsaDesCbc3Sha);
-        let small = server.run_transaction(1024, 4, None).unwrap();
-        let large = server.run_transaction(32 * 1024, 5, None).unwrap();
+        let small = server.run_with_session(1024, 4, None).unwrap();
+        let large = server.run_with_session(32 * 1024, 5, None).unwrap();
         assert!(
             large.crypto_categories.percent("private") > small.crypto_categories.percent("private"),
             "bulk encryption share must grow with the file"
@@ -364,7 +345,7 @@ mod tests {
     fn zero_cost_model_isolates_measured_components() {
         let server = SecureWebServer::new(config(), CipherSuite::RsaRc4Md5)
             .with_costs(crate::costs::CostModel::zero());
-        let report = server.run_transaction(1024, 21, None).unwrap();
+        let report = server.run_with_session(1024, 21, None).unwrap();
         assert_eq!(report.components.cycles("vmlinux"), Cycles::ZERO);
         assert_eq!(report.components.cycles("other"), Cycles::ZERO);
         assert!(report.components.cycles("libcrypto") > Cycles::ZERO);

@@ -1,18 +1,21 @@
-//! Socket load drivers — the paper's driver methodology on the wire.
+//! Socket load driver — the paper's driver methodology on the wire.
 //!
 //! §3.1: "The client makes HTTP requests as fast as the server can handle
 //! them. During our experiments, the server load is always maintained at
-//! more than 90%." Every driver here connects to a listening server's
-//! address over real TCP; what they differ in is the shape of the load:
+//! more than 90%." Every run here connects to a listening server's
+//! address over real TCP with one blocking thread per client, one
+//! connection per transaction, each connection an `Engine<ClientMachine>`
+//! speaking SSLv3 or TLS 1.3. What runs differ in is the shape of the
+//! load:
 //!
-//! - [`run_socket_load`]: closed-loop client threads, one connection per
-//!   transaction, optionally resuming by session id or ticket (§4.1's
+//! - [`run_socket_load`]: a closed loop — each client runs its
+//!   transactions back to back, optionally resuming by session id (§4.1's
 //!   session re-negotiation), with handshake and transaction latency
-//!   percentiles.
-//! - [`run_event_load`]: one thread holding many non-blocking connections
-//!   open at once, for concurrency beyond the thread count and bursts that
-//!   back the crypto pool up ([`run_event_load_disrupted`] runs a callback
-//!   mid-burst, e.g. to kill an engine).
+//!   percentiles. One fresh transaction per client is a burst; with
+//!   [`SocketLoadOptions::hold_until_all_established`] no client sends its
+//!   request before every client has completed its handshake, so all
+//!   connections are provably open at once. [`run_socket_load_disrupted`]
+//!   runs a callback mid-run, e.g. to kill a crypto engine.
 //! - [`run_restart_load`]: establishes sessions, lets the caller restart
 //!   or kill the server in between, then counts which sessions resume.
 //!
@@ -23,34 +26,52 @@
 use crate::http::{HttpRequest, HttpResponse};
 use sslperf_rng::SslRng;
 use sslperf_ssl::{
-    CipherSuite, ClientEngine, ClientSession, Engine, Protocol, SslClient, SslError,
+    CipherSuite, ClientConfig, ClientMachine, ClientSession, Engine, Protocol, SslClient, SslError,
 };
 use std::fmt;
 use std::net::{SocketAddr, TcpStream};
+use std::panic::{self, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Barrier, Mutex};
 use std::time::{Duration, Instant};
+
+/// Connect, read and write timeout of every client socket: a stalled
+/// server fails the transaction instead of hanging it.
+const IO_TIMEOUT: Duration = Duration::from_secs(30);
 
 /// Tunables for [`run_socket_load`].
 #[derive(Debug, Clone)]
 pub struct SocketLoadOptions {
-    /// Concurrent client threads.
+    /// Concurrent client threads, each holding one connection at a time.
     pub clients: usize,
     /// Measured transactions each client performs.
     pub transactions_per_client: usize,
-    /// Unmeasured transactions each client runs first (connection setup,
-    /// cache warmup).
-    pub warmup_per_client: usize,
-    /// When true, every transaction after a client's first offers its
-    /// previous session id for resumption; when false every handshake is
-    /// full.
+    /// When true, each client first runs one unmeasured full handshake and
+    /// every later transaction offers the previous session id for
+    /// resumption; when false every handshake is full and measured. Only
+    /// SSLv3 clients carry a session.
     pub resume: bool,
     /// Document size requested per transaction.
     pub file_size: usize,
+    /// Protocol every client speaks (the server's dispatching machine
+    /// serves either on the same port).
+    pub protocol: Protocol,
     /// Cipher suite every client offers.
     pub suite: CipherSuite,
-    /// When true, clients advertise the session-ticket extension, so the
-    /// server hands out encrypted tickets and resumption goes through the
-    /// stateless path instead of the server-side id cache.
-    pub tickets: bool,
+    /// When true, no client sends its first measured request until *every*
+    /// client has completed that connection's handshake — so all
+    /// connections are provably open and established at the same instant
+    /// ([`SocketLoadReport::peak_established`]).
+    pub hold_until_all_established: bool,
+}
+
+impl SocketLoadOptions {
+    /// Unmeasured transactions each client runs first: one full handshake
+    /// whose session the measured ones resume, none without resumption.
+    #[must_use]
+    pub fn warmup_per_client(&self) -> usize {
+        usize::from(self.resume)
+    }
 }
 
 impl Default for SocketLoadOptions {
@@ -58,11 +79,11 @@ impl Default for SocketLoadOptions {
         SocketLoadOptions {
             clients: 8,
             transactions_per_client: 8,
-            warmup_per_client: 1,
             resume: true,
             file_size: 1024,
+            protocol: Protocol::Ssl3,
             suite: CipherSuite::RsaDesCbc3Sha,
-            tickets: false,
+            hold_until_all_established: false,
         }
     }
 }
@@ -102,13 +123,16 @@ impl fmt::Display for LatencyPercentiles {
 pub struct SocketLoadReport {
     /// Measured transactions completed (warmup excluded).
     pub transactions: usize,
-    /// Wall-clock time for the measured phase.
+    /// Wall-clock time for the whole run.
     pub wall: Duration,
     /// Measured transactions that resumed a cached session.
     pub resumed: usize,
+    /// Largest number of connections established at the same instant.
+    pub peak_established: usize,
     /// Handshake-only latency distribution.
     pub handshake_latency: LatencyPercentiles,
-    /// Full-transaction (connect through close) latency distribution.
+    /// Full-transaction (connect through close) latency distribution; a
+    /// held request's wait is part of it.
     pub transaction_latency: LatencyPercentiles,
 }
 
@@ -142,26 +166,59 @@ impl fmt::Display for SocketLoadReport {
 /// sockets, one connection per transaction (the paper's §3.1 driver, on
 /// the wire instead of in memory).
 ///
-/// Each client performs `warmup_per_client` unmeasured transactions, then
-/// `transactions_per_client` measured ones; with
-/// [`SocketLoadOptions::resume`] set, each transaction after a client's
-/// first reconnects offering the previous session id, exercising the
-/// server's cross-connection session cache.
+/// Each client performs [`SocketLoadOptions::warmup_per_client`]
+/// unmeasured transactions, then `transactions_per_client` measured ones;
+/// with [`SocketLoadOptions::resume`] set, each transaction after a
+/// client's first reconnects offering the previous session id, exercising
+/// the server's cross-connection session cache.
 ///
 /// # Errors
 ///
-/// Returns the first SSL or transport failure from any client.
+/// Returns the first SSL or transport failure from any client; a client
+/// that fails before a held release still releases the others.
 pub fn run_socket_load(
     addr: SocketAddr,
     options: &SocketLoadOptions,
 ) -> Result<SocketLoadReport, SslError> {
+    run(addr, options, usize::MAX, None::<fn()>)
+}
+
+/// [`run_socket_load`] with a one-shot fault injection: `disrupt` fires
+/// once, on the client thread whose handshake is the
+/// `disrupt_at_handshake`-th of the run to complete, while the remaining
+/// handshakes are still in flight — the harness for killing a crypto
+/// engine (or a fleet instance) mid-load and proving the survivors finish
+/// every connection. A run that returns `Ok` completed every transaction:
+/// zero handshake failures.
+///
+/// # Errors
+///
+/// Same contract as [`run_socket_load`].
+pub fn run_socket_load_disrupted(
+    addr: SocketAddr,
+    options: &SocketLoadOptions,
+    disrupt_at_handshake: usize,
+    disrupt: impl FnOnce() + Send,
+) -> Result<SocketLoadReport, SslError> {
+    run(addr, options, disrupt_at_handshake, Some(disrupt))
+}
+
+fn run<F: FnOnce() + Send>(
+    addr: SocketAddr,
+    options: &SocketLoadOptions,
+    disrupt_at: usize,
+    disrupt: Option<F>,
+) -> Result<SocketLoadReport, SslError> {
+    let shared = Shared {
+        hold: options.hold_until_all_established.then(|| Barrier::new(options.clients)),
+        handshakes: AtomicUsize::new(0),
+        open: AtomicUsize::new(0),
+        peak_established: AtomicUsize::new(0),
+        disrupt_at,
+        disrupt: Mutex::new(disrupt),
+    };
     let start = Instant::now();
-    let results: Vec<Result<Vec<TxnSample>, SslError>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..options.clients)
-            .map(|c| scope.spawn(move || socket_client(addr, options, c)))
-            .collect();
-        handles.into_iter().map(|h| h.join().expect("client thread")).collect()
-    });
+    let results = on_client_threads(options.clients, |c| socket_client(addr, options, &shared, c));
     let wall = start.elapsed();
 
     let mut samples = Vec::new();
@@ -178,292 +235,45 @@ pub fn run_socket_load(
         transactions,
         wall,
         resumed,
+        peak_established: shared.peak_established.into_inner(),
         handshake_latency: LatencyPercentiles::from_sorted(&handshakes),
         transaction_latency: LatencyPercentiles::from_sorted(&totals),
     })
 }
 
-/// Tunables for [`run_event_load`].
-#[derive(Debug, Clone)]
-pub struct EventLoadOptions {
-    /// Concurrent connections, all driven from one generator thread.
-    pub connections: usize,
-    /// Document size requested on each connection.
-    pub file_size: usize,
-    /// Protocol every client speaks (the server's dispatching machine
-    /// serves either on the same port).
-    pub protocol: Protocol,
-    /// Cipher suite every client offers.
-    pub suite: CipherSuite,
-    /// When true, no client sends its HTTP request until *every* client
-    /// has completed its handshake — so all connections are provably open
-    /// and established at the same instant (the concurrency proof the
-    /// event-loop server's C10k claim rests on).
-    pub hold_until_all_established: bool,
-    /// Abort the run if it has not completed within this budget.
-    pub deadline: Duration,
+/// What the client threads of one [`run_socket_load`] share.
+struct Shared<F> {
+    /// Every client's wait before its first measured request, when held.
+    hold: Option<Barrier>,
+    /// Handshakes completed so far in the run.
+    handshakes: AtomicUsize,
+    /// Connections established and not yet closed.
+    open: AtomicUsize,
+    peak_established: AtomicUsize,
+    disrupt_at: usize,
+    disrupt: Mutex<Option<F>>,
 }
 
-impl Default for EventLoadOptions {
-    fn default() -> Self {
-        EventLoadOptions {
-            connections: 16,
-            file_size: 1024,
-            protocol: Protocol::Ssl3,
-            suite: CipherSuite::RsaDesCbc3Sha,
-            hold_until_all_established: true,
-            deadline: Duration::from_secs(30),
-        }
-    }
-}
-
-/// Results of an event-driven load run.
-#[derive(Debug)]
-pub struct EventLoadReport {
-    /// Connections that completed a full HTTP transaction.
-    pub transactions: usize,
-    /// Largest number of simultaneously established connections observed.
-    pub peak_established: usize,
-    /// Wall-clock time for the whole run.
-    pub wall: Duration,
-    /// Handshake latency distribution (connect to Finished verified).
-    pub handshake_latency: LatencyPercentiles,
-}
-
-impl EventLoadReport {
-    /// Completed transactions per wall-clock second.
-    #[must_use]
-    pub fn transactions_per_second(&self) -> f64 {
-        if self.wall.as_secs_f64() == 0.0 {
-            0.0
-        } else {
-            self.transactions as f64 / self.wall.as_secs_f64()
-        }
-    }
-}
-
-/// Drives many concurrent non-blocking client connections from a single
-/// thread, each a sans-io [`ClientEngine`] fed
-/// by readiness sweeps — the client-side mirror of the event-loop server.
-///
-/// Unlike [`run_socket_load`] (one blocking thread per client), the
-/// connection count here is limited only by sockets, so it can hold far
-/// more connections open simultaneously than the generator has threads;
-/// with [`EventLoadOptions::hold_until_all_established`] the run proves
-/// all of them were established at once via
-/// [`EventLoadReport::peak_established`].
-///
-/// # Errors
-///
-/// Returns the first SSL or transport failure from any connection, and
-/// [`SslError::Io`] (`"timed out: …"`) when the deadline expires.
-pub fn run_event_load(
-    addr: SocketAddr,
-    options: &EventLoadOptions,
-) -> Result<EventLoadReport, SslError> {
-    run_event_load_inner(addr, options, usize::MAX, None::<fn()>)
-}
-
-/// [`run_event_load`] with a one-shot fault injection: `disrupt` fires the
-/// first time at least `disrupt_at_established` connections have completed
-/// their handshake, while the remaining handshakes are still in flight —
-/// the harness for killing a crypto engine (or a fleet instance) mid-load
-/// and proving the survivors finish every connection. A run that returns
-/// `Ok` completed every transaction: zero handshake failures.
-///
-/// # Errors
-///
-/// Same contract as [`run_event_load`].
-pub fn run_event_load_disrupted(
-    addr: SocketAddr,
-    options: &EventLoadOptions,
-    disrupt_at_established: usize,
-    disrupt: impl FnOnce(),
-) -> Result<EventLoadReport, SslError> {
-    run_event_load_inner(addr, options, disrupt_at_established, Some(disrupt))
-}
-
-fn run_event_load_inner(
-    addr: SocketAddr,
-    options: &EventLoadOptions,
-    disrupt_at_established: usize,
-    mut disrupt: Option<impl FnOnce()>,
-) -> Result<EventLoadReport, SslError> {
-    use sslperf_ssl::{ClientConfig, ClientMachine};
-
-    let start = Instant::now();
-    let client_config = ClientConfig::new(options.protocol, options.suite);
-    let mut clients = Vec::with_capacity(options.connections);
-    for i in 0..options.connections {
-        let stream = TcpStream::connect(addr).map_err(|e| SslError::Io(e.to_string()))?;
-        stream.set_nodelay(true).map_err(|e| SslError::Io(e.to_string()))?;
-        stream.set_nonblocking(true).map_err(|e| SslError::Io(e.to_string()))?;
-        let rng = SslRng::from_seed(format!("event-loadgen-{i}").as_bytes());
-        let engine = Engine::new(ClientMachine::new(client_config, rng))?;
-        clients.push(EventClient {
-            stream,
-            engine,
-            started: Instant::now(),
-            handshake: None,
-            response: Vec::new(),
-            request_sent: false,
-            closing: false,
-            done: false,
-            ok: false,
-        });
-    }
-
-    let mut scratch = vec![0u8; 16 * 1024];
-    let mut peak_established = 0;
-    while !clients.iter().all(|c| c.done) {
-        if start.elapsed() > options.deadline {
-            return Err(SslError::Io("timed out: event load deadline expired".into()));
-        }
-        let all_established = clients.iter().all(|c| c.done || c.engine.is_established());
-        let release = !options.hold_until_all_established || all_established;
-        let mut progress = false;
-        for client in &mut clients {
-            progress |= client.pump(release, options.file_size, &mut scratch)?;
-        }
-        let established_now =
-            clients.iter().filter(|c| !c.done && c.engine.is_established()).count();
-        peak_established = peak_established.max(established_now);
-        // Fault injection: fire once, as soon as enough handshakes have
-        // ever completed (the `handshake` latency stamp persists after the
-        // connection finishes, so this is a cumulative count).
-        if disrupt.is_some() {
-            let ever_established = clients.iter().filter(|c| c.handshake.is_some()).count();
-            if ever_established >= disrupt_at_established {
-                if let Some(disrupt) = disrupt.take() {
-                    disrupt();
-                }
+impl<F: FnOnce()> Shared<F> {
+    /// Books one completed handshake: fires the disruption on the
+    /// `disrupt_at`-th, counts the connection open, then waits at `hold`
+    /// when given.
+    fn on_handshake(&self, hold: Option<&Barrier>) {
+        let mut disrupted = Ok(());
+        if self.handshakes.fetch_add(1, Ordering::SeqCst) + 1 == self.disrupt_at {
+            if let Some(disrupt) = self.disrupt.lock().expect("disrupt lock").take() {
+                // A panicking callback still lets this client reach the hold.
+                disrupted = panic::catch_unwind(AssertUnwindSafe(disrupt));
             }
         }
-        if !progress {
-            std::thread::sleep(Duration::from_micros(500));
+        let now = self.open.fetch_add(1, Ordering::SeqCst) + 1;
+        self.peak_established.fetch_max(now, Ordering::SeqCst);
+        if let Some(barrier) = hold {
+            barrier.wait();
         }
-    }
-    let wall = start.elapsed();
-
-    let transactions = clients.iter().filter(|c| c.ok).count();
-    let mut handshakes: Vec<Duration> = clients.iter().filter_map(|c| c.handshake).collect();
-    handshakes.sort_unstable();
-    Ok(EventLoadReport {
-        transactions,
-        peak_established,
-        wall,
-        handshake_latency: LatencyPercentiles::from_sorted(&handshakes),
-    })
-}
-
-/// One multiplexed client connection of [`run_event_load`].
-struct EventClient {
-    stream: TcpStream,
-    engine: sslperf_ssl::Engine<sslperf_ssl::ClientMachine>,
-    started: Instant,
-    handshake: Option<Duration>,
-    response: Vec<u8>,
-    request_sent: bool,
-    closing: bool,
-    done: bool,
-    ok: bool,
-}
-
-impl EventClient {
-    /// Makes whatever progress the socket allows. Returns true when
-    /// anything moved.
-    fn pump(
-        &mut self,
-        release: bool,
-        file_size: usize,
-        scratch: &mut [u8],
-    ) -> Result<bool, SslError> {
-        use std::io::{ErrorKind, Read, Write};
-
-        if self.done {
-            return Ok(false);
+        if let Err(payload) = disrupted {
+            panic::resume_unwind(payload);
         }
-        let mut progress = false;
-
-        // Read phase (skipped once closing: the goodbye is queued, only
-        // the flush remains).
-        while !self.closing {
-            match self.stream.read(scratch) {
-                Ok(0) => {
-                    return Err(SslError::Io("server closed before the transaction ended".into()))
-                }
-                Ok(n) => {
-                    progress = true;
-                    let mut offset = 0;
-                    while offset < n {
-                        let consumed = self.engine.feed(&scratch[offset..n])?;
-                        offset += consumed;
-                        self.process(release, file_size)?;
-                        if consumed == 0 && offset < n {
-                            return Err(SslError::Decode("record backlog"));
-                        }
-                    }
-                }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                Err(e) => return Err(SslError::Io(e.to_string())),
-            }
-        }
-        self.process(release, file_size)?;
-
-        // Write phase: handshake flights, the request, or the goodbye.
-        while self.engine.wants_write() {
-            match self.stream.write(self.engine.output()) {
-                Ok(0) => return Err(SslError::Io("server closed during write".into())),
-                Ok(n) => {
-                    progress = true;
-                    self.engine.consume_output(n);
-                }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                Err(e) => return Err(SslError::Io(e.to_string())),
-            }
-        }
-
-        if self.closing && !self.engine.wants_write() {
-            self.done = true;
-            progress = true;
-        }
-        Ok(progress)
-    }
-
-    /// Advances the transaction state machine on the freshly fed bytes:
-    /// note the handshake, send the request once released, assemble and
-    /// check the response, then queue the orderly close.
-    fn process(&mut self, release: bool, file_size: usize) -> Result<(), SslError> {
-        if !self.engine.is_established() || self.closing {
-            return Ok(());
-        }
-        if self.handshake.is_none() {
-            self.handshake = Some(self.started.elapsed());
-        }
-        if !release {
-            return Ok(());
-        }
-        if !self.request_sent {
-            let path = format!("/doc_{file_size}.bin");
-            self.engine.seal(&HttpRequest::get(&path).to_bytes())?;
-            self.request_sent = true;
-            return Ok(());
-        }
-        while let Some(range) = self.engine.open_next()? {
-            self.response.extend_from_slice(&self.engine.buffered()[range]);
-            if let Ok(response) = HttpResponse::parse(&self.response) {
-                if response.status() != 200 || response.body().len() != file_size {
-                    return Err(SslError::Decode("unexpected http response"));
-                }
-                self.ok = true;
-                self.engine.queue_close_notify()?;
-                self.closing = true;
-                return Ok(());
-            }
-        }
-        Ok(())
     }
 }
 
@@ -473,79 +283,145 @@ struct TxnSample {
     resumed: bool,
 }
 
-/// One client thread: sequential transactions, session carried across
-/// connections when resumption is on.
-fn socket_client(
+/// One client thread. A client that fails before its held release still
+/// arrives at the barrier, so one failure never leaves the others waiting.
+fn socket_client<F: FnOnce()>(
     addr: SocketAddr,
     options: &SocketLoadOptions,
+    shared: &Shared<F>,
     client_index: usize,
 ) -> Result<Vec<TxnSample>, SslError> {
-    let total = options.warmup_per_client + options.transactions_per_client;
+    let mut hold = shared.hold.as_ref();
+    let samples = client_transactions(addr, options, shared, client_index, &mut hold);
+    if let Some(barrier) = hold {
+        barrier.wait();
+    }
+    samples
+}
+
+/// Sequential transactions, session carried across connections when
+/// resumption is on. Takes `hold` at the first measured handshake.
+fn client_transactions<F: FnOnce()>(
+    addr: SocketAddr,
+    options: &SocketLoadOptions,
+    shared: &Shared<F>,
+    client_index: usize,
+    hold: &mut Option<&Barrier>,
+) -> Result<Vec<TxnSample>, SslError> {
+    let warmup = options.warmup_per_client();
     let mut samples = Vec::with_capacity(options.transactions_per_client);
     let mut session = None;
-    for txn in 0..total {
-        let seed = [
-            b"socket-loadgen".as_slice(),
-            &(client_index as u64).to_le_bytes(),
-            &(txn as u64).to_le_bytes(),
-        ]
-        .concat();
+    for txn in 0..warmup + options.transactions_per_client {
+        // A burst (one fresh transaction per client) and the closed loop
+        // draw their client randoms under their own labels.
+        let seed = if options.transactions_per_client == 1 && !options.resume {
+            format!("event-loadgen-{client_index}").into_bytes()
+        } else {
+            [
+                b"socket-loadgen".as_slice(),
+                &(client_index as u64).to_le_bytes(),
+                &(txn as u64).to_le_bytes(),
+            ]
+            .concat()
+        };
         let offer = session.take().filter(|_| options.resume);
-        let client = new_client(options.suite, options.tickets, offer, &seed);
+        let client = new_client(options.protocol, options.suite, false, offer, &seed);
+        let measured = txn >= warmup;
         let start = Instant::now();
-        let (client, handshake) = transact(addr, client, options.file_size)?;
+        let (client, handshake) = transact(addr, client, options.file_size, || {
+            shared.on_handshake(if measured { hold.take() } else { None });
+        })?;
         let total = start.elapsed();
-        session = client.session();
-        if txn >= options.warmup_per_client {
-            samples.push(TxnSample { handshake, total, resumed: client.resumed() });
+        // Closed. A failed run reports no peak, so only success counts down.
+        shared.open.fetch_sub(1, Ordering::SeqCst);
+        session = session_of(&client);
+        if measured {
+            samples.push(TxnSample { handshake, total, resumed: resumed(&client) });
         }
     }
     Ok(samples)
 }
 
-/// A client for one transaction: resuming `session` when it carries one,
-/// otherwise offering `suite` (and the ticket extension when `tickets`).
+/// Runs `client(c)` for every `c` in `0..clients`, each on its own
+/// thread, and returns the results in client order.
+fn on_client_threads<T: Send>(clients: usize, client: impl Fn(usize) -> T + Sync) -> Vec<T> {
+    let client = &client;
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..clients).map(|c| scope.spawn(move || client(c))).collect();
+        handles.into_iter().map(|h| h.join().expect("client thread")).collect()
+    })
+}
+
+/// A client for one transaction: an SSLv3 client resuming `session` when
+/// it carries one, otherwise a fresh `protocol` client offering `suite`
+/// (and, for SSLv3, the ticket extension when `tickets`).
 fn new_client(
+    protocol: Protocol,
     suite: CipherSuite,
     tickets: bool,
     session: Option<ClientSession>,
     seed: &[u8],
-) -> SslClient {
+) -> ClientMachine {
     let rng = SslRng::from_seed(seed);
-    match session {
-        Some(s) => SslClient::resuming(s, rng),
-        None if tickets => SslClient::new(suite, rng).with_tickets(),
-        None => SslClient::new(suite, rng),
+    match (protocol, session) {
+        (Protocol::Ssl3, Some(s)) => ClientMachine::V3(SslClient::resuming(s, rng)),
+        (Protocol::Ssl3, None) if tickets => {
+            ClientMachine::V3(SslClient::new(suite, rng).with_tickets())
+        }
+        _ => ClientMachine::new(ClientConfig::new(protocol, suite), rng),
+    }
+}
+
+/// The session an established client can resume; TLS 1.3 clients keep none.
+fn session_of(client: &ClientMachine) -> Option<ClientSession> {
+    match client {
+        ClientMachine::V3(c) => c.session(),
+        ClientMachine::T13(_) => None,
+    }
+}
+
+/// Whether an established client resumed its session.
+fn resumed(client: &ClientMachine) -> bool {
+    match client {
+        ClientMachine::V3(c) => c.resumed(),
+        ClientMachine::T13(_) => false,
     }
 }
 
 /// One blocking transaction on a fresh connection: connect, handshake,
-/// GET `/doc_{file_size}.bin`, check the response, close. Returns the
-/// established client (its session and whether it resumed) and the
-/// connect-to-established latency.
+/// run `on_established`, GET `/doc_{file_size}.bin`, check the response,
+/// close. Returns the established client (its session and whether it
+/// resumed) and the connect-to-established latency.
 fn transact(
     addr: SocketAddr,
-    client: SslClient,
+    client: ClientMachine,
     file_size: usize,
-) -> Result<(SslClient, Duration), SslError> {
+    on_established: impl FnOnce(),
+) -> Result<(ClientMachine, Duration), SslError> {
     let io = |e: std::io::Error| SslError::Io(e.to_string());
     let start = Instant::now();
-    let mut socket = TcpStream::connect(addr).map_err(io)?;
+    let mut socket = TcpStream::connect_timeout(&addr, IO_TIMEOUT).map_err(io)?;
     // Without this, Nagle + delayed ACK stall the request that follows a
     // resumed handshake's back-to-back small writes by ~40ms.
     socket.set_nodelay(true).map_err(io)?;
+    socket.set_read_timeout(Some(IO_TIMEOUT)).map_err(io)?;
+    socket.set_write_timeout(Some(IO_TIMEOUT)).map_err(io)?;
     let mut engine = Engine::new(client)?;
-    let read_more =
-        |engine: &mut ClientEngine, socket: &mut TcpStream| match engine.read_from(socket)? {
-            0 => Err(SslError::Io("server closed before the transaction ended".into())),
-            _ => Ok(()),
-        };
-    // A resumed client's CCS ‖ finished leaves with the request.
+    let read_more = |engine: &mut Engine<ClientMachine>, socket: &mut TcpStream| match engine
+        .read_from(socket)?
+    {
+        0 => Err(SslError::Io("server closed before the transaction ended".into())),
+        _ => Ok(()),
+    };
     while !engine.is_established() {
         engine.write_to(&mut socket)?;
         read_more(&mut engine, &mut socket)?;
     }
     let handshake = start.elapsed();
+    // A client's last flight (a resumed SSLv3 client's CCS ‖ finished, a
+    // TLS 1.3 client's finished) reaches the server before any hold.
+    engine.write_to(&mut socket)?;
+    on_established();
 
     engine.seal(&HttpRequest::get(&format!("/doc_{file_size}.bin")).to_bytes())?;
     engine.write_to(&mut socket)?;
@@ -635,13 +511,13 @@ impl fmt::Display for RestartLoadReport {
     }
 }
 
-/// The restart-survival workload: every client establishes a session with
-/// a full handshake, the caller's `disrupt` closure kills/restarts server
-/// instances, and every client then reconnects offering its saved
-/// session. The report says how many of those reconnections actually
-/// resumed — with encrypted tickets the credentials live on the client
-/// and survive the restart; with id-cache resumption they die with the
-/// server's memory.
+/// The restart-survival workload: every SSLv3 client establishes a
+/// session with a full handshake, the caller's `disrupt` closure
+/// kills/restarts server instances, and every client then reconnects
+/// offering its saved session. The report says how many of those
+/// reconnections actually resumed — with encrypted tickets the
+/// credentials live on the client and survive the restart; with id-cache
+/// resumption they die with the server's memory.
 ///
 /// Phase-one failures propagate (nothing is being disrupted yet, so they
 /// are real bugs); phase-two failures are counted in
@@ -658,23 +534,15 @@ pub fn run_restart_load(
     disrupt: impl FnOnce(),
 ) -> Result<RestartLoadReport, SslError> {
     // One transaction, fresh or resuming; the client comes back established.
-    let txn = |session, seed: &[u8]| {
-        let client = new_client(options.suite, options.tickets, session, seed);
-        transact(addr, client, options.file_size).map(|(client, _)| client)
+    let txn = |session, label: &[u8], c: usize| {
+        let seed = [label, &(c as u64).to_le_bytes()].concat();
+        let client = new_client(Protocol::Ssl3, options.suite, options.tickets, session, &seed);
+        transact(addr, client, options.file_size, || {}).map(|(client, _)| client)
     };
 
     // Phase 1: every client performs one full-handshake transaction.
-    let phase1: Vec<Result<Option<ClientSession>, SslError>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..options.clients)
-            .map(|c| {
-                scope.spawn(move || {
-                    let seed =
-                        [b"restart-loadgen-full".as_slice(), &(c as u64).to_le_bytes()].concat();
-                    txn(None, &seed).map(|client| client.session())
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().expect("client thread")).collect()
+    let phase1 = on_client_threads(options.clients, |c| {
+        txn(None, b"restart-loadgen-full", c).map(|client| session_of(&client))
     });
     let mut sessions = Vec::new();
     for result in phase1 {
@@ -688,19 +556,8 @@ pub fn run_restart_load(
     disrupt();
 
     // Phase 2: every client reconnects offering its saved session.
-    let phase2: Vec<Result<bool, SslError>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = sessions
-            .into_iter()
-            .enumerate()
-            .map(|(c, session)| {
-                scope.spawn(move || {
-                    let seed =
-                        [b"restart-loadgen-resume".as_slice(), &(c as u64).to_le_bytes()].concat();
-                    txn(Some(session), &seed).map(|client| client.resumed())
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().expect("client thread")).collect()
+    let phase2 = on_client_threads(established, |c| {
+        txn(Some(sessions[c].clone()), b"restart-loadgen-resume", c).map(|client| resumed(&client))
     });
 
     let attempted = phase2.len();
@@ -714,4 +571,128 @@ pub fn run_restart_load(
         }
     }
     Ok(RestartLoadReport { established, attempted, resumed, failed })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use sslperf_rsa::RsaPrivateKey;
+    use sslperf_ssl::{ServerConfig, SslServer};
+    use std::net::TcpListener;
+    use std::sync::atomic::AtomicBool;
+    use std::sync::{mpsc, Arc, OnceLock};
+    use std::thread::{self, JoinHandle};
+
+    /// A loopback listener running `handle(index, stream)` on a thread of
+    /// its own for every accepted connection, until dropped.
+    struct TestServer {
+        addr: SocketAddr,
+        stop: Arc<AtomicBool>,
+        acceptor: Option<JoinHandle<()>>,
+    }
+
+    impl TestServer {
+        fn start(handle: fn(usize, TcpStream)) -> Self {
+            let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+            let addr = listener.local_addr().expect("local addr");
+            let stop = Arc::new(AtomicBool::new(false));
+            let acceptor = {
+                let stop = Arc::clone(&stop);
+                thread::spawn(move || {
+                    for (index, stream) in listener.incoming().enumerate() {
+                        if stop.load(Ordering::SeqCst) {
+                            break;
+                        }
+                        if let Ok(stream) = stream {
+                            thread::spawn(move || handle(index, stream));
+                        }
+                    }
+                })
+            };
+            TestServer { addr, stop, acceptor: Some(acceptor) }
+        }
+    }
+
+    impl Drop for TestServer {
+        fn drop(&mut self) {
+            self.stop.store(true, Ordering::SeqCst);
+            let _ = TcpStream::connect(self.addr);
+            if let Some(acceptor) = self.acceptor.take() {
+                let _ = acceptor.join();
+            }
+        }
+    }
+
+    /// Serves one SSLv3 transaction with a 1 KiB document.
+    fn serve(stream: TcpStream) -> Result<(), SslError> {
+        static CONFIG: OnceLock<ServerConfig> = OnceLock::new();
+        let config = CONFIG.get_or_init(|| {
+            let mut rng = SslRng::from_seed(b"loadgen-test-key");
+            let key = RsaPrivateKey::generate(512, &mut rng).expect("keygen");
+            ServerConfig::new(key, "loadgen.test").expect("config")
+        });
+        let mut socket = stream;
+        let mut engine = Engine::new(SslServer::new(config, SslRng::from_seed(b"loadgen-test")))?;
+        while !engine.is_established() || engine.open_next()?.is_none() {
+            engine.write_to(&mut socket)?;
+            if engine.read_from(&mut socket)? == 0 {
+                return Ok(());
+            }
+        }
+        engine.seal(&HttpResponse::ok(vec![0x42; 1024]).to_bytes())?;
+        engine.write_to(&mut socket)
+    }
+
+    /// Runs every `options` against `addr` in turn on a thread of its own
+    /// and asserts that each returns `Err` within 5 s.
+    fn assert_each_fails_promptly(addr: SocketAddr, runs: Vec<(&'static str, SocketLoadOptions)>) {
+        let shapes: Vec<_> = runs.iter().map(|(shape, _)| *shape).collect();
+        let (tx, rx) = mpsc::channel();
+        thread::spawn(move || {
+            for (_, options) in runs {
+                let _ = tx.send(run_socket_load(addr, &options).is_err());
+            }
+        });
+        for shape in shapes {
+            let failed = rx
+                .recv_timeout(Duration::from_secs(5))
+                .unwrap_or_else(|_| panic!("{shape}: still running after 5 s"));
+            assert!(failed, "{shape}: a client failed, yet the run returned Ok");
+        }
+    }
+
+    fn burst(clients: usize) -> SocketLoadOptions {
+        SocketLoadOptions {
+            clients,
+            transactions_per_client: 1,
+            resume: false,
+            hold_until_all_established: true,
+            ..SocketLoadOptions::default()
+        }
+    }
+
+    /// A server that accepts and drops every connection fails every
+    /// client's handshake: a held burst and a closed loop each come back
+    /// with `Err`.
+    #[test]
+    fn a_server_that_drops_every_connection_fails_the_run_promptly() {
+        let server = TestServer::start(|_, stream| drop(stream));
+        assert_each_fails_promptly(
+            server.addr,
+            vec![("held burst", burst(8)), ("closed loop", SocketLoadOptions::default())],
+        );
+    }
+
+    /// With every other connection dropped, half the burst establishes and
+    /// waits at the hold: the failed clients must still release it.
+    #[test]
+    fn a_failed_client_still_releases_the_held_burst() {
+        let server = TestServer::start(|index, stream| {
+            if index % 2 == 0 {
+                let _ = serve(stream);
+            }
+        });
+        assert!(run_socket_load(server.addr, &burst(1)).is_ok(), "the served half transacts");
+        assert_each_fails_promptly(server.addr, vec![("half-failed burst", burst(8))]);
+    }
 }

@@ -36,11 +36,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let load = SocketLoadOptions {
             clients: 8,
             transactions_per_client: if paper { 16 } else { 8 },
-            warmup_per_client: 1,
             resume,
             file_size: 1024,
+            protocol: Protocol::Ssl3,
             suite: CipherSuite::RsaDesCbc3Sha,
-            tickets: false,
+            hold_until_all_established: false,
         };
         let report = run_socket_load(server.local_addr(), &load)?;
         println!("{label}:");

@@ -14,8 +14,7 @@ use sslperf::ssl::ClientEngine;
 use sslperf::websim::http::{synthesize_document, HttpResponse};
 use sslperf::websim::loadgen::{run_socket_load, SocketLoadOptions};
 use std::net::TcpStream;
-use std::time::Duration;
-use support::{close, connect, recv, send};
+use support::{close, connect, eventually, recv, send};
 
 /// 1024-bit key: large enough that the RSA private decryption dominates
 /// the handshake the way the paper's Table 3 shows, small enough that the
@@ -23,18 +22,6 @@ use support::{close, connect, recv, send};
 fn key() -> RsaPrivateKey {
     let mut rng = SslRng::from_seed(b"metrics-live-tests");
     RsaPrivateKey::generate(1024, &mut rng).expect("keygen")
-}
-
-/// Server-side counters update after the shard finishes its half of the
-/// exchange, which the client does not wait for; poll briefly.
-fn eventually(mut f: impl FnMut() -> bool) -> bool {
-    for _ in 0..200 {
-        if f() {
-            return true;
-        }
-        std::thread::sleep(Duration::from_millis(5));
-    }
-    false
 }
 
 /// The tentpole acceptance scenario: ≥64 live transactions through the
@@ -57,11 +44,11 @@ fn live_anatomy_reproduces_paper_shape_from_real_sockets() {
     let load = SocketLoadOptions {
         clients: CLIENTS,
         transactions_per_client: TXN,
-        warmup_per_client: WARMUP,
         resume: true,
         file_size: 1024,
+        protocol: Protocol::Ssl3,
         suite: CipherSuite::RsaDesCbc3Sha,
-        tickets: false,
+        hold_until_all_established: false,
     };
     let report = run_socket_load(server.local_addr(), &load).expect("load run");
     assert_eq!(report.transactions, CLIENTS * TXN, "64 measured transactions");

@@ -10,14 +10,12 @@ mod support;
 use sslperf::prelude::*;
 use sslperf::ssl::Engine;
 use sslperf::websim::http::{synthesize_document, HttpResponse};
-use sslperf::websim::loadgen::{
-    run_event_load, run_socket_load, EventLoadOptions, SocketLoadOptions,
-};
+use sslperf::websim::loadgen::{run_socket_load, SocketLoadOptions};
 use std::io::{Read, Write};
 use std::net::{Shutdown, TcpStream};
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
-use support::{close, connect, establish, handshake, recv, send, Tapped};
+use support::{close, connect, establish, eventually, handshake, recv, send, Tapped};
 
 /// A deterministic 512-bit key (`RsaPrivateKey` is deliberately not
 /// `Clone`, so each server regenerates from the fixed seed).
@@ -44,18 +42,6 @@ fn slow_key() -> RsaPrivateKey {
 fn start_server() -> EventLoopServer {
     EventLoopServer::start(key(), "net.sslperf.test", &ServerOptions::default())
         .expect("server start")
-}
-
-/// Server-side counters update after the shard finishes its half of the
-/// exchange, which the client does not wait for; poll briefly.
-fn eventually(mut f: impl FnMut() -> bool) -> bool {
-    for _ in 0..200 {
-        if f() {
-            return true;
-        }
-        std::thread::sleep(std::time::Duration::from_millis(5));
-    }
-    false
 }
 
 #[test]
@@ -189,11 +175,11 @@ fn loaded_server_end_to_end() {
     let options = SocketLoadOptions {
         clients: 8,
         transactions_per_client: 8,
-        warmup_per_client: 1,
         resume: true,
         file_size: 1024,
+        protocol: Protocol::Ssl3,
         suite: CipherSuite::RsaDesCbc3Sha,
-        tickets: false,
+        hold_until_all_established: false,
     };
     let report = run_socket_load(server.local_addr(), &options).expect("load run");
 
@@ -233,15 +219,16 @@ fn event_loop_holds_8x_more_connections_than_threads() {
     let options = ServerOptions::builder().shards(shards).build().expect("valid options");
     let server = EventLoopServer::start(key(), "net.sslperf.test", &options).expect("server start");
 
-    let load = EventLoadOptions {
-        connections: 16,
+    let load = SocketLoadOptions {
+        clients: 16,
+        transactions_per_client: 1,
+        resume: false,
         file_size: 1024,
         protocol: Protocol::Ssl3,
         suite: CipherSuite::RsaDesCbc3Sha,
         hold_until_all_established: true,
-        deadline: Duration::from_secs(60),
     };
-    let report = run_event_load(server.local_addr(), &load).expect("event load");
+    let report = run_socket_load(server.local_addr(), &load).expect("event load");
 
     assert_eq!(
         report.peak_established, 16,
@@ -694,15 +681,16 @@ fn event_loop_offload_serves_concurrent_connections() {
         ServerOptions::builder().shards(2).crypto_workers(2).build().expect("valid options");
     let server = EventLoopServer::start(key(), "net.sslperf.test", &options).expect("server start");
 
-    let load = EventLoadOptions {
-        connections: 16,
+    let load = SocketLoadOptions {
+        clients: 16,
+        transactions_per_client: 1,
+        resume: false,
         file_size: 1024,
         protocol: Protocol::Ssl3,
         suite: CipherSuite::RsaDesCbc3Sha,
         hold_until_all_established: true,
-        deadline: Duration::from_secs(60),
     };
-    let report = run_event_load(server.local_addr(), &load).expect("event load");
+    let report = run_socket_load(server.local_addr(), &load).expect("event load");
     assert_eq!(report.peak_established, 16, "held concurrently while decrypts were pooled");
     assert_eq!(report.transactions, 16);
 
@@ -804,11 +792,11 @@ fn event_loop_cache_overflow_under_concurrent_resumption() {
     let load = SocketLoadOptions {
         clients: CLIENTS,
         transactions_per_client: TXN,
-        warmup_per_client: WARMUP,
         resume: true,
         file_size: 1024,
+        protocol: Protocol::Ssl3,
         suite: CipherSuite::RsaDesCbc3Sha,
-        tickets: false,
+        hold_until_all_established: false,
     };
     let report = run_socket_load(server.local_addr(), &load).expect("load run");
     assert_eq!(report.transactions, CLIENTS * TXN);
@@ -938,15 +926,16 @@ fn saturated_crypto_pool_does_not_evict_waiting_handshakes() {
     // under test is the crypto backlog itself — the tail of 32 queued
     // decrypts waits ~190 ms, far past the 75 ms deadline, while each
     // client stays responsive on the wire.
-    let load = EventLoadOptions {
-        connections: CONNECTIONS,
+    let load = SocketLoadOptions {
+        clients: CONNECTIONS,
+        transactions_per_client: 1,
+        resume: false,
         file_size: 1024,
         protocol: Protocol::Ssl3,
         suite: CipherSuite::RsaDesCbc3Sha,
         hold_until_all_established: false,
-        deadline: Duration::from_secs(60),
     };
-    let report = run_event_load(server.local_addr(), &load).expect("event load");
+    let report = run_socket_load(server.local_addr(), &load).expect("event load");
     assert_eq!(report.transactions, CONNECTIONS, "every connection served");
 
     let stats = server.stats();
@@ -1054,15 +1043,16 @@ fn event_loop_batch_burst_serves_and_accounts() {
     let server =
         EventLoopServer::start(slow_key(), "net.sslperf.test", &options).expect("server start");
 
-    let load = EventLoadOptions {
-        connections: CONNECTIONS,
+    let load = SocketLoadOptions {
+        clients: CONNECTIONS,
+        transactions_per_client: 1,
+        resume: false,
         file_size: 1024,
         protocol: Protocol::Ssl3,
         suite: CipherSuite::RsaDesCbc3Sha,
         hold_until_all_established: true,
-        deadline: Duration::from_secs(60),
     };
-    let report = run_event_load(server.local_addr(), &load).expect("event load");
+    let report = run_socket_load(server.local_addr(), &load).expect("event load");
     assert_eq!(report.peak_established, CONNECTIONS, "held concurrently");
     assert_eq!(report.transactions, CONNECTIONS);
 

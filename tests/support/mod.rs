@@ -1,7 +1,8 @@
 //! Engine drivers shared by the integration tests: the whole-flight
 //! reference driver (`drain` + `feed_all`, two engines in one thread, as
-//! `ssltest` runs them) and blocking socket helpers (a sans-io [`Engine`]
-//! driven over a `std::io` stream with `read_from`/`write_to`).
+//! `ssltest` runs them), blocking socket helpers (a sans-io [`Engine`]
+//! driven over a `std::io` stream with `read_from`/`write_to`) and the
+//! socket suites' poll for server-side counters (`eventually`).
 
 // Each test binary uses its own subset.
 #![allow(dead_code)]
@@ -10,6 +11,19 @@ use sslperf::ssl::{ClientEngine, Engine, EngineDriven, SslClient, SslError};
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::ops::Range;
+use std::time::Duration;
+
+/// Server-side counters update after the server finishes its half of the
+/// exchange, which the client does not wait for; poll briefly.
+pub fn eventually(mut f: impl FnMut() -> bool) -> bool {
+    for _ in 0..200 {
+        if f() {
+            return true;
+        }
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    false
+}
 
 /// A stream that keeps a copy of every byte read from it.
 pub struct Tapped<S> {

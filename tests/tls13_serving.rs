@@ -5,13 +5,15 @@
 //! engines survive byte-boundary trickle feeding (proptest over chunk
 //! sizes) with wires byte-identical to the coalesced run.
 
+mod support;
+
 use proptest::prelude::*;
 use sslperf::net::{EventLoopServer, ServerOptions};
 use sslperf::prelude::*;
 use sslperf::ssl::{Engine, EngineDriven, Tls13ClientMachine};
-use sslperf::websim::loadgen::{run_event_load, EventLoadOptions};
+use sslperf::websim::loadgen::{run_socket_load, SocketLoadOptions};
 use std::sync::OnceLock;
-use std::time::Duration;
+use support::eventually;
 
 fn key() -> RsaPrivateKey {
     let mut rng = SslRng::from_seed(b"tls13-serving-tests");
@@ -27,26 +29,15 @@ fn config() -> &'static ServerConfig {
     })
 }
 
-/// Server-side counters update after the worker finishes its half of the
-/// exchange, which the client does not wait for; poll briefly.
-fn eventually(mut f: impl FnMut() -> bool) -> bool {
-    for _ in 0..200 {
-        if f() {
-            return true;
-        }
-        std::thread::sleep(Duration::from_millis(5));
-    }
-    false
-}
-
-fn load(protocol: Protocol, connections: usize) -> EventLoadOptions {
-    EventLoadOptions {
-        connections,
+fn load(protocol: Protocol, connections: usize) -> SocketLoadOptions {
+    SocketLoadOptions {
+        clients: connections,
+        transactions_per_client: 1,
+        resume: false,
         file_size: 1024,
         protocol,
         suite: CipherSuite::RsaDesCbc3Sha,
         hold_until_all_established: true,
-        deadline: Duration::from_secs(60),
     }
 }
 
@@ -65,9 +56,9 @@ fn one_server_serves_both_protocols_with_side_by_side_anatomy() {
         .expect("valid options");
     let server = EventLoopServer::start(key(), "tls13.sslperf.test", &options).expect("start");
 
-    let ssl3 =
-        run_event_load(server.local_addr(), &load(Protocol::Ssl3, CONNECTIONS)).expect("ssl3 load");
-    let tls13 = run_event_load(server.local_addr(), &load(Protocol::Tls13, CONNECTIONS))
+    let ssl3 = run_socket_load(server.local_addr(), &load(Protocol::Ssl3, CONNECTIONS))
+        .expect("ssl3 load");
+    let tls13 = run_socket_load(server.local_addr(), &load(Protocol::Tls13, CONNECTIONS))
         .expect("tls13 load");
     assert_eq!(ssl3.transactions, CONNECTIONS, "every SSLv3 connection transacted");
     assert_eq!(tls13.transactions, CONNECTIONS, "every TLS 1.3 connection transacted");
@@ -121,7 +112,7 @@ fn tls13_dhe_offload_rides_the_crypto_pool() {
     let inline_options = ServerOptions::builder().shards(1).build().expect("valid options");
     let server =
         EventLoopServer::start(key(), "tls13.sslperf.test", &inline_options).expect("start");
-    let report = run_event_load(server.local_addr(), &load(Protocol::Tls13, CONNECTIONS))
+    let report = run_socket_load(server.local_addr(), &load(Protocol::Tls13, CONNECTIONS))
         .expect("inline load");
     assert_eq!(report.transactions, CONNECTIONS);
     let stats = server.stats();
@@ -134,7 +125,7 @@ fn tls13_dhe_offload_rides_the_crypto_pool() {
         ServerOptions::builder().shards(1).crypto_workers(2).build().expect("valid options");
     let server =
         EventLoopServer::start(key(), "tls13.sslperf.test", &pooled_options).expect("start");
-    let report = run_event_load(server.local_addr(), &load(Protocol::Tls13, CONNECTIONS))
+    let report = run_socket_load(server.local_addr(), &load(Protocol::Tls13, CONNECTIONS))
         .expect("pooled load");
     assert_eq!(report.transactions, CONNECTIONS);
     let stats = server.stats();
