@@ -75,8 +75,8 @@ pub mod prelude {
     pub use sslperf_rsa::{RsaPrivateKey, RsaPublicKey};
     pub use sslperf_ssl::{
         CipherSuite, ClientConfig, ClientMachine, Protocol, ServerConfig, ServerMachine,
-        SessionCache, SessionStore, SslClient, SslServer, TicketKeyring, TicketSessionStore,
-        Tls13ClientMachine, Tls13ServerMachine,
+        SessionCache, SslClient, SslServer, TicketKeyring, TicketSessionStore, Tls13ClientMachine,
+        Tls13ServerMachine,
     };
     pub use sslperf_websim::SecureWebServer;
 }

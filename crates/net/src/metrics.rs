@@ -682,26 +682,18 @@ impl MetricsSnapshot {
         // The key-exchange offload split, when the crypto pool was in
         // play: RSA decrypts (SSLv3 step 5) and DHE exponentiations
         // (TLS 1.3 step 3) share the pool, so the split is pooled. The
-        // queue wait is the one row here that no table above counts. With
-        // batching on, the amortization rows show what a job costs solo
-        // versus amortized across a batch.
+        // queue wait is the one row here that no table above counts; what
+        // a job costs solo versus amortized across a batch is in the
+        // batching table below.
         if self.kx_queue_wait.count() > 0 || self.kx_exec.count() > 0 {
-            let mut kx = Table::new("Key-exchange offload split and batch amortization");
+            let mut kx = Table::new("Key-exchange offload split");
             kx.columns(&[
                 ("phase", Align::Left),
                 ("count", Align::Right),
                 ("mean kc", Align::Right),
                 ("p95 kc", Align::Right),
             ]);
-            for (name, h) in [
-                ("kx_queue_wait", &self.kx_queue_wait),
-                ("kx_exec", &self.kx_exec),
-                ("exec_solo (per job)", &self.exec_solo),
-                ("exec_amortized (per job)", &self.exec_amortized),
-            ] {
-                if name.starts_with("exec") && h.count() == 0 {
-                    continue;
-                }
+            for (name, h) in [("kx_queue_wait", &self.kx_queue_wait), ("kx_exec", &self.kx_exec)] {
                 kx.row(&[name.to_string(), h.count().to_string(), kilo(h.mean()), kilo(h.p95())]);
             }
             out.push('\n');
@@ -796,11 +788,7 @@ impl MetricsSnapshot {
                 ("mean", Align::Right),
                 ("p95", Align::Right),
             ]);
-            let mean_size = if self.batch_size.count() == 0 {
-                0.0
-            } else {
-                self.batch_size.sum() as f64 / self.batch_size.count() as f64
-            };
+            let mean_size = self.batch_size.sum() as f64 / self.batch_size.count() as f64;
             batch.row(&[
                 "batch_size (jobs)".to_string(),
                 self.batch_size.count().to_string(),

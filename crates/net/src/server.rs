@@ -234,9 +234,9 @@ impl ServerOptionsBuilder {
     }
 }
 
-/// Builds a server's [`ServerConfig`]: the sharded cache as the id-keyed
-/// store, wrapped by a [`TicketSessionStore`] when a
-/// keyring is installed.
+/// Builds a server's [`ServerConfig`]: the sharded cache as its id cache,
+/// paired with the keyring in a [`TicketSessionStore`] when one is
+/// installed.
 pub(crate) fn build_config(
     key: RsaPrivateKey,
     name: &str,

@@ -89,24 +89,6 @@ pub fn measure<T>(f: impl FnOnce() -> T) -> (T, Cycles) {
     (value, sw.elapsed())
 }
 
-/// Runs `f` `iters` times and returns the *average* cycles per run.
-///
-/// Averaging over many iterations amortizes timer granularity; use this for
-/// kernels that complete in well under a microsecond (single cipher blocks,
-/// hash compression functions).
-///
-/// # Panics
-///
-/// Panics if `iters` is zero.
-pub fn measure_avg(iters: u32, mut f: impl FnMut()) -> Cycles {
-    assert!(iters > 0, "measure_avg requires at least one iteration");
-    let sw = Stopwatch::start();
-    for _ in 0..iters {
-        f();
-    }
-    Cycles::new(sw.elapsed().get() / u64::from(iters))
-}
-
 /// Runs `f` in `samples` batches of `iters` iterations each and returns the
 /// **minimum** per-iteration cycle count across batches.
 ///
@@ -202,36 +184,15 @@ mod tests {
     }
 
     #[test]
-    fn measure_avg_divides_by_iters() {
-        let c = measure_avg(10, || {
-            black_box((0..100u64).sum::<u64>());
-        });
-        // The average of 10 iterations must be far below the total of a
-        // 10-iteration run measured as one interval.
-        let (_, total) = measure(|| {
-            for _ in 0..10 {
-                black_box((0..100u64).sum::<u64>());
-            }
-        });
-        assert!(c.get() <= total.get().max(1) * 10);
-    }
-
-    #[test]
     fn measure_min_not_greater_than_avg() {
         let work = || {
             black_box((0..1000u64).fold(0u64, |a, b| a.wrapping_add(b * b)));
         };
         let min = measure_min(5, 100, work);
-        let avg = measure_avg(100, work);
-        // min-of-batches is at most a small factor above the plain average
+        let median = measure_spread(5, 100, work).median;
+        // min-of-batches is at most a small factor above the median batch
         // (equality modulo noise); it must never be wildly larger.
-        assert!(min.get() <= avg.get().saturating_mul(10).max(1000));
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one iteration")]
-    fn measure_avg_zero_iters_panics() {
-        let _ = measure_avg(0, || {});
+        assert!(min.get() <= median.get().saturating_mul(10).max(1000));
     }
 
     #[test]

@@ -184,9 +184,9 @@ mod tests {
             Alert::for_error(&SslError::BadFinished).unwrap().description,
             AlertDescription::HandshakeFailure
         );
-        let ticket = SslError::NotReady("announced session ticket not issued");
+        let server_fault = SslError::NotReady("crypto result kind");
         let cipher = SslError::Cipher(sslperf_ciphers::CipherError::BackendUnavailable);
-        for error in [SslError::NotReady("x"), ticket, cipher] {
+        for error in [SslError::NotReady("x"), server_fault, cipher] {
             assert_eq!(
                 Alert::for_error(&error),
                 Some(Alert::fatal(AlertDescription::HandshakeFailure)),

@@ -1,15 +1,13 @@
-//! Pluggable server-side session storage, and the one session cache.
+//! The server's id-keyed session cache.
 //!
 //! Session re-negotiation is the optimization §4.1 of the paper
 //! highlights: a cache hit replaces the RSA private-key operation with a
-//! master-secret lookup. [`ServerConfig`](crate::ServerConfig) consults a
-//! [`SessionStore`] on every client hello; the id-keyed half of the trait
-//! is the classic in-memory cache ([`SessionCache`]), while the ticket
-//! half lets an implementation seal the resumable state into a client-held
-//! blob instead ([`TicketSessionStore`](crate::ticket::TicketSessionStore))
-//! — resumption that survives the process. Serving layers install either
-//! via [`ServerConfig::with_cache`](crate::ServerConfig::with_cache) or
-//! [`ServerConfig::with_store`](crate::ServerConfig::with_store).
+//! master-secret lookup. [`ServerConfig`](crate::ServerConfig) holds one
+//! [`SessionCache`] and looks the client hello's session id up in it;
+//! a configuration built with a ticket keyring
+//! ([`ServerConfig::with_store`](crate::ServerConfig::with_store)) keeps
+//! the cache for peers that never negotiated the ticket extension and
+//! serves the rest from [`crate::ticket`].
 //!
 //! [`ShardedSessionCache`] is the one [`SessionCache`]: what
 //! [`ServerConfig::new`](crate::ServerConfig::new) installs and what the
@@ -28,7 +26,6 @@
 //! back through a full handshake), and the cache counts hits and misses so
 //! load generators can report resumption rates.
 
-use crate::ticket::TicketError;
 use crate::CipherSuite;
 use std::fmt::{self, Debug};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -88,103 +85,6 @@ impl<C: SessionCache> SessionCache for Arc<C> {
 
     fn clear(&self) {
         (**self).clear();
-    }
-}
-
-/// A freshly sealed session ticket, ready for the NewSessionTicket
-/// message: the opaque blob plus the lifetime hint the server advertises.
-#[derive(Debug, Clone)]
-pub struct IssuedTicket {
-    /// Advertised validity in seconds (a hint; the server's keyring is
-    /// authoritative).
-    pub lifetime_hint_secs: u32,
-    /// The sealed ticket bytes.
-    pub ticket: Vec<u8>,
-}
-
-/// The server's session-storage strategy: id-keyed cache lookups for
-/// every peer, plus optional stateless-ticket issue/accept for peers
-/// that negotiated the session-ticket extension.
-///
-/// The default method bodies describe a plain cache (no ticket support),
-/// so existing [`SessionCache`] deployments wrap unchanged through
-/// [`CachedSessionStore`].
-pub trait SessionStore: Send + Sync + Debug {
-    /// The session stored under `id`, if any. An empty id never matches.
-    fn lookup(&self, id: &[u8]) -> Option<CachedSession>;
-
-    /// Stores (or replaces) the session under `id`.
-    fn store(&self, id: Vec<u8>, session: CachedSession);
-
-    /// True when this store can issue and accept tickets; gates the
-    /// server's half of the hello-extension negotiation.
-    fn supports_tickets(&self) -> bool {
-        false
-    }
-
-    /// Seals `session` into a fresh ticket, or `None` when tickets are
-    /// unsupported. A store that [supports tickets](Self::supports_tickets)
-    /// must issue one: the server hello has already announced it, so a
-    /// `None` there fails the handshake.
-    fn issue_ticket(&self, _session: &CachedSession) -> Option<IssuedTicket> {
-        None
-    }
-
-    /// Opens a client-presented ticket.
-    ///
-    /// # Errors
-    ///
-    /// [`TicketError`] when the ticket is tampered, unknown, or expired —
-    /// the caller falls back to a full handshake, never an alert.
-    fn accept_ticket(&self, _ticket: &[u8]) -> Result<CachedSession, TicketError> {
-        Err(TicketError::Invalid)
-    }
-
-    /// Number of resumable sessions held server-side (tickets are
-    /// client-held and never counted).
-    fn len(&self) -> usize;
-
-    /// True when no sessions are held server-side.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Drops every server-side session (forces full handshakes for
-    /// id-cache peers; outstanding tickets stay valid).
-    fn clear(&self);
-}
-
-/// The id-cache-only [`SessionStore`]: wraps any [`SessionCache`] with
-/// the trait's no-ticket defaults, preserving the pre-ticket behaviour
-/// byte for byte.
-#[derive(Debug)]
-pub struct CachedSessionStore {
-    cache: Box<dyn SessionCache>,
-}
-
-impl CachedSessionStore {
-    /// Wraps an id-keyed cache.
-    #[must_use]
-    pub fn new(cache: Box<dyn SessionCache>) -> Self {
-        CachedSessionStore { cache }
-    }
-}
-
-impl SessionStore for CachedSessionStore {
-    fn lookup(&self, id: &[u8]) -> Option<CachedSession> {
-        self.cache.lookup(id)
-    }
-
-    fn store(&self, id: Vec<u8>, session: CachedSession) {
-        self.cache.store(id, session);
-    }
-
-    fn len(&self) -> usize {
-        self.cache.len()
-    }
-
-    fn clear(&self) {
-        self.cache.clear();
     }
 }
 

@@ -152,9 +152,9 @@ impl SslClient {
     }
 
     /// Enables the session-ticket extension on this client's hello: the
-    /// server (when its store supports tickets) answers a full handshake
-    /// with a NewSessionTicket, and the exported [`SslClient::session`]
-    /// carries the blob for stateless resumption.
+    /// server (when its configuration has a ticket keyring) answers a full
+    /// handshake with a NewSessionTicket, and the exported
+    /// [`SslClient::session`] carries the blob for stateless resumption.
     #[must_use]
     pub fn with_tickets(mut self) -> Self {
         self.tickets_enabled = true;

@@ -84,10 +84,7 @@ pub mod ticket;
 pub mod tls13;
 mod transcript;
 
-pub use cache::{
-    CachedSession, CachedSessionStore, IssuedTicket, SessionCache, SessionStore,
-    ShardedSessionCache,
-};
+pub use cache::{CachedSession, SessionCache, ShardedSessionCache};
 pub use client::{ClientSession, SslClient};
 pub use engine::{
     ClientEngine, CryptoDone, CryptoJob, CryptoOp, CryptoOutput, Engine, EngineDriven, MachineStep,

@@ -8,22 +8,20 @@
 //! [`SslServer::steps`] as one entry, whether the bytes came as whole
 //! flights or one at a time.
 
-use crate::cache::{
-    CachedSession, CachedSessionStore, IssuedTicket, SessionCache, SessionStore,
-    ShardedSessionCache,
-};
+use crate::cache::{CachedSession, SessionCache, ShardedSessionCache};
 use crate::engine::{CryptoDone, CryptoJob, CryptoOp, CryptoOutput, EngineDriven, MachineStep};
 use crate::kdf::{self, KeyMaterial};
 use crate::ledger::{HandshakeLedger, HandshakeRecorder};
 use crate::machine::Protocol;
 use crate::messages::{HandshakeMessage, SessionId};
 use crate::record::{ContentType, RecordLayer};
-use crate::ticket::TicketError;
+use crate::ticket::{TicketError, TicketKeyring, TicketSessionStore};
 use crate::transcript::{Transcript, SENDER_CLIENT, SENDER_SERVER};
 use crate::{CipherSuite, SslError};
 use sslperf_profile::{measure, Cycles, PhaseSet, Stopwatch};
 use sslperf_rng::SslRng;
 use sslperf_rsa::{x509::Certificate, RsaPrivateKey};
+use std::sync::Arc;
 
 /// The ten server-side handshake steps of the paper's Table 2.
 pub const SERVER_STEP_NAMES: [&str; 10] = [
@@ -39,15 +37,17 @@ pub const SERVER_STEP_NAMES: [&str; 10] = [
     "server_flush",
 ];
 
-/// Long-lived server configuration: the RSA key, the certificate, and the
-/// session store shared by every connection (session re-negotiation is the
-/// optimization §4.1 highlights; the store decides whether resumable state
-/// lives in an id-keyed cache, a stateless ticket, or both).
+/// Long-lived server configuration shared by every connection: the RSA
+/// key, the certificate, the id-keyed session cache, and the ticket keyring
+/// when tickets are on (session re-negotiation is the optimization §4.1
+/// highlights; a peer that negotiates the ticket extension resumes from its
+/// ticket, every other peer from the cache).
 #[derive(Debug)]
 pub struct ServerConfig {
     key: RsaPrivateKey,
     cert_wire: Vec<u8>,
-    store: Box<dyn SessionStore>,
+    cache: Box<dyn SessionCache>,
+    tickets: Option<Arc<TicketKeyring>>,
     protocols: Vec<Protocol>,
 }
 
@@ -63,8 +63,8 @@ impl ServerConfig {
     }
 
     /// Builds a configuration with a caller-supplied session cache (e.g. a
-    /// sharded, bounded one for a multi-threaded serving layer), wrapped as
-    /// an id-only [`SessionStore`].
+    /// sharded, bounded one for a multi-threaded serving layer) and no
+    /// tickets.
     ///
     /// # Errors
     ///
@@ -74,26 +74,38 @@ impl ServerConfig {
         name: &str,
         cache: Box<dyn SessionCache>,
     ) -> Result<Self, SslError> {
-        Self::with_store(key, name, Box::new(CachedSessionStore::new(cache)))
+        Self::build(key, name, cache, None)
     }
 
-    /// Builds a configuration with a caller-supplied session store — the
-    /// full abstraction, including ticket issue/accept (e.g.
-    /// [`TicketSessionStore`](crate::ticket::TicketSessionStore)).
+    /// Builds a configuration that issues and accepts session tickets under
+    /// `store`'s keyring and keeps its cache for peers without the ticket
+    /// extension.
     ///
     /// # Errors
     ///
     /// Propagates certificate-signing failures.
+    #[allow(clippy::boxed_local)] // the boxed store is the shape callers build against
     pub fn with_store(
         key: RsaPrivateKey,
         name: &str,
-        store: Box<dyn SessionStore>,
+        store: Box<TicketSessionStore>,
+    ) -> Result<Self, SslError> {
+        let TicketSessionStore { keyring, fallback } = *store;
+        Self::build(key, name, fallback, Some(keyring))
+    }
+
+    fn build(
+        key: RsaPrivateKey,
+        name: &str,
+        cache: Box<dyn SessionCache>,
+        tickets: Option<Arc<TicketKeyring>>,
     ) -> Result<Self, SslError> {
         let cert = Certificate::self_signed(name, &key, 2004, 2010)?;
         Ok(ServerConfig {
             key,
             cert_wire: cert.to_bytes(),
-            store,
+            cache,
+            tickets,
             protocols: vec![Protocol::Ssl3, Protocol::Tls13],
         })
     }
@@ -128,35 +140,19 @@ impl ServerConfig {
     /// Number of cached (resumable) sessions held server-side.
     #[must_use]
     pub fn cached_sessions(&self) -> usize {
-        self.store.len()
+        self.cache.len()
     }
 
     /// Drops all cached sessions (forces full handshakes for id-cache
     /// peers; outstanding tickets stay valid).
     pub fn clear_session_cache(&self) {
-        self.store.clear();
+        self.cache.clear();
     }
 
-    /// True when the store can seal and open session tickets.
+    /// True when a ticket keyring is installed.
     #[must_use]
     pub fn supports_tickets(&self) -> bool {
-        self.store.supports_tickets()
-    }
-
-    fn lookup(&self, id: &[u8]) -> Option<CachedSession> {
-        self.store.lookup(id)
-    }
-
-    fn store(&self, id: Vec<u8>, master: Vec<u8>, suite: CipherSuite) {
-        self.store.store(id, CachedSession { master, suite });
-    }
-
-    fn issue_ticket(&self, session: &CachedSession) -> Option<IssuedTicket> {
-        self.store.issue_ticket(session)
-    }
-
-    fn accept_ticket(&self, ticket: &[u8]) -> Result<CachedSession, TicketError> {
-        self.store.accept_ticket(ticket)
+        self.tickets.is_some()
     }
 }
 
@@ -200,10 +196,11 @@ pub struct SslServer<'a> {
     session_id: Vec<u8>,
     master: Vec<u8>,
     resumed: bool,
-    /// True when the client advertised the session-ticket extension and
-    /// the store can honor it — the connection is stateless: no id-cache
-    /// lookup or store, resumption only through tickets.
-    ticket_negotiated: bool,
+    /// The keyring, when the client advertised the session-ticket
+    /// extension and the configuration has one — the connection is then
+    /// stateless: no id-cache lookup or store, resumption only through
+    /// tickets.
+    tickets: Option<&'a TicketKeyring>,
     ticket_issued: bool,
     ticket_accepted: bool,
     ticket_rejected: bool,
@@ -231,7 +228,7 @@ impl<'a> SslServer<'a> {
             session_id: Vec::new(),
             master: Vec::new(),
             resumed: false,
-            ticket_negotiated: false,
+            tickets: None,
             ticket_issued: false,
             ticket_accepted: false,
             ticket_rejected: false,
@@ -313,10 +310,11 @@ impl<'a> SslServer<'a> {
     }
 
     /// True when the session-ticket extension was negotiated on this
-    /// connection (the client advertised it and the store supports it).
+    /// connection (the client advertised it and the configuration has a
+    /// keyring).
     #[must_use]
     pub fn ticket_negotiated(&self) -> bool {
-        self.ticket_negotiated
+        self.tickets.is_some()
     }
 
     /// True when this handshake issued a NewSessionTicket.
@@ -329,18 +327,6 @@ impl<'a> SslServer<'a> {
     #[must_use]
     pub fn ticket_accepted(&self) -> bool {
         self.ticket_accepted
-    }
-
-    /// True when a presented ticket was rejected as tampered or unknown.
-    #[must_use]
-    pub fn ticket_rejected(&self) -> bool {
-        self.ticket_rejected
-    }
-
-    /// True when a presented ticket was rejected as expired.
-    #[must_use]
-    pub fn ticket_expired(&self) -> bool {
-        self.ticket_expired
     }
 
     /// Steps 1–4, driven by one reassembled client-hello message.
@@ -366,16 +352,15 @@ impl<'a> SslServer<'a> {
             .find(|s| suites.contains(&s.wire_id()))
             .ok_or(SslError::NoCommonCipher)?;
         // Ticket negotiation: the client advertised the extension and the
-        // store can seal/open tickets. Negotiated connections are
+        // configuration has a keyring. Negotiated connections are
         // stateless — the id cache is never consulted or written.
-        self.ticket_negotiated = ticket.is_some() && self.config.supports_tickets();
-        let cached = if self.ticket_negotiated {
+        self.tickets = self.config.tickets.as_deref().filter(|_| ticket.is_some());
+        let cached = if let Some(keyring) = self.tickets {
             // A non-empty blob is an offer to resume; any failure falls
             // back silently to a full handshake (no alert oracle).
             match ticket.as_deref() {
                 Some(blob) if !blob.is_empty() && !session_id.is_empty() => {
-                    let opened =
-                        self.anatomy.time(1, "ticket_open", || self.config.accept_ticket(blob));
+                    let opened = self.anatomy.time(1, "ticket_open", || keyring.open(blob));
                     match opened {
                         Ok(session) => {
                             self.ticket_accepted = true;
@@ -394,7 +379,7 @@ impl<'a> SslServer<'a> {
                 _ => None,
             }
         } else {
-            self.config.lookup(session_id.as_bytes())
+            self.config.cache.lookup(session_id.as_bytes())
         };
         if let Some(cached) = &cached {
             self.resumed = true;
@@ -418,7 +403,7 @@ impl<'a> SslServer<'a> {
             suite: self.suite.wire_id(),
             // An empty extension echo announces a NewSessionTicket flight;
             // ticket-resumed handshakes reuse the client-held ticket as is.
-            ticket: self.ticket_negotiated && !self.resumed,
+            ticket: self.tickets.is_some() && !self.resumed,
         }
         .encode();
         self.anatomy.time(2, "finish_mac", || self.transcript.absorb(&hello));
@@ -563,8 +548,8 @@ impl<'a> SslServer<'a> {
         self.anatomy.step(6, step6 + sw.elapsed() + open_cycles);
 
         if !self.resumed {
-            if self.ticket_negotiated {
-                self.send_new_session_ticket(out)?;
+            if let Some(keyring) = self.tickets {
+                self.send_new_session_ticket(keyring, out)?;
             }
             self.send_ccs_and_finished(out)?;
         }
@@ -573,8 +558,9 @@ impl<'a> SslServer<'a> {
         // negotiated peers hold their state in the ticket), wipe transient
         // secrets.
         let sw = Stopwatch::start();
-        if !self.ticket_negotiated {
-            self.config.store(self.session_id.clone(), self.master.clone(), self.suite);
+        if self.tickets.is_none() {
+            let session = CachedSession { master: self.master.clone(), suite: self.suite };
+            self.config.cache.store(self.session_id.clone(), session);
         }
         self.anatomy.time(9, "cleanse", || {
             // OPENSSL_cleanse-equivalent: overwrite transient key material.
@@ -595,19 +581,17 @@ impl<'a> SslServer<'a> {
     /// plaintext before the server's CCS and deliberately *not* absorbed
     /// into the transcript (the client mirrors this), so the finished
     /// hashes — and every non-negotiating flight — are unaffected.
-    fn send_new_session_ticket(&mut self, out: &mut Vec<u8>) -> Result<(), SslError> {
+    fn send_new_session_ticket(
+        &mut self,
+        keyring: &TicketKeyring,
+        out: &mut Vec<u8>,
+    ) -> Result<(), SslError> {
         let session = CachedSession { master: self.master.clone(), suite: self.suite };
-        // The server hello announced this ticket, and the client must not
-        // take the CCS in its place: a store that issues none fails the
-        // handshake.
-        let issued = self
-            .config
-            .issue_ticket(&session)
-            .ok_or(SslError::NotReady("announced session ticket not issued"))?;
+        let ticket = keyring.seal(&session);
         let sw = Stopwatch::start();
         let nst = HandshakeMessage::NewSessionTicket {
-            lifetime_hint_secs: issued.lifetime_hint_secs,
-            ticket: issued.ticket,
+            lifetime_hint_secs: u32::try_from(keyring.lifetime().as_secs()).unwrap_or(u32::MAX),
+            ticket,
         }
         .encode();
         self.records.seal_append(ContentType::Handshake, &nst, out)?;
@@ -812,5 +796,63 @@ mod tests {
         let (client, server) =
             establish(SslClient::resuming(session, SslRng::from_seed(b"tc2")), b"ts2");
         assert!(client.machine().resumed() && server.machine().resumed());
+    }
+
+    #[test]
+    fn ticket_config_issues_tickets_and_falls_back_to_its_id_cache() {
+        use crate::{CipherSuite, SslClient};
+
+        fn establish(client: &mut Engine<SslClient>, server: &mut Engine<SslServer<'_>>) {
+            while !(client.is_established() && server.is_established()) {
+                server.feed_from(client).expect("server feed");
+                client.feed_from(server).expect("client feed");
+            }
+        }
+
+        let ring = Arc::new(TicketKeyring::new(b"test-secret"));
+        let store =
+            TicketSessionStore::new(Arc::clone(&ring), Box::new(ShardedSessionCache::default()));
+        let key = server_config().key().clone();
+        let config = ServerConfig::with_store(key, "test.server", Box::new(store)).expect("config");
+        assert!(config.supports_tickets());
+        let connect = |client: SslClient, seed: &[u8]| {
+            let client = Engine::new(client).expect("client engine");
+            let server = Engine::new(SslServer::new(&config, SslRng::from_seed(seed)));
+            (client, server.expect("server engine"))
+        };
+
+        // A ticket peer: the NewSessionTicket, first in the server's last
+        // flight, advertises the keyring's lifetime and opens under it.
+        let client =
+            SslClient::new(CipherSuite::RsaAes128Sha, SslRng::from_seed(b"tc3")).with_tickets();
+        let (mut client, mut server) = connect(client, b"ts3");
+        server.feed_from(&mut client).expect("client hello");
+        client.feed_from(&mut server).expect("server hello flight");
+        server.feed_from(&mut client).expect("client finished flight");
+        let flight = server.output();
+        let len = usize::from(u16::from_be_bytes([flight[3], flight[4]]));
+        let (nst, _) = HandshakeMessage::decode(&flight[5..5 + len]).expect("handshake message");
+        let HandshakeMessage::NewSessionTicket { lifetime_hint_secs, ticket } = nst else {
+            panic!("expected a NewSessionTicket, got {nst:?}");
+        };
+        assert_eq!(lifetime_hint_secs, 3600);
+        let opened = ring.open(&ticket).expect("accepts own ticket");
+        assert_eq!(opened.suite, CipherSuite::RsaAes128Sha);
+        establish(&mut client, &mut server);
+        assert_eq!(config.cached_sessions(), 0, "a ticket peer's state is client-held");
+
+        // A peer without the extension resumes through the fallback cache.
+        let client = SslClient::new(CipherSuite::RsaDesCbc3Sha, SslRng::from_seed(b"tc4"));
+        let (mut client, mut server) = connect(client, b"ts4");
+        establish(&mut client, &mut server);
+        assert!(!server.machine().ticket_negotiated());
+        assert_eq!(config.cached_sessions(), 1);
+        let session = client.machine().session().expect("session");
+        let client = SslClient::resuming(session, SslRng::from_seed(b"tc5"));
+        let (mut client, mut server) = connect(client, b"ts5");
+        establish(&mut client, &mut server);
+        assert!(server.machine().resumed() && !server.machine().ticket_accepted());
+        config.clear_session_cache();
+        assert_eq!(config.cached_sessions(), 0);
     }
 }

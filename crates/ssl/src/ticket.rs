@@ -1,14 +1,17 @@
 //! Stateless session tickets: resumable state sealed under server keys.
 //!
-//! The in-memory caches of [`crate::cache`] cap the paper's §4.1
-//! resumption win at one process's lifetime — a restarted (or sibling)
-//! server instance cannot resume sessions it never cached. A *ticket*
-//! inverts the storage: the server seals the resumable state (master
-//! secret, suite, issue time) under keys only servers hold and hands the
-//! blob to the client, who presents it on reconnect. Any instance holding
-//! the same [`TicketKeyring`] — a restarted process, or one of N
-//! shared-nothing instances behind an accept fan — can open the ticket
-//! and resume without ever having seen the session.
+//! The id cache of [`crate::cache`] caps the paper's §4.1 resumption win
+//! at one server's lifetime — a restarted (or sibling) server instance
+//! cannot resume sessions it never cached. A *ticket* inverts the
+//! storage: the server seals the resumable state (master secret, suite,
+//! issue time) under keys only servers hold and hands the blob to the
+//! client, who presents it on reconnect. Any instance holding the same
+//! [`TicketKeyring`] — a restarted process, or another instance of a fleet
+//! sharing one listener — can open the ticket and resume without ever
+//! having seen the session. A [`TicketSessionStore`] pairs a keyring with
+//! the id cache that peers without the ticket extension fall back to;
+//! [`ServerConfig::with_store`](crate::ServerConfig::with_store) installs
+//! the pair.
 //!
 //! The construction is the classic encrypt-then-MAC recipe (the shape
 //! standardized for TLS by RFC 5077 and carried into TLS 1.3):
@@ -27,7 +30,7 @@
 //! could not learn by omitting the ticket entirely (no padding/MAC
 //! oracle, per the lesson of the record-layer oracle fixed in PR 5).
 
-use crate::cache::{CachedSession, IssuedTicket, SessionCache, SessionStore};
+use crate::cache::{CachedSession, SessionCache};
 use crate::CipherSuite;
 use sslperf_ciphers::{Aes, BlockCipher};
 use sslperf_hashes::{HashAlg, Hmac};
@@ -346,66 +349,26 @@ impl TicketKeyring {
     }
 }
 
-/// A [`SessionStore`] that issues and accepts stateless tickets for
-/// negotiating clients while keeping an id-keyed cache as the fallback
-/// for peers that never negotiated the extension.
+/// A ticket keyring and the id cache that peers without the ticket
+/// extension fall back to: the pair
+/// [`ServerConfig::with_store`](crate::ServerConfig::with_store) installs.
 #[derive(Debug)]
 pub struct TicketSessionStore {
-    keyring: Arc<TicketKeyring>,
-    fallback: Box<dyn SessionCache>,
+    pub(crate) keyring: Arc<TicketKeyring>,
+    pub(crate) fallback: Box<dyn SessionCache>,
 }
 
 impl TicketSessionStore {
-    /// Wraps a shared keyring and an id-keyed fallback cache.
+    /// Pairs a shared keyring with an id-keyed fallback cache.
     #[must_use]
     pub fn new(keyring: Arc<TicketKeyring>, fallback: Box<dyn SessionCache>) -> Self {
         TicketSessionStore { keyring, fallback }
-    }
-
-    /// The shared keyring (for rotation and counters).
-    #[must_use]
-    pub fn keyring(&self) -> &Arc<TicketKeyring> {
-        &self.keyring
-    }
-}
-
-impl SessionStore for TicketSessionStore {
-    fn lookup(&self, id: &[u8]) -> Option<CachedSession> {
-        self.fallback.lookup(id)
-    }
-
-    fn store(&self, id: Vec<u8>, session: CachedSession) {
-        self.fallback.store(id, session);
-    }
-
-    fn supports_tickets(&self) -> bool {
-        true
-    }
-
-    fn issue_ticket(&self, session: &CachedSession) -> Option<IssuedTicket> {
-        Some(IssuedTicket {
-            lifetime_hint_secs: self.keyring.lifetime().as_secs().min(u64::from(u32::MAX)) as u32,
-            ticket: self.keyring.seal(session),
-        })
-    }
-
-    fn accept_ticket(&self, ticket: &[u8]) -> Result<CachedSession, TicketError> {
-        self.keyring.open(ticket)
-    }
-
-    fn len(&self) -> usize {
-        self.fallback.len()
-    }
-
-    fn clear(&self) {
-        self.fallback.clear();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ShardedSessionCache;
 
     fn session(suite: CipherSuite) -> CachedSession {
         CachedSession { master: vec![0x5a; 48], suite }
@@ -556,23 +519,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn ticket_store_delegates_and_issues() {
-        let ring = Arc::new(TicketKeyring::new(b"test-secret"));
-        let store =
-            TicketSessionStore::new(Arc::clone(&ring), Box::new(ShardedSessionCache::default()));
-        assert!(store.supports_tickets());
-        let issued = store.issue_ticket(&session(CipherSuite::RsaAes128Sha)).expect("issues");
-        assert_eq!(issued.lifetime_hint_secs, 3600);
-        let opened = store.accept_ticket(&issued.ticket).expect("accepts own ticket");
-        assert_eq!(opened.suite, CipherSuite::RsaAes128Sha);
-        // Fallback cache still works for non-negotiating peers.
-        store.store(vec![1; 32], session(CipherSuite::RsaDesCbc3Sha));
-        assert_eq!(store.len(), 1);
-        assert!(store.lookup(&[1; 32]).is_some());
-        store.clear();
-        assert!(store.is_empty());
     }
 }

@@ -342,7 +342,8 @@ pub struct Tls13ServerMachine<'a> {
 
 impl<'a> Tls13ServerMachine<'a> {
     /// Creates a connection. Reuses the SSLv3 [`ServerConfig`] — same RSA
-    /// key, same certificate; the session store is unused (no resumption).
+    /// key, same certificate; the session cache and ticket keyring are
+    /// unused (no resumption).
     #[must_use]
     pub fn new(config: &'a ServerConfig, rng: SslRng) -> Self {
         Tls13ServerMachine {

@@ -15,10 +15,9 @@
 mod support;
 
 use sslperf::prelude::*;
-use sslperf::ssl::alert::{Alert, AlertDescription, AlertLevel};
 use sslperf::ssl::{
-    CachedSession, ClientSession, ContentType, CryptoJob, Engine, EngineDriven, MachineStep,
-    RecordBuffer, SslError,
+    ClientSession, ContentType, CryptoJob, Engine, EngineDriven, MachineStep, RecordBuffer,
+    SslError,
 };
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, OnceLock};
@@ -527,61 +526,6 @@ fn ssl3_client_refuses_the_ccs_in_place_of_an_announced_ticket() {
     assert_eq!(kinds, [22, 20, 22], "NewSessionTicket, CCS, Finished");
     let refused = client.feed(&finish[1]);
     assert_eq!(refused, Err(SslError::UnexpectedMessage { expected: "new session ticket" }));
-    assert!(!client.is_established());
-}
-
-/// A store that announces tickets and issues none.
-#[derive(Debug)]
-struct AnnouncesTicketsIssuesNone;
-
-impl SessionStore for AnnouncesTicketsIssuesNone {
-    fn lookup(&self, _id: &[u8]) -> Option<CachedSession> {
-        None
-    }
-
-    fn store(&self, _id: Vec<u8>, _session: CachedSession) {}
-
-    fn supports_tickets(&self) -> bool {
-        true
-    }
-
-    fn len(&self) -> usize {
-        0
-    }
-
-    fn clear(&self) {}
-}
-
-#[test]
-fn ssl3_server_fails_the_handshake_when_an_announced_ticket_is_not_issued() {
-    let config = ServerConfig::with_store(
-        key().clone(),
-        "states.test",
-        Box::new(AnnouncesTicketsIssuesNone),
-    )
-    .expect("config");
-    let mut client =
-        Engine::new(SslClient::new(SUITE, rng("no-nst-c")).with_tickets()).expect("client engine");
-    let mut server = Engine::new(SslServer::new(&config, rng("no-nst-s"))).expect("server engine");
-    server.feed_from(&mut client).expect("client hello");
-    assert!(server.machine().ticket_negotiated(), "the server hello announces a ticket");
-    client.feed_from(&mut server).expect("server hello flight");
-    let error = SslError::NotReady("announced session ticket not issued");
-    assert_eq!(server.feed_from(&mut client), Err(error.clone()));
-    assert_eq!(server.last_error(), Some(&error), "the engine is poisoned");
-    assert!(server.output().is_empty(), "no CCS or Finished follows the missing ticket");
-    assert!(!server.is_established());
-
-    // The driver's fatal alert still goes out through the poisoned engine:
-    // the one a server sends for this fault, a failed handshake.
-    let alert = Alert::for_error(&error).expect("a server fault gets an alert");
-    assert_eq!(alert, Alert::fatal(AlertDescription::HandshakeFailure));
-    server.queue_alert(alert).expect("alert");
-    let alert = client.feed_from(&mut server).expect_err("the client reads the alert");
-    assert!(
-        matches!(alert, SslError::PeerAlert(a) if a.level == AlertLevel::Fatal),
-        "got {alert:?}"
-    );
     assert!(!client.is_established());
 }
 
