@@ -645,6 +645,7 @@ fn ledger() -> HandshakeLedger {
         steps: std::array::from_fn(|i| (SERVER_STEP_NAMES[i], Cycles::new(40_000 + i as u64))),
         total: Cycles::new(2_600_000),
         crypto: Cycles::new(2_300_000),
+        in_call: Cycles::new(700_000),
         kx_queue_wait: Cycles::new(90_000),
         kx_exec: Cycles::new(1_900_000),
         ticket_issued: false,

@@ -139,7 +139,9 @@ pub fn table2(ctx: &Context) -> Result<Table2, ExperimentError> {
         let (_, server) =
             establish(ctx.server_config(), client, format!("t2-server-{i}").as_bytes())?;
         let server = server.machine();
-        steps.merge(server.steps());
+        for (name, cycles) in server.ledger().steps {
+            steps.add(name, cycles);
+        }
         crypto.merge(server.crypto());
         for (s, name, cycles) in server.crypto_detail() {
             if let Some(existing) = detail.iter_mut().find(|(ds, dn, _)| ds == s && dn == name) {

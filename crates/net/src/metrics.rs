@@ -857,6 +857,7 @@ mod tests {
             steps: std::array::from_fn(|i| (SERVER_STEP_NAMES[i], Cycles::new(step_cost))),
             total: Cycles::new(step_cost * 10),
             crypto: Cycles::new(crypto),
+            in_call: Cycles::new(step_cost * 10) - Cycles::new(crypto / 2),
             kx_queue_wait: Cycles::new(0),
             kx_exec: Cycles::new(crypto / 2),
             ticket_issued: false,
@@ -873,6 +874,7 @@ mod tests {
             steps: std::array::from_fn(|i| (TLS13_STEP_NAMES[i], Cycles::new(step_cost))),
             total: Cycles::new(step_cost * 10),
             crypto: Cycles::new(crypto),
+            in_call: Cycles::new(step_cost * 10) - Cycles::new(crypto / 2),
             kx_queue_wait: Cycles::new(0),
             kx_exec: Cycles::new(crypto / 2),
             ticket_issued: false,

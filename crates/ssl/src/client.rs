@@ -10,7 +10,6 @@ use crate::messages::{HandshakeMessage, SessionId};
 use crate::record::{ContentType, RecordLayer};
 use crate::transcript::{Transcript, SENDER_CLIENT, SENDER_SERVER};
 use crate::{CipherSuite, SslError, VERSION};
-use sslperf_profile::Cycles;
 use sslperf_rng::SslRng;
 use sslperf_rsa::{x509::Certificate, RsaPublicKey};
 
@@ -407,7 +406,6 @@ impl EngineDriven for SslClient {
     fn on_handshake_message(
         &mut self,
         msg: &[u8],
-        _open_cycles: Cycles,
         out: &mut Vec<u8>,
     ) -> Result<MachineStep, SslError> {
         match std::mem::replace(&mut self.state, State::Failed) {
@@ -426,7 +424,7 @@ impl EngineDriven for SslClient {
         Ok(MachineStep::Continue)
     }
 
-    fn on_change_cipher_spec(&mut self, body: &[u8], _open_cycles: Cycles) -> Result<(), SslError> {
+    fn on_change_cipher_spec(&mut self, body: &[u8]) -> Result<(), SslError> {
         match std::mem::replace(&mut self.state, State::Failed) {
             State::AwaitServerCcs { ticket: false } => self.on_server_ccs(body),
             // RFC 5077: an announced NewSessionTicket comes before the CCS.

@@ -61,6 +61,7 @@
 //! ```
 
 use crate::alert::Alert;
+use crate::ledger::HandshakeRecorder;
 use crate::record::{ContentType, RecordBuffer, RecordLayer, RECORD_HEADER_LEN};
 use crate::{SslClient, SslError, SslServer, MAX_RECORD_BODY, VERSION};
 use sslperf_profile::{measure, Cycles, PhaseSet, Stopwatch};
@@ -75,15 +76,18 @@ use std::ops::Range;
 /// records — natural backpressure for event-loop drivers.
 const HIGH_WATER: usize = 2 * (RECORD_HEADER_LEN + MAX_RECORD_BODY);
 
-mod sealed {
-    pub trait Sealed {}
-    impl Sealed for crate::SslClient {}
-    impl Sealed for crate::SslServer<'_> {}
-    impl Sealed for crate::tls13::Tls13ClientMachine {}
-    impl Sealed for crate::tls13::Tls13ServerMachine<'_> {}
-    impl Sealed for crate::machine::ClientMachine {}
-    impl Sealed for crate::machine::ServerMachine<'_> {}
+/// The machines an [`Engine`] drives: the workspace's own, no others.
+pub trait Sealed {
+    /// The step recorder whose clock the engine runs around each call into
+    /// a server machine; client machines have none and read no clock.
+    fn recorder(&mut self) -> Option<&mut HandshakeRecorder> {
+        None
+    }
 }
+
+impl Sealed for SslClient {}
+impl Sealed for crate::tls13::Tls13ClientMachine {}
+impl Sealed for crate::machine::ClientMachine {}
 
 /// What a state machine did with one handshake message: kept going, or
 /// suspended on a crypto operation the driver must run out-of-band.
@@ -309,12 +313,14 @@ impl CryptoDone {
 /// [`ServerMachine`](crate::ServerMachine)).
 ///
 /// The engine handles record framing and handshake-message reassembly;
-/// implementations only see whole messages, in order, plus the cycles the
-/// engine spent opening the record each message arrived in (so the paper's
-/// per-step attribution survives the sans-io split).
+/// implementations only see whole messages, in order. Around each call into
+/// a server machine — the record open that precedes it included — the
+/// engine starts and stops the machine's step clock, so the paper's
+/// per-step attribution survives the sans-io split without the machine
+/// timing anything itself.
 /// A server machine always suspends at its key exchange; who runs the job
 /// is the engine's choice ([`Engine::set_crypto_offload`]).
-pub trait EngineDriven: sealed::Sealed {
+pub trait EngineDriven: Sealed {
     /// Emits any connection-opening bytes (the client hello flight; servers
     /// emit nothing).
     ///
@@ -334,7 +340,6 @@ pub trait EngineDriven: sealed::Sealed {
     fn on_handshake_message(
         &mut self,
         msg: &[u8],
-        open_cycles: Cycles,
         out: &mut Vec<u8>,
     ) -> Result<MachineStep, SslError>;
 
@@ -363,7 +368,7 @@ pub trait EngineDriven: sealed::Sealed {
     /// # Errors
     ///
     /// Returns sequencing errors when the CCS is unexpected or malformed.
-    fn on_change_cipher_spec(&mut self, body: &[u8], open_cycles: Cycles) -> Result<(), SslError>;
+    fn on_change_cipher_spec(&mut self, body: &[u8]) -> Result<(), SslError>;
 
     /// The connection's record layer (shared by handshake and bulk phases,
     /// so sequence numbers and cipher states stay consistent).
@@ -691,14 +696,7 @@ impl<M: EngineDriven> Engine<M> {
         }
         self.awaiting_crypto = false;
         self.pending_job = None;
-        // Pump first: a message coalesced into the key-exchange record may
-        // already sit reassembled; drive() only pumps after opening a new
-        // record.
-        let result = self
-            .machine
-            .complete_crypto(done, self.outbox.vec_mut())
-            .and_then(|()| self.pump_messages(Cycles::ZERO))
-            .and_then(|()| self.drive());
+        let result = self.resume(done).and_then(|()| self.drive());
         if let Err(e) = result {
             self.failed = Some(e.clone());
             return Err(e);
@@ -706,8 +704,9 @@ impl<M: EngineDriven> Engine<M> {
         Ok(())
     }
 
-    /// Frames and opens handshake-phase records from the inbox until the
-    /// handshake completes or the bytes run out mid-record.
+    /// Hands the machine every reassembled handshake message, opening
+    /// handshake-phase records from the inbox as it needs more, until the
+    /// handshake completes, suspends, or the bytes run out mid-record.
     fn drive(&mut self) -> Result<(), SslError> {
         while !self.machine.handshake_done() {
             if self.awaiting_crypto {
@@ -715,60 +714,14 @@ impl<M: EngineDriven> Engine<M> {
                 // buffer until the crypto result arrives.
                 return Ok(());
             }
-            let Some(total) = self.peek_record_len()? else { return Ok(()) };
-            let record = &mut self.inbox.vec_mut()[self.in_pos..self.in_pos + total];
-            let (opened, open_cycles) = measure(|| self.machine.record_layer().open_slice(record));
-            let (ct, range) = opened?;
-            let start = self.in_pos;
-            self.in_pos += total;
-            match ct {
-                ContentType::Handshake => {
-                    let payload = start + range.start..start + range.end;
-                    self.msgs.extend_from_slice(&self.inbox.as_slice()[payload]);
-                    self.pump_messages(open_cycles)?;
-                }
-                ContentType::ChangeCipherSpec => {
-                    let body = &self.inbox.as_slice()[start + range.start..start + range.end];
-                    // Split borrows: body comes from inbox, the machine is a
-                    // separate field.
-                    let body: &[u8] = body;
-                    self.machine.on_change_cipher_spec(body, open_cycles)?;
-                }
-                ContentType::Alert => {
-                    let body = &self.inbox.as_slice()[start + range.start..start + range.end];
-                    return Err(SslError::PeerAlert(Alert::from_bytes(body)?));
-                }
-                ContentType::ApplicationData => {
-                    return Err(SslError::UnexpectedMessage { expected: "handshake message" });
-                }
-            }
-        }
-        // Handshake messages may not dangle past the finished exchange.
-        if self.msg_pos < self.msgs.len() {
-            return Err(SslError::Decode("trailing handshake data"));
-        }
-        self.msgs.clear();
-        self.msg_pos = 0;
-        Ok(())
-    }
-
-    /// Dispatches every complete handshake message sitting in the
-    /// reassembly buffer. The record-open cycles are attributed to the
-    /// first message only (the others came "for free" in the same record).
-    fn pump_messages(&mut self, mut open_cycles: Cycles) -> Result<(), SslError> {
-        while !self.machine.handshake_done() && !self.awaiting_crypto {
-            let avail = &self.msgs[self.msg_pos..];
-            if avail.len() < 4 {
-                break;
-            }
-            let body_len =
-                usize::from(avail[1]) << 16 | usize::from(avail[2]) << 8 | usize::from(avail[3]);
-            let msg_len = 4 + body_len;
-            if avail.len() < msg_len {
-                break;
-            }
-            let msg = &self.msgs[self.msg_pos..self.msg_pos + msg_len];
-            match self.machine.on_handshake_message(msg, open_cycles, self.outbox.vec_mut())? {
+            let record = if self.next_message_len().is_some() {
+                None
+            } else if let Some(total) = self.peek_record_len()? {
+                Some(total)
+            } else {
+                return Ok(());
+            };
+            match self.clocked(|engine| engine.call(record))? {
                 MachineStep::Continue => {}
                 MachineStep::PendingCrypto(job) if self.offload => {
                     self.pending_job = Some(*job);
@@ -776,22 +729,89 @@ impl<M: EngineDriven> Engine<M> {
                 }
                 MachineStep::PendingCrypto(job) => self.run_crypto(*job)?,
             }
-            open_cycles = Cycles::ZERO;
-            self.msg_pos += msg_len;
         }
-        if self.msg_pos == self.msgs.len() {
-            self.msgs.clear();
-            self.msg_pos = 0;
+        // Handshake messages may not dangle past the finished exchange.
+        if self.msg_pos < self.msgs.len() {
+            return Err(SslError::Decode("trailing handshake data"));
         }
         Ok(())
     }
 
-    /// Runs a suspended job on the caller's thread and resumes the machine
-    /// at once, with a queue wait of exactly zero.
+    /// The one place the step clock runs: started before `call`, which may
+    /// open a record ahead of its machine call, and stopped when it
+    /// returns. Machines without a recorder (clients) read no clock.
+    fn clocked<T>(&mut self, call: impl FnOnce(&mut Self) -> T) -> T {
+        if let Some(recorder) = self.machine.recorder() {
+            recorder.start();
+        }
+        let result = call(self);
+        if let Some(recorder) = self.machine.recorder() {
+            recorder.stop();
+        }
+        result
+    }
+
+    /// One machine call: opens the `record`-byte record at `in_pos` when
+    /// given, then hands the machine a change-cipher-spec body or the next
+    /// reassembled handshake message, if one is complete. Opening an
+    /// encrypted handshake record is the active step's
+    /// `pri_decryption_and_mac`.
+    fn call(&mut self, record: Option<usize>) -> Result<MachineStep, SslError> {
+        if let Some(total) = record {
+            let start = self.in_pos;
+            let layer = self.machine.record_layer();
+            let encrypted = layer.reads_protected();
+            let (ct, range) = layer.open_slice(&mut self.inbox.vec_mut()[start..start + total])?;
+            self.in_pos += total;
+            let body = &self.inbox.as_slice()[start + range.start..start + range.end];
+            let handshake = ct == ContentType::Handshake;
+            if let Some(recorder) = self.machine.recorder().filter(|_| encrypted && handshake) {
+                let open = recorder.lap();
+                recorder.note("pri_decryption_and_mac", open);
+            }
+            match ct {
+                ContentType::Handshake => self.msgs.extend_from_slice(body),
+                ContentType::ChangeCipherSpec => {
+                    self.machine.on_change_cipher_spec(body)?;
+                    return Ok(MachineStep::Continue);
+                }
+                ContentType::Alert => return Err(SslError::PeerAlert(Alert::from_bytes(body)?)),
+                ContentType::ApplicationData => {
+                    return Err(SslError::UnexpectedMessage { expected: "handshake message" });
+                }
+            }
+        }
+        let Some(len) = self.next_message_len() else { return Ok(MachineStep::Continue) };
+        let msg = &self.msgs[self.msg_pos..self.msg_pos + len];
+        let step = self.machine.on_handshake_message(msg, self.outbox.vec_mut())?;
+        self.msg_pos += len;
+        if self.msg_pos == self.msgs.len() {
+            self.msgs.clear();
+            self.msg_pos = 0;
+        }
+        Ok(step)
+    }
+
+    /// The length of the next complete message in the reassembly buffer.
+    fn next_message_len(&self) -> Option<usize> {
+        let avail = &self.msgs[self.msg_pos..];
+        if avail.len() < 4 {
+            return None;
+        }
+        let body = usize::from(avail[1]) << 16 | usize::from(avail[2]) << 8 | usize::from(avail[3]);
+        (avail.len() >= 4 + body).then_some(4 + body)
+    }
+
+    /// Runs a suspended job on the caller's thread, outside the step clock,
+    /// and resumes the machine at once, with a queue wait of exactly zero.
     fn run_crypto(&mut self, job: CryptoJob) -> Result<(), SslError> {
         let key = self.machine.crypto_key().ok_or(SslError::NotReady("no key for crypto job"))?;
-        let done = CryptoDone { queue_wait: Cycles::ZERO, ..job.execute(key) };
-        self.machine.complete_crypto(done, self.outbox.vec_mut())
+        self.resume(CryptoDone { queue_wait: Cycles::ZERO, ..job.execute(key) })
+    }
+
+    /// Resumes the suspended machine with an executed job's result.
+    fn resume(&mut self, done: CryptoDone) -> Result<(), SslError> {
+        self.clocked(|engine| engine.machine.complete_crypto(done, engine.outbox.vec_mut()))
     }
 
     /// Returns the total wire length of the record at `in_pos`, or `None`

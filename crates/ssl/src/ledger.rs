@@ -5,8 +5,10 @@ use crate::engine::{CryptoDone, CryptoOutput};
 use crate::machine::Protocol;
 use crate::server::SERVER_STEP_NAMES;
 use crate::tls13::TLS13_STEP_NAMES;
-use sslperf_profile::{measure, Cycles, PhaseSet};
+use sslperf_profile::{Cycles, PhaseSet};
 use sslperf_rsa::RsaError;
+use std::sync::OnceLock;
+use std::time::Instant;
 
 /// One connection's handshake anatomy, exported after establishment.
 ///
@@ -14,7 +16,17 @@ use sslperf_rsa::RsaError;
 /// latencies in paper order, the handshake's total and crypto cycles, and
 /// the two halves of the key-exchange step (queue wait vs. the private
 /// operation itself). Steps and crypto count processing only: the queue
-/// wait is kept beside them, in `kx_queue_wait`. Produced by
+/// wait is kept beside them, in `kx_queue_wait`.
+///
+/// The steps partition the machine's processing. The engine reads one
+/// clock when it starts each server-machine call (before it opens the
+/// record the call consumes) and when the call returns; every interval
+/// between two reads belongs to the step active during it, and the
+/// key-exchange job, which runs between calls, adds its execution to the
+/// key-exchange step. So `total == in_call + kx_exec`, exactly, and each
+/// step's crypto rows sum to no more than its latency. Calls made through
+/// [`EngineDriven`](crate::EngineDriven) by hand, with no engine, run no
+/// clock: they book crypto rows but no step time. Produced by
 /// [`SslServer::ledger`](crate::SslServer::ledger) and
 /// [`Tls13ServerMachine::ledger`](crate::Tls13ServerMachine::ledger);
 /// consumed by the serving layer's live metrics registry.
@@ -34,6 +46,10 @@ pub struct HandshakeLedger {
     /// Cycles spent inside crypto functions during the handshake
     /// (Table 3's "crypto" share).
     pub crypto: Cycles,
+    /// Cycles between the first and the last clock read of every
+    /// server-machine call (and of the SSLv3 machine's construction, step
+    /// 0), summed: the time the steps partition.
+    pub in_call: Cycles,
     /// Key-exchange split: cycles the crypto job waited in the pool's
     /// queue (exactly zero when the engine ran it itself). The job is an
     /// RSA private decryption for SSLv3, a DHE exponentiation pair for
@@ -55,88 +71,116 @@ pub struct HandshakeLedger {
     pub ticket_expired: bool,
 }
 
-/// The bookkeeping behind a [`HandshakeLedger`]: per-step latency, the
-/// crypto functions (aggregated, and in call order), and the key-exchange
-/// step's split across its suspension.
-#[derive(Debug)]
-pub(crate) struct HandshakeRecorder {
-    protocol: Protocol,
-    steps: PhaseSet,
+/// The bookkeeping behind a [`HandshakeLedger`]: a partition of the
+/// machine's in-call time into steps, the crypto functions nested in them
+/// (aggregated, and in call order), and the key-exchange job's split.
+///
+/// The engine starts the clock before each server-machine call, ahead of
+/// the record open the call consumes, and stops it when the call returns.
+/// Inside a call the machine only names the active step
+/// ([`HandshakeRecorder::enter`]). Every interval between two clock reads
+/// is booked to the step active during it, so the steps sum to the in-call
+/// time by construction. The active step outlives the call: the step a
+/// machine waits in is the one the next call's record open lands in.
+/// Crypto rows attribute part of the active step to a function. The
+/// key-exchange job runs between calls, so its execution is added to the
+/// step that resumes it, as latency and as a row.
+///
+/// `pub` only because the engine's sealed `recorder` hook and
+/// [`ServerMachine::Undecided`](crate::ServerMachine::Undecided) carry it;
+/// the crate does not export it.
+#[derive(Debug, Default)]
+pub struct HandshakeRecorder {
+    steps: [Cycles; 10],
+    active: usize,
+    /// The running call's first and last clock reads; `None` between
+    /// calls.
+    clock: Option<(Cycles, Cycles)>,
+    in_call: Cycles,
     crypto: PhaseSet,
     crypto_detail: Vec<(usize, &'static str, Cycles)>,
-    /// The key-exchange step's processing before its suspension.
-    kx_partial: Cycles,
     kx_queue_wait: Cycles,
     kx_exec: Cycles,
 }
 
+/// One clock read: cycles since a process-wide origin, so the intervals
+/// between reads are integer differences that sum exactly.
+fn now() -> Cycles {
+    static ORIGIN: OnceLock<Instant> = OnceLock::new();
+    Cycles::from_duration(ORIGIN.get_or_init(Instant::now).elapsed())
+}
+
 impl HandshakeRecorder {
-    pub(crate) fn new(protocol: Protocol) -> Self {
-        HandshakeRecorder {
-            protocol,
-            steps: PhaseSet::new(),
-            crypto: PhaseSet::new(),
-            crypto_detail: Vec::new(),
-            kx_partial: Cycles::ZERO,
-            kx_queue_wait: Cycles::ZERO,
-            kx_exec: Cycles::ZERO,
+    /// Names the step this recorder waits in without reading the clock: a
+    /// dispatching server learns the client hello's step only from the
+    /// hello it has already opened, and that open, not booked yet, belongs
+    /// there.
+    pub(crate) fn waiting_in(mut self, step: usize) -> Self {
+        self.active = step;
+        self
+    }
+
+    /// Starts the clock for one machine call.
+    pub(crate) fn start(&mut self) {
+        let t = now();
+        self.clock = Some((t, t));
+    }
+
+    /// Stops the clock: books the call's last interval, and the call as
+    /// in-call time.
+    pub(crate) fn stop(&mut self) {
+        self.lap();
+        if let Some((start, last)) = self.clock.take() {
+            self.in_call += last - start;
         }
     }
 
-    fn names(&self) -> &'static [&'static str; 10] {
-        match self.protocol {
-            Protocol::Ssl3 => &SERVER_STEP_NAMES,
-            Protocol::Tls13 => &TLS13_STEP_NAMES,
-        }
+    /// Makes `step` the active step; the interval since the last clock
+    /// read goes to the step it replaces.
+    pub(crate) fn enter(&mut self, step: usize) {
+        self.lap();
+        self.active = step;
     }
 
-    /// Books `cycles` of the crypto function `name` at `step`.
-    pub(crate) fn note(&mut self, step: usize, name: &'static str, cycles: Cycles) {
+    /// Books the interval since the last clock read to the active step and
+    /// returns it (zero, with no read, between calls).
+    pub(crate) fn lap(&mut self) -> Cycles {
+        let Some((start, last)) = self.clock else { return Cycles::ZERO };
+        let t = now();
+        self.clock = Some((start, t));
+        self.steps[self.active] += t - last;
+        t - last
+    }
+
+    /// Books `cycles` of the crypto function `name` in the active step.
+    pub(crate) fn note(&mut self, name: &'static str, cycles: Cycles) {
         self.crypto.add(name, cycles);
-        self.crypto_detail.push((step, name, cycles));
+        self.crypto_detail.push((self.active, name, cycles));
     }
 
-    /// Runs `f` and books its time as the crypto function `name` at `step`.
-    pub(crate) fn time<T>(&mut self, step: usize, name: &'static str, f: impl FnOnce() -> T) -> T {
-        let (value, cycles) = measure(f);
-        self.note(step, name, cycles);
+    /// Runs `f` and books its time as the crypto function `name` in the
+    /// active step.
+    pub(crate) fn time<T>(&mut self, name: &'static str, f: impl FnOnce() -> T) -> T {
+        let start = now();
+        let value = f();
+        self.note(name, now() - start);
         value
     }
 
-    /// Books `cycles` of latency at `step`.
-    pub(crate) fn step(&mut self, step: usize, cycles: Cycles) {
-        self.steps.add(self.names()[step], cycles);
-    }
-
-    /// Holds the key-exchange step's processing up to the suspension.
-    pub(crate) fn suspend_kx(&mut self, partial: Cycles) {
-        self.kx_partial = partial;
-    }
-
-    /// Books the executed job at `step`: its queue wait beside the steps,
-    /// its execution as the crypto function `exec_name`. Returns what it
-    /// produced; [`HandshakeRecorder::end_kx`] closes the step.
+    /// Books the executed job in the active step: its queue wait beside
+    /// the steps, its execution as latency and as the crypto function
+    /// `exec_name`. Returns what it produced.
     pub(crate) fn resume_kx(
         &mut self,
-        step: usize,
         exec_name: &'static str,
         done: CryptoDone,
     ) -> Result<CryptoOutput, RsaError> {
         let (output, queue_wait, exec) = done.into_parts();
         self.kx_queue_wait = queue_wait;
         self.kx_exec = exec;
-        self.note(step, exec_name, exec);
+        self.steps[self.active] += exec;
+        self.note(exec_name, exec);
         output
-    }
-
-    /// Closes the key-exchange `step`: its processing before the
-    /// suspension, the job's execution, and `tail` after the resume.
-    pub(crate) fn end_kx(&mut self, step: usize, tail: Cycles) {
-        self.step(step, self.kx_partial + self.kx_exec + tail);
-    }
-
-    pub(crate) fn steps(&self) -> &PhaseSet {
-        &self.steps
     }
 
     pub(crate) fn crypto(&self) -> &PhaseSet {
@@ -149,14 +193,18 @@ impl HandshakeRecorder {
 
     /// The ledger row, with every ticket flag clear (the SSLv3 machine
     /// sets its own).
-    pub(crate) fn ledger(&self, resumed: bool) -> HandshakeLedger {
-        let names = self.names();
+    pub(crate) fn ledger(&self, protocol: Protocol, resumed: bool) -> HandshakeLedger {
+        let names = match protocol {
+            Protocol::Ssl3 => SERVER_STEP_NAMES,
+            Protocol::Tls13 => TLS13_STEP_NAMES,
+        };
         HandshakeLedger {
-            protocol: self.protocol,
+            protocol,
             resumed,
-            steps: std::array::from_fn(|i| (names[i], self.steps.cycles(names[i]))),
-            total: self.steps.total(),
+            steps: std::array::from_fn(|i| (names[i], self.steps[i])),
+            total: self.steps.iter().copied().sum(),
             crypto: self.crypto.total(),
+            in_call: self.in_call,
             kx_queue_wait: self.kx_queue_wait,
             kx_exec: self.kx_exec,
             ticket_issued: false,

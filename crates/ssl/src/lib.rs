@@ -55,7 +55,7 @@
 //! server.feed_from(&mut client)?;
 //! let range = server.open_next()?.expect("one whole record");
 //! assert_eq!(&server.buffered()[range], b"GET / HTTP/1.0\r\n\r\n");
-//! println!("{}", server.machine().steps()); // the paper's Table 2, live
+//! println!("{:?}", server.machine().ledger().steps); // the paper's Table 2, live
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 //!

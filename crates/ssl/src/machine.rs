@@ -9,8 +9,8 @@
 //! the rest of the connection. [`ClientMachine`] is the mirror image,
 //! fixed at construction by a [`ClientConfig`].
 
-use crate::engine::{CryptoDone, EngineDriven, MachineStep};
-use crate::ledger::HandshakeLedger;
+use crate::engine::{CryptoDone, EngineDriven, MachineStep, Sealed};
+use crate::ledger::{HandshakeLedger, HandshakeRecorder};
 use crate::record::RecordLayer;
 use crate::server::ServerConfig;
 use crate::tls13::{Tls13ClientMachine, Tls13ServerMachine};
@@ -130,19 +130,18 @@ impl EngineDriven for ClientMachine {
     fn on_handshake_message(
         &mut self,
         msg: &[u8],
-        open_cycles: Cycles,
         out: &mut Vec<u8>,
     ) -> Result<MachineStep, SslError> {
         match self {
-            ClientMachine::V3(m) => m.on_handshake_message(msg, open_cycles, out),
-            ClientMachine::T13(m) => m.on_handshake_message(msg, open_cycles, out),
+            ClientMachine::V3(m) => m.on_handshake_message(msg, out),
+            ClientMachine::T13(m) => m.on_handshake_message(msg, out),
         }
     }
 
-    fn on_change_cipher_spec(&mut self, body: &[u8], open_cycles: Cycles) -> Result<(), SslError> {
+    fn on_change_cipher_spec(&mut self, body: &[u8]) -> Result<(), SslError> {
         match self {
-            ClientMachine::V3(m) => m.on_change_cipher_spec(body, open_cycles),
-            ClientMachine::T13(m) => m.on_change_cipher_spec(body, open_cycles),
+            ClientMachine::V3(m) => m.on_change_cipher_spec(body),
+            ClientMachine::T13(m) => m.on_change_cipher_spec(body),
         }
     }
 
@@ -192,6 +191,9 @@ pub enum ServerMachine<'a> {
         /// Version-agnostic record layer used only to open the first
         /// hello record.
         layer: RecordLayer,
+        /// The step recorder whose clock the engine starts before opening
+        /// the first hello; the chosen machine books into it.
+        anatomy: HandshakeRecorder,
     },
     /// Dispatched to the SSLv3 machine.
     V3(SslServer<'a>),
@@ -206,7 +208,7 @@ impl<'a> ServerMachine<'a> {
     pub fn new(config: &'a ServerConfig, rng: SslRng) -> Self {
         let mut layer = RecordLayer::new();
         layer.set_accept_any_version(true);
-        ServerMachine::Undecided { config, rng, layer }
+        ServerMachine::Undecided { config, rng, layer, anatomy: HandshakeRecorder::default() }
     }
 
     /// The dispatched protocol, `None` until the first hello arrives.
@@ -267,24 +269,26 @@ impl<'a> ServerMachine<'a> {
         }
     }
 
-    /// Reads the version bytes from a ClientHello message body and builds
-    /// the matching machine, consulting the configured allow-list.
-    fn dispatch(config: &'a ServerConfig, rng: SslRng, msg: &[u8]) -> Result<Self, SslError> {
+    /// The allowed protocol whose version bytes a ClientHello message
+    /// body carries.
+    fn hello_protocol(config: &ServerConfig, msg: &[u8]) -> Result<Protocol, SslError> {
         if msg.len() < 6 || msg[0] != 1 {
             return Err(SslError::UnexpectedMessage { expected: "client hello" });
         }
-        match (msg[4], msg[5]) {
-            v if v == Protocol::Ssl3.wire_version()
-                && config.protocols().contains(&Protocol::Ssl3) =>
-            {
-                Ok(ServerMachine::V3(SslServer::new(config, rng)))
-            }
-            v if v == Protocol::Tls13.wire_version()
-                && config.protocols().contains(&Protocol::Tls13) =>
-            {
-                Ok(ServerMachine::T13(Tls13ServerMachine::new(config, rng)))
-            }
-            (major, minor) => Err(SslError::UnsupportedVersion { major, minor }),
+        let (major, minor) = (msg[4], msg[5]);
+        let mut allowed = config.protocols().iter().copied();
+        allowed
+            .find(|p| p.wire_version() == (major, minor))
+            .ok_or(SslError::UnsupportedVersion { major, minor })
+    }
+}
+
+impl Sealed for ServerMachine<'_> {
+    fn recorder(&mut self) -> Option<&mut HandshakeRecorder> {
+        match self {
+            ServerMachine::Undecided { anatomy, .. } => Some(anatomy),
+            ServerMachine::V3(m) => m.recorder(),
+            ServerMachine::T13(m) => m.recorder(),
         }
     }
 }
@@ -297,18 +301,27 @@ impl EngineDriven for ServerMachine<'_> {
     fn on_handshake_message(
         &mut self,
         msg: &[u8],
-        open_cycles: Cycles,
         out: &mut Vec<u8>,
     ) -> Result<MachineStep, SslError> {
         match self {
-            ServerMachine::Undecided { config, rng, .. } => {
-                let mut machine = Self::dispatch(config, rng.clone(), msg)?;
-                let step = machine.on_handshake_message(msg, open_cycles, out);
+            ServerMachine::Undecided { config, rng, anatomy, .. } => {
+                // The hello's open, already on `anatomy`'s clock, is the
+                // chosen protocol's `get_client_hello`.
+                let (config, rng, anatomy) = (*config, rng.clone(), std::mem::take(anatomy));
+                let mut machine = match Self::hello_protocol(config, msg)? {
+                    Protocol::Ssl3 => {
+                        Self::V3(SslServer::with_recorder(config, rng, anatomy.waiting_in(1)))
+                    }
+                    Protocol::Tls13 => {
+                        Self::T13(Tls13ServerMachine::with_recorder(config, rng, anatomy))
+                    }
+                };
+                let step = machine.on_handshake_message(msg, out);
                 *self = machine;
                 step
             }
-            ServerMachine::V3(m) => m.on_handshake_message(msg, open_cycles, out),
-            ServerMachine::T13(m) => m.on_handshake_message(msg, open_cycles, out),
+            ServerMachine::V3(m) => m.on_handshake_message(msg, out),
+            ServerMachine::T13(m) => m.on_handshake_message(msg, out),
         }
     }
 
@@ -328,13 +341,13 @@ impl EngineDriven for ServerMachine<'_> {
         }
     }
 
-    fn on_change_cipher_spec(&mut self, body: &[u8], open_cycles: Cycles) -> Result<(), SslError> {
+    fn on_change_cipher_spec(&mut self, body: &[u8]) -> Result<(), SslError> {
         match self {
             ServerMachine::Undecided { .. } => {
                 Err(SslError::UnexpectedMessage { expected: "client hello" })
             }
-            ServerMachine::V3(m) => m.on_change_cipher_spec(body, open_cycles),
-            ServerMachine::T13(m) => m.on_change_cipher_spec(body, open_cycles),
+            ServerMachine::V3(m) => m.on_change_cipher_spec(body),
+            ServerMachine::T13(m) => m.on_change_cipher_spec(body),
         }
     }
 

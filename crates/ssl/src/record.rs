@@ -359,6 +359,11 @@ impl RecordLayer {
         self.accept_any_version = on;
     }
 
+    /// True once the peer's records arrive under a cipher.
+    pub(crate) fn reads_protected(&self) -> bool {
+        self.read.protection.is_some()
+    }
+
     fn accepts_version(&self, major: u8, minor: u8) -> bool {
         self.accept_any_version || (major, minor) == self.wire_version
     }

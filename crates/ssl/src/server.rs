@@ -1,15 +1,16 @@
 //! The instrumented SSL v3 server, partitioned into the paper's ten steps.
 //!
 //! The handshake logic lives in per-message handlers driven by the sans-io
-//! [`Engine`](crate::Engine). Step timing survives the split: the engine
-//! reports the cycles it spent opening each record, and the handlers fold
-//! them into the step the record belongs to, so a step that spans several
-//! feeds (e.g. step 6's CCS + finished) still lands in
-//! [`SslServer::steps`] as one entry, whether the bytes came as whole
-//! flights or one at a time.
+//! [`Engine`](crate::Engine). The engine reads the clock around each
+//! handler call, the record open included, and a handler only names the
+//! step it works in, so a step that spans several calls (e.g. step 6's
+//! CCS + finished) still lands in one entry of the ledger's `steps`,
+//! whether the bytes came as whole flights or one at a time.
 
 use crate::cache::{CachedSession, SessionCache, ShardedSessionCache};
-use crate::engine::{CryptoDone, CryptoJob, CryptoOp, CryptoOutput, EngineDriven, MachineStep};
+use crate::engine::{
+    CryptoDone, CryptoJob, CryptoOp, CryptoOutput, EngineDriven, MachineStep, Sealed,
+};
 use crate::kdf::{self, KeyMaterial};
 use crate::ledger::{HandshakeLedger, HandshakeRecorder};
 use crate::machine::Protocol;
@@ -18,7 +19,7 @@ use crate::record::{ContentType, RecordLayer};
 use crate::ticket::{TicketError, TicketKeyring, TicketSessionStore};
 use crate::transcript::{Transcript, SENDER_CLIENT, SENDER_SERVER};
 use crate::{CipherSuite, SslError};
-use sslperf_profile::{measure, Cycles, PhaseSet, Stopwatch};
+use sslperf_profile::{Cycles, PhaseSet};
 use sslperf_rng::SslRng;
 use sslperf_rsa::{x509::Certificate, RsaPrivateKey};
 use std::sync::Arc;
@@ -161,18 +162,16 @@ impl ServerConfig {
 /// `AwaitKxCrypto` is suspended mid-step-5, waiting for the executed
 /// [`CryptoJob`]'s result. The expected client finished hashes are
 /// computed at the client's CCS (step 6) on either handshake, as OpenSSL
-/// does. Step 6 (`get_finished`) spans two records (CCS then finished),
-/// which an event-driven driver may deliver in separate readiness events, so
-/// `AwaitClientFinished` also holds the step's timing so far. Every input
-/// runs with `Failed` in place of the state it took, so a handler that
-/// returns an error leaves the machine there and later inputs are refused.
+/// does. Every input runs with `Failed` in place of the state it took, so
+/// a handler that returns an error leaves the machine there and later
+/// inputs are refused.
 #[derive(Debug)]
 enum State {
     AwaitClientHello,
     AwaitClientKx,
     AwaitKxCrypto,
     AwaitClientCcs,
-    AwaitClientFinished { expected: ([u8; 16], [u8; 20]), step6: Cycles },
+    AwaitClientFinished { expected: ([u8; 16], [u8; 20]) },
     Established,
     Failed,
 }
@@ -181,7 +180,8 @@ enum State {
 ///
 /// Construction is the paper's step 0 (*Init*); the
 /// [`Engine`](crate::Engine) feeds that drive it cover steps 1–9. Every
-/// step's wall time lands in [`SslServer::steps`] and every crypto call in
+/// instant of the engine's calls into it lands in one step of
+/// [`SslServer::ledger`]'s `steps`, and every crypto call in
 /// [`SslServer::crypto`] / [`SslServer::crypto_detail`].
 #[derive(Debug)]
 pub struct SslServer<'a> {
@@ -211,12 +211,29 @@ pub struct SslServer<'a> {
 
 impl<'a> SslServer<'a> {
     /// Creates a connection (Table 2 step 0: initialize states and
-    /// variables, `init_finished_mac`).
+    /// variables, `init_finished_mac`), timed as a call of its own.
     #[must_use]
     pub fn new(config: &'a ServerConfig, rng: SslRng) -> Self {
-        let sw = Stopwatch::start();
-        let (transcript, init_cycles) = measure(Transcript::new);
-        let mut server = SslServer {
+        let mut anatomy = HandshakeRecorder::default();
+        anatomy.start();
+        let mut server = Self::with_recorder(config, rng, anatomy);
+        server.anatomy.stop();
+        server
+    }
+
+    /// Step 0 on `anatomy`'s running clock, leaving step 1 active for the
+    /// client hello; the time before it stays in the step `anatomy` waits
+    /// in. A dispatching [`ServerMachine`](crate::ServerMachine) builds
+    /// the connection here, inside the call that opened that hello.
+    pub(crate) fn with_recorder(
+        config: &'a ServerConfig,
+        rng: SslRng,
+        mut anatomy: HandshakeRecorder,
+    ) -> Self {
+        anatomy.enter(0);
+        let transcript = anatomy.time("init_finished_mac", Transcript::new);
+        anatomy.enter(1);
+        SslServer {
             config,
             rng,
             records: RecordLayer::new(),
@@ -234,17 +251,8 @@ impl<'a> SslServer<'a> {
             ticket_rejected: false,
             ticket_expired: false,
             key_material: None,
-            anatomy: HandshakeRecorder::new(Protocol::Ssl3),
-        };
-        server.anatomy.note(0, "init_finished_mac", init_cycles);
-        server.anatomy.step(0, sw.elapsed());
-        server
-    }
-
-    /// Per-step latency (Table 2's latency column).
-    #[must_use]
-    pub fn steps(&self) -> &PhaseSet {
-        self.anatomy.steps()
+            anatomy,
+        }
     }
 
     /// Per-crypto-function latency, aggregated over the handshake.
@@ -287,7 +295,7 @@ impl<'a> SslServer<'a> {
             ticket_accepted: self.ticket_accepted,
             ticket_rejected: self.ticket_rejected,
             ticket_expired: self.ticket_expired,
-            ..self.anatomy.ledger(self.resumed)
+            ..self.anatomy.ledger(Protocol::Ssl3, self.resumed)
         }
     }
 
@@ -330,14 +338,9 @@ impl<'a> SslServer<'a> {
     }
 
     /// Steps 1–4, driven by one reassembled client-hello message.
-    fn on_client_hello(
-        &mut self,
-        msg: &[u8],
-        open_cycles: Cycles,
-        out: &mut Vec<u8>,
-    ) -> Result<(), SslError> {
-        // Step 1: get_client_hello (record opening measured by the engine).
-        let sw = Stopwatch::start();
+    fn on_client_hello(&mut self, msg: &[u8], out: &mut Vec<u8>) -> Result<(), SslError> {
+        // Step 1: get_client_hello, active since the engine began opening
+        // the record.
         let (decoded, consumed) = HandshakeMessage::decode(msg)?;
         if consumed != msg.len() {
             return Err(SslError::Decode("extra bytes after client hello"));
@@ -360,7 +363,7 @@ impl<'a> SslServer<'a> {
             // back silently to a full handshake (no alert oracle).
             match ticket.as_deref() {
                 Some(blob) if !blob.is_empty() && !session_id.is_empty() => {
-                    let opened = self.anatomy.time(1, "ticket_open", || keyring.open(blob));
+                    let opened = self.anatomy.time("ticket_open", || keyring.open(blob));
                     match opened {
                         Ok(session) => {
                             self.ticket_accepted = true;
@@ -388,15 +391,13 @@ impl<'a> SslServer<'a> {
             self.session_id = session_id.as_bytes().to_vec();
         } else {
             self.suite = chosen;
-            let sid = self.anatomy.time(1, "rand_pseudo_bytes", || self.rng.bytes(32));
-            self.session_id = sid;
+            self.session_id = self.anatomy.time("rand_pseudo_bytes", || self.rng.bytes(32));
         }
-        self.anatomy.time(1, "finish_mac", || self.transcript.absorb(msg));
-        self.anatomy.step(1, sw.elapsed() + open_cycles);
+        self.anatomy.time("finish_mac", || self.transcript.absorb(msg));
 
         // Step 2: send_server_hello.
-        let sw = Stopwatch::start();
-        self.anatomy.time(2, "rand_pseudo_bytes", || self.rng.fill_bytes(&mut self.server_random));
+        self.anatomy.enter(2);
+        self.anatomy.time("rand_pseudo_bytes", || self.rng.fill_bytes(&mut self.server_random));
         let hello = HandshakeMessage::ServerHello {
             random: self.server_random,
             session_id: SessionId::new(self.session_id.clone()),
@@ -406,37 +407,36 @@ impl<'a> SslServer<'a> {
             ticket: self.tickets.is_some() && !self.resumed,
         }
         .encode();
-        self.anatomy.time(2, "finish_mac", || self.transcript.absorb(&hello));
+        self.anatomy.time("finish_mac", || self.transcript.absorb(&hello));
         self.records.seal_append(ContentType::Handshake, &hello, out)?;
-        self.anatomy.step(2, sw.elapsed());
 
         if self.resumed {
             // Abbreviated handshake: CCS + finished immediately, so the
             // client's finished covers ours.
             self.send_ccs_and_finished(out)?;
+            self.anatomy.enter(6);
             self.state = State::AwaitClientCcs;
             return Ok(());
         }
 
         // Step 3: send_server_cert (X509 encoding charged as crypto).
-        let sw = Stopwatch::start();
-        let cert_msg = self.anatomy.time(3, "x509_functions", || {
+        self.anatomy.enter(3);
+        let cert_msg = self.anatomy.time("x509_functions", || {
             // Re-encode through the certificate type, as mod_ssl re-serializes
             // the X509 object per handshake.
             Certificate::from_bytes(&self.config.cert_wire)
                 .map(|cert| HandshakeMessage::Certificate { cert: cert.to_bytes() }.encode())
         })?;
-        self.anatomy.time(3, "finish_mac", || self.transcript.absorb(&cert_msg));
+        self.anatomy.time("finish_mac", || self.transcript.absorb(&cert_msg));
         self.records.seal_append(ContentType::Handshake, &cert_msg, out)?;
-        self.anatomy.step(3, sw.elapsed());
 
         // Step 4: send_server_done (+ internal buffer control).
-        let sw = Stopwatch::start();
+        self.anatomy.enter(4);
         let done = HandshakeMessage::ServerHelloDone.encode();
-        self.anatomy.time(4, "finish_mac", || self.transcript.absorb(&done));
+        self.anatomy.time("finish_mac", || self.transcript.absorb(&done));
         self.records.seal_append(ContentType::Handshake, &done, out)?;
-        self.anatomy.step(4, sw.elapsed());
 
+        self.anatomy.enter(5);
         self.state = State::AwaitClientKx;
         Ok(())
     }
@@ -444,8 +444,7 @@ impl<'a> SslServer<'a> {
     /// Step 5: get_client_kx — suspends on the RSA decryption of the
     /// pre-master as a [`CryptoJob`]; the step concludes in
     /// [`SslServer::finish_client_kx`].
-    fn on_client_kx(&mut self, msg: &[u8], open_cycles: Cycles) -> Result<MachineStep, SslError> {
-        let sw = Stopwatch::start();
+    fn on_client_kx(&mut self, msg: &[u8]) -> Result<MachineStep, SslError> {
         let (decoded, _) = HandshakeMessage::decode(msg)?;
         let HandshakeMessage::ClientKeyExchange { encrypted_pre_master } = decoded else {
             return Err(SslError::UnexpectedMessage { expected: "client key exchange" });
@@ -454,16 +453,15 @@ impl<'a> SslServer<'a> {
         // the client's CCS. The job decrypts with a clone of the rng (the
         // blinding draw), so the connection's own stream never advances
         // whoever runs it.
-        self.anatomy.time(5, "finish_mac", || self.transcript.absorb(msg));
-        self.anatomy.suspend_kx(sw.elapsed() + open_cycles);
+        self.anatomy.time("finish_mac", || self.transcript.absorb(msg));
         self.state = State::AwaitKxCrypto;
         let op = CryptoOp::RsaDecrypt { ciphertext: encrypted_pre_master };
         Ok(MachineStep::PendingCrypto(Box::new(CryptoJob::new(op, self.rng.clone()))))
     }
 
     /// Step 5's conclusion: derive the master secret from the job's
-    /// result. The decryption's execution is step-5 crypto; its queue wait
-    /// is kept aside for the ledger, out of the step's latency.
+    /// result. The decryption's execution is step-5 latency and crypto;
+    /// its queue wait is kept aside for the ledger, out of the step.
     ///
     /// A ClientKeyExchange that fails to decrypt, unpad, or carry a 48-byte
     /// `3.0 ‖ random` block must be indistinguishable on the wire from one
@@ -474,8 +472,7 @@ impl<'a> SslServer<'a> {
     /// fork of the connection rng, so neither the draw nor its absence
     /// moves the stream later flights read.
     fn finish_client_kx(&mut self, done: CryptoDone) -> Result<(), SslError> {
-        let sw = Stopwatch::start();
-        let decrypted = match self.anatomy.resume_kx(5, "rsa_private_decryption", done) {
+        let decrypted = match self.anatomy.resume_kx("rsa_private_decryption", done) {
             Ok(CryptoOutput::PreMaster(block)) => Some(block),
             Ok(_) => return Err(SslError::NotReady("crypto result kind")),
             Err(_) => None,
@@ -492,10 +489,10 @@ impl<'a> SslServer<'a> {
             }
             _ => &fallback,
         };
-        self.master = self.anatomy.time(5, "gen_master_secret", || {
+        self.master = self.anatomy.time("gen_master_secret", || {
             kdf::master_secret(pre_master, &self.client_random, &self.server_random)
         });
-        self.anatomy.end_kx(5, sw.elapsed());
+        self.anatomy.enter(6);
         self.state = State::AwaitClientCcs;
         Ok(())
     }
@@ -504,39 +501,33 @@ impl<'a> SslServer<'a> {
     /// handshake), switch the read cipher, pre-compute the expected
     /// finished hashes over the transcript as it stands: the client's
     /// messages on a full handshake, the hellos and the server finished on
-    /// a resumed one. The step's timing waits in the next state until the
-    /// finished message completes it.
-    fn on_client_ccs(&mut self, body: &[u8], open_cycles: Cycles) -> Result<(), SslError> {
-        let sw = Stopwatch::start();
+    /// a resumed one.
+    fn on_client_ccs(&mut self, body: &[u8]) -> Result<(), SslError> {
         if body != [1] {
             return Err(SslError::UnexpectedMessage { expected: "change cipher spec" });
         }
         let suite = self.suite;
-        let km = self.key_material(6);
+        let km = self.key_material();
         let read_cipher = suite.new_cipher(&km.client_key, &km.client_iv)?;
         let mac_key = km.client_mac.clone();
         self.records.activate_read(read_cipher, suite.mac_alg(), mac_key);
-        let expected = self.anatomy.time(6, "final_finish_mac", || {
+        let expected = self.anatomy.time("final_finish_mac", || {
             self.transcript.finished_hashes(&SENDER_CLIENT, &self.master)
         });
-        let step6 = sw.elapsed() + open_cycles;
-        self.state = State::AwaitClientFinished { expected, step6 };
+        self.state = State::AwaitClientFinished { expected };
         Ok(())
     }
 
-    /// Step 6b plus steps 7–9: verify the client finished (its record-open
-    /// cycles are the step's `pri_decryption_and_mac`), answer with
-    /// CCS ‖ finished on a full handshake, flush the session to the cache.
+    /// Step 6b plus steps 7–9: verify the client finished (the engine's
+    /// open of its record is the step's `pri_decryption_and_mac`), answer
+    /// with CCS ‖ finished on a full handshake, flush the session to the
+    /// cache.
     fn on_client_finished(
         &mut self,
         msg: &[u8],
-        open_cycles: Cycles,
         expected: ([u8; 16], [u8; 20]),
-        step6: Cycles,
         out: &mut Vec<u8>,
     ) -> Result<(), SslError> {
-        let sw = Stopwatch::start();
-        self.anatomy.note(6, "pri_decryption_and_mac", open_cycles);
         let (decoded, _) = HandshakeMessage::decode(msg)?;
         let HandshakeMessage::Finished { md5_hash, sha_hash } = decoded else {
             return Err(SslError::UnexpectedMessage { expected: "client finished" });
@@ -544,8 +535,7 @@ impl<'a> SslServer<'a> {
         if (md5_hash, sha_hash) != expected {
             return Err(SslError::BadFinished);
         }
-        self.anatomy.time(6, "finish_mac", || self.transcript.absorb(msg));
-        self.anatomy.step(6, step6 + sw.elapsed() + open_cycles);
+        self.anatomy.time("finish_mac", || self.transcript.absorb(msg));
 
         if !self.resumed {
             if let Some(keyring) = self.tickets {
@@ -557,12 +547,12 @@ impl<'a> SslServer<'a> {
         // Step 9: server_flush — cache the session (id-cache peers only;
         // negotiated peers hold their state in the ticket), wipe transient
         // secrets.
-        let sw = Stopwatch::start();
+        self.anatomy.enter(9);
         if self.tickets.is_none() {
             let session = CachedSession { master: self.master.clone(), suite: self.suite };
             self.config.cache.store(self.session_id.clone(), session);
         }
-        self.anatomy.time(9, "cleanse", || {
+        self.anatomy.time("cleanse", || {
             // OPENSSL_cleanse-equivalent: overwrite transient key material.
             if let Some(km) = &mut self.key_material {
                 km.client_mac.fill(0);
@@ -570,13 +560,12 @@ impl<'a> SslServer<'a> {
             sslperf_profile::counters::count("OPENSSL_cleanse", 1);
         });
         self.key_material = None;
-        self.anatomy.step(9, sw.elapsed());
 
         self.state = State::Established;
         Ok(())
     }
 
-    /// Seals the NewSessionTicket flight: the sealed session state the
+    /// Step 8's NewSessionTicket flight: the sealed session state the
     /// client will present instead of a cache-backed session id. Sent in
     /// plaintext before the server's CCS and deliberately *not* absorbed
     /// into the transcript (the client mirrors this), so the finished
@@ -586,16 +575,14 @@ impl<'a> SslServer<'a> {
         keyring: &TicketKeyring,
         out: &mut Vec<u8>,
     ) -> Result<(), SslError> {
+        self.anatomy.enter(8);
         let session = CachedSession { master: self.master.clone(), suite: self.suite };
-        let ticket = keyring.seal(&session);
-        let sw = Stopwatch::start();
-        let nst = HandshakeMessage::NewSessionTicket {
-            lifetime_hint_secs: u32::try_from(keyring.lifetime().as_secs()).unwrap_or(u32::MAX),
-            ticket,
-        }
-        .encode();
-        self.records.seal_append(ContentType::Handshake, &nst, out)?;
-        self.anatomy.note(8, "ticket_seal", sw.elapsed());
+        let lifetime_hint_secs = u32::try_from(keyring.lifetime().as_secs()).unwrap_or(u32::MAX);
+        self.anatomy.time("ticket_seal", || {
+            let ticket = keyring.seal(&session);
+            let nst = HandshakeMessage::NewSessionTicket { lifetime_hint_secs, ticket }.encode();
+            self.records.seal_append(ContentType::Handshake, &nst, out)
+        })?;
         self.ticket_issued = true;
         Ok(())
     }
@@ -604,38 +591,33 @@ impl<'a> SslServer<'a> {
     /// under the new keys.
     fn send_ccs_and_finished(&mut self, out: &mut Vec<u8>) -> Result<(), SslError> {
         // Step 7: send_cipher_spec.
-        let sw = Stopwatch::start();
+        self.anatomy.enter(7);
         let suite = self.suite;
-        let km = self.key_material(7);
+        let km = self.key_material();
         let write_cipher = suite.new_cipher(&km.server_key, &km.server_iv)?;
         let mac_key = km.server_mac.clone();
         self.records.seal_append(ContentType::ChangeCipherSpec, &[1], out)?;
         self.records.activate_write(write_cipher, suite.mac_alg(), mac_key);
-        self.anatomy.step(7, sw.elapsed());
 
         // Step 8: send_finished.
-        let sw = Stopwatch::start();
-        let hashes = self.anatomy.time(8, "final_finish_mac", || {
+        self.anatomy.enter(8);
+        let (md5_hash, sha_hash) = self.anatomy.time("final_finish_mac", || {
             self.transcript.finished_hashes(&SENDER_SERVER, &self.master)
         });
-        let (md5_hash, sha_hash) = hashes;
         let fin = HandshakeMessage::Finished { md5_hash, sha_hash }.encode();
-        self.anatomy.time(8, "finish_mac", || self.transcript.absorb(&fin));
-        let sealed = self.anatomy.time(8, "pri_encryption_and_mac", || {
+        self.anatomy.time("finish_mac", || self.transcript.absorb(&fin));
+        self.anatomy.time("pri_encryption_and_mac", || {
             self.records.seal_append(ContentType::Handshake, &fin, out)
-        });
-        sealed?;
-        self.anatomy.step(8, sw.elapsed());
-        Ok(())
+        })
     }
 
     /// The connection's key block, generated on first use and booked as
-    /// `gen_key_block` under `step` (step 6 on a full handshake, step 7 on a
-    /// resumed one, whichever side switches ciphers first).
-    fn key_material(&mut self, step: usize) -> &KeyMaterial {
+    /// `gen_key_block` in the active step (step 6 on a full handshake, step
+    /// 7 on a resumed one, whichever side switches ciphers first).
+    fn key_material(&mut self) -> &KeyMaterial {
         let suite = self.suite;
         self.key_material.get_or_insert_with(|| {
-            let block = self.anatomy.time(step, "gen_key_block", || {
+            let block = self.anatomy.time("gen_key_block", || {
                 kdf::key_block(
                     &self.master,
                     &self.server_random,
@@ -653,6 +635,12 @@ impl<'a> SslServer<'a> {
     }
 }
 
+impl Sealed for SslServer<'_> {
+    fn recorder(&mut self) -> Option<&mut HandshakeRecorder> {
+        Some(&mut self.anatomy)
+    }
+}
+
 impl EngineDriven for SslServer<'_> {
     fn start(&mut self, _out: &mut Vec<u8>) -> Result<(), SslError> {
         // The client speaks first; step 0 already ran at construction.
@@ -662,17 +650,16 @@ impl EngineDriven for SslServer<'_> {
     fn on_handshake_message(
         &mut self,
         msg: &[u8],
-        open_cycles: Cycles,
         out: &mut Vec<u8>,
     ) -> Result<MachineStep, SslError> {
         match std::mem::replace(&mut self.state, State::Failed) {
             State::AwaitClientHello => {
-                self.on_client_hello(msg, open_cycles, out).map(|()| MachineStep::Continue)
+                self.on_client_hello(msg, out).map(|()| MachineStep::Continue)
             }
-            State::AwaitClientKx => self.on_client_kx(msg, open_cycles),
-            State::AwaitClientFinished { expected, step6 } => self
-                .on_client_finished(msg, open_cycles, expected, step6, out)
-                .map(|()| MachineStep::Continue),
+            State::AwaitClientKx => self.on_client_kx(msg),
+            State::AwaitClientFinished { expected } => {
+                self.on_client_finished(msg, expected, out).map(|()| MachineStep::Continue)
+            }
             State::AwaitKxCrypto => {
                 Err(SslError::UnexpectedMessage { expected: "crypto completion" })
             }
@@ -694,11 +681,11 @@ impl EngineDriven for SslServer<'_> {
         Some(self.config.key())
     }
 
-    fn on_change_cipher_spec(&mut self, body: &[u8], open_cycles: Cycles) -> Result<(), SslError> {
+    fn on_change_cipher_spec(&mut self, body: &[u8]) -> Result<(), SslError> {
         let State::AwaitClientCcs = std::mem::replace(&mut self.state, State::Failed) else {
             return Err(SslError::UnexpectedMessage { expected: "handshake message" });
         };
-        self.on_client_ccs(body, open_cycles)
+        self.on_client_ccs(body)
     }
 
     fn record_layer(&mut self) -> &mut RecordLayer {
@@ -743,7 +730,8 @@ mod tests {
     fn step_zero_recorded_at_construction() {
         let config = server_config();
         let server = SslServer::new(config, SslRng::from_seed(b"s"));
-        assert!(server.steps().get("init").is_some());
+        assert_eq!(server.ledger().steps[0].0, "init");
+        assert!(server.ledger().steps[0].1 > Cycles::ZERO);
         assert!(server.crypto().get("init_finished_mac").is_some());
         assert!(!server.is_established());
     }

@@ -35,7 +35,9 @@
 //! SSLv3 body layout (no `supported_versions` dance).
 
 use crate::dhe::DheKeyPair;
-use crate::engine::{CryptoDone, CryptoJob, CryptoOp, CryptoOutput, EngineDriven, MachineStep};
+use crate::engine::{
+    CryptoDone, CryptoJob, CryptoOp, CryptoOutput, EngineDriven, MachineStep, Sealed,
+};
 use crate::ledger::{HandshakeLedger, HandshakeRecorder};
 use crate::machine::Protocol;
 use crate::messages::{decode_extension_block, encode_extensions, Reader, EXT_KEY_SHARE};
@@ -43,7 +45,7 @@ use crate::record::{ContentType, RecordLayer};
 use crate::server::ServerConfig;
 use crate::{CipherSuite, SslError};
 use sslperf_hashes::{hkdf, HashAlg, Hmac, Sha256};
-use sslperf_profile::{Cycles, PhaseSet, Stopwatch};
+use sslperf_profile::{Cycles, PhaseSet};
 use sslperf_rng::SslRng;
 use sslperf_rsa::{x509::Certificate, RsaPrivateKey, RsaPublicKey};
 
@@ -346,6 +348,17 @@ impl<'a> Tls13ServerMachine<'a> {
     /// unused (no resumption).
     #[must_use]
     pub fn new(config: &'a ServerConfig, rng: SslRng) -> Self {
+        Self::with_recorder(config, rng, HandshakeRecorder::default())
+    }
+
+    /// A connection booking into `anatomy`, which waits in step 0 for the
+    /// client hello (a dispatching [`ServerMachine`](crate::ServerMachine)
+    /// hands over the recorder whose clock opened that hello).
+    pub(crate) fn with_recorder(
+        config: &'a ServerConfig,
+        rng: SslRng,
+        anatomy: HandshakeRecorder,
+    ) -> Self {
         Tls13ServerMachine {
             config,
             rng,
@@ -353,7 +366,7 @@ impl<'a> Tls13ServerMachine<'a> {
             transcript: Sha256::new(),
             state: ServerState::AwaitClientHello,
             suite: CipherSuite::RsaDesCbc3Sha,
-            anatomy: HandshakeRecorder::new(Protocol::Tls13),
+            anatomy,
         }
     }
 
@@ -361,14 +374,8 @@ impl<'a> Tls13ServerMachine<'a> {
         self.transcript.clone().finalize()
     }
 
-    fn absorb(&mut self, step: usize, msg: &[u8]) {
-        self.anatomy.time(step, "sha256_transcript", || self.transcript.update(msg));
-    }
-
-    /// Per-step latency, keyed by [`TLS13_STEP_NAMES`].
-    #[must_use]
-    pub fn steps(&self) -> &PhaseSet {
-        self.anatomy.steps()
+    fn absorb(&mut self, msg: &[u8]) {
+        self.anatomy.time("sha256_transcript", || self.transcript.update(msg));
     }
 
     /// Per-crypto-function latency, aggregated over the handshake.
@@ -407,157 +414,149 @@ impl<'a> Tls13ServerMachine<'a> {
     /// one metrics layer serves both protocols.
     #[must_use]
     pub fn ledger(&self) -> HandshakeLedger {
-        self.anatomy.ledger(false)
+        self.anatomy.ledger(Protocol::Tls13, false)
     }
 
     /// Steps 0–2 up to the DHE boundary: parse the hello, pick parameters,
     /// then suspend on the exponentiations as a [`CryptoJob`]; the step
     /// concludes in `finish_kx`.
-    fn on_client_hello(
-        &mut self,
-        msg: &[u8],
-        open_cycles: Cycles,
-    ) -> Result<MachineStep, SslError> {
-        // Step 0: get_client_hello.
-        let sw = Stopwatch::start();
+    fn on_client_hello(&mut self, msg: &[u8]) -> Result<MachineStep, SslError> {
+        // Step 0: get_client_hello, active since the engine began opening
+        // the record.
         let hello = decode_client_hello(msg)?;
-        self.absorb(0, msg);
-        self.anatomy.step(0, sw.elapsed() + open_cycles);
+        self.absorb(msg);
 
         // Step 1: select_params — suite choice, server random, key-share
         // validation (the cheap Bn range check; the exponentiations are
         // step 2).
-        let sw = Stopwatch::start();
+        self.anatomy.enter(1);
         self.suite = CipherSuite::ALL
             .into_iter()
             .find(|s| hello.suites.contains(&s.wire_id()))
             .ok_or(SslError::NoCommonCipher)?;
         let mut server_random = [0; 32];
-        self.anatomy.time(1, "rand_pseudo_bytes", || self.rng.fill_bytes(&mut server_random));
+        self.anatomy.time("rand_pseudo_bytes", || self.rng.fill_bytes(&mut server_random));
         let peer = crate::dhe::validate_public(&hello.key_share)?;
-        self.anatomy.step(1, sw.elapsed());
 
         // Step 2: dhe_key_exchange, all of it in the job. The job draws the
         // ephemeral exponent from a *clone* of the connection rng, so the
         // connection's own stream never advances whoever runs it.
+        self.anatomy.enter(2);
         self.state = ServerState::AwaitKxCrypto { server_random };
         let job = CryptoJob::new(CryptoOp::DheAgree { peer }, self.rng.clone());
         Ok(MachineStep::PendingCrypto(Box::new(job)))
     }
 
     /// Step 2's conclusion, then steps 3–8: ServerHello through Finished.
-    /// The job's queue wait is kept aside for the ledger, out of the step's
-    /// latency and the crypto ledger.
+    /// The job's execution is step-2 latency and crypto; its queue wait is
+    /// kept aside for the ledger, out of the step.
     fn finish_kx(
         &mut self,
         server_random: &[u8; 32],
         done: CryptoDone,
         out: &mut Vec<u8>,
     ) -> Result<(), SslError> {
-        let sw = Stopwatch::start();
-        let CryptoOutput::Dhe(agreed) = self.anatomy.resume_kx(2, "kx_exec", done)? else {
+        let CryptoOutput::Dhe(agreed) = self.anatomy.resume_kx("kx_exec", done)? else {
             return Err(SslError::NotReady("crypto result kind"));
         };
-        self.anatomy.end_kx(2, sw.elapsed());
 
         // Step 4: send_server_hello (plaintext, carrying our key share).
-        let sw = Stopwatch::start();
+        self.anatomy.enter(4);
         let sh = encode_server_hello(server_random, self.suite.wire_id(), &agreed.public);
-        self.absorb(4, &sh);
+        self.absorb(&sh);
         self.records.seal_append(ContentType::Handshake, &sh, out)?;
-        self.anatomy.step(4, sw.elapsed());
 
         // Step 3: derive_handshake_keys — the §7.1 schedule down to the
         // handshake traffic secrets at th(CH..SH), then both epochs
         // activate (no CCS: the very next record is encrypted).
-        let sw = Stopwatch::start();
+        self.anatomy.enter(3);
         let th_ch_sh = self.th();
-        let secrets = self
-            .anatomy
-            .time(3, "hkdf_key_schedule", || handshake_secrets(&agreed.shared, &th_ch_sh));
+        let secrets =
+            self.anatomy.time("hkdf_key_schedule", || handshake_secrets(&agreed.shared, &th_ch_sh));
         activate_epoch(&mut self.records, self.suite, &secrets.server_hs, true)?;
         activate_epoch(&mut self.records, self.suite, &secrets.client_hs, false)?;
-        self.anatomy.step(3, sw.elapsed());
 
         // Step 5: send_encrypted_exts (empty extension block).
-        let sw = Stopwatch::start();
+        self.anatomy.enter(5);
         let ee = frame(MT_ENCRYPTED_EXTENSIONS, &[0, 0]);
-        self.absorb(5, &ee);
+        self.absorb(&ee);
         self.records.seal_append(ContentType::Handshake, &ee, out)?;
-        self.anatomy.step(5, sw.elapsed());
 
         // Step 6: send_certificate (same re-serialization the SSLv3 path
         // charges as x509_functions).
-        let sw = Stopwatch::start();
-        let cert_msg = self.anatomy.time(6, "x509_functions", || {
+        self.anatomy.enter(6);
+        let cert_msg = self.anatomy.time("x509_functions", || {
             let wire = Certificate::from_bytes(self.config.cert_wire())?.to_bytes();
             let mut body = Vec::with_capacity(3 + wire.len());
             body.extend_from_slice(&(wire.len() as u32).to_be_bytes()[1..]);
             body.extend_from_slice(&wire);
             Ok::<_, SslError>(frame(MT_CERTIFICATE, &body))
         })?;
-        self.absorb(6, &cert_msg);
+        self.absorb(&cert_msg);
         self.records.seal_append(ContentType::Handshake, &cert_msg, out)?;
-        self.anatomy.step(6, sw.elapsed());
 
         // Step 7: send_cert_verify — sign the transcript so the ephemeral
         // share is authenticated (this is where TLS 1.3 spends its RSA
         // private operation, vs. SSLv3's step-5 decryption).
-        let sw = Stopwatch::start();
+        self.anatomy.enter(7);
         let content = cert_verify_content(&self.th());
         let sig = self
             .anatomy
-            .time(7, "rsa_sign", || self.config.key().sign_pkcs1(HashAlg::Sha256, &content))?;
+            .time("rsa_sign", || self.config.key().sign_pkcs1(HashAlg::Sha256, &content))?;
         let mut body = Vec::with_capacity(4 + sig.len());
         body.extend_from_slice(&SIG_RSA_PKCS1_SHA256.to_be_bytes());
         body.extend_from_slice(&(sig.len() as u16).to_be_bytes());
         body.extend_from_slice(&sig);
         let cv = frame(MT_CERTIFICATE_VERIFY, &body);
-        self.absorb(7, &cv);
+        self.absorb(&cv);
         self.records.seal_append(ContentType::Handshake, &cv, out)?;
-        self.anatomy.step(7, sw.elapsed());
 
         // Step 8: send_finished, then chain to the application secrets and
         // the expected client Finished (both pinned to th(CH..SFin)).
-        let sw = Stopwatch::start();
-        let vd = self.anatomy.time(8, "hmac_finished", || {
+        self.anatomy.enter(8);
+        let vd = self.anatomy.time("hmac_finished", || {
             verify_data(&secrets.server_hs, &self.transcript.clone().finalize())
         });
         let fin = frame(MT_FINISHED, &vd);
-        self.absorb(8, &fin);
+        self.absorb(&fin);
         self.records.seal_append(ContentType::Handshake, &fin, out)?;
         let th_ch_sfin = self.th();
         let (client_ap, server_ap) = self
             .anatomy
-            .time(8, "hkdf_key_schedule", || application_secrets(&secrets.master, &th_ch_sfin));
+            .time("hkdf_key_schedule", || application_secrets(&secrets.master, &th_ch_sfin));
         let expected =
-            self.anatomy.time(8, "hmac_finished", || verify_data(&secrets.client_hs, &th_ch_sfin));
-        self.anatomy.step(8, sw.elapsed());
+            self.anatomy.time("hmac_finished", || verify_data(&secrets.client_hs, &th_ch_sfin));
 
+        self.anatomy.enter(9);
         self.state = ServerState::AwaitClientFinished { expected, client_ap, server_ap };
         Ok(())
     }
 
-    /// Step 9: verify the client Finished and switch to application keys.
+    /// Step 9: verify the client Finished (the engine's open of its record
+    /// is the step's `pri_decryption_and_mac`) and switch to application
+    /// keys.
     fn on_client_finished(
         &mut self,
         msg: &[u8],
-        open_cycles: Cycles,
         expected: &[u8],
         client_ap: &[u8],
         server_ap: &[u8],
     ) -> Result<(), SslError> {
-        let sw = Stopwatch::start();
         let body = body_of(msg, MT_FINISHED, "client finished")?;
         if body != expected {
             return Err(SslError::BadFinished);
         }
-        self.absorb(9, msg);
+        self.absorb(msg);
         activate_epoch(&mut self.records, self.suite, server_ap, true)?;
         activate_epoch(&mut self.records, self.suite, client_ap, false)?;
-        self.anatomy.step(9, sw.elapsed() + open_cycles);
         self.state = ServerState::Established;
         Ok(())
+    }
+}
+
+impl Sealed for Tls13ServerMachine<'_> {
+    fn recorder(&mut self) -> Option<&mut HandshakeRecorder> {
+        Some(&mut self.anatomy)
     }
 }
 
@@ -569,13 +568,12 @@ impl EngineDriven for Tls13ServerMachine<'_> {
     fn on_handshake_message(
         &mut self,
         msg: &[u8],
-        open_cycles: Cycles,
         _out: &mut Vec<u8>,
     ) -> Result<MachineStep, SslError> {
         match std::mem::replace(&mut self.state, ServerState::Failed) {
-            ServerState::AwaitClientHello => self.on_client_hello(msg, open_cycles),
+            ServerState::AwaitClientHello => self.on_client_hello(msg),
             ServerState::AwaitClientFinished { expected, client_ap, server_ap } => self
-                .on_client_finished(msg, open_cycles, &expected, &client_ap, &server_ap)
+                .on_client_finished(msg, &expected, &client_ap, &server_ap)
                 .map(|()| MachineStep::Continue),
             ServerState::AwaitKxCrypto { .. } => {
                 Err(SslError::UnexpectedMessage { expected: "crypto completion" })
@@ -600,11 +598,7 @@ impl EngineDriven for Tls13ServerMachine<'_> {
         Some(self.config.key())
     }
 
-    fn on_change_cipher_spec(
-        &mut self,
-        _body: &[u8],
-        _open_cycles: Cycles,
-    ) -> Result<(), SslError> {
+    fn on_change_cipher_spec(&mut self, _body: &[u8]) -> Result<(), SslError> {
         self.state = ServerState::Failed;
         Err(SslError::UnexpectedMessage { expected: "handshake message (no CCS in TLS 1.3)" })
     }
@@ -795,7 +789,6 @@ impl EngineDriven for Tls13ClientMachine {
     fn on_handshake_message(
         &mut self,
         msg: &[u8],
-        _open_cycles: Cycles,
         out: &mut Vec<u8>,
     ) -> Result<MachineStep, SslError> {
         match std::mem::replace(&mut self.state, ClientState::Failed) {
@@ -818,11 +811,7 @@ impl EngineDriven for Tls13ClientMachine {
         .map(|()| MachineStep::Continue)
     }
 
-    fn on_change_cipher_spec(
-        &mut self,
-        _body: &[u8],
-        _open_cycles: Cycles,
-    ) -> Result<(), SslError> {
+    fn on_change_cipher_spec(&mut self, _body: &[u8]) -> Result<(), SslError> {
         self.state = ClientState::Failed;
         Err(SslError::UnexpectedMessage { expected: "handshake message (no CCS in TLS 1.3)" })
     }

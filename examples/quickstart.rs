@@ -55,7 +55,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 4. The instrumentation the paper is about: per-step handshake costs.
     println!("Server handshake anatomy (Table 2 shape):");
-    print!("{}", server.machine().steps());
+    for (step, cycles) in server.machine().ledger().steps {
+        println!("{step:>18}  {cycles}");
+    }
     println!("\nCrypto functions inside the handshake:");
     print!("{}", server.machine().crypto());
     Ok(())

@@ -17,10 +17,11 @@ use sslperf::profile::counters;
 use sslperf::rsa::LimbWidth;
 use sslperf::ssl::{
     ClientConfig, ClientEngine, ClientMachine, Engine, EngineDriven, HandshakeLedger, Protocol,
-    ServerEngine, ServerMachine, SslError, Tls13ClientMachine, Tls13ServerMachine,
+    ServerEngine, ServerMachine, ShardedSessionCache, SslError, Tls13ClientMachine,
+    Tls13ServerMachine,
 };
 use std::net::{TcpListener, TcpStream};
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 use support::{drain, feed_all, handshake, Tapped};
 
@@ -343,6 +344,89 @@ fn assert_wait_kept_aside(
     assert!(*step < wait, "{kx_step} ({step}) counts the queue wait ({wait})");
     let names: Vec<&str> = crypto_detail.iter().map(|(_, name, _)| *name).collect();
     assert!(!names.iter().any(|name| name.ends_with("_wait")), "{kx_step}: {names:?}");
+}
+
+/// Every instant the engine spends inside a server machine belongs to one
+/// step: the steps sum to the clock's in-call intervals plus the key
+/// exchange's execution, exactly, since both sides come from the same
+/// clock reads; no step's crypto rows sum above its latency; and a
+/// ticket-issuing handshake books its ticket seal in step 8. TLS 1.3, and
+/// SSLv3 on its full, ticket-issuing, id-resumed and ticket-resumed paths,
+/// each with the key exchange run by the engine and by the test.
+#[test]
+fn handshake_steps_partition_the_server_in_call_time() {
+    let ids = ServerConfig::new(config().key().clone(), "partition.test").expect("config");
+    let keyring = Arc::new(TicketKeyring::new(b"partition-secret"));
+    let store = TicketSessionStore::new(keyring, Box::new(ShardedSessionCache::default()));
+    let tickets =
+        ServerConfig::with_store(config().key().clone(), "partition.test", Box::new(store))
+            .expect("config");
+    let suite = CipherSuite::RsaDesCbc3Sha;
+    for offload in [false, true] {
+        let rng = |seed: &str| SslRng::from_seed(format!("partition-{seed}-{offload}").as_bytes());
+        let client = Tls13ClientMachine::new(suite, rng("t13"));
+        partitioned_handshake(&ids, client, offload, "TLS 1.3");
+
+        let (client, ledger, _) =
+            partitioned_handshake(&ids, SslClient::new(suite, rng("full")), offload, "full");
+        assert!(!ledger.resumed && !ledger.ticket_issued, "offload {offload}: full");
+        let session = client.machine().session().expect("session");
+        let resuming = SslClient::resuming(session, rng("id"));
+        let (_, ledger, _) = partitioned_handshake(&ids, resuming, offload, "id-resumed");
+        assert!(ledger.resumed && !ledger.ticket_accepted, "offload {offload}: id-resumed");
+
+        let issuing = SslClient::new(suite, rng("nst")).with_tickets();
+        let (client, ledger, rows) = partitioned_handshake(&tickets, issuing, offload, "ticket");
+        assert!(ledger.ticket_issued, "offload {offload}: no NewSessionTicket");
+        assert!(rows.contains(&(8, "ticket_seal")), "offload {offload}: {rows:?}");
+        let session = client.machine().session().expect("session");
+        let resuming = SslClient::resuming(session, rng("ticket"));
+        let (_, ledger, _) = partitioned_handshake(&tickets, resuming, offload, "ticket-resumed");
+        assert!(ledger.ticket_accepted, "offload {offload}: ticket-resumed");
+    }
+}
+
+/// Runs one seeded handshake of `client` against a dispatching server on
+/// `config`, whose key exchange the engine runs itself (`offload` false)
+/// or this test runs (`offload` true), and asserts the server's steps
+/// partition its in-call time. Returns the established client, the
+/// server's ledger and its crypto rows without their cycles.
+fn partitioned_handshake<C: EngineDriven>(
+    config: &ServerConfig,
+    client: C,
+    offload: bool,
+    case: &str,
+) -> (Engine<C>, HandshakeLedger, Vec<(usize, &'static str)>) {
+    let mut client = Engine::new(client).expect("client engine");
+    let mut server = Engine::new(ServerMachine::new(config, SslRng::from_seed(b"partition-s")))
+        .expect("server engine");
+    server.set_crypto_offload(offload);
+    for _ in 0..8 {
+        if client.is_established() && server.is_established() {
+            break;
+        }
+        feed_all(&mut server, &drain(&mut client));
+        if let Some(job) = server.take_crypto_job() {
+            server.complete_crypto(job.execute(config.key())).expect("resume");
+        }
+        feed_all(&mut client, &drain(&mut server));
+    }
+    let case = format!("{case}, offload {offload}");
+    assert!(client.is_established() && server.is_established(), "{case}: no convergence");
+    let ledger = server.machine().ledger();
+    let detail = match server.machine() {
+        ServerMachine::V3(m) => m.crypto_detail(),
+        ServerMachine::T13(m) => m.crypto_detail(),
+        ServerMachine::Undecided { .. } => panic!("{case}: no hello dispatched"),
+    };
+    assert!(ledger.in_call > Cycles::ZERO, "{case}: no in-call time");
+    assert_eq!(ledger.total, ledger.in_call + ledger.kx_exec, "{case}: steps ≠ in-call + kx_exec");
+    for (i, &(name, latency)) in ledger.steps.iter().enumerate() {
+        let crypto: Cycles = detail.iter().filter(|row| row.0 == i).map(|row| row.2).sum();
+        assert!(crypto <= latency, "{case}: {name} books {crypto} of crypto in {latency}");
+    }
+    let rows = detail.iter().map(|&(step, name, _)| (step, name)).collect();
+    (client, ledger, rows)
 }
 
 /// What one server handshake booked: every profile counter its feeds and

@@ -105,13 +105,13 @@ impl<M: EngineDriven> Driven<M> {
     fn apply(&mut self, input: &Input) -> Result<(), SslError> {
         match input {
             Input::Msg(msg) => {
-                let step = self.machine.on_handshake_message(msg, Cycles::ZERO, &mut self.out)?;
+                let step = self.machine.on_handshake_message(msg, &mut self.out)?;
                 if let MachineStep::PendingCrypto(job) = step {
                     self.job = Some(*job);
                 }
                 Ok(())
             }
-            Input::Ccs(body) => self.machine.on_change_cipher_spec(body, Cycles::ZERO),
+            Input::Ccs(body) => self.machine.on_change_cipher_spec(body),
             Input::Crypto => {
                 let job = self
                     .job
@@ -466,9 +466,9 @@ fn tls13_server_refuses_the_right_finished_after_a_bad_one() {
     let mut server = server.into_machine();
     let (_, finished) = open(&mut server, &support::drain(&mut client));
     let mut out = Vec::new();
-    let bad = server.on_handshake_message(&bad_finished(32), Cycles::ZERO, &mut out);
+    let bad = server.on_handshake_message(&bad_finished(32), &mut out);
     assert_eq!(bad.err(), Some(SslError::BadFinished));
-    let again = server.on_handshake_message(&finished, Cycles::ZERO, &mut out);
+    let again = server.on_handshake_message(&finished, &mut out);
     assert!(again.is_err(), "the client Finished went through after a bad one");
     assert!(!server.is_established());
 }
@@ -488,9 +488,9 @@ fn tls13_client_refuses_the_right_finished_after_a_bad_one() {
     let mut client = client.into_machine();
     let (_, finished) = open(&mut client, &last);
     let mut out = Vec::new();
-    let bad = client.on_handshake_message(&bad_finished(32), Cycles::ZERO, &mut out);
+    let bad = client.on_handshake_message(&bad_finished(32), &mut out);
     assert_eq!(bad.err(), Some(SslError::BadFinished));
-    let again = client.on_handshake_message(&finished, Cycles::ZERO, &mut out);
+    let again = client.on_handshake_message(&finished, &mut out);
     assert!(again.is_err(), "the server Finished went through after a bad one");
     assert!(!client.is_established());
 }
@@ -507,7 +507,7 @@ fn tls13_client_refuses_a_server_hello_before_start() {
     assert_eq!((content_type, server_hello[0]), (22, 2), "a plaintext ServerHello");
     let mut unstarted = Tls13ClientMachine::new(SUITE, rng("regress-unstarted"));
     let mut out = Vec::new();
-    let step = unstarted.on_handshake_message(server_hello, Cycles::ZERO, &mut out);
+    let step = unstarted.on_handshake_message(server_hello, &mut out);
     assert!(step.is_err(), "an unstarted client took a ServerHello");
     assert!(out.is_empty());
 }
