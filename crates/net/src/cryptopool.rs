@@ -201,7 +201,8 @@ impl CryptoPool {
     ) -> Result<(), SubmitError> {
         let shared = &self.shared.0;
         shared.state.lock().expect("pool lock").enqueue(&self.stats, conn, job, reply)?;
-        shared.ready.notify_all();
+        // One job needs one engine: wake one waiter, not every idle engine.
+        shared.ready.notify_one();
         Ok(())
     }
 

@@ -51,12 +51,28 @@
 //! `handshake_failure` mid-handshake (a slowloris suspect), orderly
 //! `close_notify` once established; either way whatever was left of a
 //! pending response is dropped, so the alert is the last thing sent. A
-//! peer that half-closes (EOF on read) is still owed everything it asked
-//! for. Reads pause while a response is pending, so the EOF is normally
-//! seen only after the last fragment is sealed; the connection then stops
-//! reading, drains its outbound buffer and is dropped — and the rule is
-//! stated on the state, not on that ordering: a draining connection is
-//! done when the outbox is empty *and* no response is pending.
+//! key exchange out in the crypto pool is the server's delay, not the
+//! client's: its deadline is deferred instead.
+//!
+//! Each connection is in one phase, and the phase alone says what a pump
+//! does with it:
+//!
+//! | phase | reads | writes | leaves on |
+//! |---|---|---|---|
+//! | `Handshake` | yes, fed to the engine | its handshake flights | the handshake completing (booked once) → `Idle` |
+//! | `Idle` | yes, each complete request opened | what is left in its outbox | a request → `Responding` |
+//! | `Responding` | no | the response, refilled up to four records per pump | its last fragment sealed → `Idle`, which opens the next buffered request |
+//! | `Draining` | no | its outbox only, ending with an alert unless the peer half-closed | an empty outbox, or one more deadline → `Closed` |
+//! | `Closed` | no | nothing | the shard drops it after the sweep |
+//!
+//! Every other way out of a phase is into `Draining`: an error or the
+//! peer's `close_notify` (answered with one), a deadline, EOF on read, and
+//! a key exchange the pool refuses. Each of them drops what was left of a
+//! response, or comes when none is pending — EOF is read only by a
+//! reading phase — so a draining connection owes nothing but its outbox.
+//! A peer that half-closes after its request still gets the whole
+//! response. A socket error or a zero-byte write closes the connection
+//! from any phase.
 
 use crate::cryptopool::{CryptoPool, PoolReply, SubmitError};
 use crate::metrics::ServerStats;
@@ -72,7 +88,7 @@ use sslperf_websim::http::HttpRequest;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{self, Sender};
+use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -160,7 +176,6 @@ impl EventLoopServer {
 
         let stop = Arc::new(AtomicBool::new(false));
         let stats = Arc::new(ServerStats::default());
-        let (io_timeout, expose_metrics) = (options.io_timeout, options.metrics);
         let pool = (options.crypto_workers > 0).then(|| {
             Arc::new(CryptoPool::start_with(
                 options.crypto_workers,
@@ -170,26 +185,24 @@ impl EventLoopServer {
             ))
         });
         let shards = (0..options.shards)
-            .map(|shard| {
-                let listener = Arc::clone(&listener);
-                let config = Arc::clone(&config);
-                let stats = Arc::clone(&stats);
-                let stop = Arc::clone(&stop);
-                let pool = pool.clone();
-                let seed_prefix = Arc::clone(&seed_prefix);
-                std::thread::spawn(move || {
-                    shard_loop(
-                        shard,
-                        &seed_prefix,
-                        &listener,
-                        &config,
-                        &stats,
-                        &stop,
-                        io_timeout,
-                        pool.as_deref(),
-                        expose_metrics,
-                    );
-                })
+            .map(|index| {
+                let (reply_tx, reply_rx) = mpsc::channel();
+                let shard = Shard {
+                    index,
+                    seed_prefix: Arc::clone(&seed_prefix),
+                    listener: Arc::clone(&listener),
+                    config: Arc::clone(&config),
+                    stats: Arc::clone(&stats),
+                    stop: Arc::clone(&stop),
+                    pool: pool.clone(),
+                    reply_tx,
+                    reply_rx,
+                    io_timeout: options.io_timeout,
+                    expose_metrics: options.metrics,
+                    seq: 0,
+                    scratch: vec![0u8; SCRATCH_LEN],
+                };
+                std::thread::spawn(move || shard.run())
             })
             .collect();
 
@@ -266,90 +279,89 @@ pub(crate) fn bind(options: &ServerOptions) -> Result<Arc<TcpListener>, SslError
     Ok(Arc::new(listener))
 }
 
-/// A shard's handle to the crypto offload machinery: the shared pool plus
-/// this shard's reply channel for executed jobs.
-struct Offload<'p> {
-    pool: &'p CryptoPool,
-    reply: Sender<PoolReply>,
+/// One event-loop thread and everything its connections share. It accepts
+/// new sockets and sweeps every connection it owns, sleeping only when a
+/// full pass made no progress anywhere. With a crypto pool attached, key
+/// exchanges leave the sweep as jobs and return through the shard's reply
+/// channel — one stalled handshake no longer blocks the whole shard.
+struct Shard {
+    /// This shard's index among the server's: part of each connection's
+    /// RNG seed, after `seed_prefix` (see [`EventLoopServer::start_on`]).
+    index: usize,
+    seed_prefix: Arc<str>,
+    listener: Arc<TcpListener>,
+    config: Arc<ServerConfig>,
+    stats: Arc<ServerStats>,
+    stop: Arc<AtomicBool>,
+    /// The crypto offload pool, present when the server has one.
+    pool: Option<Arc<CryptoPool>>,
+    /// The pool sends this shard's executed jobs back on this channel.
+    reply_tx: Sender<PoolReply>,
+    reply_rx: Receiver<PoolReply>,
+    io_timeout: Option<Duration>,
+    /// Whether `GET /metrics` is answered with the rendered registry.
+    expose_metrics: bool,
+    /// Connections accepted so far; the latest one's id and seed number.
+    seq: u64,
+    /// The per-sweep I/O buffer ([`SCRATCH_LEN`]).
+    scratch: Vec<u8>,
 }
 
-/// One shard: accepts new sockets and sweeps every connection it owns,
-/// sleeping only when a full pass made no progress anywhere. With a
-/// crypto pool attached, RSA decryptions leave the sweep as jobs and
-/// return through the shard's reply channel — one stalled handshake no
-/// longer blocks the whole shard.
-// One parameter per shared serving facility; bundling them would only
-// re-create this list as a struct.
-#[allow(clippy::too_many_arguments)]
-fn shard_loop(
-    shard: usize,
-    seed_prefix: &str,
-    listener: &TcpListener,
-    config: &ServerConfig,
-    stats: &ServerStats,
-    stop: &AtomicBool,
-    io_timeout: Option<Duration>,
-    pool: Option<&CryptoPool>,
-    expose_metrics: bool,
-) {
-    let mut conns: Vec<Conn<'_>> = Vec::new();
-    let mut scratch = vec![0u8; SCRATCH_LEN];
-    let mut seq: u64 = 0;
-    let (reply_tx, reply_rx) = mpsc::channel::<PoolReply>();
-    let offload = pool.map(|pool| Offload { pool, reply: reply_tx });
-    while !stop.load(Ordering::SeqCst) {
-        let mut progress = false;
-        // Accept burst: drain the backlog, then get back to serving.
-        while let Ok((stream, _)) = listener.accept() {
-            progress = true;
-            seq += 1;
-            let seed = format!("{seed_prefix}-{shard}-{seq}");
-            if let Some(conn) = Conn::accept(
-                stream,
-                config,
-                seq,
-                &seed,
-                io_timeout,
-                offload.is_some(),
-                expose_metrics,
-            ) {
-                conns.push(conn);
+impl Shard {
+    /// Serves until the stop flag is raised.
+    fn run(mut self) {
+        // Connections borrow the configuration for their whole life: from
+        // this handle, not the field, so each pump can borrow the shard.
+        let config = Arc::clone(&self.config);
+        let mut conns: Vec<Conn<'_>> = Vec::new();
+        while !self.stop.load(Ordering::SeqCst) {
+            let mut progress = false;
+            // Accept burst: drain the backlog, then get back to serving.
+            while let Ok((stream, _)) = self.listener.accept() {
+                progress = true;
+                self.seq += 1;
+                conns.extend(Conn::accept(stream, &config, &self));
             }
-        }
-        // Route executed crypto jobs back to their connections first, so
-        // the pump below can flush the resumed handshake's flight.
-        while let Ok(reply) = reply_rx.try_recv() {
-            progress = true;
-            route_reply(&mut conns, reply, stats);
-        }
-        let now = Instant::now();
-        conns.retain_mut(|conn| {
-            progress |= conn.pump(stats, &mut scratch, now, offload.as_ref());
-            !conn.done
-        });
-        if !progress {
-            // With jobs in flight, park on the reply channel instead of a
-            // flat sleep: the shard wakes the instant a decrypt lands
-            // rather than up to IDLE_SLEEP later — the difference between
-            // offloaded and inline tail latency when crypto is the
-            // bottleneck.
-            if conns.iter().any(|c| c.inflight) {
-                if let Ok(reply) = reply_rx.recv_timeout(IDLE_SLEEP) {
-                    route_reply(&mut conns, reply, stats);
+            // Route executed crypto jobs back to their connections first, so
+            // the pump below can flush the resumed handshake's flight.
+            while let Ok(reply) = self.reply_rx.try_recv() {
+                progress = true;
+                self.route(&mut conns, reply);
+            }
+            let now = Instant::now();
+            conns.retain_mut(|conn| {
+                progress |= conn.pump(&mut self, now);
+                !matches!(conn.phase, Phase::Closed)
+            });
+            if !progress {
+                // With a key exchange pending, park on the reply channel
+                // instead of a flat sleep: the shard wakes the instant a
+                // decrypt lands rather than up to IDLE_SLEEP later — the
+                // difference between offloaded and inline tail latency when
+                // crypto is the bottleneck.
+                if conns.iter().any(|c| c.engine.crypto_pending()) {
+                    if let Ok(reply) = self.reply_rx.recv_timeout(IDLE_SLEEP) {
+                        self.route(&mut conns, reply);
+                    }
+                } else {
+                    std::thread::sleep(IDLE_SLEEP);
                 }
-            } else {
-                std::thread::sleep(IDLE_SLEEP);
             }
         }
     }
-}
 
-/// Hands an executed crypto result to the connection that submitted it.
-/// A missing id means the connection was evicted mid-decrypt; the result
-/// is dropped.
-fn route_reply(conns: &mut [Conn<'_>], reply: PoolReply, stats: &ServerStats) {
-    if let Some(conn) = conns.iter_mut().find(|c| c.id == reply.conn) {
-        conn.finish_crypto(reply, stats);
+    /// Hands an executed crypto result to the connection that submitted it.
+    /// A missing id means the connection was evicted mid-decrypt; the result
+    /// is dropped.
+    fn route(&self, conns: &mut [Conn<'_>], reply: PoolReply) {
+        if let Some(conn) = conns.iter_mut().find(|c| c.id == reply.conn) {
+            conn.finish_crypto(reply, self);
+        }
+    }
+
+    /// A connection's deadline after traffic at `now`.
+    fn deadline(&self, now: Instant) -> Option<Instant> {
+        self.io_timeout.map(|t| now + t)
     }
 }
 
@@ -362,121 +374,94 @@ struct Conn<'a> {
     id: u64,
     /// Evict when `Instant::now()` passes this without traffic.
     deadline: Option<Instant>,
-    io_timeout: Option<Duration>,
-    /// Whether the completed handshake has been counted in the stats.
-    counted: bool,
-    /// A crypto job is queued or executing; its result has not come back.
-    inflight: bool,
-    /// The response being streamed out, from the request that asked for it
-    /// until its last fragment is sealed. While one is pending nothing is
-    /// read and no further request is opened: pipelined requests wait in
-    /// the socket and the engine's bounded inbox, and stay ordered.
-    outgoing: Option<Outgoing>,
-    /// Closing: no more reads, just send what is owed — the rest of a
-    /// pending response, then the outbound buffer (which ends with an
-    /// alert, unless the peer half-closed first) — and finish.
-    draining: bool,
-    /// Finished; the shard drops the connection on its next sweep.
-    done: bool,
-    /// Whether `GET /metrics` is answered with the rendered registry.
-    expose_metrics: bool,
+    phase: Phase,
+}
+
+/// Where a connection is in its life, and so what a pump does with it
+/// (the table in the module doc).
+enum Phase {
+    /// Reading and feeding the handshake; its key exchange may be out in
+    /// the crypto pool meanwhile.
+    Handshake,
+    /// Established with no response pending: reading and opening requests.
+    Idle,
+    /// Streaming this response out, from the request that asked for it
+    /// until its last fragment is sealed. Nothing is read and no further
+    /// request is opened meanwhile: pipelined requests wait in the socket
+    /// and the engine's bounded inbox, and stay ordered.
+    Responding(Outgoing),
+    /// Closing: no more reads, only the outbox to send — which ends with
+    /// an alert, unless the peer half-closed first.
+    Draining,
+    /// Finished; the shard drops the connection after this sweep.
+    Closed,
 }
 
 impl<'a> Conn<'a> {
-    /// Wraps a freshly accepted socket. Returns `None` when socket setup
-    /// fails (the peer is already gone).
-    fn accept(
-        stream: TcpStream,
-        config: &'a ServerConfig,
-        seq: u64,
-        seed: &str,
-        io_timeout: Option<Duration>,
-        offload: bool,
-        expose_metrics: bool,
-    ) -> Option<Self> {
+    /// Wraps a freshly accepted socket as the shard's connection number
+    /// `shard.seq`. Returns `None` when socket setup fails (the peer is
+    /// already gone).
+    fn accept(stream: TcpStream, config: &'a ServerConfig, shard: &Shard) -> Option<Self> {
+        let seed = format!("{}-{}-{}", shard.seed_prefix, shard.index, shard.seq);
         stream.set_nonblocking(true).ok()?;
         let _ = stream.set_nodelay(true);
         let rng = SslRng::from_seed(seed.as_bytes());
         let mut engine = Engine::new(ServerMachine::new(config, rng)).ok()?;
-        engine.set_crypto_offload(offload);
-        Some(Conn {
-            stream,
-            engine,
-            id: seq,
-            deadline: io_timeout.map(|t| Instant::now() + t),
-            io_timeout,
-            counted: false,
-            inflight: false,
-            outgoing: None,
-            draining: false,
-            done: false,
-            expose_metrics,
-        })
+        engine.set_crypto_offload(shard.pool.is_some());
+        let deadline = shard.deadline(Instant::now());
+        Some(Conn { stream, engine, id: shard.seq, deadline, phase: Phase::Handshake })
+    }
+
+    /// Read interest: a connection reads only with no response pending and
+    /// no close begun.
+    fn reads(&self) -> bool {
+        matches!(self.phase, Phase::Handshake | Phase::Idle)
     }
 
     /// Stops reading and gives the outbound buffer one fresh deadline
     /// window to flush before the connection is dropped.
-    fn start_draining(&mut self, now: Instant) {
-        self.draining = true;
-        self.touch(now);
-    }
-
-    /// Pushes the deadline out after any successful read or write.
-    fn touch(&mut self, now: Instant) {
-        self.deadline = self.io_timeout.map(|t| now + t);
-    }
-
-    /// True while this connection's key exchange is queued, executing, or
-    /// suspended in the engine — time that must not count against the
-    /// client's `io_timeout`.
-    fn crypto_pending(&self) -> bool {
-        self.inflight || self.engine.crypto_pending()
+    fn start_draining(&mut self, shard: &Shard, now: Instant) {
+        self.phase = Phase::Draining;
+        self.deadline = shard.deadline(now);
     }
 
     /// Makes whatever progress the socket allows: deadline check, read +
     /// feed, job submission, request serving, refill + write. Returns true
     /// when anything moved.
-    fn pump(
-        &mut self,
-        stats: &ServerStats,
-        scratch: &mut [u8],
-        now: Instant,
-        offload: Option<&Offload<'_>>,
-    ) -> bool {
+    fn pump(&mut self, shard: &mut Shard, now: Instant) -> bool {
         let mut progress = false;
 
         // Deadline eviction (the event-loop half of the slowloris guard).
-        // A connection whose RSA job sits in the crypto queue is stalled on
-        // *us*, not the client: evicting it would count a spurious timeout
-        // and deliver the executed result to a dead slot. Defer the
-        // deadline instead, and count the deferral so saturation stays
-        // visible in the stats.
-        if !self.done {
-            if let Some(deadline) = self.deadline {
-                if now >= deadline {
-                    if self.draining {
-                        // The peer stopped reading its goodbye (or the
-                        // response a half-closed client was owed): drop it.
-                        self.done = true;
-                    } else if self.crypto_pending() {
-                        stats.crypto_deadline_deferrals.inc();
-                        self.touch(now);
+        // A connection whose key exchange sits in the crypto queue is
+        // stalled on *us*, not the client: evicting it would count a
+        // spurious timeout and deliver the executed result to a dead slot.
+        // Defer the deadline instead, and count the deferral so saturation
+        // stays visible in the stats.
+        if self.deadline.is_some_and(|deadline| now >= deadline) {
+            match self.phase {
+                // The peer stopped reading its goodbye (or the response a
+                // half-closed client was owed): drop it.
+                Phase::Draining => self.phase = Phase::Closed,
+                Phase::Closed => {}
+                _ if self.engine.crypto_pending() => {
+                    shard.stats.crypto_deadline_deferrals.inc();
+                    self.deadline = shard.deadline(now);
+                }
+                _ => {
+                    shard.stats.timeouts.inc();
+                    let alert = if self.engine.is_established() {
+                        Alert::close_notify()
                     } else {
-                        stats.timeouts.inc();
-                        let alert = if self.engine.is_established() {
-                            Alert::close_notify()
-                        } else {
-                            Alert::fatal(AlertDescription::HandshakeFailure)
-                        };
-                        // Whoever let a response stall this long is not
-                        // reading it: the alert is the last thing sent.
-                        self.outgoing = None;
-                        if self.engine.queue_alert(alert).is_ok() {
-                            stats.alerts_sent.inc();
-                        }
-                        self.start_draining(now);
-                        progress = true;
+                        Alert::fatal(AlertDescription::HandshakeFailure)
+                    };
+                    if self.engine.queue_alert(alert).is_ok() {
+                        shard.stats.alerts_sent.inc();
                     }
+                    // Whoever let a response stall this long is not
+                    // reading it: draining drops the rest, so the alert is
+                    // the last thing sent.
+                    self.start_draining(shard, now);
+                    progress = true;
                 }
             }
         }
@@ -485,58 +470,57 @@ impl<'a> Conn<'a> {
         // Not while a response is pending — later requests wait in the
         // socket, so the inbox stays within its bound and nothing read is
         // ever dropped for want of room.
-        while !self.draining && !self.done && self.outgoing.is_none() {
-            match self.stream.read(scratch) {
+        while self.reads() {
+            match self.stream.read(&mut shard.scratch) {
                 // EOF: the peer half-closed. Nothing more will arrive, but
                 // whatever is already queued for it must still go out.
-                Ok(0) => self.start_draining(now),
+                Ok(0) => self.start_draining(shard, now),
                 Ok(n) => {
                     progress = true;
-                    self.touch(now);
-                    self.feed_bytes(&scratch[..n], stats);
+                    self.deadline = shard.deadline(now);
+                    self.feed_bytes(&shard.scratch[..n], shard);
                 }
                 Err(e) if e.kind() == ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                Err(_) => self.done = true,
+                Err(_) => self.phase = Phase::Closed,
             }
         }
 
-        // The bytes just fed may have suspended the engine at the RSA
-        // boundary: hand the job to the pool and keep sweeping.
-        progress |= self.submit_crypto(offload, stats);
+        // The bytes just fed may have suspended the engine at its key
+        // exchange: hand the job to the pool and keep sweeping.
+        progress |= self.submit_crypto(shard);
 
         // Serve any complete requests that arrived exactly on a previous
         // sweep's bytes (feed_bytes drains eagerly, this is the catch-all).
-        if !self.draining && !self.done && self.engine.is_established() {
-            self.drain_requests(stats);
+        if matches!(self.phase, Phase::Idle) {
+            self.drain_requests(shard);
         }
 
         // Write phase: top the outbox up from the pending response, flush
         // it as far as the socket accepts, and keep the rest — sealed and
         // not yet generated alike — for the next sweep.
         let mut refills = REFILLS_PER_PUMP;
-        while !self.done {
-            self.refill(scratch, stats, &mut refills);
+        while !matches!(self.phase, Phase::Closed) {
+            self.refill(shard, &mut refills);
             if !self.engine.wants_write() {
                 break;
             }
             match self.stream.write(self.engine.output()) {
-                Ok(0) => self.done = true,
+                Ok(0) => self.phase = Phase::Closed,
                 Ok(n) => {
                     progress = true;
                     self.engine.consume_output(n);
-                    self.touch(now);
+                    self.deadline = shard.deadline(now);
                 }
                 Err(e) if e.kind() == ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                Err(_) => self.done = true,
+                Err(_) => self.phase = Phase::Closed,
             }
         }
 
-        // A draining connection is finished once everything it owed is
-        // flushed: the rest of a pending response, then its goodbye.
-        if self.draining && self.outgoing.is_none() && !self.engine.wants_write() {
-            self.done = true;
+        // A draining connection owes only its outbox: flushed, it is done.
+        if matches!(self.phase, Phase::Draining) && !self.engine.wants_write() {
+            self.phase = Phase::Closed;
         }
         progress
     }
@@ -546,46 +530,46 @@ impl<'a> Conn<'a> {
     /// pump's remaining budget, decremented here). The fragment that ends a
     /// response reports it (a workload response is a transaction) and
     /// opens the next pipelined request, if one is already buffered.
-    fn refill(&mut self, scratch: &mut [u8], stats: &ServerStats, refills: &mut usize) {
+    fn refill(&mut self, shard: &mut Shard, refills: &mut usize) {
         while *refills > 0 && self.engine.pending_output() < OUTBOX_LOW_WATER {
-            let Some(outgoing) = self.outgoing.as_mut() else { return };
-            if let Err(e) = outgoing.seal_next(&mut self.engine, scratch) {
-                self.fail(&e, stats);
+            let Phase::Responding(outgoing) = &mut self.phase else { return };
+            if let Err(e) = outgoing.seal_next(&mut self.engine, &mut shard.scratch) {
+                self.fail(&e, &shard.stats);
                 return;
             }
             *refills -= 1;
             if outgoing.is_done() {
-                outgoing.report(stats);
-                self.outgoing = None;
-                self.drain_requests(stats);
+                outgoing.report(&shard.stats);
+                self.phase = Phase::Idle;
+                self.drain_requests(shard);
             }
         }
     }
 
     /// Feeds freshly read bytes through the engine, serving requests as
     /// they complete so the inbound buffer keeps making room.
-    fn feed_bytes(&mut self, bytes: &[u8], stats: &ServerStats) {
+    fn feed_bytes(&mut self, bytes: &[u8], shard: &Shard) {
         let mut offset = 0;
-        while offset < bytes.len() && !self.draining {
+        while offset < bytes.len() && !matches!(self.phase, Phase::Draining) {
             match self.engine.feed(&bytes[offset..]) {
                 Ok(0) => {
                     // Inbound buffer full of unserved records: drain, then
                     // retry. No movement means the connection is stuck.
                     let before = self.engine.unconsumed();
-                    self.drain_requests(stats);
-                    if self.draining || self.engine.unconsumed() == before {
+                    self.drain_requests(shard);
+                    if matches!(self.phase, Phase::Draining) || self.engine.unconsumed() == before {
                         break;
                     }
                 }
                 Ok(consumed) => {
                     offset += consumed;
-                    self.note_established(stats);
-                    if self.engine.is_established() {
-                        self.drain_requests(stats);
+                    self.note_established(&shard.stats);
+                    if matches!(self.phase, Phase::Idle) {
+                        self.drain_requests(shard);
                     }
                 }
                 Err(e) => {
-                    self.fail(&e, stats);
+                    self.fail(&e, &shard.stats);
                 }
             }
         }
@@ -596,27 +580,24 @@ impl<'a> Conn<'a> {
     /// killed; it can never run it, so the connection fails outright.
     /// Returns true when a job entered the queue (or the connection
     /// transitioned to draining).
-    fn submit_crypto(&mut self, offload: Option<&Offload<'_>>, stats: &ServerStats) -> bool {
-        let Some(offload) = offload else { return false };
-        if self.draining || self.done || self.inflight {
+    fn submit_crypto(&mut self, shard: &Shard) -> bool {
+        let Some(pool) = shard.pool.as_deref() else { return false };
+        if !matches!(self.phase, Phase::Handshake) {
             return false;
         }
         let Some(job) = self.engine.take_crypto_job() else { return false };
-        match offload.pool.try_submit(self.id, job, &offload.reply) {
-            Ok(()) => {
-                self.inflight = true;
-                true
-            }
+        match pool.try_submit(self.id, job, &shard.reply_tx) {
+            Ok(()) => true,
             Err(SubmitError::ShutDown(_)) => {
                 // The handshake can never resume: its decrypt has nowhere
                 // to run. Fail fast with a fatal alert (SSLv3 has no
                 // internal_error description) instead of retrying forever.
-                stats.errors.inc();
+                shard.stats.errors.inc();
                 if self.engine.queue_alert(Alert::fatal(AlertDescription::HandshakeFailure)).is_ok()
                 {
-                    stats.alerts_sent.inc();
+                    shard.stats.alerts_sent.inc();
                 }
-                self.draining = true;
+                self.phase = Phase::Draining;
                 true
             }
         }
@@ -625,72 +606,73 @@ impl<'a> Conn<'a> {
     /// Resumes the handshake with an executed crypto result: the engine
     /// picks up exactly where it suspended, and the response flight the
     /// resume produced is flushed by the next write phase.
-    fn finish_crypto(&mut self, reply: PoolReply, stats: &ServerStats) {
-        self.inflight = false;
+    fn finish_crypto(&mut self, reply: PoolReply, shard: &Shard) {
         // The queue wait is over; the client's timeout window restarts
         // now rather than from its last pre-suspension byte.
-        self.touch(Instant::now());
-        if self.draining || self.done {
+        self.deadline = shard.deadline(Instant::now());
+        if !matches!(self.phase, Phase::Handshake) {
             return;
         }
         match self.engine.complete_crypto(reply.done) {
             Ok(()) => {
-                self.note_established(stats);
-                if self.engine.is_established() {
-                    self.drain_requests(stats);
+                self.note_established(&shard.stats);
+                if matches!(self.phase, Phase::Idle) {
+                    self.drain_requests(shard);
                 }
             }
-            Err(e) => self.fail(&e, stats),
+            Err(e) => self.fail(&e, &shard.stats),
         }
     }
 
-    /// Counts the handshake once, the first sweep that sees it complete.
+    /// The `Handshake → Idle` transition, taken the first time the engine
+    /// is seen established; it books the handshake, once.
     fn note_established(&mut self, stats: &ServerStats) {
-        if self.counted || !self.engine.is_established() {
-            return;
+        if matches!(self.phase, Phase::Handshake) && self.engine.is_established() {
+            self.phase = Phase::Idle;
+            stats.note_handshake(&self.engine.machine().ledger());
         }
-        self.counted = true;
-        stats.note_handshake(&self.engine.machine().ledger());
     }
 
     /// Opens the next complete buffered application record and installs
     /// the response to it for the write phase to stream — the HTTP
     /// transaction loop, event-loop style. One response at a time: with
     /// one pending, later requests stay buffered until [`Conn::refill`]
-    /// seals its last fragment and calls back here.
+    /// seals its last fragment and calls back here. Mid-handshake (an
+    /// inbox the peer filled while its key exchange was out) the open is
+    /// refused and the connection fails.
     ///
     /// The open is timed end-to-end (pure compute here — the sans-io
     /// engine never touches the socket), and the crypto-kernel share is
     /// read as the delta of the record layer's monotone crypto counter
     /// around the call.
-    fn drain_requests(&mut self, stats: &ServerStats) {
-        while !self.draining && self.outgoing.is_none() {
+    fn drain_requests(&mut self, shard: &Shard) {
+        while self.reads() {
             let crypto_before = self.engine.machine().record_crypto_cycles();
             let (opened, open_cycles) = measure(|| self.engine.open_next());
             match opened {
                 Ok(Some(range)) => {
                     let crypto = self.engine.machine().record_crypto_cycles() - crypto_before;
-                    stats.note_record_open(range.len(), open_cycles, crypto);
+                    shard.stats.note_record_open(range.len(), open_cycles, crypto);
                     match HttpRequest::parse(&self.engine.buffered()[range]) {
                         Ok(request) => {
-                            self.outgoing =
-                                Some(Outgoing::for_request(&request, stats, self.expose_metrics));
+                            let outgoing =
+                                Outgoing::for_request(&request, &shard.stats, shard.expose_metrics);
+                            self.phase = Phase::Responding(outgoing);
                         }
-                        Err(e) => self.fail(&e, stats),
+                        Err(e) => self.fail(&e, &shard.stats),
                     }
                 }
                 Ok(None) => return,
-                Err(e) => self.fail(&e, stats),
+                Err(e) => self.fail(&e, &shard.stats),
             }
         }
     }
 
-    /// Starts an orderly close after `error`: count it, drop whatever is
-    /// left of a pending response so the alert is the last thing sent,
-    /// queue the proper alert (close_notify reply, fatal alert, or silence
-    /// for transport failures), and switch to draining.
+    /// Starts an orderly close after `error`: count it, queue the proper
+    /// alert (close_notify reply, fatal alert, or silence for transport
+    /// failures), and switch to draining, which drops whatever is left of
+    /// a pending response so the alert is the last thing sent.
     fn fail(&mut self, error: &SslError, stats: &ServerStats) {
-        self.outgoing = None;
         match error {
             SslError::PeerAlert(alert) if alert.is_close_notify() => {
                 if self.engine.queue_close_notify().is_ok() {
@@ -707,14 +689,14 @@ impl<'a> Conn<'a> {
                 }
             }
         }
-        self.draining = true;
+        self.phase = Phase::Draining;
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sslperf_ssl::{CipherSuite, SslClient, MAX_RECORD_BODY};
+    use sslperf_ssl::{CipherSuite, ContentType, SslClient, MAX_RECORD_BODY, RECORD_HEADER_LEN};
     use sslperf_websim::http::{synthesize_document, HttpResponse, ResponseStream};
 
     fn unit_key() -> RsaPrivateKey {
@@ -748,8 +730,8 @@ mod tests {
     /// so a test decides exactly who reads, who pumps, and what time it is.
     struct Harness<'a> {
         conn: Conn<'a>,
-        stats: ServerStats,
-        scratch: Vec<u8>,
+        shard: Shard,
+        stats: Arc<ServerStats>,
         client: Engine<SslClient>,
         socket: TcpStream,
         /// The plaintext the client has opened, and the length of each
@@ -758,27 +740,42 @@ mod tests {
         record_lens: Vec<usize>,
     }
 
-    fn unit_config() -> ServerConfig {
-        ServerConfig::new(unit_key(), "unit.sslperf.test").expect("config")
+    fn unit_config() -> Arc<ServerConfig> {
+        Arc::new(ServerConfig::new(unit_key(), "unit.sslperf.test").expect("config"))
     }
 
     impl<'a> Harness<'a> {
         /// Connects the pair and completes the handshake.
-        fn establish(config: &'a ServerConfig) -> Self {
+        fn establish(config: &'a Arc<ServerConfig>) -> Self {
             let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
             let socket = TcpStream::connect(listener.local_addr().expect("addr")).expect("connect");
             socket.set_nonblocking(true).expect("nonblocking");
             let (accepted, _) = listener.accept().expect("accept");
-            let conn =
-                Conn::accept(accepted, config, 1, "unit-conn", Some(IO_TIMEOUT), false, false)
-                    .expect("socket setup");
+            let stats = Arc::new(ServerStats::default());
+            let (reply_tx, reply_rx) = mpsc::channel();
+            let shard = Shard {
+                index: 0,
+                seed_prefix: Arc::from("unit"),
+                listener: Arc::new(listener),
+                config: Arc::clone(config),
+                stats: Arc::clone(&stats),
+                stop: Arc::new(AtomicBool::new(false)),
+                pool: None,
+                reply_tx,
+                reply_rx,
+                io_timeout: Some(IO_TIMEOUT),
+                expose_metrics: false,
+                seq: 1,
+                scratch: vec![0u8; SCRATCH_LEN],
+            };
+            let conn = Conn::accept(accepted, config, &shard).expect("socket setup");
             let rng = SslRng::from_seed(b"unit-client");
             let client =
                 Engine::new(SslClient::new(CipherSuite::RsaAes128Sha, rng)).expect("hello");
             let mut harness = Harness {
                 conn,
-                stats: ServerStats::default(),
-                scratch: vec![0u8; SCRATCH_LEN],
+                shard,
+                stats,
                 client,
                 socket,
                 received: Vec::new(),
@@ -791,7 +788,7 @@ mod tests {
         }
 
         fn pump(&mut self, now: Instant) -> bool {
-            self.conn.pump(&self.stats, &mut self.scratch, now, None)
+            self.conn.pump(&mut self.shard, now)
         }
 
         /// Seals one GET per path and writes them all in a single flight.
@@ -865,7 +862,7 @@ mod tests {
 
         // Pump to WouldBlock: the request is in, the socket is full.
         let give_up = Instant::now() + Duration::from_secs(20);
-        while h.pump(Instant::now()) || h.conn.outgoing.is_none() {
+        while h.pump(Instant::now()) || !matches!(h.conn.phase, Phase::Responding(_)) {
             assert!(Instant::now() < give_up, "socket never blocked");
         }
         let bound = OUTBOX_LOW_WATER + 5 + MAX_RECORD_BODY;
@@ -875,17 +872,17 @@ mod tests {
             assert!(!h.pump(Instant::now()), "nothing can move while the peer does not read");
             assert_eq!(h.conn.engine.pending_output(), held, "and nothing more is sealed");
         }
-        assert!(h.conn.outgoing.is_some() && !h.conn.done);
+        assert!(matches!(h.conn.phase, Phase::Responding(_)));
 
         // The deadline passes: the rest of the document is dropped for a
         // close_notify, and one more window later the connection goes.
         let late = Instant::now() + 2 * IO_TIMEOUT;
         h.pump(late);
         assert_eq!(h.stats.timeouts(), 1);
-        assert!(h.conn.draining && h.conn.outgoing.is_none() && !h.conn.done);
+        assert!(matches!(h.conn.phase, Phase::Draining));
         assert!(h.conn.engine.pending_output() <= bound + 64, "the alert rides behind the records");
         h.pump(late + 2 * IO_TIMEOUT);
-        assert!(h.conn.done);
+        assert!(matches!(h.conn.phase, Phase::Closed));
         assert_eq!(h.stats.transactions(), 0, "an unfinished response is not a transaction");
     }
 
@@ -908,7 +905,7 @@ mod tests {
             [MAX_FRAGMENT, MAX_FRAGMENT, tail, MAX_FRAGMENT, MAX_FRAGMENT, tail]
         );
         assert_eq!(h.stats.transactions(), 2);
-        assert!(h.conn.outgoing.is_none() && !h.conn.engine.wants_write());
+        assert!(matches!(h.conn.phase, Phase::Idle) && !h.conn.engine.wants_write());
     }
 
     /// The small-document path is what it was: one fragment, one refill,
@@ -921,5 +918,57 @@ mod tests {
         h.run_until("the response", |h| !h.received.is_empty() && h.stats.transactions() == 1);
         assert_eq!(h.record_lens.len(), 1);
         assert_document(&h.received, "/doc_1024.bin", 1024);
+    }
+
+    /// A peer's `close_notify` after a transaction is answered with exactly
+    /// one `close_notify`, and the connection closes clean: one
+    /// transaction, no error, no timeout, nothing left to send.
+    #[test]
+    fn close_notify_is_answered_with_one_close_notify() {
+        let config = unit_config();
+        let mut h = Harness::establish(&config);
+        h.request(&["/doc_1024.bin"]);
+        h.run_until("the response", |h| !h.received.is_empty() && h.stats.transactions() == 1);
+
+        h.client.queue_close_notify().expect("queue close_notify");
+        h.client_write();
+        let give_up = Instant::now() + Duration::from_secs(20);
+        while !matches!(h.conn.phase, Phase::Closed) {
+            assert!(Instant::now() < give_up, "the connection never closed");
+            h.pump(Instant::now());
+        }
+        assert_eq!(h.conn.engine.pending_output(), 0, "the outbox is empty");
+        assert_eq!(h.stats.transactions(), 1);
+        assert_eq!(h.stats.errors(), 0);
+        assert_eq!(h.stats.timeouts(), 0);
+
+        // Everything the server sent after the response is one record ...
+        let mut wire = Vec::new();
+        let mut buf = [0u8; 1024];
+        let record_len = |wire: &[u8]| {
+            (wire.len() >= RECORD_HEADER_LEN)
+                .then(|| RECORD_HEADER_LEN + usize::from(u16::from_be_bytes([wire[3], wire[4]])))
+        };
+        loop {
+            match h.socket.read(&mut buf) {
+                Ok(0) => break,
+                Ok(n) => wire.extend_from_slice(&buf[..n]),
+                Err(e) if e.kind() == ErrorKind::WouldBlock => {
+                    if record_len(&wire).is_some_and(|len| wire.len() >= len) {
+                        break;
+                    }
+                    assert!(Instant::now() < give_up, "the reply never arrived");
+                }
+                Err(e) => panic!("client read: {e}"),
+            }
+        }
+        assert_eq!(wire.first(), Some(&(ContentType::Alert as u8)), "an alert record");
+        assert_eq!(record_len(&wire), Some(wire.len()), "exactly one record");
+        // ... and it is a close_notify.
+        h.client.feed(&wire).expect("feed");
+        match h.client.open_next() {
+            Err(SslError::PeerAlert(alert)) => assert!(alert.is_close_notify()),
+            other => panic!("expected the peer's close_notify, got {other:?}"),
+        }
     }
 }
