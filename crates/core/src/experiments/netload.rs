@@ -599,40 +599,6 @@ pub fn restart_survival(ctx: &Context) -> Result<RestartSurvival, ExperimentErro
 mod tests {
     use super::*;
     use crate::test_ctx::ctx;
-    use sslperf_websim::loadgen::run_socket_load_disrupted;
-
-    #[test]
-    fn killed_engine_keeps_live_serving_alive() {
-        let ctx = ctx();
-        let connections = 8;
-        let options = SocketLoadOptions {
-            clients: connections,
-            transactions_per_client: 1,
-            resume: false,
-            file_size: 1024,
-            protocol: Protocol::Ssl3,
-            suite: ctx.suite(),
-            hold_until_all_established: true,
-        };
-        let mut rng = ctx.rng("kill-engine-live");
-        let key = RsaPrivateKey::generate(ctx.key_bits(), &mut rng).expect("server key");
-        // Two engines: the survivor inherits the load when engine 0 dies.
-        let server_options = ServerOptions::builder()
-            .crypto_workers(2)
-            .build()
-            .expect("valid kill-engine server options");
-        let server =
-            EventLoopServer::start(key, "www.sslperf.test", &server_options).expect("server");
-        let report =
-            run_socket_load_disrupted(server.local_addr(), &options, connections / 2, || {
-                assert!(server.kill_crypto_engine(0), "engine index exists");
-            })
-            .expect("fleet survives losing an engine");
-        assert_eq!(report.transactions, connections, "zero handshake failures");
-        let stats = server.stats();
-        assert_eq!(stats.crypto_jobs(), connections as u64, "every handshake offloaded");
-        server.shutdown();
-    }
 
     #[test]
     fn loaded_server_resumes_and_reports() {

@@ -267,12 +267,14 @@ mod tests {
         // fixed, so noise only adds SSL cycles. The quick context's 512-bit
         // key reads at least 38.3 % with SHA-1 on the CPU's SHA unit (41.1 %
         // on the portable kernel); the paper's 71.6 % needs its 1024-bit key.
+        let mut shares = Vec::new();
         assert!(
             crate::test_ctx::eventually(3, || {
-                table1(ctx()).expect("table1").ssl_percent() > 37.0
+                let share = table1(ctx()).expect("table1").ssl_percent();
+                shares.push(share);
+                share > 37.0
             }),
-            "SSL share {:.1}%",
-            t1.ssl_percent()
+            "SSL share of each attempt {shares:.1?}%, none above 37.0%"
         );
         let rendered = t1.to_string();
         assert!(rendered.contains("libcrypto"));

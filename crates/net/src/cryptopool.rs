@@ -9,8 +9,8 @@
 //! of accepted jobs.
 //!
 //! Scheduling: a waiting engine takes the oldest job; it adds batch
-//! siblings only while no other live engine is idle, so parallelism comes
-//! before batching.
+//! siblings only while no other engine is waiting, so parallelism comes
+//! before batching. The pool refuses a job only once it is shut down.
 //!
 //! Batching (`batch_max` > 1): the engine that takes a first job also
 //! takes up to `batch_max - 1` siblings that are already queued, under the
@@ -33,8 +33,7 @@ use std::thread::JoinHandle;
 /// back for a caller that wants to run it inline.
 #[derive(Debug)]
 pub enum SubmitError {
-    /// The pool is shut down, or every engine has been killed, and will
-    /// never drain this job.
+    /// The pool is shut down and will never drain this job.
     ShutDown(CryptoJob),
 }
 
@@ -59,24 +58,15 @@ struct CryptoTask {
 struct PoolState {
     /// Every accepted job not yet taken by an engine, oldest first.
     queue: VecDeque<CryptoTask>,
-    /// Which engines are alive ([`CryptoPool::kill_engine`] clears one).
-    live: Vec<bool>,
-    /// Which engines are waiting for a first job.
-    idle: Vec<bool>,
+    /// How many engines are waiting for a first job.
+    idle: usize,
     /// Cleared at shutdown; workers drain and exit.
     open: bool,
 }
 
 impl PoolState {
-    /// Whether a live engine is waiting for a first job. A collecting
-    /// engine is never idle itself, so this is "another engine could start
-    /// the next job now", which is when a batch stops taking siblings.
-    fn any_idle(&self) -> bool {
-        self.live.iter().zip(&self.idle).any(|(&live, &idle)| live && idle)
-    }
-
-    /// Accepts one job onto the queue, or hands it back when no engine
-    /// will ever drain it.
+    /// Accepts one job onto the queue, or hands it back once the pool is
+    /// shut down.
     // The error carries the refused job back (see `CryptoPool::try_submit`).
     #[allow(clippy::result_large_err)]
     fn enqueue(
@@ -86,7 +76,7 @@ impl PoolState {
         job: CryptoJob,
         reply: &Sender<PoolReply>,
     ) -> Result<(), SubmitError> {
-        if !self.open || !self.live.contains(&true) {
+        if !self.open {
             return Err(SubmitError::ShutDown(job));
         }
         if matches!(job.op(), CryptoOp::BulkSeal { .. }) {
@@ -162,21 +152,16 @@ impl CryptoPool {
         assert!(workers > 0, "at least one engine");
         assert!(batch_max > 0, "a batch holds at least one job");
         let shared = Arc::new(SharedOpaque(Shared {
-            state: Mutex::new(PoolState {
-                queue: VecDeque::new(),
-                live: vec![true; workers],
-                idle: vec![false; workers],
-                open: true,
-            }),
+            state: Mutex::new(PoolState { queue: VecDeque::new(), idle: 0, open: true }),
             ready: Condvar::new(),
             batch_max,
         }));
         let workers = (0..workers)
-            .map(|index| {
+            .map(|_| {
                 let shared = Arc::clone(&shared);
                 let config = Arc::clone(&config);
                 let stats = Arc::clone(&stats);
-                std::thread::spawn(move || worker_loop(index, &shared.0, &config, &stats))
+                std::thread::spawn(move || worker_loop(&shared.0, &config, &stats))
             })
             .collect();
         CryptoPool { shared, workers, stats }
@@ -188,8 +173,8 @@ impl CryptoPool {
     ///
     /// # Errors
     ///
-    /// [`SubmitError::ShutDown`] when the pool is shut down or every engine
-    /// has been killed (permanent: fail the connection).
+    /// [`SubmitError::ShutDown`] when the pool is shut down (permanent:
+    /// fail the connection).
     // The error carries the refused job back — a payload, not an error
     // condition — so its size is inherent to the contract.
     #[allow(clippy::result_large_err)]
@@ -206,29 +191,15 @@ impl CryptoPool {
         Ok(())
     }
 
-    /// Marks one engine dead: it takes no further job (a batch it already
-    /// holds still runs) and the survivors drain the shared queue. Returns
-    /// false when the index is out of range or the engine is already dead.
-    /// The fleet keeps serving on the survivors — this is the
-    /// scheduler-degradation experiment's fault injection.
-    pub fn kill_engine(&self, index: usize) -> bool {
-        let mut st = self.shared.0.state.lock().expect("pool lock");
-        if index >= st.live.len() || !st.live[index] {
-            return false;
-        }
-        st.live[index] = false;
-        drop(st);
-        self.shared.0.ready.notify_all();
-        true
-    }
-
     /// Stops accepting jobs, lets workers drain what they can, and joins
     /// them.
     pub fn shutdown(mut self) {
         self.stop_workers();
     }
 
-    fn stop_workers(&mut self) {
+    /// What [`CryptoPool::shutdown`] and `Drop` do, without consuming the
+    /// pool: later submissions are refused.
+    pub(crate) fn stop_workers(&mut self) {
         if let Ok(mut st) = self.shared.0.state.lock() {
             st.open = false;
         }
@@ -245,43 +216,42 @@ impl Drop for CryptoPool {
     }
 }
 
-/// Collects one batch for engine `index` under the scheduling rule: the
-/// oldest job, then — with `batch_max` &gt; 1 — siblings already queued,
-/// taken only while no other live engine is idle. The siblings come off
-/// the queue under the same lock acquisition as the first job, so a batch
-/// is exactly the backlog the engine found. Returns `None` when the engine
-/// is dead or the pool shut down with nothing left to take.
-fn collect_batch(index: usize, shared: &Shared) -> Option<Vec<CryptoTask>> {
+/// Collects one batch for an engine under the scheduling rule: the oldest
+/// job, then — with `batch_max` &gt; 1 — siblings already queued, taken
+/// only while no other engine waits. The siblings come off the queue under
+/// the same lock acquisition as the first job, so a batch is exactly the
+/// backlog the engine found. Returns `None` when the pool shut down with
+/// nothing left to take.
+fn collect_batch(shared: &Shared) -> Option<Vec<CryptoTask>> {
     let mut st = shared.state.lock().expect("pool lock");
-    st.idle[index] = true;
+    st.idle += 1;
     let first = loop {
-        if !st.live[index] {
-            break None;
-        }
         if let Some(task) = st.queue.pop_front() {
             break Some(task);
         }
         if !st.open {
             break None;
         }
-        // Submissions, kills and shutdown change the state under this
-        // lock and then notify, so no wake-up is lost between the checks
-        // above and the wait.
+        // Submissions and shutdown change the state under this lock and
+        // then notify, so no wake-up is lost between the checks above and
+        // the wait.
         st = shared.ready.wait(st).expect("pool lock");
     };
-    st.idle[index] = false;
+    st.idle -= 1;
     let mut batch = Vec::with_capacity(shared.batch_max);
     batch.push(first?);
-    while batch.len() < shared.batch_max && !st.any_idle() {
+    // This engine no longer counts itself, so a waiting engine is one that
+    // could start the next job now: leave the job to it.
+    while batch.len() < shared.batch_max && st.idle == 0 {
         let Some(task) = st.queue.pop_front() else { break };
         batch.push(task);
     }
     Some(batch)
 }
 
-fn worker_loop(index: usize, shared: &Shared, config: &ServerConfig, stats: &ServerStats) {
+fn worker_loop(shared: &Shared, config: &ServerConfig, stats: &ServerStats) {
     loop {
-        let Some(batch) = collect_batch(index, shared) else { return };
+        let Some(batch) = collect_batch(shared) else { return };
         let (routes, jobs): (Vec<_>, Vec<_>) =
             batch.into_iter().map(|task| ((task.conn, task.reply), task.job)).unzip();
         let dones = match <[CryptoJob; 1]>::try_from(jobs) {
@@ -316,15 +286,18 @@ impl CryptoPool {
         }
     }
 
-    /// Once every live engine is seen waiting on an empty queue, enqueues
+    /// How many engines the pool runs.
+    pub(crate) fn engines(&self) -> usize {
+        self.workers.len()
+    }
+
+    /// Once every engine is seen waiting on an empty queue, enqueues
     /// the whole burst under that one acquisition of the lock, through
     /// `try_submit`'s own enqueue. No engine can take a job until the
     /// burst is complete, so which jobs batch together and what depth each
     /// one sees are fixed by the burst, not by thread timing.
     fn submit_burst(&self, jobs: Vec<(u64, CryptoJob)>, reply: &Sender<PoolReply>) {
-        let mut st = self.await_state(|st| {
-            st.queue.is_empty() && st.live.iter().zip(&st.idle).all(|(&live, &idle)| idle || !live)
-        });
+        let mut st = self.await_state(|st| st.queue.is_empty() && st.idle == self.engines());
         for (conn, job) in jobs {
             st.enqueue(&self.stats, conn, job, reply).expect("a running pool accepts every job");
         }
@@ -343,7 +316,6 @@ mod tests {
     };
     use std::sync::mpsc;
     use std::sync::OnceLock;
-    use std::time::Duration;
 
     fn config() -> Arc<ServerConfig> {
         let mut rng = SslRng::from_seed(b"cryptopool-test-key");
@@ -575,41 +547,6 @@ mod tests {
         assert_eq!(stats.crypto_queue_depth_max(), burst + 1, "burst fully visible");
         assert_eq!((stats.crypto_batches(), stats.crypto_batched_jobs()), (2, burst));
         assert_eq!(stats.crypto_queue_depth(), 0, "depth settles once execution completes");
-        pool.shutdown();
-    }
-
-    /// Killing an engine mid-backlog leaves the survivor to drain the
-    /// queue: every handshake still completes. With every engine killed the
-    /// pool refuses new work for good and hands the job back.
-    #[test]
-    fn killed_engine_leaves_the_backlog_to_the_survivor() {
-        let config = config();
-        let stats = Arc::new(ServerStats::default());
-        let pool = CryptoPool::start(2, Arc::clone(&config), Arc::clone(&stats));
-        let (reply_tx, reply_rx) = mpsc::channel();
-        let burst = 8u64;
-        let (mut engines, jobs): (Vec<_>, Vec<_>) =
-            (0..burst).map(|seq| suspended_job(&config, seq)).unzip();
-        pool.submit_burst((0..burst).zip(jobs).collect(), &reply_tx);
-        assert!(pool.kill_engine(0), "engine 0 dies mid-backlog");
-        assert!(!pool.kill_engine(0), "already dead");
-        // Every handshake still completes: the survivor drains the backlog.
-        for _ in 0..burst {
-            let reply = reply_rx.recv_timeout(Duration::from_secs(30)).expect("reply");
-            engines[reply.conn as usize]
-                .complete_crypto(reply.done)
-                .expect("resume after engine death");
-        }
-        assert_eq!(stats.crypto_jobs(), burst);
-        assert!(pool.kill_engine(1), "the survivor dies too");
-        let job = suspended_job(&config, 77).1;
-        match pool.try_submit(77, job, &reply_tx) {
-            Err(SubmitError::ShutDown(job)) => {
-                assert!(matches!(job.op(), CryptoOp::RsaDecrypt { .. }))
-            }
-            Ok(()) => panic!("a pool with no live engine accepted a job"),
-        }
-        assert_eq!(stats.crypto_jobs(), burst, "the refused job is not counted");
         pool.shutdown();
     }
 

@@ -235,15 +235,6 @@ impl EventLoopServer {
         &self.config
     }
 
-    /// Kills one crypto engine by index (see
-    /// [`CryptoPool::kill_engine`]): the surviving engines drain the
-    /// pool's queue and the server keeps serving. Returns false when
-    /// the server has no pool, the index is out of range, or the engine
-    /// is already dead.
-    pub fn kill_crypto_engine(&self, index: usize) -> bool {
-        self.pool.as_deref().is_some_and(|pool| pool.kill_engine(index))
-    }
-
     /// Stops accepting, closes every in-flight connection, and joins the
     /// shard threads.
     pub fn shutdown(mut self) {
@@ -576,8 +567,8 @@ impl<'a> Conn<'a> {
     }
 
     /// Moves a freshly suspended key exchange to the crypto pool. A pool
-    /// refuses a job only when it is shut down or every engine has been
-    /// killed; it can never run it, so the connection fails outright.
+    /// refuses a job only once it is shut down; it can never run it, so
+    /// the connection fails outright.
     /// Returns true when a job entered the queue (or the connection
     /// transitioned to draining).
     fn submit_crypto(&mut self, shard: &Shard) -> bool {
@@ -713,13 +704,11 @@ mod tests {
     #[test]
     fn crypto_workers_size_the_pool() {
         let inline = start(&ServerOptions::builder().crypto_workers(0).build().expect("options"));
-        assert!(!inline.kill_crypto_engine(0), "no pool, nothing to kill");
+        assert!(inline.pool.is_none(), "no pool");
         inline.shutdown();
 
         let pooled = start(&ServerOptions::builder().crypto_workers(2).build().expect("options"));
-        assert!(!pooled.kill_crypto_engine(2), "index 2 is out of range for two engines");
-        assert!(pooled.kill_crypto_engine(0));
-        assert!(pooled.kill_crypto_engine(1));
+        assert_eq!(pooled.pool.as_deref().map(CryptoPool::engines), Some(2), "two engines");
         pooled.shutdown();
     }
 
@@ -747,44 +736,51 @@ mod tests {
     impl<'a> Harness<'a> {
         /// Connects the pair and completes the handshake.
         fn establish(config: &'a Arc<ServerConfig>) -> Self {
-            let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
-            let socket = TcpStream::connect(listener.local_addr().expect("addr")).expect("connect");
-            socket.set_nonblocking(true).expect("nonblocking");
-            let (accepted, _) = listener.accept().expect("accept");
-            let stats = Arc::new(ServerStats::default());
             let (reply_tx, reply_rx) = mpsc::channel();
             let shard = Shard {
                 index: 0,
                 seed_prefix: Arc::from("unit"),
-                listener: Arc::new(listener),
+                listener: Arc::new(TcpListener::bind("127.0.0.1:0").expect("bind")),
                 config: Arc::clone(config),
-                stats: Arc::clone(&stats),
+                stats: Arc::new(ServerStats::default()),
                 stop: Arc::new(AtomicBool::new(false)),
                 pool: None,
                 reply_tx,
                 reply_rx,
                 io_timeout: Some(IO_TIMEOUT),
                 expose_metrics: false,
-                seq: 1,
+                seq: 0,
                 scratch: vec![0u8; SCRATCH_LEN],
             };
-            let conn = Conn::accept(accepted, config, &shard).expect("socket setup");
             let rng = SslRng::from_seed(b"unit-client");
-            let client =
-                Engine::new(SslClient::new(CipherSuite::RsaAes128Sha, rng)).expect("hello");
-            let mut harness = Harness {
+            let client = SslClient::new(CipherSuite::RsaAes128Sha, rng);
+            let mut harness = Harness::connect(config, shard, client);
+            harness.run_until("handshake", Self::established);
+            harness
+        }
+
+        /// Connects `client` to `shard`'s listener and accepts the socket
+        /// as the shard's next connection, with no byte exchanged yet.
+        fn connect(config: &'a ServerConfig, mut shard: Shard, client: SslClient) -> Self {
+            let addr = shard.listener.local_addr().expect("addr");
+            let socket = TcpStream::connect(addr).expect("connect");
+            socket.set_nonblocking(true).expect("nonblocking");
+            let (accepted, _) = shard.listener.accept().expect("accept");
+            shard.seq += 1;
+            let conn = Conn::accept(accepted, config, &shard).expect("socket setup");
+            Harness {
                 conn,
+                stats: Arc::clone(&shard.stats),
                 shard,
-                stats,
-                client,
+                client: Engine::new(client).expect("hello"),
                 socket,
                 received: Vec::new(),
                 record_lens: Vec::new(),
-            };
-            harness.run_until("handshake", |h| {
-                h.client.is_established() && h.conn.engine.is_established()
-            });
-            harness
+            }
+        }
+
+        fn established(&self) -> bool {
+            self.client.is_established() && self.conn.engine.is_established()
         }
 
         fn pump(&mut self, now: Instant) -> bool {
@@ -970,5 +966,63 @@ mod tests {
             Err(SslError::PeerAlert(alert)) => assert!(alert.is_close_notify()),
             other => panic!("expected the peer's close_notify, got {other:?}"),
         }
+    }
+
+    /// The one refusal the crypto pool has left: once the shard's pool is
+    /// shut down, a full handshake's key exchange has nowhere to run, so
+    /// the connection gets exactly one fatal `handshake_failure` (40) and
+    /// the close, counted once as an error and once as an alert. A
+    /// resumption needs no key-exchange job and still completes a
+    /// transaction.
+    #[test]
+    fn closed_pool_fails_full_handshakes_and_still_resumes() {
+        let config = unit_config();
+        let mut h = Harness::establish(&config);
+        h.request(&["/doc_1024.bin"]);
+        h.run_until("the response", |h| !h.received.is_empty() && h.stats.transactions() == 1);
+        assert_document(&h.received, "/doc_1024.bin", 1024);
+        let session = h.client.machine().session().expect("established");
+
+        // Connections accepted from here on offload their key exchange to
+        // a pool that refuses it.
+        let mut shard = h.shard;
+        let mut pool = CryptoPool::start(1, Arc::clone(&config), Arc::clone(&shard.stats));
+        pool.stop_workers();
+        shard.pool = Some(Arc::new(pool));
+        let stats = Arc::clone(&shard.stats);
+        let (jobs, errors, alerts) = (stats.crypto_jobs(), stats.errors(), stats.alerts_sent());
+
+        // A second client's full handshake, up to its key exchange.
+        let rng = SslRng::from_seed(b"dead-pool-c2");
+        let mut h =
+            Harness::connect(&config, shard, SslClient::new(CipherSuite::RsaDesCbc3Sha, rng));
+        h.client_write();
+        h.run_until("the server's first flight", |h| h.client.wants_write());
+        h.client_write();
+        let give_up = Instant::now() + Duration::from_secs(20);
+        while !matches!(h.conn.phase, Phase::Closed) {
+            assert!(Instant::now() < give_up, "the connection never closed");
+            h.pump(Instant::now());
+        }
+        // The shard drops a closed connection, and its socket with it.
+        drop(h.conn);
+        h.socket.set_nonblocking(false).expect("blocking");
+        h.socket.set_read_timeout(Some(Duration::from_secs(10))).expect("read timeout");
+        let mut wire = [0u8; 7];
+        h.socket.read_exact(&mut wire).expect("alert record");
+        assert_eq!(wire, [21, 3, 0, 0, 2, 2, 40], "fatal handshake_failure, byte-exact");
+        let mut rest = [0u8; 16];
+        assert_eq!(h.socket.read(&mut rest).expect("eof"), 0, "closed after the alert");
+        assert_eq!((stats.errors(), stats.alerts_sent()), (errors + 1, alerts + 1));
+
+        let rng = SslRng::from_seed(b"dead-pool-c3");
+        let mut h = Harness::connect(&config, h.shard, SslClient::resuming(session, rng));
+        h.run_until("the resumed handshake", Harness::established);
+        assert!(h.client.machine().resumed(), "the first session resumes");
+        h.request(&["/doc_1024.bin"]);
+        h.run_until("the response", |h| !h.received.is_empty() && h.stats.transactions() == 2);
+        assert_document(&h.received, "/doc_1024.bin", 1024);
+        assert_eq!(stats.crypto_jobs(), jobs, "neither later handshake reached the pool");
+        assert_eq!((stats.errors(), stats.alerts_sent()), (errors + 1, alerts + 1));
     }
 }

@@ -14,8 +14,7 @@
 //!   percentiles. One fresh transaction per client is a burst; with
 //!   [`SocketLoadOptions::hold_until_all_established`] no client sends its
 //!   request before every client has completed its handshake, so all
-//!   connections are provably open at once. [`run_socket_load_disrupted`]
-//!   runs a callback mid-run, e.g. to kill a crypto engine.
+//!   connections are provably open at once.
 //! - [`run_restart_load`]: establishes sessions, lets the caller restart
 //!   or kill the server in between, then counts which sessions resume.
 //!
@@ -30,9 +29,8 @@ use sslperf_ssl::{
 };
 use std::fmt;
 use std::net::{SocketAddr, TcpStream};
-use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Barrier, Mutex};
+use std::sync::Barrier;
 use std::time::{Duration, Instant};
 
 /// Connect, read and write timeout of every client socket: a stalled
@@ -180,42 +178,10 @@ pub fn run_socket_load(
     addr: SocketAddr,
     options: &SocketLoadOptions,
 ) -> Result<SocketLoadReport, SslError> {
-    run(addr, options, usize::MAX, None::<fn()>)
-}
-
-/// [`run_socket_load`] with a one-shot fault injection: `disrupt` fires
-/// once, on the client thread whose handshake is the
-/// `disrupt_at_handshake`-th of the run to complete, while the remaining
-/// handshakes are still in flight — the harness for killing a crypto
-/// engine (or a fleet instance) mid-load and proving the survivors finish
-/// every connection. A run that returns `Ok` completed every transaction:
-/// zero handshake failures.
-///
-/// # Errors
-///
-/// Same contract as [`run_socket_load`].
-pub fn run_socket_load_disrupted(
-    addr: SocketAddr,
-    options: &SocketLoadOptions,
-    disrupt_at_handshake: usize,
-    disrupt: impl FnOnce() + Send,
-) -> Result<SocketLoadReport, SslError> {
-    run(addr, options, disrupt_at_handshake, Some(disrupt))
-}
-
-fn run<F: FnOnce() + Send>(
-    addr: SocketAddr,
-    options: &SocketLoadOptions,
-    disrupt_at: usize,
-    disrupt: Option<F>,
-) -> Result<SocketLoadReport, SslError> {
     let shared = Shared {
         hold: options.hold_until_all_established.then(|| Barrier::new(options.clients)),
-        handshakes: AtomicUsize::new(0),
         open: AtomicUsize::new(0),
         peak_established: AtomicUsize::new(0),
-        disrupt_at,
-        disrupt: Mutex::new(disrupt),
     };
     let start = Instant::now();
     let results = on_client_threads(options.clients, |c| socket_client(addr, options, &shared, c));
@@ -242,37 +208,22 @@ fn run<F: FnOnce() + Send>(
 }
 
 /// What the client threads of one [`run_socket_load`] share.
-struct Shared<F> {
+struct Shared {
     /// Every client's wait before its first measured request, when held.
     hold: Option<Barrier>,
-    /// Handshakes completed so far in the run.
-    handshakes: AtomicUsize,
     /// Connections established and not yet closed.
     open: AtomicUsize,
     peak_established: AtomicUsize,
-    disrupt_at: usize,
-    disrupt: Mutex<Option<F>>,
 }
 
-impl<F: FnOnce()> Shared<F> {
-    /// Books one completed handshake: fires the disruption on the
-    /// `disrupt_at`-th, counts the connection open, then waits at `hold`
-    /// when given.
+impl Shared {
+    /// Books one completed handshake: counts the connection open, then
+    /// waits at `hold` when given.
     fn on_handshake(&self, hold: Option<&Barrier>) {
-        let mut disrupted = Ok(());
-        if self.handshakes.fetch_add(1, Ordering::SeqCst) + 1 == self.disrupt_at {
-            if let Some(disrupt) = self.disrupt.lock().expect("disrupt lock").take() {
-                // A panicking callback still lets this client reach the hold.
-                disrupted = panic::catch_unwind(AssertUnwindSafe(disrupt));
-            }
-        }
         let now = self.open.fetch_add(1, Ordering::SeqCst) + 1;
         self.peak_established.fetch_max(now, Ordering::SeqCst);
         if let Some(barrier) = hold {
             barrier.wait();
-        }
-        if let Err(payload) = disrupted {
-            panic::resume_unwind(payload);
         }
     }
 }
@@ -285,10 +236,10 @@ struct TxnSample {
 
 /// One client thread. A client that fails before its held release still
 /// arrives at the barrier, so one failure never leaves the others waiting.
-fn socket_client<F: FnOnce()>(
+fn socket_client(
     addr: SocketAddr,
     options: &SocketLoadOptions,
-    shared: &Shared<F>,
+    shared: &Shared,
     client_index: usize,
 ) -> Result<Vec<TxnSample>, SslError> {
     let mut hold = shared.hold.as_ref();
@@ -301,10 +252,10 @@ fn socket_client<F: FnOnce()>(
 
 /// Sequential transactions, session carried across connections when
 /// resumption is on. Takes `hold` at the first measured handshake.
-fn client_transactions<F: FnOnce()>(
+fn client_transactions(
     addr: SocketAddr,
     options: &SocketLoadOptions,
-    shared: &Shared<F>,
+    shared: &Shared,
     client_index: usize,
     hold: &mut Option<&Barrier>,
 ) -> Result<Vec<TxnSample>, SslError> {
